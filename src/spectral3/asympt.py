@@ -27,6 +27,7 @@ __all__ = [
     "invert_index",
     "extract_remainders",
     "validate_condition1",
+    "root_rates",
 ]
 
 _C = 2.0 * np.pi / np.sqrt(3.0)
@@ -52,10 +53,23 @@ def beta_guess(n: int, k: int, theta: complex = 0.0) -> complex:
     return 3.0 * eigen_guess(n, k, theta)
 
 
+def _cube_roots(z: complex) -> np.ndarray:
+    """The three cube roots of z, principal branch first."""
+    base = complex(z) ** (1.0 / 3.0)
+    return base * np.exp(2j * np.pi * np.arange(3) / 3.0)
+
+
+def root_rates(z: complex) -> np.ndarray:
+    """Real parts of the three cube roots of z in ascending order: the
+    growth rates of the exponential solutions of y''' = z y."""
+    if z == 0:
+        return np.zeros(3)
+    return np.sort(_cube_roots(z).real)
+
+
 def _branch_root(target: complex, seed: complex) -> complex:
     """Cube root of target closest in direction to the seed."""
-    base = complex(target) ** (1.0 / 3.0)
-    roots = base * np.exp(2j * np.pi * np.arange(3) / 3.0)
+    roots = _cube_roots(target)
     dev = np.abs(np.angle(roots / seed))
     j = int(np.argmin(dev))
     if dev[j] > _BRANCH_LIMIT:

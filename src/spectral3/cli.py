@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forward as _forward_mod
 from .asympt import extract_remainders, validate_condition1
 from .errors import (AdmissibilityViolationError, SingularSystemError,
                      Spectral3Error)
-from .forward import (SpectralData, compute_spectral_data,
+from .forward import (_PAIR_TOL, SpectralData, compute_spectral_data,
                       load_spectral_data, save_spectral_data)
 from .grid import (Grid, l2_norm, read_coefficients, resample,
                    w2m1_distance, write_coefficients, CoefficientPair)
@@ -47,10 +46,6 @@ class RunConfig:
     grid_m: int = 512
     n_max: int | None = None
     big_n: int | None = None
-    newton_tol: float | None = None
-    pair_tol: float | None = None
-    pole_tol: float | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.grid_m % 2 != 0 or self.grid_m < 64:
@@ -59,22 +54,10 @@ class RunConfig:
                 and self.big_n > self.n_max):
             raise ValueError("truncation N=%d exceeds available n_max=%d"
                              % (self.big_n, self.n_max))
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
     @property
     def grid(self) -> Grid:
         return Grid(self.grid_m)
-
-    def apply_tolerances(self) -> None:
-        # Advanced knobs: the search and pole tolerances live as module
-        # constants; a batch process owns them for its lifetime.
-        if self.newton_tol is not None:
-            _forward_mod._NEWTON_TOL = float(self.newton_tol)
-        if self.pole_tol is not None:
-            _forward_mod._POLE_TOL = float(self.pole_tol)
-        if self.pair_tol is None:
-            self.pair_tol = _forward_mod._PAIR_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +146,9 @@ def _validate_input_data(data: SpectralData) -> dict:
 
 
 def cmd_forward(args) -> int:
-    cfg = RunConfig(grid_m=args.grid, n_max=args.n_max, threads=args.threads,
-                    newton_tol=args.newton_tol, pair_tol=args.pair_tol,
-                    pole_tol=args.pole_tol)
-    cfg.apply_tolerances()
+    cfg = RunConfig(grid_m=args.grid, n_max=args.n_max)
     coeffs = _load_coeffs(args.coeffs, cfg.grid)
-    data = compute_spectral_data(coeffs, cfg.n_max, pair_tol=cfg.pair_tol)
+    data = compute_spectral_data(coeffs, cfg.n_max, pair_tol=args.pair_tol)
     frame = extract_remainders(data)
     diag = {
         "asymptotics": {
@@ -193,10 +173,7 @@ def cmd_forward(args) -> int:
 
 def cmd_inverse(args) -> int:
     data = load_spectral_data(args.data)
-    cfg = RunConfig(grid_m=args.grid, big_n=args.big_n, n_max=data.n_max,
-                    threads=args.threads, newton_tol=args.newton_tol,
-                    pair_tol=args.pair_tol, pole_tol=args.pole_tol)
-    cfg.apply_tolerances()
+    cfg = RunConfig(grid_m=args.grid, big_n=args.big_n, n_max=data.n_max)
     if not args.force:
         _validate_input_data(data)
     res = run_inverse(data, cfg.grid, args.big_n,
@@ -215,16 +192,13 @@ def cmd_inverse(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     Ns = sorted(int(t) for t in str(args.big_n).split(","))
-    cfg = RunConfig(grid_m=args.grid, n_max=Ns[-1], big_n=Ns[-1],
-                    threads=args.threads, newton_tol=args.newton_tol,
-                    pair_tol=args.pair_tol, pole_tol=args.pole_tol)
-    cfg.apply_tolerances()
+    cfg = RunConfig(grid_m=args.grid, n_max=Ns[-1], big_n=Ns[-1])
     coeffs = _load_coeffs(args.coeffs, cfg.grid)
-    data = compute_spectral_data(coeffs, Ns[-1], pair_tol=cfg.pair_tol)
+    data = compute_spectral_data(coeffs, Ns[-1], pair_tol=args.pair_tol)
 
     def one(N: int) -> dict:
         res = run_inverse(data, cfg.grid, N)
-        rec = compute_spectral_data(res.coeffs, N, pair_tol=cfg.pair_tol)
+        rec = compute_spectral_data(res.coeffs, N, pair_tol=args.pair_tol)
         lam_err = beta_err = 0.0
         for n in range(1, N + 1):
             for k in (1, 2):
@@ -238,12 +212,7 @@ def cmd_roundtrip(args) -> int:
                 "tau1_l2": l2_norm(res.tau1N - coeffs.tau1),
                 "sigma0_w2m1": w2m1_distance(res.sigma0N, coeffs.sigma0)}
 
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(one, Ns))
-    else:
-        rows = [one(N) for N in Ns]
+    rows = [one(N) for N in Ns]
     header = ["N", "max_rel_lambda_err", "max_rel_beta_err",
               "tau1_l2", "sigma0_w2m1"]
     _write_rows(args.out, header, rows)
@@ -258,15 +227,12 @@ def cmd_roundtrip(args) -> int:
 def cmd_stability(args) -> int:
     data = load_spectral_data(args.data)
     N = args.big_n if args.big_n is not None else data.n_max
-    cfg = RunConfig(grid_m=args.grid, big_n=N, n_max=data.n_max,
-                    threads=args.threads, newton_tol=args.newton_tol,
-                    pair_tol=args.pair_tol, pole_tol=args.pole_tol)
-    cfg.apply_tolerances()
+    cfg = RunConfig(grid_m=args.grid, big_n=N, n_max=data.n_max)
     entries = tuple(_parse_perturb(s) for s in (args.perturb or ["beta:1,1"]))
     deltas = ([float(t) for t in args.deltas.split(",")]
               if args.deltas else None)
     rows = stability_experiment(data, cfg.grid, N, entries=entries,
-                                deltas=deltas, threads=cfg.threads)
+                                deltas=deltas)
     header = ["delta", "d", "tau1_l2", "sigma0_w2m1",
               "tau1_ratio", "sigma0_ratio", "status"]
     _write_rows(args.out, header, rows)
@@ -282,10 +248,7 @@ def cmd_stability(args) -> int:
 def cmd_verify(args) -> int:
     data = load_spectral_data(args.data)
     N = args.big_n if args.big_n is not None else data.n_max
-    cfg = RunConfig(grid_m=args.grid, big_n=N, n_max=data.n_max,
-                    threads=args.threads, newton_tol=args.newton_tol,
-                    pair_tol=args.pair_tol, pole_tol=args.pole_tol)
-    cfg.apply_tolerances()
+    cfg = RunConfig(grid_m=args.grid, big_n=N, n_max=data.n_max)
     if args.mode == "spectral":
         if not args.rec:
             raise ValueError("--rec is required for mode=spectral")
@@ -320,15 +283,12 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=512,
                    help="number of grid intervals M (even, >= 64)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on data-parallel thread width")
     p.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--newton-tol", type=float, default=None,
-                   help="eigenvalue Newton stopping tolerance")
-    p.add_argument("--pair-tol", type=float, default=None,
+
+
+def _add_pair_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pair-tol", type=float, default=_PAIR_TOL,
                    help="coinciding-eigenvalue detection tolerance")
-    p.add_argument("--pole-tol", type=float, default=None,
-                   help="Weyl-function pole proximity guard")
 
 
 def _build_parser() -> _Parser:
@@ -343,6 +303,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, required=True,
                    help="number of index pairs per family")
     _add_common(p)
+    _add_pair_tol(p)
     p.add_argument("--out", required=True, help="output spectral-data JSON")
     p.set_defaults(func=cmd_forward)
 
@@ -364,6 +325,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--big-n", required=True,
                    help="comma-separated truncation orders, e.g. 8,12,16")
     _add_common(p)
+    _add_pair_tol(p)
     p.add_argument("--out", required=True, help="summary CSV")
     p.set_defaults(func=cmd_roundtrip)
 

@@ -539,14 +539,6 @@ class WeylTable:
         return self.states[k - 1, :, order]
 
 
-def _middle_rate(lam: complex, c: float) -> float:
-    if lam == 0:
-        return 0.0
-    base = (c * complex(lam)) ** (1.0 / 3.0)
-    roots = base * np.exp(2j * np.pi * np.arange(3) / 3.0)
-    return float(np.sort(roots.real)[1])
-
-
 def _variant_c(variant: SystemVariant) -> float:
     return -1.0 if variant is SystemVariant.STAR else 1.0
 
@@ -588,7 +580,8 @@ def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
         for i in range(L):
             _pole_guard(dkk[i], ddkk[i], lams[i], "the k=2 characteristic")
         phi2 = np.empty((L, M + 1, 3), dtype=complex)
-        rates = np.array([_middle_rate(l, c) for l in lams])
+        rates = np.array([asympt.root_rates(c * complex(l))[1]
+                          for l in lams])
         back = rates <= _ROUTE_EPS
         if back.any():
             basis = _sweep(coeffs, variant, lams[back], _E23,

@@ -9,9 +9,12 @@ given data and eps = 1 the model data; for each grid node the system
     phi_{v0} - sum_v (-1)^eps(v) G_{v,v0} phi_v = tilde_phi_{v0}
 
 is solved by one LU factorization, reused for the x-derivatives via the
-differentiated system.  The kernels G are built from the two-point
-kernels D (Lagrange bracket over lambda - mu, or its integral form near
-coinciding arguments).
+differentiated system.  Every kernel G_{v,v0}, eta_v and Phi^N value comes
+from one combined star state per index, Z_v = (-1)^k beta_v
+Phi*_{4-k}(., lambda_v) (with -gamma_n Phi*_3 added on the coinciding
+set K), paired with a direct Weyl state by one kernel routine: the
+Lagrange bracket over mu - lambda for all pairs at once, or its integral
+form near coinciding arguments.
 
 Conditioning note: phi_v and the kernel columns grow or decay like
 exp(rate x) with rate the relevant real part of the cube roots of
@@ -23,13 +26,13 @@ the condition estimate run on the scaled matrix.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
+from .asympt import root_rates
 from .errors import PoleHitError, SingularSystemError
 from .forward import SpectralData, compute_spectral_data, weyl_solutions
 from .grid import CoefficientPair, Grid, GridFunction, cumulative, l2_norm, \
@@ -75,55 +78,99 @@ def index_set(N: int) -> list:
 # Two-point kernels
 
 
-def _kernel_values(cache: ModelCache, k: int, j: int, lam: complex,
-                   mu: complex, regularized: bool = False) -> np.ndarray:
-    """Nodal values of D_{k,j}(x, lambda, mu).
+class StarStates(NamedTuple):
+    """Combined star states Z_v of the indices of V^N.
 
-    Bracket form (z^[2]y - z'y' + z y^[2])/(mu - lambda) away from the
-    diagonal; integral form cumulative(z y) near it, with the explicit
-    pole 1/(lambda - mu) added for (k, j) = (2, 2) unless regularized
-    at an exact coincidence.
+    Z_v = -beta_v Phi*_3(., lam_v) for k = 1 and beta_v Phi*_2(., lam_v)
+    for k = 2; on the coinciding set K the term -gamma_n Phi*_3 is added
+    and the (2, 2) pole is regularized.  eta_v = Z_v[:, 0] and
+    eta_v' = Z_v[:, 1].
     """
-    zs = cache.phi_star_states(k, lam)
-    ys = cache.phi_states(j, mu)
-    gap = abs(lam - mu)
-    if gap > _KERNEL_SWITCH * (1.0 + max(abs(lam), abs(mu))):
-        bracket = (zs[:, 2] * ys[:, 0] - zs[:, 1] * ys[:, 1]
-                   + zs[:, 0] * ys[:, 2])
-        return bracket / (mu - lam)
-    vals = cumulative(GridFunction(cache.grid, zs[:, 0] * ys[:, 0])).values
-    if (k, j) == (2, 2):
-        if lam == mu:
-            if not regularized:
+
+    Z: np.ndarray            # (L, M+1, 3)
+    lam: np.ndarray          # (L,)
+    pole: np.ndarray         # (L,)  coefficient of Phi*_2 in Z_v
+    regularized: np.ndarray  # (L,)  bool
+
+
+def _star_states(cache: ModelCache, data: SpectralData) -> StarStates:
+    """Z_v for v in V^N, N = data.n_max, in the index_set order."""
+    V = index_set(data.n_max)
+    Z = np.empty((len(V), cache.grid.M + 1, 3), dtype=complex)
+    lam = np.empty(len(V), dtype=complex)
+    pole = np.zeros(len(V), dtype=complex)
+    regularized = np.zeros(len(V), dtype=bool)
+    for i, v in enumerate(V):
+        src = data if v.eps == 0 else cache.model_data
+        lam[i] = src.lam(v.n, v.k)
+        beta = src.beta(v.n, v.k)
+        if v.k == 1:
+            Z[i] = -beta * cache.phi_star_states(3, lam[i])
+            continue
+        Z[i] = beta * cache.phi_star_states(2, lam[i])
+        pole[i] = beta
+        if v.eps == 0 and v.n in data.K:
+            Z[i] -= data.gamma[v.n] * cache.phi_star_states(3, lam[i])
+            regularized[i] = True
+    return StarStates(Z, lam, pole, regularized)
+
+
+def _kernel(grid: Grid, stars: StarStates, Y: np.ndarray, mu: np.ndarray,
+            j) -> np.ndarray:
+    """Two-point kernels D(x; Z_v, Y_w) for every pair: out[m, w, v].
+
+    Y (W, M+1, 3) holds direct states Phi_{j_w}(., mu_w).  Bracket form
+    (Z^[2] Y - Z' Y' + Z Y^[2]) / (mu_w - lam_v), one batched product
+    over the nodes; pairs with nearly equal arguments take the integral
+    form cumulative(Z Y) instead, plus the explicit pole
+    pole_v / (lam_v - mu_w) when j_w = 2.  Evaluating that pole at
+    lam_v = mu_w raises unless row v is regularized.
+    """
+    lam = stars.lam
+    j = np.broadcast_to(j, mu.shape)
+    diff = mu[:, None] - lam[None, :]
+    scale = 1.0 + np.maximum(np.abs(mu)[:, None], np.abs(lam)[None, :])
+    near = ~(np.abs(diff) > _KERNEL_SWITCH * scale)
+
+    # (y^[2], -y', y) against (z, z', z^[2]) at every node
+    Yb = np.transpose(Y[:, :, ::-1] * np.array([1.0, -1.0, 1.0]), (1, 0, 2))
+    out = np.matmul(Yb, np.transpose(stars.Z, (1, 2, 0)))
+    out /= np.where(near, 1.0, diff)
+
+    for w, v in zip(*np.nonzero(near)):
+        zy = stars.Z[v, :, 0] * Y[w, :, 0]
+        vals = cumulative(GridFunction(grid, zy)).values
+        if j[w] == 2 and stars.pole[v] != 0:
+            if lam[v] != mu[w]:
+                vals = vals + stars.pole[v] / (lam[v] - mu[w])
+            elif not stars.regularized[v]:
                 raise PoleHitError(
                     "kernel (2,2) evaluated on its pole lambda = mu = %s"
-                    % (lam,))
-        else:
-            vals = vals + 1.0 / (lam - mu)
-    return vals
+                    % (lam[v],))
+        out[:, w, v] = vals
+    return out
 
 
 def kernel_D(cache: ModelCache, kj, grid: Grid, lam: complex, mu: complex,
              regularized: bool = False) -> GridFunction:
-    """Public kernel accessor for (k, j) in {2,3} x {2,3}."""
+    """Nodal values of D_{k,j}(x, lambda, mu) for (k, j) in {2,3} x {2,3}.
+
+    The pairing of Phi*_k(., lambda) with Phi_j(., mu); see _kernel.  The
+    pole 1/(lambda - mu) of D_{2,2} may be regularized at an exact
+    coincidence.
+    """
     k, j = int(kj[0]), int(kj[1])
     if (k, j) not in _VALID_KJ:
         raise ValueError("kernel indices %r not supported" % (kj,))
     if grid.M != cache.grid.M:
         raise ValueError("grid does not match the model cache")
-    return GridFunction(cache.grid,
-                        _kernel_values(cache, k, j, complex(lam), complex(mu),
-                                       regularized))
-
-
-def _kernel_j1(cache: ModelCache, k: int, lam: complex, mu: complex,
-               phi1_states: np.ndarray) -> np.ndarray:
-    """D_{k,1}(x, lam, mu) with the first Weyl solution supplied by the
-    caller (bracket form only; used by the Weyl-side verification)."""
-    zs = cache.phi_star_states(k, lam)
-    ys = phi1_states
-    bracket = zs[:, 2] * ys[:, 0] - zs[:, 1] * ys[:, 1] + zs[:, 0] * ys[:, 2]
-    return bracket / (mu - lam)
+    lam, mu = complex(lam), complex(mu)
+    star = StarStates(cache.phi_star_states(k, lam)[None],
+                      np.array([lam]), np.array([1.0 if k == 2 else 0.0]),
+                      np.array([regularized]))
+    D = _kernel(cache.grid, star, cache.phi_states(j, mu)[None],
+                np.array([mu]), j)
+    return GridFunction(cache.grid, D[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +191,6 @@ class MainAssembly:
     eta: np.ndarray         # (4N, M+1)
     deta: np.ndarray        # (4N, M+1)
     lam: np.ndarray         # (4N,)
-    beta: np.ndarray        # (4N,)
     signs: np.ndarray       # (4N,)  (-1)^eps
     rates: np.ndarray       # (4N,)  equilibration exponents
 
@@ -153,24 +199,8 @@ class MainAssembly:
         return self.eta[i_v] * self.tilde_phi[i_v0]
 
 
-def _rate(lam: complex, k: int) -> float:
-    if lam == 0:
-        return 0.0
-    base = complex(lam) ** (1.0 / 3.0)
-    roots = base * np.exp(2j * np.pi * np.arange(3) / 3.0)
-    ordered = np.sort(roots.real)
-    return float(ordered[1] if k == 1 else ordered[2])
-
-
-def _ensure_for_data(cache: ModelCache, data: SpectralData, N: int) -> None:
-    lam1 = ([data.lam(n, 1) for n in range(1, N + 1)]
-            + [cache.model_data.lam(n, 1) for n in range(1, N + 1)])
-    lam2 = ([data.lam(n, 2) for n in range(1, N + 1)]
-            + [cache.model_data.lam(n, 2) for n in range(1, N + 1)])
-    cache.ensure(lam1, 2)
-    cache.ensure(lam2, 3)
-    cache.ensure_star(lam2, 2)
-    cache.ensure_star(lam1, 3)
+def _signs(V: list) -> np.ndarray:
+    return np.array([1.0 if v.eps == 0 else -1.0 for v in V])
 
 
 def assemble(data: SpectralData, cache: ModelCache, N: int,
@@ -181,50 +211,23 @@ def assemble(data: SpectralData, cache: ModelCache, N: int,
     if grid.M != cache.grid.M:
         raise ValueError("grid does not match the model cache")
     data_N = data if data.n_max == N else data.truncate(N)
-    _ensure_for_data(cache, data_N, N)
+    cache.ensure_main(data_N)
 
     V = index_set(N)
-    size = len(V)
-    M = grid.M
-    lam = np.array([cache.lam(v.n, v.k, v.eps) if v.eps else data_N.lam(v.n, v.k)
-                    for v in V], dtype=complex)
-    beta = np.array([cache.beta(v.n, v.k, v.eps) if v.eps else data_N.beta(v.n, v.k)
-                     for v in V], dtype=complex)
-    signs = np.array([1.0 if v.eps == 0 else -1.0 for v in V])
-    rates = np.array([_rate(lam[i], V[i].k) for i in range(size)])
+    stars = _star_states(cache, data_N)
+    Y = np.stack([cache.phi_states(v.k + 1, l) for v, l in zip(V, stars.lam)])
+    signs = _signs(V)
+    rates = np.array([root_rates(l)[v.k] for v, l in zip(V, stars.lam)])
 
-    tilde_phi = np.empty((size, M + 1), dtype=complex)
-    tilde_dphi = np.empty_like(tilde_phi)
-    eta = np.empty_like(tilde_phi)
-    deta = np.empty_like(tilde_phi)
-    for i, v in enumerate(V):
-        states = cache.phi_states(v.k + 1, lam[i])
-        tilde_phi[i] = states[:, 0]
-        tilde_dphi[i] = states[:, 1]
-        eta[i], deta[i] = cache.eta_values(v.n, v.k, v.eps, data_N)
-
-    G = np.empty((size, size, M + 1), dtype=complex)
-    for i, v in enumerate(V):
-        on_K = v.eps == 0 and v.k == 2 and v.n in data_N.K
-        for i0, v0 in enumerate(V):
-            j = v0.k + 1
-            mu = lam[i0]
-            if on_K:
-                G[i, i0] = (beta[i] * _kernel_values(cache, 2, j, lam[i], mu,
-                                                     regularized=True)
-                            - data_N.gamma[v.n]
-                            * _kernel_values(cache, 3, j, lam[i], mu))
-            else:
-                coef = beta[i] if v.k == 2 else -beta[i]
-                G[i, i0] = coef * _kernel_values(cache, 4 - v.k, j, lam[i], mu)
-
-    A = np.broadcast_to(np.eye(size, dtype=complex),
-                        (M + 1, size, size)).copy()
-    A -= np.transpose(signs[:, None, None] * G, (2, 1, 0))
+    # A[m, v0, v] = delta - (-1)^eps(v) D(x_m; Z_v, tilde phi_v0)
+    A = _kernel(grid, stars, Y, stars.lam, [v.k + 1 for v in V])
+    A *= -signs
+    idx = np.arange(len(V))
+    A[:, idx, idx] += 1.0
     return MainAssembly(grid=grid, N=N, V=V, data=data_N, A=A,
-                        tilde_phi=tilde_phi, tilde_dphi=tilde_dphi,
-                        eta=eta, deta=deta, lam=lam, beta=beta,
-                        signs=signs, rates=rates)
+                        tilde_phi=Y[:, :, 0], tilde_dphi=Y[:, :, 1],
+                        eta=stars.Z[:, :, 0], deta=stars.Z[:, :, 1],
+                        lam=stars.lam, signs=signs, rates=rates)
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +303,17 @@ def reconstruct(data: SpectralData, cache: ModelCache, phi: np.ndarray,
                 ) -> ReconstructionResult:
     """Recover (tau1, sigma0) from the solved phi tables.
 
-    The three series are accumulated in the fixed IndexV order, which
-    pins the floating-point result independently of any parallelism
-    upstream.
+    The three series are summed over V^N in the fixed IndexV order.
     """
     data_N = data if data.n_max == N else data.truncate(N)
     V = index_set(N)
     grid = cache.grid
-    M = grid.M
-    sum_full = np.zeros(M + 1, dtype=complex)   # phi' eta + phi eta'
-    sum_deriv = np.zeros(M + 1, dtype=complex)  # phi' eta
-    sum_plain = np.zeros(M + 1, dtype=complex)  # phi  eta
-    for i, v in enumerate(V):
-        eta, deta = cache.eta_values(v.n, v.k, v.eps, data_N)
-        sign = 1.0 if v.eps == 0 else -1.0
-        sum_full += sign * (dphi[i] * eta + phi[i] * deta)
-        sum_deriv += sign * (dphi[i] * eta)
-        sum_plain += sign * (phi[i] * eta)
+    Z = _star_states(cache, data_N).Z
+    eta, deta = Z[:, :, 0], Z[:, :, 1]
+    signs = _signs(V)[:, None]
+    sum_full = (signs * (dphi * eta + phi * deta)).sum(axis=0)
+    sum_deriv = (signs * (dphi * eta)).sum(axis=0)
+    sum_plain = (signs * (phi * eta)).sum(axis=0)
 
     tau1N = cache.coeffs.tau1.values - 1.5 * sum_full
     hat = -1.5 * sum_full
@@ -359,35 +356,14 @@ def _phiN_tables(result: ReconstructionResult, cache: ModelCache,
     """(Phi^N_{k0}, (Phi^N_{k0})') nodal values at one lambda."""
     N = cache.N
     data_N = data if data.n_max == N else data.truncate(N)
-    V = result.V
-    if k0 == 1:
-        tilde = phi1_states
-    else:
-        tilde = cache.phi_states(k0, lam)
-    vals = tilde[:, 0].copy()
-    dvals = tilde[:, 1].copy()
-    for i, v in enumerate(V):
-        src = data_N if v.eps == 0 else cache.model_data
-        lam_v = src.lam(v.n, v.k)
-        beta_v = src.beta(v.n, v.k)
-        sign = 1.0 if v.eps == 0 else -1.0
-        if v.eps == 0 and v.k == 2 and v.n in data_N.K:
-            if k0 == 1:
-                P = (beta_v * _kernel_j1(cache, 2, lam_v, lam, tilde)
-                     - data_N.gamma[v.n] * _kernel_j1(cache, 3, lam_v, lam, tilde))
-            else:
-                P = (beta_v * _kernel_values(cache, 2, k0, lam_v, lam,
-                                             regularized=True)
-                     - data_N.gamma[v.n] * _kernel_values(cache, 3, k0, lam_v, lam))
-        else:
-            coef = beta_v if v.k == 2 else -beta_v
-            if k0 == 1:
-                P = coef * _kernel_j1(cache, 4 - v.k, lam_v, lam, tilde)
-            else:
-                P = coef * _kernel_values(cache, 4 - v.k, k0, lam_v, lam)
-        eta, _ = cache.eta_values(v.n, v.k, v.eps, data_N)
-        vals += sign * result.phi[i] * P
-        dvals += sign * (result.dphi[i] * P + result.phi[i] * eta * tilde[:, 0])
+    tilde = phi1_states if k0 == 1 else cache.phi_states(k0, lam)
+    stars = _star_states(cache, data_N)
+    P = _kernel(cache.grid, stars, tilde[None],
+                np.array([lam], dtype=complex), k0)[:, 0, :].T
+    signs = _signs(result.V)[:, None]
+    dP = result.dphi * P + result.phi * stars.Z[:, :, 0] * tilde[:, 0]
+    vals = tilde[:, 0] + (signs * result.phi * P).sum(axis=0)
+    dvals = tilde[:, 1] + (signs * dP).sum(axis=0)
     return vals, dvals
 
 
@@ -526,7 +502,7 @@ def _perturb(data: SpectralData, entries, delta: float) -> SpectralData:
 
 def stability_experiment(data: SpectralData, grid: Grid, N: int,
                          entries=((1, 1, "beta"),), delta0: float = 1e-2,
-                         levels: int = 4, threads: int = 1,
+                         levels: int = 4,
                          theta_shift: complex = 0.0, deltas=None) -> list:
     """Reconstruction error versus data perturbation size.
 
@@ -548,12 +524,6 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
         deltas = [delta0 / 2 ** j for j in range(levels)]
     else:
         deltas = [float(d) for d in deltas]
-
-    # Everything the parallel jobs will read from the cache is computed
-    # up front; afterwards the cache is only read.
-    for d in deltas:
-        pert = _perturb(data.truncate(N), entries, d)
-        _ensure_for_data(cache, pert, N)
 
     base = run_inverse(data, grid, N, cache=cache)
     rows = [{"delta": 0.0, "d": 0.0, "tau1_l2": 0.0, "sigma0_w2m1": 0.0,
@@ -579,9 +549,5 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
                 "sigma0_ratio": s_err / dd if dd else None,
                 "status": "ok"}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows.extend(pool.map(job, deltas))
-    else:
-        rows.extend(job(d) for d in deltas)
+    rows.extend(job(d) for d in deltas)
     return rows

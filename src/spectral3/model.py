@@ -4,9 +4,8 @@ The model pair is the constant-coefficient problem tau1 = theta,
 sigma0 = 0 (theta the integral carried by the data), solved by the same
 integrator as everything else.  build_model enforces the four
 admissibility conditions and precomputes every model quantity the main
-equation consumes: spectral data, the Weyl solutions Phi_2, Phi_3 of
-the direct and star systems at every needed lambda, and the eta
-functions.
+equation consumes: spectral data and the Weyl solutions Phi_2, Phi_3 of
+the direct and star systems at every needed lambda.
 
 Which Weyl solution may be evaluated where is dictated by the pole
 structure: Phi_2 has poles on the second model spectrum, Phi_2* on the
@@ -46,17 +45,10 @@ class ModelCache:
     theta_shift: complex = 0.0
     phi: dict = field(default_factory=dict)        # (k, lam) -> (M+1, 3)
     phi_star: dict = field(default_factory=dict)   # (k, lam) -> (M+1, 3)
-    eta: dict = field(default_factory=dict)        # (n, k, eps) -> (eta, eta')
 
     @property
     def grid(self) -> Grid:
         return self.coeffs.grid
-
-    def lam(self, n: int, k: int, eps: int) -> complex:
-        return (self.data if eps == 0 else self.model_data).lam(n, k)
-
-    def beta(self, n: int, k: int, eps: int) -> complex:
-        return (self.data if eps == 0 else self.model_data).beta(n, k)
 
     def ensure(self, lams, k: int) -> None:
         """Batch-compute and cache direct Weyl states Phi_k at lams."""
@@ -64,6 +56,23 @@ class ModelCache:
 
     def ensure_star(self, lams, k: int) -> None:
         self._ensure(self.phi_star, SystemVariant.STAR, lams, k)
+
+    def ensure_main(self, data: SpectralData) -> None:
+        """Batch-compute the Weyl states the main equation reads at the
+        eigenvalues of data (truncated to n <= N) and of the model.
+
+        Phi_2 and Phi*_3 are needed at first-family values, Phi_3 and
+        Phi*_2 at second-family values, so neither Phi_2 nor Phi*_2 is
+        evaluated on its poles (admissibility conditions 3 and 4).
+        """
+        ns = range(1, data.n_max + 1)
+        src = (data, self.model_data)
+        lam1 = [d.lam(n, 1) for n in ns for d in src]
+        lam2 = [d.lam(n, 2) for n in ns for d in src]
+        self.ensure(lam1, 2)
+        self.ensure(lam2, 3)
+        self.ensure_star(lam2, 2)
+        self.ensure_star(lam1, 3)
 
     def _ensure(self, table: dict, variant: SystemVariant, lams, k: int) -> None:
         missing = [l for l in np.atleast_1d(np.asarray(lams, dtype=complex))
@@ -85,30 +94,6 @@ class ModelCache:
         if key not in self.phi_star:
             self.ensure_star([lam], k)
         return self.phi_star[key]
-
-    def eta_values(self, n: int, k: int, eps: int, data: SpectralData):
-        """(eta, eta') node values for index v = (n, k, eps).
-
-        eta = (-1)^k beta_v Phi*_{4-k}(., lam_v); on the coinciding set
-        (k = 2, eps = 0) the gamma term -gamma_n Phi*_3 is added.  When
-        the passed data matches the cache's, the precomputed table is
-        used; otherwise the values are formed from cached star states.
-        """
-        if data is self.data and (n, k, eps) in self.eta:
-            return self.eta[(n, k, eps)]
-        src = data if eps == 0 else self.model_data
-        lam = src.lam(n, k)
-        beta = src.beta(n, k)
-        sign = -1.0 if k == 1 else 1.0
-        zs = self.phi_star_states(4 - k, lam)
-        eta = sign * beta * zs[:, 0]
-        deta = sign * beta * zs[:, 1]
-        if eps == 0 and k == 2 and n in data.K:
-            z3 = self.phi_star_states(3, lam)
-            gam = data.gamma[n]
-            eta = beta * zs[:, 0] - gam * z3[:, 0]
-            deta = beta * zs[:, 1] - gam * z3[:, 1]
-        return eta, deta
 
 
 def _collision_tol(lam: complex) -> float:
@@ -168,19 +153,7 @@ def build_model(data: SpectralData, grid: Grid, N: int,
     cache = ModelCache(coeffs=model_coeffs, model_data=model_data,
                        data=data_N, N=N, theta_shift=theta_shift)
 
-    lam1 = [cache.lam(n, 1, e) for n in range(1, N + 1) for e in (0, 1)]
-    lam2 = [cache.lam(n, 2, e) for n in range(1, N + 1) for e in (0, 1)]
-    # Regular evaluation pattern: Phi_2 on first-family values, Phi_3
-    # anywhere, Phi_2* on second-family values, Phi_3* anywhere.
-    cache.ensure(lam1, 2)
-    cache.ensure(lam2, 3)
-    cache.ensure_star(lam2, 2)
-    cache.ensure_star(lam1, 3)
-
-    for n in range(1, N + 1):
-        for k in (1, 2):
-            for eps in (0, 1):
-                cache.eta[(n, k, eps)] = cache.eta_values(n, k, eps, data_N)
+    cache.ensure_main(data_N)
     return cache
 
 

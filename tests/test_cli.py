@@ -170,6 +170,25 @@ def test_parser_errors_exit_1(zero_csv, tmp_path):
     assert ei.value.code == 1
 
 
+def test_tolerance_and_thread_flags_are_gone(zero_csv, smooth_json,
+                                            tmp_path):
+    from spectral3 import forward
+    out = str(tmp_path / "o")
+    forward_args = ["forward", "--coeffs", zero_csv, "--n-max", "2",
+                    "--out", out]
+    inverse_args = ["inverse", "--data", smooth_json, "--big-n", "3",
+                    "--out", out]
+    for argv in (forward_args + ["--newton-tol", "1e-4"],
+                 forward_args + ["--pole-tol", "1e-2"],
+                 forward_args + ["--threads", "2"],
+                 inverse_args + ["--pair-tol", "1e-6"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 1, argv
+    assert forward._NEWTON_TOL == 1e-12
+    assert forward._POLE_TOL == 1e-10
+
+
 def test_config_file(tmp_path, zero_csv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\ngrid = 128\nn_max = 2\n")

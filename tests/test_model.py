@@ -4,12 +4,18 @@ import pytest
 from spectral3.errors import AdmissibilityViolationError
 from spectral3.grid import (CoefficientPair, GridFunction, differentiate,
                             integrate)
+from spectral3.inverse import assemble
 from spectral3.model import build_model, distance_d, xi_sequence
 
 
 @pytest.fixture(scope="module")
 def cache8(smooth_data8, grid512):
     return build_model(smooth_data8, grid512, 8)
+
+
+@pytest.fixture(scope="module")
+def assembly8(cache8):
+    return assemble(cache8.data, cache8, 8)
 
 
 def test_default_model_shape(cache8, smooth_data8):
@@ -67,14 +73,15 @@ def test_xi_and_distance_oracles(smooth_data8):
     assert distance_d(pert2, smooth_data8, N=8) == distance_d(pert2, smooth_data8)
 
 
-def test_eta_vanishes_at_origin(cache8):
-    for (n, k, eps), (eta, deta) in cache8.eta.items():
-        assert abs(eta[0]) < 1e-13 * (1.0 + np.abs(eta).max()), (n, k, eps)
+def test_eta_vanishes_at_origin(assembly8):
+    for v, eta in zip(assembly8.V, assembly8.eta):
+        assert abs(eta[0]) < 1e-13 * (1.0 + np.abs(eta).max()), v
 
 
-def test_eta_derivative_consistent(cache8):
-    eta, deta = cache8.eta[(3, 1, 1)]
-    g = GridFunction(cache8.grid, eta)
+def test_eta_derivative_consistent(assembly8):
+    i = assembly8.V.index((3, 1, 1))
+    eta, deta = assembly8.eta[i], assembly8.deta[i]
+    g = GridFunction(assembly8.grid, eta)
     num = differentiate(g).values
     assert np.abs(num - deta).max() < 1e-5 * (1.0 + np.abs(deta).max())
 
@@ -92,14 +99,14 @@ def test_cache_is_idempotent(cache8):
     a = cache8.phi_states(3, lam)
     b = cache8.phi_states(3, lam)
     assert a is b
-    t1 = cache8.eta_values(1, 1, 0, cache8.data)
-    assert t1 is cache8.eta[(1, 1, 0)]
 
 
-def test_eta_recomputed_for_foreign_data(cache8):
+def test_eta_recomputed_for_foreign_data(cache8, assembly8):
     other = cache8.data.copy()
     other.beta1[0] *= 2.0
-    eta0, deta0 = cache8.eta[(1, 1, 0)]
-    eta2, deta2 = cache8.eta_values(1, 1, 0, other)
+    foreign = assemble(other, cache8, 8)
+    i = assembly8.V.index((1, 1, 0))
+    eta0, deta0 = assembly8.eta[i], assembly8.deta[i]
+    eta2, deta2 = foreign.eta[i], foreign.deta[i]
     assert np.abs(eta2 - 2.0 * eta0).max() < 1e-12 * (1.0 + np.abs(eta0).max())
     assert np.abs(deta2 - 2.0 * deta0).max() < 1e-12 * (1.0 + np.abs(deta0).max())
