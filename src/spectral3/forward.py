@@ -261,8 +261,13 @@ def weight_gamma(coeffs: CoefficientPair, lam_n: complex,
     expressions must agree; this is asserted.
     """
     c = characteristic(coeffs, lam_n, with_dlambda=True)
-    g1 = c.d31 / c.ddot11
-    g2 = c.c11 / c.ddot22
+    return _gamma(lam_n, c.d31 / c.ddot11, c.c11 / c.ddot22, beta1, beta2)
+
+
+def _gamma(lam_n: complex, g1: complex, g2: complex,
+           beta1: complex, beta2: complex) -> complex:
+    """gamma_n from its two definitions g1 = Delta_{3,1}/dDelta_{1,1}
+    and g2 = C_1(1)/dDelta_{2,2} at lambda_n (see weight_gamma)."""
     if beta1 == 0 and beta2 == 0:
         if abs(g1 - g2) > 1e-6 * (1.0 + abs(g1)):
             raise Spectral3Error(
@@ -345,8 +350,12 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
         if abs(b2) <= scale:
             beta2[n - 1] = 0.0
 
-    gamma = {n: weight_gamma(coeffs, complex(lam1[n - 1]),
-                             complex(beta1[n - 1]), complex(beta2[n - 1]))
+    # On K both families sit at the same lambda, so the batch already
+    # holds both gamma definitions there.
+    gamma = {n: _gamma(complex(lam1[n - 1]),
+                       complex(a["d31"][n - 1] / a["ddot11"][n - 1]),
+                       complex(a["c11"][n - 1] / a["ddot22"][n - 1]),
+                       complex(beta1[n - 1]), complex(beta2[n - 1]))
              for n in K}
     return SpectralData(theta=complex(theta), n_max=n_max,
                         lam1=lam1, lam2=lam2, beta1=beta1, beta2=beta2,
@@ -488,41 +497,54 @@ def load_spectral_data(path) -> SpectralData:
 # Weyl matrices and solutions
 
 
-def _star_minors(a: dict, i):
-    """Star determinants expressed through the direct-side quantities
-    (the wedge map is an involution between the two systems)."""
-    return {
-        "d11": -a["d22"][i], "d21": -a["d32"][i], "d31": a["c11"][i],
-        "d22": -a["d11"][i], "d32": -a["d21"][i],
-        "ddot11": -a["ddot22"][i], "ddot22": -a["ddot11"][i],
-    }
+def _variant_minors(a: dict, variant: SystemVariant) -> dict:
+    """Characteristic arrays of the variant: DIRECT as computed, STAR
+    through the direct-side quantities (the wedge map is an involution
+    between the two systems)."""
+    if variant is SystemVariant.DIRECT:
+        return a
+    if variant is SystemVariant.STAR:
+        return {
+            "d11": -a["d22"], "d21": -a["d32"], "d31": a["c11"],
+            "d22": -a["d11"], "d32": -a["d21"],
+            "ddot11": -a["ddot22"], "ddot22": -a["ddot11"],
+        }
+    raise ValueError("Weyl functions support DIRECT and STAR variants")
 
 
-def _pole_guard(num: complex, den: complex, lam: complex, label: str) -> None:
+def _pole_guard(num: np.ndarray, den: np.ndarray, lams: np.ndarray,
+                label: str) -> None:
     # |Delta/dDelta| estimates the distance to the nearest root.
-    if abs(num) <= _POLE_TOL * (1.0 + abs(lam)) * abs(den):
+    near = np.abs(num) <= _POLE_TOL * (1.0 + np.abs(lams)) * np.abs(den)
+    if near.any():
+        lam = complex(lams[int(np.flatnonzero(near)[0])])
         raise NearPoleError(
             "lambda=%s is numerically at a zero of %s" % (lam, label))
 
 
-def weyl_matrix(coeffs: CoefficientPair, lam: complex,
-                variant: SystemVariant = SystemVariant.DIRECT) -> np.ndarray:
-    """Lower unitriangular matrix of the Weyl functions at lambda."""
-    a = _char_arrays(coeffs, [lam], with_dlambda=True)
-    if variant is SystemVariant.DIRECT:
-        m = {k: complex(a[k][0]) for k in
-             ("d11", "d21", "d31", "d22", "d32", "ddot11", "ddot22")}
-    elif variant is SystemVariant.STAR:
-        m = {k: complex(v) for k, v in _star_minors(a, 0).items()}
-    else:
-        raise ValueError("weyl_matrix supports DIRECT and STAR variants")
-    _pole_guard(m["d11"], m["ddot11"], lam, "Delta_{1,1}")
-    _pole_guard(m["d22"], m["ddot22"], lam, "Delta_{2,2}")
-    out = np.eye(3, dtype=complex)
-    out[1, 0] = -m["d21"] / m["d11"]
-    out[2, 0] = -m["d31"] / m["d11"]
-    out[2, 1] = -m["d32"] / m["d22"]
+def _weyl_from_arrays(a: dict, variant: SystemVariant) -> np.ndarray:
+    """(L, 3, 3) Weyl matrices from characteristic arrays with d/dlambda."""
+    m = _variant_minors(a, variant)
+    _pole_guard(m["d11"], m["ddot11"], a["lams"], "Delta_{1,1}")
+    _pole_guard(m["d22"], m["ddot22"], a["lams"], "Delta_{2,2}")
+    out = np.broadcast_to(_EYE, (a["lams"].shape[0], 3, 3)).copy()
+    out[:, 1, 0] = -m["d21"] / m["d11"]
+    out[:, 2, 0] = -m["d31"] / m["d11"]
+    out[:, 2, 1] = -m["d32"] / m["d22"]
     return out
+
+
+def weyl_matrix(coeffs: CoefficientPair, lams,
+                variant: SystemVariant = SystemVariant.DIRECT) -> np.ndarray:
+    """Lower unitriangular matrices of the Weyl functions.
+
+    lams is a scalar, giving (3, 3), or a 1-D array of L points, giving
+    (L, 3, 3) from one DIRECT and one STAR sweep over all of them.
+    Raises NearPoleError naming the first lambda at a pole.
+    """
+    m = _weyl_from_arrays(_char_arrays(coeffs, lams, with_dlambda=True),
+                          variant)
+    return m[0] if np.ndim(lams) == 0 else m
 
 
 @dataclass
@@ -558,62 +580,59 @@ def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
     C_2 + M_{3,2} C_3 otherwise.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    L = lams.shape[0]
-    M = coeffs.grid.M
-    c = _variant_c(variant)
     out: dict = {}
-
     if 3 in ks:
         full = _sweep(coeffs, variant, lams, _E3, store=True)
         out[3] = np.transpose(full[:, :, :, 0], (1, 0, 2))
-
     if 2 in ks:
-        a = _char_arrays(coeffs, lams, with_dlambda=True)
-        if variant is SystemVariant.DIRECT:
-            dkk = a["d22"]
-            ddkk = a["ddot22"]
-            m32 = -a["d32"] / a["d22"]
-        else:
-            dkk = -a["d11"]
-            ddkk = -a["ddot11"]
-            m32 = -a["d21"] / a["d11"]  # -Delta*_{3,2} / Delta*_{2,2}
-        for i in range(L):
-            _pole_guard(dkk[i], ddkk[i], lams[i], "the k=2 characteristic")
-        phi2 = np.empty((L, M + 1, 3), dtype=complex)
-        rates = np.array([asympt.root_rates(c * complex(l))[1]
-                          for l in lams])
-        back = rates <= _ROUTE_EPS
-        if back.any():
-            basis = _sweep(coeffs, variant, lams[back], _E23,
-                           backward=True, store=True)
-            # (M+1, Lb, 3, 2); match (y, y') at x = 0 to (0, 1)
-            A = basis[0][:, :2, :]
-            rhs = np.broadcast_to(np.array([0.0, 1.0], dtype=complex),
-                                  (int(back.sum()), 2))
-            coef = np.linalg.solve(A, rhs[..., None])[..., 0]
-            phi2[back] = np.transpose(
-                np.einsum("mlik,lk->mli", basis, coef), (1, 0, 2))
-        if (~back).any():
-            init = np.zeros((int((~back).sum()), 3, 1), dtype=complex)
-            init[:, 1, 0] = 1.0
-            init[:, 2, 0] = m32[~back]
-            full = _sweep(coeffs, variant, lams[~back], init, store=True)
-            phi2[~back] = np.transpose(full[:, :, :, 0], (1, 0, 2))
-        out[2] = phi2
-
+        out[2] = _phi2_states(coeffs, variant,
+                              _char_arrays(coeffs, lams, with_dlambda=True))
     return out
+
+
+def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
+                 a: dict) -> np.ndarray:
+    """Phi_2 trajectories (L, M+1, 3) at the lambdas of the
+    characteristic arrays a (computed with d/dlambda)."""
+    lams = a["lams"]
+    L = lams.shape[0]
+    M = coeffs.grid.M
+    c = _variant_c(variant)
+    m = _variant_minors(a, variant)
+    _pole_guard(m["d22"], m["ddot22"], lams, "the k=2 characteristic")
+    m32 = -m["d32"] / m["d22"]
+    phi2 = np.empty((L, M + 1, 3), dtype=complex)
+    rates = np.array([asympt.root_rates(c * complex(l))[1] for l in lams])
+    back = rates <= _ROUTE_EPS
+    if back.any():
+        basis = _sweep(coeffs, variant, lams[back], _E23,
+                       backward=True, store=True)
+        # (M+1, Lb, 3, 2); match (y, y') at x = 0 to (0, 1)
+        A = basis[0][:, :2, :]
+        rhs = np.broadcast_to(np.array([0.0, 1.0], dtype=complex),
+                              (int(back.sum()), 2))
+        coef = np.linalg.solve(A, rhs[..., None])[..., 0]
+        phi2[back] = np.transpose(
+            np.einsum("mlik,lk->mli", basis, coef), (1, 0, 2))
+    if (~back).any():
+        init = np.zeros((int((~back).sum()), 3, 1), dtype=complex)
+        init[:, 1, 0] = 1.0
+        init[:, 2, 0] = m32[~back]
+        full = _sweep(coeffs, variant, lams[~back], init, store=True)
+        phi2[~back] = np.transpose(full[:, :, :, 0], (1, 0, 2))
+    return phi2
 
 
 def weyl_solutions(coeffs: CoefficientPair, lam: complex,
                    variant: SystemVariant = SystemVariant.DIRECT) -> WeylTable:
     """All three Weyl solutions of the variant at one lambda."""
-    m = weyl_matrix(coeffs, lam, variant)  # includes the pole guards
+    a = _char_arrays(coeffs, [lam], with_dlambda=True)
+    m = _weyl_from_arrays(a, variant)[0]  # includes the pole guards
     M = coeffs.grid.M
     states = np.empty((3, M + 1, 3), dtype=complex)
-    batch = weyl_batch(coeffs, [lam], variant)
-    states[1] = batch[2][0]
-    states[2] = batch[3][0]
-    u = _sweep(coeffs, variant, np.array([lam], dtype=complex), _E3,
+    states[1] = _phi2_states(coeffs, variant, a)[0]
+    states[2] = weyl_batch(coeffs, a["lams"], variant, ks=(3,))[3][0]
+    u = _sweep(coeffs, variant, a["lams"], _E3,
                backward=True, store=True)[:, 0, :, 0]
     states[0] = u / u[0, 0]
     return WeylTable(coeffs.grid, variant, complex(lam), states, m)
@@ -642,16 +661,21 @@ def laurent_coefficients(fn, center: complex, radius: float | None = None,
                          npts: int = 64):
     """(A_{-1}, A_0) of a meromorphic function by circle quadrature.
 
-    fn maps lambda to a scalar or ndarray; trapezoid quadrature on a
-    circle is spectrally accurate, so 64 points are ample for a simple
-    pole well inside the circle.
+    fn is called once with the (npts,) array of contour points and must
+    return an array with a leading axis of length npts (scalar or
+    matrix values per point).  Trapezoid quadrature on a circle is
+    spectrally accurate, so 64 points are ample for a simple pole well
+    inside the circle.
     """
     if radius is None:
         radius = 1e-3 * (1.0 + abs(center))
     th = 2.0 * np.pi * np.arange(npts) / npts
     zs = center + radius * np.exp(1j * th)
-    vals = [np.asarray(fn(z), dtype=complex) for z in zs]
-    stack = np.stack(vals)
+    stack = np.asarray(fn(zs), dtype=complex)
+    if stack.ndim == 0 or stack.shape[0] != npts:
+        raise ValueError(
+            "contour callback must return a leading axis of length %d, "
+            "got shape %s" % (npts, stack.shape))
     phase = np.exp(1j * th).reshape((npts,) + (1,) * (stack.ndim - 1))
     a_m1 = radius / npts * (stack * phase).sum(axis=0)
     a_0 = stack.mean(axis=0)

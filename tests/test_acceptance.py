@@ -5,6 +5,7 @@ measured values next to the budgets, so a -v run gives one pass/fail
 line per item and -s shows the margins.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -229,7 +230,7 @@ def test_10_weights_match_contour_integrals(smooth_coeffs, smooth_data20):
         for k in (1, 2):
             lam = data.lam(n, k)
             a_m1, a_0 = laurent_coefficients(
-                lambda z: weyl_matrix(smooth_coeffs, z), lam)
+                functools.partial(weyl_matrix, smooth_coeffs), lam)
             res_entry = a_m1[k, k - 1]
             beta = data.beta(n, k)
             beta_dev = max(beta_dev,

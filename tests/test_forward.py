@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,8 +232,12 @@ def test_weyl_matrix_structure(general_coeffs):
 
 
 def test_weyl_matrix_pole_guard(zero_coeffs, zero_data6):
+    pole = zero_data6.lam(1, 1)
     with pytest.raises(NearPoleError):
-        weyl_matrix(zero_coeffs, zero_data6.lam(1, 1))
+        weyl_matrix(zero_coeffs, pole)
+    # inside a batch the error names the offending lambda
+    with pytest.raises(NearPoleError, match=re.escape(str(complex(pole)))):
+        weyl_matrix(zero_coeffs, [7.0 + 5.0j, pole, -20.0 + 3.0j])
 
 
 def test_weyl_solutions_boundary_values(general_coeffs):
@@ -298,9 +304,82 @@ def test_laurent_quadrature_exact():
         lambda z: 2.0 / (z - 0.5j) + 5.0 + 3.0 * (z - 0.5j), 0.5j, radius=0.1)
     assert abs(a_m1 - 2.0) < 1e-12
     assert abs(a_0 - 5.0) < 1e-12
+
     # matrix-valued
-    a_m1, a_0 = laurent_coefficients(
-        lambda z: np.array([[1.0 / (z - 1.0), 0.0], [2.0, z]]), 1.0,
-        radius=0.05)
+    def mat(z):
+        out = np.zeros(z.shape + (2, 2), dtype=complex)
+        out[:, 0, 0] = 1.0 / (z - 1.0)
+        out[:, 1, 0] = 2.0
+        out[:, 1, 1] = z
+        return out
+
+    a_m1, a_0 = laurent_coefficients(mat, 1.0, radius=0.05)
     assert np.abs(a_m1 - [[1, 0], [0, 0]]).max() < 1e-12
     assert np.abs(a_0 - [[0, 0], [2, 1]]).max() < 1e-10
+
+
+def test_laurent_rejects_callback_without_point_axis():
+    # values that ignore the contour points would broadcast silently
+    with pytest.raises(ValueError, match="leading axis"):
+        laurent_coefficients(lambda z: np.eye(3), 1.0)
+    with pytest.raises(ValueError, match="leading axis"):
+        laurent_coefficients(lambda z: 5.0, 1.0)
+    with pytest.raises(ValueError, match="leading axis"):
+        laurent_coefficients(lambda z: z[:-1], 1.0)
+
+
+@pytest.fixture(scope="module")
+def general_coeffs128(grid128):
+    return CoefficientPair.from_callables(
+        grid128,
+        lambda x: np.cos(2.0 * np.pi * x) + 0.3 + 0.2j * np.sin(np.pi * x),
+        lambda x: 0.25 * x * (1.0 - x) + 0.15j * np.sin(2.0 * np.pi * x))
+
+
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+def test_weyl_matrix_batch_equals_pointwise(general_coeffs128, variant):
+    # the contour of laurent_coefficients around lambda_{1,1}, plus a far
+    # point; M = 128 keeps the 65 scalar calls cheap
+    center = find_eigenvalue(general_coeffs128, 1, 1)
+    radius = 1e-3 * (1.0 + abs(center))
+    th = 2.0 * np.pi * np.arange(64) / 64
+    lams = np.append(center + radius * np.exp(1j * th), 300.0 - 120.0j)
+    batch = weyl_matrix(general_coeffs128, lams, variant)
+    assert batch.shape == (65, 3, 3)
+    pointwise = np.stack([weyl_matrix(general_coeffs128, z, variant)
+                          for z in lams])
+    assert pointwise.shape == (65, 3, 3)
+    rel = (np.abs(batch - pointwise).max(axis=(1, 2))
+           / np.abs(pointwise).max(axis=(1, 2)))
+    assert rel.max() <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def coinciding_coeffs(grid128):
+    # Constant tau1 = t, sigma0 = 0: lambda_{1,1} and lambda_{1,2} = -lambda_{1,1}
+    # meet near 0 where Delta_{2,1}(0) changes sign (t close to 19.74), and
+    # both weight numbers vanish there.  A secant on t pins that point.
+    def coeffs(t):
+        return CoefficientPair(GridFunction.constant(grid128, t),
+                               GridFunction.constant(grid128, 0.0))
+
+    def d21(t):
+        return characteristic(coeffs(t), 0.0).d21.real
+
+    t0, t1 = 19.7, 19.8
+    f0, f1 = d21(t0), d21(t1)
+    for _ in range(30):
+        if abs(t1 - t0) < 1e-14:
+            break
+        t0, f0, t1 = t1, f1, t1 - f1 * (t1 - t0) / (f1 - f0)
+        f1 = d21(t1)
+    return coeffs(t1)
+
+
+def test_gamma_from_weight_batch_matches_weight_gamma(coinciding_coeffs):
+    data = compute_spectral_data(coinciding_coeffs, 3, pair_tol=1e-6)
+    assert data.K == [1]
+    assert data.beta(1, 1) == 0 and data.beta(1, 2) == 0
+    ref = weight_gamma(coinciding_coeffs, data.lam(1, 1),
+                       data.beta(1, 1), data.beta(1, 2))
+    assert abs(data.gamma[1] - ref) <= 1e-12 * abs(ref)
