@@ -384,7 +384,13 @@ def _load_config(path) -> list:
 
 
 def _apply_config(argv: list) -> list:
-    """Splice --config file values in as defaults before explicit flags."""
+    """Splice --config file values in as defaults before explicit flags.
+
+    The file is given as --config FILE or --config=FILE.
+    """
+    argv = [part for tok in argv
+            for part in (tok.split("=", 1) if tok.startswith("--config=")
+                         else (tok,))]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

@@ -113,11 +113,8 @@ def _char_arrays(coeffs: CoefficientPair, lams, with_dlambda=False,
         out["d22"] = D1[:, 0, 2]
         out["d32"] = D1[:, 0, 1]
         out["c11"] = D1[:, 0, 0]
-        out["direct_row2"] = D1[:, 2, :]
         if with_dlambda:
             out["ddot22"] = dD1[:, 0, 2]
-            out["ddot32"] = dD1[:, 0, 1]
-            out["cdot11"] = dD1[:, 0, 0]
     if need in ("star", "both"):
         res = _sweep(coeffs, SystemVariant.STAR, lams, _EYE,
                      with_dlambda=with_dlambda)
@@ -127,8 +124,6 @@ def _char_arrays(coeffs: CoefficientPair, lams, with_dlambda=False,
         out["d31"] = S1[:, 0, 0]
         if with_dlambda:
             out["ddot11"] = -dS1[:, 0, 2]
-            out["ddot21"] = -dS1[:, 0, 1]
-            out["ddot31"] = dS1[:, 0, 0]
     return out
 
 
@@ -503,13 +498,11 @@ def _variant_minors(a: dict, variant: SystemVariant) -> dict:
     between the two systems)."""
     if variant is SystemVariant.DIRECT:
         return a
-    if variant is SystemVariant.STAR:
-        return {
-            "d11": -a["d22"], "d21": -a["d32"], "d31": a["c11"],
-            "d22": -a["d11"], "d32": -a["d21"],
-            "ddot11": -a["ddot22"], "ddot22": -a["ddot11"],
-        }
-    raise ValueError("Weyl functions support DIRECT and STAR variants")
+    return {
+        "d11": -a["d22"], "d21": -a["d32"], "d31": a["c11"],
+        "d22": -a["d11"], "d32": -a["d21"],
+        "ddot11": -a["ddot22"], "ddot22": -a["ddot11"],
+    }
 
 
 def _pole_guard(num: np.ndarray, den: np.ndarray, lams: np.ndarray,
@@ -561,10 +554,6 @@ class WeylTable:
         return self.states[k - 1, :, order]
 
 
-def _variant_c(variant: SystemVariant) -> float:
-    return -1.0 if variant is SystemVariant.STAR else 1.0
-
-
 _E2 = np.array([[0.0], [1.0], [0.0]], dtype=complex)
 _E3 = np.array([[0.0], [0.0], [1.0]], dtype=complex)
 _E23 = np.hstack([_E2, _E3])
@@ -572,21 +561,38 @@ _E23 = np.hstack([_E2, _E3])
 
 def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
                ks=(2, 3)) -> dict:
-    """Phi_k trajectories for a batch of lambdas, k in {2, 3}.
+    """Phi_k trajectories for a batch of lambdas, k in {1, 2, 3}.
 
     Returns {k: array (L, M+1, 3)}.  Phi_3 is the third fundamental
-    solution; Phi_2 is integrated backward from terminal data where it
-    does not grow (middle exponent non-positive) and forward as
-    C_2 + M_{3,2} C_3 otherwise.
+    solution; Phi_1 is the backward solution from (0, 0, 1) at x = 1,
+    normalized to y(0) = 1; Phi_2 is integrated backward from terminal
+    data where it does not grow (middle exponent non-positive) and
+    forward as C_2 + M_{3,2} C_3 otherwise.  The characteristic arrays
+    that Phi_1 and Phi_2 need are computed once.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    a = (_char_arrays(coeffs, lams, with_dlambda=True)
+         if 1 in ks or 2 in ks else {"lams": lams})
+    return _weyl_states(coeffs, variant, a, ks)
+
+
+def _weyl_states(coeffs: CoefficientPair, variant: SystemVariant, a: dict,
+                 ks) -> dict:
+    """weyl_batch at the lambdas of the characteristic arrays a (with
+    d/dlambda; only a["lams"] is read when ks holds 3 alone)."""
     out: dict = {}
-    if 3 in ks:
-        full = _sweep(coeffs, variant, lams, _E3, store=True)
-        out[3] = np.transpose(full[:, :, :, 0], (1, 0, 2))
+    if 1 in ks:
+        m = _variant_minors(a, variant)
+        _pole_guard(m["d11"], m["ddot11"], a["lams"],
+                    "the k=1 characteristic")
+        u = _sweep(coeffs, variant, a["lams"], _E3, backward=True,
+                   store=True)[:, :, :, 0]
+        out[1] = np.transpose(u / u[0, :, :1], (1, 0, 2))
     if 2 in ks:
-        out[2] = _phi2_states(coeffs, variant,
-                              _char_arrays(coeffs, lams, with_dlambda=True))
+        out[2] = _phi2_states(coeffs, variant, a)
+    if 3 in ks:
+        full = _sweep(coeffs, variant, a["lams"], _E3, store=True)
+        out[3] = np.transpose(full[:, :, :, 0], (1, 0, 2))
     return out
 
 
@@ -597,11 +603,11 @@ def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
     lams = a["lams"]
     L = lams.shape[0]
     M = coeffs.grid.M
-    c = _variant_c(variant)
     m = _variant_minors(a, variant)
     _pole_guard(m["d22"], m["ddot22"], lams, "the k=2 characteristic")
     m32 = -m["d32"] / m["d22"]
     phi2 = np.empty((L, M + 1, 3), dtype=complex)
+    c = variant.value  # the lambda sign of the system
     rates = np.array([asympt.root_rates(c * complex(l))[1] for l in lams])
     back = rates <= _ROUTE_EPS
     if back.any():
@@ -628,13 +634,8 @@ def weyl_solutions(coeffs: CoefficientPair, lam: complex,
     """All three Weyl solutions of the variant at one lambda."""
     a = _char_arrays(coeffs, [lam], with_dlambda=True)
     m = _weyl_from_arrays(a, variant)[0]  # includes the pole guards
-    M = coeffs.grid.M
-    states = np.empty((3, M + 1, 3), dtype=complex)
-    states[1] = _phi2_states(coeffs, variant, a)[0]
-    states[2] = weyl_batch(coeffs, a["lams"], variant, ks=(3,))[3][0]
-    u = _sweep(coeffs, variant, a["lams"], _E3,
-               backward=True, store=True)[:, 0, :, 0]
-    states[0] = u / u[0, 0]
+    phi = _weyl_states(coeffs, variant, a, (1, 2, 3))
+    states = np.stack([phi[k][0] for k in (1, 2, 3)])
     return WeylTable(coeffs.grid, variant, complex(lam), states, m)
 
 

@@ -34,11 +34,10 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .asympt import root_rates
 from .errors import PoleHitError, SingularSystemError
-from .forward import SpectralData, compute_spectral_data, weyl_solutions
+from .forward import SpectralData, compute_spectral_data
 from .grid import CoefficientPair, Grid, GridFunction, cumulative, l2_norm, \
     w2m1_distance
 from .model import ModelCache, build_model, distance_d, xi_sequence
-from .quasi import SystemVariant
 
 __all__ = [
     "IndexV",
@@ -351,12 +350,11 @@ def run_inverse(data: SpectralData, grid: Grid, N: int,
 
 
 def _phiN_tables(result: ReconstructionResult, cache: ModelCache,
-                 data: SpectralData, k0: int, lam: complex,
-                 phi1_states: np.ndarray | None = None):
+                 data: SpectralData, k0: int, lam: complex):
     """(Phi^N_{k0}, (Phi^N_{k0})') nodal values at one lambda."""
     N = cache.N
     data_N = data if data.n_max == N else data.truncate(N)
-    tilde = phi1_states if k0 == 1 else cache.phi_states(k0, lam)
+    tilde = cache.phi_states(k0, lam)
     stars = _star_states(cache, data_N)
     P = _kernel(cache.grid, stars, tilde[None],
                 np.array([lam], dtype=complex), k0)[:, 0, :].T
@@ -470,9 +468,7 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
         checks["phi2_origin_slope"] = abs(d2[0] - 1.0)
         checks["phi3_origin"] = abs(v3[0])
         checks["phi3_origin_slope"] = abs(d3[0])
-        table1 = weyl_solutions(cache.coeffs, lam_probe, SystemVariant.DIRECT)
-        v1, d1 = _phiN_tables(result, cache, data_N, 1, lam_probe,
-                              phi1_states=table1.states[0])
+        v1, d1 = _phiN_tables(result, cache, data_N, 1, lam_probe)
         checks["phi1_terminal"] = abs(v1[-1]) / (1.0 + np.abs(v1).max())
         checks["phi1_terminal_slope"] = abs(d1[-1]) / (1.0 + np.abs(d1).max())
         for key in ("phi2_origin", "phi2_origin_slope", "phi3_origin",

@@ -13,21 +13,28 @@ with a matrix containing only the integrable functions sigma0, tau1:
 
     A = [[0, 1, 0], [p, 0, 1], [c lambda, q, 0]].
 
-Three variants share this shape and differ only in (p, q, c):
+Two variants share this shape and differ only in (p, q, c):
 
     DIRECT   p = -(sigma0 + tau1), q = sigma0 - tau1,        c = +1
     STAR     p = sigma0 - tau1,    q = -(sigma0 + tau1),     c = -1
-    DAGGER   p = conj(sigma0 - tau1), q = -conj(sigma0+tau1), c = +1
 
 STAR realizes the adjoint-type equation whose solutions pair with the
-direct ones in the Lagrange bracket; DAGGER is the direct system of the
-conjugate-flipped coefficient pair.  A useful structural fact exploited
+direct ones in the Lagrange bracket.  A useful structural fact exploited
 upstream: the 2x2 minors (wedge) of two DIRECT solutions evolve under
 the STAR system and vice versa, which is how the characteristic
-determinants are integrated without catastrophic cancellation.
+determinants are integrated without catastrophic cancellation.  The
+direct system of the conjugate-flipped pair is DIRECT on
+CoefficientPair.dagger().
 
 The integrator is classical fixed-step RK4 with h = 1/M; coefficient
 values at half-steps come from cubic interpolation of the grid samples.
+One sweep advances a single state array of shape (L, B, 3, K): L values
+of lambda, K solutions each, and B = 1 for the states alone or B = 2
+with their lambda-derivatives, which obey the same system plus the
+coupling c y in the last row.  RK4 on this augmented system is exactly
+the lambda-derivative of the discrete RK4 map.  A backward sweep is the
+same forward loop over the reversed node and midpoint samples with
+step -h.
 """
 
 from __future__ import annotations
@@ -51,9 +58,16 @@ _FINITE_CHECK_STRIDE = 32
 
 
 class SystemVariant(Enum):
-    DIRECT = "direct"
-    STAR = "star"
-    DAGGER = "dagger"
+    """The two systems of the table above; the value is c."""
+
+    DIRECT = 1.0
+    STAR = -1.0
+
+    def pqc(self, sigma0, tau1):
+        """(p, q, c) from values of sigma0 and tau1 (scalars or arrays)."""
+        u, w = -(sigma0 + tau1), sigma0 - tau1
+        p, q = (u, w) if self is SystemVariant.DIRECT else (w, u)
+        return p, q, self.value
 
 
 @dataclass
@@ -80,36 +94,12 @@ class Trajectory:
         return self.states[:, 2]
 
 
-def _pq_arrays(coeffs: CoefficientPair, variant: SystemVariant):
-    """(p, q) sampled at nodes and midpoints, plus the lambda sign c."""
-    s0n = coeffs.sigma0.values
-    t1n = coeffs.tau1.values
-    s0m = midpoint_values(coeffs.sigma0)
-    t1m = midpoint_values(coeffs.tau1)
-    if variant is SystemVariant.DIRECT:
-        return -(s0n + t1n), -(s0m + t1m), s0n - t1n, s0m - t1m, 1.0
-    if variant is SystemVariant.STAR:
-        return s0n - t1n, s0m - t1m, -(s0n + t1n), -(s0m + t1m), -1.0
-    if variant is SystemVariant.DAGGER:
-        return (np.conj(s0n - t1n), np.conj(s0m - t1m),
-                -np.conj(s0n + t1n), -np.conj(s0m + t1m), 1.0)
-    raise ValueError("unknown variant %r" % (variant,))
-
-
 def system_matrix(coeffs: CoefficientPair, variant: SystemVariant,
                   lam: complex, x: float) -> np.ndarray:
     """The 3x3 system matrix A(x, lambda) of the requested variant,
     with coefficients evaluated off-node by cubic interpolation."""
-    s0 = _interp_cubic(coeffs.sigma0.values, x)
-    t1 = _interp_cubic(coeffs.tau1.values, x)
-    if variant is SystemVariant.DIRECT:
-        p, q, c = -(s0 + t1), s0 - t1, 1.0
-    elif variant is SystemVariant.STAR:
-        p, q, c = s0 - t1, -(s0 + t1), -1.0
-    elif variant is SystemVariant.DAGGER:
-        p, q, c = np.conj(s0 - t1), -np.conj(s0 + t1), 1.0
-    else:
-        raise ValueError("unknown variant %r" % (variant,))
+    p, q, c = variant.pqc(_interp_cubic(coeffs.sigma0.values, x),
+                          _interp_cubic(coeffs.tau1.values, x))
     return np.array([[0.0, 1.0, 0.0],
                      [p, 0.0, 1.0],
                      [c * lam, q, 0.0]], dtype=complex)
@@ -125,95 +115,77 @@ def _guard_resolution(lams: np.ndarray, M: int) -> None:
 
 
 def _sweep(coeffs: CoefficientPair, variant: SystemVariant, lams: np.ndarray,
-           inits: np.ndarray, with_dlambda: bool = False, dinits=None,
+           inits: np.ndarray, with_dlambda: bool = False,
            backward: bool = False, store: bool = False):
     """Batched RK4 sweep of v' = A(x, lambda) v.
 
-    lams : (L,) complex; inits : (3, K) shared or (L, 3, K) per lambda.
-    Returns the final states (L, 3, K) or, with store, the full
-    trajectory (M+1, L, 3, K).  With with_dlambda the same shapes are
-    returned additionally for d/dlambda of the states.
+    lams : (L,) complex; inits : (3, K) shared or (L, 3, K) per lambda,
+    given at x = 0 (forward) or x = 1 (backward).  Returns the final
+    states (L, 3, K) or, with store, the trajectory (M+1, L, 3, K) in
+    node order.  With with_dlambda the same shapes are returned
+    additionally for d/dlambda of the states (zero initial values).
     """
-    grid = coeffs.grid
-    M = grid.M
-    h = grid.h
+    M = coeffs.grid.M
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     L = lams.shape[0]
     _guard_resolution(lams, M)
-    pn, pm, qn, qm, c = _pq_arrays(coeffs, variant)
-    clam = (c * lams).reshape(L, 1)
+    # p, q at the nodes and the cell midpoints.
+    pn, qn, c = variant.pqc(coeffs.sigma0.values, coeffs.tau1.values)
+    pm, qm, _ = variant.pqc(midpoint_values(coeffs.sigma0),
+                            midpoint_values(coeffs.tau1))
+    # Step m runs from sample m to m + 1 of these arrays, which a
+    # backward sweep reverses; nodes maps sample index to grid node.
+    nodes, h = np.arange(M + 1), coeffs.grid.h
+    if backward:
+        pn, pm, qn, qm = pn[::-1], pm[::-1], qn[::-1], qm[::-1]
+        nodes, h = nodes[::-1], -h
+    clam = (c * lams).reshape(L, 1, 1)
 
     inits = np.asarray(inits, dtype=complex)
-    if inits.ndim == 2:
-        V = np.broadcast_to(inits, (L,) + inits.shape).copy()
-    else:
-        V = inits.copy()
-    K = V.shape[2]
+    S = np.zeros((L, 2 if with_dlambda else 1) + inits.shape[-2:],
+                 dtype=complex)
+    S[:, 0] = inits
 
-    U = None
-    if with_dlambda:
-        if dinits is None:
-            U = np.zeros_like(V)
-        else:
-            dinits = np.asarray(dinits, dtype=complex)
-            U = (np.broadcast_to(dinits, V.shape).copy()
-                 if dinits.ndim == 2 else dinits.copy())
-
-    def rhs(p, q, V, U):
-        dV = np.empty_like(V)
-        dV[:, 0] = V[:, 1]
-        dV[:, 1] = p * V[:, 0] + V[:, 2]
-        dV[:, 2] = clam * V[:, 0] + q * V[:, 1]
-        if U is None:
-            return dV, None
-        dU = np.empty_like(U)
-        dU[:, 0] = U[:, 1]
-        dU[:, 1] = p * U[:, 0] + U[:, 2]
-        dU[:, 2] = clam * U[:, 0] + q * U[:, 1] + c * V[:, 0]
-        return dV, dU
-
-    out = dout = None
-    if store:
-        out = np.empty((M + 1,) + V.shape, dtype=complex)
+    def rhs(p, q, S):
+        dS = np.empty_like(S)
+        dS[:, :, 0] = S[:, :, 1]
+        dS[:, :, 1] = p * S[:, :, 0] + S[:, :, 2]
+        dS[:, :, 2] = clam * S[:, :, 0] + q * S[:, :, 1]
         if with_dlambda:
-            dout = np.empty_like(out)
+            dS[:, 1, 2] += c * S[:, 0, 0]
+        return dS
 
-    steps = range(M) if not backward else range(M - 1, -1, -1)
-    sgn = 1.0 if not backward else -1.0
     if store:
-        idx0 = 0 if not backward else M
-        out[idx0] = V
-        if with_dlambda:
-            dout[idx0] = U
-
-    for count, m in enumerate(steps):
-        if not backward:
-            pa, qa, pb, qb = pn[m], qn[m], pn[m + 1], qn[m + 1]
-        else:
-            pa, qa, pb, qb = pn[m + 1], qn[m + 1], pn[m], qn[m]
-        k1, l1 = rhs(pa, qa, V, U)
-        k2, l2 = rhs(pm[m], qm[m], V + (sgn * h / 2) * k1,
-                     None if U is None else U + (sgn * h / 2) * l1)
-        k3, l3 = rhs(pm[m], qm[m], V + (sgn * h / 2) * k2,
-                     None if U is None else U + (sgn * h / 2) * l2)
-        k4, l4 = rhs(pb, qb, V + sgn * h * k3,
-                     None if U is None else U + sgn * h * l3)
-        V = V + (sgn * h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if U is not None:
-            U = U + (sgn * h / 6) * (l1 + 2 * l2 + 2 * l3 + l4)
+        traj = np.empty((M + 1,) + S.shape, dtype=complex)
+        traj[nodes[0]] = S
+    for m in range(M):
+        k1 = rhs(pn[m], qn[m], S)
+        k2 = rhs(pm[m], qm[m], S + (h / 2) * k1)
+        k3 = rhs(pm[m], qm[m], S + (h / 2) * k2)
+        k4 = rhs(pn[m + 1], qn[m + 1], S + h * k3)
+        S = S + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if store:
-            out[m + 1 if not backward else m] = V
-            if with_dlambda:
-                dout[m + 1 if not backward else m] = U
-        if count % _FINITE_CHECK_STRIDE == _FINITE_CHECK_STRIDE - 1:
-            if not np.isfinite(V).all():
-                raise IntegrationOverflowError(m + 1 if not backward else m)
+            traj[nodes[m + 1]] = S
+        if m % _FINITE_CHECK_STRIDE == _FINITE_CHECK_STRIDE - 1:
+            if not np.isfinite(S[:, 0]).all():
+                raise IntegrationOverflowError(int(nodes[m + 1]))
 
-    if not np.isfinite(V).all():
-        raise IntegrationOverflowError(M if not backward else 0)
-    if store:
-        return (out, dout) if with_dlambda else out
-    return (V, U) if with_dlambda else V
+    if not np.isfinite(S[:, 0]).all():
+        raise IntegrationOverflowError(int(nodes[M]))
+    res = traj if store else S
+    states = res[..., 0, :, :]
+    return (states, res[..., 1, :, :]) if with_dlambda else states
+
+
+def _trajectories(coeffs: CoefficientPair, variant: SystemVariant,
+                  lam: complex, inits, with_dlambda: bool) -> list:
+    """One Trajectory per column of inits (3, K), forward from x = 0."""
+    res = _sweep(coeffs, variant, np.array([lam]), inits,
+                 with_dlambda=with_dlambda, store=True)
+    out, dout = res if with_dlambda else (res, None)
+    return [Trajectory(coeffs.grid, variant, complex(lam), out[:, 0, :, k],
+                       None if dout is None else dout[:, 0, :, k])
+            for k in range(out.shape[-1])]
 
 
 def integrate_ivp(coeffs: CoefficientPair, variant: SystemVariant, lam: complex,
@@ -226,29 +198,12 @@ def integrate_ivp(coeffs: CoefficientPair, variant: SystemVariant, lam: complex,
     conditions for the derivative block).
     """
     init = np.asarray(init, dtype=complex).reshape(3, 1)
-    res = _sweep(coeffs, variant, np.array([lam]), init,
-                 with_dlambda=with_dlambda, store=True)
-    if with_dlambda:
-        out, dout = res
-        return Trajectory(coeffs.grid, variant, complex(lam),
-                          out[:, 0, :, 0], dout[:, 0, :, 0])
-    return Trajectory(coeffs.grid, variant, complex(lam), res[:, 0, :, 0])
+    return _trajectories(coeffs, variant, lam, init, with_dlambda)[0]
 
 
 def fundamental_solutions(coeffs: CoefficientPair, variant: SystemVariant,
                           lam: complex, with_dlambda: bool = False):
     """The three fundamental solutions C_1, C_2, C_3 of the variant,
     normalized by C_k^[j-1](0) = delta_{jk} in quasi-derivatives."""
-    res = _sweep(coeffs, variant, np.array([lam]), np.eye(3, dtype=complex),
-                 with_dlambda=with_dlambda, store=True)
-    if with_dlambda:
-        out, dout = res
-        return tuple(
-            Trajectory(coeffs.grid, variant, complex(lam),
-                       out[:, 0, :, k], dout[:, 0, :, k])
-            for k in range(3)
-        )
-    return tuple(
-        Trajectory(coeffs.grid, variant, complex(lam), res[:, 0, :, k])
-        for k in range(3)
-    )
+    return tuple(_trajectories(coeffs, variant, lam,
+                               np.eye(3, dtype=complex), with_dlambda))

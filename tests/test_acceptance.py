@@ -200,17 +200,24 @@ def test_08_selfadjoint_pairing_and_reconstruction(smooth_data20, grid512):
 def test_09_kernel_forms_agree(smooth_data8, grid512):
     cache = build_model(smooth_data8, grid512, 4)
     rng = np.random.default_rng(9)
-    worst = 0.0
+    samples = []
     for _ in range(50):
-        k, j = rng.integers(2, 4, size=2)
+        k, j = (int(i) for i in rng.integers(2, 4, size=2))
         while True:
             lam = complex(rng.uniform(-40, 40), rng.uniform(-20, 20))
             mu = complex(rng.uniform(-40, 40), rng.uniform(-20, 20))
             if abs(lam - mu) > 0.5:
                 break
         xi = int(rng.integers(0, grid512.M + 1))
-        zs = cache.phi_star_states(int(k), lam)
-        ys = cache.phi_states(int(j), mu)
+        samples.append((k, j, lam, mu, xi))
+    # One batched Weyl-state computation per (variant, k) for all samples.
+    for kk in (2, 3):
+        cache.ensure_star([s[2] for s in samples if s[0] == kk], kk)
+        cache.ensure([s[3] for s in samples if s[1] == kk], kk)
+    worst = 0.0
+    for k, j, lam, mu, xi in samples:
+        zs = cache.phi_star_states(k, lam)
+        ys = cache.phi_states(j, mu)
         bracket = (zs[:, 2] * ys[:, 0] - zs[:, 1] * ys[:, 1]
                    + zs[:, 0] * ys[:, 2]) / (mu - lam)
         integ = cumulative(GridFunction(grid512, zs[:, 0] * ys[:, 0])).values

@@ -203,6 +203,12 @@ def test_config_file(tmp_path, zero_csv):
                "--n-max", "3", "--out", out2])
     assert rc == 0
     assert json.loads(open(out2).read())["n_max"] == 3
+    # --config=FILE is the same as --config FILE, grid included
+    out3 = str(tmp_path / "o3.json")
+    rc = main(["forward", "--config=" + str(cfg), "--coeffs", zero_csv,
+               "--out", out3])
+    assert rc == 0
+    assert open(out3).read() == open(out).read()
 
 
 def test_config_file_errors(tmp_path, zero_csv, capsys):

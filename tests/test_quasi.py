@@ -3,7 +3,7 @@ import pytest
 
 from spectral3.errors import IntegrationOverflowError, ResolutionGuardError
 from spectral3.grid import CoefficientPair, Grid, GridFunction, differentiate
-from spectral3.quasi import (SystemVariant, fundamental_solutions,
+from spectral3.quasi import (SystemVariant, _sweep, fundamental_solutions,
                              integrate_ivp, system_matrix)
 
 # Constant-coefficient oracle, tau1 = 1, sigma0 = 0: the equation is
@@ -115,5 +115,26 @@ def test_overflow_guard_on_bad_coefficients(grid128):
     vals[60] = np.nan
     pair = CoefficientPair(GridFunction(grid128, vals),
                            GridFunction.constant(grid128, 0.0))
-    with pytest.raises(IntegrationOverflowError):
+    with pytest.raises(IntegrationOverflowError) as ei:
         integrate_ivp(pair, SystemVariant.DIRECT, 1.0, (0, 0, 1))
+    # The finite check runs every 32 steps from the start node, so the
+    # NaN at node 60 is reported at node 64 forward and 32 backward.
+    assert ei.value.node == 64
+    with pytest.raises(IntegrationOverflowError) as ei:
+        _sweep(pair, SystemVariant.DIRECT, np.array([1.0]), np.eye(3),
+               with_dlambda=True, backward=True)
+    assert ei.value.node == 32
+
+
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+def test_backward_sweep_retraces_forward(general_coeffs, variant):
+    # A backward stored sweep from the forward end state runs the same
+    # RK4 steps with -h over the reversed samples and lands on the
+    # forward trajectory, node for node, up to the O(h^4) step error.
+    lams = np.array([3.0 + 2.0j, -20.0 + 5.0j, 40.0j])
+    fwd = _sweep(general_coeffs, variant, lams, np.eye(3), store=True)
+    back = _sweep(general_coeffs, variant, lams, fwd[-1], backward=True,
+                  store=True)
+    assert back.shape == fwd.shape == (general_coeffs.grid.M + 1, 3, 3, 3)
+    assert np.array_equal(back[-1], fwd[-1])
+    assert np.abs(back - fwd).max() <= 1e-9 * np.abs(fwd).max()
