@@ -70,6 +70,7 @@ _DERIV_FLOOR = 1e-14
 _PAIR_TOL = 1e-8
 _BETA_SNAP = 1e-5
 _POLE_TOL = 1e-10
+_CONTOUR_POINTS = 64
 
 # Integration direction switch for Phi_2: backward when the middle
 # exponent does not grow.
@@ -97,33 +98,32 @@ class CharacteristicValues:
     ddot22: complex | None = None
 
 
-def _char_arrays(coeffs: CoefficientPair, lams, with_dlambda=False,
-                 need="both") -> dict:
-    """Characteristic values for a batch of lambdas.
+def _char_arrays(coeffs: CoefficientPair, lams,
+                 variant: SystemVariant = SystemVariant.DIRECT,
+                 with_dlambda=False, families=(1, 2)) -> dict:
+    """Characteristic values of the variant for a batch of lambdas.
 
-    DIRECT sweep supplies the top fundamental row (d22, d32, c11);
-    the STAR sweep supplies the wedge minors (d11, d21, d31).
+    Family 2 (d22, d32, c11, ddot22) is the top fundamental row of the
+    variant's own sweep.  Family 1 (d11, d21, d31, ddot11) is the top row
+    of the dual sweep, which carries the wedge minors of the variant's
+    solutions.  Only the requested families are swept.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     out: dict = {"lams": lams}
-    if need in ("direct", "both"):
-        res = _sweep(coeffs, SystemVariant.DIRECT, lams, _EYE,
-                     with_dlambda=with_dlambda)
-        D1, dD1 = res if with_dlambda else (res, None)
-        out["d22"] = D1[:, 0, 2]
-        out["d32"] = D1[:, 0, 1]
-        out["c11"] = D1[:, 0, 0]
-        if with_dlambda:
-            out["ddot22"] = dD1[:, 0, 2]
-    if need in ("star", "both"):
-        res = _sweep(coeffs, SystemVariant.STAR, lams, _EYE,
-                     with_dlambda=with_dlambda)
-        S1, dS1 = res if with_dlambda else (res, None)
-        out["d11"] = -S1[:, 0, 2]
-        out["d21"] = -S1[:, 0, 1]
-        out["d31"] = S1[:, 0, 0]
-        if with_dlambda:
-            out["ddot11"] = -dS1[:, 0, 2]
+    for k in families:
+        v = variant if k == 2 else SystemVariant(-variant.value)
+        res = _sweep(coeffs, v, lams, _EYE, with_dlambda=with_dlambda)
+        Y, dY = res if with_dlambda else (res, None)
+        if k == 1:
+            out["d11"], out["d21"] = -Y[:, 0, 2], -Y[:, 0, 1]
+            out["d31"] = Y[:, 0, 0]
+            if with_dlambda:
+                out["ddot11"] = -dY[:, 0, 2]
+        else:
+            out["d22"], out["d32"] = Y[:, 0, 2], Y[:, 0, 1]
+            out["c11"] = Y[:, 0, 0]
+            if with_dlambda:
+                out["ddot22"] = dY[:, 0, 2]
     return out
 
 
@@ -191,18 +191,17 @@ def _newton_family(coeffs: CoefficientPair, k: int, ns, guesses,
                    theta: complex) -> np.ndarray:
     """Batched Newton on Delta_{k,k} for one family of indices.
 
-    Family 1 roots come from the STAR sweep, family 2 from the DIRECT
-    one, so each iteration costs a single sweep over the active set.
+    Each iteration sweeps family k alone over the active set.
     """
     ns = np.asarray(ns, dtype=int)
     lam = np.asarray(guesses, dtype=complex).copy()
-    need = "star" if k == 1 else "direct"
     key, dkey = ("d11", "ddot11") if k == 1 else ("d22", "ddot22")
     active = np.ones(lam.shape[0], dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
-        a = _char_arrays(coeffs, lam[active], with_dlambda=True, need=need)
+        a = _char_arrays(coeffs, lam[active], with_dlambda=True,
+                         families=(k,))
         delta, ddelta = a[key], a[dkey]
         idx = np.flatnonzero(active)
         conv = np.abs(delta) <= _newton_tol(ddelta, lam[active])
@@ -238,12 +237,11 @@ def find_eigenvalue(coeffs: CoefficientPair, n: int, k: int,
 
 def weight_beta(coeffs: CoefficientPair, lam: complex, k: int) -> complex:
     """beta = Delta_{k+1,k}(lambda) / (d/dlambda) Delta_{k,k}(lambda)."""
-    c = characteristic(coeffs, lam, with_dlambda=True)
-    if k == 1:
-        return c.d21 / c.ddot11
-    if k == 2:
-        return c.d32 / c.ddot22
-    raise ValueError("k must be 1 or 2")
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
+    a = _char_arrays(coeffs, [lam], with_dlambda=True, families=(k,))
+    num, den = ("d21", "ddot11") if k == 1 else ("d32", "ddot22")
+    return complex(a[num][0]) / complex(a[den][0])
 
 
 def weight_gamma(coeffs: CoefficientPair, lam_n: complex,
@@ -312,8 +310,7 @@ def detect_K(lam1, lam2, tol: float = _PAIR_TOL):
 
 
 def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
-                          pair_tol: float = _PAIR_TOL,
-                          beta_snap: float = _BETA_SNAP) -> "SpectralData":
+                          pair_tol: float = _PAIR_TOL) -> "SpectralData":
     """The full forward map: coefficients -> spectral data up to n_max."""
     theta = integrate(coeffs.tau1)
     ns = np.arange(1, n_max + 1)
@@ -327,14 +324,15 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
     for n in K:
         lam2[n - 1] = lam1[n - 1]
 
-    a = _char_arrays(coeffs, np.concatenate([lam1, lam2]), with_dlambda=True)
-    beta1 = a["d21"][:n_max] / a["ddot11"][:n_max]
-    beta2 = a["d32"][n_max:] / a["ddot22"][n_max:]
+    a1 = _char_arrays(coeffs, lam1, with_dlambda=True, families=(1,))
+    a2 = _char_arrays(coeffs, lam2, with_dlambda=True, families=(2,))
+    beta1 = a1["d21"] / a1["ddot11"]
+    beta2 = a2["d32"] / a2["ddot22"]
 
     # Exactly one weight number vanishes on each coinciding pair (both in
     # the symmetric case); snap the numerically-zero one to exact zero.
     for n in K:
-        scale = beta_snap * (1.0 + 3.0 * abs(lam1[n - 1]))
+        scale = _BETA_SNAP * (1.0 + 3.0 * abs(lam1[n - 1]))
         b1, b2 = beta1[n - 1], beta2[n - 1]
         if abs(b1) > scale and abs(b2) > scale:
             raise Spectral3Error(
@@ -345,11 +343,11 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
         if abs(b2) <= scale:
             beta2[n - 1] = 0.0
 
-    # On K both families sit at the same lambda, so the batch already
-    # holds both gamma definitions there.
+    # On K both families sit at the same lambda, so the two weight
+    # batches already hold both gamma definitions there.
     gamma = {n: _gamma(complex(lam1[n - 1]),
-                       complex(a["d31"][n - 1] / a["ddot11"][n - 1]),
-                       complex(a["c11"][n - 1] / a["ddot22"][n - 1]),
+                       complex(a1["d31"][n - 1] / a1["ddot11"][n - 1]),
+                       complex(a2["c11"][n - 1] / a2["ddot22"][n - 1]),
                        complex(beta1[n - 1]), complex(beta2[n - 1]))
              for n in K}
     return SpectralData(theta=complex(theta), n_max=n_max,
@@ -395,6 +393,9 @@ class SpectralData:
                 raise ValueError("%s must have length n_max=%d" % (name, self.n_max))
             setattr(self, name, arr)
         self.K = sorted(int(n) for n in self.K)
+        if any(not 1 <= n <= self.n_max for n in self.K):
+            raise ValueError("K indices %s are not all in 1..n_max=%d"
+                             % (self.K, self.n_max))
         self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
         if set(self.gamma) != set(self.K):
             raise ValueError("gamma must be given exactly on K")
@@ -492,19 +493,6 @@ def load_spectral_data(path) -> SpectralData:
 # Weyl matrices and solutions
 
 
-def _variant_minors(a: dict, variant: SystemVariant) -> dict:
-    """Characteristic arrays of the variant: DIRECT as computed, STAR
-    through the direct-side quantities (the wedge map is an involution
-    between the two systems)."""
-    if variant is SystemVariant.DIRECT:
-        return a
-    return {
-        "d11": -a["d22"], "d21": -a["d32"], "d31": a["c11"],
-        "d22": -a["d11"], "d32": -a["d21"],
-        "ddot11": -a["ddot22"], "ddot22": -a["ddot11"],
-    }
-
-
 def _pole_guard(num: np.ndarray, den: np.ndarray, lams: np.ndarray,
                 label: str) -> None:
     # |Delta/dDelta| estimates the distance to the nearest root.
@@ -515,15 +503,15 @@ def _pole_guard(num: np.ndarray, den: np.ndarray, lams: np.ndarray,
             "lambda=%s is numerically at a zero of %s" % (lam, label))
 
 
-def _weyl_from_arrays(a: dict, variant: SystemVariant) -> np.ndarray:
-    """(L, 3, 3) Weyl matrices from characteristic arrays with d/dlambda."""
-    m = _variant_minors(a, variant)
-    _pole_guard(m["d11"], m["ddot11"], a["lams"], "Delta_{1,1}")
-    _pole_guard(m["d22"], m["ddot22"], a["lams"], "Delta_{2,2}")
+def _weyl_from_arrays(a: dict) -> np.ndarray:
+    """(L, 3, 3) Weyl matrices from characteristic arrays of both
+    families with d/dlambda."""
+    _pole_guard(a["d11"], a["ddot11"], a["lams"], "Delta_{1,1}")
+    _pole_guard(a["d22"], a["ddot22"], a["lams"], "Delta_{2,2}")
     out = np.broadcast_to(_EYE, (a["lams"].shape[0], 3, 3)).copy()
-    out[:, 1, 0] = -m["d21"] / m["d11"]
-    out[:, 2, 0] = -m["d31"] / m["d11"]
-    out[:, 2, 1] = -m["d32"] / m["d22"]
+    out[:, 1, 0] = -a["d21"] / a["d11"]
+    out[:, 2, 0] = -a["d31"] / a["d11"]
+    out[:, 2, 1] = -a["d32"] / a["d22"]
     return out
 
 
@@ -532,11 +520,11 @@ def weyl_matrix(coeffs: CoefficientPair, lams,
     """Lower unitriangular matrices of the Weyl functions.
 
     lams is a scalar, giving (3, 3), or a 1-D array of L points, giving
-    (L, 3, 3) from one DIRECT and one STAR sweep over all of them.
+    (L, 3, 3) from one sweep of each family over all of them.
     Raises NearPoleError naming the first lambda at a pole.
     """
-    m = _weyl_from_arrays(_char_arrays(coeffs, lams, with_dlambda=True),
-                          variant)
+    m = _weyl_from_arrays(_char_arrays(coeffs, lams, variant,
+                                       with_dlambda=True))
     return m[0] if np.ndim(lams) == 0 else m
 
 
@@ -567,23 +555,23 @@ def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
     solution; Phi_1 is the backward solution from (0, 0, 1) at x = 1,
     normalized to y(0) = 1; Phi_2 is integrated backward from terminal
     data where it does not grow (middle exponent non-positive) and
-    forward as C_2 + M_{3,2} C_3 otherwise.  The characteristic arrays
-    that Phi_1 and Phi_2 need are computed once.
+    forward as C_2 + M_{3,2} C_3 otherwise.  Each characteristic family
+    is swept only when read: family 1 for Phi_1's pole guard, family 2
+    for Phi_2; Phi_3 needs neither.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    a = (_char_arrays(coeffs, lams, with_dlambda=True)
-         if 1 in ks or 2 in ks else {"lams": lams})
+    a = _char_arrays(coeffs, lams, variant, with_dlambda=True,
+                     families=tuple(k for k in (1, 2) if k in ks))
     return _weyl_states(coeffs, variant, a, ks)
 
 
 def _weyl_states(coeffs: CoefficientPair, variant: SystemVariant, a: dict,
                  ks) -> dict:
-    """weyl_batch at the lambdas of the characteristic arrays a (with
-    d/dlambda; only a["lams"] is read when ks holds 3 alone)."""
+    """weyl_batch at the lambdas of the characteristic arrays a of the
+    variant, with d/dlambda: Phi_1 reads family 1, Phi_2 family 2, Phi_3
+    only a["lams"]."""
     out: dict = {}
     if 1 in ks:
-        m = _variant_minors(a, variant)
-        _pole_guard(m["d11"], m["ddot11"], a["lams"],
+        _pole_guard(a["d11"], a["ddot11"], a["lams"],
                     "the k=1 characteristic")
         u = _sweep(coeffs, variant, a["lams"], _E3, backward=True,
                    store=True)[:, :, :, 0]
@@ -598,14 +586,13 @@ def _weyl_states(coeffs: CoefficientPair, variant: SystemVariant, a: dict,
 
 def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
                  a: dict) -> np.ndarray:
-    """Phi_2 trajectories (L, M+1, 3) at the lambdas of the
-    characteristic arrays a (computed with d/dlambda)."""
+    """Phi_2 trajectories (L, M+1, 3) at the lambdas of the family 2
+    characteristic arrays a of the variant (computed with d/dlambda)."""
     lams = a["lams"]
     L = lams.shape[0]
     M = coeffs.grid.M
-    m = _variant_minors(a, variant)
-    _pole_guard(m["d22"], m["ddot22"], lams, "the k=2 characteristic")
-    m32 = -m["d32"] / m["d22"]
+    _pole_guard(a["d22"], a["ddot22"], lams, "the k=2 characteristic")
+    m32 = -a["d32"] / a["d22"]
     phi2 = np.empty((L, M + 1, 3), dtype=complex)
     c = variant.value  # the lambda sign of the system
     rates = np.array([asympt.root_rates(c * complex(l))[1] for l in lams])
@@ -632,8 +619,8 @@ def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
 def weyl_solutions(coeffs: CoefficientPair, lam: complex,
                    variant: SystemVariant = SystemVariant.DIRECT) -> WeylTable:
     """All three Weyl solutions of the variant at one lambda."""
-    a = _char_arrays(coeffs, [lam], with_dlambda=True)
-    m = _weyl_from_arrays(a, variant)[0]  # includes the pole guards
+    a = _char_arrays(coeffs, [lam], variant, with_dlambda=True)
+    m = _weyl_from_arrays(a)[0]  # includes the pole guards
     phi = _weyl_states(coeffs, variant, a, (1, 2, 3))
     states = np.stack([phi[k][0] for k in (1, 2, 3)])
     return WeylTable(coeffs.grid, variant, complex(lam), states, m)
@@ -658,18 +645,18 @@ def weight_matrix(data: SpectralData, n: int, k: int) -> np.ndarray:
     return out
 
 
-def laurent_coefficients(fn, center: complex, radius: float | None = None,
-                         npts: int = 64):
+def laurent_coefficients(fn, center: complex, radius: float | None = None):
     """(A_{-1}, A_0) of a meromorphic function by circle quadrature.
 
-    fn is called once with the (npts,) array of contour points and must
-    return an array with a leading axis of length npts (scalar or
-    matrix values per point).  Trapezoid quadrature on a circle is
-    spectrally accurate, so 64 points are ample for a simple pole well
-    inside the circle.
+    fn is called once with the array of the _CONTOUR_POINTS = 64
+    contour points and must return an array with a leading axis of that
+    length (scalar or matrix values per point).  Trapezoid quadrature on
+    a circle is spectrally accurate, so 64 points are ample for a simple
+    pole well inside the circle.
     """
     if radius is None:
         radius = 1e-3 * (1.0 + abs(center))
+    npts = _CONTOUR_POINTS
     th = 2.0 * np.pi * np.arange(npts) / npts
     zs = center + radius * np.exp(1j * th)
     stack = np.asarray(fn(zs), dtype=complex)

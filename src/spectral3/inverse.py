@@ -58,6 +58,9 @@ _KERNEL_SWITCH = 1e-6
 
 _RCOND_FLOOR = 1e-13
 
+# Breach threshold of the verify_reconstruction(mode="weyl") checks.
+_WEYL_TOL = 1e-6
+
 _VALID_KJ = {(2, 2), (2, 3), (3, 2), (3, 3)}
 
 
@@ -202,13 +205,10 @@ def _signs(V: list) -> np.ndarray:
     return np.array([1.0 if v.eps == 0 else -1.0 for v in V])
 
 
-def assemble(data: SpectralData, cache: ModelCache, N: int,
-             grid: Grid | None = None) -> MainAssembly:
-    """Build the node-wise matrices of the truncated main system."""
-    if grid is None:
-        grid = cache.grid
-    if grid.M != cache.grid.M:
-        raise ValueError("grid does not match the model cache")
+def assemble(data: SpectralData, cache: ModelCache, N: int) -> MainAssembly:
+    """Build the node-wise matrices of the truncated main system on the
+    grid of the model cache."""
+    grid = cache.grid
     data_N = data if data.n_max == N else data.truncate(N)
     cache.ensure_main(data_N)
 
@@ -368,17 +368,15 @@ def _phiN_tables(result: ReconstructionResult, cache: ModelCache,
 def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
                           N: int, mode: str = "spectral",
                           cache: ModelCache | None = None,
-                          rtol: float = 1e-3,
-                          lam_probe: complex | None = None,
-                          wtol: float = 1e-6) -> dict:
+                          rtol: float = 1e-3) -> dict:
     """Check a reconstruction against its input data.
 
     mode="spectral" reruns the forward map on the recovered pair and
     compares eigenvalues and weight numbers, n <= N against the data
     and the next few indices against the model.  mode="weyl" builds the
     functions Phi^N from the phi tables and checks their boundary,
-    normalization, and interpolation properties (coinciding pairs are
-    not supported there).
+    normalization, and interpolation properties against _WEYL_TOL
+    (coinciding pairs are not supported there).
     """
     if cache is None:
         cache = (result.diagnostics.get("cache")
@@ -424,25 +422,19 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
                              "eigenvalue pairs")
         checks: dict = {"mode": "weyl"}
         breaches = []
-        # Boundary conditions at x = 1 for the data eigenvalues.
-        z2 = []
-        for n in range(1, N + 1):
-            lam = data_N.lam(n, 1)
-            vals, _ = _phiN_tables(result, cache, data_N, 2, lam)
-            rel = abs(vals[-1]) / (1.0 + np.abs(vals).max())
-            z2.append(rel)
-            if rel > wtol:
-                breaches.append({"check": "phi2_terminal", "n": n, "value": rel})
-        z3 = []
-        for n in range(1, N + 1):
-            lam = data_N.lam(n, 2)
-            vals, _ = _phiN_tables(result, cache, data_N, 3, lam)
-            rel = abs(vals[-1]) / (1.0 + np.abs(vals).max())
-            z3.append(rel)
-            if rel > wtol:
-                breaches.append({"check": "phi3_terminal", "n": n, "value": rel})
-        checks["phi2_terminal_max"] = max(z2)
-        checks["phi3_terminal_max"] = max(z3)
+        # Boundary conditions at x = 1: Phi^N_2 vanishes there on the
+        # first data spectrum, Phi^N_3 on the second.
+        for k0, family in ((2, 1), (3, 2)):
+            check = "phi%d_terminal" % k0
+            z = []
+            for n in range(1, N + 1):
+                vals, _ = _phiN_tables(result, cache, data_N, k0,
+                                       data_N.lam(n, family))
+                rel = abs(vals[-1]) / (1.0 + np.abs(vals).max())
+                z.append(rel)
+                if rel > _WEYL_TOL:
+                    breaches.append({"check": check, "n": n, "value": rel})
+            checks[check + "_max"] = max(z)
 
         # Interpolation: Phi^N_{k+1}(x, lam_v) == phi_v(x).
         interp_max = 0.0
@@ -453,15 +445,14 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
             rel = (np.abs(vals - result.phi[i]).max()
                    / (1.0 + np.abs(result.phi[i]).max()))
             interp_max = max(interp_max, rel)
-            if rel > wtol:
+            if rel > _WEYL_TOL:
                 breaches.append({"check": "interpolation", "v": tuple(v),
                                  "value": rel})
         checks["interpolation_max"] = interp_max
 
         # Initial normalization and the first Weyl solution at a probe
         # lambda away from both spectra.
-        if lam_probe is None:
-            lam_probe = 0.7j * abs(cache.model_data.lam(1, 1))
+        lam_probe = 0.7j * abs(cache.model_data.lam(1, 1))
         v2, d2 = _phiN_tables(result, cache, data_N, 2, lam_probe)
         v3, d3 = _phiN_tables(result, cache, data_N, 3, lam_probe)
         checks["phi2_origin"] = abs(v2[0])
@@ -474,7 +465,7 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
         for key in ("phi2_origin", "phi2_origin_slope", "phi3_origin",
                     "phi3_origin_slope", "phi1_terminal",
                     "phi1_terminal_slope"):
-            if checks[key] > wtol:
+            if checks[key] > _WEYL_TOL:
                 breaches.append({"check": key, "value": checks[key]})
         checks["breaches"] = breaches
         checks["pass"] = not breaches
@@ -497,13 +488,11 @@ def _perturb(data: SpectralData, entries, delta: float) -> SpectralData:
 
 
 def stability_experiment(data: SpectralData, grid: Grid, N: int,
-                         entries=((1, 1, "beta"),), delta0: float = 1e-2,
-                         levels: int = 4,
-                         theta_shift: complex = 0.0, deltas=None) -> list:
+                         entries=((1, 1, "beta"),), deltas=None) -> list:
     """Reconstruction error versus data perturbation size.
 
-    Perturbs the chosen (lambda, beta) entries by delta for a halving
-    ladder delta0, delta0/2, ... (or an explicit deltas list),
+    Perturbs the chosen (lambda, beta) entries by delta for the halving
+    ladder 1e-2, 5e-3, 2.5e-3, 1.25e-3 (or an explicit deltas list),
     reconstructs each, and tabulates the data distance d, the
     coefficient distances against the unperturbed reconstruction, and
     their ratios (empirical stability constants).
@@ -515,9 +504,9 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
         if which not in ("lambda", "beta"):
             raise ValueError("perturbation field must be 'lambda' or 'beta'")
         data._check_index(n, k)
-    cache = build_model(data, grid, N, theta_shift=theta_shift)
+    cache = build_model(data, grid, N)
     if deltas is None:
-        deltas = [delta0 / 2 ** j for j in range(levels)]
+        deltas = [1e-2 / 2 ** j for j in range(4)]
     else:
         deltas = [float(d) for d in deltas]
 

@@ -1,0 +1,51 @@
+"""The benchmark's boundary contract: every span that perfbench/spans.py
+expects a traced run to fire must fire on a tiny forward + inverse CLI
+pair and one Weyl contour, so a rename of a wrapped name or of an
+argument a span reads fails here before a benchmark run does.
+perfbench is only read."""
+
+import importlib.util
+import os
+from functools import partial
+
+from spectral3.grid import CoefficientPair, Grid, read_coefficients, resample
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_expected_span_fires(tmp_path):
+    spans = _load_spans()
+    # Wrapped names are looked up through the modules at call time.
+    from spectral3 import cli, forward
+
+    sample = os.path.join(ROOT, "data", "smooth.csv")
+    pair = read_coefficients(sample)
+    coeffs = CoefficientPair(resample(pair.tau1, Grid(128)),
+                             resample(pair.sigma0, Grid(128)))
+    data, rec = str(tmp_path / "smooth.json"), str(tmp_path / "rec.csv")
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        tracer.begin_job(0)
+        try:
+            assert cli.main(["forward", "--coeffs", sample, "--grid", "128",
+                             "--n-max", "6", "--out", data]) == 0
+            assert cli.main(["inverse", "--data", data, "--grid", "128",
+                             "--big-n", "2", "--out", rec]) == 0
+            lam11 = forward.load_spectral_data(data).lam(1, 1)
+            forward.laurent_coefficients(
+                partial(forward.weyl_matrix, coeffs), lam11)
+        finally:
+            tracer.end_job()
+    finally:
+        tracer.unwrap_all()
+    expected = set().union(*spans.EXPECTED.values())
+    assert sorted(expected - spans.fired(tracer)) == []

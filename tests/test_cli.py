@@ -79,6 +79,22 @@ def test_inverse_rejects_duplicate_eigenvalues(tmp_path, smooth_data8,
     assert not (tmp_path / "rec.csv").exists()
 
 
+@pytest.mark.parametrize("n", [7, 0])
+def test_inverse_rejects_K_index_out_of_range(tmp_path, smooth_data8, n,
+                                              capsys):
+    path = tmp_path / "badK.json"
+    save_spectral_data(path, smooth_data8.truncate(2))
+    obj = json.loads(path.read_text())
+    obj["K"] = [{"n": n, "gamma": [1.0, 0.0]}]
+    path.write_text(json.dumps(obj))
+    rc = main(["inverse", "--data", str(path), "--big-n", "2",
+               "--out", str(tmp_path / "rec.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectral3:") and "1..n_max=2" in err
+    assert not (tmp_path / "rec.csv").exists()
+
+
 def test_inverse_force_on_clean_data(tmp_path, smooth_json):
     rc = main(["inverse", "--data", smooth_json, "--big-n", "3",
                "--out", str(tmp_path / "rec.csv"), "--force"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral3 import forward
 from spectral3.errors import (BasinEscapeError, GammaZeroError, NearPoleError,
                               Spectral3Error)
 from spectral3.forward import (characteristic, characteristic_literal,
@@ -12,7 +13,8 @@ from spectral3.forward import (characteristic, characteristic_literal,
                                find_eigenvalue, laurent_coefficients,
                                load_spectral_data, save_spectral_data,
                                SpectralData, weight_beta, weight_gamma,
-                               weight_matrix, weyl_matrix, weyl_solutions)
+                               weight_matrix, weyl_batch, weyl_matrix,
+                               weyl_solutions)
 from spectral3.grid import CoefficientPair, Grid, GridFunction
 from spectral3.quasi import SystemVariant, fundamental_solutions
 
@@ -383,3 +385,56 @@ def test_gamma_from_weight_batch_matches_weight_gamma(coinciding_coeffs):
     ref = weight_gamma(coinciding_coeffs, data.lam(1, 1),
                        data.beta(1, 1), data.beta(1, 2))
     assert abs(data.gamma[1] - ref) <= 1e-12 * abs(ref)
+
+
+def _count_sweeps(monkeypatch, calls, skip=lambda: False):
+    """Record (L, with_dlambda) of every forward._sweep call while skip()
+    is false."""
+    sweep = forward._sweep
+
+    def counting(coeffs, variant, lams, inits, with_dlambda=False, **kw):
+        if not skip():
+            calls.append((np.atleast_1d(lams).shape[0], with_dlambda))
+        return sweep(coeffs, variant, lams, inits, with_dlambda=with_dlambda,
+                     **kw)
+
+    monkeypatch.setattr(forward, "_sweep", counting)
+
+
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+def test_weyl_batch_sweeps_only_the_family_it_reads(general_coeffs128,
+                                                    variant, monkeypatch):
+    # Phi_1 reads characteristic family 1, Phi_2 family 2, Phi_3 neither;
+    # -30 and 9 - 6i take opposite Phi_2 routes in either variant
+    calls: list = []
+    _count_sweeps(monkeypatch, calls)
+    for lam in (-30.0, 9.0 - 6.0j):
+        for k in (1, 2, 3):
+            calls.clear()
+            batch = weyl_batch(general_coeffs128, [lam], variant, ks=(k,))
+            assert [c for c in calls if c[1]] == ([] if k == 3 else
+                                                  [(1, True)])
+            ref = weyl_solutions(general_coeffs128, lam, variant)
+            assert np.array_equal(batch[k][0], ref.states[k - 1])
+
+
+def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
+                                                           monkeypatch):
+    # beta_{n,1} reads family 1 at lambda_{n,1}, beta_{n,2} family 2 at
+    # lambda_{n,2}: two d/dlambda sweeps of L = n_max after the Newton
+    # searches
+    newton = forward._newton_family
+    depth: list = []
+
+    def in_newton(*args, **kwargs):
+        depth.append(1)
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(forward, "_newton_family", in_newton)
+    calls: list = []
+    _count_sweeps(monkeypatch, calls, skip=lambda: bool(depth))
+    compute_spectral_data(general_coeffs128, 5)
+    assert calls == [(5, True), (5, True)]
