@@ -178,7 +178,6 @@ def cmd_inverse(args) -> int:
         _validate_input_data(data)
     res = run_inverse(data, cfg.grid, args.big_n,
                       theta_shift=args.model_jitter)
-    res.diagnostics.pop("cache", None)
     write_coefficients(args.out, res.coeffs)
     print("inverse: wrote %s (N=%d, d=%.6g, rcond_min=%.3g)"
           % (args.out, args.big_n, res.diagnostics.get("d", float("nan")),
@@ -259,9 +258,7 @@ def cmd_verify(args) -> int:
                                        rtol=args.rtol)
     else:
         res = run_inverse(data, cfg.grid, N)
-        cache = res.diagnostics.pop("cache")
-        report = verify_reconstruction(res, data, N, mode="weyl",
-                                       cache=cache)
+        report = verify_reconstruction(res, data, N, mode="weyl")
     with open(args.out, "w") as fh:
         fh.write(dumps17(_jsonable(report)))
     print("verify(%s): %s -> %s" % (args.mode,

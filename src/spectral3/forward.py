@@ -396,6 +396,9 @@ class SpectralData:
         if any(not 1 <= n <= self.n_max for n in self.K):
             raise ValueError("K indices %s are not all in 1..n_max=%d"
                              % (self.K, self.n_max))
+        for a, b in zip(self.K, self.K[1:]):
+            if a == b:
+                raise ValueError("K lists n=%d more than once" % a)
         self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
         if set(self.gamma) != set(self.K):
             raise ValueError("gamma must be given exactly on K")

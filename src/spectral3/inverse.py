@@ -38,6 +38,7 @@ from .forward import SpectralData, compute_spectral_data
 from .grid import CoefficientPair, Grid, GridFunction, cumulative, l2_norm, \
     w2m1_distance
 from .model import ModelCache, build_model, distance_d, xi_sequence
+from .quasi import SystemVariant
 
 __all__ = [
     "IndexV",
@@ -95,26 +96,32 @@ class StarStates(NamedTuple):
     regularized: np.ndarray  # (L,)  bool
 
 
-def _star_states(cache: ModelCache, data: SpectralData) -> StarStates:
-    """Z_v for v in V^N, N = data.n_max, in the index_set order."""
-    V = index_set(data.n_max)
-    Z = np.empty((len(V), cache.grid.M + 1, 3), dtype=complex)
-    lam = np.empty(len(V), dtype=complex)
-    pole = np.zeros(len(V), dtype=complex)
-    regularized = np.zeros(len(V), dtype=bool)
-    for i, v in enumerate(V):
-        src = data if v.eps == 0 else cache.model_data
-        lam[i] = src.lam(v.n, v.k)
-        beta = src.beta(v.n, v.k)
-        if v.k == 1:
-            Z[i] = -beta * cache.phi_star_states(3, lam[i])
-            continue
-        Z[i] = beta * cache.phi_star_states(2, lam[i])
-        pole[i] = beta
-        if v.eps == 0 and v.n in data.K:
-            Z[i] -= data.gamma[v.n] * cache.phi_star_states(3, lam[i])
-            regularized[i] = True
-    return StarStates(Z, lam, pole, regularized)
+def _states_at(cache: ModelCache, variant: SystemVariant, ks: np.ndarray,
+               lams: np.ndarray) -> np.ndarray:
+    """Phi_{ks[i]}(., lams[i]) of the variant: one cache request per k."""
+    out = np.empty((len(lams), cache.grid.M + 1, 3), dtype=complex)
+    for k in np.unique(ks):
+        out[ks == k] = cache.states(variant, int(k), lams[ks == k])
+    return out
+
+
+def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
+    """Z_v for v in V^N in the index_set order, from the entries n <= N
+    of data and of the model."""
+    V = index_set(N)
+    src = [data if v.eps == 0 else cache.model_data for v in V]
+    lam = np.array([d.lam(v.n, v.k) for d, v in zip(src, V)])
+    beta = np.array([d.beta(v.n, v.k) for d, v in zip(src, V)])
+    k = np.array([v.k for v in V])
+    Z = (np.where(k == 1, -beta, beta)[:, None, None]
+         * _states_at(cache, SystemVariant.STAR, 4 - k, lam))
+    regularized = np.array([v.eps == 0 and v.k == 2 and v.n in data.K
+                            for v in V])
+    if regularized.any():
+        gamma = np.array([data.gamma[v.n] for v, r in zip(V, regularized) if r])
+        Z[regularized] -= gamma[:, None, None] * cache.states(
+            SystemVariant.STAR, 3, lam[regularized])
+    return StarStates(Z, lam, np.where(k == 2, beta, 0.0), regularized)
 
 
 def _kernel(grid: Grid, stars: StarStates, Y: np.ndarray, mu: np.ndarray,
@@ -153,9 +160,10 @@ def _kernel(grid: Grid, stars: StarStates, Y: np.ndarray, mu: np.ndarray,
     return out
 
 
-def kernel_D(cache: ModelCache, kj, grid: Grid, lam: complex, mu: complex,
+def kernel_D(cache: ModelCache, kj, lam: complex, mu: complex,
              regularized: bool = False) -> GridFunction:
-    """Nodal values of D_{k,j}(x, lambda, mu) for (k, j) in {2,3} x {2,3}.
+    """Nodal values of D_{k,j}(x, lambda, mu) for (k, j) in {2,3} x {2,3}
+    on the grid of the model cache.
 
     The pairing of Phi*_k(., lambda) with Phi_j(., mu); see _kernel.  The
     pole 1/(lambda - mu) of D_{2,2} may be regularized at an exact
@@ -164,14 +172,12 @@ def kernel_D(cache: ModelCache, kj, grid: Grid, lam: complex, mu: complex,
     k, j = int(kj[0]), int(kj[1])
     if (k, j) not in _VALID_KJ:
         raise ValueError("kernel indices %r not supported" % (kj,))
-    if grid.M != cache.grid.M:
-        raise ValueError("grid does not match the model cache")
-    lam, mu = complex(lam), complex(mu)
-    star = StarStates(cache.phi_star_states(k, lam)[None],
-                      np.array([lam]), np.array([1.0 if k == 2 else 0.0]),
+    lam, mu = np.array([lam], dtype=complex), np.array([mu], dtype=complex)
+    star = StarStates(cache.states(SystemVariant.STAR, k, lam), lam,
+                      np.array([1.0 if k == 2 else 0.0]),
                       np.array([regularized]))
-    D = _kernel(cache.grid, star, cache.phi_states(j, mu)[None],
-                np.array([mu]), j)
+    D = _kernel(cache.grid, star, cache.states(SystemVariant.DIRECT, j, mu),
+                mu, j)
     return GridFunction(cache.grid, D[:, 0, 0])
 
 
@@ -181,20 +187,28 @@ def kernel_D(cache: ModelCache, kj, grid: Grid, lam: complex, mu: complex,
 
 @dataclass
 class MainAssembly:
-    """Node-wise matrices and tables of the truncated main system."""
+    """Node-wise matrices and tables of the truncated main system, with
+    the star states and the model cache they were built from."""
 
+    cache: ModelCache
     grid: Grid
     N: int
     V: list
-    data: SpectralData
+    data: SpectralData      # the given data truncated to n <= N
+    stars: StarStates
     A: np.ndarray           # (M+1, 4N, 4N): A[m, v0, v]
     tilde_phi: np.ndarray   # (4N, M+1)
     tilde_dphi: np.ndarray  # (4N, M+1)
-    eta: np.ndarray         # (4N, M+1)
-    deta: np.ndarray        # (4N, M+1)
-    lam: np.ndarray         # (4N,)
     signs: np.ndarray       # (4N,)  (-1)^eps
     rates: np.ndarray       # (4N,)  equilibration exponents
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self.stars.Z[:, :, 0]
+
+    @property
+    def deta(self) -> np.ndarray:
+        return self.stars.Z[:, :, 1]
 
     def gprime(self, i_v: int, i_v0: int) -> np.ndarray:
         """G'_{v,v0} = eta_v * tilde_phi_{v0} (nodal values)."""
@@ -208,25 +222,22 @@ def _signs(V: list) -> np.ndarray:
 def assemble(data: SpectralData, cache: ModelCache, N: int) -> MainAssembly:
     """Build the node-wise matrices of the truncated main system on the
     grid of the model cache."""
-    grid = cache.grid
-    data_N = data if data.n_max == N else data.truncate(N)
-    cache.ensure_main(data_N)
-
+    data_N = data.truncate(N)
     V = index_set(N)
-    stars = _star_states(cache, data_N)
-    Y = np.stack([cache.phi_states(v.k + 1, l) for v, l in zip(V, stars.lam)])
+    stars = _star_states(cache, data_N, N)
+    j = np.array([v.k + 1 for v in V])
+    Y = _states_at(cache, SystemVariant.DIRECT, j, stars.lam)
     signs = _signs(V)
     rates = np.array([root_rates(l)[v.k] for v, l in zip(V, stars.lam)])
 
     # A[m, v0, v] = delta - (-1)^eps(v) D(x_m; Z_v, tilde phi_v0)
-    A = _kernel(grid, stars, Y, stars.lam, [v.k + 1 for v in V])
+    A = _kernel(cache.grid, stars, Y, stars.lam, j)
     A *= -signs
     idx = np.arange(len(V))
     A[:, idx, idx] += 1.0
-    return MainAssembly(grid=grid, N=N, V=V, data=data_N, A=A,
-                        tilde_phi=Y[:, :, 0], tilde_dphi=Y[:, :, 1],
-                        eta=stars.Z[:, :, 0], deta=stars.Z[:, :, 1],
-                        lam=stars.lam, signs=signs, rates=rates)
+    return MainAssembly(cache=cache, grid=cache.grid, N=N, V=V, data=data_N,
+                        stars=stars, A=A, tilde_phi=Y[:, :, 0],
+                        tilde_dphi=Y[:, :, 1], signs=signs, rates=rates)
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +302,22 @@ class ReconstructionResult:
     dphi: np.ndarray
     V: list
     diagnostics: dict = field(default_factory=dict)
+    cache: ModelCache | None = None
 
     @property
     def coeffs(self) -> CoefficientPair:
         return CoefficientPair(self.tau1N, self.sigma0N)
 
 
-def reconstruct(data: SpectralData, cache: ModelCache, phi: np.ndarray,
-                dphi: np.ndarray, N: int, solve_diag: dict | None = None
-                ) -> ReconstructionResult:
-    """Recover (tau1, sigma0) from the solved phi tables.
+def reconstruct(assembly: MainAssembly, phi: np.ndarray, dphi: np.ndarray,
+                solve_diag: dict | None = None) -> ReconstructionResult:
+    """Recover (tau1, sigma0) from the phi tables solved on the assembly.
 
     The three series are summed over V^N in the fixed IndexV order.
     """
-    data_N = data if data.n_max == N else data.truncate(N)
-    V = index_set(N)
-    grid = cache.grid
-    Z = _star_states(cache, data_N).Z
-    eta, deta = Z[:, :, 0], Z[:, :, 1]
-    signs = _signs(V)[:, None]
+    cache, grid, N = assembly.cache, assembly.grid, assembly.N
+    eta, deta = assembly.eta, assembly.deta
+    signs = assembly.signs[:, None]
     sum_full = (signs * (dphi * eta + phi * deta)).sum(axis=0)
     sum_deriv = (signs * (dphi * eta)).sum(axis=0)
     sum_plain = (signs * (phi * eta)).sum(axis=0)
@@ -319,17 +327,17 @@ def reconstruct(data: SpectralData, cache: ModelCache, phi: np.ndarray,
     sigma0N = (cache.coeffs.sigma0.values - hat - 3.0 * sum_deriv
                - 2.0 * cumulative(GridFunction(grid, hat * sum_plain)).values)
 
-    xi = xi_sequence(data_N, cache.model_data, N)
+    xi = xi_sequence(assembly.data, cache.model_data, N)
     diag = {
         "xi": [float(t) for t in xi],
-        "d": distance_d(data_N, cache.model_data, N),
+        "d": distance_d(assembly.data, cache.model_data, N),
         "xi_weighted": float(np.sum((np.arange(1, N + 1) * xi) ** 2)),
     }
     if solve_diag:
         diag.update(solve_diag)
     return ReconstructionResult(GridFunction(grid, tau1N),
                                 GridFunction(grid, sigma0N),
-                                phi, dphi, V, diag)
+                                phi, dphi, assembly.V, diag, cache)
 
 
 def run_inverse(data: SpectralData, grid: Grid, N: int,
@@ -340,9 +348,7 @@ def run_inverse(data: SpectralData, grid: Grid, N: int,
         cache = build_model(data, grid, N, theta_shift=theta_shift)
     assembly = assemble(data, cache, N)
     phi, dphi, diag = solve_phi(assembly)
-    result = reconstruct(data, cache, phi, dphi, N, solve_diag=diag)
-    result.diagnostics["cache"] = cache
-    return result
+    return reconstruct(assembly, phi, dphi, solve_diag=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +356,22 @@ def run_inverse(data: SpectralData, grid: Grid, N: int,
 
 
 def _phiN_tables(result: ReconstructionResult, cache: ModelCache,
-                 data: SpectralData, k0: int, lam: complex):
-    """(Phi^N_{k0}, (Phi^N_{k0})') nodal values at one lambda."""
-    N = cache.N
-    data_N = data if data.n_max == N else data.truncate(N)
-    tilde = cache.phi_states(k0, lam)
-    stars = _star_states(cache, data_N)
-    P = _kernel(cache.grid, stars, tilde[None],
-                np.array([lam], dtype=complex), k0)[:, 0, :].T
+                 stars: StarStates, k0: int, lams):
+    """(Phi^N_{k0}, (Phi^N_{k0})') nodal values at each lambda of lams,
+    two (W, M+1) arrays, from the star states of the reconstruction."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    tilde = cache.states(SystemVariant.DIRECT, k0, lams)
+    P = _kernel(cache.grid, stars, tilde, lams, k0)     # (M+1, W, 4N)
     signs = _signs(result.V)[:, None]
-    dP = result.dphi * P + result.phi * stars.Z[:, :, 0] * tilde[:, 0]
-    vals = tilde[:, 0] + (signs * result.phi * P).sum(axis=0)
-    dvals = tilde[:, 1] + (signs * dP).sum(axis=0)
+    vals = tilde[:, :, 0] + np.einsum("vm,mwv->wm", signs * result.phi, P)
+    dvals = (tilde[:, :, 1] + np.einsum("vm,mwv->wm", signs * result.dphi, P)
+             + tilde[:, :, 0] * (signs * result.phi * stars.Z[:, :, 0]).sum(
+                 axis=0))
     return vals, dvals
 
 
 def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
                           N: int, mode: str = "spectral",
-                          cache: ModelCache | None = None,
                           rtol: float = 1e-3) -> dict:
     """Check a reconstruction against its input data.
 
@@ -376,19 +380,19 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
     and the next few indices against the model.  mode="weyl" builds the
     functions Phi^N from the phi tables and checks their boundary,
     normalization, and interpolation properties against _WEYL_TOL
-    (coinciding pairs are not supported there).
+    (coinciding pairs are not supported there).  The model comes from
+    result.cache, or is built when the result carries none.
     """
-    if cache is None:
-        cache = (result.diagnostics.get("cache")
-                 or build_model(data, result.tau1N.grid, N))
-    data_N = data if data.n_max == N else data.truncate(N)
+    if N > data.n_max:
+        raise ValueError("N=%d exceeds the data range n_max=%d" % (N, data.n_max))
+    cache = result.cache or build_model(data, result.tau1N.grid, N)
     if mode == "spectral":
         rec = compute_spectral_data(result.coeffs, N + 4)
         entries = []
         lam_max = beta_max = tail_max = 0.0
         for n in range(1, N + 5):
             for k in (1, 2):
-                ref = data_N if n <= N else cache.model_data
+                ref = data if n <= N else cache.model_data
                 dl = (abs(rec.lam(n, k) - ref.lam(n, k))
                       / (1.0 + abs(ref.lam(n, k))))
                 db = (abs(rec.beta(n, k) - ref.beta(n, k))
@@ -406,7 +410,8 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
             "lambda_rel_max": lam_max,
             "beta_rel_max": beta_max,
             "tail_lambda_rel_max": tail_max,
-            "K_match": [n for n in rec.K if n <= N] == data_N.K,
+            "K_match": ([n for n in rec.K if n <= N]
+                        == [n for n in data.K if n <= N]),
             "entries": entries,
             "breaches": [e for e in entries
                          if e["reference"] == "data"
@@ -417,49 +422,48 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
         return report
 
     if mode == "weyl":
-        if data_N.K:
+        if any(n <= N for n in data.K):
             raise ValueError("mode='weyl' requires data without coinciding "
                              "eigenvalue pairs")
+        stars = _star_states(cache, data, cache.N)
         checks: dict = {"mode": "weyl"}
         breaches = []
         # Boundary conditions at x = 1: Phi^N_2 vanishes there on the
         # first data spectrum, Phi^N_3 on the second.
-        for k0, family in ((2, 1), (3, 2)):
+        for k0, lams in ((2, data.lam1[:N]), (3, data.lam2[:N])):
             check = "phi%d_terminal" % k0
-            z = []
-            for n in range(1, N + 1):
-                vals, _ = _phiN_tables(result, cache, data_N, k0,
-                                       data_N.lam(n, family))
-                rel = abs(vals[-1]) / (1.0 + np.abs(vals).max())
-                z.append(rel)
-                if rel > _WEYL_TOL:
-                    breaches.append({"check": check, "n": n, "value": rel})
-            checks[check + "_max"] = max(z)
+            vals, _ = _phiN_tables(result, cache, stars, k0, lams)
+            rel = np.abs(vals[:, -1]) / (1.0 + np.abs(vals).max(axis=1))
+            for n, r in enumerate(rel, start=1):
+                if r > _WEYL_TOL:
+                    breaches.append({"check": check, "n": n, "value": r})
+            checks[check + "_max"] = rel.max()
 
         # Interpolation: Phi^N_{k+1}(x, lam_v) == phi_v(x).
-        interp_max = 0.0
-        for i, v in enumerate(result.V):
-            src = data_N if v.eps == 0 else cache.model_data
-            lam = src.lam(v.n, v.k)
-            vals, _ = _phiN_tables(result, cache, data_N, v.k + 1, lam)
-            rel = (np.abs(vals - result.phi[i]).max()
-                   / (1.0 + np.abs(result.phi[i]).max()))
-            interp_max = max(interp_max, rel)
-            if rel > _WEYL_TOL:
+        rel = np.empty(len(result.V))
+        j = np.array([v.k + 1 for v in result.V])
+        for k0 in (2, 3):
+            vals, _ = _phiN_tables(result, cache, stars, k0,
+                                   stars.lam[j == k0])
+            phi = result.phi[j == k0]
+            rel[j == k0] = (np.abs(vals - phi).max(axis=1)
+                            / (1.0 + np.abs(phi).max(axis=1)))
+        for v, r in zip(result.V, rel):
+            if r > _WEYL_TOL:
                 breaches.append({"check": "interpolation", "v": tuple(v),
-                                 "value": rel})
-        checks["interpolation_max"] = interp_max
+                                 "value": r})
+        checks["interpolation_max"] = rel.max()
 
         # Initial normalization and the first Weyl solution at a probe
         # lambda away from both spectra.
         lam_probe = 0.7j * abs(cache.model_data.lam(1, 1))
-        v2, d2 = _phiN_tables(result, cache, data_N, 2, lam_probe)
-        v3, d3 = _phiN_tables(result, cache, data_N, 3, lam_probe)
+        (v2,), (d2,) = _phiN_tables(result, cache, stars, 2, lam_probe)
+        (v3,), (d3,) = _phiN_tables(result, cache, stars, 3, lam_probe)
         checks["phi2_origin"] = abs(v2[0])
         checks["phi2_origin_slope"] = abs(d2[0] - 1.0)
         checks["phi3_origin"] = abs(v3[0])
         checks["phi3_origin_slope"] = abs(d3[0])
-        v1, d1 = _phiN_tables(result, cache, data_N, 1, lam_probe)
+        (v1,), (d1,) = _phiN_tables(result, cache, stars, 1, lam_probe)
         checks["phi1_terminal"] = abs(v1[-1]) / (1.0 + np.abs(v1).max())
         checks["phi1_terminal_slope"] = abs(d1[-1]) / (1.0 + np.abs(d1).max())
         for key in ("phi2_origin", "phi2_origin_slope", "phi3_origin",
@@ -510,22 +514,22 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
     else:
         deltas = [float(d) for d in deltas]
 
-    base = run_inverse(data, grid, N, cache=cache)
+    data_N = data.truncate(N)
+    base = run_inverse(data_N, grid, N, cache=cache)
     rows = [{"delta": 0.0, "d": 0.0, "tau1_l2": 0.0, "sigma0_w2m1": 0.0,
              "tau1_ratio": None, "sigma0_ratio": None, "status": "ok"}]
 
     def job(delta: float) -> dict:
-        pert = _perturb(data.truncate(N), entries, delta)
+        pert = _perturb(data_N, entries, delta)
+        dd = distance_d(pert, data_N, N)
         try:
             res = run_inverse(pert, grid, N, cache=cache)
         except SingularSystemError as exc:
-            return {"delta": delta,
-                    "d": distance_d(pert, data.truncate(N), N),
+            return {"delta": delta, "d": dd,
                     "tau1_l2": None, "sigma0_w2m1": None,
                     "tau1_ratio": None, "sigma0_ratio": None,
                     "status": "singular(node=%d, rcond=%.3g)"
                               % (exc.node, exc.rcond)}
-        dd = distance_d(pert, data.truncate(N), N)
         t_err = l2_norm(res.tau1N - base.tau1N)
         s_err = w2m1_distance(res.sigma0N, base.sigma0N)
         return {"delta": delta, "d": dd, "tau1_l2": t_err,

@@ -3,9 +3,10 @@
 The model pair is the constant-coefficient problem tau1 = theta,
 sigma0 = 0 (theta the integral carried by the data), solved by the same
 integrator as everything else.  build_model enforces the four
-admissibility conditions and precomputes every model quantity the main
-equation consumes: spectral data and the Weyl solutions Phi_2, Phi_3 of
-the direct and star systems at every needed lambda.
+admissibility conditions and computes the model spectral data; the Weyl
+solutions Phi_k of the direct and star systems are served by
+ModelCache.states over lambda arrays, each computed where it is first
+read and kept for the rest of the run.
 
 Which Weyl solution may be evaluated where is dictated by the pole
 structure: Phi_2 has poles on the second model spectrum, Phi_2* on the
@@ -36,7 +37,8 @@ _MODEL_MARGIN = 4
 
 @dataclass
 class ModelCache:
-    """Immutable bundle of model quantities for one inverse run."""
+    """Model quantities of one inverse run, with the Weyl states filled
+    on first request."""
 
     coeffs: CoefficientPair
     model_data: SpectralData        # n <= N + margin
@@ -50,50 +52,27 @@ class ModelCache:
     def grid(self) -> Grid:
         return self.coeffs.grid
 
-    def ensure(self, lams, k: int) -> None:
-        """Batch-compute and cache direct Weyl states Phi_k at lams."""
-        self._ensure(self.phi, SystemVariant.DIRECT, lams, k)
+    def states(self, variant: SystemVariant, k: int, lams) -> np.ndarray:
+        """Weyl states Phi_k(., lam) of the variant at lams: (L, M+1, 3).
 
-    def ensure_star(self, lams, k: int) -> None:
-        self._ensure(self.phi_star, SystemVariant.STAR, lams, k)
-
-    def ensure_main(self, data: SpectralData) -> None:
-        """Batch-compute the Weyl states the main equation reads at the
-        eigenvalues of data (truncated to n <= N) and of the model.
-
-        Phi_2 and Phi*_3 are needed at first-family values, Phi_3 and
-        Phi*_2 at second-family values, so neither Phi_2 nor Phi*_2 is
-        evaluated on its poles (admissibility conditions 3 and 4).
+        The misses are computed in one weyl_batch call and kept.
         """
-        ns = range(1, data.n_max + 1)
-        src = (data, self.model_data)
-        lam1 = [d.lam(n, 1) for n in ns for d in src]
-        lam2 = [d.lam(n, 2) for n in ns for d in src]
-        self.ensure(lam1, 2)
-        self.ensure(lam2, 3)
-        self.ensure_star(lam2, 2)
-        self.ensure_star(lam1, 3)
+        table = self.phi if variant is SystemVariant.DIRECT else self.phi_star
+        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+        self._ensure(table, variant, lams, k)
+        out = np.empty((len(lams), self.grid.M + 1, 3), dtype=complex)
+        for i, l in enumerate(map(complex, lams)):
+            out[i] = table[(k, l)]
+        return out
 
     def _ensure(self, table: dict, variant: SystemVariant, lams, k: int) -> None:
-        missing = [l for l in np.atleast_1d(np.asarray(lams, dtype=complex))
-                   if (k, complex(l)) not in table]
+        missing = list(dict.fromkeys(l for l in map(complex, lams)
+                                     if (k, l) not in table))
         if not missing:
             return
         batch = weyl_batch(self.coeffs, np.array(missing), variant, ks=(k,))
         for i, l in enumerate(missing):
-            table[(k, complex(l))] = batch[k][i]
-
-    def phi_states(self, k: int, lam: complex) -> np.ndarray:
-        key = (k, complex(lam))
-        if key not in self.phi:
-            self.ensure([lam], k)
-        return self.phi[key]
-
-    def phi_star_states(self, k: int, lam: complex) -> np.ndarray:
-        key = (k, complex(lam))
-        if key not in self.phi_star:
-            self.ensure_star([lam], k)
-        return self.phi_star[key]
+            table[(k, l)] = batch[k][i]
 
 
 def _collision_tol(lam: complex) -> float:
@@ -132,7 +111,7 @@ def _check_conditions(model_coeffs: CoefficientPair, data: SpectralData,
 def build_model(data: SpectralData, grid: Grid, N: int,
                 model_coeffs: CoefficientPair | None = None,
                 theta_shift: complex = 0.0) -> ModelCache:
-    """Construct and validate the model problem, then cache everything.
+    """Construct and validate the model problem.
 
     The default model is tau1 = theta + theta_shift constant, sigma0 = 0;
     theta_shift (normally zero) moves the model spectrum to break
@@ -150,11 +129,8 @@ def build_model(data: SpectralData, grid: Grid, N: int,
     model_data = compute_spectral_data(model_coeffs, N + _MODEL_MARGIN)
     _check_conditions(model_coeffs, data_N, model_data, theta_target)
 
-    cache = ModelCache(coeffs=model_coeffs, model_data=model_data,
-                       data=data_N, N=N, theta_shift=theta_shift)
-
-    cache.ensure_main(data_N)
-    return cache
+    return ModelCache(coeffs=model_coeffs, model_data=model_data,
+                      data=data_N, N=N, theta_shift=theta_shift)
 
 
 def xi_sequence(data: SpectralData, model_data: SpectralData, N: int) -> np.ndarray:

@@ -119,7 +119,7 @@ def test_05_model_data_reproduces_model(grid512):
                        data=full.truncate(N), N=N)
     assembly = assemble(cache.data, cache, N)
     phi, dphi, diag = solve_phi(assembly)
-    res = reconstruct(cache.data, cache, phi, dphi, N, solve_diag=diag)
+    res = reconstruct(assembly, phi, dphi, solve_diag=diag)
     t_err = l2_norm(res.tau1N - model_coeffs.tau1)
     s_err = w2m1_distance(res.sigma0N, model_coeffs.sigma0)
     elapsed = time.perf_counter() - t0
@@ -212,12 +212,14 @@ def test_09_kernel_forms_agree(smooth_data8, grid512):
         samples.append((k, j, lam, mu, xi))
     # One batched Weyl-state computation per (variant, k) for all samples.
     for kk in (2, 3):
-        cache.ensure_star([s[2] for s in samples if s[0] == kk], kk)
-        cache.ensure([s[3] for s in samples if s[1] == kk], kk)
+        cache.states(SystemVariant.STAR, kk,
+                     [s[2] for s in samples if s[0] == kk])
+        cache.states(SystemVariant.DIRECT, kk,
+                     [s[3] for s in samples if s[1] == kk])
     worst = 0.0
     for k, j, lam, mu, xi in samples:
-        zs = cache.phi_star_states(k, lam)
-        ys = cache.phi_states(j, mu)
+        zs = cache.states(SystemVariant.STAR, k, [lam])[0]
+        ys = cache.states(SystemVariant.DIRECT, j, [mu])[0]
         bracket = (zs[:, 2] * ys[:, 0] - zs[:, 1] * ys[:, 1]
                    + zs[:, 0] * ys[:, 2]) / (mu - lam)
         integ = cumulative(GridFunction(grid512, zs[:, 0] * ys[:, 0])).values

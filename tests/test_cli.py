@@ -79,19 +79,23 @@ def test_inverse_rejects_duplicate_eigenvalues(tmp_path, smooth_data8,
     assert not (tmp_path / "rec.csv").exists()
 
 
-@pytest.mark.parametrize("n", [7, 0])
-def test_inverse_rejects_K_index_out_of_range(tmp_path, smooth_data8, n,
-                                              capsys):
+@pytest.mark.parametrize("ns, message", [
+    pytest.param([7], "1..n_max=2", id="7"),
+    pytest.param([0], "1..n_max=2", id="0"),
+    pytest.param([1, 1], "n=1 more than once", id="duplicate"),
+])
+def test_inverse_rejects_K_index_out_of_range(tmp_path, smooth_data8, ns,
+                                              message, capsys):
     path = tmp_path / "badK.json"
     save_spectral_data(path, smooth_data8.truncate(2))
     obj = json.loads(path.read_text())
-    obj["K"] = [{"n": n, "gamma": [1.0, 0.0]}]
+    obj["K"] = [{"n": n, "gamma": [1.0, 0.0]} for n in ns]
     path.write_text(json.dumps(obj))
     rc = main(["inverse", "--data", str(path), "--big-n", "2",
                "--out", str(tmp_path / "rec.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("spectral3:") and "1..n_max=2" in err
+    assert err.startswith("spectral3:") and message in err
     assert not (tmp_path / "rec.csv").exists()
 
 

@@ -184,6 +184,15 @@ def test_spectral_data_K_snap():
                      K=[1], gamma={1: 2.0})
 
 
+def test_spectral_data_rejects_duplicate_K():
+    # the gamma check compares sets, so a repeated n must be caught apart
+    lam = np.array([2.0 + 1.0j, 50.0])
+    with pytest.raises(ValueError, match="n=1 more than once"):
+        SpectralData(theta=0.0, n_max=2, lam1=lam.copy(), lam2=lam.copy(),
+                     beta1=np.array([0.0, 3.0]), beta2=np.array([1.0, 4.0]),
+                     K=[1, 1], gamma={1: 2.0})
+
+
 def test_spectral_data_json_roundtrip(tmp_path, smooth_data20):
     path = tmp_path / "sd.json"
     save_spectral_data(path, smooth_data20)

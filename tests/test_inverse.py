@@ -5,10 +5,12 @@ from spectral3.errors import PoleHitError, SingularSystemError
 from spectral3.forward import compute_spectral_data
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             differentiate, l2_norm, w2m1_distance)
-from spectral3.inverse import (IndexV, assemble, index_set, kernel_D,
-                               reconstruct, run_inverse, solve_phi,
-                               stability_experiment, verify_reconstruction)
+from spectral3.inverse import (IndexV, _phiN_tables, _star_states, assemble,
+                               index_set, kernel_D, reconstruct, run_inverse,
+                               solve_phi, stability_experiment,
+                               verify_reconstruction)
 from spectral3.model import ModelCache, build_model, distance_d
+from spectral3.quasi import SystemVariant
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +33,7 @@ def test_index_set_order():
 def test_kernel_origin_values(cache4, grid512):
     lam, mu = 3.0 + 2.0j, -7.0 + 1.0j
     for kj in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        D = kernel_D(cache4, kj, grid512, lam, mu)
+        D = kernel_D(cache4, kj, lam, mu)
         if kj == (2, 2):
             assert abs(D.values[0] - 1.0 / (lam - mu)) < 1e-12
         else:
@@ -39,8 +41,8 @@ def test_kernel_origin_values(cache4, grid512):
 
 
 def _two_forms(cache, k, j, lam, mu):
-    zs = cache.phi_star_states(k, lam)
-    ys = cache.phi_states(j, mu)
+    zs = cache.states(SystemVariant.STAR, k, [lam])[0]
+    ys = cache.states(SystemVariant.DIRECT, j, [mu])[0]
     bracket = (zs[:, 2] * ys[:, 0] - zs[:, 1] * ys[:, 1]
                + zs[:, 0] * ys[:, 2]) / (mu - lam)
     integ = cumulative(GridFunction(cache.grid, zs[:, 0] * ys[:, 0])).values
@@ -66,7 +68,7 @@ def test_kernel_forms_agree_across_switch(cache4, grid512):
     for gap_scale in (0.3, 3.0):
         mu = lam + gap_scale * 1e-6 * (1.0 + abs(lam))
         for kj in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            D = kernel_D(cache4, kj, grid512, lam, mu).values
+            D = kernel_D(cache4, kj, lam, mu).values
             bracket, integ = _two_forms(cache4, kj[0], kj[1], lam, mu)
             other = integ if gap_scale > 1 else bracket
             scale = 1.0 + np.abs(D).max()
@@ -76,16 +78,13 @@ def test_kernel_forms_agree_across_switch(cache4, grid512):
 def test_kernel_pole_and_guards(cache4, grid512):
     lam = 3.0 + 2.0j
     with pytest.raises(PoleHitError):
-        kernel_D(cache4, (2, 2), grid512, lam, lam)
-    reg = kernel_D(cache4, (2, 2), grid512, lam, lam, regularized=True)
+        kernel_D(cache4, (2, 2), lam, lam)
+    reg = kernel_D(cache4, (2, 2), lam, lam, regularized=True)
     assert np.isfinite(reg.values).all()
     # no pole for the other kernels on the diagonal
-    assert np.isfinite(kernel_D(cache4, (3, 3), grid512, lam, lam).values).all()
+    assert np.isfinite(kernel_D(cache4, (3, 3), lam, lam).values).all()
     with pytest.raises(ValueError, match="indices"):
-        kernel_D(cache4, (1, 2), grid512, lam, 2.0 * lam)
-    with pytest.raises(ValueError, match="grid"):
-        from spectral3.grid import Grid
-        kernel_D(cache4, (2, 2), Grid(128), lam, 2.0 * lam)
+        kernel_D(cache4, (1, 2), lam, 2.0 * lam)
 
 
 def test_model_data_is_a_fixed_point(grid512):
@@ -113,7 +112,7 @@ def test_model_data_is_a_fixed_point(grid512):
     assert np.abs(phi - assembly.tilde_phi).max() < 1e-10 * scale
     assert diag["rcond_min"] > 1e-8
 
-    res = reconstruct(data, cache, phi, dphi, N, solve_diag=diag)
+    res = reconstruct(assembly, phi, dphi, solve_diag=diag)
     assert l2_norm(res.tau1N - GridFunction.constant(grid512, 0.3)) < 1e-10
     assert w2m1_distance(res.sigma0N,
                          GridFunction.constant(grid512, 0.0)) < 1e-10
@@ -205,8 +204,8 @@ def _pairwise_A(data, cache, N):
     for i, v in enumerate(V):
         for i0, v0 in enumerate(V):
             def D(k, regularized=False):
-                return kernel_D(cache, (k, v0.k + 1), cache.grid, lam[i],
-                                lam[i0], regularized=regularized).values
+                return kernel_D(cache, (k, v0.k + 1), lam[i], lam[i0],
+                                regularized=regularized).values
             if v.eps == 0 and v.k == 2 and v.n in data_N.K:
                 G = beta[i] * D(2, True) - data_N.gamma[v.n] * D(3)
             elif v.k == 2:
@@ -251,16 +250,14 @@ def test_coinciding_pair_branches_run(smooth_data8, grid512):
     assert np.isfinite(res.tau1N.values).all()
     assert np.isfinite(res.sigma0N.values).all()
     with pytest.raises(ValueError, match="coinciding"):
-        verify_reconstruction(res, d, 3, mode="weyl",
-                              cache=res.diagnostics["cache"])
+        verify_reconstruction(res, d, 3, mode="weyl")
     with pytest.raises(ValueError, match="coinciding"):
         stability_experiment(d, grid512, 3)
 
 
 def test_verify_spectral_passes(result4, smooth_data8):
-    cache = result4.diagnostics["cache"]
     report = verify_reconstruction(result4, smooth_data8, 4,
-                                   mode="spectral", cache=cache)
+                                   mode="spectral")
     assert report["pass"], report
     assert report["K_match"]
     assert report["lambda_rel_max"] < 1e-3
@@ -268,15 +265,36 @@ def test_verify_spectral_passes(result4, smooth_data8):
 
 
 def test_verify_weyl_passes(result4, smooth_data8):
-    cache = result4.diagnostics["cache"]
-    report = verify_reconstruction(result4, smooth_data8, 4, mode="weyl",
-                                   cache=cache)
+    report = verify_reconstruction(result4, smooth_data8, 4, mode="weyl")
     assert report["pass"], report
     assert report["interpolation_max"] < 1e-6
     assert report["phi2_terminal_max"] < 1e-6
 
 
+def test_phiN_tables_batch_equals_pointwise(result4, smooth_data8):
+    # the lambda batches of verify_reconstruction(mode="weyl"): Phi^N_2 at
+    # first-family and Phi^N_3 at second-family eigenvalues of data and
+    # model, each with an off-spectrum probe; errors relative to
+    # 1 + max|Phi^N| as in the report
+    cache = result4.cache
+    stars = _star_states(cache, smooth_data8, 4)
+    probe = np.array([4.0 + 9.0j])
+    for k0, lams in ((1, probe),
+                     (2, np.concatenate([stars.lam[0::4], stars.lam[1::4],
+                                         probe])),
+                     (3, np.concatenate([stars.lam[2::4], stars.lam[3::4],
+                                         probe]))):
+        vals, dvals = _phiN_tables(result4, cache, stars, k0, lams)
+        assert vals.shape == dvals.shape == (len(lams), cache.grid.M + 1)
+        for w, lam in enumerate(lams):
+            v1, d1 = _phiN_tables(result4, cache, stars, k0, [lam])
+            for batch, single in ((vals[w], v1[0]), (dvals[w], d1[0])):
+                scale = 1.0 + np.abs(single).max()
+                assert np.abs(batch - single).max() <= 1e-13 * scale, (k0, w)
+
+
 def test_verify_mode_guard(result4, smooth_data8):
     with pytest.raises(ValueError, match="mode"):
-        verify_reconstruction(result4, smooth_data8, 4, mode="bogus",
-                              cache=result4.diagnostics["cache"])
+        verify_reconstruction(result4, smooth_data8, 4, mode="bogus")
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_reconstruction(result4, smooth_data8.truncate(3), 4)

@@ -4,8 +4,10 @@ import pytest
 from spectral3.errors import AdmissibilityViolationError
 from spectral3.grid import (CoefficientPair, GridFunction, differentiate,
                             integrate)
-from spectral3.inverse import assemble
-from spectral3.model import build_model, distance_d, xi_sequence
+from spectral3 import model
+from spectral3.inverse import assemble, run_inverse
+from spectral3.model import ModelCache, build_model, distance_d, xi_sequence
+from spectral3.quasi import SystemVariant
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +90,52 @@ def test_eta_derivative_consistent(assembly8):
 
 def test_phi2_vanishes_at_one_on_model_spectrum(cache8):
     lam = cache8.model_data.lam(2, 1)
-    st = cache8.phi_states(2, lam)
+    st = cache8.states(SystemVariant.DIRECT, 2, [lam])[0]
     assert abs(st[-1, 0]) < 1e-9 * (1.0 + np.abs(st[:, 0]).max())
     assert abs(st[0, 0]) < 1e-13
     assert abs(st[0, 1] - 1.0) < 1e-13
 
 
-def test_cache_is_idempotent(cache8):
-    lam = cache8.model_data.lam(1, 2)
-    a = cache8.phi_states(3, lam)
-    b = cache8.phi_states(3, lam)
-    assert a is b
+@pytest.fixture
+def weyl_batch_calls(monkeypatch):
+    # (variant, ks, L) of every weyl_batch call the model cache makes
+    calls = []
+    inner = model.weyl_batch
+
+    def counting(coeffs, lams, variant, ks=(2, 3)):
+        calls.append((variant, tuple(ks), len(lams)))
+        return inner(coeffs, lams, variant, ks=ks)
+
+    monkeypatch.setattr(model, "weyl_batch", counting)
+    return calls
+
+
+def test_cache_fills_each_state_once(cache8, weyl_batch_calls):
+    fresh = ModelCache(coeffs=cache8.coeffs, model_data=cache8.model_data,
+                       data=cache8.data, N=8)
+    lams = [cache8.model_data.lam(1, 2), 5.0 - 2.0j,
+            cache8.model_data.lam(1, 2)]
+    a = fresh.states(SystemVariant.DIRECT, 3, lams)
+    assert weyl_batch_calls == [(SystemVariant.DIRECT, (3,), 2)]
+    assert a.shape == (3, cache8.grid.M + 1, 3)
+    assert np.array_equal(a[0], a[2])
+    b = fresh.states(SystemVariant.DIRECT, 3, lams[::-1])
+    assert len(weyl_batch_calls) == 1
+    assert np.array_equal(a, b[::-1])
+
+
+def test_weyl_states_built_once_per_inverse_run(smooth_data8, grid512,
+                                                weyl_batch_calls):
+    cache = build_model(smooth_data8, grid512, 4)
+    assert weyl_batch_calls == []
+    res = run_inverse(smooth_data8, grid512, 4, cache=cache)
+    assert len(weyl_batch_calls) == 4
+    assert set(weyl_batch_calls) == {
+        (variant, (k,), 8) for variant in SystemVariant for k in (2, 3)}
+    assert res.cache is cache
+    weyl_batch_calls.clear()
+    assemble(smooth_data8, cache, 4)
+    assert weyl_batch_calls == []
 
 
 def test_eta_recomputed_for_foreign_data(cache8, assembly8):
