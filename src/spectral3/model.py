@@ -1,12 +1,14 @@
 """Model problem construction and the spectral-data metrics.
 
 The model pair is the constant-coefficient problem tau1 = theta,
-sigma0 = 0 (theta the integral carried by the data), solved by the same
-integrator as everything else.  build_model enforces the four
-admissibility conditions and computes the model spectral data; the Weyl
-solutions Phi_k of the direct and star systems are served by
-ModelCache.states over lambda arrays, each computed where it is first
-read and kept for the rest of the run.
+sigma0 = 0 (theta the integral carried by the data).  Its sweeps are the
+same RK4 map as everything else, evaluated as powers of the one step
+matrix that every cell of a constant system shares (quasi._sweep).
+build_model checks the model pair (admissibility conditions 1 and 2),
+computes the model spectral data and checks it against the given data
+(conditions 3 and 4); the Weyl solutions Phi_k of the direct and star
+systems are served by ModelCache.states over lambda arrays, each
+computed where it is first read and kept for the rest of the run.
 
 Which Weyl solution may be evaluated where is dictated by the pole
 structure: Phi_2 has poles on the second model spectrum, Phi_2* on the
@@ -79,8 +81,8 @@ def _collision_tol(lam: complex) -> float:
     return _COLLISION_TOL * (1.0 + abs(lam))
 
 
-def _check_conditions(model_coeffs: CoefficientPair, data: SpectralData,
-                      model_data: SpectralData, theta_target: complex) -> None:
+def _check_model(model_coeffs: CoefficientPair, theta_target: complex) -> None:
+    """Admissibility conditions 1 and 2, on the model pair alone."""
     th = integrate(model_coeffs.tau1)
     gap = abs(th - theta_target)
     if gap > 1e-10 * (1.0 + abs(theta_target)):
@@ -91,6 +93,10 @@ def _check_conditions(model_coeffs: CoefficientPair, data: SpectralData,
     if not np.isfinite(vals).all():
         raise AdmissibilityViolationError(
             2, "model coefficients contain non-finite samples")
+
+
+def _check_spectra(data: SpectralData, model_data: SpectralData) -> None:
+    """Admissibility conditions 3 and 4, on the model spectrum."""
     if model_data.K:
         n = model_data.K[0]
         raise AdmissibilityViolationError(
@@ -125,9 +131,10 @@ def build_model(data: SpectralData, grid: Grid, N: int,
         model_coeffs = CoefficientPair(
             GridFunction.constant(grid, theta_target),
             GridFunction.constant(grid, 0.0))
+    _check_model(model_coeffs, theta_target)
     data_N = data.truncate(N)
     model_data = compute_spectral_data(model_coeffs, N + _MODEL_MARGIN)
-    _check_conditions(model_coeffs, data_N, model_data, theta_target)
+    _check_spectra(data_N, model_data)
 
     return ModelCache(coeffs=model_coeffs, model_data=model_data,
                       data=data_N, N=N, theta_shift=theta_shift)

@@ -35,6 +35,21 @@ coupling c y in the last row.  RK4 on this augmented system is exactly
 the lambda-derivative of the discrete RK4 map.  A backward sweep is the
 same forward loop over the reversed node and midpoint samples with
 step -h.
+
+When sigma0 and tau1 are constant on the grid (every node sample
+bitwise equal to the first; the midpoint samples, which cubic
+interpolation may leave one ulp off, are taken equal to the node
+value), every cell applies the same step matrix
+
+    R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+
+6x6 block lower-triangular with d/dlambda.  Such sweeps are the same
+RK4 map evaluated as powers of R: R^M S_0 by binary powering for the
+end states, and R^m S_0 for a stored trajectory by doubling on the
+states.  Only the rounding differs from the step-by-step loop.  This is
+the scaling-and-squaring idea (Moler & Van Loan 2003; Higham 2005)
+applied to the RK4 step matrix instead of the exponential, so the
+discretization stays that of every other sweep.
 """
 
 from __future__ import annotations
@@ -124,11 +139,39 @@ def _sweep(coeffs: CoefficientPair, variant: SystemVariant, lams: np.ndarray,
     states (L, 3, K) or, with store, the trajectory (M+1, L, 3, K) in
     node order.  With with_dlambda the same shapes are returned
     additionally for d/dlambda of the states (zero initial values).
+
+    When sigma0 and tau1 are constant on the grid the same RK4 map is
+    evaluated as powers of its step matrix (_power_sweep), otherwise
+    step by step (_loop_sweep).  A non-finite state raises
+    IntegrationOverflowError: the loop checks every 32 steps and at the
+    end and reports the node it checked; the power path reports the
+    first non-finite node in sweep order of a stored sweep, and the end
+    node (M forward, 0 backward) of an end-value sweep.
     """
-    M = coeffs.grid.M
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    _guard_resolution(lams, coeffs.grid.M)
+    inits = np.asarray(inits, dtype=complex)
+    constant = _is_constant(coeffs.sigma0.values) and _is_constant(
+        coeffs.tau1.values)
+    path = _power_sweep if constant else _loop_sweep
+    res = path(coeffs, variant, lams, inits, with_dlambda, backward, store)
+    states = res[..., 0, :, :]
+    return (states, res[..., 1, :, :]) if with_dlambda else states
+
+
+def _is_constant(values: np.ndarray) -> bool:
+    """Every sample bitwise equal to the first."""
+    bits = np.ascontiguousarray(values).view(np.uint64).reshape(-1, 2)
+    return bool((bits == bits[0]).all())
+
+
+def _loop_sweep(coeffs: CoefficientPair, variant: SystemVariant,
+                lams: np.ndarray, inits: np.ndarray, with_dlambda: bool,
+                backward: bool, store: bool) -> np.ndarray:
+    """The RK4 loop for any coefficients: the states (L, B, 3, K), or
+    with store (M+1, L, B, 3, K), B = 2 with d/dlambda."""
+    M = coeffs.grid.M
     L = lams.shape[0]
-    _guard_resolution(lams, M)
     # p, q at the nodes and the cell midpoints.
     pn, qn, c = variant.pqc(coeffs.sigma0.values, coeffs.tau1.values)
     pm, qm, _ = variant.pqc(midpoint_values(coeffs.sigma0),
@@ -141,7 +184,6 @@ def _sweep(coeffs: CoefficientPair, variant: SystemVariant, lams: np.ndarray,
         nodes, h = nodes[::-1], -h
     clam = (c * lams).reshape(L, 1, 1)
 
-    inits = np.asarray(inits, dtype=complex)
     S = np.zeros((L, 2 if with_dlambda else 1) + inits.shape[-2:],
                  dtype=complex)
     S[:, 0] = inits
@@ -172,9 +214,77 @@ def _sweep(coeffs: CoefficientPair, variant: SystemVariant, lams: np.ndarray,
 
     if not np.isfinite(S[:, 0]).all():
         raise IntegrationOverflowError(int(nodes[M]))
-    res = traj if store else S
-    states = res[..., 0, :, :]
-    return (states, res[..., 1, :, :]) if with_dlambda else states
+    return traj if store else S
+
+
+def _step_matrix(p: complex, q: complex, c: float, lams: np.ndarray,
+                 h: float, with_dlambda: bool) -> np.ndarray:
+    """The RK4 step matrices R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
+    of the constant system at each lambda: (L, 3B, 3B), acting on the
+    state with its d/dlambda block (rows 3..5) stacked under it."""
+    B = 2 if with_dlambda else 1
+    hA = np.zeros((lams.shape[0], 3 * B, 3 * B), dtype=complex)
+    for i in range(0, 3 * B, 3):
+        hA[:, i, i + 1] = hA[:, i + 1, i + 2] = h
+        hA[:, i + 1, i] = h * p
+        hA[:, i + 2, i] = h * c * lams
+        hA[:, i + 2, i + 1] = h * q
+    if with_dlambda:
+        hA[:, 5, 0] = h * c
+    # Horner form: I + hA (I + hA/2 (I + hA/3 (I + hA/4))).
+    eye = np.eye(3 * B)
+    R = eye + hA / 4
+    for j in (3, 2, 1):
+        R = eye + (hA / j) @ R
+    return R
+
+
+def _power_sweep(coeffs: CoefficientPair, variant: SystemVariant,
+                 lams: np.ndarray, inits: np.ndarray, with_dlambda: bool,
+                 backward: bool, store: bool) -> np.ndarray:
+    """_loop_sweep for constant sigma0 and tau1: every cell applies the
+    same step matrix R, so the end states are R^M S_0 by binary powering
+    and a stored trajectory T[m] = R^m S_0 is filled by doubling,
+    T[j:2j] = R^j T[0:j].  Midpoint values are the node value."""
+    M = coeffs.grid.M
+    L = lams.shape[0]
+    B = 2 if with_dlambda else 1
+    p, q, c = variant.pqc(coeffs.sigma0.values[0], coeffs.tau1.values[0])
+    h = -coeffs.grid.h if backward else coeffs.grid.h
+    R = _step_matrix(p, q, c, lams, h, with_dlambda)
+    K = inits.shape[-1]
+    S0 = np.zeros((L, 3 * B, K), dtype=complex)
+    S0[:, :3] = inits
+
+    if not store:
+        S, e = S0, M
+        while e:
+            if e & 1:
+                S = R @ S
+            e >>= 1
+            if e:
+                R = R @ R
+        if not np.isfinite(S[:, :3]).all():
+            raise IntegrationOverflowError(0 if backward else M)
+        return S.reshape(L, B, 3, K)
+
+    # T[m] sits in columns m K .. (m + 1) K of W, m in sweep order, so
+    # each doubling step is one (3B, 3B) @ (3B, j K) product per lambda.
+    W = np.empty((L, 3 * B, (M + 1) * K), dtype=complex)
+    W[:, :, :K] = S0
+    j = 1
+    while j <= M:
+        n = min(j, M + 1 - j)
+        np.matmul(R, W[:, :, :n * K], out=W[:, :, j * K:(j + n) * K])
+        j += n
+        if j <= M:
+            R = R @ R
+    finite = np.isfinite(W[:, :3].reshape(L, 3, M + 1, K)).all(axis=(0, 1, 3))
+    if not finite.all():
+        m = int(np.argmin(finite))
+        raise IntegrationOverflowError(M - m if backward else m)
+    traj = np.moveaxis(W.reshape(L, B, 3, M + 1, K), 3, 0)
+    return traj[::-1] if backward else traj
 
 
 def _trajectories(coeffs: CoefficientPair, variant: SystemVariant,

@@ -4,7 +4,7 @@ import pytest
 from spectral3.errors import AdmissibilityViolationError
 from spectral3.grid import (CoefficientPair, GridFunction, differentiate,
                             integrate)
-from spectral3 import model
+from spectral3 import forward, model
 from spectral3.inverse import assemble, run_inverse
 from spectral3.model import ModelCache, build_model, distance_d, xi_sequence
 from spectral3.quasi import SystemVariant
@@ -36,13 +36,39 @@ def test_n_beyond_data_rejected(smooth_data8, grid512):
         build_model(smooth_data8, grid512, 9)
 
 
-def test_condition1_wrong_model_mean(smooth_data8, grid512):
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    # every _sweep call of the model spectrum
+    calls = []
+    inner = forward._sweep
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "_sweep", counting)
+    return calls
+
+
+def test_condition1_wrong_model_mean(smooth_data8, grid512, sweep_calls):
     bad = CoefficientPair(
         GridFunction.constant(grid512, smooth_data8.theta + 1.0),
         GridFunction.constant(grid512, 0.0))
     with pytest.raises(AdmissibilityViolationError) as ei:
         build_model(smooth_data8, grid512, 4, model_coeffs=bad)
     assert ei.value.condition == 1
+    assert sweep_calls == []          # checked before the model spectrum
+
+
+def test_condition2_non_finite_model(smooth_data8, grid512, sweep_calls):
+    tau1 = np.full(grid512.M + 1, smooth_data8.theta, dtype=complex)
+    tau1[100] = np.nan
+    bad = CoefficientPair(GridFunction(grid512, tau1),
+                          GridFunction.constant(grid512, 0.0))
+    with pytest.raises(AdmissibilityViolationError) as ei:
+        build_model(smooth_data8, grid512, 4, model_coeffs=bad)
+    assert ei.value.condition == 2
+    assert sweep_calls == []
 
 
 def test_condition4_collision_and_shift_escape(smooth_data8, grid512):

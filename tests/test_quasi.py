@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from spectral3 import quasi
 from spectral3.errors import IntegrationOverflowError, ResolutionGuardError
-from spectral3.grid import CoefficientPair, Grid, GridFunction, differentiate
-from spectral3.quasi import (SystemVariant, _sweep, fundamental_solutions,
-                             integrate_ivp, system_matrix)
+from spectral3.grid import (CoefficientPair, Grid, GridFunction,
+                            differentiate, midpoint_values)
+from spectral3.model import build_model
+from spectral3.quasi import (SystemVariant, _loop_sweep, _power_sweep, _sweep,
+                             fundamental_solutions, integrate_ivp,
+                             system_matrix)
 
 # Constant-coefficient oracle, tau1 = 1, sigma0 = 0: the equation is
 # y''' + 2y' = lambda y, and the third fundamental solution (y = y' = 0,
@@ -126,15 +130,125 @@ def test_overflow_guard_on_bad_coefficients(grid128):
     assert ei.value.node == 32
 
 
+@pytest.fixture(scope="module")
+def const_coeffs(grid512):
+    # constant complex tau1 and sigma0: every sweep takes the power path
+    return CoefficientPair(GridFunction.constant(grid512, 0.7 - 0.2j),
+                           GridFunction.constant(grid512, 0.15 + 0.05j))
+
+
 @pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
-def test_backward_sweep_retraces_forward(general_coeffs, variant):
+def test_backward_sweep_retraces_forward(general_coeffs, const_coeffs,
+                                         variant):
     # A backward stored sweep from the forward end state runs the same
     # RK4 steps with -h over the reversed samples and lands on the
-    # forward trajectory, node for node, up to the O(h^4) step error.
+    # forward trajectory, node for node, up to the O(h^4) step error;
+    # the constant pair takes the power path both ways.
     lams = np.array([3.0 + 2.0j, -20.0 + 5.0j, 40.0j])
-    fwd = _sweep(general_coeffs, variant, lams, np.eye(3), store=True)
-    back = _sweep(general_coeffs, variant, lams, fwd[-1], backward=True,
-                  store=True)
-    assert back.shape == fwd.shape == (general_coeffs.grid.M + 1, 3, 3, 3)
-    assert np.array_equal(back[-1], fwd[-1])
-    assert np.abs(back - fwd).max() <= 1e-9 * np.abs(fwd).max()
+    for coeffs in (general_coeffs, const_coeffs):
+        fwd = _sweep(coeffs, variant, lams, np.eye(3), store=True)
+        back = _sweep(coeffs, variant, lams, fwd[-1], backward=True,
+                      store=True)
+        assert back.shape == fwd.shape == (coeffs.grid.M + 1, 3, 3, 3)
+        assert np.array_equal(back[-1], fwd[-1])
+        assert np.abs(back - fwd).max() <= 1e-9 * np.abs(fwd).max()
+
+
+# |lambda| ~ 3e3 on three rays, and points on both sides of the spectrum.
+_POWER_LAMS = np.array([3e3 * np.exp(1j * a) for a in (0.3, 1.5, 2.9)]
+                       + [-30.0, 9.0, 500.0], dtype=complex)
+
+
+@pytest.mark.parametrize("store", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("with_dlambda", [False, True])
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+def test_power_path_matches_loop(const_coeffs, variant, with_dlambda,
+                                 backward, store):
+    # The same RK4 map by powers of the step matrix and by the loop:
+    # they differ by rounding only (and by the midpoint samples, which
+    # the power path takes equal to the node value).
+    args = (const_coeffs, variant, _POWER_LAMS, np.eye(3, dtype=complex),
+            with_dlambda, backward, store)
+    loop, power = _loop_sweep(*args), _power_sweep(*args)
+    assert power.shape == loop.shape
+    lam_axis = 1 if store else 0
+    loop = np.moveaxis(loop, lam_axis, 0).reshape(len(_POWER_LAMS), -1)
+    power = np.moveaxis(power, lam_axis, 0).reshape(len(_POWER_LAMS), -1)
+    scale = np.abs(loop).max(axis=1)
+    assert (np.abs(power - loop).max(axis=1) <= 1e-12 * scale).all()
+
+
+@pytest.fixture
+def sweep_paths(monkeypatch):
+    # the name of the path each _sweep call takes
+    taken = []
+    for name in ("_power_sweep", "_loop_sweep"):
+        def counting(*args, _name=name, _inner=getattr(quasi, name)):
+            taken.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(quasi, name, counting)
+    return taken
+
+
+def _one_ulp_off_constant(grid):
+    # a constant whose midpoint stencil is not bitwise the constant
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        v = complex(rng.normal(), rng.normal())
+        f = GridFunction.constant(grid, v)
+        if not np.array_equal(midpoint_values(f), f.values[:-1]):
+            return f
+    raise AssertionError("no constant with an inexact midpoint stencil")
+
+
+def test_constant_pairs_take_the_power_path(grid512, smooth_data8,
+                                            sweep_paths):
+    lams = np.array([9.0, 40.0j])
+    tau1 = _one_ulp_off_constant(grid512)
+    mids = midpoint_values(tau1)
+    assert not np.array_equal(mids, tau1.values[:-1])
+    assert np.abs(mids - tau1.values[0]).max() <= 4 * np.spacing(
+        np.abs(tau1.values[0]))
+    pair = CoefficientPair(tau1, GridFunction.constant(grid512, 0.0))
+    _sweep(pair, SystemVariant.DIRECT, lams, np.eye(3), with_dlambda=True)
+    assert sweep_paths == ["_power_sweep"]
+    # the complex model tau1 = theta + theta_shift
+    shifted = build_model(smooth_data8, grid512, 2,
+                          theta_shift=0.05 + 0.05j).coeffs
+    assert shifted.tau1.values[0].imag != 0.0
+    sweep_paths.clear()
+    _sweep(shifted, SystemVariant.STAR, lams, np.eye(3), store=True)
+    assert sweep_paths == ["_power_sweep"]
+
+
+def test_one_ulp_off_node_takes_the_loop(const_coeffs, sweep_paths):
+    tau1 = const_coeffs.tau1.values.copy()
+    tau1[100] = complex(np.nextafter(tau1[100].real, 1.0), tau1[100].imag)
+    pair = CoefficientPair(GridFunction(const_coeffs.grid, tau1),
+                           const_coeffs.sigma0)
+    lams = np.array([9.0, -30.0 + 4.0j])
+    for backward in (False, True):
+        got = _sweep(pair, SystemVariant.DIRECT, lams, np.eye(3),
+                     with_dlambda=True, backward=backward, store=True)
+        ref = _loop_sweep(pair, SystemVariant.DIRECT, lams,
+                          np.eye(3, dtype=complex), True, backward, True)
+        assert np.array_equal(got[0], ref[:, :, 0])
+        assert np.array_equal(got[1], ref[:, :, 1])
+    assert sweep_paths == ["_loop_sweep"] * 2
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_overflow_guard_on_power_path(grid128, backward):
+    # Stored sweeps report the first non-finite node in sweep order (the
+    # first step here), end-value sweeps the end node.
+    pair = _const_pair(grid128, 1e200)
+    M = grid128.M
+    with pytest.raises(IntegrationOverflowError) as ei:
+        _sweep(pair, SystemVariant.DIRECT, np.array([1.0]), np.eye(3),
+               backward=backward, store=True)
+    assert ei.value.node == (M - 1 if backward else 1)
+    with pytest.raises(IntegrationOverflowError) as ei:
+        _sweep(pair, SystemVariant.DIRECT, np.array([1.0]), np.eye(3),
+               with_dlambda=True, backward=backward)
+    assert ei.value.node == (0 if backward else M)
