@@ -188,14 +188,19 @@ def _newton_tol(dd: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _newton_family(coeffs: CoefficientPair, k: int, ns, guesses,
-                   theta: complex) -> np.ndarray:
+                   theta: complex) -> tuple:
     """Batched Newton on Delta_{k,k} for one family of indices.
 
-    Each iteration sweeps family k alone over the active set.
+    Each iteration sweeps family k alone over the active set.  Returns
+    the roots and the family-k arrays of _char_arrays (with d/dlambda)
+    at them, from each entry's last evaluation: an entry stops at the
+    lambda it has just evaluated, since a converged entry takes step 0,
+    so the weight numbers need no further sweep.
     """
     ns = np.asarray(ns, dtype=int)
     lam = np.asarray(guesses, dtype=complex).copy()
     key, dkey = ("d11", "ddot11") if k == 1 else ("d22", "ddot22")
+    last: dict = {}
     active = np.ones(lam.shape[0], dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         if not active.any():
@@ -204,6 +209,8 @@ def _newton_family(coeffs: CoefficientPair, k: int, ns, guesses,
                          families=(k,))
         delta, ddelta = a[key], a[dkey]
         idx = np.flatnonzero(active)
+        for name, values in a.items():
+            last.setdefault(name, np.empty_like(lam))[idx] = values
         conv = np.abs(delta) <= _newton_tol(ddelta, lam[active])
         small = (np.abs(ddelta) < _DERIV_FLOOR) & ~conv
         if small.any():
@@ -220,7 +227,7 @@ def _newton_family(coeffs: CoefficientPair, k: int, ns, guesses,
         n_found = asympt.invert_index(lam[j], k, theta)
         if n_found != int(n):
             raise BasinEscapeError(int(n), k, complex(lam[j]), n_found)
-    return lam
+    return lam, last
 
 
 def find_eigenvalue(coeffs: CoefficientPair, n: int, k: int,
@@ -231,7 +238,7 @@ def find_eigenvalue(coeffs: CoefficientPair, n: int, k: int,
         theta = integrate(coeffs.tau1)
     if guess is None:
         guess = asympt.eigen_guess(n, k, theta)
-    lam = _newton_family(coeffs, k, [n], [guess], theta)
+    lam, _ = _newton_family(coeffs, k, [n], [guess], theta)
     return complex(lam[0])
 
 
@@ -316,16 +323,20 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
     ns = np.arange(1, n_max + 1)
     g1 = np.array([asympt.eigen_guess(n, 1, theta) for n in ns])
     g2 = np.array([asympt.eigen_guess(n, 2, theta) for n in ns])
-    lam1 = _newton_family(coeffs, 1, ns, g1, theta)
-    lam2 = _newton_family(coeffs, 2, ns, g2, theta)
+    lam1, a1 = _newton_family(coeffs, 1, ns, g1, theta)
+    lam2, a2 = _newton_family(coeffs, 2, ns, g2, theta)
 
     K, perm = detect_K(lam1, lam2, pair_tol)
     lam2 = lam2[perm]
-    for n in K:
-        lam2[n - 1] = lam1[n - 1]
+    a2 = {name: v[perm] for name, v in a2.items()}
+    if K:
+        # On K lambda_{n,2} is set to lambda_{n,1}: family 2 is swept there.
+        i = np.array(K) - 1
+        lam2[i] = lam1[i]
+        aK = _char_arrays(coeffs, lam1[i], with_dlambda=True, families=(2,))
+        for name in a2:
+            a2[name][i] = aK[name]
 
-    a1 = _char_arrays(coeffs, lam1, with_dlambda=True, families=(1,))
-    a2 = _char_arrays(coeffs, lam2, with_dlambda=True, families=(2,))
     beta1 = a1["d21"] / a1["ddot11"]
     beta2 = a2["d32"] / a2["ddot22"]
 

@@ -28,13 +28,15 @@ CoefficientPair.dagger().
 
 The integrator is classical fixed-step RK4 with h = 1/M; coefficient
 values at half-steps come from cubic interpolation of the grid samples.
-One sweep advances a single state array of shape (L, B, 3, K): L values
-of lambda, K solutions each, and B = 1 for the states alone or B = 2
-with their lambda-derivatives, which obey the same system plus the
-coupling c y in the last row.  RK4 on this augmented system is exactly
-the lambda-derivative of the discrete RK4 map.  A backward sweep is the
-same forward loop over the reversed node and midpoint samples with
-step -h.
+One sweep advances L values of lambda, K solutions each, and B = 1 for
+the states alone or B = 2 with their lambda-derivatives, which obey the
+same system plus the coupling c y in the last row.  RK4 on this
+augmented system is exactly the lambda-derivative of the discrete RK4
+map.  The loop holds the state component-major, (3, L, B, K), so each
+row of the right-hand side is one contiguous slab, and updates stage
+and slope buffers allocated once per sweep in place; callers get
+(L, B, 3, K) per node.  A backward sweep is the same forward loop over
+the reversed node and midpoint samples with step -h.
 
 When sigma0 and tau1 are constant on the grid (every node sample
 bitwise equal to the first; the midpoint samples, which cubic
@@ -142,11 +144,13 @@ def _sweep(coeffs: CoefficientPair, variant: SystemVariant, lams: np.ndarray,
 
     When sigma0 and tau1 are constant on the grid the same RK4 map is
     evaluated as powers of its step matrix (_power_sweep), otherwise
-    step by step (_loop_sweep).  A non-finite state raises
-    IntegrationOverflowError: the loop checks every 32 steps and at the
-    end and reports the node it checked; the power path reports the
-    first non-finite node in sweep order of a stored sweep, and the end
-    node (M forward, 0 backward) of an end-value sweep.
+    step by step on a component-major state (_loop_sweep), whose values
+    for each lambda are bitwise those of a sweep of it alone.  A
+    non-finite state raises IntegrationOverflowError: the loop checks
+    every 32 steps and at the end and reports the node it checked; the
+    power path reports the first non-finite node in sweep order of a
+    stored sweep, and the end node (M forward, 0 backward) of an
+    end-value sweep.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _guard_resolution(lams, coeffs.grid.M)
@@ -169,9 +173,17 @@ def _loop_sweep(coeffs: CoefficientPair, variant: SystemVariant,
                 lams: np.ndarray, inits: np.ndarray, with_dlambda: bool,
                 backward: bool, store: bool) -> np.ndarray:
     """The RK4 loop for any coefficients: the states (L, B, 3, K), or
-    with store (M+1, L, B, 3, K), B = 2 with d/dlambda."""
+    with store (M+1, L, B, 3, K), B = 2 with d/dlambda.
+
+    The state is held as (3, L, B, K) and each step is a fixed sequence
+    of in-place ufunc calls on preallocated buffers; per element they
+    evaluate p y0 + y2, c lambda y0 + q y1 (+ c y0 in the d/dlambda
+    block), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4) in that
+    order, so a lambda's result does not depend on the batch around it.
+    """
     M = coeffs.grid.M
-    L = lams.shape[0]
+    L, K = lams.shape[0], inits.shape[-1]
+    B = 2 if with_dlambda else 1
     # p, q at the nodes and the cell midpoints.
     pn, qn, c = variant.pqc(coeffs.sigma0.values, coeffs.tau1.values)
     pm, qm, _ = variant.pqc(midpoint_values(coeffs.sigma0),
@@ -184,37 +196,65 @@ def _loop_sweep(coeffs: CoefficientPair, variant: SystemVariant,
         nodes, h = nodes[::-1], -h
     clam = (c * lams).reshape(L, 1, 1)
 
-    S = np.zeros((L, 2 if with_dlambda else 1) + inits.shape[-2:],
-                 dtype=complex)
-    S[:, 0] = inits
+    # S[i] holds y^[i] (and d/dlambda y^[i]) over (L, B, K); X is the
+    # stage value and k1..k4 the slopes, all updated in place.
+    S = np.zeros((3, L, B, K), dtype=complex)
+    S[:, :, 0] = np.moveaxis(np.broadcast_to(inits, (L, 3, K)), 1, 0)
+    X, k1, k2, k3, k4 = (np.empty_like(S) for _ in range(5))
+    qy1 = np.empty_like(S[0])
+    cy0 = np.empty_like(S[0, :, 0])
 
-    def rhs(p, q, S):
-        dS = np.empty_like(S)
-        dS[:, :, 0] = S[:, :, 1]
-        dS[:, :, 1] = p * S[:, :, 0] + S[:, :, 2]
-        dS[:, :, 2] = clam * S[:, :, 0] + q * S[:, :, 1]
+    def slabs(a):
+        # rows 0, 1, 2; with d/dlambda also the y part of row 0, which the
+        # coupling c y reads, and the d/dlambda part of row 2, which it
+        # feeds
+        dl = (a[0, :, 0], a[2, :, 1]) if with_dlambda else (None, None)
+        return (a[0], a[1], a[2]) + dl
+
+    sS, sX, s1, s2, s3, s4 = map(slabs, (S, X, k1, k2, k3, k4))
+
+    def rhs(p, q, src, dst):
+        # dst = A src: (y1, p y0 + y2, c lambda y0 + q y1 [+ c y0])
+        y0, y1, y2, y, _ = src
+        f0, f1, f2, _, df2 = dst
+        np.copyto(f0, y1)
+        np.add(np.multiply(p, y0, out=f1), y2, out=f1)
+        np.add(np.multiply(clam, y0, out=f2), np.multiply(q, y1, out=qy1),
+               out=f2)
         if with_dlambda:
-            dS[:, 1, 2] += c * S[:, 0, 0]
-        return dS
+            np.add(df2, np.multiply(c, y, out=cy0), out=df2)
+
+    def stage(w, k):
+        # X = S + w k
+        np.add(S, np.multiply(w, k, out=X), out=X)
 
     if store:
-        traj = np.empty((M + 1,) + S.shape, dtype=complex)
-        traj[nodes[0]] = S
+        # (M+1, L, B, 3, K), written through its component-major view
+        traj = np.empty((M + 1, L, B, 3, K), dtype=complex)
+        traj_rows = np.moveaxis(traj, 3, 1)
+        traj_rows[nodes[0]] = S
     for m in range(M):
-        k1 = rhs(pn[m], qn[m], S)
-        k2 = rhs(pm[m], qm[m], S + (h / 2) * k1)
-        k3 = rhs(pm[m], qm[m], S + (h / 2) * k2)
-        k4 = rhs(pn[m + 1], qn[m + 1], S + h * k3)
-        S = S + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rhs(pn[m], qn[m], sS, s1)
+        stage(h / 2, k1)
+        rhs(pm[m], qm[m], sX, s2)
+        stage(h / 2, k2)
+        rhs(pm[m], qm[m], sX, s3)
+        stage(h, k3)
+        rhs(pn[m + 1], qn[m + 1], sX, s4)
+        # S += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+        np.add(k1, np.multiply(2, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(S, np.multiply(h / 6, k1, out=k1), out=S)
         if store:
-            traj[nodes[m + 1]] = S
+            traj_rows[nodes[m + 1]] = S
         if m % _FINITE_CHECK_STRIDE == _FINITE_CHECK_STRIDE - 1:
-            if not np.isfinite(S[:, 0]).all():
+            if not np.isfinite(S[:, :, 0]).all():
                 raise IntegrationOverflowError(int(nodes[m + 1]))
 
-    if not np.isfinite(S[:, 0]).all():
+    if not np.isfinite(S[:, :, 0]).all():
         raise IntegrationOverflowError(int(nodes[M]))
-    return traj if store else S
+    return traj if store else np.ascontiguousarray(np.moveaxis(S, 0, 2))
 
 
 def _step_matrix(p: complex, q: complex, c: float, lams: np.ndarray,
@@ -239,6 +279,9 @@ def _step_matrix(p: complex, q: complex, c: float, lams: np.ndarray,
     return R
 
 
+# Overflowing powers of R are reported by IntegrationOverflowError alone,
+# not by numpy warnings on the way.
+@np.errstate(over="ignore", invalid="ignore")
 def _power_sweep(coeffs: CoefficientPair, variant: SystemVariant,
                  lams: np.ndarray, inits: np.ndarray, with_dlambda: bool,
                  backward: bool, store: bool) -> np.ndarray:

@@ -46,6 +46,15 @@ def general_coeffs(grid512):
 
 
 @pytest.fixture(scope="session")
+def general_coeffs128(grid128):
+    # the general pair on the coarse grid, for tests that sweep it often
+    return CoefficientPair.from_callables(
+        grid128,
+        lambda x: np.cos(2.0 * np.pi * x) + 0.3 + 0.2j * np.sin(np.pi * x),
+        lambda x: 0.25 * x * (1.0 - x) + 0.15j * np.sin(2.0 * np.pi * x))
+
+
+@pytest.fixture(scope="session")
 def smooth_data20(smooth_coeffs):
     return compute_spectral_data(smooth_coeffs, 20)
 

@@ -339,14 +339,6 @@ def test_laurent_rejects_callback_without_point_axis():
         laurent_coefficients(lambda z: z[:-1], 1.0)
 
 
-@pytest.fixture(scope="module")
-def general_coeffs128(grid128):
-    return CoefficientPair.from_callables(
-        grid128,
-        lambda x: np.cos(2.0 * np.pi * x) + 0.3 + 0.2j * np.sin(np.pi * x),
-        lambda x: 0.25 * x * (1.0 - x) + 0.15j * np.sin(2.0 * np.pi * x))
-
-
 @pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
 def test_weyl_matrix_batch_equals_pointwise(general_coeffs128, variant):
     # the contour of laurent_coefficients around lambda_{1,1}, plus a far
@@ -428,10 +420,12 @@ def test_weyl_batch_sweeps_only_the_family_it_reads(general_coeffs128,
 
 
 def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
+                                                           coinciding_coeffs,
                                                            monkeypatch):
-    # beta_{n,1} reads family 1 at lambda_{n,1}, beta_{n,2} family 2 at
-    # lambda_{n,2}: two d/dlambda sweeps of L = n_max after the Newton
-    # searches
+    # beta_{n,k} reads family k at lambda_{n,k} from Newton's last
+    # evaluation there, so with K empty no sweep follows the Newton
+    # searches.  On K, lambda_{n,2} is set to lambda_{n,1}: family 2 is
+    # swept there once, one d/dlambda sweep of L = |K|.
     newton = forward._newton_family
     depth: list = []
 
@@ -442,8 +436,37 @@ def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
         finally:
             depth.pop()
 
+    char_arrays = forward._char_arrays
+    families: list = []
+
+    def recording(*args, **kwargs):
+        if not depth:
+            families.append(kwargs["families"])
+        return char_arrays(*args, **kwargs)
+
     monkeypatch.setattr(forward, "_newton_family", in_newton)
+    monkeypatch.setattr(forward, "_char_arrays", recording)
     calls: list = []
     _count_sweeps(monkeypatch, calls, skip=lambda: bool(depth))
     compute_spectral_data(general_coeffs128, 5)
-    assert calls == [(5, True), (5, True)]
+    assert calls == [] and families == []
+    data = compute_spectral_data(coinciding_coeffs, 3, pair_tol=1e-6)
+    assert data.K == [1]
+    assert calls == [(1, True)] and families == [(2,)]
+
+
+def test_weights_equal_a_sweep_at_each_eigenvalue_alone(general_coeffs128):
+    # The weights come from Newton's converged batched evaluations; a
+    # fresh sweep at each eigenvalue alone gives the same bits.  (The
+    # quotient is formed as numpy's: weight_beta divides Python complex
+    # scalars, which can round the last bit differently.)
+    data = compute_spectral_data(general_coeffs128, 6)
+    assert data.K == []
+    for n in range(1, 7):
+        for k, (num, den) in ((1, ("d21", "ddot11")), (2, ("d32", "ddot22"))):
+            lam = data.lam(n, k)
+            a = forward._char_arrays(general_coeffs128, [lam],
+                                     with_dlambda=True, families=(k,))
+            assert data.beta(n, k) == a[num][0] / a[den][0]
+            ref = weight_beta(general_coeffs128, lam, k)
+            assert abs(data.beta(n, k) - ref) <= 4e-16 * abs(ref)

@@ -179,6 +179,27 @@ def test_power_path_matches_loop(const_coeffs, variant, with_dlambda,
     assert (np.abs(power - loop).max(axis=1) <= 1e-12 * scale).all()
 
 
+@pytest.mark.parametrize("store", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("with_dlambda", [False, True])
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+def test_batched_loop_sweep_equals_one_lambda_at_a_time(
+        general_coeffs128, variant, with_dlambda, backward, store):
+    # Each lambda's values do not depend on the batch it is swept in;
+    # the weight numbers read Newton's batched evaluations on this.
+    def sweep(lams):
+        res = _sweep(general_coeffs128, variant, lams, np.eye(3),
+                     with_dlambda=with_dlambda, backward=backward,
+                     store=store)
+        return res if with_dlambda else (res,)
+
+    lam_axis = 1 if store else 0
+    batch = sweep(_POWER_LAMS)
+    for i, lam in enumerate(_POWER_LAMS):
+        for got, ref in zip(batch, sweep(np.array([lam]))):
+            assert np.array_equal(np.take(got, [i], axis=lam_axis), ref)
+
+
 @pytest.fixture
 def sweep_paths(monkeypatch):
     # the name of the path each _sweep call takes
@@ -238,10 +259,12 @@ def test_one_ulp_off_node_takes_the_loop(const_coeffs, sweep_paths):
     assert sweep_paths == ["_loop_sweep"] * 2
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("backward", [False, True])
 def test_overflow_guard_on_power_path(grid128, backward):
     # Stored sweeps report the first non-finite node in sweep order (the
-    # first step here), end-value sweeps the end node.
+    # first step here), end-value sweeps the end node.  The error is the
+    # only report: numpy overflow warnings would fail the test.
     pair = _const_pair(grid128, 1e200)
     M = grid128.M
     with pytest.raises(IntegrationOverflowError) as ei:
