@@ -22,19 +22,13 @@ from .grid import (
     read_coefficients,
     write_coefficients,
 )
-from .quasi import SystemVariant, Trajectory, system_matrix, integrate_ivp, fundamental_solutions
+from .quasi import SystemVariant
 from .forward import (
-    CharacteristicValues,
     SpectralData,
-    characteristic,
     characteristic_literal,
-    find_eigenvalue,
-    weight_beta,
-    weight_gamma,
     detect_K,
     compute_spectral_data,
     weyl_matrix,
-    weyl_solutions,
     weight_matrix,
     save_spectral_data,
     load_spectral_data,

@@ -50,6 +50,10 @@ class RunConfig:
     def __post_init__(self):
         if self.grid_m % 2 != 0 or self.grid_m < 64:
             raise ValueError("grid size must be even and at least 64")
+        for flag, value in (("--big-n", self.big_n), ("--n-max", self.n_max)):
+            if value is not None and value < 1:
+                raise ValueError("%s must be at least 1, got %d"
+                                 % (flag, value))
         if (self.big_n is not None and self.n_max is not None
                 and self.big_n > self.n_max):
             raise ValueError("truncation N=%d exceeds available n_max=%d"
@@ -191,7 +195,7 @@ def cmd_inverse(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     Ns = sorted(int(t) for t in str(args.big_n).split(","))
-    cfg = RunConfig(grid_m=args.grid, n_max=Ns[-1], big_n=Ns[-1])
+    cfg = RunConfig(grid_m=args.grid, n_max=Ns[-1], big_n=Ns[0])
     coeffs = _load_coeffs(args.coeffs, cfg.grid)
     data = compute_spectral_data(coeffs, Ns[-1], pair_tol=args.pair_tol)
 

@@ -37,24 +37,17 @@ from .errors import (
     NoConvergenceError,
     Spectral3Error,
 )
-from .grid import CoefficientPair, Grid, integrate
+from .grid import CoefficientPair, integrate
 from .quasi import SystemVariant, _sweep
 from .serialize import complex_pair, dumps17, pair_complex
 
 __all__ = [
-    "CharacteristicValues",
     "SpectralDatum",
     "SpectralData",
-    "WeylTable",
-    "characteristic",
     "characteristic_literal",
-    "find_eigenvalue",
-    "weight_beta",
-    "weight_gamma",
     "detect_K",
     "compute_spectral_data",
     "weyl_matrix",
-    "weyl_solutions",
     "weyl_batch",
     "weight_matrix",
     "laurent_coefficients",
@@ -77,36 +70,20 @@ _CONTOUR_POINTS = 64
 _ROUTE_EPS = 1e-12
 
 
-@dataclass
-class CharacteristicValues:
-    """Values of the five characteristic determinants at one lambda.
-
-    d11 = Delta_{1,1}, d21 = Delta_{2,1}, d31 = Delta_{3,1},
-    d22 = Delta_{2,2} = C_3(1), d32 = Delta_{3,2} = C_2(1); c11 = C_1(1)
-    completes the top row of the fundamental matrix.  ddot11 and ddot22
-    are the lambda-derivatives of the two diagonal determinants when
-    requested.
-    """
-
-    d11: complex
-    d21: complex
-    d31: complex
-    d22: complex
-    d32: complex
-    c11: complex
-    ddot11: complex | None = None
-    ddot22: complex | None = None
-
-
 def _char_arrays(coeffs: CoefficientPair, lams,
                  variant: SystemVariant = SystemVariant.DIRECT,
                  with_dlambda=False, families=(1, 2)) -> dict:
     """Characteristic values of the variant for a batch of lambdas.
 
-    Family 2 (d22, d32, c11, ddot22) is the top fundamental row of the
-    variant's own sweep.  Family 1 (d11, d21, d31, ddot11) is the top row
-    of the dual sweep, which carries the wedge minors of the variant's
-    solutions.  Only the requested families are swept.
+    Returns a dict of (L,) arrays: "lams", and per family read
+    d11 = Delta_{1,1}, d21 = Delta_{2,1}, d31 = Delta_{3,1} (family 1)
+    or d22 = Delta_{2,2} = C_3(1), d32 = Delta_{3,2} = C_2(1) and
+    c11 = C_1(1) (family 2), with ddot11 and ddot22, the
+    lambda-derivatives of the diagonal determinants, when with_dlambda.
+    Family 2 is the top fundamental row of the variant's own sweep.
+    Family 1 is the top row of the dual sweep, which carries the wedge
+    minors of the variant's solutions.  Only the requested families are
+    swept.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     out: dict = {"lams": lams}
@@ -127,56 +104,33 @@ def _char_arrays(coeffs: CoefficientPair, lams,
     return out
 
 
-def characteristic(coeffs: CoefficientPair, lam: complex,
-                   with_dlambda: bool = False) -> CharacteristicValues:
-    """All five characteristic determinants at lambda (stable route)."""
-    a = _char_arrays(coeffs, [lam], with_dlambda=with_dlambda)
-    return CharacteristicValues(
-        d11=complex(a["d11"][0]), d21=complex(a["d21"][0]),
-        d31=complex(a["d31"][0]), d22=complex(a["d22"][0]),
-        d32=complex(a["d32"][0]), c11=complex(a["c11"][0]),
-        ddot11=complex(a["ddot11"][0]) if with_dlambda else None,
-        ddot22=complex(a["ddot22"][0]) if with_dlambda else None,
-    )
+def characteristic_literal(coeffs: CoefficientPair, lams,
+                           variant: SystemVariant = SystemVariant.DIRECT,
+                           with_dlambda: bool = False) -> dict:
+    """_char_arrays of both families from literal 2x2 products.
 
-
-def characteristic_literal(coeffs: CoefficientPair, lam: complex,
-                           with_dlambda: bool = False,
-                           variant: SystemVariant = SystemVariant.DIRECT
-                           ) -> CharacteristicValues:
-    """Characteristic determinants from literal 2x2 products.
-
-    One sweep of the requested variant, minors formed from the
-    fundamental values at x = 1.  Subject to cancellation at large
-    |lambda|; serves as an independent cross-check of characteristic().
+    One sweep of the variant, minors formed from the fundamental values
+    at x = 1.  Subject to cancellation at large |lambda|; serves as an
+    independent cross-check of _char_arrays, whose keys it returns.
     With variant = STAR this yields the star determinants Delta*.
     """
-    res = _sweep(coeffs, variant, np.array([lam], dtype=complex), _EYE,
-                 with_dlambda=with_dlambda)
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    res = _sweep(coeffs, variant, lams, _EYE, with_dlambda=with_dlambda)
     Y, dY = res if with_dlambda else (res, None)
-    y0, y1 = Y[0, 0, :], Y[0, 1, :]
+    y0, y1 = Y[:, 0, :], Y[:, 1, :]
 
     def minor(a, b):
-        return y0[a] * y1[b] - y0[b] * y1[a]
+        return y0[:, a] * y1[:, b] - y0[:, b] * y1[:, a]
 
-    vals = CharacteristicValues(
-        d11=complex(-minor(1, 2)),
-        d21=complex(-minor(0, 2)),
-        d31=complex(minor(0, 1)),
-        d22=complex(y0[2]),
-        d32=complex(y0[1]),
-        c11=complex(y0[0]),
-    )
+    out = {"lams": lams, "d11": -minor(1, 2), "d21": -minor(0, 2),
+           "d31": minor(0, 1), "d22": y0[:, 2], "d32": y0[:, 1],
+           "c11": y0[:, 0]}
     if with_dlambda:
-        z0, z1 = dY[0, 0, :], dY[0, 1, :]
-
-        def dminor(a, b):
-            return (z0[a] * y1[b] + y0[a] * z1[b]
-                    - z0[b] * y1[a] - y0[b] * z1[a])
-
-        vals.ddot11 = complex(-dminor(1, 2))
-        vals.ddot22 = complex(z0[2])
-    return vals
+        z0, z1 = dY[:, 0, :], dY[:, 1, :]
+        out["ddot11"] = -(z0[:, 1] * y1[:, 2] + y0[:, 1] * z1[:, 2]
+                          - z0[:, 2] * y1[:, 1] - y0[:, 2] * z1[:, 1])
+        out["ddot22"] = z0[:, 2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,44 +184,15 @@ def _newton_family(coeffs: CoefficientPair, k: int, ns, guesses,
     return lam, last
 
 
-def find_eigenvalue(coeffs: CoefficientPair, n: int, k: int,
-                    guess: complex | None = None,
-                    theta: complex | None = None) -> complex:
-    """Newton search for lambda_{n,k} from an asymptotic (or given) seed."""
-    if theta is None:
-        theta = integrate(coeffs.tau1)
-    if guess is None:
-        guess = asympt.eigen_guess(n, k, theta)
-    lam, _ = _newton_family(coeffs, k, [n], [guess], theta)
-    return complex(lam[0])
-
-
-def weight_beta(coeffs: CoefficientPair, lam: complex, k: int) -> complex:
-    """beta = Delta_{k+1,k}(lambda) / (d/dlambda) Delta_{k,k}(lambda)."""
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    a = _char_arrays(coeffs, [lam], with_dlambda=True, families=(k,))
-    num, den = ("d21", "ddot11") if k == 1 else ("d32", "ddot22")
-    return complex(a[num][0]) / complex(a[den][0])
-
-
-def weight_gamma(coeffs: CoefficientPair, lam_n: complex,
-                 beta1: complex, beta2: complex) -> complex:
-    """Additional weight number for a coinciding eigenvalue pair.
-
-    Defined through whichever weight number vanishes: via
-    Delta_{3,1}/dDelta_{1,1} when beta_{n,1} = 0, via
-    C_1(1)/dDelta_{2,2} when beta_{n,2} = 0.  When both vanish the two
-    expressions must agree; this is asserted.
-    """
-    c = characteristic(coeffs, lam_n, with_dlambda=True)
-    return _gamma(lam_n, c.d31 / c.ddot11, c.c11 / c.ddot22, beta1, beta2)
-
-
 def _gamma(lam_n: complex, g1: complex, g2: complex,
            beta1: complex, beta2: complex) -> complex:
-    """gamma_n from its two definitions g1 = Delta_{3,1}/dDelta_{1,1}
-    and g2 = C_1(1)/dDelta_{2,2} at lambda_n (see weight_gamma)."""
+    """Additional weight number gamma_n of a coinciding eigenvalue pair.
+
+    Defined through whichever weight number vanishes: via
+    g1 = Delta_{3,1}/dDelta_{1,1} when beta_{n,1} = 0, via
+    g2 = C_1(1)/dDelta_{2,2} when beta_{n,2} = 0, both at lambda_n.
+    When both vanish the two expressions must agree; this is asserted.
+    """
     if beta1 == 0 and beta2 == 0:
         if abs(g1 - g2) > 1e-6 * (1.0 + abs(g1)):
             raise Spectral3Error(
@@ -542,20 +467,6 @@ def weyl_matrix(coeffs: CoefficientPair, lams,
     return m[0] if np.ndim(lams) == 0 else m
 
 
-@dataclass
-class WeylTable:
-    """Quasi-derivative trajectories of the three Weyl solutions."""
-
-    grid: Grid
-    variant: SystemVariant
-    lam: complex
-    states: np.ndarray  # (3, M+1, 3): solution, node, quasi-derivative order
-    m: np.ndarray       # the Weyl matrix used/implied
-
-    def y(self, k: int, order: int = 0) -> np.ndarray:
-        return self.states[k - 1, :, order]
-
-
 _E2 = np.array([[0.0], [1.0], [0.0]], dtype=complex)
 _E3 = np.array([[0.0], [0.0], [1.0]], dtype=complex)
 _E23 = np.hstack([_E2, _E3])
@@ -575,25 +486,17 @@ def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
     """
     a = _char_arrays(coeffs, lams, variant, with_dlambda=True,
                      families=tuple(k for k in (1, 2) if k in ks))
-    return _weyl_states(coeffs, variant, a, ks)
-
-
-def _weyl_states(coeffs: CoefficientPair, variant: SystemVariant, a: dict,
-                 ks) -> dict:
-    """weyl_batch at the lambdas of the characteristic arrays a of the
-    variant, with d/dlambda: Phi_1 reads family 1, Phi_2 family 2, Phi_3
-    only a["lams"]."""
+    lams = a["lams"]
     out: dict = {}
     if 1 in ks:
-        _pole_guard(a["d11"], a["ddot11"], a["lams"],
-                    "the k=1 characteristic")
-        u = _sweep(coeffs, variant, a["lams"], _E3, backward=True,
+        _pole_guard(a["d11"], a["ddot11"], lams, "the k=1 characteristic")
+        u = _sweep(coeffs, variant, lams, _E3, backward=True,
                    store=True)[:, :, :, 0]
         out[1] = np.transpose(u / u[0, :, :1], (1, 0, 2))
     if 2 in ks:
         out[2] = _phi2_states(coeffs, variant, a)
     if 3 in ks:
-        full = _sweep(coeffs, variant, a["lams"], _E3, store=True)
+        full = _sweep(coeffs, variant, lams, _E3, store=True)
         out[3] = np.transpose(full[:, :, :, 0], (1, 0, 2))
     return out
 
@@ -628,16 +531,6 @@ def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
         full = _sweep(coeffs, variant, lams[~back], init, store=True)
         phi2[~back] = np.transpose(full[:, :, :, 0], (1, 0, 2))
     return phi2
-
-
-def weyl_solutions(coeffs: CoefficientPair, lam: complex,
-                   variant: SystemVariant = SystemVariant.DIRECT) -> WeylTable:
-    """All three Weyl solutions of the variant at one lambda."""
-    a = _char_arrays(coeffs, [lam], variant, with_dlambda=True)
-    m = _weyl_from_arrays(a)[0]  # includes the pole guards
-    phi = _weyl_states(coeffs, variant, a, (1, 2, 3))
-    states = np.stack([phi[k][0] for k in (1, 2, 3)])
-    return WeylTable(coeffs.grid, variant, complex(lam), states, m)
 
 
 # ---------------------------------------------------------------------------

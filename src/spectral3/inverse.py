@@ -507,7 +507,9 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
     for n, k, which in entries:
         if which not in ("lambda", "beta"):
             raise ValueError("perturbation field must be 'lambda' or 'beta'")
-        data._check_index(n, k)
+        if not 1 <= n <= N or k not in (1, 2):
+            raise ValueError("perturbation entry (n=%s, k=%s) is outside "
+                             "1 <= n <= N=%d, k in {1, 2}" % (n, k, N))
     cache = build_model(data, grid, N)
     if deltas is None:
         deltas = [1e-2 / 2 ** j for j in range(4)]

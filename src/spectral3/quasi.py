@@ -56,16 +56,14 @@ discretization stays that of every other sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import IntegrationOverflowError, ResolutionGuardError
-from .grid import CoefficientPair, Grid, midpoint_values, _interp_cubic
+from .grid import CoefficientPair, midpoint_values
 
-__all__ = ["SystemVariant", "Trajectory", "system_matrix", "integrate_ivp",
-           "fundamental_solutions"]
+__all__ = ["SystemVariant"]
 
 # Oscillation resolution guard: refuse |lambda|^(1/3) beyond this fraction
 # of the number of grid cells.
@@ -85,41 +83,6 @@ class SystemVariant(Enum):
         u, w = -(sigma0 + tau1), sigma0 - tau1
         p, q = (u, w) if self is SystemVariant.DIRECT else (w, u)
         return p, q, self.value
-
-
-@dataclass
-class Trajectory:
-    """Quasi-derivative states (y, y', y^[2]) along the grid, and
-    optionally their derivatives with respect to lambda."""
-
-    grid: Grid
-    variant: SystemVariant
-    lam: complex
-    states: np.ndarray            # (M+1, 3)
-    dstates: np.ndarray | None = None
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def y2(self) -> np.ndarray:
-        return self.states[:, 2]
-
-
-def system_matrix(coeffs: CoefficientPair, variant: SystemVariant,
-                  lam: complex, x: float) -> np.ndarray:
-    """The 3x3 system matrix A(x, lambda) of the requested variant,
-    with coefficients evaluated off-node by cubic interpolation."""
-    p, q, c = variant.pqc(_interp_cubic(coeffs.sigma0.values, x),
-                          _interp_cubic(coeffs.tau1.values, x))
-    return np.array([[0.0, 1.0, 0.0],
-                     [p, 0.0, 1.0],
-                     [c * lam, q, 0.0]], dtype=complex)
 
 
 def _guard_resolution(lams: np.ndarray, M: int) -> None:
@@ -328,35 +291,3 @@ def _power_sweep(coeffs: CoefficientPair, variant: SystemVariant,
         raise IntegrationOverflowError(M - m if backward else m)
     traj = np.moveaxis(W.reshape(L, B, 3, M + 1, K), 3, 0)
     return traj[::-1] if backward else traj
-
-
-def _trajectories(coeffs: CoefficientPair, variant: SystemVariant,
-                  lam: complex, inits, with_dlambda: bool) -> list:
-    """One Trajectory per column of inits (3, K), forward from x = 0."""
-    res = _sweep(coeffs, variant, np.array([lam]), inits,
-                 with_dlambda=with_dlambda, store=True)
-    out, dout = res if with_dlambda else (res, None)
-    return [Trajectory(coeffs.grid, variant, complex(lam), out[:, 0, :, k],
-                       None if dout is None else dout[:, 0, :, k])
-            for k in range(out.shape[-1])]
-
-
-def integrate_ivp(coeffs: CoefficientPair, variant: SystemVariant, lam: complex,
-                  init, with_dlambda: bool = False) -> Trajectory:
-    """Integrate one initial-value problem across [0, 1].
-
-    init is the quasi-derivative state (y, y', y^[2]) at x = 0.  With
-    with_dlambda the 6-dimensional augmented system is integrated and
-    the trajectory carries d/dlambda of the state as well (zero initial
-    conditions for the derivative block).
-    """
-    init = np.asarray(init, dtype=complex).reshape(3, 1)
-    return _trajectories(coeffs, variant, lam, init, with_dlambda)[0]
-
-
-def fundamental_solutions(coeffs: CoefficientPair, variant: SystemVariant,
-                          lam: complex, with_dlambda: bool = False):
-    """The three fundamental solutions C_1, C_2, C_3 of the variant,
-    normalized by C_k^[j-1](0) = delta_{jk} in quasi-derivatives."""
-    return tuple(_trajectories(coeffs, variant, lam,
-                               np.eye(3, dtype=complex), with_dlambda))

@@ -6,9 +6,15 @@ as needed and never mutate fixture objects in place.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spectral3.forward import compute_spectral_data
 from spectral3.grid import CoefficientPair, Grid, GridFunction
+
+# Property tests draw the same examples on every run and keep no
+# example database.
+settings.register_profile("seeded", derandomize=True, database=None)
+settings.load_profile("seeded")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from spectral3.asympt import extract_remainders
-from spectral3.forward import (characteristic, characteristic_literal,
+from spectral3.forward import (_char_arrays, characteristic_literal,
                                compute_spectral_data, laurent_coefficients,
                                weight_matrix, weyl_matrix)
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
@@ -19,7 +19,7 @@ from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
 from spectral3.inverse import (assemble, reconstruct, run_inverse, solve_phi,
                                stability_experiment)
 from spectral3.model import ModelCache, build_model
-from spectral3.quasi import SystemVariant, fundamental_solutions
+from spectral3.quasi import SystemVariant, _sweep
 from spectral3.selfadjoint import check_symmetry, complete, restrict
 
 # C3(1, lambda=1) for zero coefficients from the exponential basis
@@ -29,12 +29,11 @@ D22_LAM1_ZERO = 0.5083581599842168635427
 
 def test_01_characteristic_values(zero_coeffs):
     t0 = time.perf_counter()
-    c0 = characteristic(zero_coeffs, 0.0)
-    c1 = characteristic(zero_coeffs, 1.0)
+    c = _char_arrays(zero_coeffs, [0.0, 1.0])
     elapsed = time.perf_counter() - t0
-    dev_d22 = abs(c0.d22 - 0.5)
-    dev_d11 = abs(c0.d11 + 0.5)
-    dev_oracle = abs(c1.d22 - D22_LAM1_ZERO)
+    dev_d22 = abs(c["d22"][0] - 0.5)
+    dev_d11 = abs(c["d11"][0] + 0.5)
+    dev_oracle = abs(c["d22"][1] - D22_LAM1_ZERO)
     print("01: |d22(0)-1/2|=%.2e |d11(0)+1/2|=%.2e (tol 1e-12), "
           "|d22(lam=1)-exp-basis|=%.2e (tol 1e-9), %.2fs (budget 1s)"
           % (dev_d22, dev_d11, dev_oracle, elapsed))
@@ -50,23 +49,22 @@ def test_02_unimodularity_and_weyl_identities(general_coeffs):
             for _ in range(20)]
     t0 = time.perf_counter()
     det_dev = 0.0
-    for lam in lams:
-        for variant in (SystemVariant.DIRECT, SystemVariant.STAR):
-            sols = fundamental_solutions(general_coeffs, variant, lam)
-            mats = np.stack([s.states for s in sols], axis=-1)
-            det_dev = max(det_dev,
-                          float(np.abs(np.linalg.det(mats) - 1.0).max()))
-    id_dev = 0.0
-    for lam in lams:
-        d = characteristic_literal(general_coeffs, lam)
-        s = characteristic_literal(general_coeffs, lam,
-                                   variant=SystemVariant.STAR)
-        m21, m31, m32 = -d.d21 / d.d11, -d.d31 / d.d11, -d.d32 / d.d22
-        ms21, ms31, ms32 = -s.d21 / s.d11, -s.d31 / s.d11, -s.d32 / s.d22
-        id_dev = max(id_dev,
-                     abs(m21 - ms32) / (1.0 + abs(m21)),
-                     abs(m32 - ms21) / (1.0 + abs(m32)),
-                     abs(ms31 - ms21 * m21 + m31) / (1.0 + abs(m31)))
+    for variant in (SystemVariant.DIRECT, SystemVariant.STAR):
+        # (M+1, L, 3, 3): the fundamental matrices along the grid
+        mats = _sweep(general_coeffs, variant, lams, np.eye(3), store=True)
+        det_dev = max(det_dev, float(np.abs(np.linalg.det(mats) - 1.0).max()))
+
+    def weyl_functions(variant):
+        c = characteristic_literal(general_coeffs, lams, variant)
+        return (-c["d21"] / c["d11"], -c["d31"] / c["d11"],
+                -c["d32"] / c["d22"])
+
+    m21, m31, m32 = weyl_functions(SystemVariant.DIRECT)
+    ms21, ms31, ms32 = weyl_functions(SystemVariant.STAR)
+    id_dev = float(max((np.abs(m21 - ms32) / (1.0 + np.abs(m21))).max(),
+                       (np.abs(m32 - ms21) / (1.0 + np.abs(m32))).max(),
+                       (np.abs(ms31 - ms21 * m21 + m31)
+                        / (1.0 + np.abs(m31))).max()))
     elapsed = time.perf_counter() - t0
     print("02: max|det-1|=%.2e (tol 5e-10), identity dev=%.2e (tol 1e-8), "
           "%.1fs (budget 30s)" % (det_dev, id_dev, elapsed))

@@ -133,11 +133,26 @@ def test_stability_ladder(tmp_path, smooth_json):
     assert abs(r1 / r2 - 1.0) < 0.5
 
 
-def test_stability_rejects_bad_perturb(tmp_path, smooth_json, capsys):
+@pytest.mark.parametrize("spec", ["theta:1,1", "beta:9,1", "beta:1,3",
+                                  "beta:4,1"])
+def test_stability_rejects_bad_perturb(tmp_path, smooth_json, capsys, spec):
+    # n = 9 lies outside the data, n = 4 outside the truncation N = 3
     rc = main(["stability", "--data", smooth_json, "--big-n", "3",
-               "--perturb", "theta:1,1", "--out", str(tmp_path / "o.csv")])
+               "--perturb", spec, "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "perturb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["forward", "inverse", "roundtrip",
+                                     "stability", "verify"])
+def test_truncation_order_below_one_is_rejected(tmp_path, zero_csv,
+                                                smooth_json, capsys, command):
+    source = (["--coeffs", zero_csv] if command in ("forward", "roundtrip")
+              else ["--data", smooth_json])
+    flag = "--n-max" if command == "forward" else "--big-n"
+    rc = main([command] + source + [flag, "0", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "%s must be at least 1" % flag in capsys.readouterr().err
 
 
 def test_verify_spectral(tmp_path, smooth_json):

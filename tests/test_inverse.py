@@ -166,9 +166,11 @@ def test_stability_input_guards(smooth_data8, grid512):
     with pytest.raises(ValueError, match="lambda"):
         stability_experiment(smooth_data8, grid512, 3,
                              entries=((1, 1, "theta"),))
-    with pytest.raises(IndexError):
-        stability_experiment(smooth_data8, grid512, 3,
-                             entries=((99, 1, "beta"),))
+    # entries outside the truncation N are rejected before any solve
+    for n, k in ((99, 1), (4, 1), (1, 3)):
+        with pytest.raises(ValueError, match="perturbation entry"):
+            stability_experiment(smooth_data8, grid512, 3,
+                                 entries=((n, k, "beta"),))
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -6,9 +6,8 @@ from spectral3.errors import IntegrationOverflowError, ResolutionGuardError
 from spectral3.grid import (CoefficientPair, Grid, GridFunction,
                             differentiate, midpoint_values)
 from spectral3.model import build_model
-from spectral3.quasi import (SystemVariant, _loop_sweep, _power_sweep, _sweep,
-                             fundamental_solutions, integrate_ivp,
-                             system_matrix)
+from spectral3.quasi import (SystemVariant, _loop_sweep, _power_sweep,
+                             _sweep)
 
 # Constant-coefficient oracle, tau1 = 1, sigma0 = 0: the equation is
 # y''' + 2y' = lambda y, and the third fundamental solution (y = y' = 0,
@@ -25,40 +24,51 @@ def _const_pair(grid, t1):
                            GridFunction.constant(grid, 0.0))
 
 
+def _ivp(coeffs, lam, init=(0.0, 0.0, 1.0), with_dlambda=False):
+    """One DIRECT solution from the quasi-derivative state init at x = 0:
+    its states (M+1, 3), with with_dlambda also their d/dlambda."""
+    res = _sweep(coeffs, SystemVariant.DIRECT, [lam],
+                 np.reshape(init, (3, 1)), with_dlambda=with_dlambda,
+                 store=True)
+    if with_dlambda:
+        return tuple(r[:, 0, :, 0] for r in res)
+    return res[:, 0, :, 0]
+
+
 def test_constant_coefficient_oracle(grid512):
     ones = _const_pair(grid512, 1.0)
-    tr = integrate_ivp(ones, SystemVariant.DIRECT, 1.0, (0.0, 0.0, 1.0))
-    assert abs(tr.y[-1] - C3_TAU1_LAM1) < 1e-11
-    assert abs(tr.y1[-1] - C3P_TAU1_LAM1) < 1e-11
-    tr = integrate_ivp(ones, SystemVariant.DIRECT, 2.0 + 3.0j, (0.0, 0.0, 1.0))
-    assert abs(tr.y[-1] - C3_TAU1_LAM23) < 1e-11
-    assert abs(tr.y1[-1] - C3P_TAU1_LAM23) < 1e-11
+    tr = _ivp(ones, 1.0)
+    assert abs(tr[-1, 0] - C3_TAU1_LAM1) < 1e-11
+    assert abs(tr[-1, 1] - C3P_TAU1_LAM1) < 1e-11
+    tr = _ivp(ones, 2.0 + 3.0j)
+    assert abs(tr[-1, 0] - C3_TAU1_LAM23) < 1e-11
+    assert abs(tr[-1, 1] - C3P_TAU1_LAM23) < 1e-11
 
 
 def test_rk4_convergence_order():
     errs = []
     for M in (64, 128):
         pair = _const_pair(Grid(M), 1.0)
-        tr = integrate_ivp(pair, SystemVariant.DIRECT, 1.0, (0.0, 0.0, 1.0))
-        errs.append(abs(tr.y[-1] - C3_TAU1_LAM1))
+        errs.append(abs(_ivp(pair, 1.0)[-1, 0] - C3_TAU1_LAM1))
     assert errs[0] / errs[1] > 12.0
 
 
 def test_system_matrix_entries():
+    # A = [[0, 1, 0], [p, 0, 1], [c lambda, q, 0]] with (p, q, c) from pqc
     g = Grid(8)
     pair = CoefficientPair.from_callables(g, lambda x: x + 0j,
                                           lambda x: 2 * x + 0j)
     lam = 1.5 + 0.5j
-    A = system_matrix(pair, SystemVariant.DIRECT, lam, 0.5)
+    at_half = (pair.sigma0.values[4], pair.tau1.values[4])   # x = 0.5
     t1, s0 = 0.5, 1.0
-    assert A[0, 1] == 1.0 and A[1, 2] == 1.0
-    assert abs(A[1, 0] + (s0 + t1)) < 1e-14          # p = -(sigma0 + tau1)
-    assert abs(A[2, 1] - (s0 - t1)) < 1e-14          # q = sigma0 - tau1
-    assert abs(A[2, 0] - lam) < 1e-14                # c = +1
-    B = system_matrix(pair, SystemVariant.STAR, lam, 0.5)
-    assert abs(B[1, 0] - (s0 - t1)) < 1e-14
-    assert abs(B[2, 1] + (s0 + t1)) < 1e-14
-    assert abs(B[2, 0] + lam) < 1e-14                # c = -1
+    p, q, c = SystemVariant.DIRECT.pqc(*at_half)
+    assert abs(p + (s0 + t1)) < 1e-14                # p = -(sigma0 + tau1)
+    assert abs(q - (s0 - t1)) < 1e-14                # q = sigma0 - tau1
+    assert abs(c * lam - lam) < 1e-14                # c = +1
+    p, q, c = SystemVariant.STAR.pqc(*at_half)
+    assert abs(p - (s0 - t1)) < 1e-14
+    assert abs(q + (s0 + t1)) < 1e-14
+    assert abs(c * lam + lam) < 1e-14                # c = -1
 
 
 def test_quasi_derivative_definition(grid512):
@@ -66,12 +76,11 @@ def test_quasi_derivative_definition(grid512):
     pair = CoefficientPair.from_callables(grid512,
                                           lambda x: np.cos(x),
                                           lambda x: 0.5j * x)
-    tr = integrate_ivp(pair, SystemVariant.DIRECT, 2.0 + 1.0j,
-                       (1.0, 0.5, 0.25))
-    ypp = differentiate(GridFunction(grid512, tr.y1)).values
+    y, y1, y2 = _ivp(pair, 2.0 + 1.0j, (1.0, 0.5, 0.25)).T
+    ypp = differentiate(GridFunction(grid512, y1)).values
     weight = pair.sigma0.values + pair.tau1.values
-    resid = np.abs(tr.y2 - (ypp + weight * tr.y))
-    assert resid.max() < 1e-6 * (1.0 + np.abs(tr.y2).max())
+    resid = np.abs(y2 - (ypp + weight * y))
+    assert resid.max() < 1e-6 * (1.0 + np.abs(y2).max())
 
 
 def test_fundamental_determinant_is_one(grid512, general_coeffs):
@@ -79,39 +88,38 @@ def test_fundamental_determinant_is_one(grid512, general_coeffs):
     for variant in (SystemVariant.DIRECT, SystemVariant.STAR):
         for _ in range(3):
             lam = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
-            C = fundamental_solutions(general_coeffs, variant, lam)
-            states = np.stack([c.states for c in C], axis=2)  # (M+1, 3, 3)
+            # (M+1, 3, 3): node, order, solution
+            states = _sweep(general_coeffs, variant, [lam], np.eye(3),
+                            store=True)[:, 0]
             det = np.linalg.det(states)
             assert np.abs(det - 1.0).max() < 5e-10
 
 
 def test_fundamental_normalization(zero_coeffs):
-    C1, C2, C3 = fundamental_solutions(zero_coeffs, SystemVariant.DIRECT, 3.0)
-    eye = np.stack([C1.states[0], C2.states[0], C3.states[0]])
-    assert np.abs(eye - np.eye(3)).max() < 1e-15
+    def fundamental(lam):
+        return _sweep(zero_coeffs, SystemVariant.DIRECT, [lam], np.eye(3),
+                      store=True)[:, 0]
+
+    assert np.abs(fundamental(3.0)[0] - np.eye(3)).max() < 1e-15
     # zero coefficients, lambda = 0: C3 = x^2/2
-    C1, C2, C3 = fundamental_solutions(zero_coeffs, SystemVariant.DIRECT, 0.0)
     x = zero_coeffs.grid.nodes
-    assert np.abs(C3.y - x**2 / 2).max() < 1e-12
+    assert np.abs(fundamental(0.0)[:, 0, 2] - x**2 / 2).max() < 1e-12
 
 
 def test_dlambda_against_finite_difference(grid128):
     pair = _const_pair(grid128, 1.0)
     lam = 4.0 - 2.0j
     h = 1e-5
-    tr = integrate_ivp(pair, SystemVariant.DIRECT, lam, (0.0, 0.0, 1.0),
-                       with_dlambda=True)
-    plus = integrate_ivp(pair, SystemVariant.DIRECT, lam + h, (0.0, 0.0, 1.0))
-    minus = integrate_ivp(pair, SystemVariant.DIRECT, lam - h, (0.0, 0.0, 1.0))
-    fd = (plus.states - minus.states) / (2 * h)
-    assert np.abs(tr.dstates - fd).max() < 1e-7 * (1.0 + np.abs(fd).max())
+    _, dstates = _ivp(pair, lam, with_dlambda=True)
+    fd = (_ivp(pair, lam + h) - _ivp(pair, lam - h)) / (2 * h)
+    assert np.abs(dstates - fd).max() < 1e-7 * (1.0 + np.abs(fd).max())
 
 
 def test_resolution_guard(grid128):
     pair = _const_pair(grid128, 0.0)
     # |lambda|^{1/3} beyond 0.6 M
     with pytest.raises(ResolutionGuardError):
-        integrate_ivp(pair, SystemVariant.DIRECT, (0.7 * 128) ** 3, (0, 0, 1))
+        _ivp(pair, (0.7 * 128) ** 3)
 
 
 def test_overflow_guard_on_bad_coefficients(grid128):
@@ -120,7 +128,7 @@ def test_overflow_guard_on_bad_coefficients(grid128):
     pair = CoefficientPair(GridFunction(grid128, vals),
                            GridFunction.constant(grid128, 0.0))
     with pytest.raises(IntegrationOverflowError) as ei:
-        integrate_ivp(pair, SystemVariant.DIRECT, 1.0, (0, 0, 1))
+        _ivp(pair, 1.0)
     # The finite check runs every 32 steps from the start node, so the
     # NaN at node 60 is reported at node 64 forward and 32 backward.
     assert ei.value.node == 64
