@@ -8,7 +8,9 @@ The two spectra behave like
 up to l2-summable remainders, with theta the mean of tau1, and the
 weight numbers like 3 lambda_{n,k}.  Everything here is elementary
 arithmetic on that formula; the value of the module is pinning down the
-cube-root branch and the index inversion consistently.
+cube-root branch and the index inversion consistently.  The module
+also holds the one coincidence test for eigenvalues (coincide) and the
+condition-1 report built on it.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ __all__ = [
     "invert_index",
     "extract_remainders",
     "validate_condition1",
+    "coincide",
+    "COINCIDE_TOL",
     "root_rates",
 ]
 
 _C = 2.0 * np.pi / np.sqrt(3.0)
+
+# Relative distance below which two eigenvalues count as one (coincide).
+COINCIDE_TOL = 1e-8
 
 # A cube root has three branches 2*pi/3 apart; reject roots deviating
 # from the seed direction by more than this fraction of that spacing.
@@ -69,6 +76,9 @@ def root_rates(z: complex) -> np.ndarray:
 
 def _branch_root(target: complex, seed: complex) -> complex:
     """Cube root of target closest in direction to the seed."""
+    if target == 0:
+        raise BranchAmbiguityError(
+            "zero has no cube-root direction to match %s" % (seed,))
     roots = _cube_roots(target)
     dev = np.abs(np.angle(roots / seed))
     j = int(np.argmin(dev))
@@ -145,8 +155,18 @@ def extract_remainders(data) -> AsymptoticFrame:
     return AsymptoticFrame(theta, rho, kappa, kappa1, tail_max, slope)
 
 
-def _sep_tol(lam: complex) -> float:
-    return 1e-8 * (1.0 + abs(lam))
+def coincide(a, b, tol: float = COINCIDE_TOL):
+    """True where |a - b| <= tol (1 + |a|), elementwise with broadcasting.
+
+    The one test for two eigenvalues being the same point: the pairing
+    of the two families (forward.detect_K), the condition-1 clauses
+    below, the model collision check (model, condition 4) and the
+    self-adjoint sufficiency report all read it.  Moduli are taken with
+    np.hypot, which agrees bitwise with Python's abs of a complex.
+    """
+    a = np.asarray(a, dtype=complex)
+    d = a - np.asarray(b, dtype=complex)
+    return np.hypot(d.real, d.imag) <= tol * (1.0 + np.hypot(a.real, a.imag))
 
 
 def validate_condition1(data) -> dict:
@@ -161,22 +181,14 @@ def validate_condition1(data) -> dict:
     clauses: dict = {}
 
     offenders = []
-    for k in (1, 2):
-        lams = [data.lam(n, k) for n in range(1, N + 1)]
-        for i in range(N):
-            for j in range(i + 1, N):
-                if abs(lams[i] - lams[j]) <= _sep_tol(lams[i]):
-                    offenders.append((i + 1, j + 1, k))
+    for k, lams in ((1, data.lam1), (2, data.lam2)):
+        same = np.triu(coincide(lams[:, None], lams), 1)
+        offenders += [(int(i) + 1, int(j) + 1, k) for i, j in np.argwhere(same)]
     clauses["distinct_within_family"] = {
         "pass": not offenders, "offenders": offenders}
 
-    offenders = []
-    for n in range(1, N + 1):
-        for p in range(1, N + 1):
-            if n == p:
-                continue
-            if abs(data.lam(n, 1) - data.lam(p, 2)) <= _sep_tol(data.lam(n, 1)):
-                offenders.append((n, p))
+    offenders = [(int(n) + 1, int(p) + 1) for n, p in np.argwhere(
+        coincide(data.lam1[:, None], data.lam2) & ~np.eye(N, dtype=bool))]
     clauses["pairing"] = {"pass": not offenders, "offenders": offenders}
 
     offenders = []

@@ -24,15 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asympt import extract_remainders, validate_condition1
+from .asympt import COINCIDE_TOL, extract_remainders, validate_condition1
 from .errors import (AdmissibilityViolationError, SingularSystemError,
                      Spectral3Error)
-from .forward import (_PAIR_TOL, SpectralData, compute_spectral_data,
+from .forward import (SpectralData, compute_spectral_data,
                       load_spectral_data, save_spectral_data)
 from .grid import (Grid, l2_norm, read_coefficients, resample,
                    w2m1_distance, write_coefficients, CoefficientPair)
 from .inverse import (ReconstructionResult, run_inverse,
                       stability_experiment, verify_reconstruction)
+from .model import spectral_gaps
 from .selfadjoint import check_symmetry
 from .serialize import dumps17
 
@@ -202,16 +203,10 @@ def cmd_roundtrip(args) -> int:
     def one(N: int) -> dict:
         res = run_inverse(data, cfg.grid, N)
         rec = compute_spectral_data(res.coeffs, N, pair_tol=args.pair_tol)
-        lam_err = beta_err = 0.0
-        for n in range(1, N + 1):
-            for k in (1, 2):
-                lam_err = max(lam_err, abs(rec.lam(n, k) - data.lam(n, k))
-                              / (1.0 + abs(data.lam(n, k))))
-                beta_err = max(beta_err, abs(rec.beta(n, k) - data.beta(n, k))
-                               / (1.0 + abs(data.beta(n, k))))
+        lam_err, beta_err = spectral_gaps(rec, data, N, relative=True)
         return {"N": N,
-                "max_rel_lambda_err": lam_err,
-                "max_rel_beta_err": beta_err,
+                "max_rel_lambda_err": float(lam_err.max()),
+                "max_rel_beta_err": float(beta_err.max()),
                 "tau1_l2": l2_norm(res.tau1N - coeffs.tau1),
                 "sigma0_w2m1": w2m1_distance(res.sigma0N, coeffs.sigma0)}
 
@@ -288,7 +283,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_pair_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pair-tol", type=float, default=_PAIR_TOL,
+    p.add_argument("--pair-tol", type=float, default=COINCIDE_TOL,
                    help="coinciding-eigenvalue detection tolerance")
 
 

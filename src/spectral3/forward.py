@@ -42,7 +42,6 @@ from .quasi import SystemVariant, _sweep
 from .serialize import complex_pair, dumps17, pair_complex
 
 __all__ = [
-    "SpectralDatum",
     "SpectralData",
     "characteristic_literal",
     "detect_K",
@@ -60,7 +59,6 @@ _EYE = np.eye(3, dtype=complex)
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 _DERIV_FLOOR = 1e-14
-_PAIR_TOL = 1e-8
 _BETA_SNAP = 1e-5
 _POLE_TOL = 1e-10
 _CONTOUR_POINTS = 64
@@ -212,13 +210,13 @@ def _gamma(lam_n: complex, g1: complex, g2: complex,
     return complex(gamma)
 
 
-def detect_K(lam1, lam2, tol: float = _PAIR_TOL):
+def detect_K(lam1, lam2, tol: float = asympt.COINCIDE_TOL):
     """Pair the two spectra and find coinciding indices.
 
     Greedy nearest matching of lambda_{n,1} against the unused entries
-    of the second family; a match within tol*(1+|lambda|) pins the
-    reordering n = p.  Returns (K, perm) with perm the permutation to
-    apply to the second family's arrays.
+    of the second family; a match that asympt.coincide accepts at tol
+    pins the reordering n = p.  Returns (K, perm) with perm the
+    permutation to apply to the second family's arrays.
     """
     lam1 = np.asarray(lam1, dtype=complex)
     lam2 = np.asarray(lam2, dtype=complex)
@@ -230,7 +228,7 @@ def detect_K(lam1, lam2, tol: float = _PAIR_TOL):
         gaps = np.abs(lam2 - lam1[i])
         gaps[used] = np.inf
         j = int(np.argmin(gaps))
-        if gaps[j] <= tol * (1.0 + abs(lam1[i])):
+        if asympt.coincide(lam1[i], lam2[j], tol):
             match[i] = j
             used[j] = True
             K.append(i + 1)
@@ -242,7 +240,7 @@ def detect_K(lam1, lam2, tol: float = _PAIR_TOL):
 
 
 def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
-                          pair_tol: float = _PAIR_TOL) -> "SpectralData":
+                          pair_tol: float = asympt.COINCIDE_TOL) -> "SpectralData":
     """The full forward map: coefficients -> spectral data up to n_max."""
     theta = integrate(coeffs.tau1)
     ns = np.arange(1, n_max + 1)
@@ -295,12 +293,20 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
 # Spectral data container
 
 
-@dataclass
-class SpectralDatum:
-    n: int
-    k: int
-    lam: complex
-    beta: complex
+def _checked_K(K, gamma: dict, n_max: int) -> list:
+    """The coinciding-index set K, sorted, after checking that its
+    indices lie in 1..n_max, do not repeat, and are exactly the keys of
+    gamma.  Shared by SpectralData and selfadjoint.HalfData."""
+    K = sorted(int(n) for n in K)
+    if any(not 1 <= n <= n_max for n in K):
+        raise ValueError("K indices %s are not all in 1..n_max=%d"
+                         % (K, n_max))
+    for a, b in zip(K, K[1:]):
+        if a == b:
+            raise ValueError("K lists n=%d more than once" % a)
+    if set(gamma) != set(K):
+        raise ValueError("gamma must be given exactly on K")
+    return K
 
 
 @dataclass
@@ -328,16 +334,8 @@ class SpectralData:
             if arr.shape != (self.n_max,):
                 raise ValueError("%s must have length n_max=%d" % (name, self.n_max))
             setattr(self, name, arr)
-        self.K = sorted(int(n) for n in self.K)
-        if any(not 1 <= n <= self.n_max for n in self.K):
-            raise ValueError("K indices %s are not all in 1..n_max=%d"
-                             % (self.K, self.n_max))
-        for a, b in zip(self.K, self.K[1:]):
-            if a == b:
-                raise ValueError("K lists n=%d more than once" % a)
         self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
-        if set(self.gamma) != set(self.K):
-            raise ValueError("gamma must be given exactly on K")
+        self.K = _checked_K(self.K, self.gamma, self.n_max)
         # Coinciding pairs are stored with bitwise-equal eigenvalues so
         # the kernel branch selection is deterministic.
         for n in self.K:
@@ -355,14 +353,6 @@ class SpectralData:
     def beta(self, n: int, k: int) -> complex:
         self._check_index(n, k)
         return complex((self.beta1 if k == 1 else self.beta2)[n - 1])
-
-    def entry(self, n: int, k: int) -> SpectralDatum:
-        return SpectralDatum(n, k, self.lam(n, k), self.beta(n, k))
-
-    @property
-    def entries(self) -> list:
-        return [self.entry(n, k)
-                for n in range(1, self.n_max + 1) for k in (1, 2)]
 
     def _check_index(self, n: int, k: int) -> None:
         if not (1 <= n <= self.n_max) or k not in (1, 2):
@@ -391,9 +381,9 @@ def save_spectral_data(path, data: SpectralData) -> None:
         "theta": complex_pair(data.theta),
         "n_max": data.n_max,
         "entries": [
-            {"n": d.n, "k": d.k,
-             "lambda": complex_pair(d.lam), "beta": complex_pair(d.beta)}
-            for d in data.entries
+            {"n": n, "k": k, "lambda": complex_pair(data.lam(n, k)),
+             "beta": complex_pair(data.beta(n, k))}
+            for n in range(1, data.n_max + 1) for k in (1, 2)
         ],
         "K": [{"n": n, "gamma": complex_pair(data.gamma[n])} for n in data.K],
     }

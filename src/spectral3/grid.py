@@ -147,15 +147,20 @@ def _values(f) -> np.ndarray:
     return f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
 
 
+def _simpson_weights(M: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 over M + 1 nodes."""
+    w = np.ones(M + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def integrate(f: GridFunction) -> complex:
     """Composite Simpson integral over [0, 1]."""
     v = _values(f)
     M = v.shape[0] - 1
     h = 1.0 / M
-    w = np.ones(M + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return complex(h / 3.0 * np.dot(w, v))
+    return complex(h / 3.0 * np.dot(_simpson_weights(M), v))
 
 
 def cumulative(f: GridFunction) -> GridFunction:
@@ -203,10 +208,8 @@ def l2_norm(f: GridFunction) -> float:
     v = _values(f)
     M = v.shape[0] - 1
     h = 1.0 / M
-    w = np.ones(M + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.sqrt(max(h / 3.0 * np.dot(w, np.abs(v) ** 2), 0.0)))
+    return float(np.sqrt(max(h / 3.0 * np.dot(_simpson_weights(M),
+                                              np.abs(v) ** 2), 0.0)))
 
 
 def w2m1_distance(s1: GridFunction, s2: GridFunction) -> float:

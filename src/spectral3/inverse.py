@@ -37,7 +37,8 @@ from .errors import PoleHitError, SingularSystemError
 from .forward import SpectralData, compute_spectral_data
 from .grid import CoefficientPair, Grid, GridFunction, cumulative, l2_norm, \
     w2m1_distance
-from .model import ModelCache, build_model, distance_d, xi_sequence
+from .model import (ModelCache, build_model, distance_d, spectral_gaps,
+                    xi_sequence)
 from .quasi import SystemVariant
 
 __all__ = [
@@ -388,28 +389,20 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
     cache = result.cache or build_model(data, result.tau1N.grid, N)
     if mode == "spectral":
         rec = compute_spectral_data(result.coeffs, N + 4)
-        entries = []
-        lam_max = beta_max = tail_max = 0.0
-        for n in range(1, N + 5):
-            for k in (1, 2):
-                ref = data if n <= N else cache.model_data
-                dl = (abs(rec.lam(n, k) - ref.lam(n, k))
-                      / (1.0 + abs(ref.lam(n, k))))
-                db = (abs(rec.beta(n, k) - ref.beta(n, k))
-                      / (1.0 + abs(ref.beta(n, k))))
-                entries.append({"n": n, "k": k, "lambda_rel": dl,
-                                "beta_rel": db,
-                                "reference": "data" if n <= N else "model"})
-                if n <= N:
-                    lam_max = max(lam_max, dl)
-                    beta_max = max(beta_max, db)
-                else:
-                    tail_max = max(tail_max, dl)
+        # n <= N against the data, the next four indices against the model
+        dl, db = spectral_gaps(rec, data, N, relative=True)
+        tl, tb = spectral_gaps(rec, cache.model_data, N + 4, relative=True)
+        dl, db = np.vstack([dl, tl[N:]]), np.vstack([db, tb[N:]])
+        entries = [{"n": n, "k": k, "lambda_rel": float(dl[n - 1, k - 1]),
+                    "beta_rel": float(db[n - 1, k - 1]),
+                    "reference": "data" if n <= N else "model"}
+                   for n in range(1, N + 5) for k in (1, 2)]
+        lam_max, beta_max = float(dl[:N].max()), float(db[:N].max())
         report = {
             "mode": "spectral",
             "lambda_rel_max": lam_max,
             "beta_rel_max": beta_max,
-            "tail_lambda_rel_max": tail_max,
+            "tail_lambda_rel_max": float(dl[N:].max()),
             "K_match": ([n for n in rec.K if n <= N]
                         == [n for n in data.K if n <= N]),
             "entries": entries,
@@ -422,7 +415,7 @@ def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
         return report
 
     if mode == "weyl":
-        if any(n <= N for n in data.K):
+        if data.truncate(N).K:
             raise ValueError("mode='weyl' requires data without coinciding "
                              "eigenvalue pairs")
         stars = _star_states(cache, data, cache.N)
@@ -501,9 +494,10 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
     coefficient distances against the unperturbed reconstruction, and
     their ratios (empirical stability constants).
     """
-    if data.K:
+    data_N = data.truncate(N)
+    if data_N.K:
         raise ValueError("stability experiment requires data with no "
-                         "coinciding eigenvalue pairs")
+                         "coinciding eigenvalue pairs at n <= N=%d" % N)
     for n, k, which in entries:
         if which not in ("lambda", "beta"):
             raise ValueError("perturbation field must be 'lambda' or 'beta'")
@@ -516,7 +510,6 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
     else:
         deltas = [float(d) for d in deltas]
 
-    data_N = data.truncate(N)
     base = run_inverse(data_N, grid, N, cache=cache)
     rows = [{"delta": 0.0, "d": 0.0, "tau1_l2": 0.0, "sigma0_w2m1": 0.0,
              "tau1_ratio": None, "sigma0_ratio": None, "status": "ok"}]

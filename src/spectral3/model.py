@@ -6,9 +6,14 @@ same RK4 map as everything else, evaluated as powers of the one step
 matrix that every cell of a constant system shares (quasi._sweep).
 build_model checks the model pair (admissibility conditions 1 and 2),
 computes the model spectral data and checks it against the given data
-(conditions 3 and 4); the Weyl solutions Phi_k of the direct and star
-systems are served by ModelCache.states over lambda arrays, each
-computed where it is first read and kept for the rest of the run.
+(conditions 3 and 4, a collision being asympt.coincide); the Weyl
+solutions Phi_k of the direct and star systems are served by
+ModelCache.states over lambda arrays, each computed where it is first
+read and kept for the rest of the run.
+
+spectral_gaps is the one entrywise comparison of two data tables,
+|Delta lambda| and |Delta beta| per (n, k); xi_sequence, distance_d,
+the spectral verification and the roundtrip table read it.
 
 Which Weyl solution may be evaluated where is dictated by the pole
 structure: Phi_2 has poles on the second model spectrum, Phi_2* on the
@@ -22,15 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asympt import coincide
 from .errors import AdmissibilityViolationError
 from .forward import SpectralData, compute_spectral_data, weyl_batch
 from .grid import CoefficientPair, Grid, GridFunction, integrate
 from .quasi import SystemVariant
 
-__all__ = ["ModelCache", "build_model", "xi_sequence", "distance_d"]
-
-# Exact-coincidence detection for admissibility conditions 3 and 4.
-_COLLISION_TOL = 1e-8
+__all__ = ["ModelCache", "build_model", "spectral_gaps", "xi_sequence",
+           "distance_d"]
 
 # Extra model indices beyond N; verification compares the first few
 # eigenvalues past the truncation against the model.
@@ -77,10 +81,6 @@ class ModelCache:
             table[(k, l)] = batch[k][i]
 
 
-def _collision_tol(lam: complex) -> float:
-    return _COLLISION_TOL * (1.0 + abs(lam))
-
-
 def _check_model(model_coeffs: CoefficientPair, theta_target: complex) -> None:
     """Admissibility conditions 1 and 2, on the model pair alone."""
     th = integrate(model_coeffs.tau1)
@@ -105,13 +105,13 @@ def _check_spectra(data: SpectralData, model_data: SpectralData) -> None:
             gap=abs(model_data.lam(n, 1) - model_data.lam(n, 2)))
     lam_model = np.concatenate([model_data.lam1, model_data.lam2])
     lam_data = np.concatenate([data.lam1, data.lam2])
-    diff = np.abs(lam_model[:, None] - lam_data[None, :])
-    i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
-    if diff[i, j] <= _collision_tol(abs(lam_model[i])):
+    hits = np.argwhere(coincide(lam_model[:, None], lam_data))
+    if hits.size:
+        i, j = hits[0]
         raise AdmissibilityViolationError(
             4, "model eigenvalue collides with a given one",
             pair=(complex(lam_model[i]), complex(lam_data[j])),
-            gap=float(diff[i, j]))
+            gap=abs(complex(lam_model[i] - lam_data[j])))
 
 
 def build_model(data: SpectralData, grid: Grid, N: int,
@@ -140,14 +140,35 @@ def build_model(data: SpectralData, grid: Grid, N: int,
                       data=data_N, N=N, theta_shift=theta_shift)
 
 
+def spectral_gaps(data: SpectralData, ref: SpectralData, N: int,
+                  relative: bool = False) -> tuple:
+    """Entrywise gaps (|lambda - lambda_ref|, |beta - beta_ref|) for
+    n = 1..N, two (N, 2) arrays with column k-1 holding family k.
+
+    relative divides each gap by 1 + |reference entry|.  Moduli come
+    from np.hypot, which agrees bitwise with Python's abs of a complex.
+    """
+    if N > min(data.n_max, ref.n_max):
+        raise ValueError("N=%d exceeds the data range n_max=%d"
+                         % (N, min(data.n_max, ref.n_max)))
+    gaps = []
+    for x, r in (((data.lam1, data.lam2), (ref.lam1, ref.lam2)),
+                 ((data.beta1, data.beta2), (ref.beta1, ref.beta2))):
+        x, r = np.stack(x, axis=1)[:N], np.stack(r, axis=1)[:N]
+        d = x - r
+        gap = np.hypot(d.real, d.imag)
+        if relative:
+            gap = gap / (1.0 + np.hypot(r.real, r.imag))
+        gaps.append(gap)
+    return tuple(gaps)
+
+
 def xi_sequence(data: SpectralData, model_data: SpectralData, N: int) -> np.ndarray:
     """Per-index differences xi_n of two spectral data sets."""
-    xi = np.zeros(N)
-    for n in range(1, N + 1):
-        for k in (1, 2):
-            xi[n - 1] += (abs(data.lam(n, k) - model_data.lam(n, k)) / n ** 2
-                          + abs(data.beta(n, k) - model_data.beta(n, k)) / n ** 3)
-    return xi
+    dlam, dbeta = spectral_gaps(data, model_data, N)
+    n = np.arange(1, N + 1)[:, None]
+    terms = dlam / n ** 2 + dbeta / n ** 3
+    return terms[:, 0] + terms[:, 1]
 
 
 def distance_d(data: SpectralData, other: SpectralData,
@@ -155,10 +176,10 @@ def distance_d(data: SpectralData, other: SpectralData,
     """Weighted l2 distance between two spectral data sets."""
     if N is None:
         N = min(data.n_max, other.n_max)
+    dlam, dbeta = spectral_gaps(data, other, N)
+    n = np.arange(1, N + 1)[:, None]
     total = 0.0
-    for n in range(1, N + 1):
-        for k in (1, 2):
-            term = (abs(data.lam(n, k) - other.lam(n, k)) / n
-                    + abs(data.beta(n, k) - other.beta(n, k)) / n ** 2)
-            total += term * term
+    # one term at a time in (n, k) order; np.sum would round differently
+    for term in (dlam / n + dbeta / n ** 2).ravel():
+        total += term * term
     return float(np.sqrt(total))

@@ -5,7 +5,10 @@ lambda_{n,1} = -conj(lambda_{n,2}) with beta_{n,1} = -conj(beta_{n,2}),
 so half of the data determines the rest.  HalfData stores that half
 (the first family), complete()/restrict() convert to and from full
 SpectralData, and the check_* helpers report how well given data
-satisfies the symmetry and the sufficiency preconditions.
+satisfies the symmetry and the sufficiency preconditions.  Sufficiency
+is condition 1 of the completed data (asympt.validate_condition1) plus
+Re lambda_n >= 0 and gamma_n > 0; HalfData checks K as SpectralData
+does.
 
 Coinciding pairs in this class sit on the imaginary axis (lambda must
 equal -conj(lambda)), carry beta = 0 on both sides, and a positive
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asympt
-from .forward import SpectralData
+from .forward import SpectralData, _checked_K
 from .serialize import complex_pair, dumps17, pair_complex
 
 __all__ = ["HalfData", "complete", "restrict", "check_suff_conditions",
@@ -45,10 +48,8 @@ class HalfData:
         self.betas = np.asarray(self.betas, dtype=complex)
         if self.betas.shape != self.lambdas.shape:
             raise ValueError("lambdas and betas must have equal length")
-        self.K = sorted(int(n) for n in self.K)
         self.gammas = {int(n): float(g) for n, g in self.gammas.items()}
-        if set(self.gammas) != set(self.K):
-            raise ValueError("gamma must be given exactly on K")
+        self.K = _checked_K(self.K, self.gammas, self.n_max)
 
     @property
     def n_max(self) -> int:
@@ -96,7 +97,7 @@ def restrict(data: SpectralData) -> HalfData:
                     betas=data.beta1.copy(), K=list(data.K), gammas=gammas)
 
 
-def check_symmetry(data: SpectralData, tol: float = _SYM_TOL) -> dict:
+def check_symmetry(data: SpectralData) -> dict:
     """Measure the self-adjoint pairing of full spectral data."""
     lam_dev = beta_dev = 0.0
     for n in range(1, data.n_max + 1):
@@ -114,75 +115,37 @@ def check_symmetry(data: SpectralData, tol: float = _SYM_TOL) -> dict:
         "beta_max": beta_dev,
         "gamma_imag_max": gamma_dev,
         "theta_imag": theta_dev,
-        "tol": tol,
+        "tol": _SYM_TOL,
     }
-    report["pass"] = all(v <= tol for v in
+    report["pass"] = all(v <= _SYM_TOL for v in
                          (lam_dev, beta_dev, gamma_dev, theta_dev))
     return report
 
 
-def check_suff_conditions(half: HalfData, tol: float = _SYM_TOL) -> dict:
+def check_suff_conditions(half: HalfData) -> dict:
     """Report on the sufficiency preconditions for half data.
 
-    Checked clause by clause: first-family asymptotics, pairwise
-    distinctness within the family and against the mirrored family,
-    nonvanishing weight numbers off K, Re lambda_n >= 0, and positive
-    gamma on K.
+    The preconditions are condition 1 of the completed data, i.e. the
+    clauses of asympt.validate_condition1 (its pairing clause compares
+    each lambda_p with the mirrors -conj(lambda_n), and beta_{n,1} *
+    beta_{n,2} = -|beta_n|^2 vanishes exactly where beta_n does), plus
+    Re lambda_n >= 0 up to the coincidence tolerance and gamma_n > 0 on
+    K.  The report has validate_condition1's shape: "pass" overall and,
+    per clause, "pass" and "offenders".
     """
-    clauses: dict = {}
-    violations: list = []
-
-    full = complete(half)
-    try:
-        frame = asympt.extract_remainders(full)
-        ok = bool(frame.tail_max <= 0.5)
-        clauses["asymptotics"] = ok
-        if not ok:
-            violations.append({"clause": "asymptotics",
-                               "tail_max": frame.tail_max})
-    except Exception as exc:  # noqa: BLE001 - report, never raise
-        clauses["asymptotics"] = False
-        violations.append({"clause": "asymptotics", "error": str(exc)})
-
+    report = asympt.validate_condition1(complete(half))
+    clauses = report["clauses"]
     lam = half.lambdas
-    ok = True
-    for n in range(half.n_max):
-        for p in range(n + 1, half.n_max):
-            t = tol * (1.0 + abs(lam[n]))
-            if abs(lam[n] - lam[p]) <= t:
-                ok = False
-                violations.append({"clause": "distinct", "n": n + 1, "p": p + 1})
-            if abs(lam[n] + np.conj(lam[p])) <= t:
-                ok = False
-                violations.append({"clause": "cross_pairing",
-                                   "n": n + 1, "p": p + 1})
-    clauses["distinct"] = ok
-
-    ok = True
-    for n in range(1, half.n_max + 1):
-        if n not in half.K and half.betas[n - 1] == 0:
-            ok = False
-            violations.append({"clause": "beta_nonzero", "n": n})
-    clauses["beta_nonzero"] = ok
-
-    ok = True
-    for n in range(1, half.n_max + 1):
-        if lam[n - 1].real < -tol * (1.0 + abs(lam[n - 1])):
-            ok = False
-            violations.append({"clause": "re_lambda_nonneg", "n": n,
-                               "value": complex(lam[n - 1])})
-    clauses["re_lambda_nonneg"] = ok
-
-    ok = True
-    for n in half.K:
-        if not half.gammas[n] > 0:
-            ok = False
-            violations.append({"clause": "gamma_positive", "n": n,
-                               "value": half.gammas[n]})
-    clauses["gamma_positive"] = ok
-
-    return {"clauses": clauses, "violations": violations,
-            "pass": all(clauses.values())}
+    # lambda_n counts as on the imaginary axis when it coincides with
+    # its projection there
+    left = (lam.real < 0) & ~asympt.coincide(lam, 1j * lam.imag)
+    offenders = [int(i) + 1 for i in np.flatnonzero(left)]
+    clauses["re_lambda_nonneg"] = {"pass": not offenders,
+                                   "offenders": offenders}
+    offenders = [n for n in half.K if not half.gammas[n] > 0]
+    clauses["gamma_positive"] = {"pass": not offenders, "offenders": offenders}
+    report["pass"] = all(c["pass"] for c in clauses.values())
+    return report
 
 
 def save_half_data(path, half: HalfData) -> None:

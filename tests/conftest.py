@@ -7,6 +7,7 @@ as needed and never mutate fixture objects in place.
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from spectral3.forward import compute_spectral_data
 from spectral3.grid import CoefficientPair, Grid, GridFunction
@@ -15,6 +16,14 @@ from spectral3.grid import CoefficientPair, Grid, GridFunction
 # example database.
 settings.register_profile("seeded", derandomize=True, database=None)
 settings.load_profile("seeded")
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    # Hypothesis still caches the constants it collects from the tested
+    # source, at collection time; keep that cache in the run's pytest
+    # temp directory so a test run writes nothing into the checkout.
+    set_hypothesis_home_dir(config._tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture(scope="session")

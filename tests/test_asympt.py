@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral3.asympt import (beta_guess, eigen_guess, extract_remainders,
-                              invert_index, rho_guess, validate_condition1)
-from spectral3.forward import SpectralData
+from spectral3.asympt import (COINCIDE_TOL, beta_guess, eigen_guess,
+                              extract_remainders, invert_index, rho_guess,
+                              validate_condition1)
+from spectral3.errors import AdmissibilityViolationError
+from spectral3.forward import SpectralData, detect_K
+from spectral3.model import build_model
 
 
 def test_eigen_guess_leading_term():
@@ -100,3 +103,30 @@ def test_remainder_decay_clause_on_real_data(smooth_data20):
     report = validate_condition1(smooth_data20)
     assert report["clauses"]["remainder_decay"]["pass"]
     assert report["pass"]
+
+
+@pytest.mark.parametrize("scale, flagged", [(0.5, True), (2.0, False)])
+def test_one_coincidence_tolerance(scale, flagged, smooth_data8, grid512):
+    # a pair scale * COINCIDE_TOL * (1 + |a|) apart: the family pairing,
+    # condition 1's pairing clause and the model's condition 4 agree
+    def near(a):
+        return a + scale * COINCIDE_TOL * (1.0 + abs(a)) * np.exp(0.3j)
+
+    lam1 = np.array([77.0 + 5.0j, 480.0])
+    K, _ = detect_K(lam1, np.array([-500.0, near(lam1[0])]))
+    assert (K == [1]) is flagged
+
+    data = _synthetic_data(0.0, 6, 0.02, 0.01)
+    data.lam2[1] = near(data.lam1[4])
+    offenders = validate_condition1(data)["clauses"]["pairing"]["offenders"]
+    assert ((5, 2) in offenders) is flagged
+
+    model_lam = build_model(smooth_data8, grid512, 4).model_data.lam(1, 1)
+    collided = smooth_data8.copy()
+    collided.lam1[0] = near(model_lam)
+    if flagged:
+        with pytest.raises(AdmissibilityViolationError) as ei:
+            build_model(collided, grid512, 4)
+        assert ei.value.condition == 4
+    else:
+        build_model(collided, grid512, 4)

@@ -171,9 +171,6 @@ def test_spectral_data_container(smooth_data20):
         d.lam(21, 1)
     with pytest.raises(IndexError):
         d.lam(1, 3)
-    entries = d.entries
-    assert len(entries) == 40
-    assert entries[0].n == 1 and entries[0].k == 1
 
 
 def test_spectral_data_K_snap():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectral3.errors import PoleHitError, SingularSystemError
-from spectral3.forward import compute_spectral_data
+from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             differentiate, l2_norm, w2m1_distance)
 from spectral3.inverse import (IndexV, _phiN_tables, _star_states, assemble,
@@ -162,7 +162,7 @@ def test_stability_rows_repeat_exactly(smooth_data8, grid512):
     assert rows1 == rows2
 
 
-def test_stability_input_guards(smooth_data8, grid512):
+def test_stability_input_guards(smooth_data8, smooth_data20, grid512):
     with pytest.raises(ValueError, match="lambda"):
         stability_experiment(smooth_data8, grid512, 3,
                              entries=((1, 1, "theta"),))
@@ -171,6 +171,21 @@ def test_stability_input_guards(smooth_data8, grid512):
         with pytest.raises(ValueError, match="perturbation entry"):
             stability_experiment(smooth_data8, grid512, 3,
                                  entries=((n, k, "beta"),))
+    # coinciding pairs are rejected at n <= N only: a pair at n = 10 lies
+    # outside the truncation N = 3 and leaves the ladder unchanged
+    data12 = smooth_data20.truncate(12)
+    for n, fails in ((2, True), (10, False)):
+        lam2, beta1 = data12.lam2.copy(), data12.beta1.copy()
+        lam2[n - 1], beta1[n - 1] = data12.lam1[n - 1], 0.0
+        paired = SpectralData(data12.theta, 12, data12.lam1, lam2, beta1,
+                              data12.beta2, K=[n], gamma={n: 1.0})
+        if fails:
+            with pytest.raises(ValueError, match="coinciding"):
+                stability_experiment(paired, grid512, 3, deltas=[1e-2])
+        else:
+            assert (stability_experiment(paired, grid512, 3, deltas=[1e-2])
+                    == stability_experiment(smooth_data8, grid512, 3,
+                                            deltas=[1e-2]))
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -75,14 +75,21 @@ def test_half_data_validation():
     with pytest.raises(ValueError, match="exactly on K"):
         HalfData(theta=0.0, lambdas=np.ones(2), betas=np.ones(2),
                  K=[1], gammas={})
+    # K is checked as SpectralData checks it: no repeats, 1 <= n <= n_max
+    with pytest.raises(ValueError, match="more than once"):
+        HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
+                 betas=np.array([0.0, 3.0]), K=[1, 1], gammas={1: 2.0})
+    with pytest.raises(ValueError, match="1..n_max"):
+        HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
+                 betas=np.array([0.0, 3.0]), K=[5], gammas={5: 2.0})
 
 
 def test_suff_conditions_pass_on_genuine_data(smooth_data20):
     half = restrict(smooth_data20)
     rep = check_suff_conditions(half)
-    assert rep["pass"], rep["violations"]
-    assert all(rep["clauses"].values())
-    assert rep["violations"] == []
+    assert rep["pass"], rep["clauses"]
+    assert all(c["pass"] for c in rep["clauses"].values())
+    assert rep["clauses"]["re_lambda_nonneg"]["offenders"] == []
 
 
 def _modified(half, **kw):
@@ -99,32 +106,42 @@ def test_suff_conditions_flag_violations(smooth_data8):
     lam = half.lambdas.copy()
     lam[3] = lam[2]
     rep = check_suff_conditions(_modified(half, lambdas=lam))
-    assert not rep["clauses"]["distinct"]
-    assert {"clause": "distinct", "n": 3, "p": 4} in rep["violations"]
+    clause = rep["clauses"]["distinct_within_family"]
+    assert not clause["pass"]
+    assert (3, 4, 1) in clause["offenders"]
     assert not rep["pass"]
 
     lam = half.lambdas.copy()
     lam[4] = -np.conj(lam[1])
     rep = check_suff_conditions(_modified(half, lambdas=lam))
-    assert any(v["clause"] == "cross_pairing" and (v["n"], v["p"]) == (2, 5)
-               for v in rep["violations"])
+    assert (2, 5) in rep["clauses"]["pairing"]["offenders"]
+    assert not rep["pass"]
 
     beta = half.betas.copy()
     beta[2] = 0.0
     rep = check_suff_conditions(_modified(half, betas=beta))
-    assert not rep["clauses"]["beta_nonzero"]
-    assert {"clause": "beta_nonzero", "n": 3} in rep["violations"]
+    assert rep["clauses"]["beta_product_on_K"]["offenders"] == [3]
+    assert not rep["pass"]
 
     lam = half.lambdas.copy()
     lam[0] = -5.0 + 2.0j
     rep = check_suff_conditions(_modified(half, lambdas=lam))
-    assert not rep["clauses"]["re_lambda_nonneg"]
+    assert rep["clauses"]["re_lambda_nonneg"]["offenders"] == [1]
+    assert not rep["pass"]
+
+    # a zero eigenvalue has no asymptotic branch: reported, not raised
+    lam = half.lambdas.copy()
+    lam[0] = 0.0
+    rep = check_suff_conditions(_modified(half, lambdas=lam))
+    assert "error" in rep["clauses"]["remainder_decay"]
+    assert not rep["pass"]
 
     bad_gamma = HalfData(theta=0.3, lambdas=np.array([4.0j, 80.0]),
                          betas=np.array([0.0, 3.0]), K=[1],
                          gammas={1: -2.0})
     rep = check_suff_conditions(bad_gamma)
-    assert not rep["clauses"]["gamma_positive"]
+    assert rep["clauses"]["gamma_positive"]["offenders"] == [1]
+    assert not rep["pass"]
 
 
 def test_half_data_file_round_trip(tmp_path, smooth_data8):
