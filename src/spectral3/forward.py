@@ -7,11 +7,12 @@ Characteristic determinants.  The minors Delta_{j,1} formed literally
 from products of fundamental values cancel catastrophically once
 |lambda|^(1/3) is large (products grow like e^(3 rho x) while the minor
 itself stays of size e^(rho x)).  The 2x2 minors of DIRECT solutions,
-however, satisfy the STAR system themselves, so a second sweep with
+however, satisfy the STAR system themselves, so a STAR sweep with
 identity initial data reads all Delta_{j,1} off directly as first
-components, with no products formed.  The literal formulas are kept in
-characteristic_literal as an independent cross-check for moderate
-|lambda|.
+components, with no products formed.  Its lambdas ride in the same
+sweep as the DIRECT ones, each with its own variant.  The literal
+formulas are kept in characteristic_literal as an independent
+cross-check for moderate |lambda|.
 
 Weyl solutions.  Phi_k decays toward x = 1 for some lambda and then no
 forward integration can recover it; the integration direction is chosen
@@ -68,6 +69,11 @@ _CONTOUR_POINTS = 64
 _ROUTE_EPS = 1e-12
 
 
+# The characteristic arrays of each family, the lambda-derivative last.
+_FAMILY_KEYS = {1: ("d11", "d21", "d31", "ddot11"),
+                2: ("d22", "d32", "c11", "ddot22")}
+
+
 def _char_arrays(coeffs: CoefficientPair, lams,
                  variant: SystemVariant = SystemVariant.DIRECT,
                  with_dlambda=False, families=(1, 2)) -> dict:
@@ -80,25 +86,38 @@ def _char_arrays(coeffs: CoefficientPair, lams,
     lambda-derivatives of the diagonal determinants, when with_dlambda.
     Family 2 is the top fundamental row of the variant's own sweep.
     Family 1 is the top row of the dual sweep, which carries the wedge
-    minors of the variant's solutions.  Only the requested families are
-    swept.
+    minors of the variant's solutions.
+
+    families is a tuple of the families read at every lambda, or an
+    (L,) integer array naming the one family read at each lambda; then
+    each family's arrays hold NaN at the lambdas of the other.  Either
+    way all requested values come from one sweep with a per-lambda
+    variant (none when nothing is requested), of len(families) L
+    lambdas or of L.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     out: dict = {"lams": lams}
-    for k in families:
-        v = variant if k == 2 else SystemVariant(-variant.value)
-        res = _sweep(coeffs, v, lams, _EYE, with_dlambda=with_dlambda)
-        Y, dY = res if with_dlambda else (res, None)
-        if k == 1:
-            out["d11"], out["d21"] = -Y[:, 0, 2], -Y[:, 0, 1]
-            out["d31"] = Y[:, 0, 0]
-            if with_dlambda:
-                out["ddot11"] = -dY[:, 0, 2]
-        else:
-            out["d22"], out["d32"] = Y[:, 0, 2], Y[:, 0, 1]
-            out["c11"] = Y[:, 0, 0]
-            if with_dlambda:
-                out["ddot22"] = dY[:, 0, 2]
+    per_lambda = isinstance(families, np.ndarray)
+    if per_lambda:
+        fam, batch = families, lams
+    else:
+        fam = np.repeat(np.asarray(families, dtype=int), lams.shape[0])
+        batch = np.tile(lams, len(families))
+    if not fam.size:
+        return out
+    c = np.where(fam == 2, variant.value, -variant.value)
+    res = _sweep(coeffs, c, batch, _EYE, with_dlambda=with_dlambda)
+    Y, dY = res if with_dlambda else (res, None)
+    for k in (1, 2) if per_lambda else families:
+        rows = fam == k
+        # family 1 reads the dual sweep's top row with the signs of the
+        # wedge minors
+        sign = np.negative if k == 1 else np.positive
+        values = [sign(Y[:, 0, 2]), sign(Y[:, 0, 1]), Y[:, 0, 0]]
+        if with_dlambda:
+            values.append(sign(dY[:, 0, 2]))
+        for name, v in zip(_FAMILY_KEYS[k], values):
+            out[name] = np.where(rows, v, np.nan) if per_lambda else v[rows]
     return out
 
 
@@ -139,46 +158,67 @@ def _newton_tol(dd: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return _NEWTON_TOL * (1.0 + np.abs(dd) * np.abs(lam) ** (2.0 / 3.0))
 
 
-def _newton_family(coeffs: CoefficientPair, k: int, ns, guesses,
+def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
                    theta: complex) -> tuple:
-    """Batched Newton on Delta_{k,k} for one family of indices.
+    """Batched Newton on Delta_{k,k} for entries of either family.
 
-    Each iteration sweeps family k alone over the active set.  Returns
-    the roots and the family-k arrays of _char_arrays (with d/dlambda)
-    at them, from each entry's last evaluation: an entry stops at the
-    lambda it has just evaluated, since a converged entry takes step 0,
-    so the weight numbers need no further sweep.
+    k is the family of each entry (an array like ns) or one family for
+    all.  Each iteration evaluates every active entry's own family in
+    one mixed d/dlambda sweep (_char_arrays with a per-lambda family).
+    Returns the roots and the _char_arrays dict at them, each family's
+    arrays holding NaN at the other family's entries, from each entry's
+    last evaluation: an entry stops at the lambda it has just evaluated,
+    since a converged entry takes step 0, so the weight numbers need no
+    further sweep.
+
+    A failing entry leaves the active set while the others run on.  The
+    failures are then raised family by family, 1 before 2, in the order
+    of a search of that family alone: DerivativeVanishesError of the
+    earliest iteration (lowest position first), then NoConvergenceError
+    of the first entry left unconverged, then BasinEscapeError of the
+    first root with another index.
     """
     ns = np.asarray(ns, dtype=int)
+    ks = np.broadcast_to(np.asarray(k, dtype=int), ns.shape)
     lam = np.asarray(guesses, dtype=complex).copy()
-    key, dkey = ("d11", "ddot11") if k == 1 else ("d22", "ddot22")
     last: dict = {}
     active = np.ones(lam.shape[0], dtype=bool)
-    for _ in range(_NEWTON_MAX_ITER):
+    # the iteration at which an entry's derivative vanished
+    vanished = np.full(lam.shape[0], _NEWTON_MAX_ITER)
+    for it in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
-        a = _char_arrays(coeffs, lam[active], with_dlambda=True,
-                         families=(k,))
-        delta, ddelta = a[key], a[dkey]
         idx = np.flatnonzero(active)
+        a = _char_arrays(coeffs, lam[idx], with_dlambda=True,
+                         families=ks[idx])
+        first = ks[idx] == 1
+        delta = np.where(first, a["d11"], a["d22"])
+        ddelta = np.where(first, a["ddot11"], a["ddot22"])
         for name, values in a.items():
             last.setdefault(name, np.empty_like(lam))[idx] = values
-        conv = np.abs(delta) <= _newton_tol(ddelta, lam[active])
+        conv = np.abs(delta) <= _newton_tol(ddelta, lam[idx])
         small = (np.abs(ddelta) < _DERIV_FLOOR) & ~conv
-        if small.any():
-            j = idx[int(np.flatnonzero(small)[0])]
-            raise DerivativeVanishesError(int(ns[j]), k, complex(lam[j]))
-        step = np.where(conv, 0.0, delta / ddelta)
+        vanished[idx[small]] = it
+        step = np.where(conv | small, 0.0,
+                        delta / np.where(small, 1.0, ddelta))
         lam[idx] = lam[idx] - step
-        active[idx[conv]] = False
-    if active.any():
-        j = int(np.flatnonzero(active)[0])
-        raise NoConvergenceError(int(ns[j]), k, complex(lam[j]),
-                                 _NEWTON_MAX_ITER)
-    for j, n in enumerate(ns):
-        n_found = asympt.invert_index(lam[j], k, theta)
-        if n_found != int(n):
-            raise BasinEscapeError(int(n), k, complex(lam[j]), n_found)
+        active[idx[conv | small]] = False
+    for fam in (1, 2):
+        mine = np.flatnonzero(ks == fam)
+        if not mine.size:
+            continue
+        j = mine[np.argmin(vanished[mine])]
+        if vanished[j] < _NEWTON_MAX_ITER:
+            raise DerivativeVanishesError(int(ns[j]), fam, complex(lam[j]))
+        left = mine[active[mine]]
+        if left.size:
+            raise NoConvergenceError(int(ns[left[0]]), fam,
+                                     complex(lam[left[0]]), _NEWTON_MAX_ITER)
+        for j in mine:
+            n_found = asympt.invert_index(lam[j], fam, theta)
+            if n_found != int(ns[j]):
+                raise BasinEscapeError(int(ns[j]), fam, complex(lam[j]),
+                                       n_found)
     return lam, last
 
 
@@ -244,10 +284,12 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
     """The full forward map: coefficients -> spectral data up to n_max."""
     theta = integrate(coeffs.tau1)
     ns = np.arange(1, n_max + 1)
-    g1 = np.array([asympt.eigen_guess(n, 1, theta) for n in ns])
-    g2 = np.array([asympt.eigen_guess(n, 2, theta) for n in ns])
-    lam1, a1 = _newton_family(coeffs, 1, ns, g1, theta)
-    lam2, a2 = _newton_family(coeffs, 2, ns, g2, theta)
+    guesses = [asympt.eigen_guess(n, k, theta) for k in (1, 2) for n in ns]
+    lam, last = _newton_family(coeffs, np.repeat([1, 2], n_max),
+                               np.tile(ns, 2), guesses, theta)
+    lam1, lam2 = lam[:n_max], lam[n_max:]
+    a1 = {name: last[name][:n_max] for name in _FAMILY_KEYS[1]}
+    a2 = {name: last[name][n_max:] for name in _FAMILY_KEYS[2]}
 
     K, perm = detect_K(lam1, lam2, pair_tol)
     lam2 = lam2[perm]
@@ -406,6 +448,8 @@ def load_spectral_data(path) -> SpectralData:
         n, k = int(ent["n"]), int(ent["k"])
         if not (1 <= n <= n_max) or k not in (1, 2):
             raise ValueError("entry (n=%s, k=%s) out of range" % (n, k))
+        if (n, k) in seen:
+            raise ValueError("entry (n=%s, k=%s) is repeated" % (n, k))
         lam[k][n - 1] = pair_complex(ent["lambda"])
         beta[k][n - 1] = pair_complex(ent["beta"])
         seen.add((n, k))

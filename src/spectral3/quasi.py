@@ -32,11 +32,17 @@ One sweep advances L values of lambda, K solutions each, and B = 1 for
 the states alone or B = 2 with their lambda-derivatives, which obey the
 same system plus the coupling c y in the last row.  RK4 on this
 augmented system is exactly the lambda-derivative of the discrete RK4
-map.  The loop holds the state component-major, (3, L, B, K), so each
-row of the right-hand side is one contiguous slab, and updates stage
-and slope buffers allocated once per sweep in place; callers get
-(L, B, 3, K) per node.  A backward sweep is the same forward loop over
-the reversed node and midpoint samples with step -h.
+map.  The variant is per lambda: one SystemVariant for the whole batch,
+or an (L,) array of c = +-1, so DIRECT and STAR lambdas share a sweep
+(the forward map sweeps both characteristic families at once).  The
+loop holds the state component-major with lambda innermost,
+(3, B, K, L), so each row of the right-hand side is one contiguous slab.
+p and q are built per lambda from its variant as contiguous slabs of
+the row's shape, a stretch of 32 steps at a time, so every product in
+the right-hand side is one flat loop and their memory stays bounded.
+The loop updates stage and slope buffers allocated once per sweep in
+place; callers get (L, B, 3, K) per node.  A backward sweep is the same
+forward loop over the reversed node and midpoint samples with step -h.
 
 When sigma0 and tau1 are constant on the grid (every node sample
 bitwise equal to the first; the midpoint samples, which cubic
@@ -69,7 +75,9 @@ __all__ = ["SystemVariant"]
 # of the number of grid cells.
 _RESOLUTION_FACTOR = 0.6
 
-_FINITE_CHECK_STRIDE = 32
+# Steps per stretch of the RK4 loop: its coefficient slabs are built, and
+# its state checked for finite values, once per stretch.
+_STRETCH = 32
 
 
 class SystemVariant(Enum):
@@ -94,26 +102,28 @@ def _guard_resolution(lams: np.ndarray, M: int) -> None:
         )
 
 
-def _sweep(coeffs: CoefficientPair, variant: SystemVariant, lams: np.ndarray,
+def _sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
            inits: np.ndarray, with_dlambda: bool = False,
            backward: bool = False, store: bool = False):
     """Batched RK4 sweep of v' = A(x, lambda) v.
 
-    lams : (L,) complex; inits : (3, K) shared or (L, 3, K) per lambda,
-    given at x = 0 (forward) or x = 1 (backward).  Returns the final
-    states (L, 3, K) or, with store, the trajectory (M+1, L, 3, K) in
-    node order.  With with_dlambda the same shapes are returned
-    additionally for d/dlambda of the states (zero initial values).
+    variant : a SystemVariant, or an (L,) array of c = +-1 giving each
+    lambda's variant; lams : (L,) complex; inits : (3, K) shared or
+    (L, 3, K) per lambda, given at x = 0 (forward) or x = 1 (backward).
+    Returns the final states (L, 3, K) or, with store, the trajectory
+    (M+1, L, 3, K) in node order.  With with_dlambda the same shapes are
+    returned additionally for d/dlambda of the states (zero initial
+    values).
 
     When sigma0 and tau1 are constant on the grid the same RK4 map is
     evaluated as powers of its step matrix (_power_sweep), otherwise
     step by step on a component-major state (_loop_sweep), whose values
-    for each lambda are bitwise those of a sweep of it alone.  A
-    non-finite state raises IntegrationOverflowError: the loop checks
-    every 32 steps and at the end and reports the node it checked; the
-    power path reports the first non-finite node in sweep order of a
-    stored sweep, and the end node (M forward, 0 backward) of an
-    end-value sweep.
+    for each lambda are bitwise those of a sweep of it alone, in its
+    own variant.  A non-finite state raises IntegrationOverflowError:
+    the loop checks every 32 steps and at the end and reports the node
+    it checked; the power path reports the first non-finite node in
+    sweep order of a stored sweep, and the end node (M forward, 0
+    backward) of an end-value sweep.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _guard_resolution(lams, coeffs.grid.M)
@@ -132,46 +142,76 @@ def _is_constant(values: np.ndarray) -> bool:
     return bool((bits == bits[0]).all())
 
 
-def _loop_sweep(coeffs: CoefficientPair, variant: SystemVariant,
-                lams: np.ndarray, inits: np.ndarray, with_dlambda: bool,
-                backward: bool, store: bool) -> np.ndarray:
+def _signs(variant, L: int) -> np.ndarray:
+    """c = +-1 of each lambda, (L,) float, from a SystemVariant or an
+    (L,) array of c values."""
+    if isinstance(variant, SystemVariant):
+        variant = variant.value
+    return np.broadcast_to(np.asarray(variant, dtype=float), (L,))
+
+
+def _pq(c: np.ndarray, sigma0: np.ndarray, tau1: np.ndarray) -> tuple:
+    """p and q at samples of sigma0 and tau1 for each lambda's variant,
+    (samples, L) each: column l holds what SystemVariant.pqc gives the
+    variant whose c is c[l]."""
+    u, w, _ = SystemVariant.DIRECT.pqc(sigma0, tau1)
+    direct = c > 0
+    return (np.where(direct, u[:, None], w[:, None]),
+            np.where(direct, w[:, None], u[:, None]))
+
+
+def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
+                inits: np.ndarray, with_dlambda: bool, backward: bool,
+                store: bool) -> np.ndarray:
     """The RK4 loop for any coefficients: the states (L, B, 3, K), or
     with store (M+1, L, B, 3, K), B = 2 with d/dlambda.
 
-    The state is held as (3, L, B, K) and each step is a fixed sequence
+    The state is held as (3, B, K, L) and each step is a fixed sequence
     of in-place ufunc calls on preallocated buffers; per element they
     evaluate p y0 + y2, c lambda y0 + q y1 (+ c y0 in the d/dlambda
     block), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4) in that
-    order, so a lambda's result does not depend on the batch around it.
+    order, so a lambda's result depends neither on the batch around it
+    nor on the variants of the other lambdas.  Every factor of a row
+    product is a contiguous slab of the row's shape, so each product is
+    one flat loop: c lambda and c are built once per sweep, p and q at
+    the nodes and midpoints of a stretch of _STRETCH steps once per
+    stretch, which bounds their memory whatever M is.
     """
     M = coeffs.grid.M
     L, K = lams.shape[0], inits.shape[-1]
     B = 2 if with_dlambda else 1
-    # p, q at the nodes and the cell midpoints.
-    pn, qn, c = variant.pqc(coeffs.sigma0.values, coeffs.tau1.values)
-    pm, qm, _ = variant.pqc(midpoint_values(coeffs.sigma0),
-                            midpoint_values(coeffs.tau1))
-    # Step m runs from sample m to m + 1 of these arrays, which a
-    # backward sweep reverses; nodes maps sample index to grid node.
+    c = _signs(variant, L)
+    # sigma0, tau1 at the nodes and the cell midpoints.  Step m runs from
+    # sample m to m + 1 of these arrays, which a backward sweep reverses;
+    # nodes maps sample index to grid node.
+    sn, tn = coeffs.sigma0.values, coeffs.tau1.values
+    sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
     nodes, h = np.arange(M + 1), coeffs.grid.h
     if backward:
-        pn, pm, qn, qm = pn[::-1], pm[::-1], qn[::-1], qm[::-1]
+        sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
         nodes, h = nodes[::-1], -h
-    clam = (c * lams).reshape(L, 1, 1)
 
-    # S[i] holds y^[i] (and d/dlambda y^[i]) over (L, B, K); X is the
+    # S[i] holds y^[i] (and d/dlambda y^[i]) over (B, K, L); X is the
     # stage value and k1..k4 the slopes, all updated in place.
-    S = np.zeros((3, L, B, K), dtype=complex)
-    S[:, :, 0] = np.moveaxis(np.broadcast_to(inits, (L, 3, K)), 1, 0)
+    S = np.zeros((3, B, K, L), dtype=complex)
+    S[:, 0] = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
     X, k1, k2, k3, k4 = (np.empty_like(S) for _ in range(5))
     qy1 = np.empty_like(S[0])
-    cy0 = np.empty_like(S[0, :, 0])
+    cy0 = np.empty_like(S[0, 0])
+    clam = np.broadcast_to(c * lams, qy1.shape).copy()
+    cc = np.broadcast_to(c.astype(complex), cy0.shape).copy()
+    # p, q slabs of one stretch: Pn[i], Qn[i] at its node i, Pm[i],
+    # Qm[i] at the midpoint of its cell i
+    Pn, Qn = (np.empty((_STRETCH + 1,) + qy1.shape, dtype=complex)
+              for _ in range(2))
+    Pm, Qm = (np.empty((_STRETCH,) + qy1.shape, dtype=complex)
+              for _ in range(2))
 
     def slabs(a):
         # rows 0, 1, 2; with d/dlambda also the y part of row 0, which the
         # coupling c y reads, and the d/dlambda part of row 2, which it
         # feeds
-        dl = (a[0, :, 0], a[2, :, 1]) if with_dlambda else (None, None)
+        dl = (a[0, 0], a[2, 1]) if with_dlambda else (None, None)
         return (a[0], a[1], a[2]) + dl
 
     sS, sX, s1, s2, s3, s4 = map(slabs, (S, X, k1, k2, k3, k4))
@@ -185,46 +225,54 @@ def _loop_sweep(coeffs: CoefficientPair, variant: SystemVariant,
         np.add(np.multiply(clam, y0, out=f2), np.multiply(q, y1, out=qy1),
                out=f2)
         if with_dlambda:
-            np.add(df2, np.multiply(c, y, out=cy0), out=df2)
+            np.add(df2, np.multiply(cc, y, out=cy0), out=df2)
 
     def stage(w, k):
         # X = S + w k
         np.add(S, np.multiply(w, k, out=X), out=X)
 
     if store:
-        # (M+1, L, B, 3, K), written through its component-major view
+        # (M+1, L, B, 3, K), written through its (3, B, K, L) view
         traj = np.empty((M + 1, L, B, 3, K), dtype=complex)
-        traj_rows = np.moveaxis(traj, 3, 1)
+        traj_rows = np.transpose(traj, (0, 3, 2, 4, 1))
         traj_rows[nodes[0]] = S
-    for m in range(M):
-        rhs(pn[m], qn[m], sS, s1)
-        stage(h / 2, k1)
-        rhs(pm[m], qm[m], sX, s2)
-        stage(h / 2, k2)
-        rhs(pm[m], qm[m], sX, s3)
-        stage(h, k3)
-        rhs(pn[m + 1], qn[m + 1], sX, s4)
-        # S += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
-        np.add(k1, np.multiply(2, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(2, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        np.add(S, np.multiply(h / 6, k1, out=k1), out=S)
-        if store:
-            traj_rows[nodes[m + 1]] = S
-        if m % _FINITE_CHECK_STRIDE == _FINITE_CHECK_STRIDE - 1:
-            if not np.isfinite(S[:, :, 0]).all():
-                raise IntegrationOverflowError(int(nodes[m + 1]))
+    for m0 in range(0, M, _STRETCH):
+        n = min(_STRETCH, M - m0)
+        for slab, v in zip((Pn, Qn), _pq(c, sn[m0:m0 + n + 1],
+                                         tn[m0:m0 + n + 1])):
+            np.copyto(slab[:n + 1], v[:, None, None, :])
+        for slab, v in zip((Pm, Qm), _pq(c, sm[m0:m0 + n], tm[m0:m0 + n])):
+            np.copyto(slab[:n], v[:, None, None, :])
+        for i in range(n):
+            rhs(Pn[i], Qn[i], sS, s1)
+            stage(h / 2, k1)
+            rhs(Pm[i], Qm[i], sX, s2)
+            stage(h / 2, k2)
+            rhs(Pm[i], Qm[i], sX, s3)
+            stage(h, k3)
+            rhs(Pn[i + 1], Qn[i + 1], sX, s4)
+            # S += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+            np.add(k1, np.multiply(2, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(2, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            np.add(S, np.multiply(h / 6, k1, out=k1), out=S)
+            if store:
+                traj_rows[nodes[m0 + i + 1]] = S
+        if not np.isfinite(S[:, 0]).all():
+            raise IntegrationOverflowError(int(nodes[m0 + n]))
 
-    if not np.isfinite(S[:, :, 0]).all():
-        raise IntegrationOverflowError(int(nodes[M]))
-    return traj if store else np.ascontiguousarray(np.moveaxis(S, 0, 2))
+    if store:
+        return traj
+    return np.ascontiguousarray(np.transpose(S, (3, 1, 0, 2)))
 
 
-def _step_matrix(p: complex, q: complex, c: float, lams: np.ndarray,
-                 h: float, with_dlambda: bool) -> np.ndarray:
+def _step_matrix(p: np.ndarray, q: np.ndarray, c: np.ndarray,
+                 lams: np.ndarray, h: float,
+                 with_dlambda: bool) -> np.ndarray:
     """The RK4 step matrices R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
-    of the constant system at each lambda: (L, 3B, 3B), acting on the
-    state with its d/dlambda block (rows 3..5) stacked under it."""
+    of the constant system at each lambda, with p, q and c given per
+    lambda ((L,) each): (L, 3B, 3B), acting on the state with its
+    d/dlambda block (rows 3..5) stacked under it."""
     B = 2 if with_dlambda else 1
     hA = np.zeros((lams.shape[0], 3 * B, 3 * B), dtype=complex)
     for i in range(0, 3 * B, 3):
@@ -245,9 +293,9 @@ def _step_matrix(p: complex, q: complex, c: float, lams: np.ndarray,
 # Overflowing powers of R are reported by IntegrationOverflowError alone,
 # not by numpy warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
-def _power_sweep(coeffs: CoefficientPair, variant: SystemVariant,
-                 lams: np.ndarray, inits: np.ndarray, with_dlambda: bool,
-                 backward: bool, store: bool) -> np.ndarray:
+def _power_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
+                 inits: np.ndarray, with_dlambda: bool, backward: bool,
+                 store: bool) -> np.ndarray:
     """_loop_sweep for constant sigma0 and tau1: every cell applies the
     same step matrix R, so the end states are R^M S_0 by binary powering
     and a stored trajectory T[m] = R^m S_0 is filled by doubling,
@@ -255,9 +303,10 @@ def _power_sweep(coeffs: CoefficientPair, variant: SystemVariant,
     M = coeffs.grid.M
     L = lams.shape[0]
     B = 2 if with_dlambda else 1
-    p, q, c = variant.pqc(coeffs.sigma0.values[0], coeffs.tau1.values[0])
+    c = _signs(variant, L)
+    p, q = _pq(c, coeffs.sigma0.values[:1], coeffs.tau1.values[:1])
     h = -coeffs.grid.h if backward else coeffs.grid.h
-    R = _step_matrix(p, q, c, lams, h, with_dlambda)
+    R = _step_matrix(p[0], q[0], c, lams, h, with_dlambda)
     K = inits.shape[-1]
     S0 = np.zeros((L, 3 * B, K), dtype=complex)
     S0[:, :3] = inits

@@ -155,6 +155,20 @@ def test_truncation_order_below_one_is_rejected(tmp_path, zero_csv,
     assert "%s must be at least 1" % flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inverse", "verify", "stability"])
+def test_repeated_spectral_entry_exits_1(tmp_path, smooth_json, capsys,
+                                         command):
+    obj = json.loads(open(smooth_json).read())
+    obj["entries"].append(dict(obj["entries"][0], **{"lambda": [123, 0]}))
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(obj))
+    extra = ["--mode", "weyl"] if command == "verify" else []
+    rc = main([command, "--data", str(bad), "--big-n", "3", "--out",
+               str(tmp_path / "o")] + extra)
+    assert rc == 1
+    assert "spectral3: entry (n=1, k=1) is repeated" in capsys.readouterr().err
+
+
 def test_verify_spectral(tmp_path, smooth_json):
     rec = str(tmp_path / "rec.csv")
     assert main(["inverse", "--data", smooth_json, "--big-n", "4",

@@ -1,4 +1,5 @@
 import re
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral3 import asympt, forward
-from spectral3.errors import (BasinEscapeError, GammaZeroError, NearPoleError,
-                              Spectral3Error)
+from spectral3.errors import (BasinEscapeError, DerivativeVanishesError,
+                              GammaZeroError, NearPoleError,
+                              NoConvergenceError, Spectral3Error)
 from spectral3.forward import (_char_arrays, _gamma, _newton_family,
                                characteristic_literal, compute_spectral_data,
                                detect_K, laurent_coefficients,
                                load_spectral_data, save_spectral_data,
                                SpectralData, weight_matrix, weyl_batch,
                                weyl_matrix)
-from spectral3.grid import CoefficientPair, Grid, GridFunction
+from spectral3.grid import CoefficientPair, Grid, GridFunction, integrate
 from spectral3.quasi import SystemVariant, _sweep
 
 # Frozen 40-digit oracles for the zero-coefficient problem y''' = lambda y.
@@ -47,13 +49,38 @@ def test_compound_route_equals_literal_minors(general_coeffs):
     rng = np.random.default_rng(11)
     lams = [complex(rng.uniform(-60, 60), rng.uniform(-60, 60))
             for _ in range(4)]
-    a = _char_arrays(general_coeffs, lams, with_dlambda=True)
-    b = characteristic_literal(general_coeffs, lams, with_dlambda=True)
-    assert a.keys() == b.keys()
-    assert np.array_equal(a["lams"], b["lams"])
-    for f in ("d11", "d21", "d31", "d22", "d32", "c11", "ddot11", "ddot22"):
-        va, vb = a[f], b[f]
-        assert (np.abs(va - vb) < 1e-9 * (1.0 + np.abs(va))).all(), f
+    for variant in SystemVariant:
+        a = _char_arrays(general_coeffs, lams, variant, with_dlambda=True)
+        b = characteristic_literal(general_coeffs, lams, variant,
+                                   with_dlambda=True)
+        assert a.keys() == b.keys()
+        assert np.array_equal(a["lams"], b["lams"])
+        for f in ("d11", "d21", "d31", "d22", "d32", "c11", "ddot11",
+                  "ddot22"):
+            va, vb = a[f], b[f]
+            assert (np.abs(va - vb) < 1e-9 * (1.0 + np.abs(va))).all(), f
+
+
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+def test_both_families_in_one_sweep_equal_each_alone(general_coeffs128,
+                                                     variant):
+    # families=(1, 2) sweeps both families in one batch of 2L; a
+    # per-lambda family array reads each lambda's own family, NaN in the
+    # other's arrays.  Every value has the bits of a one-family sweep.
+    lams = np.array([-30.0, 9.0 - 6.0j, 40.0j, 250.0 + 80.0j])
+    fam = np.array([2, 1, 1, 2])
+    both = _char_arrays(general_coeffs128, lams, variant, with_dlambda=True)
+    mixed = _char_arrays(general_coeffs128, lams, variant, with_dlambda=True,
+                         families=fam)
+    assert both.keys() == mixed.keys()
+    for k in (1, 2):
+        one = _char_arrays(general_coeffs128, lams, variant,
+                           with_dlambda=True, families=(k,))
+        assert one.keys() == {"lams"} | set(forward._FAMILY_KEYS[k])
+        for name in forward._FAMILY_KEYS[k]:
+            assert np.array_equal(both[name], one[name])
+            assert np.array_equal(mixed[name][fam == k], one[name][fam == k])
+            assert np.isnan(mixed[name][fam != k]).all()
 
 
 def test_weyl_function_identities(general_coeffs):
@@ -114,6 +141,37 @@ def test_basin_escape_on_wrong_seed(zero_coeffs):
     with pytest.raises(BasinEscapeError):
         # seed n=3 into the n=1 basin
         _newton_family(zero_coeffs, 2, [3], [LAM_12_ZERO + 1.0], 0.0)
+
+
+# Zero coefficients: from the seed 0, |dDelta_{k,k}| runs 8.3e-3, 5.6e-3,
+# 5.0e-3 over the first three iterations toward lambda_{1,k}; it is
+# 4.9e-3 at the seed lambda_{1,1} + 1 and 2.6e-3 at the seed of n = 2,
+# k = 2.  The floor and the iteration cap are set between these.
+_ESCAPE = (1, 3, -LAM_12_ZERO + 1.0)       # converges to n = 1
+_FLAT_AT_0 = (2, 2, asympt.eigen_guess(2, 2, 0.0))
+
+
+@pytest.mark.parametrize("floor, max_iter, entries, expected", [
+    # family 2 fails at iteration 0, family 1 only after converging
+    (3e-3, 50, [_ESCAPE, _FLAT_AT_0], (BasinEscapeError, 3, 1)),
+    (3e-3, 50, [_FLAT_AT_0, (1, 1, 0.0), _ESCAPE], (BasinEscapeError, 3, 1)),
+    # family 1 at iteration 2, family 2 at iteration 0
+    (5.5e-3, 50, [(1, 1, 0.0), _FLAT_AT_0], (DerivativeVanishesError, 1, 1)),
+    # within a family the earliest iteration, not the lowest position
+    (5.5e-3, 50, [(1, 1, 0.0), (1, 2, -LAM_12_ZERO + 1.0)],
+     (DerivativeVanishesError, 2, 1)),
+    (3e-3, 2, [(1, 1, 0.0), _FLAT_AT_0], (NoConvergenceError, 1, 1)),
+])
+def test_joint_newton_raises_as_the_families_in_turn(
+        zero_coeffs, monkeypatch, floor, max_iter, entries, expected):
+    # Both families run in one active set, yet a failure is reported as
+    # by family 1 searched to the end before family 2.
+    monkeypatch.setattr(forward, "_DERIV_FLOOR", floor)
+    monkeypatch.setattr(forward, "_NEWTON_MAX_ITER", max_iter)
+    ks, ns, seeds = zip(*entries)
+    with pytest.raises(expected[0]) as ei:
+        _newton_family(zero_coeffs, np.array(ks), ns, seeds, 0.0)
+    assert (ei.value.n, ei.value.k) == expected[1:]
 
 
 def test_weight_beta_at_eigenvalue(zero_coeffs, zero_data6):
@@ -212,6 +270,12 @@ def test_spectral_data_json_roundtrip(tmp_path, smooth_data20):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="cover"):
+        load_spectral_data(bad)
+    # a repeated (n, k) is refused, not overwritten by its last copy
+    obj = json.loads(path.read_text())
+    obj["entries"].append(dict(obj["entries"][0], **{"lambda": [123, 0]}))
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=r"\(n=1, k=1\) is repeated"):
         load_spectral_data(bad)
 
 
@@ -428,16 +492,50 @@ def test_weyl_batch_sweeps_only_the_family_it_reads(general_coeffs128,
                                                     variant, monkeypatch):
     # Phi_1 reads characteristic family 1, Phi_2 family 2, Phi_3 neither;
     # -30 and 9 - 6i take opposite Phi_2 routes in either variant
+    # (both families together: one d/dlambda sweep of 2L)
     calls: list = []
     _count_sweeps(monkeypatch, calls)
     for lam in (-30.0, 9.0 - 6.0j):
+        calls.clear()
         ref = weyl_batch(general_coeffs128, [lam], variant, ks=(1, 2, 3))
+        assert [c for c in calls if c[1]] == [(2, True)]
         for k in (1, 2, 3):
             calls.clear()
             batch = weyl_batch(general_coeffs128, [lam], variant, ks=(k,))
             assert [c for c in calls if c[1]] == ([] if k == 3 else
                                                   [(1, True)])
             assert np.array_equal(batch[k], ref[k])
+
+
+def test_weyl_matrix_sweeps_both_families_once(general_coeffs128,
+                                               monkeypatch):
+    calls: list = []
+    _count_sweeps(monkeypatch, calls)
+    weyl_matrix(general_coeffs128, np.array([-30.0, 9.0 - 6.0j, 40.0j]))
+    assert calls == [(6, True)]
+
+
+def test_joint_newton_sweeps_both_families_once_per_iteration(
+        general_coeffs128, monkeypatch):
+    # Each joint Newton iteration is one d/dlambda sweep over the active
+    # entries of both families, as many as the two families searched
+    # alone have active at that iteration, and with K empty nothing is
+    # swept after Newton.
+    theta = integrate(general_coeffs128.tau1)
+    ns = np.arange(1, 7)
+    calls: list = []
+    _count_sweeps(monkeypatch, calls)
+    alone = []
+    for k in (1, 2):
+        calls.clear()
+        _newton_family(general_coeffs128, k, ns,
+                       [asympt.eigen_guess(n, k, theta) for n in ns], theta)
+        alone.append([L for L, _ in calls])
+    calls.clear()
+    assert compute_spectral_data(general_coeffs128, 6).K == []
+    sizes = [a + b for a, b in zip_longest(*alone, fillvalue=0)]
+    assert sizes[0] == 12 and len(sizes) == 4
+    assert calls == [(L, True) for L in sizes]
 
 
 def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,

@@ -208,6 +208,33 @@ def test_batched_loop_sweep_equals_one_lambda_at_a_time(
             assert np.array_equal(np.take(got, [i], axis=lam_axis), ref)
 
 
+@pytest.mark.parametrize("store", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("with_dlambda", [False, True])
+@pytest.mark.parametrize("constant", [False, True])
+def test_mixed_variant_sweep_equals_per_variant_sweeps(
+        general_coeffs128, const_coeffs, constant, with_dlambda, backward,
+        store):
+    # A batch whose lambdas carry their own variant (c = +-1, interleaved)
+    # gives each lambda the bits of a sweep of its variant's half alone,
+    # on the loop path (general pair) and the power path (constant pair).
+    coeffs = const_coeffs if constant else general_coeffs128
+    c = np.resize([1.0, -1.0, -1.0], len(_POWER_LAMS))
+
+    def sweep(variant, lams):
+        res = _sweep(coeffs, variant, lams, np.eye(3),
+                     with_dlambda=with_dlambda, backward=backward,
+                     store=store)
+        return res if with_dlambda else (res,)
+
+    lam_axis = 1 if store else 0
+    mixed = sweep(c, _POWER_LAMS)
+    for variant in SystemVariant:
+        half = np.flatnonzero(c == variant.value)
+        for got, ref in zip(mixed, sweep(variant, _POWER_LAMS[half])):
+            assert np.array_equal(np.take(got, half, axis=lam_axis), ref)
+
+
 @pytest.fixture
 def sweep_paths(monkeypatch):
     # the name of the path each _sweep call takes
