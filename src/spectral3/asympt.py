@@ -60,18 +60,24 @@ def beta_guess(n: int, k: int, theta: complex = 0.0) -> complex:
     return 3.0 * eigen_guess(n, k, theta)
 
 
-def _cube_roots(z: complex) -> np.ndarray:
-    """The three cube roots of z, principal branch first."""
-    base = complex(z) ** (1.0 / 3.0)
+def _cube_roots(z) -> np.ndarray:
+    """The three cube roots of each z, principal branch first: shape
+    (..., 3).  The principal root is CPython's complex power, entry by
+    entry; np.power rounds it differently."""
+    z = np.asarray(z, dtype=complex)
+    base = np.array([complex(t) ** (1.0 / 3.0) for t in z.ravel()],
+                    dtype=complex).reshape(z.shape + (1,))
     return base * np.exp(2j * np.pi * np.arange(3) / 3.0)
 
 
-def root_rates(z: complex) -> np.ndarray:
-    """Real parts of the three cube roots of z in ascending order: the
-    growth rates of the exponential solutions of y''' = z y."""
-    if z == 0:
-        return np.zeros(3)
-    return np.sort(_cube_roots(z).real)
+def root_rates(z) -> np.ndarray:
+    """Real parts of the three cube roots of each z in ascending order,
+    shape (..., 3): the growth rates of the exponential solutions of
+    y''' = z y (all zero at z = 0)."""
+    z = np.asarray(z, dtype=complex)
+    rates = np.sort(_cube_roots(z).real, axis=-1)
+    rates[z == 0] = 0.0
+    return rates
 
 
 def _branch_root(target: complex, seed: complex) -> complex:

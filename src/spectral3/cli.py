@@ -12,6 +12,10 @@ codes map onto the solver error taxonomy:
     3  singular main-equation system
     4  admissibility violation (model collides with data, or the input
        data itself fails validation and --force was not given)
+
+Flags can also come from files: an argument @FILE expands in place to
+the 'key = value' lines of FILE (see _Parser), so several files all
+apply and a flag given later wins over one given earlier.
 """
 
 from __future__ import annotations
@@ -67,28 +71,6 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # Helpers
-
-
-def _jsonable(obj):
-    """Strip numpy scalar types so dumps17 can render the object."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if obj is None or isinstance(obj, str):
-        return obj
-    return str(obj)
 
 
 def _load_coeffs(path, grid: Grid) -> CoefficientPair:
@@ -166,7 +148,7 @@ def cmd_forward(args) -> int:
     }
     if _is_selfadjoint_class(coeffs):
         diag["symmetry"] = check_symmetry(data)
-    data.diagnostics = _jsonable(diag)
+    data.diagnostics = diag
     save_spectral_data(args.out, data)
     print("forward: wrote %s (n_max=%d, K=%s, theta=%.6g%+.6gj)"
           % (args.out, data.n_max, data.K, data.theta.real, data.theta.imag))
@@ -181,15 +163,14 @@ def cmd_inverse(args) -> int:
     cfg = RunConfig(grid_m=args.grid, big_n=args.big_n, n_max=data.n_max)
     if not args.force:
         _validate_input_data(data)
-    res = run_inverse(data, cfg.grid, args.big_n,
-                      theta_shift=args.model_jitter)
+    res = run_inverse(data, cfg.grid, args.big_n)
     write_coefficients(args.out, res.coeffs)
     print("inverse: wrote %s (N=%d, d=%.6g, rcond_min=%.3g)"
           % (args.out, args.big_n, res.diagnostics.get("d", float("nan")),
              res.diagnostics.get("rcond_min", float("nan"))))
     if args.diag:
         with open(args.diag, "w") as fh:
-            fh.write(dumps17(_jsonable(res.diagnostics)))
+            fh.write(dumps17(res.diagnostics))
         print("inverse: diagnostics in %s" % args.diag)
     return 0
 
@@ -259,7 +240,7 @@ def cmd_verify(args) -> int:
         res = run_inverse(data, cfg.grid, N)
         report = verify_reconstruction(res, data, N, mode="weyl")
     with open(args.out, "w") as fh:
-        fh.write(dumps17(_jsonable(report)))
+        fh.write(dumps17(report))
     print("verify(%s): %s -> %s" % (args.mode,
                                     "pass" if report["pass"] else "FAIL",
                                     args.out))
@@ -267,7 +248,7 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser and config plumbing
+# Parser
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,11 +256,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
+    # One line of an @FILE: 'key = value' -> ['--key', 'value'].
+    def convert_arg_line_to_args(self, arg_line):
+        line = arg_line.strip()
+        if not line or line.startswith("#"):
+            return []
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not (eq and key and val):
+            self.error("bad line %r in an @FILE, expected key=value" % line)
+        flag = "--" + key.replace("_", "-")
+        if val.lower() in ("true", "false"):
+            return [flag] if val.lower() == "true" else []
+        return [flag, val]
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=512,
                    help="number of grid intervals M (even, >= 64)")
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
 
 def _add_pair_tol(p: argparse.ArgumentParser) -> None:
@@ -291,7 +284,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="spectral3",
                      description="Forward and inverse spectral solver for "
                                  "the third-order operator with a "
-                                 "distributional coefficient.")
+                                 "distributional coefficient.",
+                     epilog="An argument @FILE after the subcommand is "
+                            "replaced, in place, by the 'key = value' lines "
+                            "of FILE: 'n_max = 8' reads as --n-max 8, "
+                            "'force = true' as --force ('false' adds "
+                            "nothing); blank and # lines are skipped.  When "
+                            "a flag is given twice, the later one wins.",
+                     fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", parents=[], help="coefficients -> spectral data")
@@ -310,8 +310,6 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--out", required=True, help="output coefficient CSV")
     p.add_argument("--diag", default=None, help="diagnostics JSON path")
-    p.add_argument("--model-jitter", type=float, default=0.0,
-                   help="shift the model mean to dodge eigenvalue collisions")
     p.add_argument("--force", action="store_true",
                    help="skip input-data validation")
     p.set_defaults(func=cmd_inverse)
@@ -353,59 +351,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_BOOL_KEYS = {"force"}
-
-
-def _load_config(path) -> list:
-    """key=value lines -> flag tokens (later explicit flags win)."""
-    tokens: list = []
-    with open(path) as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError("%s line %d: expected key=value" % (path, i))
-            key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("_", "-")
-            if key in _BOOL_KEYS:
-                if val.lower() in ("1", "true", "yes"):
-                    tokens.append("--" + key)
-                elif val.lower() not in ("0", "false", "no"):
-                    raise ValueError("%s line %d: %s must be boolean"
-                                     % (path, i, key))
-            else:
-                tokens.extend(["--" + key, val])
-    return tokens
-
-
-def _apply_config(argv: list) -> list:
-    """Splice --config file values in as defaults before explicit flags.
-
-    The file is given as --config FILE or --config=FILE.
-    """
-    argv = [part for tok in argv
-            for part in (tok.split("=", 1) if tok.startswith("--config=")
-                         else (tok,))]
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config needs a file argument")
-    tokens = _load_config(argv[i + 1])
-    rest = argv[:i] + argv[i + 2:]
-    if not rest or rest[0].startswith("-"):
-        raise ValueError("--config requires a subcommand")
-    return [rest[0]] + tokens + rest[1:]
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _apply_config(argv)
-    except (OSError, ValueError) as exc:
-        print("spectral3: %s" % exc, file=sys.stderr)
-        return 1
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

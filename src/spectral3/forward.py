@@ -546,7 +546,7 @@ def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
     m32 = -a["d32"] / a["d22"]
     phi2 = np.empty((L, M + 1, 3), dtype=complex)
     c = variant.value  # the lambda sign of the system
-    rates = np.array([asympt.root_rates(c * complex(l))[1] for l in lams])
+    rates = asympt.root_rates(c * lams)[:, 1]
     back = rates <= _ROUTE_EPS
     if back.any():
         basis = _sweep(coeffs, variant, lams[back], _E23,

@@ -229,7 +229,7 @@ def assemble(data: SpectralData, cache: ModelCache, N: int) -> MainAssembly:
     j = np.array([v.k + 1 for v in V])
     Y = _states_at(cache, SystemVariant.DIRECT, j, stars.lam)
     signs = _signs(V)
-    rates = np.array([root_rates(l)[v.k] for v, l in zip(V, stars.lam)])
+    rates = root_rates(stars.lam)[np.arange(len(V)), j - 1]
 
     # A[m, v0, v] = delta - (-1)^eps(v) D(x_m; Z_v, tilde phi_v0)
     A = _kernel(cache.grid, stars, Y, stars.lam, j)
@@ -342,11 +342,10 @@ def reconstruct(assembly: MainAssembly, phi: np.ndarray, dphi: np.ndarray,
 
 
 def run_inverse(data: SpectralData, grid: Grid, N: int,
-                theta_shift: complex = 0.0,
                 cache: ModelCache | None = None) -> ReconstructionResult:
     """Convenience driver: model -> assemble -> solve -> reconstruct."""
     if cache is None:
-        cache = build_model(data, grid, N, theta_shift=theta_shift)
+        cache = build_model(data, grid, N)
     assembly = assemble(data, cache, N)
     phi, dphi, diag = solve_phi(assembly)
     return reconstruct(assembly, phi, dphi, solve_diag=diag)

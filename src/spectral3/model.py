@@ -50,7 +50,6 @@ class ModelCache:
     model_data: SpectralData        # n <= N + margin
     data: SpectralData              # the given data truncated to n <= N
     N: int
-    theta_shift: complex = 0.0
     phi: dict = field(default_factory=dict)        # (k, lam) -> (M+1, 3)
     phi_star: dict = field(default_factory=dict)   # (k, lam) -> (M+1, 3)
 
@@ -81,14 +80,14 @@ class ModelCache:
             table[(k, l)] = batch[k][i]
 
 
-def _check_model(model_coeffs: CoefficientPair, theta_target: complex) -> None:
+def _check_model(model_coeffs: CoefficientPair, theta: complex) -> None:
     """Admissibility conditions 1 and 2, on the model pair alone."""
     th = integrate(model_coeffs.tau1)
-    gap = abs(th - theta_target)
-    if gap > 1e-10 * (1.0 + abs(theta_target)):
+    gap = abs(th - theta)
+    if gap > 1e-10 * (1.0 + abs(theta)):
         raise AdmissibilityViolationError(
             1, "model mean %s does not match the data mean %s"
-            % (th, theta_target), pair=(th, theta_target), gap=gap)
+            % (th, theta), pair=(th, theta), gap=gap)
     vals = np.concatenate([model_coeffs.tau1.values, model_coeffs.sigma0.values])
     if not np.isfinite(vals).all():
         raise AdmissibilityViolationError(
@@ -115,29 +114,28 @@ def _check_spectra(data: SpectralData, model_data: SpectralData) -> None:
 
 
 def build_model(data: SpectralData, grid: Grid, N: int,
-                model_coeffs: CoefficientPair | None = None,
-                theta_shift: complex = 0.0) -> ModelCache:
+                model_coeffs: CoefficientPair | None = None) -> ModelCache:
     """Construct and validate the model problem.
 
-    The default model is tau1 = theta + theta_shift constant, sigma0 = 0;
-    theta_shift (normally zero) moves the model spectrum to break
-    eigenvalue collisions explicitly.  A user-supplied model pair is
-    accepted instead through model_coeffs.
+    The default model is tau1 = theta constant, sigma0 = 0, with theta
+    the data's mean.  A user-supplied model pair is accepted instead
+    through model_coeffs; either way its mean must be the data's
+    (condition 1), and a model eigenvalue colliding with a given one is
+    an error (condition 4).
     """
     if N > data.n_max:
         raise ValueError("N=%d exceeds the data range n_max=%d" % (N, data.n_max))
-    theta_target = data.theta + theta_shift
     if model_coeffs is None:
         model_coeffs = CoefficientPair(
-            GridFunction.constant(grid, theta_target),
+            GridFunction.constant(grid, data.theta),
             GridFunction.constant(grid, 0.0))
-    _check_model(model_coeffs, theta_target)
+    _check_model(model_coeffs, data.theta)
     data_N = data.truncate(N)
     model_data = compute_spectral_data(model_coeffs, N + _MODEL_MARGIN)
     _check_spectra(data_N, model_data)
 
     return ModelCache(coeffs=model_coeffs, model_data=model_data,
-                      data=data_N, N=N, theta_shift=theta_shift)
+                      data=data_N, N=N)
 
 
 def spectral_gaps(data: SpectralData, ref: SpectralData, N: int,

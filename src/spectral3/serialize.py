@@ -2,7 +2,9 @@
 
 The standard json encoder prints the shortest round-tripping decimal;
 the file formats here pin the representation to %.17g instead so that
-files are reproducible down to the last digit across writers.
+files are reproducible down to the last digit across writers.  numpy
+arrays and scalars are written as their Python forms, and complex
+values as [re, im] pairs (complex_pair).
 """
 
 from __future__ import annotations
@@ -10,11 +12,21 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 __all__ = ["dumps17", "complex_pair", "pair_complex"]
+
+
+def _plain(obj):
+    """obj with numpy values as Python ones and a complex as its pair."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    return complex_pair(obj) if isinstance(obj, complex) else obj
 
 
 def _render(obj, parts: list, indent: int) -> None:
     pad = "  " * indent
+    obj = _plain(obj)
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -29,6 +41,7 @@ def _render(obj, parts: list, indent: int) -> None:
         if not obj:
             parts.append("[]")
             return
+        obj = [_plain(u) for u in obj]
         simple = all(isinstance(u, (int, float)) and not isinstance(u, bool)
                      for u in obj)
         if simple:

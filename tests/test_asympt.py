@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spectral3.asympt import (COINCIDE_TOL, beta_guess, eigen_guess,
                               extract_remainders, invert_index, rho_guess,
-                              validate_condition1)
+                              root_rates, validate_condition1)
 from spectral3.errors import AdmissibilityViolationError
 from spectral3.forward import SpectralData, detect_K
 from spectral3.model import build_model
@@ -47,6 +47,20 @@ def _synthetic_data(theta, n_max, kappa, kappa1):
                         lam1=np.array(lam[1]), lam2=np.array(lam[2]),
                         beta1=np.array(beta[1]), beta2=np.array(beta[2]),
                         K=[], gamma={})
+
+
+def test_root_rates_over_arrays():
+    z = np.array([[8.0, -27.0, 0.0], [3.0 + 4.0j, -1e6 - 2.0j, 1j]])
+    got = root_rates(z)
+    assert got.shape == (2, 3, 3)
+    for t, row in zip(z.ravel(), got.reshape(-1, 3)):
+        roots = complex(t) ** (1.0 / 3.0) * np.exp(
+            2j * np.pi * np.arange(3) / 3.0)
+        assert np.array_equal(row, np.sort(roots.real))
+        assert np.array_equal(root_rates(t), row)
+    assert root_rates(-27.0).shape == (3,)
+    assert np.allclose(root_rates(8.0), [-1.0, -1.0, 2.0])
+    assert root_rates(0.0).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_extract_remainders_inverts_formulas():

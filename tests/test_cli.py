@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from spectral3.cli import main
+from spectral3.cli import _build_parser, main
 from spectral3.forward import load_spectral_data, save_spectral_data
 from spectral3.grid import read_coefficients, write_coefficients
 
@@ -230,7 +230,9 @@ def test_tolerance_and_thread_flags_are_gone(zero_csv, smooth_json,
     for argv in (forward_args + ["--newton-tol", "1e-4"],
                  forward_args + ["--pole-tol", "1e-2"],
                  forward_args + ["--threads", "2"],
-                 inverse_args + ["--pair-tol", "1e-6"]):
+                 forward_args + ["--config", "x.cfg"],
+                 inverse_args + ["--pair-tol", "1e-6"],
+                 inverse_args + ["--model-jitter", "0.05"]):
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 1, argv
@@ -238,39 +240,50 @@ def test_tolerance_and_thread_flags_are_gone(zero_csv, smooth_json,
     assert forward._POLE_TOL == 1e-10
 
 
-def test_config_file(tmp_path, zero_csv):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# defaults\ngrid = 128\nn_max = 2\n")
-    out = str(tmp_path / "o.json")
-    rc = main(["forward", "--config", str(cfg), "--coeffs", zero_csv,
-               "--out", out])
-    assert rc == 0
-    assert json.loads(open(out).read())["n_max"] == 2
-    # explicit flags win over config values
-    out2 = str(tmp_path / "o2.json")
-    rc = main(["forward", "--config", str(cfg), "--coeffs", zero_csv,
-               "--n-max", "3", "--out", out2])
-    assert rc == 0
-    assert json.loads(open(out2).read())["n_max"] == 3
-    # --config=FILE is the same as --config FILE, grid included
-    out3 = str(tmp_path / "o3.json")
-    rc = main(["forward", "--config=" + str(cfg), "--coeffs", zero_csv,
-               "--out", out3])
-    assert rc == 0
-    assert open(out3).read() == open(out).read()
+def _parse(argv):
+    return _build_parser().parse_args(argv)
 
 
-def test_config_file_errors(tmp_path, zero_csv, capsys):
-    bad = tmp_path / "bad.cfg"
+def test_file_arguments(tmp_path, zero_csv):
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("# defaults\n\nn_max = 2\n")
+    b.write_text("grid = 128\n")
+    tail = ["--coeffs", zero_csv, "--out", "o.json"]
+    # two files both apply
+    args = _parse(["forward", "@%s" % a, "@%s" % b] + tail)
+    assert (args.n_max, args.grid) == (2, 128)
+    # a flag after the file wins, a flag before it loses
+    assert _parse(["forward", "@%s" % a, "--n-max", "3"] + tail).n_max == 3
+    assert _parse(["forward", "--n-max", "3", "@%s" % a] + tail).n_max == 2
+    # booleans switch a flag on or leave it out
+    f = tmp_path / "f.cfg"
+    inv = ["inverse", "--data", "d.json", "--big-n", "2", "--out", "o.csv"]
+    f.write_text("force = true\n")
+    assert _parse(inv + ["@%s" % f]).force is True
+    f.write_text("force = false\n")
+    assert _parse(inv + ["@%s" % f]).force is False
+    # end to end: the run reads both files
+    out, ref = str(tmp_path / "o.json"), str(tmp_path / "ref.json")
+    assert main(["forward", "@%s" % a, "@%s" % b, "--coeffs", zero_csv,
+                 "--out", out]) == 0
+    assert main(["forward", "--n-max", "2", "--grid", "128",
+                 "--coeffs", zero_csv, "--out", ref]) == 0
+    assert open(out).read() == open(ref).read()
+
+
+def test_file_argument_errors(tmp_path, zero_csv, capsys):
+    tail = ["--coeffs", zero_csv, "--n-max", "2",
+            "--out", str(tmp_path / "o.json")]
+    bad, unknown = tmp_path / "bad.cfg", tmp_path / "unknown.cfg"
     bad.write_text("griddle\n")
-    rc = main(["forward", "--config", str(bad), "--coeffs", zero_csv,
-               "--n-max", "2", "--out", str(tmp_path / "o.json")])
-    assert rc == 1
-    assert "key=value" in capsys.readouterr().err
-    rc = main(["forward", "--config", str(tmp_path / "missing.cfg"),
-               "--coeffs", zero_csv, "--n-max", "2",
-               "--out", str(tmp_path / "o.json")])
-    assert rc == 1
+    unknown.write_text("griddle = 3\n")
+    for cfg in (bad, tmp_path / "missing.cfg", unknown):
+        with pytest.raises(SystemExit) as ei:
+            main(["forward", "@%s" % cfg] + tail)
+        assert ei.value.code == 1, cfg
+        err = capsys.readouterr().err
+        if cfg == bad:
+            assert "key=value" in err
 
 
 def test_outputs_are_deterministic_and_reread_exactly(tmp_path, zero_csv,

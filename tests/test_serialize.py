@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,11 +35,34 @@ def test_bool_not_number():
     assert dumps17([True, False]).strip() == "[\n  true,\n  false\n]"
 
 
+@pytest.mark.parametrize("value, plain", [
+    (np.float64(0.1), 0.1),
+    (np.int64(7), 7),
+    (np.bool_(True), True),
+    ([np.int64(1), np.float64(-0.25)], [1, -0.25]),
+    (np.array(2.5), 2.5),
+    (np.array([1, 2, 3]), [1, 2, 3]),
+    (np.array([[0.5, 1.0], [np.pi, -2.0]]), [[0.5, 1.0], [np.pi, -2.0]]),
+    (np.array([True, False]), [True, False]),
+    (1.5 - 2.0j, complex_pair(1.5 - 2.0j)),
+    (np.complex128(-0.0 + 3.0j), complex_pair(-0.0 + 3.0j)),
+    (np.array([1.0 + 2.0j, 3.0]), [[1.0, 2.0], [3.0, 0.0]]),
+    ({"k": (np.float64(1.0), 2j)}, {"k": [1.0, [0.0, 2.0]]}),
+])
+def test_numpy_and_complex_render_as_python(value, plain):
+    assert dumps17(value) == dumps17(plain)
+    assert dumps17({"v": value}) == dumps17({"v": plain})
+
+
 def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        dumps17({"v": float("inf")})
+    for bad in (float("inf"), np.float64("nan"), np.array([1.0, np.inf]),
+                complex(0.0, float("inf"))):
+        with pytest.raises(ValueError):
+            dumps17({"v": bad})
     with pytest.raises(TypeError):
         dumps17({"v": object()})
+    with pytest.raises(TypeError):
+        dumps17({"v": np.datetime64("2020-01-01")})
 
 
 @given(finite, finite)
