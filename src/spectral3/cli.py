@@ -252,6 +252,12 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    # No prefix matching, for the top-level parser and every subparser
+    # (add_parser builds them from this class): '--gr', or 'gr = 128' in
+    # an @FILE, is an unknown flag, not --grid.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # Bad flags are a parse problem: exit 1, matching the file-error code.
     def error(self, message):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))

@@ -166,17 +166,19 @@ def integrate(f: GridFunction) -> complex:
 def cumulative(f: GridFunction) -> GridFunction:
     """Antiderivative with value 0 at x = 0, fourth-order at every node.
 
-    Even prefixes are composite Simpson; the odd node is reached from the
+    f is a GridFunction or an array of nodal values, (M+1,) or one column
+    per function, (M+1, P); the result has the same type and shape.  Even
+    prefixes are composite Simpson; the odd node is reached from the
     previous even one by the corrected trapezoid rule (cubic Newton-Cotes
     weights), so the whole table is O(h^4) rather than O(h^3).
     """
     v = _values(f)
     M = v.shape[0] - 1
     h = 1.0 / M
-    out = np.zeros(M + 1, dtype=complex)
+    out = np.zeros(v.shape, dtype=complex)
     # Simpson pairs for the even nodes.
     pair = h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-    out[2::2] = np.cumsum(pair)
+    out[2::2] = np.cumsum(pair, axis=0)
     # Single-cell corrected trapezoid for each odd node.
     odd = np.arange(1, M + 1, 2)
     inner = odd[odd >= 3]

@@ -286,6 +286,20 @@ def test_file_argument_errors(tmp_path, zero_csv, capsys):
             assert "key=value" in err
 
 
+def test_abbreviated_flags_exit_1(tmp_path, zero_csv, capsys):
+    # a prefix of a real flag is an unknown flag, on the command line and
+    # in an @FILE alike: '--gr 128' is not read as '--grid 128'
+    cfg = tmp_path / "gr.cfg"
+    cfg.write_text("gr = 128\n")
+    tail = ["--coeffs", zero_csv, "--n-max", "2",
+            "--out", str(tmp_path / "o.json")]
+    for extra in (["--gr", "128"], ["@%s" % cfg]):
+        with pytest.raises(SystemExit) as ei:
+            main(["forward"] + tail + extra)
+        assert ei.value.code == 1, extra
+        assert "unrecognized arguments: --gr 128" in capsys.readouterr().err
+
+
 def test_outputs_are_deterministic_and_reread_exactly(tmp_path, zero_csv,
                                                       smooth_json):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

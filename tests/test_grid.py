@@ -61,6 +61,19 @@ def test_cumulative_fourth_order_at_odd_nodes():
     assert errs[0] / errs[1] > 12.0
 
 
+def test_cumulative_columns_equal_one_dimensional_calls():
+    # a (M+1, P) array integrates column by column, bit for bit
+    g = Grid(64)
+    rng = np.random.default_rng(7)
+    cols = rng.standard_normal((65, 5)) + 1j * rng.standard_normal((65, 5))
+    for v in (cols, cols.T.copy().T):        # C- and F-ordered columns
+        out = cumulative(v)
+        assert out.shape == (65, 5)
+        for p in range(5):
+            assert np.array_equal(out[:, p], cumulative(v[:, p]))
+    assert cumulative(np.zeros((65, 0))).shape == (65, 0)
+
+
 def test_differentiate_exact_for_cubic():
     g = Grid(32)
     f = GridFunction.from_callable(g, lambda x: x**3 - x**2)

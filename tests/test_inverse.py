@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from spectral3.errors import PoleHitError, SingularSystemError
 from spectral3.forward import SpectralData, compute_spectral_data
@@ -188,13 +189,21 @@ def test_stability_input_guards(smooth_data8, smooth_data20, grid512):
                                             deltas=[1e-2]))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_singular_node_guard(smooth_data8, cache4):
+@pytest.mark.parametrize("bad, value, node", [
+    ((3,), 0.0, 3),
+    ((200,), 0.0, 200),          # a later block of nodes
+    ((512,), 0.0, 512),          # the last node, alone in its block
+    ((5,), np.nan, 5),
+    ((201, 7), 0.0, 7),          # the lower singular node is reported
+    ((18, 17), 0.0, 17),         # two in one block
+], ids=["node3", "node200", "last", "nan", "two", "two_in_block"])
+def test_singular_node_guard(smooth_data8, cache4, bad, value, node):
     assembly = assemble(smooth_data8, cache4, 4)
-    assembly.A[3] = 0.0
+    for m in bad:
+        assembly.A[m] = value
     with pytest.raises(SingularSystemError) as ei:
         solve_phi(assembly)
-    assert ei.value.node == 3
+    assert ei.value.node == node
 
 
 def _coinciding_data(smooth_data8):
@@ -207,6 +216,55 @@ def _coinciding_data(smooth_data8):
                    beta1=np.concatenate([[0.0], d.beta1[1:]]),
                    beta2=d.beta2.copy(),
                    K=[1], gamma={1: 1.0})
+
+
+def _solve_phi_per_node(assembly):
+    # the node loop solve_phi replaced: scipy's lu_factor/lu_solve and
+    # gecon one node at a time, the reference its blocked version must
+    # match bit for bit
+    grid = assembly.grid
+    M = grid.M
+    phi = np.empty((len(assembly.V), M + 1), dtype=complex)
+    dphi = np.empty_like(phi)
+    gecon = get_lapack_funcs(("gecon",), (assembly.A,))[0]
+    rcond_min = np.inf
+    residual_max = 0.0
+    for m in range(M + 1):
+        w = np.exp(assembly.rates * grid.nodes[m])
+        Ahat = assembly.A[m] * (w[None, :] / w[:, None])
+        anorm = float(np.abs(Ahat).sum(axis=0).max())
+        lu = lu_factor(Ahat, check_finite=False)
+        rcond = float(gecon(lu[0], anorm)[0])
+        assert np.isfinite(rcond) and rcond >= 1e-13
+        rcond_min = min(rcond_min, rcond)
+        b1 = assembly.tilde_phi[:, m] / w
+        xhat = lu_solve(lu, b1, check_finite=False)
+        phi[:, m] = w * xhat
+        res = float(np.abs(Ahat @ xhat - b1).max() / (1.0 + np.abs(b1).max()))
+        residual_max = max(residual_max, res)
+        s = np.sum(assembly.signs * assembly.eta[:, m] * phi[:, m])
+        b2 = (assembly.tilde_dphi[:, m] + assembly.tilde_phi[:, m] * s) / w
+        dphi[:, m] = w * lu_solve(lu, b2, check_finite=False)
+    diag = {"rcond_min": rcond_min, "cond_max": 1.0 / rcond_min,
+            "residual_max": residual_max}
+    return phi, dphi, diag
+
+
+def test_solve_phi_matches_per_node_reference(smooth_data8, cache4, grid512,
+                                              general_coeffs128, grid128):
+    d = _coinciding_data(smooth_data8)
+    data128 = compute_spectral_data(general_coeffs128, 4)
+    for data, cache, N in ((smooth_data8, cache4, 4),
+                           (d, build_model(d, grid512, 3), 3),
+                           (data128, build_model(data128, grid128, 3), 3)):
+        assembly = assemble(data, cache, N)
+        A = assembly.A.copy()
+        phi, dphi, diag = solve_phi(assembly)
+        ref_phi, ref_dphi, ref_diag = _solve_phi_per_node(assembly)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(dphi, ref_dphi)
+        assert diag == ref_diag
+        assert np.array_equal(assembly.A, A)
 
 
 def _pairwise_A(data, cache, N):
