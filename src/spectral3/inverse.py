@@ -9,13 +9,16 @@ given data and eps = 1 the model data; for each grid node the system
     phi_{v0} - sum_v (-1)^eps(v) G_{v,v0} phi_v = tilde_phi_{v0}
 
 is solved for phi with one LU factorization per node; the same factors
-solve the differentiated system for phi'.  Only the LAPACK calls run node
-by node; the work around them runs over blocks of nodes.  Every kernel
-G_{v,v0}, eta_v and Phi^N value comes from one combined star state per
-index, Z_v = (-1)^k beta_v Phi*_{4-k}(., lambda_v) (with -gamma_n Phi*_3
-added on the coinciding set K), paired with a direct Weyl state by one
-kernel routine: the Lagrange bracket over mu - lambda for all pairs at
-once, or its integral form near coinciding arguments.
+solve the differentiated system for phi'.  assemble keeps only the small
+kernel factors; solve_phi builds the node matrices from them one block of
+nodes at a time, so the (M+1, 4N, 4N) stack of all of them is never held.
+Only the LAPACK calls run node by node; the work around them runs over
+blocks of nodes.  Every kernel G_{v,v0}, eta_v and Phi^N value comes from
+one combined star state per index, Z_v = (-1)^k beta_v Phi*_{4-k}(.,
+lambda_v) (with -gamma_n Phi*_3 added on the coinciding set K), paired
+with a direct Weyl state by one kernel routine: the Lagrange bracket over
+mu - lambda for all pairs at once, or its integral form near coinciding
+arguments.
 
 Conditioning note: phi_v and the kernel columns grow or decay like
 exp(rate x) with rate the relevant real part of the cube roots of
@@ -61,9 +64,10 @@ _KERNEL_SWITCH = 1e-6
 
 _RCOND_FLOOR = 1e-13
 
-# Nodes per block of solve_phi.  A block holds its scaled matrices and
-# their LU factors, 2 x 8 x (4N)^2 complex entries (2.4 MB at N = 24);
-# 16 nodes were no faster and raised the inverse peak RSS by 4%.
+# Nodes per block of solve_phi.  A block's node matrices are built,
+# scaled in place and factorized, 2 x 8 x (4N)^2 complex entries (2.4 MB
+# at N = 24); they are the only copy of the matrices the solve holds.
+# 16 nodes were no faster and raised the inverse peak RSS by 3.4 MB.
 _NODE_BLOCK = 8
 
 # Breach threshold of the verify_reconstruction(mode="weyl") checks.
@@ -131,27 +135,33 @@ def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
     return StarStates(Z, lam, np.where(k == 2, beta, 0.0), regularized)
 
 
-def _kernel(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
-            j) -> np.ndarray:
-    """Two-point kernels D(x; Z_v, Y_w) for every pair: out[m, w, v].
+class KernelFactors(NamedTuple):
+    """The node-wise factors of the two-point kernels D(x; Z_v, Y_w),
+    from which _bracket builds out[m, w, v] for any slice of nodes."""
+
+    Yb: np.ndarray    # (M+1, W, 3)  (y^[2], -y', y) at every node
+    Zt: np.ndarray    # (M+1, 3, L)  (z, z', z^[2]) at every node
+    den: np.ndarray   # (W, L)  mu_w - lam_v, or 1 on the near pairs
+    ws: np.ndarray    # (P,)  near pairs (w, v)
+    vs: np.ndarray    # (P,)
+    vals: np.ndarray  # (M+1, P)  their integral-form values
+
+
+def _kernel_factors(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
+                    j) -> KernelFactors:
+    """Factors of the two-point kernels D(x; Z_v, Y_w) for every pair.
 
     Y (W, M+1, 3) holds direct states Phi_{j_w}(., mu_w).  Bracket form
-    (Z^[2] Y - Z' Y' + Z Y^[2]) / (mu_w - lam_v), one batched product
-    over the nodes; pairs with nearly equal arguments take the integral
-    form cumulative(Z Y) instead, plus the explicit pole
-    pole_v / (lam_v - mu_w) when j_w = 2.  Evaluating that pole at
-    lam_v = mu_w raises unless row v is regularized.
+    (Z^[2] Y - Z' Y' + Z Y^[2]) / (mu_w - lam_v); pairs with nearly equal
+    arguments take the integral form cumulative(Z Y) instead, plus the
+    explicit pole pole_v / (lam_v - mu_w) when j_w = 2.  Evaluating that
+    pole at lam_v = mu_w raises unless row v is regularized.
     """
     lam = stars.lam
     j = np.broadcast_to(j, mu.shape)
     diff = mu[:, None] - lam[None, :]
     scale = 1.0 + np.maximum(np.abs(mu)[:, None], np.abs(lam)[None, :])
     near = ~(np.abs(diff) > _KERNEL_SWITCH * scale)
-
-    # (y^[2], -y', y) against (z, z', z^[2]) at every node
-    Yb = np.transpose(Y[:, :, ::-1] * np.array([1.0, -1.0, 1.0]), (1, 0, 2))
-    out = np.matmul(Yb, np.transpose(stars.Z, (1, 2, 0)))
-    out /= np.where(near, 1.0, diff)
 
     ws, vs = np.nonzero(near)
     vals = cumulative(np.transpose(stars.Z[vs, :, 0] * Y[ws, :, 0]))
@@ -164,8 +174,28 @@ def _kernel(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
             % (lam[vs[bad[0]]],))
     add = pole & ~hit
     vals[:, add] += stars.pole[vs[add]] / (lam[vs[add]] - mu[ws[add]])
-    out[:, ws, vs] = vals
+    return KernelFactors(
+        Yb=np.transpose(Y[:, :, ::-1] * np.array([1.0, -1.0, 1.0]),
+                        (1, 0, 2)),
+        Zt=np.transpose(stars.Z, (1, 2, 0)),
+        den=np.where(near, 1.0, diff), ws=ws, vs=vs, vals=vals)
+
+
+def _bracket(f: KernelFactors, nodes: slice = slice(None)) -> np.ndarray:
+    """D(x_m; Z_v, Y_w) as out[m, w, v] for the nodes m of the slice: one
+    batched product over the nodes, divided by mu - lam, with the near
+    pairs overwritten by their integral form."""
+    out = np.matmul(f.Yb[nodes], f.Zt[nodes])
+    out /= f.den
+    out[:, f.ws, f.vs] = f.vals[nodes]
     return out
+
+
+def _kernel(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
+            j) -> np.ndarray:
+    """Two-point kernels D(x; Z_v, Y_w) for every pair at every node:
+    out[m, w, v]; see _kernel_factors."""
+    return _bracket(_kernel_factors(stars, Y, mu, j))
 
 
 def kernel_D(cache: ModelCache, kj, lam: complex, mu: complex,
@@ -194,8 +224,13 @@ def kernel_D(cache: ModelCache, kj, lam: complex, mu: complex,
 
 @dataclass
 class MainAssembly:
-    """Node-wise matrices and tables of the truncated main system, with
-    the star states and the model cache they were built from."""
+    """Tables of the truncated main system, with the star states and the
+    model cache they were built from.
+
+    The node matrices A[m, v0, v] are not stored: node_matrices builds
+    them for a slice of nodes from the kernel factors, and A builds all
+    M+1 of them on request.
+    """
 
     cache: ModelCache
     grid: Grid
@@ -203,7 +238,7 @@ class MainAssembly:
     V: list
     data: SpectralData      # the given data truncated to n <= N
     stars: StarStates
-    A: np.ndarray           # (M+1, 4N, 4N): A[m, v0, v]
+    kernel: KernelFactors   # of D(x; Z_v, tilde phi_v0)
     tilde_phi: np.ndarray   # (4N, M+1)
     tilde_dphi: np.ndarray  # (4N, M+1)
     signs: np.ndarray       # (4N,)  (-1)^eps
@@ -217,6 +252,20 @@ class MainAssembly:
     def deta(self) -> np.ndarray:
         return self.stars.Z[:, :, 1]
 
+    def node_matrices(self, nodes: slice = slice(None)) -> np.ndarray:
+        """A[m, v0, v] = delta - (-1)^eps(v) D(x_m; Z_v, tilde phi_v0)
+        for the nodes m of the slice, (nodes, 4N, 4N)."""
+        A = _bracket(self.kernel, nodes)
+        A *= -self.signs
+        idx = np.arange(len(self.V))
+        A[:, idx, idx] += 1.0
+        return A
+
+    @property
+    def A(self) -> np.ndarray:
+        """All node matrices, (M+1, 4N, 4N); built anew on each access."""
+        return self.node_matrices()
+
     def gprime(self, i_v: int, i_v0: int) -> np.ndarray:
         """G'_{v,v0} = eta_v * tilde_phi_{v0} (nodal values)."""
         return self.eta[i_v] * self.tilde_phi[i_v0]
@@ -227,24 +276,20 @@ def _signs(V: list) -> np.ndarray:
 
 
 def assemble(data: SpectralData, cache: ModelCache, N: int) -> MainAssembly:
-    """Build the node-wise matrices of the truncated main system on the
-    grid of the model cache."""
+    """Build the states, kernel factors and tables of the truncated main
+    system on the grid of the model cache; the node matrices are built
+    from them block by block in solve_phi."""
     data_N = data.truncate(N)
     V = index_set(N)
     stars = _star_states(cache, data_N, N)
     j = np.array([v.k + 1 for v in V])
     Y = _states_at(cache, SystemVariant.DIRECT, j, stars.lam)
-    signs = _signs(V)
     rates = root_rates(stars.lam)[np.arange(len(V)), j - 1]
-
-    # A[m, v0, v] = delta - (-1)^eps(v) D(x_m; Z_v, tilde phi_v0)
-    A = _kernel(stars, Y, stars.lam, j)
-    A *= -signs
-    idx = np.arange(len(V))
-    A[:, idx, idx] += 1.0
     return MainAssembly(cache=cache, grid=cache.grid, N=N, V=V, data=data_N,
-                        stars=stars, A=A, tilde_phi=Y[:, :, 0],
-                        tilde_dphi=Y[:, :, 1], signs=signs, rates=rates)
+                        stars=stars,
+                        kernel=_kernel_factors(stars, Y, stars.lam, j),
+                        tilde_phi=Y[:, :, 0], tilde_dphi=Y[:, :, 1],
+                        signs=_signs(V), rates=rates)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +304,15 @@ def solve_phi(assembly: MainAssembly):
     number (1-norm) must stay above _RCOND_FLOOR.  The same factors solve
     Ahat xhat = tilde_phi / w, giving phi = w xhat, and then the
     differentiated system A phi' = tilde_phi' + tilde_phi s with
-    s = sum_v (-1)^eps(v) eta_v phi_v.  diag holds the smallest rcond, its
-    inverse, and the largest relative residual of the phi solve.
+    s = sum_v (-1)^eps(v) eta_v phi_v.  diag holds the smallest rcond, the
+    first node where it occurs, its inverse, and the largest relative
+    residual of the phi solve.
 
-    The nodes run in blocks of _NODE_BLOCK: scaling, norms, right-hand
-    sides, residuals and products are array operations on a block; only
-    the LAPACK getrf/gecon/getrs calls run node by node.
+    The nodes run in blocks of _NODE_BLOCK: each block's matrices are
+    built by assembly.node_matrices and scaled in place, so no more than
+    one block of them exists at a time; norms, right-hand sides,
+    residuals and products are array operations on a block; only the
+    LAPACK getrf/gecon/getrs calls run node by node.
     """
     grid = assembly.grid
     M = grid.M
@@ -272,16 +320,17 @@ def solve_phi(assembly: MainAssembly):
     phi = np.empty((size, M + 1), dtype=complex)
     dphi = np.empty_like(phi)
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
-                                           (assembly.A,))
+                                           (phi,))
     nodes = grid.nodes
-    rcond_min = np.inf
+    rcond_min, rcond_node = np.inf, -1
     residual_max = 0.0
     for start in range(0, M + 1, _NODE_BLOCK):
         block = slice(start, min(start + _NODE_BLOCK, M + 1))
         # node-major (nodes, 4N) rows, contiguous along v
         tphi = np.ascontiguousarray(assembly.tilde_phi[:, block].T)
         w = np.exp(assembly.rates * nodes[block, None])
-        Ahat = assembly.A[block] * (w[:, None, :] / w[:, :, None])
+        Ahat = assembly.node_matrices(block)
+        Ahat *= w[:, None, :] / w[:, :, None]
         # column sums over the non-contiguous axis add sequentially, in the
         # order of a single matrix's sum(axis=0)
         anorm = np.abs(Ahat).sum(axis=1).max(axis=1)
@@ -293,7 +342,8 @@ def solve_phi(assembly: MainAssembly):
             rcond = float(gecon(lu, anorm[i])[0])
             if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
                 raise SingularSystemError(m, rcond)
-            rcond_min = min(rcond_min, rcond)
+            if rcond < rcond_min:
+                rcond_min, rcond_node = rcond, m
             xhat[i] = getrs(lu, piv, b1[i])[0]
             factors.append((lu, piv))
         phi_b = w * xhat
@@ -311,8 +361,8 @@ def solve_phi(assembly: MainAssembly):
         for i, (lu, piv) in enumerate(factors):
             x2[i] = getrs(lu, piv, b2[i])[0]
         dphi[:, block] = (w * x2).T
-    diag = {"rcond_min": rcond_min, "cond_max": 1.0 / rcond_min,
-            "residual_max": residual_max}
+    diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
+            "cond_max": 1.0 / rcond_min, "residual_max": residual_max}
     return phi, dphi, diag
 
 

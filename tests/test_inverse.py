@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
@@ -6,7 +8,8 @@ from spectral3.errors import PoleHitError, SingularSystemError
 from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             differentiate, l2_norm, w2m1_distance)
-from spectral3.inverse import (IndexV, _phiN_tables, _star_states, assemble,
+from spectral3.inverse import (_NODE_BLOCK, IndexV, MainAssembly,
+                               _phiN_tables, _star_states, assemble,
                                index_set, kernel_D, reconstruct, run_inverse,
                                solve_phi, stability_experiment,
                                verify_reconstruction)
@@ -197,10 +200,21 @@ def test_stability_input_guards(smooth_data8, smooth_data20, grid512):
     ((201, 7), 0.0, 7),          # the lower singular node is reported
     ((18, 17), 0.0, 17),         # two in one block
 ], ids=["node3", "node200", "last", "nan", "two", "two_in_block"])
-def test_singular_node_guard(smooth_data8, cache4, bad, value, node):
+def test_singular_node_guard(smooth_data8, cache4, bad, value, node,
+                             monkeypatch):
+    # solve_phi builds the node matrices block by block; overwrite the bad
+    # nodes inside the blocks that contain them
+    build = MainAssembly.node_matrices
+
+    def patched(self, nodes=slice(None)):
+        A = build(self, nodes)
+        for m in bad:
+            if nodes.start <= m < nodes.stop:
+                A[m - nodes.start] = value
+        return A
+
+    monkeypatch.setattr(MainAssembly, "node_matrices", patched)
     assembly = assemble(smooth_data8, cache4, 4)
-    for m in bad:
-        assembly.A[m] = value
     with pytest.raises(SingularSystemError) as ei:
         solve_phi(assembly)
     assert ei.value.node == node
@@ -224,19 +238,21 @@ def _solve_phi_per_node(assembly):
     # match bit for bit
     grid = assembly.grid
     M = grid.M
+    A = assembly.A
     phi = np.empty((len(assembly.V), M + 1), dtype=complex)
     dphi = np.empty_like(phi)
-    gecon = get_lapack_funcs(("gecon",), (assembly.A,))[0]
-    rcond_min = np.inf
+    gecon = get_lapack_funcs(("gecon",), (A,))[0]
+    rcond_min, rcond_node = np.inf, -1
     residual_max = 0.0
     for m in range(M + 1):
         w = np.exp(assembly.rates * grid.nodes[m])
-        Ahat = assembly.A[m] * (w[None, :] / w[:, None])
+        Ahat = A[m] * (w[None, :] / w[:, None])
         anorm = float(np.abs(Ahat).sum(axis=0).max())
         lu = lu_factor(Ahat, check_finite=False)
         rcond = float(gecon(lu[0], anorm)[0])
         assert np.isfinite(rcond) and rcond >= 1e-13
-        rcond_min = min(rcond_min, rcond)
+        if rcond < rcond_min:
+            rcond_min, rcond_node = rcond, m
         b1 = assembly.tilde_phi[:, m] / w
         xhat = lu_solve(lu, b1, check_finite=False)
         phi[:, m] = w * xhat
@@ -245,8 +261,8 @@ def _solve_phi_per_node(assembly):
         s = np.sum(assembly.signs * assembly.eta[:, m] * phi[:, m])
         b2 = (assembly.tilde_dphi[:, m] + assembly.tilde_phi[:, m] * s) / w
         dphi[:, m] = w * lu_solve(lu, b2, check_finite=False)
-    diag = {"rcond_min": rcond_min, "cond_max": 1.0 / rcond_min,
-            "residual_max": residual_max}
+    diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
+            "cond_max": 1.0 / rcond_min, "residual_max": residual_max}
     return phi, dphi, diag
 
 
@@ -258,7 +274,7 @@ def test_solve_phi_matches_per_node_reference(smooth_data8, cache4, grid512,
                            (d, build_model(d, grid512, 3), 3),
                            (data128, build_model(data128, grid128, 3), 3)):
         assembly = assemble(data, cache, N)
-        A = assembly.A.copy()
+        A = assembly.A
         phi, dphi, diag = solve_phi(assembly)
         ref_phi, ref_dphi, ref_diag = _solve_phi_per_node(assembly)
         assert np.array_equal(phi, ref_phi)
@@ -304,8 +320,7 @@ def test_assembly_matches_pairwise_kernels(smooth_data8, cache4, grid512):
     _assert_matches_pairwise(d, build_model(d, grid512, 3), 3)
 
 
-def test_assembly_near_coinciding_data_and_model(smooth_data8, cache4,
-                                                 grid512):
+def _near_coinciding_data(smooth_data8, cache4):
     # a data eigenvalue inside the integral-form switch (relative gap
     # 1e-6) of a model eigenvalue but outside the admissibility gap
     # (1e-8): once within its own family (no pole), once against the
@@ -315,7 +330,50 @@ def test_assembly_near_coinciding_data_and_model(smooth_data8, cache4,
         d = smooth_data8.copy()
         lam = target + 1e-7 * (1.0 + abs(target))
         (d.lam1 if k == 1 else d.lam2)[n - 1] = lam
+        yield d
+
+
+def test_assembly_near_coinciding_data_and_model(smooth_data8, cache4,
+                                                 grid512):
+    for d in _near_coinciding_data(smooth_data8, cache4):
         _assert_matches_pairwise(d, build_model(d, grid512, 4), 4)
+
+
+def test_node_blocks_equal_full_stack(smooth_data8, cache4, grid512,
+                                      general_coeffs128, grid128):
+    # solve_phi builds the node matrices one block at a time; the blocks
+    # must be the all-node stack bit for bit, the ragged last block of
+    # M + 1 = 513 or 129 nodes included
+    d = _coinciding_data(smooth_data8)
+    data128 = compute_spectral_data(general_coeffs128, 4)
+    cases = [(smooth_data8, cache4, 4), (d, build_model(d, grid512, 3), 3),
+             (data128, build_model(data128, grid128, 3), 3)]
+    cases += [(d, build_model(d, grid512, 4), 4)
+              for d in _near_coinciding_data(smooth_data8, cache4)]
+    for data, cache, N in cases:
+        assembly = assemble(data, cache, N)
+        M = assembly.grid.M
+        assert (M + 1) % _NODE_BLOCK != 0
+        blocks = [assembly.node_matrices(slice(start,
+                                               min(start + _NODE_BLOCK, M + 1)))
+                  for start in range(0, M + 1, _NODE_BLOCK)]
+        assert np.array_equal(np.concatenate(blocks), assembly.A)
+
+
+def test_solve_holds_no_full_matrix_stack(smooth_data8, grid512):
+    # assemble + solve_phi at N = 8 peak below the bytes of one
+    # (M+1, 4N, 4N) complex stack, 8.4 MB: the node matrices exist one
+    # block at a time
+    N = 8
+    cache = build_model(smooth_data8, grid512, N)
+    stack = (grid512.M + 1) * (4 * N) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        solve_phi(assemble(smooth_data8, cache, N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack
 
 
 def test_coinciding_pair_branches_run(smooth_data8, grid512):
