@@ -42,7 +42,8 @@ from .inverse import (
     solve_phi,
     reconstruct,
     run_inverse,
-    verify_reconstruction,
+    verify_spectral,
+    verify_weyl,
     stability_experiment,
 )
 from .selfadjoint import HalfData, complete, restrict, check_suff_conditions, check_symmetry

@@ -35,8 +35,8 @@ from .forward import (SpectralData, compute_spectral_data,
                       load_spectral_data, save_spectral_data)
 from .grid import (Grid, l2_norm, read_coefficients, resample,
                    w2m1_distance, write_coefficients, CoefficientPair)
-from .inverse import (ReconstructionResult, run_inverse,
-                      stability_experiment, verify_reconstruction)
+from .inverse import (run_inverse, stability_experiment, verify_spectral,
+                      verify_weyl)
 from .model import spectral_gaps
 from .selfadjoint import check_symmetry
 from .serialize import dumps17
@@ -231,14 +231,13 @@ def cmd_verify(args) -> int:
     if args.mode == "spectral":
         if not args.rec:
             raise ValueError("--rec is required for mode=spectral")
-        coeffs = _load_coeffs(args.rec, cfg.grid)
-        thin = ReconstructionResult(coeffs.tau1, coeffs.sigma0,
-                                    None, None, [])
-        report = verify_reconstruction(thin, data, N, mode="spectral",
-                                       rtol=args.rtol)
+        report = verify_spectral(_load_coeffs(args.rec, cfg.grid), data, N,
+                                 rtol=args.rtol)
     else:
-        res = run_inverse(data, cfg.grid, N)
-        report = verify_reconstruction(res, data, N, mode="weyl")
+        if args.rec:   # a coefficient CSV holds no phi tables to check
+            raise ValueError("--rec is not read by mode=weyl, which checks "
+                             "a fresh reconstruction from --data")
+        report = verify_weyl(run_inverse(data, cfg.grid, N))
     with open(args.out, "w") as fh:
         fh.write(dumps17(report))
     print("verify(%s): %s -> %s" % (args.mode,

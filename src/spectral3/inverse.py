@@ -2,7 +2,7 @@
 reconstruction of the coefficients from spectral data.
 
 The pipeline is: build_model (model.py) -> assemble -> solve_phi ->
-reconstruct -> verify_reconstruction.  The unknowns are the functions
+reconstruct -> verify_weyl (or verify_spectral on the pair).  The unknowns are the functions
 phi_v(x) indexed by v = (n, k, eps) with n <= N, eps = 0 marking the
 given data and eps = 1 the model data; for each grid node the system
 
@@ -55,7 +55,8 @@ __all__ = [
     "ReconstructionResult",
     "reconstruct",
     "run_inverse",
-    "verify_reconstruction",
+    "verify_spectral",
+    "verify_weyl",
     "stability_experiment",
 ]
 
@@ -70,7 +71,7 @@ _RCOND_FLOOR = 1e-13
 # 16 nodes were no faster and raised the inverse peak RSS by 3.4 MB.
 _NODE_BLOCK = 8
 
-# Breach threshold of the verify_reconstruction(mode="weyl") checks.
+# Breach threshold of the verify_weyl checks.
 _WEYL_TOL = 1e-6
 
 _VALID_KJ = {(2, 2), (2, 3), (3, 2), (3, 3)}
@@ -372,7 +373,7 @@ def solve_phi(assembly: MainAssembly):
 
 @dataclass
 class ReconstructionResult:
-    """Recovered coefficients and the solved phi tables.
+    """Recovered coefficients, the solved phi tables and their assembly.
 
     tau0N is carried distributionally through sigma0N (its derivative);
     consumers work with sigma0N directly.
@@ -382,9 +383,8 @@ class ReconstructionResult:
     sigma0N: GridFunction
     phi: np.ndarray
     dphi: np.ndarray
-    V: list
+    assembly: MainAssembly
     diagnostics: dict = field(default_factory=dict)
-    cache: ModelCache | None = None
 
     @property
     def coeffs(self) -> CoefficientPair:
@@ -419,7 +419,7 @@ def reconstruct(assembly: MainAssembly, phi: np.ndarray, dphi: np.ndarray,
         diag.update(solve_diag)
     return ReconstructionResult(GridFunction(grid, tau1N),
                                 GridFunction(grid, sigma0N),
-                                phi, dphi, assembly.V, diag, cache)
+                                phi, dphi, assembly, diag)
 
 
 def run_inverse(data: SpectralData, grid: Grid, N: int,
@@ -436,119 +436,113 @@ def run_inverse(data: SpectralData, grid: Grid, N: int,
 # Verification
 
 
-def _phiN_tables(result: ReconstructionResult, cache: ModelCache,
-                 stars: StarStates, k0: int, lams):
+def verify_spectral(coeffs: CoefficientPair, data: SpectralData, N: int,
+                    rtol: float = 1e-3) -> dict:
+    """Rerun the forward map on a reconstructed pair and compare
+    eigenvalues and weight numbers, n <= N against the data and the next
+    four indices against the model build_model makes for the data."""
+    if N > data.n_max:
+        raise ValueError("N=%d exceeds the data range n_max=%d" % (N, data.n_max))
+    model_data = build_model(data, coeffs.tau1.grid, N).model_data
+    rec = compute_spectral_data(coeffs, N + 4)
+    # n <= N against the data, the next four indices against the model
+    dl, db = spectral_gaps(rec, data, N, relative=True)
+    tl, tb = spectral_gaps(rec, model_data, N + 4, relative=True)
+    dl, db = np.vstack([dl, tl[N:]]), np.vstack([db, tb[N:]])
+    entries = [{"n": n, "k": k, "lambda_rel": float(dl[n - 1, k - 1]),
+                "beta_rel": float(db[n - 1, k - 1]),
+                "reference": "data" if n <= N else "model"}
+               for n in range(1, N + 5) for k in (1, 2)]
+    lam_max, beta_max = float(dl[:N].max()), float(db[:N].max())
+    report = {
+        "mode": "spectral",
+        "lambda_rel_max": lam_max,
+        "beta_rel_max": beta_max,
+        "tail_lambda_rel_max": float(dl[N:].max()),
+        "K_match": ([n for n in rec.K if n <= N]
+                    == [n for n in data.K if n <= N]),
+        "entries": entries,
+        "breaches": [e for e in entries
+                     if e["reference"] == "data"
+                     and max(e["lambda_rel"], e["beta_rel"]) > rtol],
+    }
+    report["pass"] = bool(lam_max <= rtol and beta_max <= rtol
+                          and report["K_match"])
+    return report
+
+
+def _phiN_tables(result: ReconstructionResult, k0: int, lams):
     """(Phi^N_{k0}, (Phi^N_{k0})') nodal values at each lambda of lams,
-    two (W, M+1) arrays, from the star states of the reconstruction."""
+    two (W, M+1) arrays, from the phi tables and the assembly of the
+    reconstruction."""
+    a = result.assembly
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    tilde = cache.states(SystemVariant.DIRECT, k0, lams)
-    P = _kernel(stars, tilde, lams, k0)     # (M+1, W, 4N)
-    signs = _signs(result.V)[:, None]
+    tilde = a.cache.states(SystemVariant.DIRECT, k0, lams)
+    P = _kernel(a.stars, tilde, lams, k0)     # (M+1, W, 4N)
+    signs = a.signs[:, None]
     vals = tilde[:, :, 0] + np.einsum("vm,mwv->wm", signs * result.phi, P)
     dvals = (tilde[:, :, 1] + np.einsum("vm,mwv->wm", signs * result.dphi, P)
-             + tilde[:, :, 0] * (signs * result.phi * stars.Z[:, :, 0]).sum(
-                 axis=0))
+             + tilde[:, :, 0] * (signs * result.phi * a.eta).sum(axis=0))
     return vals, dvals
 
 
-def verify_reconstruction(result: ReconstructionResult, data: SpectralData,
-                          N: int, mode: str = "spectral",
-                          rtol: float = 1e-3) -> dict:
-    """Check a reconstruction against its input data.
-
-    mode="spectral" reruns the forward map on the recovered pair and
-    compares eigenvalues and weight numbers, n <= N against the data
-    and the next few indices against the model.  mode="weyl" builds the
-    functions Phi^N from the phi tables and checks their boundary,
-    normalization, and interpolation properties against _WEYL_TOL
-    (coinciding pairs are not supported there).  The model comes from
-    result.cache, or is built when the result carries none.
-    """
-    if N > data.n_max:
-        raise ValueError("N=%d exceeds the data range n_max=%d" % (N, data.n_max))
-    cache = result.cache or build_model(data, result.tau1N.grid, N)
-    if mode == "spectral":
-        rec = compute_spectral_data(result.coeffs, N + 4)
-        # n <= N against the data, the next four indices against the model
-        dl, db = spectral_gaps(rec, data, N, relative=True)
-        tl, tb = spectral_gaps(rec, cache.model_data, N + 4, relative=True)
-        dl, db = np.vstack([dl, tl[N:]]), np.vstack([db, tb[N:]])
-        entries = [{"n": n, "k": k, "lambda_rel": float(dl[n - 1, k - 1]),
-                    "beta_rel": float(db[n - 1, k - 1]),
-                    "reference": "data" if n <= N else "model"}
-                   for n in range(1, N + 5) for k in (1, 2)]
-        lam_max, beta_max = float(dl[:N].max()), float(db[:N].max())
-        report = {
-            "mode": "spectral",
-            "lambda_rel_max": lam_max,
-            "beta_rel_max": beta_max,
-            "tail_lambda_rel_max": float(dl[N:].max()),
-            "K_match": ([n for n in rec.K if n <= N]
-                        == [n for n in data.K if n <= N]),
-            "entries": entries,
-            "breaches": [e for e in entries
-                         if e["reference"] == "data"
-                         and max(e["lambda_rel"], e["beta_rel"]) > rtol],
-        }
-        report["pass"] = bool(lam_max <= rtol and beta_max <= rtol
-                              and report["K_match"])
-        return report
-
-    if mode == "weyl":
-        if data.truncate(N).K:
-            raise ValueError("mode='weyl' requires data without coinciding "
-                             "eigenvalue pairs")
-        stars = _star_states(cache, data, cache.N)
-        checks: dict = {"mode": "weyl"}
-        breaches = []
-        # Boundary conditions at x = 1: Phi^N_2 vanishes there on the
-        # first data spectrum, Phi^N_3 on the second.
-        for k0, lams in ((2, data.lam1[:N]), (3, data.lam2[:N])):
-            check = "phi%d_terminal" % k0
-            vals, _ = _phiN_tables(result, cache, stars, k0, lams)
-            rel = np.abs(vals[:, -1]) / (1.0 + np.abs(vals).max(axis=1))
-            for n, r in enumerate(rel, start=1):
-                if r > _WEYL_TOL:
-                    breaches.append({"check": check, "n": n, "value": r})
-            checks[check + "_max"] = rel.max()
-
+def verify_weyl(result: ReconstructionResult) -> dict:
+    """Check the Weyl solutions Phi^N of a reconstruction against
+    _WEYL_TOL: interpolation of phi_v at the lam_v, and boundary and
+    normalization conditions.  Three tables: Phi^N_2 and Phi^N_3, each at
+    its 2N lam_v and a probe lambda away from both spectra, and Phi^N_1 at
+    the probe.  Coinciding pairs are not supported."""
+    a = result.assembly
+    if a.data.K:
+        raise ValueError("weyl verification requires data without "
+                         "coinciding eigenvalue pairs")
+    j = np.array([v.k + 1 for v in a.V])
+    eps0 = np.array([v.eps == 0 for v in a.V])
+    lam_probe = 0.7j * abs(a.cache.model_data.lam(1, 1))
+    checks: dict = {"mode": "weyl"}
+    breaches = []
+    interp = np.empty(len(a.V))
+    probe = {}
+    for k0 in (2, 3):
+        rows = j == k0
+        vals, dvals = _phiN_tables(result, k0,
+                                   np.append(a.stars.lam[rows], lam_probe))
+        probe[k0] = vals[-1], dvals[-1]
         # Interpolation: Phi^N_{k+1}(x, lam_v) == phi_v(x).
-        rel = np.empty(len(result.V))
-        j = np.array([v.k + 1 for v in result.V])
-        for k0 in (2, 3):
-            vals, _ = _phiN_tables(result, cache, stars, k0,
-                                   stars.lam[j == k0])
-            phi = result.phi[j == k0]
-            rel[j == k0] = (np.abs(vals - phi).max(axis=1)
-                            / (1.0 + np.abs(phi).max(axis=1)))
-        for v, r in zip(result.V, rel):
-            if r > _WEYL_TOL:
-                breaches.append({"check": "interpolation", "v": tuple(v),
-                                 "value": r})
-        checks["interpolation_max"] = rel.max()
+        vals, phi = vals[:-1], result.phi[rows]
+        interp[rows] = (np.abs(vals - phi).max(axis=1)
+                        / (1.0 + np.abs(phi).max(axis=1)))
+        # Boundary conditions at x = 1: Phi^N_2 vanishes there on the
+        # first data spectrum (the eps = 0 rows), Phi^N_3 on the second.
+        vals = vals[eps0[rows]]
+        rel = np.abs(vals[:, -1]) / (1.0 + np.abs(vals).max(axis=1))
+        check = "phi%d_terminal" % k0
+        breaches += [{"check": check, "n": n, "value": r}
+                     for n, r in enumerate(rel, start=1) if r > _WEYL_TOL]
+        checks[check + "_max"] = rel.max()
 
-        # Initial normalization and the first Weyl solution at a probe
-        # lambda away from both spectra.
-        lam_probe = 0.7j * abs(cache.model_data.lam(1, 1))
-        (v2,), (d2,) = _phiN_tables(result, cache, stars, 2, lam_probe)
-        (v3,), (d3,) = _phiN_tables(result, cache, stars, 3, lam_probe)
-        checks["phi2_origin"] = abs(v2[0])
-        checks["phi2_origin_slope"] = abs(d2[0] - 1.0)
-        checks["phi3_origin"] = abs(v3[0])
-        checks["phi3_origin_slope"] = abs(d3[0])
-        (v1,), (d1,) = _phiN_tables(result, cache, stars, 1, lam_probe)
-        checks["phi1_terminal"] = abs(v1[-1]) / (1.0 + np.abs(v1).max())
-        checks["phi1_terminal_slope"] = abs(d1[-1]) / (1.0 + np.abs(d1).max())
-        for key in ("phi2_origin", "phi2_origin_slope", "phi3_origin",
-                    "phi3_origin_slope", "phi1_terminal",
-                    "phi1_terminal_slope"):
-            if checks[key] > _WEYL_TOL:
-                breaches.append({"check": key, "value": checks[key]})
-        checks["breaches"] = breaches
-        checks["pass"] = not breaches
-        return checks
+    breaches += [{"check": "interpolation", "v": tuple(v), "value": r}
+                 for v, r in zip(a.V, interp) if r > _WEYL_TOL]
+    checks["interpolation_max"] = interp.max()
 
-    raise ValueError("mode must be 'spectral' or 'weyl'")
+    # Initial normalization and the first Weyl solution at the probe,
+    # away from both spectra.
+    (v2, d2), (v3, d3) = probe[2], probe[3]
+    checks["phi2_origin"] = abs(v2[0])
+    checks["phi2_origin_slope"] = abs(d2[0] - 1.0)
+    checks["phi3_origin"] = abs(v3[0])
+    checks["phi3_origin_slope"] = abs(d3[0])
+    (v1,), (d1,) = _phiN_tables(result, 1, lam_probe)
+    checks["phi1_terminal"] = abs(v1[-1]) / (1.0 + np.abs(v1).max())
+    checks["phi1_terminal_slope"] = abs(d1[-1]) / (1.0 + np.abs(d1).max())
+    for key in ("phi2_origin", "phi2_origin_slope", "phi3_origin",
+                "phi3_origin_slope", "phi1_terminal",
+                "phi1_terminal_slope"):
+        if checks[key] > _WEYL_TOL:
+            breaches.append({"check": key, "value": checks[key]})
+    checks["breaches"] = breaches
+    checks["pass"] = not breaches
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,19 @@ def test_verify_weyl(tmp_path, smooth_json):
     assert report["interpolation_max"] <= 1e-6
 
 
+def test_verify_weyl_refuses_rec(tmp_path, smooth_json, capsys):
+    # weyl mode checks a fresh reconstruction; a --rec file it would not
+    # read is refused, junk or not
+    junk = tmp_path / "junk.csv"
+    junk.write_text("not a coefficient file\n")
+    out = tmp_path / "verify.json"
+    rc = main(["verify", "--data", smooth_json, "--mode", "weyl",
+               "--rec", str(junk), "--big-n", "3", "--out", str(out)])
+    assert rc == 1
+    assert "--rec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_flag_validation(tmp_path, zero_csv, capsys):
     rc = main(["forward", "--coeffs", zero_csv, "--n-max", "2",
                "--grid", "513", "--out", str(tmp_path / "o.json")])

@@ -8,11 +8,12 @@ from spectral3.errors import PoleHitError, SingularSystemError
 from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             differentiate, l2_norm, w2m1_distance)
-from spectral3.inverse import (_NODE_BLOCK, IndexV, MainAssembly,
-                               _phiN_tables, _star_states, assemble,
-                               index_set, kernel_D, reconstruct, run_inverse,
-                               solve_phi, stability_experiment,
-                               verify_reconstruction)
+from spectral3 import inverse
+from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
+                               _phiN_tables, _signs, _star_states, _kernel,
+                               assemble, index_set, kernel_D, reconstruct,
+                               run_inverse, solve_phi, stability_experiment,
+                               verify_spectral, verify_weyl)
 from spectral3.model import ModelCache, build_model, distance_d
 from spectral3.quasi import SystemVariant
 
@@ -383,51 +384,156 @@ def test_coinciding_pair_branches_run(smooth_data8, grid512):
     assert np.isfinite(res.tau1N.values).all()
     assert np.isfinite(res.sigma0N.values).all()
     with pytest.raises(ValueError, match="coinciding"):
-        verify_reconstruction(res, d, 3, mode="weyl")
+        verify_weyl(res)
     with pytest.raises(ValueError, match="coinciding"):
         stability_experiment(d, grid512, 3)
 
 
 def test_verify_spectral_passes(result4, smooth_data8):
-    report = verify_reconstruction(result4, smooth_data8, 4,
-                                   mode="spectral")
+    report = verify_spectral(result4.coeffs, smooth_data8, 4)
     assert report["pass"], report
     assert report["K_match"]
     assert report["lambda_rel_max"] < 1e-3
     assert report["breaches"] == []
 
 
-def test_verify_weyl_passes(result4, smooth_data8):
-    report = verify_reconstruction(result4, smooth_data8, 4, mode="weyl")
+def test_verify_weyl_passes(result4):
+    report = verify_weyl(result4)
     assert report["pass"], report
     assert report["interpolation_max"] < 1e-6
     assert report["phi2_terminal_max"] < 1e-6
 
 
-def test_phiN_tables_batch_equals_pointwise(result4, smooth_data8):
-    # the lambda batches of verify_reconstruction(mode="weyl"): Phi^N_2 at
-    # first-family and Phi^N_3 at second-family eigenvalues of data and
-    # model, each with an off-spectrum probe; errors relative to
-    # 1 + max|Phi^N| as in the report
-    cache = result4.cache
-    stars = _star_states(cache, smooth_data8, 4)
+def test_phiN_tables_batch_equals_pointwise(result4):
+    # the lambda batches of verify_weyl: Phi^N_2 at first-family and
+    # Phi^N_3 at second-family eigenvalues of data and model, each with an
+    # off-spectrum probe; errors relative to 1 + max|Phi^N| as in the report
+    lam = result4.assembly.stars.lam
     probe = np.array([4.0 + 9.0j])
     for k0, lams in ((1, probe),
-                     (2, np.concatenate([stars.lam[0::4], stars.lam[1::4],
-                                         probe])),
-                     (3, np.concatenate([stars.lam[2::4], stars.lam[3::4],
-                                         probe]))):
-        vals, dvals = _phiN_tables(result4, cache, stars, k0, lams)
-        assert vals.shape == dvals.shape == (len(lams), cache.grid.M + 1)
-        for w, lam in enumerate(lams):
-            v1, d1 = _phiN_tables(result4, cache, stars, k0, [lam])
+                     (2, np.concatenate([lam[0::4], lam[1::4], probe])),
+                     (3, np.concatenate([lam[2::4], lam[3::4], probe]))):
+        vals, dvals = _phiN_tables(result4, k0, lams)
+        assert vals.shape == dvals.shape == (len(lams),
+                                             result4.tau1N.grid.M + 1)
+        for w, lam_w in enumerate(lams):
+            v1, d1 = _phiN_tables(result4, k0, [lam_w])
             for batch, single in ((vals[w], v1[0]), (dvals[w], d1[0])):
                 scale = 1.0 + np.abs(single).max()
                 assert np.abs(batch - single).max() <= 1e-13 * scale, (k0, w)
 
 
-def test_verify_mode_guard(result4, smooth_data8):
-    with pytest.raises(ValueError, match="mode"):
-        verify_reconstruction(result4, smooth_data8, 4, mode="bogus")
+def test_verify_spectral_rejects_N_beyond_data(result4, smooth_data8):
     with pytest.raises(ValueError, match="exceeds"):
-        verify_reconstruction(result4, smooth_data8.truncate(3), 4)
+        verify_spectral(result4.coeffs, smooth_data8.truncate(3), 4)
+
+
+def _phiN_reference(result, cache, stars, k0, lams):
+    # Phi^N_{k0} and its derivative at lams from star states rebuilt from
+    # the data, as verification did before it read the assembly's
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    tilde = cache.states(SystemVariant.DIRECT, k0, lams)
+    P = _kernel(stars, tilde, lams, k0)
+    signs = _signs(result.assembly.V)[:, None]
+    vals = tilde[:, :, 0] + np.einsum("vm,mwv->wm", signs * result.phi, P)
+    dvals = (tilde[:, :, 1] + np.einsum("vm,mwv->wm", signs * result.dphi, P)
+             + tilde[:, :, 0] * (signs * result.phi * stars.Z[:, :, 0]).sum(
+                 axis=0))
+    return vals, dvals
+
+
+def _verify_weyl_seven_calls(result, data, N):
+    # the weyl checks verify_weyl replaced: the star states rebuilt from
+    # the data and seven Phi^N tables, one per check and lambda batch
+    cache = result.assembly.cache
+    stars = _star_states(cache, data, cache.N)
+    V = result.assembly.V
+    checks = {"mode": "weyl"}
+    breaches = []
+    for k0, lams in ((2, data.lam1[:N]), (3, data.lam2[:N])):
+        check = "phi%d_terminal" % k0
+        vals, _ = _phiN_reference(result, cache, stars, k0, lams)
+        rel = np.abs(vals[:, -1]) / (1.0 + np.abs(vals).max(axis=1))
+        for n, r in enumerate(rel, start=1):
+            if r > _WEYL_TOL:
+                breaches.append({"check": check, "n": n, "value": r})
+        checks[check + "_max"] = rel.max()
+    rel = np.empty(len(V))
+    j = np.array([v.k + 1 for v in V])
+    for k0 in (2, 3):
+        vals, _ = _phiN_reference(result, cache, stars, k0,
+                                  stars.lam[j == k0])
+        phi = result.phi[j == k0]
+        rel[j == k0] = (np.abs(vals - phi).max(axis=1)
+                        / (1.0 + np.abs(phi).max(axis=1)))
+    for v, r in zip(V, rel):
+        if r > _WEYL_TOL:
+            breaches.append({"check": "interpolation", "v": tuple(v),
+                             "value": r})
+    checks["interpolation_max"] = rel.max()
+    lam_probe = 0.7j * abs(cache.model_data.lam(1, 1))
+    (v2,), (d2,) = _phiN_reference(result, cache, stars, 2, lam_probe)
+    (v3,), (d3,) = _phiN_reference(result, cache, stars, 3, lam_probe)
+    checks["phi2_origin"] = abs(v2[0])
+    checks["phi2_origin_slope"] = abs(d2[0] - 1.0)
+    checks["phi3_origin"] = abs(v3[0])
+    checks["phi3_origin_slope"] = abs(d3[0])
+    (v1,), (d1,) = _phiN_reference(result, cache, stars, 1, lam_probe)
+    checks["phi1_terminal"] = abs(v1[-1]) / (1.0 + np.abs(v1).max())
+    checks["phi1_terminal_slope"] = abs(d1[-1]) / (1.0 + np.abs(d1).max())
+    for key in ("phi2_origin", "phi2_origin_slope", "phi3_origin",
+                "phi3_origin_slope", "phi1_terminal",
+                "phi1_terminal_slope"):
+        if checks[key] > _WEYL_TOL:
+            breaches.append({"check": key, "value": checks[key]})
+    checks["breaches"] = breaches
+    checks["pass"] = not breaches
+    return checks
+
+
+def _assert_reports_match(report, ref):
+    # keys, pass and the breached checks equal; each value within 1e-12
+    # relative or 1e-30 absolute (the table batches differ, and a matmul
+    # over another batch shape may round differently)
+    def close(a, b):
+        return abs(a - b) <= max(1e-12 * abs(b), 1e-30)
+
+    assert list(report) == list(ref)
+    assert report["pass"] == ref["pass"]
+    assert len(report["breaches"]) == len(ref["breaches"])
+    for got, want in zip(report["breaches"], ref["breaches"]):
+        assert {k: v for k, v in got.items() if k != "value"} == \
+            {k: v for k, v in want.items() if k != "value"}
+        assert close(got["value"], want["value"]), (got, want)
+    for key, want in ref.items():
+        if key not in ("mode", "pass", "breaches"):
+            assert close(report[key], want), (key, report[key], want)
+
+
+def test_verify_weyl_matches_seven_call_reference(result4, smooth_data8,
+                                                  grid512, general_coeffs128,
+                                                  grid128):
+    data128 = compute_spectral_data(general_coeffs128, 4)
+    for result, data, N in (
+            (result4, smooth_data8, 4),
+            (run_inverse(smooth_data8, grid512, 8), smooth_data8, 8),
+            (run_inverse(data128, grid128, 3), data128, 3)):
+        assert not data.truncate(N).K
+        ref = _verify_weyl_seven_calls(result, data, N)
+        assert ref["pass"]
+        _assert_reports_match(verify_weyl(result), ref)
+
+
+def test_verify_weyl_makes_three_tables(result4, monkeypatch):
+    # one Phi^N table each for k0 = 2 and 3 over their 2N lambda_v and the
+    # probe, and one for k0 = 1 at the probe
+    calls = []
+    inner = inverse._phiN_tables
+
+    def counting(result, k0, lams):
+        calls.append((k0, np.atleast_1d(lams).shape[0]))
+        return inner(result, k0, lams)
+
+    monkeypatch.setattr(inverse, "_phiN_tables", counting)
+    assert verify_weyl(result4)["pass"]
+    assert calls == [(2, 9), (3, 9), (1, 1)]

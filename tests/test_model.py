@@ -155,7 +155,7 @@ def test_weyl_states_built_once_per_inverse_run(smooth_data8, grid512,
     assert len(weyl_batch_calls) == 4
     assert set(weyl_batch_calls) == {
         (variant, (k,), 8) for variant in SystemVariant for k in (2, 3)}
-    assert res.cache is cache
+    assert res.assembly.cache is cache
     weyl_batch_calls.clear()
     assemble(smooth_data8, cache, 4)
     assert weyl_batch_calls == []
