@@ -231,12 +231,16 @@ def cmd_verify(args) -> int:
     if args.mode == "spectral":
         if not args.rec:
             raise ValueError("--rec is required for mode=spectral")
+        rtol = {} if args.rtol is None else {"rtol": args.rtol}
         report = verify_spectral(_load_coeffs(args.rec, cfg.grid), data, N,
-                                 rtol=args.rtol)
+                                 **rtol)
     else:
         if args.rec:   # a coefficient CSV holds no phi tables to check
             raise ValueError("--rec is not read by mode=weyl, which checks "
                              "a fresh reconstruction from --data")
+        if args.rtol is not None:
+            raise ValueError("--rtol is not read by mode=weyl, whose checks "
+                             "have fixed tolerances")
         report = verify_weyl(run_inverse(data, cfg.grid, N))
     with open(args.out, "w") as fh:
         fh.write(dumps17(report))
@@ -347,8 +351,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("spectral", "weyl"), default="spectral")
     p.add_argument("--big-n", type=int, default=None,
                    help="truncation order (default: data n_max)")
-    p.add_argument("--rtol", type=float, default=1e-3,
-                   help="relative tolerance for mode=spectral")
+    p.add_argument("--rtol", type=float, default=None,
+                   help="relative tolerance for mode=spectral "
+                        "(default 1e-3)")
     _add_common(p)
     p.add_argument("--out", required=True, help="verification report JSON")
     p.set_defaults(func=cmd_verify)

@@ -267,10 +267,6 @@ class MainAssembly:
         """All node matrices, (M+1, 4N, 4N); built anew on each access."""
         return self.node_matrices()
 
-    def gprime(self, i_v: int, i_v0: int) -> np.ndarray:
-        """G'_{v,v0} = eta_v * tilde_phi_{v0} (nodal values)."""
-        return self.eta[i_v] * self.tilde_phi[i_v0]
-
 
 def _signs(V: list) -> np.ndarray:
     return np.array([1.0 if v.eps == 0 else -1.0 for v in V])
@@ -474,15 +470,23 @@ def verify_spectral(coeffs: CoefficientPair, data: SpectralData, N: int,
 def _phiN_tables(result: ReconstructionResult, k0: int, lams):
     """(Phi^N_{k0}, (Phi^N_{k0})') nodal values at each lambda of lams,
     two (W, M+1) arrays, from the phi tables and the assembly of the
-    reconstruction."""
+    reconstruction.  The kernels D(x; Z_v, Phi_{k0}) are built and
+    contracted with phi one block of _NODE_BLOCK nodes at a time, so the
+    (M+1, W, 4N) stack is never held."""
     a = result.assembly
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     tilde = a.cache.states(SystemVariant.DIRECT, k0, lams)
-    P = _kernel(a.stars, tilde, lams, k0)     # (M+1, W, 4N)
+    f = _kernel_factors(a.stars, tilde, lams, k0)
     signs = a.signs[:, None]
-    vals = tilde[:, :, 0] + np.einsum("vm,mwv->wm", signs * result.phi, P)
-    dvals = (tilde[:, :, 1] + np.einsum("vm,mwv->wm", signs * result.dphi, P)
-             + tilde[:, :, 0] * (signs * result.phi * a.eta).sum(axis=0))
+    sphi, sdphi = signs * result.phi, signs * result.dphi
+    vals, dvals = tilde[:, :, 0].copy(), tilde[:, :, 1].copy()
+    M = a.grid.M
+    for start in range(0, M + 1, _NODE_BLOCK):
+        block = slice(start, min(start + _NODE_BLOCK, M + 1))
+        P = _bracket(f, block)                # (nodes, W, 4N)
+        vals[:, block] += np.einsum("vm,mwv->wm", sphi[:, block], P)
+        dvals[:, block] += np.einsum("vm,mwv->wm", sdphi[:, block], P)
+    dvals += tilde[:, :, 0] * (sphi * a.eta).sum(axis=0)
     return vals, dvals
 
 

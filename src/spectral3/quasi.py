@@ -35,14 +35,19 @@ augmented system is exactly the lambda-derivative of the discrete RK4
 map.  The variant is per lambda: one SystemVariant for the whole batch,
 or an (L,) array of c = +-1, so DIRECT and STAR lambdas share a sweep
 (the forward map sweeps both characteristic families at once).  The
-loop holds the state component-major with lambda innermost,
-(3, B, K, L), so each row of the right-hand side is one contiguous slab.
-p and q are built per lambda from its variant as contiguous slabs of
-the row's shape, a stretch of 32 steps at a time, so every product in
-the right-hand side is one flat loop and their memory stays bounded.
-The loop updates stage and slope buffers allocated once per sweep in
-place; callers get (L, B, 3, K) per node.  A backward sweep is the same
-forward loop over the reversed node and midpoint samples with step -h.
+loop holds the state component-major with its lanes innermost,
+(3, B, K, lanes), so each row of the right-hand side is one contiguous
+slab; p, q, c lambda and c are rows over the lanes, broadcast over
+(B, K).  It updates stage and slope buffers in place; callers get
+(L, B, 3, K) per node.  A stored sweep has one lane per lambda and runs
+the M steps in order.  A sweep for end values only uses that the system
+is linear: its end state is the product of the propagators of the
+grid's stretches of 32 steps, as in multiple shooting.  One lane per
+(stretch, lambda) starts from the identity, all stretches advance side
+by side, and their propagators are then chained onto the initial values
+in sweep order, so the Python loop runs 32 steps instead of M.  A
+backward sweep is the same loop over the reversed node and midpoint
+samples with step -h.
 
 When sigma0 and tau1 are constant on the grid (every node sample
 bitwise equal to the first; the midpoint samples, which cubic
@@ -75,9 +80,14 @@ __all__ = ["SystemVariant"]
 # of the number of grid cells.
 _RESOLUTION_FACTOR = 0.6
 
-# Steps per stretch of the RK4 loop: its coefficient slabs are built, and
-# its state checked for finite values, once per stretch.
+# Steps per stretch of the RK4 loop: a stored sweep checks its states for
+# finite values once per stretch, an end-value sweep runs its stretches
+# side by side and chains their propagators.
 _STRETCH = 32
+
+# Lambdas per block of an end-value sweep: each block runs one lane per
+# (stretch, lambda), 512 lanes at M = 512.
+_LAM_BLOCK = 32
 
 
 class SystemVariant(Enum):
@@ -119,11 +129,14 @@ def _sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     evaluated as powers of its step matrix (_power_sweep), otherwise
     step by step on a component-major state (_loop_sweep), whose values
     for each lambda are bitwise those of a sweep of it alone, in its
-    own variant.  A non-finite state raises IntegrationOverflowError:
-    the loop checks every 32 steps and at the end and reports the node
-    it checked; the power path reports the first non-finite node in
-    sweep order of a stored sweep, and the end node (M forward, 0
-    backward) of an end-value sweep.
+    own variant.  Its end values come from chained stretch propagators
+    and agree with the end of a stored sweep to rounding.  A non-finite
+    state raises IntegrationOverflowError: the loop checks the states
+    at every 32nd step in sweep order and at the end (an end-value
+    sweep its chained states after each stretch) and reports the first
+    node it found non-finite; the power path reports the first non-finite
+    node in sweep order of a stored sweep, and the end node (M forward,
+    0 backward) of an end-value sweep.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _guard_resolution(lams, coeffs.grid.M)
@@ -152,60 +165,36 @@ def _signs(variant, L: int) -> np.ndarray:
 
 def _pq(c: np.ndarray, sigma0: np.ndarray, tau1: np.ndarray) -> tuple:
     """p and q at samples of sigma0 and tau1 for each lambda's variant,
-    (samples, L) each: column l holds what SystemVariant.pqc gives the
-    variant whose c is c[l]."""
+    (*samples.shape, L) each: [..., l] holds what SystemVariant.pqc
+    gives the variant whose c is c[l]."""
     u, w, _ = SystemVariant.DIRECT.pqc(sigma0, tau1)
     direct = c > 0
-    return (np.where(direct, u[:, None], w[:, None]),
-            np.where(direct, w[:, None], u[:, None]))
+    return (np.where(direct, u[..., None], w[..., None]),
+            np.where(direct, w[..., None], u[..., None]))
 
 
-def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
-                inits: np.ndarray, with_dlambda: bool, backward: bool,
-                store: bool) -> np.ndarray:
-    """The RK4 loop for any coefficients: the states (L, B, 3, K), or
-    with store (M+1, L, B, 3, K), B = 2 with d/dlambda.
+def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
+               at_nodes: tuple, at_mids: tuple):
+    """Advance the state S (3, B, K, lanes) in place by RK4 steps of h,
+    yielding the step index after each step.
 
-    The state is held as (3, B, K, L) and each step is a fixed sequence
-    of in-place ufunc calls on preallocated buffers; per element they
-    evaluate p y0 + y2, c lambda y0 + q y1 (+ c y0 in the d/dlambda
-    block), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4) in that
-    order, so a lambda's result depends neither on the batch around it
-    nor on the variants of the other lambdas.  Every factor of a row
-    product is a contiguous slab of the row's shape, so each product is
-    one flat loop: c lambda and c are built once per sweep, p and q at
-    the nodes and midpoints of a stretch of _STRETCH steps once per
-    stretch, which bounds their memory whatever M is.
+    S[i] holds y^[i] (and d/dlambda y^[i], B = 2) over (B, K, lanes);
+    lane j is one solution set with its own c lambda (clam[j]) and
+    c (cc[j]); at_nodes = (Pn, Qn) holds p and q at the step ends,
+    (steps + 1, lanes) each, and at_mids = (Pm, Qm) at the midpoints,
+    (steps, lanes).  Every factor is broadcast over (B, K).  Per element
+    the step evaluates p y0 + y2, c lambda y0 + q y1 (+ c y0 in the
+    d/dlambda block), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4)
+    in that order, so a lane's result depends on nothing but its own
+    inputs.
     """
-    M = coeffs.grid.M
-    L, K = lams.shape[0], inits.shape[-1]
-    B = 2 if with_dlambda else 1
-    c = _signs(variant, L)
-    # sigma0, tau1 at the nodes and the cell midpoints.  Step m runs from
-    # sample m to m + 1 of these arrays, which a backward sweep reverses;
-    # nodes maps sample index to grid node.
-    sn, tn = coeffs.sigma0.values, coeffs.tau1.values
-    sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
-    nodes, h = np.arange(M + 1), coeffs.grid.h
-    if backward:
-        sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
-        nodes, h = nodes[::-1], -h
-
-    # S[i] holds y^[i] (and d/dlambda y^[i]) over (B, K, L); X is the
-    # stage value and k1..k4 the slopes, all updated in place.
-    S = np.zeros((3, B, K, L), dtype=complex)
-    S[:, 0] = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
+    with_dlambda = S.shape[1] == 2
+    Pn, Qn = at_nodes
+    Pm, Qm = at_mids
+    # X is the stage value and k1..k4 the slopes, all updated in place.
     X, k1, k2, k3, k4 = (np.empty_like(S) for _ in range(5))
     qy1 = np.empty_like(S[0])
     cy0 = np.empty_like(S[0, 0])
-    clam = np.broadcast_to(c * lams, qy1.shape).copy()
-    cc = np.broadcast_to(c.astype(complex), cy0.shape).copy()
-    # p, q slabs of one stretch: Pn[i], Qn[i] at its node i, Pm[i],
-    # Qm[i] at the midpoint of its cell i
-    Pn, Qn = (np.empty((_STRETCH + 1,) + qy1.shape, dtype=complex)
-              for _ in range(2))
-    Pm, Qm = (np.empty((_STRETCH,) + qy1.shape, dtype=complex)
-              for _ in range(2))
 
     def slabs(a):
         # rows 0, 1, 2; with d/dlambda also the y part of row 0, which the
@@ -231,39 +220,125 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
         # X = S + w k
         np.add(S, np.multiply(w, k, out=X), out=X)
 
+    for i in range(Pm.shape[0]):
+        rhs(Pn[i], Qn[i], sS, s1)
+        stage(h / 2, k1)
+        rhs(Pm[i], Qm[i], sX, s2)
+        stage(h / 2, k2)
+        rhs(Pm[i], Qm[i], sX, s3)
+        stage(h, k3)
+        rhs(Pn[i + 1], Qn[i + 1], sX, s4)
+        # S += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+        np.add(k1, np.multiply(2, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(S, np.multiply(h / 6, k1, out=k1), out=S)
+        yield i
+
+
+def _apply(P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """P V per lambda, P (3, 3, L), V (3, K, L), summed over the inner
+    index in the order ((0 + 1) + 2)."""
+    return (P[:, 0, None] * V[0] + P[:, 1, None] * V[1]) + P[:, 2, None] * V[2]
+
+
+# Overflowing states are reported by IntegrationOverflowError alone, not
+# by numpy warnings on the way.
+@np.errstate(over="ignore", invalid="ignore")
+def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
+                inits: np.ndarray, with_dlambda: bool, backward: bool,
+                store: bool) -> np.ndarray:
+    """The RK4 loop for any coefficients: the states (L, B, 3, K), or
+    with store (M+1, L, B, 3, K), B = 2 with d/dlambda.
+
+    The state is held as (3, B, K, lanes) and advanced by _rk4_steps.
+    A stored sweep has one lane per lambda and runs the M steps one
+    after another, checking the states for finite values every _STRETCH
+    steps and at the end.  An end-value sweep runs all stretches of
+    _STRETCH steps at once: for each block of _LAM_BLOCK lambdas, one
+    lane per (stretch, lambda) starts from the identity with zero
+    d/dlambda data and reads p and q at its own stretch's samples, so
+    _STRETCH steps give every stretch propagator (Phi, Phi').  They are
+    then chained onto inits in sweep order, Y <- Phi Y and
+    dY <- Phi dY + Phi' Y, checking Y for finite values after each
+    stretch.  Either way a lambda's values are bitwise independent of
+    the batch and of the variants of the other lambdas.
+    """
+    M = coeffs.grid.M
+    L, K = lams.shape[0], inits.shape[-1]
+    B = 2 if with_dlambda else 1
+    c = _signs(variant, L)
+    # sigma0, tau1 at the nodes and the cell midpoints.  Step m runs from
+    # sample m to m + 1 of these arrays, which a backward sweep reverses;
+    # nodes maps sample index to grid node.
+    sn, tn = coeffs.sigma0.values, coeffs.tau1.values
+    sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
+    nodes, h = np.arange(M + 1), coeffs.grid.h
+    if backward:
+        sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
+        nodes, h = nodes[::-1], -h
+
+    def check(Y, m):
+        # the states after step m of the sweep
+        if not np.isfinite(Y).all():
+            raise IntegrationOverflowError(int(nodes[m]))
+
     if store:
+        S = np.zeros((3, B, K, L), dtype=complex)
+        S[:, 0] = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
         # (M+1, L, B, 3, K), written through its (3, B, K, L) view
         traj = np.empty((M + 1, L, B, 3, K), dtype=complex)
         traj_rows = np.transpose(traj, (0, 3, 2, 4, 1))
         traj_rows[nodes[0]] = S
-    for m0 in range(0, M, _STRETCH):
-        n = min(_STRETCH, M - m0)
-        for slab, v in zip((Pn, Qn), _pq(c, sn[m0:m0 + n + 1],
-                                         tn[m0:m0 + n + 1])):
-            np.copyto(slab[:n + 1], v[:, None, None, :])
-        for slab, v in zip((Pm, Qm), _pq(c, sm[m0:m0 + n], tm[m0:m0 + n])):
-            np.copyto(slab[:n], v[:, None, None, :])
-        for i in range(n):
-            rhs(Pn[i], Qn[i], sS, s1)
-            stage(h / 2, k1)
-            rhs(Pm[i], Qm[i], sX, s2)
-            stage(h / 2, k2)
-            rhs(Pm[i], Qm[i], sX, s3)
-            stage(h, k3)
-            rhs(Pn[i + 1], Qn[i + 1], sX, s4)
-            # S += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
-            np.add(k1, np.multiply(2, k2, out=k2), out=k1)
-            np.add(k1, np.multiply(2, k3, out=k3), out=k1)
-            np.add(k1, k4, out=k1)
-            np.add(S, np.multiply(h / 6, k1, out=k1), out=S)
-            if store:
-                traj_rows[nodes[m0 + i + 1]] = S
-        if not np.isfinite(S[:, 0]).all():
-            raise IntegrationOverflowError(int(nodes[m0 + n]))
-
-    if store:
+        for i in _rk4_steps(S, c * lams, c.astype(complex), h,
+                            _pq(c, sn, tn), _pq(c, sm, tm)):
+            traj_rows[nodes[i + 1]] = S
+            if (i + 1) % _STRETCH == 0 or i + 1 == M:
+                check(S[:, 0], i + 1)
         return traj
-    return np.ascontiguousarray(np.transpose(S, (3, 1, 0, 2)))
+
+    # J stretches of n steps, the last of only `last` steps; its lanes
+    # run on past the end over the end samples and are read at step last.
+    J = -(-M // _STRETCH)
+    n = min(_STRETCH, M)
+    last = M - _STRETCH * (J - 1)
+    first = _STRETCH * np.arange(J)
+    at_n = np.minimum(first + np.arange(n + 1)[:, None], M)       # (n+1, J)
+    at_m = np.minimum(first + np.arange(n)[:, None], M - 1)       # (n, J)
+    sn, tn, sm, tm = sn[at_n], tn[at_n], sm[at_m], tm[at_m]
+    # F[j] = (Phi, Phi') of stretch j as (3, B, 3, L): row, block,
+    # column, lambda
+    F = np.empty((J, 3, B, 3, L), dtype=complex)
+
+    def lanes(pq):
+        # (steps, J, lambdas) -> (steps, lanes), stretch-major as the state
+        return tuple(a.reshape(a.shape[0], -1) for a in pq)
+
+    for l0 in range(0, L, _LAM_BLOCK):
+        blk = slice(l0, l0 + _LAM_BLOCK)
+        cb = c[blk]
+        lb = cb.shape[0]
+        S = np.zeros((3, B, 3, J, lb), dtype=complex)
+        S[:, 0] = np.eye(3)[:, :, None, None]
+        S = S.reshape(3, B, 3, J * lb)
+        for i in _rk4_steps(S, np.tile(cb * lams[blk], J),
+                            np.tile(cb.astype(complex), J), h,
+                            lanes(_pq(cb, sn, tn)), lanes(_pq(cb, sm, tm))):
+            if i + 1 == last:
+                F[-1, ..., blk] = S[..., -lb:]
+        F[:-1, ..., blk] = np.moveaxis(
+            S[..., :-lb].reshape(3, B, 3, J - 1, lb), 3, 0)
+
+    Y = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
+    dY = np.zeros_like(Y)
+    for j in range(J):
+        Phi = F[j, :, 0]
+        if with_dlambda:
+            dY = _apply(Phi, dY) + _apply(F[j, :, 1], Y)
+        Y = _apply(Phi, Y)
+        check(Y, min(_STRETCH * (j + 1), M))
+    out = np.stack((Y, dY)[:B])                             # (B, 3, K, L)
+    return np.ascontiguousarray(np.transpose(out, (3, 0, 1, 2)))
 
 
 def _step_matrix(p: np.ndarray, q: np.ndarray, c: np.ndarray,

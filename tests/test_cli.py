@@ -183,6 +183,18 @@ def test_verify_spectral(tmp_path, smooth_json):
     assert report["lambda_rel_max"] <= 1e-3
 
 
+def test_verify_spectral_reads_rtol(tmp_path, smooth_json):
+    # the same reconstruction fails a tolerance no discretised run meets
+    rec = str(tmp_path / "rec.csv")
+    assert main(["inverse", "--data", smooth_json, "--big-n", "4",
+                 "--out", rec]) == 0
+    out = str(tmp_path / "verify.json")
+    rc = main(["verify", "--data", smooth_json, "--rec", rec,
+               "--big-n", "4", "--rtol", "1e-30", "--out", out])
+    assert rc == 0
+    assert json.loads(open(out).read())["pass"] is False
+
+
 def test_verify_spectral_needs_rec(tmp_path, smooth_json, capsys):
     rc = main(["verify", "--data", smooth_json, "--big-n", "4",
                "--out", str(tmp_path / "v.json")])
@@ -210,6 +222,17 @@ def test_verify_weyl_refuses_rec(tmp_path, smooth_json, capsys):
                "--rec", str(junk), "--big-n", "3", "--out", str(out)])
     assert rc == 1
     assert "--rec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_weyl_refuses_rtol(tmp_path, smooth_json, capsys):
+    # weyl mode's checks have fixed tolerances; an --rtol it would not
+    # read is refused
+    out = tmp_path / "verify.json"
+    rc = main(["verify", "--data", smooth_json, "--mode", "weyl",
+               "--rtol", "5", "--big-n", "3", "--out", str(out)])
+    assert rc == 1
+    assert "--rtol" in capsys.readouterr().err
     assert not out.exists()
 
 

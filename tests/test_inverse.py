@@ -124,6 +124,11 @@ def test_model_data_is_a_fixed_point(grid512):
     assert res.diagnostics["d"] == 0.0
 
 
+def _gprime(assembly: MainAssembly, i_v: int, i_v0: int) -> np.ndarray:
+    """G'_{v,v0} = eta_v * tilde_phi_{v0} (nodal values)."""
+    return assembly.eta[i_v] * assembly.tilde_phi[i_v0]
+
+
 def test_gprime_identity(smooth_data8, cache4, grid512):
     # the kernels satisfy G'_{v,v0} = eta_v tilde_phi_{v0} exactly; check
     # the assembled node tables against numerical differentiation
@@ -133,7 +138,7 @@ def test_gprime_identity(smooth_data8, cache4, grid512):
     for i_v, i_v0 in ((0, 3), (5, 2), (10, 13), (7, 7)):
         G = assembly.signs[i_v] * (eye[i_v0, i_v] - assembly.A[:, i_v0, i_v])
         num = differentiate(GridFunction(grid512, G)).values
-        ref = assembly.gprime(i_v, i_v0)
+        ref = _gprime(assembly, i_v, i_v0)
         assert np.abs(num - ref).max() < 1e-4 * (1.0 + np.abs(ref).max())
 
 
@@ -371,6 +376,23 @@ def test_solve_holds_no_full_matrix_stack(smooth_data8, grid512):
     tracemalloc.start()
     try:
         solve_phi(assemble(smooth_data8, cache, N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack
+
+
+def test_verify_weyl_holds_no_full_kernel_stack(smooth_data8, grid512):
+    # verify_weyl at N = 8 peaks below the bytes of the (M+1, W, 4N)
+    # kernel stack of one Phi^N table, W = 2N + 1 (4.5 MB): the kernels
+    # are contracted with phi one node block at a time
+    N = 8
+    result = run_inverse(smooth_data8, grid512, N)
+    stack = ((grid512.M + 1) * (2 * N + 1) * 4 * N
+             * np.dtype(complex).itemsize)
+    tracemalloc.start()
+    try:
+        verify_weyl(result)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -307,3 +307,75 @@ def test_overflow_guard_on_power_path(grid128, backward):
         _sweep(pair, SystemVariant.DIRECT, np.array([1.0]), np.eye(3),
                with_dlambda=True, backward=backward)
     assert ei.value.node == (0 if backward else M)
+
+
+@pytest.fixture(scope="module")
+def ragged_coeffs():
+    # 100 = 3 * 32 + 4: the last stretch of an end-value sweep has 4 steps
+    return CoefficientPair.from_callables(
+        Grid(100),
+        lambda x: np.cos(2.0 * np.pi * x) + 0.3 + 0.2j * np.sin(np.pi * x),
+        lambda x: 0.25 * x * (1.0 - x) + 0.15j * np.sin(2.0 * np.pi * x))
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("with_dlambda", [False, True])
+@pytest.mark.parametrize("ragged", [False, True])
+def test_stretch_lanes_equal_the_sequential_sweep(
+        general_coeffs128, ragged_coeffs, ragged, with_dlambda, backward):
+    # An end-value sweep chains the propagators of its stretches; a stored
+    # sweep runs the steps one after another.  They differ by rounding
+    # only: <= 1e-13 of each lambda's row maximum, for 40 lambdas in two
+    # blocks, mixed variants and per-lambda initial values.
+    coeffs = ragged_coeffs if ragged else general_coeffs128
+    rng = np.random.default_rng(5)
+    lams = np.concatenate([_POWER_LAMS, rng.uniform(-50, 50, 34)
+                           + 1j * rng.uniform(-50, 50, 34)])
+    c = np.resize([1.0, -1.0, -1.0], len(lams))
+    inits = rng.normal(size=(len(lams), 3, 2)) + 1j * rng.normal(
+        size=(len(lams), 3, 2))
+    ends = _sweep(coeffs, c, lams, inits, with_dlambda=with_dlambda,
+                  backward=backward)
+    traj = _sweep(coeffs, c, lams, inits, with_dlambda=with_dlambda,
+                  backward=backward, store=True)
+    end = 0 if backward else -1
+    for got, ref in zip(*((ends, traj) if with_dlambda else ([ends], [traj]))):
+        ref = ref[end].reshape(len(lams), -1)
+        got = got.reshape(len(lams), -1)
+        scale = np.abs(ref).max(axis=1)
+        assert (np.abs(got - ref).max(axis=1) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_nan_in_the_ragged_last_stretch(ragged_coeffs, backward):
+    # The last stretch in sweep order holds nodes 96..100 forward and
+    # 4..0 backward; a NaN there is reported at its end node, as the
+    # sequential sweep reports it.
+    vals = ragged_coeffs.sigma0.values.copy()
+    vals[2 if backward else 98] = np.nan
+    pair = CoefficientPair(ragged_coeffs.tau1,
+                           GridFunction(ragged_coeffs.grid, vals))
+    for store in (False, True):
+        with pytest.raises(IntegrationOverflowError) as ei:
+            _sweep(pair, SystemVariant.DIRECT, np.array([9.0, 4.0j]),
+                   np.eye(3), with_dlambda=True, backward=backward,
+                   store=store)
+        assert ei.value.node == (0 if backward else 100)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("with_dlambda", [False, True])
+def test_overflow_in_the_chain_raises_without_warnings(grid128,
+                                                       with_dlambda):
+    # tau1 = -1e6 (1 + x / 10): each RK4 step grows the state about 300
+    # times, each stretch propagator about 1e80 times, so the states stay
+    # finite through three stretches and the product overflows in the
+    # fourth.  The error is the only report: numpy warnings would fail
+    # the test.
+    tau1 = GridFunction(grid128, -1e6 * (1.0 + 0.1 * grid128.nodes) + 0j)
+    pair = CoefficientPair(tau1, GridFunction.constant(grid128, 0.0))
+    for store in (False, True):
+        with pytest.raises(IntegrationOverflowError) as ei:
+            _sweep(pair, SystemVariant.DIRECT, np.array([1.0]), np.eye(3),
+                   with_dlambda=with_dlambda, store=store)
+        assert ei.value.node == grid128.M
