@@ -37,7 +37,6 @@ from .asympt import eigen_guess, beta_guess, extract_remainders, validate_condit
 from .model import ModelCache, build_model, xi_sequence, distance_d
 from .inverse import (
     index_set,
-    kernel_D,
     assemble,
     solve_phi,
     reconstruct,

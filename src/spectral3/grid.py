@@ -276,18 +276,15 @@ def resample(f: GridFunction, grid: Grid) -> GridFunction:
 _HEADER = "x,tau1_re,tau1_im,sigma0_re,sigma0_im"
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_ROW = ",".join(["%.17g"] * 5)
 
 
 def write_coefficients(path, pair: CoefficientPair) -> None:
-    xs = pair.grid.nodes
     t1 = pair.tau1.values
     s0 = pair.sigma0.values
-    lines = [_HEADER]
-    for m in range(pair.grid.M + 1):
-        lines.append(",".join(_fmt(u) for u in
-                              (xs[m], t1[m].real, t1[m].imag, s0[m].real, s0[m].imag)))
+    table = np.column_stack([pair.grid.nodes, t1.real, t1.imag,
+                             s0.real, s0.imag]).tolist()
+    lines = [_HEADER] + [_ROW % tuple(row) for row in table]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -25,7 +25,9 @@ exp(rate x) with rate the relevant real part of the cube roots of
 lambda_v.  On the eigenvalue rays the growth of the unknown cancels the
 decay of its kernel column exactly, so a diagonal similarity with
 weights exp(rate_v x) makes the scaled matrix entries O(1); the LU and
-the condition estimate run on the scaled matrix.
+the condition estimate run on the scaled matrix.  The weights act on the
+O(4N) kernel factors of each node, before their product, so the scaled
+matrix is built directly and never rescaled entry by entry.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .quasi import SystemVariant
 __all__ = [
     "IndexV",
     "index_set",
-    "kernel_D",
     "MainAssembly",
     "assemble",
     "solve_phi",
@@ -65,16 +66,15 @@ _KERNEL_SWITCH = 1e-6
 
 _RCOND_FLOOR = 1e-13
 
-# Nodes per block of solve_phi.  A block's node matrices are built,
-# scaled in place and factorized, 2 x 8 x (4N)^2 complex entries (2.4 MB
-# at N = 24); they are the only copy of the matrices the solve holds.
-# 16 nodes were no faster and raised the inverse peak RSS by 3.4 MB.
+# Nodes per block of solve_phi.  A block's node matrices are built
+# already scaled from weighted kernel factors and factorized, 2 x 8 x
+# (4N)^2 complex entries (2.4 MB at N = 24); they are the only copy of
+# the matrices the solve holds.  16 nodes were no faster and raised the
+# inverse peak RSS by 3.4 MB.
 _NODE_BLOCK = 8
 
 # Breach threshold of the verify_weyl checks.
 _WEYL_TOL = 1e-6
-
-_VALID_KJ = {(2, 2), (2, 3), (3, 2), (3, 3)}
 
 
 class IndexV(NamedTuple):
@@ -142,7 +142,7 @@ class KernelFactors(NamedTuple):
 
     Yb: np.ndarray    # (M+1, W, 3)  (y^[2], -y', y) at every node
     Zt: np.ndarray    # (M+1, 3, L)  (z, z', z^[2]) at every node
-    den: np.ndarray   # (W, L)  mu_w - lam_v, or 1 on the near pairs
+    recip: np.ndarray  # (W, L)  1 / (mu_w - lam_v), or 0 on the near pairs
     ws: np.ndarray    # (P,)  near pairs (w, v)
     vs: np.ndarray    # (P,)
     vals: np.ndarray  # (M+1, P)  their integral-form values
@@ -163,6 +163,8 @@ def _kernel_factors(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
     diff = mu[:, None] - lam[None, :]
     scale = 1.0 + np.maximum(np.abs(mu)[:, None], np.abs(lam)[None, :])
     near = ~(np.abs(diff) > _KERNEL_SWITCH * scale)
+    recip = np.zeros_like(diff)
+    np.divide(1.0, diff, out=recip, where=~near)
 
     ws, vs = np.nonzero(near)
     vals = cumulative(np.transpose(stars.Z[vs, :, 0] * Y[ws, :, 0]))
@@ -179,44 +181,28 @@ def _kernel_factors(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
         Yb=np.transpose(Y[:, :, ::-1] * np.array([1.0, -1.0, 1.0]),
                         (1, 0, 2)),
         Zt=np.transpose(stars.Z, (1, 2, 0)),
-        den=np.where(near, 1.0, diff), ws=ws, vs=vs, vals=vals)
+        recip=recip, ws=ws, vs=vs, vals=vals)
 
 
-def _bracket(f: KernelFactors, nodes: slice = slice(None)) -> np.ndarray:
-    """D(x_m; Z_v, Y_w) as out[m, w, v] for the nodes m of the slice: one
-    batched product over the nodes, divided by mu - lam, with the near
-    pairs overwritten by their integral form."""
-    out = np.matmul(f.Yb[nodes], f.Zt[nodes])
-    out /= f.den
-    out[:, f.ws, f.vs] = f.vals[nodes]
+def _bracket(f: KernelFactors, nodes: slice = slice(None), rows=None,
+             cols=None) -> np.ndarray:
+    """D(x_m; Z_v, Y_w) as out[m, w, v] for the nodes m of the slice,
+    times cols[..., v] / rows[..., w] when these are given: one batched
+    product over the nodes, times 1 / (mu - lam), with the near pairs
+    overwritten by their integral form.  rows and cols scale the Yb and
+    Zt factors of the slice, O(W + L) entries per node, never the (W, L)
+    product.  A near-pair value is multiplied by the ratio cols / rows
+    itself, which is exact where the two agree, as on the diagonal of a
+    similarity."""
+    Yb, Zt, vals = f.Yb[nodes], f.Zt[nodes], f.vals[nodes]
+    if cols is not None:
+        Yb = Yb / rows[..., :, None]
+        Zt = Zt * cols[..., None, :]
+        vals = vals * (cols[..., f.vs] / rows[..., f.ws])
+    out = np.matmul(Yb, Zt)
+    out *= f.recip
+    out[:, f.ws, f.vs] = vals
     return out
-
-
-def _kernel(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
-            j) -> np.ndarray:
-    """Two-point kernels D(x; Z_v, Y_w) for every pair at every node:
-    out[m, w, v]; see _kernel_factors."""
-    return _bracket(_kernel_factors(stars, Y, mu, j))
-
-
-def kernel_D(cache: ModelCache, kj, lam: complex, mu: complex,
-             regularized: bool = False) -> GridFunction:
-    """Nodal values of D_{k,j}(x, lambda, mu) for (k, j) in {2,3} x {2,3}
-    on the grid of the model cache.
-
-    The pairing of Phi*_k(., lambda) with Phi_j(., mu); see _kernel.  The
-    pole 1/(lambda - mu) of D_{2,2} may be regularized at an exact
-    coincidence.
-    """
-    k, j = int(kj[0]), int(kj[1])
-    if (k, j) not in _VALID_KJ:
-        raise ValueError("kernel indices %r not supported" % (kj,))
-    lam, mu = np.array([lam], dtype=complex), np.array([mu], dtype=complex)
-    star = StarStates(cache.states(SystemVariant.STAR, k, lam), lam,
-                      np.array([1.0 if k == 2 else 0.0]),
-                      np.array([regularized]))
-    D = _kernel(star, cache.states(SystemVariant.DIRECT, j, mu), mu, j)
-    return GridFunction(cache.grid, D[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +239,16 @@ class MainAssembly:
     def deta(self) -> np.ndarray:
         return self.stars.Z[:, :, 1]
 
-    def node_matrices(self, nodes: slice = slice(None)) -> np.ndarray:
+    def node_matrices(self, nodes: slice = slice(None),
+                      w: np.ndarray | None = None) -> np.ndarray:
         """A[m, v0, v] = delta - (-1)^eps(v) D(x_m; Z_v, tilde phi_v0)
-        for the nodes m of the slice, (nodes, 4N, 4N)."""
-        A = _bracket(self.kernel, nodes)
-        A *= -self.signs
+        for the nodes m of the slice, (nodes, 4N, 4N).  Given weights w
+        (nodes, 4N), the equilibrated w_v A[m, v0, v] / w_v0 instead: the
+        weights and signs scale the kernel factors before their
+        product."""
+        if w is None:
+            w = np.ones(len(self.V))
+        A = _bracket(self.kernel, nodes, rows=w, cols=-self.signs * w)
         idx = np.arange(len(self.V))
         A[:, idx, idx] += 1.0
         return A
@@ -305,34 +296,37 @@ def solve_phi(assembly: MainAssembly):
     first node where it occurs, its inverse, and the largest relative
     residual of the phi solve.
 
-    The nodes run in blocks of _NODE_BLOCK: each block's matrices are
-    built by assembly.node_matrices and scaled in place, so no more than
-    one block of them exists at a time; norms, right-hand sides,
-    residuals and products are array operations on a block; only the
-    LAPACK getrf/gecon/getrs calls run node by node.
+    w, tilde_phi / w and tilde_phi' / w are (M+1, 4N) arrays over the
+    whole grid, and the solutions xhat are written into two more.  The
+    nodes run in blocks of _NODE_BLOCK: assembly.node_matrices builds
+    each block's Ahat already scaled, the weights, signs and 1 / (mu -
+    lam) applied to the kernel factors, so no more than one block of
+    matrices exists at a time; norms, residuals and the right-hand sides
+    of phi' are array operations on a block; only the LAPACK
+    getrf/gecon/getrs calls run node by node.
     """
     grid = assembly.grid
     M = grid.M
     size = len(assembly.V)
+    # node-major (M+1, 4N) rows, contiguous along v
+    w = np.exp(grid.nodes[:, None] * assembly.rates)
+    b1 = np.divide(assembly.tilde_phi.T, w, order="C")
+    b2 = np.divide(assembly.tilde_dphi.T, w, order="C")
+    # the solutions xhat and x2 go straight into the outputs, node-major
+    # views of phi and dphi, which are scaled by w once all are solved
     phi = np.empty((size, M + 1), dtype=complex)
     dphi = np.empty_like(phi)
+    xhat, x2 = phi.T, dphi.T
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
-                                           (phi,))
-    nodes = grid.nodes
+                                           (b1,))
     rcond_min, rcond_node = np.inf, -1
     residual_max = 0.0
     for start in range(0, M + 1, _NODE_BLOCK):
         block = slice(start, min(start + _NODE_BLOCK, M + 1))
-        # node-major (nodes, 4N) rows, contiguous along v
-        tphi = np.ascontiguousarray(assembly.tilde_phi[:, block].T)
-        w = np.exp(assembly.rates * nodes[block, None])
-        Ahat = assembly.node_matrices(block)
-        Ahat *= w[:, None, :] / w[:, :, None]
+        Ahat = assembly.node_matrices(block, w[block])
         # column sums over the non-contiguous axis add sequentially, in the
         # order of a single matrix's sum(axis=0)
         anorm = np.abs(Ahat).sum(axis=1).max(axis=1)
-        b1 = tphi / w
-        xhat = np.empty_like(b1)
         factors = []
         for i, m in enumerate(range(block.start, block.stop)):
             lu, piv, _ = getrf(Ahat[i])
@@ -341,23 +335,26 @@ def solve_phi(assembly: MainAssembly):
                 raise SingularSystemError(m, rcond)
             if rcond < rcond_min:
                 rcond_min, rcond_node = rcond, m
-            xhat[i] = getrs(lu, piv, b1[i])[0]
+            xhat[m] = getrs(lu, piv, b1[m])[0]
             factors.append((lu, piv))
-        phi_b = w * xhat
-        phi[:, block] = phi_b.T
-        Ax = np.matmul(Ahat, xhat[:, :, None])[:, :, 0]
-        res = np.abs(Ax - b1).max(axis=1) / (1.0 + np.abs(b1).max(axis=1))
+        xb = np.ascontiguousarray(xhat[block])
+        # einsum, not matmul: a stacked matrix-vector matmul calls BLAS
+        # gemv, which OpenBLAS splits over two threads from (4N)^2 = 4096
+        # on, and those calls stall whenever another process holds a core
+        Ax = np.einsum("mij,mj->mi", Ahat, xb)
+        res = (np.abs(Ax - b1[block]).max(axis=1)
+               / (1.0 + np.abs(b1[block]).max(axis=1)))
         residual_max = max(residual_max, float(res.max()))
 
         # a contiguous row sums pairwise, in the order of one node's 1-D sum
         eta = np.ascontiguousarray(assembly.eta[:, block].T)
-        s = (assembly.signs * eta * phi_b).sum(axis=1)
-        tdphi = np.ascontiguousarray(assembly.tilde_dphi[:, block].T)
-        b2 = (tdphi + tphi * s[:, None]) / w
-        x2 = np.empty_like(b2)
+        s = (assembly.signs * eta * (w[block] * xb)).sum(axis=1)
+        rhs = b2[block] + b1[block] * s[:, None]
         for i, (lu, piv) in enumerate(factors):
-            x2[i] = getrs(lu, piv, b2[i])[0]
-        dphi[:, block] = (w * x2).T
+            x2[start + i] = getrs(lu, piv, rhs[i])[0]
+        del Ahat, factors  # before the next block's are built
+    phi *= w.T
+    dphi *= w.T
     diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
             "cond_max": 1.0 / rcond_min, "residual_max": residual_max}
     return phi, dphi, diag

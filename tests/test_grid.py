@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +160,32 @@ def test_coefficients_roundtrip(tmp_path):
     back = read_coefficients(path)
     assert np.array_equal(back.tau1.values, pair.tau1.values)
     assert np.array_equal(back.sigma0.values, pair.sigma0.values)
+
+
+def _fmt_rows(pair):
+    # the per-field rendering write_coefficients replaced
+    xs, t1, s0 = pair.grid.nodes, pair.tau1.values, pair.sigma0.values
+    return [",".join("%.17g" % u for u in (xs[m], t1[m].real, t1[m].imag,
+                                          s0[m].real, s0[m].imag))
+            for m in range(pair.grid.M + 1)]
+
+
+def test_write_coefficients_bytes(tmp_path):
+    # data/smooth.csv round-trips byte for byte
+    src = Path(__file__).resolve().parents[1] / "data" / "smooth.csv"
+    path = tmp_path / "smooth.csv"
+    write_coefficients(path, read_coefficients(src))
+    assert path.read_bytes() == src.read_bytes()
+    # a complex pair with negative parts, signed zeros and tiny and huge
+    # magnitudes renders as the per-field formatting did
+    g = Grid(16)
+    pair = CoefficientPair.from_callables(
+        g, lambda x: -np.exp(20 * x) * (np.cos(7 * x) - 1j * x) / 3.0,
+        lambda x: -1e-300 * x + 1j * (np.sin(x) - 0.5) / 7.0)
+    pair.sigma0.values[0] = complex(-0.0, -0.0)
+    write_coefficients(path, pair)
+    lines = path.read_text().split("\n")
+    assert lines[1:] == _fmt_rows(pair) + [""]
 
 
 def test_read_coefficients_errors(tmp_path):
