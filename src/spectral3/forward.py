@@ -3,16 +3,29 @@ numbers, Weyl matrices and solutions.
 
 Two numerical routes matter here.
 
-Characteristic determinants.  The minors Delta_{j,1} formed literally
+Characteristic determinants.  Both families are read alike: with k the
+family of a lambda, Delta_{k,k} vanishes on the spectrum of family k,
+the Weyl function is M_{k+1,k} = -Delta_{k+1,k}/Delta_{k,k}, and the
+weight number beta_{n,k} = Delta_{k+1,k}/dDelta_{k,k} at lambda_{n,k}
+is minus its residue there.  The Characteristic record holds per lambda
+
+    field        k = 1                k = 2
+    delta        Delta_{1,1}          Delta_{2,2} = C_3(1)
+    numer        Delta_{2,1}          Delta_{3,2} = C_2(1)
+    gamma_numer  Delta_{3,1}          C_1(1)
+    ddelta       dDelta_{1,1}/dlam    dDelta_{2,2}/dlam
+
+and gamma_n of a coinciding pair is gamma_numer/ddelta of the family
+whose weight number vanishes.  The minors Delta_{j,1} formed literally
 from products of fundamental values cancel catastrophically once
 |lambda|^(1/3) is large (products grow like e^(3 rho x) while the minor
 itself stays of size e^(rho x)).  The 2x2 minors of DIRECT solutions,
 however, satisfy the STAR system themselves, so a STAR sweep with
-identity initial data reads all Delta_{j,1} off directly as first
-components, with no products formed.  Its lambdas ride in the same
-sweep as the DIRECT ones, each with its own variant.  The literal
-formulas are kept in characteristic_literal as an independent
-cross-check for moderate |lambda|.
+identity initial data reads all Delta_{j,1} off directly as its top
+row, with no products formed.  Its lambdas ride in the same sweep as
+the family 2 ones, each with its own variant.  The literal formulas are
+kept in characteristic_literal as an independent cross-check for
+moderate |lambda|.
 
 Weyl solutions.  Phi_k decays toward x = 1 for some lambda and then no
 forward integration can recover it; the integration direction is chosen
@@ -26,6 +39,7 @@ always forward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,69 +83,61 @@ _CONTOUR_POINTS = 64
 _ROUTE_EPS = 1e-12
 
 
-# The characteristic arrays of each family, the lambda-derivative last.
-_FAMILY_KEYS = {1: ("d11", "d21", "d31", "ddot11"),
-                2: ("d22", "d32", "c11", "ddot22")}
+class Characteristic(NamedTuple):
+    """Characteristic values at L lambdas, each read in its own family k
+    (the table in the module docstring): (L,) arrays, ddelta None
+    without d/dlambda."""
+
+    delta: np.ndarray                  # Delta_{k,k}
+    numer: np.ndarray                  # Delta_{k+1,k}
+    gamma_numer: np.ndarray            # Delta_{3,1} or C_1(1)
+    ddelta: np.ndarray | None = None   # dDelta_{k,k}/dlambda
+
+    def take(self, idx) -> "Characteristic":
+        return Characteristic(*(None if v is None else v[idx] for v in self))
 
 
-def _char_arrays(coeffs: CoefficientPair, lams,
+def _char_arrays(coeffs: CoefficientPair, lams, fams,
                  variant: SystemVariant = SystemVariant.DIRECT,
-                 with_dlambda=False, families=(1, 2)) -> dict:
+                 with_dlambda=False) -> Characteristic:
     """Characteristic values of the variant for a batch of lambdas.
 
-    Returns a dict of (L,) arrays: "lams", and per family read
-    d11 = Delta_{1,1}, d21 = Delta_{2,1}, d31 = Delta_{3,1} (family 1)
-    or d22 = Delta_{2,2} = C_3(1), d32 = Delta_{3,2} = C_2(1) and
-    c11 = C_1(1) (family 2), with ddot11 and ddot22, the
-    lambda-derivatives of the diagonal determinants, when with_dlambda.
-    Family 2 is the top fundamental row of the variant's own sweep.
-    Family 1 is the top row of the dual sweep, which carries the wedge
-    minors of the variant's solutions.
+    fams is the family k of each lambda (an (L,) array) or one family
+    for all.  One sweep of L lambdas reads the top row (y_1, y_2, y_3)
+    of the fundamental matrix at x = 1, each lambda in its own variant:
 
-    families is a tuple of the families read at every lambda, or an
-    (L,) integer array naming the one family read at each lambda; then
-    each family's arrays hold NaN at the lambdas of the other.  Either
-    way all requested values come from one sweep with a per-lambda
-    variant (none when nothing is requested), of len(families) L
-    lambdas or of L.
+        k = 1: the dual sweep, carrying the wedge minors of the
+               variant's solutions: Delta_{1,1} = -y_3,
+               Delta_{2,1} = -y_2, Delta_{3,1} = y_1
+        k = 2: the variant's own sweep: C_3(1), C_2(1), C_1(1)
+
+    with ddelta, when with_dlambda, the lambda-derivative of delta.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    out: dict = {"lams": lams}
-    per_lambda = isinstance(families, np.ndarray)
-    if per_lambda:
-        fam, batch = families, lams
-    else:
-        fam = np.repeat(np.asarray(families, dtype=int), lams.shape[0])
-        batch = np.tile(lams, len(families))
-    if not fam.size:
-        return out
-    c = np.where(fam == 2, variant.value, -variant.value)
-    res = _sweep(coeffs, c, batch, _EYE, with_dlambda=with_dlambda)
+    first = np.broadcast_to(np.asarray(fams) == 1, lams.shape)
+    c = np.where(first, -variant.value, variant.value)
+    res = _sweep(coeffs, c, lams, _EYE, with_dlambda=with_dlambda)
     Y, dY = res if with_dlambda else (res, None)
-    for k in (1, 2) if per_lambda else families:
-        rows = fam == k
-        # family 1 reads the dual sweep's top row with the signs of the
-        # wedge minors
-        sign = np.negative if k == 1 else np.positive
-        values = [sign(Y[:, 0, 2]), sign(Y[:, 0, 1]), Y[:, 0, 0]]
-        if with_dlambda:
-            values.append(sign(dY[:, 0, 2]))
-        for name, v in zip(_FAMILY_KEYS[k], values):
-            out[name] = np.where(rows, v, np.nan) if per_lambda else v[rows]
-    return out
+
+    def signed(v):
+        return np.where(first, -v, v)
+
+    return Characteristic(signed(Y[:, 0, 2]), signed(Y[:, 0, 1]), Y[:, 0, 0],
+                          signed(dY[:, 0, 2]) if with_dlambda else None)
 
 
-def characteristic_literal(coeffs: CoefficientPair, lams,
+def characteristic_literal(coeffs: CoefficientPair, lams, fams,
                            variant: SystemVariant = SystemVariant.DIRECT,
-                           with_dlambda: bool = False) -> dict:
-    """_char_arrays of both families from literal 2x2 products.
+                           with_dlambda: bool = False) -> Characteristic:
+    """_char_arrays from literal 2x2 products.
 
     One sweep of the variant, minors formed from the fundamental values
     at x = 1.  Subject to cancellation at large |lambda|; serves as an
-    independent cross-check of _char_arrays, whose keys it returns.
+    independent cross-check of _char_arrays, whose record it returns.
     With variant = STAR this yields the star determinants Delta*.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    first = np.broadcast_to(np.asarray(fams) == 1, lams.shape)
     res = _sweep(coeffs, variant, lams, _EYE, with_dlambda=with_dlambda)
     Y, dY = res if with_dlambda else (res, None)
     y0, y1 = Y[:, 0, :], Y[:, 1, :]
@@ -139,15 +145,15 @@ def characteristic_literal(coeffs: CoefficientPair, lams,
     def minor(a, b):
         return y0[:, a] * y1[:, b] - y0[:, b] * y1[:, a]
 
-    out = {"lams": lams, "d11": -minor(1, 2), "d21": -minor(0, 2),
-           "d31": minor(0, 1), "d22": y0[:, 2], "d32": y0[:, 1],
-           "c11": y0[:, 0]}
+    ddelta = None
     if with_dlambda:
         z0, z1 = dY[:, 0, :], dY[:, 1, :]
-        out["ddot11"] = -(z0[:, 1] * y1[:, 2] + y0[:, 1] * z1[:, 2]
-                          - z0[:, 2] * y1[:, 1] - y0[:, 2] * z1[:, 1])
-        out["ddot22"] = z0[:, 2]
-    return out
+        ddelta = np.where(first, -(z0[:, 1] * y1[:, 2] + y0[:, 1] * z1[:, 2]
+                                   - z0[:, 2] * y1[:, 1] - y0[:, 2] * z1[:, 1]),
+                          z0[:, 2])
+    return Characteristic(np.where(first, -minor(1, 2), y0[:, 2]),
+                          np.where(first, -minor(0, 2), y0[:, 1]),
+                          np.where(first, minor(0, 1), y0[:, 0]), ddelta)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +171,10 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     k is the family of each entry (an array like ns) or one family for
     all.  Each iteration evaluates every active entry's own family in
     one mixed d/dlambda sweep (_char_arrays with a per-lambda family).
-    Returns the roots and the _char_arrays dict at them, each family's
-    arrays holding NaN at the other family's entries, from each entry's
-    last evaluation: an entry stops at the lambda it has just evaluated,
-    since a converged entry takes step 0, so the weight numbers need no
-    further sweep.
+    Returns the roots and the Characteristic record at them, from each
+    entry's last evaluation: an entry stops at the lambda it has just
+    evaluated, since a converged entry takes step 0, so the weight
+    numbers need no further sweep.
 
     A failing entry leaves the active set while the others run on.  The
     failures are then raised family by family, 1 before 2, in the order
@@ -181,7 +186,7 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     ns = np.asarray(ns, dtype=int)
     ks = np.broadcast_to(np.asarray(k, dtype=int), ns.shape)
     lam = np.asarray(guesses, dtype=complex).copy()
-    last: dict = {}
+    last = Characteristic(*(np.empty_like(lam) for _ in Characteristic._fields))
     active = np.ones(lam.shape[0], dtype=bool)
     # the iteration at which an entry's derivative vanished
     vanished = np.full(lam.shape[0], _NEWTON_MAX_ITER)
@@ -189,18 +194,14 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        a = _char_arrays(coeffs, lam[idx], with_dlambda=True,
-                         families=ks[idx])
-        first = ks[idx] == 1
-        delta = np.where(first, a["d11"], a["d22"])
-        ddelta = np.where(first, a["ddot11"], a["ddot22"])
-        for name, values in a.items():
-            last.setdefault(name, np.empty_like(lam))[idx] = values
-        conv = np.abs(delta) <= _newton_tol(ddelta, lam[idx])
-        small = (np.abs(ddelta) < _DERIV_FLOOR) & ~conv
+        a = _char_arrays(coeffs, lam[idx], ks[idx], with_dlambda=True)
+        for dst, values in zip(last, a):
+            dst[idx] = values
+        conv = np.abs(a.delta) <= _newton_tol(a.ddelta, lam[idx])
+        small = (np.abs(a.ddelta) < _DERIV_FLOOR) & ~conv
         vanished[idx[small]] = it
         step = np.where(conv | small, 0.0,
-                        delta / np.where(small, 1.0, ddelta))
+                        a.delta / np.where(small, 1.0, a.ddelta))
         lam[idx] = lam[idx] - step
         active[idx[conv | small]] = False
     for fam in (1, 2):
@@ -285,25 +286,20 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
     theta = integrate(coeffs.tau1)
     ns = np.arange(1, n_max + 1)
     guesses = [asympt.eigen_guess(n, k, theta) for k in (1, 2) for n in ns]
-    lam, last = _newton_family(coeffs, np.repeat([1, 2], n_max),
-                               np.tile(ns, 2), guesses, theta)
-    lam1, lam2 = lam[:n_max], lam[n_max:]
-    a1 = {name: last[name][:n_max] for name in _FAMILY_KEYS[1]}
-    a2 = {name: last[name][n_max:] for name in _FAMILY_KEYS[2]}
-
-    K, perm = detect_K(lam1, lam2, pair_tol)
-    lam2 = lam2[perm]
-    a2 = {name: v[perm] for name, v in a2.items()}
+    lam, a = _newton_family(coeffs, np.repeat([1, 2], n_max),
+                            np.tile(ns, 2), guesses, theta)
+    K, perm = detect_K(lam[:n_max], lam[n_max:], pair_tol)
+    order = np.concatenate([ns - 1, n_max + perm])
+    lam, a = lam[order], a.take(order)
     if K:
         # On K lambda_{n,2} is set to lambda_{n,1}: family 2 is swept there.
         i = np.array(K) - 1
-        lam2[i] = lam1[i]
-        aK = _char_arrays(coeffs, lam1[i], with_dlambda=True, families=(2,))
-        for name in a2:
-            a2[name][i] = aK[name]
-
-    beta1 = a1["d21"] / a1["ddot11"]
-    beta2 = a2["d32"] / a2["ddot22"]
+        lam[n_max + i] = lam[i]
+        for v, vK in zip(a, _char_arrays(coeffs, lam[i], 2, with_dlambda=True)):
+            v[n_max + i] = vK
+    lam1, lam2 = lam[:n_max], lam[n_max:]
+    beta = a.numer / a.ddelta
+    beta1, beta2 = beta[:n_max], beta[n_max:]
 
     # Exactly one weight number vanishes on each coinciding pair (both in
     # the symmetric case); snap the numerically-zero one to exact zero.
@@ -319,11 +315,11 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
         if abs(b2) <= scale:
             beta2[n - 1] = 0.0
 
-    # On K both families sit at the same lambda, so the two weight
-    # batches already hold both gamma definitions there.
-    gamma = {n: _gamma(complex(lam1[n - 1]),
-                       complex(a1["d31"][n - 1] / a1["ddot11"][n - 1]),
-                       complex(a2["c11"][n - 1] / a2["ddot22"][n - 1]),
+    # On K both families sit at the same lambda, so the record already
+    # holds both gamma definitions there.
+    g = a.gamma_numer / a.ddelta
+    gamma = {n: _gamma(complex(lam1[n - 1]), complex(g[n - 1]),
+                       complex(g[n_max + n - 1]),
                        complex(beta1[n - 1]), complex(beta2[n - 1]))
              for n in K}
     return SpectralData(theta=complex(theta), n_max=n_max,
@@ -476,28 +472,25 @@ def _pole_guard(num: np.ndarray, den: np.ndarray, lams: np.ndarray,
             "lambda=%s is numerically at a zero of %s" % (lam, label))
 
 
-def _weyl_from_arrays(a: dict) -> np.ndarray:
-    """(L, 3, 3) Weyl matrices from characteristic arrays of both
-    families with d/dlambda."""
-    _pole_guard(a["d11"], a["ddot11"], a["lams"], "Delta_{1,1}")
-    _pole_guard(a["d22"], a["ddot22"], a["lams"], "Delta_{2,2}")
-    out = np.broadcast_to(_EYE, (a["lams"].shape[0], 3, 3)).copy()
-    out[:, 1, 0] = -a["d21"] / a["d11"]
-    out[:, 2, 0] = -a["d31"] / a["d11"]
-    out[:, 2, 1] = -a["d32"] / a["d22"]
-    return out
-
-
 def weyl_matrix(coeffs: CoefficientPair, lams,
                 variant: SystemVariant = SystemVariant.DIRECT) -> np.ndarray:
     """Lower unitriangular matrices of the Weyl functions.
 
     lams is a scalar, giving (3, 3), or a 1-D array of L points, giving
-    (L, 3, 3) from one sweep of each family over all of them.
+    (L, 3, 3) from one sweep of 2L, both families at every point.
     Raises NearPoleError naming the first lambda at a pole.
     """
-    m = _weyl_from_arrays(_char_arrays(coeffs, lams, variant,
-                                       with_dlambda=True))
+    z = np.atleast_1d(np.asarray(lams, dtype=complex))
+    L = z.shape[0]
+    a = _char_arrays(coeffs, np.tile(z, 2), np.repeat([1, 2], L), variant,
+                     with_dlambda=True)
+    a1, a2 = a.take(slice(L)), a.take(slice(L, None))
+    _pole_guard(a1.delta, a1.ddelta, z, "Delta_{1,1}")
+    _pole_guard(a2.delta, a2.ddelta, z, "Delta_{2,2}")
+    m = np.broadcast_to(_EYE, (L, 3, 3)).copy()
+    m[:, 1, 0] = -a1.numer / a1.delta
+    m[:, 2, 0] = -a1.gamma_numer / a1.delta
+    m[:, 2, 1] = -a2.numer / a2.delta
     return m[0] if np.ndim(lams) == 0 else m
 
 
@@ -507,47 +500,33 @@ _E23 = np.hstack([_E2, _E3])
 
 
 def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
-               ks=(2, 3)) -> dict:
-    """Phi_k trajectories for a batch of lambdas, k in {1, 2, 3}.
+               k: int) -> np.ndarray:
+    """Phi_k trajectories (L, M+1, 3) for a batch of lambdas, k in
+    {1, 2, 3}.
 
-    Returns {k: array (L, M+1, 3)}.  Phi_3 is the third fundamental
-    solution; Phi_1 is the backward solution from (0, 0, 1) at x = 1,
-    normalized to y(0) = 1; Phi_2 is integrated backward from terminal
-    data where it does not grow (middle exponent non-positive) and
-    forward as C_2 + M_{3,2} C_3 otherwise.  Each characteristic family
-    is swept only when read: family 1 for Phi_1's pole guard, family 2
-    for Phi_2; Phi_3 needs neither.
+    Phi_3 is the third fundamental solution; Phi_1 is the backward
+    solution from (0, 0, 1) at x = 1, normalized to y(0) = 1; Phi_2 is
+    integrated backward from terminal data where it does not grow
+    (middle exponent non-positive) and forward as C_2 + M_{3,2} C_3
+    otherwise.  Characteristic family k is swept for Phi_1 and Phi_2
+    (the pole guard, and M_{3,2} = -Delta_{3,2}/Delta_{2,2}); Phi_3
+    needs none.
     """
-    a = _char_arrays(coeffs, lams, variant, with_dlambda=True,
-                     families=tuple(k for k in (1, 2) if k in ks))
-    lams = a["lams"]
-    out: dict = {}
-    if 1 in ks:
-        _pole_guard(a["d11"], a["ddot11"], lams, "the k=1 characteristic")
+    if k not in (1, 2, 3):
+        raise ValueError("no Weyl solution Phi_%s" % k)
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    if k == 3:
+        full = _sweep(coeffs, variant, lams, _E3, store=True)
+        return np.transpose(full[:, :, :, 0], (1, 0, 2))
+    a = _char_arrays(coeffs, lams, k, variant, with_dlambda=True)
+    _pole_guard(a.delta, a.ddelta, lams, "the k=%d characteristic" % k)
+    if k == 1:
         u = _sweep(coeffs, variant, lams, _E3, backward=True,
                    store=True)[:, :, :, 0]
-        out[1] = np.transpose(u / u[0, :, :1], (1, 0, 2))
-    if 2 in ks:
-        out[2] = _phi2_states(coeffs, variant, a)
-    if 3 in ks:
-        full = _sweep(coeffs, variant, lams, _E3, store=True)
-        out[3] = np.transpose(full[:, :, :, 0], (1, 0, 2))
-    return out
-
-
-def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
-                 a: dict) -> np.ndarray:
-    """Phi_2 trajectories (L, M+1, 3) at the lambdas of the family 2
-    characteristic arrays a of the variant (computed with d/dlambda)."""
-    lams = a["lams"]
-    L = lams.shape[0]
-    M = coeffs.grid.M
-    _pole_guard(a["d22"], a["ddot22"], lams, "the k=2 characteristic")
-    m32 = -a["d32"] / a["d22"]
-    phi2 = np.empty((L, M + 1, 3), dtype=complex)
-    c = variant.value  # the lambda sign of the system
-    rates = asympt.root_rates(c * lams)[:, 1]
-    back = rates <= _ROUTE_EPS
+        return np.transpose(u / u[0, :, :1], (1, 0, 2))
+    phi2 = np.empty((lams.shape[0], coeffs.grid.M + 1, 3), dtype=complex)
+    # the middle exponent of r^3 = c lambda, c the lambda sign of the system
+    back = asympt.root_rates(variant.value * lams)[:, 1] <= _ROUTE_EPS
     if back.any():
         basis = _sweep(coeffs, variant, lams[back], _E23,
                        backward=True, store=True)
@@ -561,7 +540,7 @@ def _phi2_states(coeffs: CoefficientPair, variant: SystemVariant,
     if (~back).any():
         init = np.zeros((int((~back).sum()), 3, 1), dtype=complex)
         init[:, 1, 0] = 1.0
-        init[:, 2, 0] = m32[~back]
+        init[:, 2, 0] = -a.numer[~back] / a.delta[~back]   # M_{3,2}
         full = _sweep(coeffs, variant, lams[~back], init, store=True)
         phi2[~back] = np.transpose(full[:, :, :, 0], (1, 0, 2))
     return phi2

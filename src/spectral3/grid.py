@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .serialize import finite_float
+
 __all__ = [
     "Grid",
     "GridFunction",
@@ -300,7 +302,7 @@ def read_coefficients(path) -> CoefficientPair:
         if len(parts) != 5:
             raise ValueError("bad coefficient row %d: %r" % (i, ln))
         try:
-            rows.append([float(p) for p in parts])
+            rows.append([finite_float(p) for p in parts])
         except ValueError:
             raise ValueError("bad coefficient row %d: %r" % (i, ln)) from None
     rows.sort(key=lambda r: r[0])

@@ -48,8 +48,6 @@ class ModelCache:
 
     coeffs: CoefficientPair
     model_data: SpectralData        # n <= N + margin
-    data: SpectralData              # the given data truncated to n <= N
-    N: int
     phi: dict = field(default_factory=dict)        # (k, lam) -> (M+1, 3)
     phi_star: dict = field(default_factory=dict)   # (k, lam) -> (M+1, 3)
 
@@ -75,9 +73,9 @@ class ModelCache:
                                      if (k, l) not in table))
         if not missing:
             return
-        batch = weyl_batch(self.coeffs, np.array(missing), variant, ks=(k,))
+        batch = weyl_batch(self.coeffs, np.array(missing), variant, k)
         for i, l in enumerate(missing):
-            table[(k, l)] = batch[k][i]
+            table[(k, l)] = batch[i]
 
 
 def _check_model(model_coeffs: CoefficientPair, theta: complex) -> None:
@@ -130,12 +128,9 @@ def build_model(data: SpectralData, grid: Grid, N: int,
             GridFunction.constant(grid, data.theta),
             GridFunction.constant(grid, 0.0))
     _check_model(model_coeffs, data.theta)
-    data_N = data.truncate(N)
     model_data = compute_spectral_data(model_coeffs, N + _MODEL_MARGIN)
-    _check_spectra(data_N, model_data)
-
-    return ModelCache(coeffs=model_coeffs, model_data=model_data,
-                      data=data_N, N=N)
+    _check_spectra(data.truncate(N), model_data)
+    return ModelCache(coeffs=model_coeffs, model_data=model_data)
 
 
 def spectral_gaps(data: SpectralData, ref: SpectralData, N: int,

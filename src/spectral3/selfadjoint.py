@@ -24,7 +24,7 @@ import numpy as np
 
 from . import asympt
 from .forward import SpectralData, _checked_K
-from .serialize import complex_pair, dumps17, pair_complex
+from .serialize import complex_pair, dumps17, finite_float, pair_complex
 
 __all__ = ["HalfData", "complete", "restrict", "check_suff_conditions",
            "check_symmetry", "save_half_data", "load_half_data"]
@@ -172,6 +172,6 @@ def load_half_data(path) -> HalfData:
     lam = np.array([pair_complex(e["lambda"]) for e in entries])
     beta = np.array([pair_complex(e["beta"]) for e in entries])
     K = [int(e["n"]) for e in obj.get("K", [])]
-    gammas = {int(e["n"]): float(e["gamma"]) for e in obj.get("K", [])}
-    return HalfData(theta=float(obj["theta"]), lambdas=lam, betas=beta,
+    gammas = {int(e["n"]): finite_float(e["gamma"]) for e in obj.get("K", [])}
+    return HalfData(theta=finite_float(obj["theta"]), lambdas=lam, betas=beta,
                     K=K, gammas=gammas)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dumps17", "complex_pair", "pair_complex"]
+__all__ = ["dumps17", "complex_pair", "pair_complex", "finite_float"]
 
 
 def _plain(obj):
@@ -87,5 +87,14 @@ def complex_pair(z) -> list:
     return [z.real, z.imag]
 
 
+def finite_float(x) -> float:
+    """float(x) of a number read from a file, refusing NaN and
+    infinities, which json.load and float() both accept."""
+    u = float(x)
+    if not math.isfinite(u):
+        raise ValueError("non-finite number %r in input data" % (x,))
+    return u
+
+
 def pair_complex(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(finite_float(pair[0]), finite_float(pair[1]))

@@ -29,11 +29,12 @@ D22_LAM1_ZERO = 0.5083581599842168635427
 
 def test_01_characteristic_values(zero_coeffs):
     t0 = time.perf_counter()
-    c = _char_arrays(zero_coeffs, [0.0, 1.0])
+    # Delta_{2,2}(0), Delta_{1,1}(0), Delta_{2,2}(1)
+    c = _char_arrays(zero_coeffs, [0.0, 0.0, 1.0], [2, 1, 2])
     elapsed = time.perf_counter() - t0
-    dev_d22 = abs(c["d22"][0] - 0.5)
-    dev_d11 = abs(c["d11"][0] + 0.5)
-    dev_oracle = abs(c["d22"][1] - D22_LAM1_ZERO)
+    dev_d22 = abs(c.delta[0] - 0.5)
+    dev_d11 = abs(c.delta[1] + 0.5)
+    dev_oracle = abs(c.delta[2] - D22_LAM1_ZERO)
     print("01: |d22(0)-1/2|=%.2e |d11(0)+1/2|=%.2e (tol 1e-12), "
           "|d22(lam=1)-exp-basis|=%.2e (tol 1e-9), %.2fs (budget 1s)"
           % (dev_d22, dev_d11, dev_oracle, elapsed))
@@ -55,9 +56,10 @@ def test_02_unimodularity_and_weyl_identities(general_coeffs):
         det_dev = max(det_dev, float(np.abs(np.linalg.det(mats) - 1.0).max()))
 
     def weyl_functions(variant):
-        c = characteristic_literal(general_coeffs, lams, variant)
-        return (-c["d21"] / c["d11"], -c["d31"] / c["d11"],
-                -c["d32"] / c["d22"])
+        c1, c2 = (characteristic_literal(general_coeffs, lams, k, variant)
+                  for k in (1, 2))
+        return (-c1.numer / c1.delta, -c1.gamma_numer / c1.delta,
+                -c2.numer / c2.delta)
 
     m21, m31, m32 = weyl_functions(SystemVariant.DIRECT)
     ms21, ms31, ms32 = weyl_functions(SystemVariant.STAR)
@@ -113,9 +115,8 @@ def test_05_model_data_reproduces_model(grid512):
     model_coeffs = CoefficientPair(GridFunction.constant(grid512, theta),
                                    GridFunction.constant(grid512, 0.0))
     full = compute_spectral_data(model_coeffs, N + 4)
-    cache = ModelCache(coeffs=model_coeffs, model_data=full,
-                       data=full.truncate(N), N=N)
-    assembly = assemble(cache.data, cache, N)
+    cache = ModelCache(coeffs=model_coeffs, model_data=full)
+    assembly = assemble(full.truncate(N), cache, N)
     phi, dphi, diag = solve_phi(assembly)
     res = reconstruct(assembly, phi, dphi, solve_diag=diag)
     t_err = l2_norm(res.tau1N - model_coeffs.tau1)

@@ -169,6 +169,51 @@ def test_repeated_spectral_entry_exits_1(tmp_path, smooth_json, capsys,
     assert "spectral3: entry (n=1, k=1) is repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inverse", "verify", "stability"])
+@pytest.mark.parametrize("field, value", [
+    ("lambda", float("nan")), ("beta", float("inf")),
+    ("theta", float("nan")), ("gamma", float("-inf")),
+])
+def test_nonfinite_spectral_value_exits_1(tmp_path, smooth_json, capsys,
+                                          command, field, value):
+    # json.load reads NaN and Infinity; the loader refuses them
+    obj = json.loads(open(smooth_json).read())
+    if field == "theta":
+        obj["theta"][0] = value
+    elif field == "gamma":
+        obj["K"] = [{"n": 1, "gamma": [1.0, value]}]
+    else:
+        obj["entries"][1][field][1] = value
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(obj))
+    extra = ["--mode", "weyl"] if command == "verify" else []
+    rc = main([command, "--data", str(bad), "--big-n", "3", "--out",
+               str(tmp_path / "o")] + extra)
+    assert rc == 1
+    assert "non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "verify"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_nonfinite_coefficient_exits_1(tmp_path, zero_csv, smooth_json,
+                                       capsys, command, token):
+    lines = open(zero_csv).read().splitlines()
+    parts = lines[3].split(",")
+    parts[2] = token
+    lines[3] = ",".join(parts)
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "o")
+    if command == "forward":
+        argv = ["forward", "--coeffs", str(bad), "--n-max", "2", "--out", out]
+    else:
+        argv = ["verify", "--data", smooth_json, "--rec", str(bad),
+                "--big-n", "2", "--out", out]
+    assert main(argv) == 1
+    assert "bad coefficient row 4" in capsys.readouterr().err
+
+
 def test_verify_spectral(tmp_path, smooth_json):
     rec = str(tmp_path / "rec.csv")
     assert main(["inverse", "--data", smooth_json, "--big-n", "4",

@@ -31,18 +31,18 @@ C3P_TAU1_LAM1 = 0.7350388016542261015615
 
 
 def test_zero_coefficient_exact_values(zero_coeffs):
-    c = _char_arrays(zero_coeffs, [0.0])
-    assert abs(c["d22"][0] - 0.5) < 1e-12   # Delta_{2,2}(0) = C3(1) = 1/2
-    assert abs(c["d11"][0] + 0.5) < 1e-12   # Delta_{1,1}(0) = -1/2
-    assert abs(c["d32"][0] - 1.0) < 1e-12   # Delta_{3,2}(0) = C3'(1) = 1
+    c1, c2 = (_char_arrays(zero_coeffs, [0.0], k) for k in (1, 2))
+    assert abs(c2.delta[0] - 0.5) < 1e-12   # Delta_{2,2}(0) = C3(1) = 1/2
+    assert abs(c1.delta[0] + 0.5) < 1e-12   # Delta_{1,1}(0) = -1/2
+    assert abs(c2.numer[0] - 1.0) < 1e-12   # Delta_{3,2}(0) = C3'(1) = 1
 
 
 def test_characteristic_matches_exponential_oracle(grid512):
     ones = CoefficientPair(GridFunction.constant(grid512, 1.0),
                            GridFunction.constant(grid512, 0.0))
-    c = _char_arrays(ones, [1.0], families=(2,))
-    assert abs(c["d22"][0] - C3_TAU1_LAM1) < 1e-11
-    assert abs(c["d32"][0] - C3P_TAU1_LAM1) < 1e-11
+    c = _char_arrays(ones, [1.0], 2)
+    assert abs(c.delta[0] - C3_TAU1_LAM1) < 1e-11
+    assert abs(c.numer[0] - C3P_TAU1_LAM1) < 1e-11
 
 
 def test_compound_route_equals_literal_minors(general_coeffs):
@@ -50,37 +50,34 @@ def test_compound_route_equals_literal_minors(general_coeffs):
     lams = [complex(rng.uniform(-60, 60), rng.uniform(-60, 60))
             for _ in range(4)]
     for variant in SystemVariant:
-        a = _char_arrays(general_coeffs, lams, variant, with_dlambda=True)
-        b = characteristic_literal(general_coeffs, lams, variant,
-                                   with_dlambda=True)
-        assert a.keys() == b.keys()
-        assert np.array_equal(a["lams"], b["lams"])
-        for f in ("d11", "d21", "d31", "d22", "d32", "c11", "ddot11",
-                  "ddot22"):
-            va, vb = a[f], b[f]
-            assert (np.abs(va - vb) < 1e-9 * (1.0 + np.abs(va))).all(), f
+        for fams in (1, 2, np.array([2, 1, 1, 2])):
+            a = _char_arrays(general_coeffs, lams, fams, variant,
+                             with_dlambda=True)
+            b = characteristic_literal(general_coeffs, lams, fams, variant,
+                                       with_dlambda=True)
+            for f, va, vb in zip(a._fields, a, b):
+                assert (np.abs(va - vb) < 1e-9 * (1.0 + np.abs(va))).all(), f
 
 
 @pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
 def test_both_families_in_one_sweep_equal_each_alone(general_coeffs128,
                                                      variant):
-    # families=(1, 2) sweeps both families in one batch of 2L; a
-    # per-lambda family array reads each lambda's own family, NaN in the
-    # other's arrays.  Every value has the bits of a one-family sweep.
+    # Both families at every lambda in one batch of 2L, as weyl_matrix
+    # sweeps them, and a per-lambda family array: every value has the
+    # bits of a one-family sweep.
     lams = np.array([-30.0, 9.0 - 6.0j, 40.0j, 250.0 + 80.0j])
     fam = np.array([2, 1, 1, 2])
-    both = _char_arrays(general_coeffs128, lams, variant, with_dlambda=True)
-    mixed = _char_arrays(general_coeffs128, lams, variant, with_dlambda=True,
-                         families=fam)
-    assert both.keys() == mixed.keys()
+    both = _char_arrays(general_coeffs128, np.tile(lams, 2),
+                        np.repeat([1, 2], 4), variant, with_dlambda=True)
+    mixed = _char_arrays(general_coeffs128, lams, fam, variant,
+                         with_dlambda=True)
     for k in (1, 2):
-        one = _char_arrays(general_coeffs128, lams, variant,
-                           with_dlambda=True, families=(k,))
-        assert one.keys() == {"lams"} | set(forward._FAMILY_KEYS[k])
-        for name in forward._FAMILY_KEYS[k]:
-            assert np.array_equal(both[name], one[name])
-            assert np.array_equal(mixed[name][fam == k], one[name][fam == k])
-            assert np.isnan(mixed[name][fam != k]).all()
+        one = _char_arrays(general_coeffs128, lams, k, variant,
+                           with_dlambda=True)
+        part = both.take(slice(4 * (k - 1), 4 * k))
+        for name, v, vb, vm in zip(one._fields, one, part, mixed):
+            assert np.array_equal(vb, v), name
+            assert np.array_equal(vm[fam == k], v[fam == k]), name
 
 
 def test_weyl_function_identities(general_coeffs):
@@ -90,16 +87,15 @@ def test_weyl_function_identities(general_coeffs):
     rng = np.random.default_rng(3)
     lams = [complex(rng.uniform(-60, 60), rng.uniform(-60, 60))
             for _ in range(4)]
-    d = characteristic_literal(general_coeffs, lams,
-                               variant=SystemVariant.DIRECT)
-    s = characteristic_literal(general_coeffs, lams,
-                               variant=SystemVariant.STAR)
-    m21 = -d["d21"] / d["d11"]
-    m31 = -d["d31"] / d["d11"]
-    m32 = -d["d32"] / d["d22"]
-    ms21 = -s["d21"] / s["d11"]
-    ms31 = -s["d31"] / s["d11"]
-    ms32 = -s["d32"] / s["d22"]
+
+    def weyl_functions(variant):
+        c1, c2 = (characteristic_literal(general_coeffs, lams, k, variant)
+                  for k in (1, 2))
+        return (-c1.numer / c1.delta, -c1.gamma_numer / c1.delta,
+                -c2.numer / c2.delta)
+
+    m21, m31, m32 = weyl_functions(SystemVariant.DIRECT)
+    ms21, ms31, ms32 = weyl_functions(SystemVariant.STAR)
     assert (np.abs(m21 - ms32) < 1e-8 * (1.0 + np.abs(m21))).all()
     assert (np.abs(m32 - ms21) < 1e-8 * (1.0 + np.abs(m32))).all()
     assert (np.abs(ms31 - ms21 * m21 + m31)
@@ -112,8 +108,8 @@ def test_wronskian_expansion(general_coeffs):
     # row 2 of the fundamental matrix at x = 1: C_k^[2](1), k = 1, 2, 3
     c1, c2, c3 = _sweep(general_coeffs, SystemVariant.DIRECT, [lam],
                         np.eye(3))[0, 2]
-    c = _char_arrays(general_coeffs, [lam], families=(1,))
-    total = -c1 * c["d11"][0] + c2 * c["d21"][0] + c3 * c["d31"][0]
+    c = _char_arrays(general_coeffs, [lam], 1)
+    total = -c1 * c.delta[0] + c2 * c.numer[0] + c3 * c.gamma_numer[0]
     assert abs(total - 1.0) < 5e-10
 
 
@@ -176,18 +172,18 @@ def test_joint_newton_raises_as_the_families_in_turn(
 
 def test_weight_beta_at_eigenvalue(zero_coeffs, zero_data6):
     lam = zero_data6.lam(1, 2)
-    a = _char_arrays(zero_coeffs, [lam], with_dlambda=True, families=(2,))
-    beta = a["d32"][0] / a["ddot22"][0]
+    a = _char_arrays(zero_coeffs, [lam], 2, with_dlambda=True)
+    beta = a.numer[0] / a.ddelta[0]
     assert abs(beta - zero_data6.beta(1, 2)) < 1e-9 * abs(zero_data6.beta(1, 2))
 
 
 def test_weight_gamma_guards(zero_coeffs, zero_data6):
     lam = zero_data6.lam(1, 2)
-    a = _char_arrays(zero_coeffs, [lam], with_dlambda=True)
+    a = _char_arrays(zero_coeffs, [lam, lam], [1, 2], with_dlambda=True)
+    g1, g2 = a.gamma_numer / a.ddelta
     with pytest.raises(GammaZeroError):
         # neither weight number vanishes at a simple eigenvalue
-        _gamma(lam, a["d31"][0] / a["ddot11"][0], a["c11"][0] / a["ddot22"][0],
-               zero_data6.beta(1, 1), zero_data6.beta(1, 2))
+        _gamma(lam, g1, g2, zero_data6.beta(1, 1), zero_data6.beta(1, 2))
 
 
 def test_detect_K_plain():
@@ -327,9 +323,8 @@ def _fundamental(coeffs, variant, lam):
 def test_weyl_solutions_boundary_values(general_coeffs):
     lam = 20.0 + 14.0j
     # phi[k]: (M+1, 3) states of Phi_k over node and order
-    phi = {k: v[0] for k, v in weyl_batch(general_coeffs, [lam],
-                                          SystemVariant.DIRECT,
-                                          ks=(1, 2, 3)).items()}
+    phi = {k: weyl_batch(general_coeffs, [lam], SystemVariant.DIRECT, k)[0]
+           for k in (1, 2, 3)}
     # Phi_1: y(0) = 1, vanishing terminal data
     assert abs(phi[1][0, 0] - 1.0) < 1e-12
     scale1 = 1.0 + np.abs(phi[1][:, 0]).max()
@@ -349,8 +344,7 @@ def test_weyl_phi2_forward_route(general_coeffs):
     # real negative lambda has a growing middle exponent, so Phi_2 is
     # built forward as C2 + M_{3,2} C3; the terminal zero then rests on
     # cancellation
-    phi2 = weyl_batch(general_coeffs, [-30.0], SystemVariant.DIRECT,
-                      ks=(2,))[2][0]
+    phi2 = weyl_batch(general_coeffs, [-30.0], SystemVariant.DIRECT, 2)[0]
     assert abs(phi2[0, 0]) < 1e-12
     assert abs(phi2[0, 1] - 1.0) < 1e-12
     assert abs(phi2[-1, 0]) < 1e-9 * (1.0 + np.abs(phi2[:, 0]).max())
@@ -361,7 +355,7 @@ def test_weyl_solution_matches_fundamental_combination(general_coeffs,
                                                        variant):
     # Phi_1 = C1 + M_{2,1} C2 + M_{3,1} C3  (backward route vs forward basis)
     lam = 9.0 - 6.0j
-    phi = weyl_batch(general_coeffs, [lam], variant, ks=(1, 2, 3))
+    phi = {k: weyl_batch(general_coeffs, [lam], variant, k) for k in (1, 2)}
     m = weyl_matrix(general_coeffs, lam, variant)
     C = np.moveaxis(_fundamental(general_coeffs, variant, lam), 2, 0)
     combo = C[0] + m[1, 0] * C[1] + m[2, 0] * C[2]
@@ -447,7 +441,7 @@ def coinciding_coeffs(grid128):
                                GridFunction.constant(grid128, 0.0))
 
     def d21(t):
-        return _char_arrays(coeffs(t), [0.0], families=(1,))["d21"][0].real
+        return _char_arrays(coeffs(t), [0.0], 1).numer[0].real
 
     t0, t1 = 19.7, 19.8
     f0, f1 = d21(t0), d21(t1)
@@ -466,10 +460,9 @@ def test_gamma_from_weight_batch_matches_weight_gamma(coinciding_coeffs):
     assert data.K == [1]
     assert data.beta(1, 1) == 0 and data.beta(1, 2) == 0
     lam = data.lam(1, 1)
-    a = _char_arrays(coinciding_coeffs, [lam], with_dlambda=True)
-    ref = _gamma(lam, a["d31"][0] / a["ddot11"][0],
-                 a["c11"][0] / a["ddot22"][0],
-                 data.beta(1, 1), data.beta(1, 2))
+    a = _char_arrays(coinciding_coeffs, [lam, lam], [1, 2], with_dlambda=True)
+    g1, g2 = a.gamma_numer / a.ddelta
+    ref = _gamma(lam, g1, g2, data.beta(1, 1), data.beta(1, 2))
     assert abs(data.gamma[1] - ref) <= 1e-12 * abs(ref)
 
 
@@ -492,19 +485,15 @@ def test_weyl_batch_sweeps_only_the_family_it_reads(general_coeffs128,
                                                     variant, monkeypatch):
     # Phi_1 reads characteristic family 1, Phi_2 family 2, Phi_3 neither;
     # -30 and 9 - 6i take opposite Phi_2 routes in either variant
-    # (both families together: one d/dlambda sweep of 2L)
     calls: list = []
     _count_sweeps(monkeypatch, calls)
     for lam in (-30.0, 9.0 - 6.0j):
-        calls.clear()
-        ref = weyl_batch(general_coeffs128, [lam], variant, ks=(1, 2, 3))
-        assert [c for c in calls if c[1]] == [(2, True)]
         for k in (1, 2, 3):
             calls.clear()
-            batch = weyl_batch(general_coeffs128, [lam], variant, ks=(k,))
+            batch = weyl_batch(general_coeffs128, [lam], variant, k)
             assert [c for c in calls if c[1]] == ([] if k == 3 else
                                                   [(1, True)])
-            assert np.array_equal(batch[k], ref[k])
+            assert batch.shape == (1, general_coeffs128.grid.M + 1, 3)
 
 
 def test_weyl_matrix_sweeps_both_families_once(general_coeffs128,
@@ -560,7 +549,7 @@ def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
 
     def recording(*args, **kwargs):
         if not depth:
-            families.append(kwargs["families"])
+            families.append(args[2])
         return char_arrays(*args, **kwargs)
 
     monkeypatch.setattr(forward, "_newton_family", in_newton)
@@ -571,7 +560,7 @@ def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
     assert calls == [] and families == []
     data = compute_spectral_data(coinciding_coeffs, 3, pair_tol=1e-6)
     assert data.K == [1]
-    assert calls == [(1, True)] and families == [(2,)]
+    assert calls == [(1, True)] and families == [2]
 
 
 def test_weights_equal_a_sweep_at_each_eigenvalue_alone(general_coeffs128):
@@ -580,8 +569,8 @@ def test_weights_equal_a_sweep_at_each_eigenvalue_alone(general_coeffs128):
     data = compute_spectral_data(general_coeffs128, 6)
     assert data.K == []
     for n in range(1, 7):
-        for k, (num, den) in ((1, ("d21", "ddot11")), (2, ("d32", "ddot22"))):
+        for k in (1, 2):
             lam = data.lam(n, k)
-            a = forward._char_arrays(general_coeffs128, [lam],
-                                     with_dlambda=True, families=(k,))
-            assert data.beta(n, k) == a[num][0] / a[den][0]
+            a = forward._char_arrays(general_coeffs128, [lam], k,
+                                     with_dlambda=True)
+            assert data.beta(n, k) == a.numer[0] / a.ddelta[0]

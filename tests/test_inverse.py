@@ -128,8 +128,7 @@ def test_model_data_is_a_fixed_point(grid512):
                                    GridFunction.constant(grid512, 0.0))
     model_full = compute_spectral_data(model_coeffs, N + 4)
     data = model_full.truncate(N)
-    cache = ModelCache(coeffs=model_coeffs, model_data=model_full,
-                       data=data, N=N)
+    cache = ModelCache(coeffs=model_coeffs, model_data=model_full)
     assembly = assemble(data, cache, N)
 
     # the eps-paired columns of A cancel exactly when data == model
@@ -528,7 +527,7 @@ def _verify_weyl_seven_calls(result, data, N):
     # the weyl checks verify_weyl replaced: the star states rebuilt from
     # the data and seven Phi^N tables, one per check and lambda batch
     cache = result.assembly.cache
-    stars = _star_states(cache, data, cache.N)
+    stars = _star_states(cache, data, N)
     V = result.assembly.V
     checks = {"mode": "weyl"}
     breaches = []

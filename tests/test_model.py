@@ -16,12 +16,11 @@ def cache8(smooth_data8, grid512):
 
 
 @pytest.fixture(scope="module")
-def assembly8(cache8):
-    return assemble(cache8.data, cache8, 8)
+def assembly8(cache8, smooth_data8):
+    return assemble(smooth_data8, cache8, 8)
 
 
 def test_default_model_shape(cache8, smooth_data8):
-    assert cache8.N == 8
     assert cache8.model_data.n_max == 12           # N + margin
     assert cache8.model_data.K == []
     theta = smooth_data8.theta
@@ -121,25 +120,24 @@ def test_phi2_vanishes_at_one_on_model_spectrum(cache8):
 
 @pytest.fixture
 def weyl_batch_calls(monkeypatch):
-    # (variant, ks, L) of every weyl_batch call the model cache makes
+    # (variant, k, L) of every weyl_batch call the model cache makes
     calls = []
     inner = model.weyl_batch
 
-    def counting(coeffs, lams, variant, ks=(2, 3)):
-        calls.append((variant, tuple(ks), len(lams)))
-        return inner(coeffs, lams, variant, ks=ks)
+    def counting(coeffs, lams, variant, k):
+        calls.append((variant, k, len(lams)))
+        return inner(coeffs, lams, variant, k)
 
     monkeypatch.setattr(model, "weyl_batch", counting)
     return calls
 
 
 def test_cache_fills_each_state_once(cache8, weyl_batch_calls):
-    fresh = ModelCache(coeffs=cache8.coeffs, model_data=cache8.model_data,
-                       data=cache8.data, N=8)
+    fresh = ModelCache(coeffs=cache8.coeffs, model_data=cache8.model_data)
     lams = [cache8.model_data.lam(1, 2), 5.0 - 2.0j,
             cache8.model_data.lam(1, 2)]
     a = fresh.states(SystemVariant.DIRECT, 3, lams)
-    assert weyl_batch_calls == [(SystemVariant.DIRECT, (3,), 2)]
+    assert weyl_batch_calls == [(SystemVariant.DIRECT, 3, 2)]
     assert a.shape == (3, cache8.grid.M + 1, 3)
     assert np.array_equal(a[0], a[2])
     b = fresh.states(SystemVariant.DIRECT, 3, lams[::-1])
@@ -154,15 +152,15 @@ def test_weyl_states_built_once_per_inverse_run(smooth_data8, grid512,
     res = run_inverse(smooth_data8, grid512, 4, cache=cache)
     assert len(weyl_batch_calls) == 4
     assert set(weyl_batch_calls) == {
-        (variant, (k,), 8) for variant in SystemVariant for k in (2, 3)}
+        (variant, k, 8) for variant in SystemVariant for k in (2, 3)}
     assert res.assembly.cache is cache
     weyl_batch_calls.clear()
     assemble(smooth_data8, cache, 4)
     assert weyl_batch_calls == []
 
 
-def test_eta_recomputed_for_foreign_data(cache8, assembly8):
-    other = cache8.data.copy()
+def test_eta_recomputed_for_foreign_data(cache8, assembly8, smooth_data8):
+    other = smooth_data8.copy()
     other.beta1[0] *= 2.0
     foreign = assemble(other, cache8, 8)
     i = assembly8.V.index((1, 1, 0))

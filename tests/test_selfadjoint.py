@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -154,10 +156,30 @@ def test_half_data_file_round_trip(tmp_path, smooth_data8):
     assert np.array_equal(back.betas, half.betas)
     assert back.K == half.K and back.gammas == half.gammas
 
-    import json
     obj = json.loads(path.read_text())
     obj["entries"][3]["n"] = 99
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="cover"):
         load_half_data(bad)
+
+
+@pytest.mark.parametrize("field", ["theta", "gamma", "lambda", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_half_data_file_refuses_nonfinite_numbers(tmp_path, field, value):
+    # theta and gamma are real scalars, lambda and beta [re, im] pairs
+    half = HalfData(theta=0.3, lambdas=np.array([1e-9 + 5.0j, 80.0]),
+                    betas=np.array([0.0, 3.0 + 1.0j]),
+                    K=[1], gammas={1: 1.5})
+    path = tmp_path / "half.json"
+    save_half_data(path, half)
+    obj = json.loads(path.read_text())
+    if field == "theta":
+        obj["theta"] = value
+    elif field == "gamma":
+        obj["K"][0]["gamma"] = value
+    else:
+        obj["entries"][1][field][0] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="non-finite number"):
+        load_half_data(path)
