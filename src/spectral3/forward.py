@@ -282,7 +282,13 @@ def detect_K(lam1, lam2, tol: float = asympt.COINCIDE_TOL):
 
 def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
                           pair_tol: float = asympt.COINCIDE_TOL) -> "SpectralData":
-    """The full forward map: coefficients -> spectral data up to n_max."""
+    """The full forward map: coefficients -> spectral data up to n_max.
+
+    pair_tol, the relative tolerance of asympt.coincide that pairs the two
+    families, must be finite and non-negative."""
+    if not 0.0 <= pair_tol < np.inf:
+        raise ValueError("pair tolerance must be a finite number >= 0, "
+                         "got %r" % (pair_tol,))
     theta = integrate(coeffs.tau1)
     ns = np.arange(1, n_max + 1)
     guesses = [asympt.eigen_guess(n, k, theta) for k in (1, 2) for n in ns]

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .asympt import root_rates
 from .errors import PoleHitError, SingularSystemError
@@ -317,6 +316,9 @@ def solve_phi(assembly: MainAssembly):
     phi = np.empty((size, M + 1), dtype=complex)
     dphi = np.empty_like(phi)
     xhat, x2 = phi.T, dphi.T
+    # imported in its only caller, so that runs which never solve the main
+    # system skip loading scipy.linalg (about 27 MB and 0.3 s)
+    from scipy.linalg import get_lapack_funcs
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
                                            (b1,))
     rcond_min, rcond_node = np.inf, -1
@@ -433,7 +435,12 @@ def verify_spectral(coeffs: CoefficientPair, data: SpectralData, N: int,
                     rtol: float = 1e-3) -> dict:
     """Rerun the forward map on a reconstructed pair and compare
     eigenvalues and weight numbers, n <= N against the data and the next
-    four indices against the model build_model makes for the data."""
+    four indices against the model build_model makes for the data.  rtol,
+    the breach threshold of both relative gaps, must be finite and
+    positive."""
+    if not 0.0 < rtol < np.inf:
+        raise ValueError("verify tolerance must be a finite number > 0, "
+                         "got %r" % (rtol,))
     if N > data.n_max:
         raise ValueError("N=%d exceeds the data range n_max=%d" % (N, data.n_max))
     model_data = build_model(data, coeffs.tau1.grid, N).model_data
@@ -564,10 +571,11 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
     """Reconstruction error versus data perturbation size.
 
     Perturbs the chosen (lambda, beta) entries by delta for the halving
-    ladder 1e-2, 5e-3, 2.5e-3, 1.25e-3 (or an explicit deltas list),
-    reconstructs each, and tabulates the data distance d, the
-    coefficient distances against the unperturbed reconstruction, and
-    their ratios (empirical stability constants).
+    ladder 1e-2, 5e-3, 2.5e-3, 1.25e-3 (or an explicit deltas list of
+    finite steps, zero and negative ones included), reconstructs each,
+    and tabulates the data distance d, the coefficient distances against
+    the unperturbed reconstruction, and their ratios (empirical stability
+    constants).
     """
     data_N = data.truncate(N)
     if data_N.K:
@@ -579,11 +587,14 @@ def stability_experiment(data: SpectralData, grid: Grid, N: int,
         if not 1 <= n <= N or k not in (1, 2):
             raise ValueError("perturbation entry (n=%s, k=%s) is outside "
                              "1 <= n <= N=%d, k in {1, 2}" % (n, k, N))
-    cache = build_model(data, grid, N)
     if deltas is None:
         deltas = [1e-2 / 2 ** j for j in range(4)]
     else:
         deltas = [float(d) for d in deltas]
+        if not np.isfinite(deltas).all():
+            raise ValueError("perturbation sizes must be finite, got %s"
+                             % deltas)
+    cache = build_model(data, grid, N)
 
     base = run_inverse(data_N, grid, N, cache=cache)
     rows = [{"delta": 0.0, "d": 0.0, "tau1_l2": 0.0, "sigma0_w2m1": 0.0,

@@ -143,6 +143,43 @@ def test_stability_rejects_bad_perturb(tmp_path, smooth_json, capsys, spec):
     assert "perturb" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("deltas", ["nan,1e-2", "inf", "1e-2,-inf"])
+def test_stability_rejects_nonfinite_deltas(tmp_path, smooth_json, capsys,
+                                            deltas):
+    out = tmp_path / "o.csv"
+    rc = main(["stability", "--data", smooth_json, "--big-n", "3",
+               "--deltas=" + deltas, "--out", str(out)])
+    assert rc == 1
+    assert "perturbation sizes must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stability_runs_zero_and_negative_deltas(tmp_path, smooth_json):
+    out = str(tmp_path / "st.csv")
+    rc = main(["stability", "--data", smooth_json, "--big-n", "3",
+               "--deltas=0,-1e-2", "--out", out])
+    assert rc == 0
+    rows = list(csv.DictReader(open(out)))
+    assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+    assert float(rows[1]["d"]) == 0.0 and rows[1]["tau1_ratio"] == ""
+    assert abs(float(rows[2]["d"]) - 1e-2) < 1e-11
+
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_pair_tol_exits_1(tmp_path, zero_csv, capsys, command, tol):
+    # NaN and negative tolerances pair nothing, an infinite one pairs
+    # every index; all are refused before the forward map runs
+    flag = "--n-max" if command == "forward" else "--big-n"
+    out = tmp_path / "o"
+    rc = main([command, "--coeffs", zero_csv, flag, "2",
+               "--pair-tol=" + tol, "--out", str(out)])
+    assert rc == 1
+    assert ("pair tolerance must be a finite number >= 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "inverse", "roundtrip",
                                      "stability", "verify"])
 def test_truncation_order_below_one_is_rejected(tmp_path, zero_csv,
@@ -238,6 +275,18 @@ def test_verify_spectral_reads_rtol(tmp_path, smooth_json):
                "--big-n", "4", "--rtol", "1e-30", "--out", out])
     assert rc == 0
     assert json.loads(open(out).read())["pass"] is False
+
+
+@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1"])
+def test_verify_spectral_rejects_bad_rtol(tmp_path, zero_csv, smooth_json,
+                                          capsys, rtol):
+    out = tmp_path / "verify.json"
+    rc = main(["verify", "--data", smooth_json, "--rec", zero_csv,
+               "--big-n", "4", "--rtol=" + rtol, "--out", str(out)])
+    assert rc == 1
+    assert ("verify tolerance must be a finite number > 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_verify_spectral_needs_rec(tmp_path, smooth_json, capsys):
@@ -406,3 +455,48 @@ def test_outputs_are_deterministic_and_reread_exactly(tmp_path, zero_csv,
     pair2 = read_coefficients(rec2)
     assert np.array_equal(pair1.tau1.values, pair2.tau1.values)
     assert np.array_equal(pair1.sigma0.values, pair2.sigma0.values)
+
+
+# Run in a fresh interpreter: the CLI steps in argv (JSON) in turn, and
+# after the import and after each step whether scipy.linalg is loaded.
+_FRESH_RUN = """
+import json, sys
+from spectral3.cli import main
+loaded = [("import", "scipy.linalg" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append((argv[0], "scipy.linalg" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_lapack_loads_only_in_the_node_solve(tmp_path, zero_csv,
+                                             smooth_json):
+    import os
+    import subprocess
+    import sys
+
+    import spectral3
+
+    ref = tmp_path / "ref.csv"
+    assert main(["inverse", "--data", smooth_json, "--big-n", "3",
+                 "--out", str(ref)]) == 0
+    rec = tmp_path / "rec.csv"
+    steps = [["forward", "--coeffs", zero_csv, "--n-max", "2",
+              "--grid", "128", "--out", str(tmp_path / "d.json")],
+             ["verify", "--data", smooth_json, "--rec", str(ref),
+              "--big-n", "3", "--out", str(tmp_path / "v.json")],
+             ["inverse", "--data", smooth_json, "--big-n", "3",
+              "--out", str(rec)]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        spectral3.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN,
+                           json.dumps(steps)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == [["import", False], ["forward", False],
+                      ["verify", False], ["inverse", True]]
+    # the first solve loads LAPACK and writes what an in-process run does
+    assert rec.read_bytes() == ref.read_bytes()

@@ -250,6 +250,14 @@ def test_spectral_data_rejects_duplicate_K():
                      K=[1, 1], gamma={1: 2.0})
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_pair_tol_must_be_finite_and_nonnegative(zero_coeffs, tol):
+    # a NaN or negative tolerance pairs nothing and an infinite one pairs
+    # everything; all are refused before any sweep
+    with pytest.raises(ValueError, match="pair tolerance"):
+        compute_spectral_data(zero_coeffs, 2, pair_tol=tol)
+
+
 def test_spectral_data_json_roundtrip(tmp_path, smooth_data20):
     path = tmp_path / "sd.json"
     save_spectral_data(path, smooth_data20)

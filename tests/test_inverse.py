@@ -203,6 +203,10 @@ def test_stability_input_guards(smooth_data8, smooth_data20, grid512):
     with pytest.raises(ValueError, match="lambda"):
         stability_experiment(smooth_data8, grid512, 3,
                              entries=((1, 1, "theta"),))
+    # non-finite steps are rejected before any solve
+    for bad in ([float("nan"), 1e-2], [float("inf")], [-float("inf")]):
+        with pytest.raises(ValueError, match="must be finite"):
+            stability_experiment(smooth_data8, grid512, 3, deltas=bad)
     # entries outside the truncation N are rejected before any solve
     for n, k in ((99, 1), (4, 1), (1, 3)):
         with pytest.raises(ValueError, match="perturbation entry"):
