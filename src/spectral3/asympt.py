@@ -7,7 +7,9 @@ The two spectra behave like
 
 up to l2-summable remainders, with theta the mean of tau1, and the
 weight numbers like 3 lambda_{n,k}.  Everything here is elementary
-arithmetic on that formula; the value of the module is pinning down the
+arithmetic on that formula, over index arrays and whole (n_max, 2)
+tables, bit for bit as Python evaluates it one (n, k) at a time
+(_cube_roots, _quot); the value of the module is pinning down the
 cube-root branch and the index inversion consistently.  The module
 also holds the one coincidence test for eigenvalues (coincide) and the
 condition-1 report built on it.
@@ -45,18 +47,35 @@ _BRANCH_SECTOR = 2.0 * np.pi / 3.0
 _BRANCH_LIMIT = 0.4 * _BRANCH_SECTOR
 
 
-def rho_guess(n: int, k: int, theta: complex = 0.0) -> complex:
-    """Leading-order rho_{n,k}; independent of k at this order."""
-    if n < 1 or k not in (1, 2):
+def _quot(a, b) -> np.ndarray:
+    """a / b entrywise as CPython divides complex numbers (and a complex
+    by a float): Smith's method dividing by the denominator, where numpy
+    multiplies by its reciprocal and can land one ulp away."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    big = np.abs(b.real) >= np.abs(b.imag)
+    r = np.where(big, b.imag, b.real) / np.where(big, b.real, b.imag)
+    den = np.where(big, b.real + b.imag * r, b.real * r + b.imag)
+    re = np.where(big, a.real + a.imag * r, a.real * r + a.imag)
+    im = np.where(big, a.imag - a.real * r, a.imag * r - a.real)
+    return np.stack([re / den, im / den], axis=-1).view(complex)[..., 0]
+
+
+def rho_guess(n, k, theta: complex = 0.0) -> np.ndarray:
+    """Leading-order rho_{n,k} over index arrays n and k, broadcast
+    together; independent of k at this order."""
+    n, k = np.broadcast_arrays(n, k)
+    if (n < 1).any() or not np.isin(k, (1, 2)).all():
         raise ValueError("need n >= 1 and k in {1, 2}")
-    return _C * (n + 1.0 / 6.0 - theta / (2.0 * np.pi**2 * n))
+    return _C * (n + 1.0 / 6.0 - _quot(theta, 2.0 * np.pi**2 * n))
 
 
-def eigen_guess(n: int, k: int, theta: complex = 0.0) -> complex:
-    return (-1.0) ** (k + 1) * rho_guess(n, k, theta) ** 3
+def eigen_guess(n, k, theta: complex = 0.0) -> np.ndarray:
+    """Asymptotic lambda_{n,k} over index arrays n and k."""
+    sign = np.where(np.asarray(k) == 1, 1.0, -1.0)  # (-1)^(k+1)
+    return sign * rho_guess(n, k, theta) ** 3
 
 
-def beta_guess(n: int, k: int, theta: complex = 0.0) -> complex:
+def beta_guess(n, k, theta: complex = 0.0) -> np.ndarray:
     return 3.0 * eigen_guess(n, k, theta)
 
 
@@ -80,34 +99,40 @@ def root_rates(z) -> np.ndarray:
     return rates
 
 
-def _branch_root(target: complex, seed: complex) -> complex:
-    """Cube root of target closest in direction to the seed."""
-    if target == 0:
-        raise BranchAmbiguityError(
-            "zero has no cube-root direction to match %s" % (seed,))
+def _branch_roots(target: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Cube root of each target closest in direction to its seed; the
+    BranchAmbiguityError names the first entry, in (n, k) order, that is
+    zero or whose root deviates from the seed beyond _BRANCH_LIMIT."""
     roots = _cube_roots(target)
-    dev = np.abs(np.angle(roots / seed))
-    j = int(np.argmin(dev))
-    if dev[j] > _BRANCH_LIMIT:
+    dev = np.abs(np.angle(roots / seed[..., None]))
+    j = np.argmin(dev, axis=-1)[..., None]
+    best = np.take_along_axis(roots, j, axis=-1)[..., 0]
+    dev = np.take_along_axis(dev, j, axis=-1)[..., 0]
+    bad = (target == 0) | (dev > _BRANCH_LIMIT)
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0])
+        if target[i] == 0:
+            raise BranchAmbiguityError(
+                "zero has no cube-root direction to match %s" % (seed[i],))
         raise BranchAmbiguityError(
             "cube root %s deviates %.3f rad from the asymptotic direction %s"
-            % (roots[j], dev[j], seed)
-        )
-    return complex(roots[j])
+            % (best[i], dev[i], seed[i]))
+    return best
 
 
-def invert_index(lam: complex, k: int, theta: complex = 0.0) -> int:
-    """Index n whose asymptotic eigenvalue is nearest to lam.
+def invert_index(lam, k, theta: complex = 0.0) -> np.ndarray:
+    """Index n whose asymptotic eigenvalue is nearest to each lam of
+    family k (arrays broadcast together).
 
     Inverse of eigen_guess; used to detect Newton basins escaping to a
     neighboring root.
     """
-    target = (-1.0) ** (k + 1) * complex(lam)
-    rho = target ** (1.0 / 3.0)  # principal branch hugs the positive axis
+    target = np.where(np.asarray(k) == 1, 1.0, -1.0) * np.asarray(lam)
+    rho = _cube_roots(target)[..., 0]  # principal: hugs the positive axis
     n0 = (np.sqrt(3.0) / (2.0 * np.pi)) * rho - 1.0 / 6.0
-    n_ref = max(n0.real, 1.0)
-    n1 = n0 + theta / (2.0 * np.pi**2 * n_ref)
-    return int(round(n1.real))
+    n_ref = np.maximum(n0.real, 1.0)
+    n1 = n0 + _quot(theta, 2.0 * np.pi**2 * n_ref)
+    return np.rint(n1.real).astype(int)
 
 
 @dataclass
@@ -131,21 +156,13 @@ def extract_remainders(data) -> AsymptoticFrame:
     """Invert the asymptotic formulas on a spectral-data table."""
     theta = data.theta
     N = data.n_max
-    rho = np.zeros((N, 2), dtype=complex)
-    kappa = np.zeros((N, 2), dtype=complex)
-    kappa1 = np.zeros((N, 2), dtype=complex)
-    for n in range(1, N + 1):
-        for k in (1, 2):
-            lam = data.lam(n, k)
-            beta = data.beta(n, k)
-            target = (-1.0) ** (k + 1) * lam
-            r = _branch_root(target, rho_guess(n, k, theta))
-            rho[n - 1, k - 1] = r
-            kappa[n - 1, k - 1] = n * (
-                np.sqrt(3.0) / (2.0 * np.pi) * r
-                - n - 1.0 / 6.0 + theta / (2.0 * np.pi**2 * n)
-            )
-            kappa1[n - 1, k - 1] = n * (beta / (3.0 * lam) - 1.0)
+    n = np.arange(1, N + 1)[:, None]
+    k = np.array([1, 2])
+    lam = data.lambdas
+    rho = _branch_roots(np.array([1.0, -1.0]) * lam, rho_guess(n, k, theta))
+    kappa = n * (np.sqrt(3.0) / (2.0 * np.pi) * rho - n - 1.0 / 6.0
+                 + _quot(theta, 2.0 * np.pi**2 * n))
+    kappa1 = n * (_quot(data.betas, 3.0 * lam) - 1.0)
     mag = np.abs(kappa).max(axis=1)
     lo = max(N // 2, 1)
     tail = mag[lo - 1:]
@@ -186,22 +203,21 @@ def validate_condition1(data) -> dict:
     N = data.n_max
     clauses: dict = {}
 
-    offenders = []
-    for k, lams in ((1, data.lam1), (2, data.lam2)):
-        same = np.triu(coincide(lams[:, None], lams), 1)
-        offenders += [(int(i) + 1, int(j) + 1, k) for i, j in np.argwhere(same)]
+    lam = data.lambdas
+    # (family, i, j) with i < j: argwhere lists family 1 first
+    same = np.triu(coincide(lam.T[:, :, None], lam.T[:, None, :]), 1)
+    offenders = [(int(i) + 1, int(j) + 1, int(k) + 1)
+                 for k, i, j in np.argwhere(same)]
     clauses["distinct_within_family"] = {
         "pass": not offenders, "offenders": offenders}
 
     offenders = [(int(n) + 1, int(p) + 1) for n, p in np.argwhere(
-        coincide(data.lam1[:, None], data.lam2) & ~np.eye(N, dtype=bool))]
+        coincide(lam[:, 0, None], lam[:, 1]) & ~np.eye(N, dtype=bool))]
     clauses["pairing"] = {"pass": not offenders, "offenders": offenders}
 
-    offenders = []
-    for n in range(1, N + 1):
-        prod_zero = data.beta(n, 1) * data.beta(n, 2) == 0
-        if prod_zero != (n in data.K):
-            offenders.append(n)
+    prod_zero = data.betas[:, 0] * data.betas[:, 1] == 0
+    off_K = prod_zero != np.isin(np.arange(1, N + 1), data.K)
+    offenders = [int(n) + 1 for n in np.flatnonzero(off_K)]
     clauses["beta_product_on_K"] = {"pass": not offenders, "offenders": offenders}
 
     offenders = [n for n in data.K if data.gamma[n] == 0]

@@ -1,5 +1,7 @@
 """Forward spectral map: characteristic functions, eigenvalues, weight
-numbers, Weyl matrices and solutions.
+numbers, Weyl matrices and solutions.  The spectral data are one
+(n_max, 2) table per quantity (SpectralData), [n-1, k-1] holding family
+k, into which compute_spectral_data reshapes Newton's family-major roots.
 
 Two numerical routes matter here.
 
@@ -54,7 +56,8 @@ from .errors import (
 )
 from .grid import CoefficientPair, integrate
 from .quasi import SystemVariant, _sweep
-from .serialize import complex_pair, dumps17, pair_complex
+from .serialize import (complex_pair, dumps17, json_int, pair_complex,
+                        read_json)
 
 __all__ = [
     "SpectralData",
@@ -204,6 +207,10 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
                         a.delta / np.where(small, 1.0, a.ddelta))
         lam[idx] = lam[idx] - step
         active[idx[conv | small]] = False
+    # the index each root numbers as, read below only for a family whose
+    # entries all converged (the others hold a stand-in lambda of 1)
+    ok = ~active & (vanished == _NEWTON_MAX_ITER)
+    n_found = asympt.invert_index(np.where(ok, lam, 1.0), ks, theta)
     for fam in (1, 2):
         mine = np.flatnonzero(ks == fam)
         if not mine.size:
@@ -215,68 +222,62 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
         if left.size:
             raise NoConvergenceError(int(ns[left[0]]), fam,
                                      complex(lam[left[0]]), _NEWTON_MAX_ITER)
-        for j in mine:
-            n_found = asympt.invert_index(lam[j], fam, theta)
-            if n_found != int(ns[j]):
-                raise BasinEscapeError(int(ns[j]), fam, complex(lam[j]),
-                                       n_found)
+        escaped = mine[n_found[mine] != ns[mine]]
+        if escaped.size:
+            j = escaped[0]
+            raise BasinEscapeError(int(ns[j]), fam, complex(lam[j]),
+                                   int(n_found[j]))
     return lam, last
 
 
-def _gamma(lam_n: complex, g1: complex, g2: complex,
-           beta1: complex, beta2: complex) -> complex:
-    """Additional weight number gamma_n of a coinciding eigenvalue pair.
-
-    Defined through whichever weight number vanishes: via
-    g1 = Delta_{3,1}/dDelta_{1,1} when beta_{n,1} = 0, via
-    g2 = C_1(1)/dDelta_{2,2} when beta_{n,2} = 0, both at lambda_n.
-    When both vanish the two expressions must agree; this is asserted.
+def _gamma(lam_n: complex, g: np.ndarray, beta: np.ndarray) -> complex:
+    """Additional weight number gamma_n of a coinciding eigenvalue pair:
+    of g = (Delta_{3,1}/dDelta_{1,1}, C_1(1)/dDelta_{2,2}) at lambda_n,
+    the one of the family whose weight number in beta = (beta_{n,1},
+    beta_{n,2}) vanishes.  When both vanish the two must agree; this is
+    asserted.
     """
-    if beta1 == 0 and beta2 == 0:
-        if abs(g1 - g2) > 1e-6 * (1.0 + abs(g1)):
-            raise Spectral3Error(
-                "the two gamma definitions disagree at lambda=%s: %s vs %s"
-                % (lam_n, g1, g2))
-        gamma = g1
-    elif beta1 == 0:
-        gamma = g1
-    elif beta2 == 0:
-        gamma = g2
-    else:
+    zero = np.asarray(beta) == 0
+    if not zero.any():
         raise GammaZeroError(
             "gamma requested at lambda=%s where neither weight number vanishes"
             % (lam_n,))
+    g1, g2 = map(complex, g)
+    if zero.all() and abs(g1 - g2) > 1e-6 * (1.0 + abs(g1)):
+        raise Spectral3Error(
+            "the two gamma definitions disagree at lambda=%s: %s vs %s"
+            % (lam_n, g1, g2))
+    gamma = g1 if zero[0] else g2
     if abs(gamma) <= 1e-12 * (1.0 + abs(lam_n)):
         raise GammaZeroError("gamma vanished at lambda=%s" % (lam_n,))
-    return complex(gamma)
+    return gamma
 
 
-def detect_K(lam1, lam2, tol: float = asympt.COINCIDE_TOL):
-    """Pair the two spectra and find coinciding indices.
+def detect_K(lambdas, tol: float = asympt.COINCIDE_TOL):
+    """Pair the two columns of an (N, 2) eigenvalue table and find the
+    coinciding indices.
 
     Greedy nearest matching of lambda_{n,1} against the unused entries
     of the second family; a match that asympt.coincide accepts at tol
     pins the reordering n = p.  Returns (K, perm) with perm the
-    permutation to apply to the second family's arrays.
+    permutation to apply to the second family's column.
     """
-    lam1 = np.asarray(lam1, dtype=complex)
-    lam2 = np.asarray(lam2, dtype=complex)
-    N = lam1.shape[0]
+    first, second = np.asarray(lambdas, dtype=complex).T
+    N = first.shape[0]
     used = np.zeros(N, dtype=bool)
     match = -np.ones(N, dtype=int)
     K: list[int] = []
     for i in range(N):
-        gaps = np.abs(lam2 - lam1[i])
+        gaps = np.abs(second - first[i])
         gaps[used] = np.inf
         j = int(np.argmin(gaps))
-        if asympt.coincide(lam1[i], lam2[j], tol):
+        if asympt.coincide(first[i], second[j], tol):
             match[i] = j
             used[j] = True
             K.append(i + 1)
-    free = [j for j in range(N) if not used[j]]
-    perm = np.empty(N, dtype=int)
-    for i in range(N):
-        perm[i] = match[i] if match[i] >= 0 else free.pop(0)
+    # the unmatched positions take the unused entries in ascending order
+    perm = match.copy()
+    perm[match < 0] = np.flatnonzero(~used)
     return K, perm
 
 
@@ -290,46 +291,45 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
         raise ValueError("pair tolerance must be a finite number >= 0, "
                          "got %r" % (pair_tol,))
     theta = integrate(coeffs.tau1)
-    ns = np.arange(1, n_max + 1)
-    guesses = [asympt.eigen_guess(n, k, theta) for k in (1, 2) for n in ns]
-    lam, a = _newton_family(coeffs, np.repeat([1, 2], n_max),
-                            np.tile(ns, 2), guesses, theta)
-    K, perm = detect_K(lam[:n_max], lam[n_max:], pair_tol)
-    order = np.concatenate([ns - 1, n_max + perm])
-    lam, a = lam[order], a.take(order)
+    ns = np.tile(np.arange(1, n_max + 1), 2)
+    ks = np.repeat([1, 2], n_max)
+    lam, a = _newton_family(coeffs, ks, ns,
+                            asympt.eigen_guess(ns, ks, theta), theta)
+
+    # (n_max, 2) tables of the roots and their record from Newton's
+    # family-major arrays; family 2 is then put in the order of family 1
+    lambdas, *a = (np.ascontiguousarray(v.reshape(2, n_max).T)
+                   for v in (lam, *a))
+    K, perm = detect_K(lambdas, pair_tol)
+    for v in (lambdas, *a):
+        v[:, 1] = v[perm, 1]
+    a = Characteristic(*a)
     if K:
         # On K lambda_{n,2} is set to lambda_{n,1}: family 2 is swept there.
         i = np.array(K) - 1
-        lam[n_max + i] = lam[i]
-        for v, vK in zip(a, _char_arrays(coeffs, lam[i], 2, with_dlambda=True)):
-            v[n_max + i] = vK
-    lam1, lam2 = lam[:n_max], lam[n_max:]
-    beta = a.numer / a.ddelta
-    beta1, beta2 = beta[:n_max], beta[n_max:]
+        lambdas[i, 1] = lambdas[i, 0]
+        for v, vK in zip(a, _char_arrays(coeffs, lambdas[i, 0], 2,
+                                         with_dlambda=True)):
+            v[i, 1] = vK
+    betas = a.numer / a.ddelta
 
     # Exactly one weight number vanishes on each coinciding pair (both in
     # the symmetric case); snap the numerically-zero one to exact zero.
     for n in K:
-        scale = _BETA_SNAP * (1.0 + 3.0 * abs(lam1[n - 1]))
-        b1, b2 = beta1[n - 1], beta2[n - 1]
-        if abs(b1) > scale and abs(b2) > scale:
+        scale = _BETA_SNAP * (1.0 + 3.0 * abs(lambdas[n - 1, 0]))
+        small = np.abs(betas[n - 1]) <= scale
+        if not small.any():
             raise Spectral3Error(
                 "coinciding pair n=%d has no vanishing weight number "
-                "(|beta|=%g, %g)" % (n, abs(b1), abs(b2)))
-        if abs(b1) <= scale:
-            beta1[n - 1] = 0.0
-        if abs(b2) <= scale:
-            beta2[n - 1] = 0.0
+                "(|beta|=%g, %g)" % (n, *np.abs(betas[n - 1])))
+        betas[n - 1, small] = 0.0
 
     # On K both families sit at the same lambda, so the record already
     # holds both gamma definitions there.
     g = a.gamma_numer / a.ddelta
-    gamma = {n: _gamma(complex(lam1[n - 1]), complex(g[n - 1]),
-                       complex(g[n_max + n - 1]),
-                       complex(beta1[n - 1]), complex(beta2[n - 1]))
+    gamma = {n: _gamma(complex(lambdas[n - 1, 0]), g[n - 1], betas[n - 1])
              for n in K}
-    return SpectralData(theta=complex(theta), n_max=n_max,
-                        lam1=lam1, lam2=lam2, beta1=beta1, beta2=beta2,
+    return SpectralData(theta=complex(theta), lambdas=lambdas, betas=betas,
                         K=list(K), gamma=gamma)
 
 
@@ -357,56 +357,56 @@ def _checked_K(K, gamma: dict, n_max: int) -> list:
 class SpectralData:
     """Eigenvalues and weight numbers of the two boundary problems.
 
-    Arrays are indexed by n-1; K lists the indices with coinciding
-    eigenvalues lambda_{n,1} = lambda_{n,2} (stored identically in both
-    arrays), each carrying the extra weight gamma_n.
+    lambdas and betas are (n_max, 2) tables with [n-1, k-1] holding
+    family k; K lists the indices with coinciding eigenvalues
+    lambda_{n,1} = lambda_{n,2} (stored identically in both columns),
+    each carrying the extra weight gamma_n.
     """
 
     theta: complex
-    n_max: int
-    lam1: np.ndarray
-    lam2: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
+    lambdas: np.ndarray
+    betas: np.ndarray
     K: list = field(default_factory=list)
     gamma: dict = field(default_factory=dict)
     diagnostics: dict | None = None
 
     def __post_init__(self):
-        for name in ("lam1", "lam2", "beta1", "beta2"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape != (self.n_max,):
-                raise ValueError("%s must have length n_max=%d" % (name, self.n_max))
-            setattr(self, name, arr)
+        self.lambdas = np.asarray(self.lambdas, dtype=complex)
+        self.betas = np.asarray(self.betas, dtype=complex)
+        shape = self.lambdas.shape
+        if shape[1:] != (2,) or self.betas.shape != shape:
+            raise ValueError("lambdas and betas must be (n_max, 2) tables, "
+                             "got %s and %s" % (shape, self.betas.shape))
         self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
         self.K = _checked_K(self.K, self.gamma, self.n_max)
         # Coinciding pairs are stored with bitwise-equal eigenvalues so
         # the kernel branch selection is deterministic.
         for n in self.K:
-            gap = abs(self.lam1[n - 1] - self.lam2[n - 1])
-            if gap > 1e-6 * (1.0 + abs(self.lam1[n - 1])):
-                raise ValueError(
-                    "n=%d is marked coinciding but the eigenvalues differ "
-                    "by %g" % (n, gap))
-            self.lam2[n - 1] = self.lam1[n - 1]
+            a, b = self.lambdas[n - 1]
+            if abs(a - b) > 1e-6 * (1.0 + abs(a)):
+                raise ValueError("n=%d is marked coinciding but the "
+                                 "eigenvalues differ by %g" % (n, abs(a - b)))
+            self.lambdas[n - 1, 1] = a
+
+    @property
+    def n_max(self) -> int:
+        return self.lambdas.shape[0]
 
     def lam(self, n: int, k: int) -> complex:
         self._check_index(n, k)
-        return complex((self.lam1 if k == 1 else self.lam2)[n - 1])
+        return complex(self.lambdas[n - 1, k - 1])
 
     def beta(self, n: int, k: int) -> complex:
         self._check_index(n, k)
-        return complex((self.beta1 if k == 1 else self.beta2)[n - 1])
+        return complex(self.betas[n - 1, k - 1])
 
     def _check_index(self, n: int, k: int) -> None:
         if not (1 <= n <= self.n_max) or k not in (1, 2):
             raise IndexError("no entry (n=%s, k=%s)" % (n, k))
 
     def copy(self) -> "SpectralData":
-        return SpectralData(self.theta, self.n_max,
-                            self.lam1.copy(), self.lam2.copy(),
-                            self.beta1.copy(), self.beta2.copy(),
-                            list(self.K), dict(self.gamma),
+        return SpectralData(self.theta, self.lambdas.copy(),
+                            self.betas.copy(), list(self.K), dict(self.gamma),
                             None if self.diagnostics is None
                             else dict(self.diagnostics))
 
@@ -414,10 +414,9 @@ class SpectralData:
         if N > self.n_max:
             raise ValueError("cannot truncate to N=%d > n_max=%d" % (N, self.n_max))
         K = [n for n in self.K if n <= N]
-        return SpectralData(self.theta, N,
-                            self.lam1[:N].copy(), self.lam2[:N].copy(),
-                            self.beta1[:N].copy(), self.beta2[:N].copy(),
-                            K, {n: self.gamma[n] for n in K})
+        return SpectralData(self.theta, self.lambdas[:N].copy(),
+                            self.betas[:N].copy(), K,
+                            {n: self.gamma[n] for n in K})
 
 
 def save_spectral_data(path, data: SpectralData) -> None:
@@ -425,8 +424,9 @@ def save_spectral_data(path, data: SpectralData) -> None:
         "theta": complex_pair(data.theta),
         "n_max": data.n_max,
         "entries": [
-            {"n": n, "k": k, "lambda": complex_pair(data.lam(n, k)),
-             "beta": complex_pair(data.beta(n, k))}
+            {"n": n, "k": k,
+             "lambda": complex_pair(data.lambdas[n - 1, k - 1]),
+             "beta": complex_pair(data.betas[n - 1, k - 1])}
             for n in range(1, data.n_max + 1) for k in (1, 2)
         ],
         "K": [{"n": n, "gamma": complex_pair(data.gamma[n])} for n in data.K],
@@ -438,30 +438,34 @@ def save_spectral_data(path, data: SpectralData) -> None:
 
 
 def load_spectral_data(path) -> SpectralData:
-    import json
-
-    with open(path) as fh:
-        obj = json.load(fh)
-    n_max = int(obj["n_max"])
-    lam = {1: np.zeros(n_max, dtype=complex), 2: np.zeros(n_max, dtype=complex)}
-    beta = {1: np.zeros(n_max, dtype=complex), 2: np.zeros(n_max, dtype=complex)}
-    seen = set()
-    for ent in obj["entries"]:
-        n, k = int(ent["n"]), int(ent["k"])
-        if not (1 <= n <= n_max) or k not in (1, 2):
-            raise ValueError("entry (n=%s, k=%s) out of range" % (n, k))
-        if (n, k) in seen:
-            raise ValueError("entry (n=%s, k=%s) is repeated" % (n, k))
-        lam[k][n - 1] = pair_complex(ent["lambda"])
-        beta[k][n - 1] = pair_complex(ent["beta"])
-        seen.add((n, k))
-    if len(seen) != 2 * n_max:
-        raise ValueError("spectral-data file must cover n = 1..n_max for k = 1, 2")
-    K = [int(e["n"]) for e in obj.get("K", [])]
-    gamma = {int(e["n"]): pair_complex(e["gamma"]) for e in obj.get("K", [])}
-    return SpectralData(theta=pair_complex(obj["theta"]), n_max=n_max,
-                        lam1=lam[1], lam2=lam[2], beta1=beta[1], beta2=beta[2],
-                        K=K, gamma=gamma, diagnostics=obj.get("diagnostics"))
+    """Read a spectral-data JSON file; a value of the wrong JSON type or
+    a file of the wrong shape raises ValueError (serialize's readers)."""
+    with read_json(path) as obj:
+        n_max = json_int(obj["n_max"], "n_max")
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0, got %d" % n_max)
+        lambdas = np.zeros((n_max, 2), dtype=complex)
+        betas = np.zeros((n_max, 2), dtype=complex)
+        seen = np.zeros((n_max, 2), dtype=bool)
+        for ent in obj["entries"]:
+            n, k = json_int(ent["n"], "n"), json_int(ent["k"], "k")
+            if not (1 <= n <= n_max) or k not in (1, 2):
+                raise ValueError("entry (n=%s, k=%s) out of range" % (n, k))
+            if seen[n - 1, k - 1]:
+                raise ValueError("entry (n=%s, k=%s) is repeated" % (n, k))
+            lambdas[n - 1, k - 1] = pair_complex(ent["lambda"])
+            betas[n - 1, k - 1] = pair_complex(ent["beta"])
+            seen[n - 1, k - 1] = True
+        if not seen.all():
+            raise ValueError(
+                "spectral-data file must cover n = 1..n_max for k = 1, 2")
+        K = obj.get("K", [])
+        return SpectralData(theta=pair_complex(obj["theta"]),
+                            lambdas=lambdas, betas=betas,
+                            K=[json_int(e["n"], "K n") for e in K],
+                            gamma={json_int(e["n"], "K n"):
+                                   pair_complex(e["gamma"]) for e in K},
+                            diagnostics=obj.get("diagnostics"))
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +561,17 @@ def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
 
 
 def weight_matrix(data: SpectralData, n: int, k: int) -> np.ndarray:
-    """Closed-form weight matrix at lambda_{n,k} from stored data."""
+    """Closed-form weight matrix at lambda_{n,k} from stored data: both
+    families' entries on K, family k's elsewhere."""
     data._check_index(n, k)
     out = np.zeros((3, 3), dtype=complex)
-    if n in data.K:
-        out[1, 0] = -data.beta(n, 1)
-        out[2, 1] = -data.beta(n, 2)
+    on_K = n in data.K
+    if on_K or k == 1:
+        out[1, 0] = -data.betas[n - 1, 0]
+    if on_K or k == 2:
+        out[2, 1] = -data.betas[n - 1, 1]
+    if on_K:
         out[2, 0] = -data.gamma[n]
-    elif k == 1:
-        out[1, 0] = -data.beta(n, 1)
-    else:
-        out[2, 1] = -data.beta(n, 2)
     return out
 
 

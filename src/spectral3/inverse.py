@@ -119,17 +119,18 @@ def _states_at(cache: ModelCache, variant: SystemVariant, ks: np.ndarray,
 def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
     """Z_v for v in V^N in the index_set order, from the entries n <= N
     of data and of the model."""
-    V = index_set(N)
-    src = [data if v.eps == 0 else cache.model_data for v in V]
-    lam = np.array([d.lam(v.n, v.k) for d, v in zip(src, V)])
-    beta = np.array([d.beta(v.n, v.k) for d, v in zip(src, V)])
-    k = np.array([v.k for v in V])
+    # (N, 2, 2) tables [n-1, k-1, eps], raveled in the index_set order
+    lam = np.stack([data.lambdas[:N], cache.model_data.lambdas[:N]], axis=2)
+    beta = np.stack([data.betas[:N], cache.model_data.betas[:N]], axis=2)
+    k = np.broadcast_to(np.array([1, 2])[:, None], lam.shape).ravel()
+    lam, beta = lam.ravel(), beta.ravel()
     Z = (np.where(k == 1, -beta, beta)[:, None, None]
          * _states_at(cache, SystemVariant.STAR, 4 - k, lam))
-    regularized = np.array([v.eps == 0 and v.k == 2 and v.n in data.K
-                            for v in V])
-    if regularized.any():
-        gamma = np.array([data.gamma[v.n] for v, r in zip(V, regularized) if r])
+    # the given data's family 2 rows on K: v = (n, 2, 0) sits at 4n - 2
+    K = [n for n in data.K if n <= N]
+    regularized = np.isin(np.arange(4 * N), 4 * np.array(K, dtype=int) - 2)
+    if K:
+        gamma = np.array([data.gamma[n] for n in K])
         Z[regularized] -= gamma[:, None, None] * cache.states(
             SystemVariant.STAR, 3, lam[regularized])
     return StarStates(Z, lam, np.where(k == 2, beta, 0.0), regularized)
@@ -559,10 +560,11 @@ def verify_weyl(result: ReconstructionResult) -> dict:
 
 def _perturb(data: SpectralData, entries, delta: float) -> SpectralData:
     out = data.copy()
-    for n, k, which in entries:
-        arr = {("lambda", 1): out.lam1, ("lambda", 2): out.lam2,
-               ("beta", 1): out.beta1, ("beta", 2): out.beta2}[(which, k)]
-        arr[n - 1] = arr[n - 1] + delta
+    tables = np.stack([out.lambdas, out.betas])
+    at = [(("lambda", "beta").index(which), n - 1, k - 1)
+          for n, k, which in entries]
+    np.add.at(tables, tuple(np.array(at, dtype=int).reshape(-1, 3).T), delta)
+    out.lambdas, out.betas = tables
     return out
 
 

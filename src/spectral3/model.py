@@ -100,8 +100,9 @@ def _check_spectra(data: SpectralData, model_data: SpectralData) -> None:
             3, "model spectra coincide at n=%d" % n,
             pair=(model_data.lam(n, 1), model_data.lam(n, 2)),
             gap=abs(model_data.lam(n, 1) - model_data.lam(n, 2)))
-    lam_model = np.concatenate([model_data.lam1, model_data.lam2])
-    lam_data = np.concatenate([data.lam1, data.lam2])
+    # family-major, so the first hit is the first of family 1's
+    lam_model = model_data.lambdas.T.ravel()
+    lam_data = data.lambdas.T.ravel()
     hits = np.argwhere(coincide(lam_model[:, None], lam_data))
     if hits.size:
         i, j = hits[0]
@@ -144,16 +145,13 @@ def spectral_gaps(data: SpectralData, ref: SpectralData, N: int,
     if N > min(data.n_max, ref.n_max):
         raise ValueError("N=%d exceeds the data range n_max=%d"
                          % (N, min(data.n_max, ref.n_max)))
-    gaps = []
-    for x, r in (((data.lam1, data.lam2), (ref.lam1, ref.lam2)),
-                 ((data.beta1, data.beta2), (ref.beta1, ref.beta2))):
-        x, r = np.stack(x, axis=1)[:N], np.stack(r, axis=1)[:N]
-        d = x - r
-        gap = np.hypot(d.real, d.imag)
-        if relative:
-            gap = gap / (1.0 + np.hypot(r.real, r.imag))
-        gaps.append(gap)
-    return tuple(gaps)
+    x = np.stack([data.lambdas[:N], data.betas[:N]])
+    r = np.stack([ref.lambdas[:N], ref.betas[:N]])
+    d = x - r
+    gap = np.hypot(d.real, d.imag)
+    if relative:
+        gap = gap / (1.0 + np.hypot(r.real, r.imag))
+    return tuple(gap)
 
 
 def xi_sequence(data: SpectralData, model_data: SpectralData, N: int) -> np.ndarray:

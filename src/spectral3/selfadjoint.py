@@ -3,12 +3,13 @@
 For real tau1 and purely imaginary sigma0 the two spectra pair up as
 lambda_{n,1} = -conj(lambda_{n,2}) with beta_{n,1} = -conj(beta_{n,2}),
 so half of the data determines the rest.  HalfData stores that half
-(the first family), complete()/restrict() convert to and from full
-SpectralData, and the check_* helpers report how well given data
-satisfies the symmetry and the sufficiency preconditions.  Sufficiency
-is condition 1 of the completed data (asympt.validate_condition1) plus
-Re lambda_n >= 0 and gamma_n > 0; HalfData checks K as SpectralData
-does.
+(the first family, column 1 of SpectralData's tables), complete() and
+restrict() convert to and from full SpectralData by stacking and slicing
+the columns, and the check_* helpers report how well given data
+satisfies the symmetry (both columns compared at once) and the
+sufficiency preconditions.  Sufficiency is condition 1 of the completed
+data (asympt.validate_condition1) plus Re lambda_n >= 0 and gamma_n > 0;
+HalfData checks K as SpectralData does.
 
 Coinciding pairs in this class sit on the imaginary axis (lambda must
 equal -conj(lambda)), carry beta = 0 on both sides, and a positive
@@ -17,14 +18,14 @@ gamma.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import asympt
 from .forward import SpectralData, _checked_K
-from .serialize import complex_pair, dumps17, finite_float, pair_complex
+from .serialize import (complex_pair, dumps17, json_float, json_int,
+                        pair_complex, read_json)
 
 __all__ = ["HalfData", "complete", "restrict", "check_suff_conditions",
            "check_symmetry", "save_half_data", "load_half_data"]
@@ -62,22 +63,18 @@ def complete(half: HalfData) -> SpectralData:
     lambda_{n,2} = -conj(lambda_n), beta_{n,2} = -conj(beta_n); on the
     coinciding set both weight numbers are zero and gamma is carried.
     """
-    lam1 = half.lambdas.copy()
-    beta1 = half.betas.copy()
-    lam2 = -np.conj(lam1)
-    beta2 = -np.conj(beta1)
+    lambdas = np.stack([half.lambdas, -np.conj(half.lambdas)], axis=1)
+    betas = np.stack([half.betas, -np.conj(half.betas)], axis=1)
     for n in half.K:
-        if abs(lam1[n - 1].real) > 1e-6 * (1.0 + abs(lam1[n - 1])):
+        lam = lambdas[n - 1, 0]
+        if abs(lam.real) > 1e-6 * (1.0 + abs(lam)):
             raise ValueError(
                 "coinciding index n=%d requires a purely imaginary "
-                "eigenvalue, got %s" % (n, lam1[n - 1]))
-        lam1[n - 1] = 1j * lam1[n - 1].imag
-        lam2[n - 1] = lam1[n - 1]
-        beta1[n - 1] = 0.0
-        beta2[n - 1] = 0.0
-    return SpectralData(theta=complex(half.theta), n_max=half.n_max,
-                        lam1=lam1, lam2=lam2, beta1=beta1, beta2=beta2,
-                        K=list(half.K),
+                "eigenvalue, got %s" % (n, lam))
+        lambdas[n - 1] = 1j * lam.imag
+        betas[n - 1] = 0.0
+    return SpectralData(theta=complex(half.theta), lambdas=lambdas,
+                        betas=betas, K=list(half.K),
                         gamma={n: complex(g) for n, g in half.gammas.items()})
 
 
@@ -93,18 +90,17 @@ def restrict(data: SpectralData) -> HalfData:
         if abs(g.imag) > _SYM_TOL * (1.0 + abs(g)):
             raise ValueError("gamma at n=%d is not real: %s" % (n, g))
         gammas[n] = g.real
-    return HalfData(theta=data.theta.real, lambdas=data.lam1.copy(),
-                    betas=data.beta1.copy(), K=list(data.K), gammas=gammas)
+    return HalfData(theta=data.theta.real, lambdas=data.lambdas[:, 0].copy(),
+                    betas=data.betas[:, 0].copy(), K=list(data.K),
+                    gammas=gammas)
 
 
 def check_symmetry(data: SpectralData) -> dict:
     """Measure the self-adjoint pairing of full spectral data."""
-    lam_dev = beta_dev = 0.0
-    for n in range(1, data.n_max + 1):
-        l1, l2 = data.lam(n, 1), data.lam(n, 2)
-        b1, b2 = data.beta(n, 1), data.beta(n, 2)
-        lam_dev = max(lam_dev, abs(l1 + np.conj(l2)) / (1.0 + abs(l1)))
-        beta_dev = max(beta_dev, abs(b1 + np.conj(b2)) / (1.0 + abs(b1)))
+    # max over n of |x_{n,1} + conj(x_{n,2})| / (1 + |x_{n,1}|)
+    lam_dev, beta_dev = (
+        float(np.max(np.abs(a + np.conj(b)) / (1.0 + np.abs(a)), initial=0.0))
+        for a, b in (data.lambdas.T, data.betas.T))
     gamma_dev = 0.0
     for n in data.K:
         g = data.gamma[n]
@@ -163,15 +159,16 @@ def save_half_data(path, half: HalfData) -> None:
 
 
 def load_half_data(path) -> HalfData:
-    with open(path) as fh:
-        obj = json.load(fh)
-    entries = sorted(obj["entries"], key=lambda e: int(e["n"]))
-    ns = [int(e["n"]) for e in entries]
-    if ns != list(range(1, len(ns) + 1)):
-        raise ValueError("half-data entries must cover n = 1..n_max")
-    lam = np.array([pair_complex(e["lambda"]) for e in entries])
-    beta = np.array([pair_complex(e["beta"]) for e in entries])
-    K = [int(e["n"]) for e in obj.get("K", [])]
-    gammas = {int(e["n"]): finite_float(e["gamma"]) for e in obj.get("K", [])}
-    return HalfData(theta=finite_float(obj["theta"]), lambdas=lam, betas=beta,
-                    K=K, gammas=gammas)
+    """Read a half-data JSON file, with the rules of load_spectral_data."""
+    with read_json(path) as obj:
+        entries = sorted(obj["entries"], key=lambda e: json_int(e["n"], "n"))
+        if [e["n"] for e in entries] != list(range(1, len(entries) + 1)):
+            raise ValueError("half-data entries must cover n = 1..n_max")
+        lam = [pair_complex(e["lambda"]) for e in entries]
+        beta = [pair_complex(e["beta"]) for e in entries]
+        K = obj.get("K", [])
+        return HalfData(theta=json_float(obj["theta"], "theta"),
+                        lambdas=lam, betas=beta,
+                        K=[json_int(e["n"], "K n") for e in K],
+                        gammas={json_int(e["n"], "K n"):
+                                json_float(e["gamma"], "gamma") for e in K})

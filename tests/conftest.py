@@ -4,13 +4,15 @@ The heavy tables are session-scoped; individual tests truncate or copy
 as needed and never mutate fixture objects in place.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from spectral3.forward import compute_spectral_data
-from spectral3.grid import CoefficientPair, Grid, GridFunction
+from spectral3.grid import CoefficientPair, Grid, GridFunction, read_coefficients
 
 # Property tests draw the same examples on every run and keep no
 # example database.
@@ -82,3 +84,10 @@ def smooth_data8(smooth_data20):
 @pytest.fixture(scope="session")
 def zero_data6(zero_coeffs):
     return compute_spectral_data(zero_coeffs, 6)
+
+
+@pytest.fixture(scope="session")
+def sample_data30():
+    # the bundled sample pair (M = 512) at n_max 30
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "smooth.csv")
+    return compute_spectral_data(read_coefficients(path), 30)

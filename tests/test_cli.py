@@ -68,7 +68,7 @@ def test_inverse_pipeline(tmp_path, smooth_json):
 def test_inverse_rejects_duplicate_eigenvalues(tmp_path, smooth_data8,
                                                capsys):
     d = smooth_data8.truncate(4).copy()
-    d.lam1[1] = d.lam1[0]
+    d.lambdas[1, 0] = d.lambdas[0, 0]
     path = tmp_path / "dup.json"
     save_spectral_data(path, d)
     rc = main(["inverse", "--data", str(path), "--big-n", "4",
@@ -229,6 +229,69 @@ def test_nonfinite_spectral_value_exits_1(tmp_path, smooth_json, capsys,
     assert rc == 1
     assert "non-finite number" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _set(*path_value):
+    """An edit of a parsed JSON file: obj[p0][p1]... = value."""
+    *path, last, value = path_value
+
+    def edit(obj):
+        for key in path:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    # indices and n_max are JSON integers; a float was truncated, a bool
+    # or a numeric string read as a number
+    pytest.param(_set("n_max", 4.9), "n_max must be a JSON integer",
+                 id="n_max-float"),
+    pytest.param(_set("n_max", "4"), "n_max must be a JSON integer",
+                 id="n_max-string"),
+    pytest.param(_set("n_max", True), "n_max must be a JSON integer",
+                 id="n_max-bool"),
+    pytest.param(_set("n_max", None), "n_max must be a JSON integer",
+                 id="n_max-null"),
+    pytest.param(_set("n_max", -1), "n_max must be >= 0", id="n_max-negative"),
+    pytest.param(_set("entries", 0, "n", 1.7), "n must be a JSON integer",
+                 id="n-float"),
+    pytest.param(_set("entries", 0, "k", True), "k must be a JSON integer",
+                 id="k-bool"),
+    pytest.param(_set("entries", 2, "n", "2"), "n must be a JSON integer",
+                 id="n-string"),
+    pytest.param(_set("K", [{"n": 1.0, "gamma": [1.0, 0.0]}]),
+                 "K n must be a JSON integer", id="K-n-float"),
+    # complex values are lists of exactly two numbers
+    pytest.param(_set("entries", 0, "lambda", "77"), "[re, im]",
+                 id="lambda-string"),
+    pytest.param(_set("entries", 1, "beta", [True, 0.0]), "[re, im]",
+                 id="beta-bool"),
+    pytest.param(_set("theta", 1.3), "[re, im]", id="theta-scalar"),
+    pytest.param(_set("theta", [1.3]), "[re, im]", id="theta-1-item"),
+    pytest.param(_set("theta", [1.3, 0.0, 0.0]), "[re, im]",
+                 id="theta-3-items"),
+    # containers of the wrong kind
+    pytest.param(lambda obj: [obj], "holds a JSON list, not an object",
+                 id="top-level-list"),
+    pytest.param(_set("entries", None), "is malformed", id="entries-null"),
+    pytest.param(_set("entries", 1, [1, 1]), "is malformed",
+                 id="entry-list"),
+    pytest.param(_set("K", {"n": 1}), "is malformed", id="K-object"),
+])
+def test_malformed_spectral_file_exits_1(tmp_path, smooth_json, capsys,
+                                         edit, message):
+    obj = json.loads(open(smooth_json).read())
+    obj = edit(obj) or obj
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "rec.csv"
+    rc = main(["inverse", "--data", str(bad), "--big-n", "3", "--out",
+               str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectral3:") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["forward", "verify"])
@@ -442,8 +505,8 @@ def test_outputs_are_deterministic_and_reread_exactly(tmp_path, zero_csv,
     resaved = str(tmp_path / "c.json")
     save_spectral_data(resaved, data)
     again = load_spectral_data(resaved)
-    assert np.array_equal(again.lam1, data.lam1)
-    assert np.array_equal(again.beta2, data.beta2)
+    assert np.array_equal(again.lambdas, data.lambdas)
+    assert np.array_equal(again.betas, data.betas)
 
     rec1, rec2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
     inv = ["inverse", "--data", smooth_json, "--big-n", "3", "--out"]

@@ -180,43 +180,40 @@ def test_weight_beta_at_eigenvalue(zero_coeffs, zero_data6):
 def test_weight_gamma_guards(zero_coeffs, zero_data6):
     lam = zero_data6.lam(1, 2)
     a = _char_arrays(zero_coeffs, [lam, lam], [1, 2], with_dlambda=True)
-    g1, g2 = a.gamma_numer / a.ddelta
     with pytest.raises(GammaZeroError):
         # neither weight number vanishes at a simple eigenvalue
-        _gamma(lam, g1, g2, zero_data6.beta(1, 1), zero_data6.beta(1, 2))
+        _gamma(lam, a.gamma_numer / a.ddelta, zero_data6.betas[0])
 
 
 def test_detect_K_plain():
-    lam1 = np.array([1.0 + 1j, 5.0, 9.0])
-    lam2 = np.array([11.0, 2.0, 6.0])
-    K, perm = detect_K(lam1, lam2)
+    K, perm = detect_K([[1.0 + 1j, 11.0], [5.0, 2.0], [9.0, 6.0]])
     assert K == []
     assert sorted(perm.tolist()) == [0, 1, 2]
 
 
 def test_detect_K_collision_with_permutation():
-    lam1 = np.array([4.0 + 2j, 30.0, 100.0])
-    lam2 = np.array([95.0, 4.0 + 2j + 1e-12, 33.0])
-    K, perm = detect_K(lam1, lam2)
+    lam = np.array([[4.0 + 2j, 95.0], [30.0, 4.0 + 2j + 1e-12],
+                    [100.0, 33.0]])
+    K, perm = detect_K(lam)
     assert K == [1]
     assert perm[0] == 1  # the matching entry is pulled to position 0
-    reordered = lam2[perm]
-    assert abs(reordered[0] - lam1[0]) < 1e-8
+    reordered = lam[perm, 1]
+    assert abs(reordered[0] - lam[0, 0]) < 1e-8
 
 
 @settings(max_examples=30)
 @given(st.permutations(list(range(5))))
 def test_detect_K_recovers_total_pairing(order):
-    lam1 = np.array([10.0 * (i + 1) + 1j * i for i in range(5)])
-    lam2 = lam1[np.asarray(order)] + 1e-11
-    K, perm = detect_K(lam1, lam2)
+    first = np.array([10.0 * (i + 1) + 1j * i for i in range(5)])
+    second = first[np.asarray(order)] + 1e-11
+    K, perm = detect_K(np.stack([first, second], axis=1))
     assert K == [1, 2, 3, 4, 5]
-    assert np.abs(lam2[perm] - lam1).max() < 1e-8
+    assert np.abs(second[perm] - first).max() < 1e-8
 
 
 def test_spectral_data_container(smooth_data20):
     d = smooth_data20
-    assert d.n_max == 20
+    assert d.n_max == 20 and d.lambdas.shape == d.betas.shape == (20, 2)
     assert d.K == []
     tr = d.truncate(8)
     assert tr.n_max == 8
@@ -227,26 +224,38 @@ def test_spectral_data_container(smooth_data20):
         d.lam(1, 3)
 
 
+_BETAS2 = [[0.0, 1.0], [3.0, 4.0]]
+
+
 def test_spectral_data_K_snap():
-    lam1 = np.array([2.0 + 1.0j, 50.0])
-    lam2 = np.array([2.0 + 1.0j + 1e-9, -50.0])
-    d = SpectralData(theta=0.0, n_max=2, lam1=lam1.copy(), lam2=lam2.copy(),
-                     beta1=np.array([0.0, 3.0]), beta2=np.array([1.0, 4.0]),
+    lam = np.array([[2.0 + 1.0j, 2.0 + 1.0j + 1e-9], [50.0, -50.0]])
+    d = SpectralData(theta=0.0, lambdas=lam.copy(), betas=_BETAS2,
                      K=[1], gamma={1: 2.0})
-    assert d.lam2[0] == d.lam1[0]  # bitwise after the snap
-    with pytest.raises(ValueError):
-        SpectralData(theta=0.0, n_max=2, lam1=lam1.copy(),
-                     lam2=np.array([2.5 + 1.0j, -50.0]),
-                     beta1=np.array([0.0, 3.0]), beta2=np.array([1.0, 4.0]),
+    assert d.lambdas[0, 1] == d.lambdas[0, 0]  # bitwise after the snap
+    lam[0, 1] = 2.5 + 1.0j
+    with pytest.raises(ValueError, match="n=1 is marked coinciding"):
+        SpectralData(theta=0.0, lambdas=lam, betas=_BETAS2,
                      K=[1], gamma={1: 2.0})
+
+
+@pytest.mark.parametrize("lam, betas, message", [
+    pytest.param(np.ones(2), np.ones(2), "lambdas and betas", id="1-D"),
+    pytest.param(np.ones((2, 3)), np.ones((2, 3)), "lambdas and betas",
+                 id="3 columns"),
+    pytest.param(np.ones((2, 2)), np.ones((3, 2)), "lambdas and betas",
+                 id="betas longer"),
+])
+def test_spectral_data_tables_are_n_by_2(lam, betas, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralData(theta=0.0, lambdas=lam, betas=betas)
+
 
 
 def test_spectral_data_rejects_duplicate_K():
     # the gamma check compares sets, so a repeated n must be caught apart
-    lam = np.array([2.0 + 1.0j, 50.0])
+    lam = np.array([[2.0 + 1.0j, 2.0 + 1.0j], [50.0, 50.0]])
     with pytest.raises(ValueError, match="n=1 more than once"):
-        SpectralData(theta=0.0, n_max=2, lam1=lam.copy(), lam2=lam.copy(),
-                     beta1=np.array([0.0, 3.0]), beta2=np.array([1.0, 4.0]),
+        SpectralData(theta=0.0, lambdas=lam, betas=_BETAS2,
                      K=[1, 1], gamma={1: 2.0})
 
 
@@ -263,10 +272,8 @@ def test_spectral_data_json_roundtrip(tmp_path, smooth_data20):
     save_spectral_data(path, smooth_data20)
     back = load_spectral_data(path)
     assert back.theta == smooth_data20.theta
-    assert np.array_equal(back.lam1, smooth_data20.lam1)
-    assert np.array_equal(back.lam2, smooth_data20.lam2)
-    assert np.array_equal(back.beta1, smooth_data20.beta1)
-    assert np.array_equal(back.beta2, smooth_data20.beta2)
+    assert np.array_equal(back.lambdas, smooth_data20.lambdas)
+    assert np.array_equal(back.betas, smooth_data20.betas)
     # coverage check
     import json
     obj = json.loads(path.read_text())
@@ -384,10 +391,8 @@ def test_weight_matrix_forms(smooth_data8):
 
 
 def test_weight_matrix_on_K():
-    d = SpectralData(theta=0.0, n_max=1,
-                     lam1=np.array([4.0j]), lam2=np.array([4.0j]),
-                     beta1=np.array([0.0]), beta2=np.array([2.0 + 1j]),
-                     K=[1], gamma={1: 1.5})
+    d = SpectralData(theta=0.0, lambdas=[[4.0j, 4.0j]],
+                     betas=[[0.0, 2.0 + 1j]], K=[1], gamma={1: 1.5})
     W = weight_matrix(d, 1, 1)
     assert W[1, 0] == 0.0 and W[2, 1] == -(2.0 + 1j) and W[2, 0] == -1.5
 
@@ -469,8 +474,7 @@ def test_gamma_from_weight_batch_matches_weight_gamma(coinciding_coeffs):
     assert data.beta(1, 1) == 0 and data.beta(1, 2) == 0
     lam = data.lam(1, 1)
     a = _char_arrays(coinciding_coeffs, [lam, lam], [1, 2], with_dlambda=True)
-    g1, g2 = a.gamma_numer / a.ddelta
-    ref = _gamma(lam, g1, g2, data.beta(1, 1), data.beta(1, 2))
+    ref = _gamma(lam, a.gamma_numer / a.ddelta, data.betas[0])
     assert abs(data.gamma[1] - ref) <= 1e-12 * abs(ref)
 
 
@@ -526,7 +530,7 @@ def test_joint_newton_sweeps_both_families_once_per_iteration(
     for k in (1, 2):
         calls.clear()
         _newton_family(general_coeffs128, k, ns,
-                       [asympt.eigen_guess(n, k, theta) for n in ns], theta)
+                       asympt.eigen_guess(ns, k, theta), theta)
         alone.append([L for L, _ in calls])
     calls.clear()
     assert compute_spectral_data(general_coeffs128, 6).K == []

@@ -216,10 +216,10 @@ def test_stability_input_guards(smooth_data8, smooth_data20, grid512):
     # outside the truncation N = 3 and leaves the ladder unchanged
     data12 = smooth_data20.truncate(12)
     for n, fails in ((2, True), (10, False)):
-        lam2, beta1 = data12.lam2.copy(), data12.beta1.copy()
-        lam2[n - 1], beta1[n - 1] = data12.lam1[n - 1], 0.0
-        paired = SpectralData(data12.theta, 12, data12.lam1, lam2, beta1,
-                              data12.beta2, K=[n], gamma={n: 1.0})
+        lam, beta = data12.lambdas.copy(), data12.betas.copy()
+        lam[n - 1, 1], beta[n - 1, 0] = lam[n - 1, 0], 0.0
+        paired = SpectralData(data12.theta, lam, beta, K=[n],
+                              gamma={n: 1.0})
         if fails:
             with pytest.raises(ValueError, match="coinciding"):
                 stability_experiment(paired, grid512, 3, deltas=[1e-2])
@@ -261,11 +261,9 @@ def _coinciding_data(smooth_data8):
     # synthetic coinciding pair at n = 1: second eigenvalue snapped onto
     # the first, beta_{1,1} zeroed, an extra weight gamma supplied
     d = smooth_data8.truncate(6)
-    return type(d)(theta=d.theta, n_max=6,
-                   lam1=d.lam1.copy(),
-                   lam2=np.concatenate([[d.lam1[0]], d.lam2[1:]]),
-                   beta1=np.concatenate([[0.0], d.beta1[1:]]),
-                   beta2=d.beta2.copy(),
+    d.lambdas[0, 1] = d.lambdas[0, 0]
+    d.betas[0, 0] = 0.0
+    return type(d)(theta=d.theta, lambdas=d.lambdas, betas=d.betas,
                    K=[1], gamma={1: 1.0})
 
 
@@ -385,7 +383,7 @@ def _near_coinciding_data(smooth_data8, cache4):
     for k, n, target in ((1, 2, model.lam(2, 1)), (2, 1, model.lam(1, 1))):
         d = smooth_data8.copy()
         lam = target + 1e-7 * (1.0 + abs(target))
-        (d.lam1 if k == 1 else d.lam2)[n - 1] = lam
+        d.lambdas[n - 1, k - 1] = lam
         yield d
 
 
@@ -535,7 +533,7 @@ def _verify_weyl_seven_calls(result, data, N):
     V = result.assembly.V
     checks = {"mode": "weyl"}
     breaches = []
-    for k0, lams in ((2, data.lam1[:N]), (3, data.lam2[:N])):
+    for k0, lams in ((2, data.lambdas[:N, 0]), (3, data.lambdas[:N, 1])):
         check = "phi%d_terminal" % k0
         vals, _ = _phiN_reference(result, cache, stars, k0, lams)
         rel = np.abs(vals[:, -1]) / (1.0 + np.abs(vals).max(axis=1))

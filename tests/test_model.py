@@ -73,7 +73,7 @@ def test_condition2_non_finite_model(smooth_data8, grid512, sweep_calls):
 def test_condition4_collision(smooth_data8, grid512):
     clean = build_model(smooth_data8, grid512, 4)
     collided = smooth_data8.copy()
-    collided.lam1[0] = clean.model_data.lam(1, 1)
+    collided.lambdas[0, 0] = clean.model_data.lam(1, 1)
     with pytest.raises(AdmissibilityViolationError) as ei:
         build_model(collided, grid512, 4)
     assert ei.value.condition == 4
@@ -82,7 +82,7 @@ def test_condition4_collision(smooth_data8, grid512):
 
 def test_xi_and_distance_oracles(smooth_data8):
     pert = smooth_data8.copy()
-    pert.beta1[1] += 0.4                # beta_{2,1}: xi_2 = 0.4/2^3
+    pert.betas[1, 0] += 0.4             # beta_{2,1}: xi_2 = 0.4/2^3
     xi = xi_sequence(pert, smooth_data8, 8)
     assert xi.shape == (8,)
     assert abs(xi[1] - 0.05) < 1e-11
@@ -90,7 +90,7 @@ def test_xi_and_distance_oracles(smooth_data8):
     assert abs(distance_d(pert, smooth_data8) - 0.1) < 1e-11
 
     pert2 = smooth_data8.copy()
-    pert2.lam1[0] += 0.1                # lambda_{1,1}: xi_1 = 0.1/1^2
+    pert2.lambdas[0, 0] += 0.1          # lambda_{1,1}: xi_1 = 0.1/1^2
     xi2 = xi_sequence(pert2, smooth_data8, 8)
     assert abs(xi2[0] - 0.1) < 1e-11
     assert abs(distance_d(pert2, smooth_data8) - 0.1) < 1e-11
@@ -161,7 +161,7 @@ def test_weyl_states_built_once_per_inverse_run(smooth_data8, grid512,
 
 def test_eta_recomputed_for_foreign_data(cache8, assembly8, smooth_data8):
     other = smooth_data8.copy()
-    other.beta1[0] *= 2.0
+    other.betas[0, 0] *= 2.0
     foreign = assemble(other, cache8, 8)
     i = assembly8.V.index((1, 1, 0))
     eta0, deta0 = assembly8.eta[i], assembly8.deta[i]

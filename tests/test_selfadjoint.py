@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from spectral3.forward import SpectralData
+from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.selfadjoint import (HalfData, check_suff_conditions,
                                    check_symmetry, complete, load_half_data,
                                    restrict, save_half_data)
@@ -17,9 +18,34 @@ def test_symmetric_data_passes_symmetry_check(smooth_data20):
     assert rep["theta_imag"] < 1e-12
 
 
+def _symmetry_per_entry(data):
+    """(lambda_max, beta_max) of check_symmetry from its formula, one n at
+    a time: the reference the table version is held to."""
+    lam_dev = beta_dev = 0.0
+    for n in range(1, data.n_max + 1):
+        l1, l2 = data.lam(n, 1), data.lam(n, 2)
+        b1, b2 = data.beta(n, 1), data.beta(n, 2)
+        lam_dev = max(lam_dev, abs(l1 + np.conj(l2)) / (1.0 + abs(l1)))
+        beta_dev = max(beta_dev, abs(b1 + np.conj(b2)) / (1.0 + abs(b1)))
+    return lam_dev, beta_dev
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-9, 0.01])
+def test_check_symmetry_matches_per_entry_formula(sample_data30,
+                                                  general_coeffs128, shift):
+    for data in (sample_data30, compute_spectral_data(general_coeffs128, 6)):
+        d = data.copy()
+        d.lambdas[2, 1] += shift
+        d.betas[-1, 0] -= 2.0 * shift
+        rep = check_symmetry(d)
+        for got, want in zip((rep["lambda_max"], rep["beta_max"]),
+                             _symmetry_per_entry(d)):
+            assert abs(got - want) <= 1e-13 * want
+
+
 def test_broken_symmetry_is_flagged(smooth_data8):
     d = smooth_data8.copy()
-    d.lam1[0] += 0.01
+    d.lambdas[0, 0] += 0.01
     rep = check_symmetry(d)
     assert not rep["pass"]
     assert rep["lambda_max"] > 1e-8
@@ -30,10 +56,8 @@ def test_restrict_complete_round_trip(smooth_data8):
     assert half.n_max == 8
     assert half.theta == smooth_data8.theta.real
     full = complete(half)
-    assert np.array_equal(full.lam1, smooth_data8.lam1)
-    assert np.array_equal(full.lam2, smooth_data8.lam2)
-    assert np.array_equal(full.beta1, smooth_data8.beta1)
-    assert np.array_equal(full.beta2, smooth_data8.beta2)
+    assert np.array_equal(full.lambdas, smooth_data8.lambdas)
+    assert np.array_equal(full.betas, smooth_data8.betas)
 
 
 def test_complete_with_coinciding_pair():
@@ -63,10 +87,8 @@ def test_restrict_realness_guards(smooth_data8):
     d.theta = d.theta + 0.1j
     with pytest.raises(ValueError, match="theta"):
         restrict(d)
-    k_data = SpectralData(theta=0.3, n_max=1,
-                          lam1=np.array([4.0j]), lam2=np.array([4.0j]),
-                          beta1=np.array([0.0]), beta2=np.array([0.0]),
-                          K=[1], gamma={1: 1.0 + 0.5j})
+    k_data = SpectralData(theta=0.3, lambdas=[[4.0j, 4.0j]],
+                          betas=[[0.0, 0.0]], K=[1], gamma={1: 1.0 + 0.5j})
     with pytest.raises(ValueError, match="not real"):
         restrict(k_data)
 
@@ -182,4 +204,32 @@ def test_half_data_file_refuses_nonfinite_numbers(tmp_path, field, value):
         obj["entries"][1][field][0] = value
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="non-finite number"):
+        load_half_data(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda o: o["entries"][0].update(n=1.0),
+                 "n must be a JSON integer", id="n-float"),
+    pytest.param(lambda o: o["K"][0].update(n=True),
+                 "K n must be a JSON integer", id="K-n-bool"),
+    pytest.param(lambda o: o.update(theta="0.3"),
+                 "theta must be a JSON number", id="theta-string"),
+    pytest.param(lambda o: o["K"][0].update(gamma=True),
+                 "gamma must be a JSON number", id="gamma-bool"),
+    pytest.param(lambda o: o["entries"][1].update(beta=[3.0]),
+                 "[re, im]", id="beta-1-item"),
+    pytest.param(lambda o: [o], "not an object", id="top-level-list"),
+    pytest.param(lambda o: o.update(entries=None), "is malformed",
+                 id="entries-null"),
+])
+def test_half_data_file_refuses_malformed_values(tmp_path, edit, message):
+    half = HalfData(theta=0.3, lambdas=np.array([1e-9 + 5.0j, 80.0]),
+                    betas=np.array([0.0, 3.0 + 1.0j]),
+                    K=[1], gammas={1: 1.5})
+    path = tmp_path / "half.json"
+    save_half_data(path, half)
+    obj = json.loads(path.read_text())
+    obj = edit(obj) or obj
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_half_data(path)
