@@ -24,7 +24,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,36 +40,18 @@ from .model import spectral_gaps
 from .selfadjoint import check_symmetry
 from .serialize import dumps17
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Validated numeric configuration shared by the subcommands."""
-
-    grid_m: int = 512
-    n_max: int | None = None
-    big_n: int | None = None
-
-    def __post_init__(self):
-        if self.grid_m % 2 != 0 or self.grid_m < 64:
-            raise ValueError("grid size must be even and at least 64")
-        for flag, value in (("--big-n", self.big_n), ("--n-max", self.n_max)):
-            if value is not None and value < 1:
-                raise ValueError("%s must be at least 1, got %d"
-                                 % (flag, value))
-        if (self.big_n is not None and self.n_max is not None
-                and self.big_n > self.n_max):
-            raise ValueError("truncation N=%d exceeds available n_max=%d"
-                             % (self.big_n, self.n_max))
-
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.grid_m)
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
 # Helpers
+
+
+def _grid(M: int) -> Grid:
+    """The grid of the --grid flag, whose M must be even and >= 64."""
+    if M % 2 != 0 or M < 64:
+        raise ValueError("grid size must be even and at least 64, got %d" % M)
+    return Grid(M)
 
 
 def _load_coeffs(path, grid: Grid) -> CoefficientPair:
@@ -133,9 +114,8 @@ def _validate_input_data(data: SpectralData) -> dict:
 
 
 def cmd_forward(args) -> int:
-    cfg = RunConfig(grid_m=args.grid, n_max=args.n_max)
-    coeffs = _load_coeffs(args.coeffs, cfg.grid)
-    data = compute_spectral_data(coeffs, cfg.n_max, pair_tol=args.pair_tol)
+    coeffs = _load_coeffs(args.coeffs, _grid(args.grid))
+    data = compute_spectral_data(coeffs, args.n_max, pair_tol=args.pair_tol)
     frame = extract_remainders(data)
     diag = {
         "asymptotics": {
@@ -148,8 +128,7 @@ def cmd_forward(args) -> int:
     }
     if _is_selfadjoint_class(coeffs):
         diag["symmetry"] = check_symmetry(data)
-    data.diagnostics = diag
-    save_spectral_data(args.out, data)
+    save_spectral_data(args.out, data, diag)
     print("forward: wrote %s (n_max=%d, K=%s, theta=%.6g%+.6gj)"
           % (args.out, data.n_max, data.K, data.theta.real, data.theta.imag))
     if "symmetry" in diag:
@@ -159,11 +138,11 @@ def cmd_forward(args) -> int:
 
 
 def cmd_inverse(args) -> int:
+    grid = _grid(args.grid)
     data = load_spectral_data(args.data)
-    cfg = RunConfig(grid_m=args.grid, big_n=args.big_n, n_max=data.n_max)
     if not args.force:
         _validate_input_data(data)
-    res = run_inverse(data, cfg.grid, args.big_n)
+    res = run_inverse(data, grid, args.big_n)
     write_coefficients(args.out, res.coeffs)
     print("inverse: wrote %s (N=%d, d=%.6g, rcond_min=%.3g)"
           % (args.out, args.big_n, res.diagnostics.get("d", float("nan")),
@@ -176,13 +155,13 @@ def cmd_inverse(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    grid = _grid(args.grid)
     Ns = sorted(int(t) for t in str(args.big_n).split(","))
-    cfg = RunConfig(grid_m=args.grid, n_max=Ns[-1], big_n=Ns[0])
-    coeffs = _load_coeffs(args.coeffs, cfg.grid)
+    coeffs = _load_coeffs(args.coeffs, grid)
     data = compute_spectral_data(coeffs, Ns[-1], pair_tol=args.pair_tol)
 
     def one(N: int) -> dict:
-        res = run_inverse(data, cfg.grid, N)
+        res = run_inverse(data, grid, N)
         rec = compute_spectral_data(res.coeffs, N, pair_tol=args.pair_tol)
         lam_err, beta_err = spectral_gaps(rec, data, N, relative=True)
         return {"N": N,
@@ -204,13 +183,13 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    grid = _grid(args.grid)
     data = load_spectral_data(args.data)
     N = args.big_n if args.big_n is not None else data.n_max
-    cfg = RunConfig(grid_m=args.grid, big_n=N, n_max=data.n_max)
     entries = tuple(_parse_perturb(s) for s in (args.perturb or ["beta:1,1"]))
     deltas = ([float(t) for t in args.deltas.split(",")]
               if args.deltas else None)
-    rows = stability_experiment(data, cfg.grid, N, entries=entries,
+    rows = stability_experiment(data, grid, N, entries=entries,
                                 deltas=deltas)
     header = ["delta", "d", "tau1_l2", "sigma0_w2m1",
               "tau1_ratio", "sigma0_ratio", "status"]
@@ -225,14 +204,17 @@ def cmd_stability(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    grid = _grid(args.grid)
     data = load_spectral_data(args.data)
     N = args.big_n if args.big_n is not None else data.n_max
-    cfg = RunConfig(grid_m=args.grid, big_n=N, n_max=data.n_max)
+    # both modes read the entries n <= N only; a bad N is refused here,
+    # before the mode's own flags are checked
+    data = data.truncate(N)
     if args.mode == "spectral":
         if not args.rec:
             raise ValueError("--rec is required for mode=spectral")
         rtol = {} if args.rtol is None else {"rtol": args.rtol}
-        report = verify_spectral(_load_coeffs(args.rec, cfg.grid), data, N,
+        report = verify_spectral(_load_coeffs(args.rec, grid), data, N,
                                  **rtol)
     else:
         if args.rec:   # a coefficient CSV holds no phi tables to check
@@ -241,7 +223,7 @@ def cmd_verify(args) -> int:
         if args.rtol is not None:
             raise ValueError("--rtol is not read by mode=weyl, whose checks "
                              "have fixed tolerances")
-        report = verify_weyl(run_inverse(data, cfg.grid, N))
+        report = verify_weyl(run_inverse(data, grid, N))
     with open(args.out, "w") as fh:
         fh.write(dumps17(report))
     print("verify(%s): %s -> %s" % (args.mode,

@@ -285,11 +285,14 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
                           pair_tol: float = asympt.COINCIDE_TOL) -> "SpectralData":
     """The full forward map: coefficients -> spectral data up to n_max.
 
-    pair_tol, the relative tolerance of asympt.coincide that pairs the two
-    families, must be finite and non-negative."""
+    n_max must be at least 1, and pair_tol, the relative tolerance of
+    asympt.coincide that pairs the two families, finite and
+    non-negative."""
     if not 0.0 <= pair_tol < np.inf:
         raise ValueError("pair tolerance must be a finite number >= 0, "
                          "got %r" % (pair_tol,))
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1, got %d" % n_max)
     theta = integrate(coeffs.tau1)
     ns = np.tile(np.arange(1, n_max + 1), 2)
     ks = np.repeat([1, 2], n_max)
@@ -339,8 +342,13 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
 
 def _checked_K(K, gamma: dict, n_max: int) -> list:
     """The coinciding-index set K, sorted, after checking that its
-    indices lie in 1..n_max, do not repeat, and are exactly the keys of
-    gamma.  Shared by SpectralData and selfadjoint.HalfData."""
+    indices and the keys of gamma are integers (Python or numpy, not
+    bool), lie in 1..n_max, do not repeat, and are the same set.
+    Shared by SpectralData and selfadjoint.HalfData."""
+    for n in (*K, *gamma):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("K indices and gamma keys must be integers, "
+                             "got %r" % (n,))
     K = sorted(int(n) for n in K)
     if any(not 1 <= n <= n_max for n in K):
         raise ValueError("K indices %s are not all in 1..n_max=%d"
@@ -368,17 +376,17 @@ class SpectralData:
     betas: np.ndarray
     K: list = field(default_factory=list)
     gamma: dict = field(default_factory=dict)
-    diagnostics: dict | None = None
 
     def __post_init__(self):
-        self.lambdas = np.asarray(self.lambdas, dtype=complex)
-        self.betas = np.asarray(self.betas, dtype=complex)
+        # copies, so the caller's tables are neither shared nor changed
+        self.lambdas = np.array(self.lambdas, dtype=complex)
+        self.betas = np.array(self.betas, dtype=complex)
         shape = self.lambdas.shape
         if shape[1:] != (2,) or self.betas.shape != shape:
             raise ValueError("lambdas and betas must be (n_max, 2) tables, "
                              "got %s and %s" % (shape, self.betas.shape))
-        self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
         self.K = _checked_K(self.K, self.gamma, self.n_max)
+        self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
         # Coinciding pairs are stored with bitwise-equal eigenvalues so
         # the kernel branch selection is deterministic.
         for n in self.K:
@@ -405,21 +413,25 @@ class SpectralData:
             raise IndexError("no entry (n=%s, k=%s)" % (n, k))
 
     def copy(self) -> "SpectralData":
-        return SpectralData(self.theta, self.lambdas.copy(),
-                            self.betas.copy(), list(self.K), dict(self.gamma),
-                            None if self.diagnostics is None
-                            else dict(self.diagnostics))
+        return SpectralData(self.theta, self.lambdas, self.betas, self.K,
+                            self.gamma)
 
     def truncate(self, N: int) -> "SpectralData":
+        """The entries n <= N, for a truncation order 1 <= N <= n_max."""
+        if N < 1:
+            raise ValueError("truncation order N must be at least 1, got %d"
+                             % N)
         if N > self.n_max:
-            raise ValueError("cannot truncate to N=%d > n_max=%d" % (N, self.n_max))
+            raise ValueError("N=%d exceeds the data range n_max=%d"
+                             % (N, self.n_max))
         K = [n for n in self.K if n <= N]
-        return SpectralData(self.theta, self.lambdas[:N].copy(),
-                            self.betas[:N].copy(), K,
+        return SpectralData(self.theta, self.lambdas[:N], self.betas[:N], K,
                             {n: self.gamma[n] for n in K})
 
 
-def save_spectral_data(path, data: SpectralData) -> None:
+def save_spectral_data(path, data: SpectralData, diagnostics=None) -> None:
+    """Write data as spectral-data JSON, with a "diagnostics" object when
+    one is given (load_spectral_data does not read it back)."""
     obj = {
         "theta": complex_pair(data.theta),
         "n_max": data.n_max,
@@ -431,8 +443,8 @@ def save_spectral_data(path, data: SpectralData) -> None:
         ],
         "K": [{"n": n, "gamma": complex_pair(data.gamma[n])} for n in data.K],
     }
-    if data.diagnostics is not None:
-        obj["diagnostics"] = data.diagnostics
+    if diagnostics is not None:
+        obj["diagnostics"] = diagnostics
     with open(path, "w") as fh:
         fh.write(dumps17(obj))
 
@@ -464,8 +476,7 @@ def load_spectral_data(path) -> SpectralData:
                             lambdas=lambdas, betas=betas,
                             K=[json_int(e["n"], "K n") for e in K],
                             gamma={json_int(e["n"], "K n"):
-                                   pair_complex(e["gamma"]) for e in K},
-                            diagnostics=obj.get("diagnostics"))
+                                   pair_complex(e["gamma"]) for e in K})
 
 
 # ---------------------------------------------------------------------------

@@ -306,13 +306,10 @@ def read_coefficients(path) -> CoefficientPair:
         except ValueError:
             raise ValueError("bad coefficient row %d: %r" % (i, ln)) from None
     rows.sort(key=lambda r: r[0])
-    M = len(rows) - 1
+    grid = Grid(len(rows) - 1)
     xs = np.asarray([r[0] for r in rows])
-    if M < 4 or M % 2 != 0:
-        raise ValueError("coefficient file must sample an even grid with M >= 4")
-    if not np.allclose(xs, np.linspace(0.0, 1.0, M + 1), atol=1e-12):
+    if not np.allclose(xs, grid.nodes, atol=1e-12):
         raise ValueError("coefficient file nodes must be the uniform grid on [0, 1]")
-    grid = Grid(M)
     t1 = np.asarray([complex(r[1], r[2]) for r in rows])
     s0 = np.asarray([complex(r[3], r[4]) for r in rows])
     return CoefficientPair(GridFunction(grid, t1), GridFunction(grid, s0))

@@ -442,8 +442,6 @@ def verify_spectral(coeffs: CoefficientPair, data: SpectralData, N: int,
     if not 0.0 < rtol < np.inf:
         raise ValueError("verify tolerance must be a finite number > 0, "
                          "got %r" % (rtol,))
-    if N > data.n_max:
-        raise ValueError("N=%d exceeds the data range n_max=%d" % (N, data.n_max))
     model_data = build_model(data, coeffs.tau1.grid, N).model_data
     rec = compute_spectral_data(coeffs, N + 4)
     # n <= N against the data, the next four indices against the model
@@ -559,13 +557,11 @@ def verify_weyl(result: ReconstructionResult) -> dict:
 
 
 def _perturb(data: SpectralData, entries, delta: float) -> SpectralData:
-    out = data.copy()
-    tables = np.stack([out.lambdas, out.betas])
+    tables = np.stack([data.lambdas, data.betas])
     at = [(("lambda", "beta").index(which), n - 1, k - 1)
           for n, k, which in entries]
     np.add.at(tables, tuple(np.array(at, dtype=int).reshape(-1, 3).T), delta)
-    out.lambdas, out.betas = tables
-    return out
+    return SpectralData(data.theta, *tables, data.K, data.gamma)
 
 
 def stability_experiment(data: SpectralData, grid: Grid, N: int,

@@ -120,17 +120,17 @@ def build_model(data: SpectralData, grid: Grid, N: int,
     the data's mean.  A user-supplied model pair is accepted instead
     through model_coeffs; either way its mean must be the data's
     (condition 1), and a model eigenvalue colliding with a given one is
-    an error (condition 4).
+    an error (condition 4).  The truncation order N is checked first, by
+    data.truncate, before any sweep.
     """
-    if N > data.n_max:
-        raise ValueError("N=%d exceeds the data range n_max=%d" % (N, data.n_max))
+    data_N = data.truncate(N)
     if model_coeffs is None:
         model_coeffs = CoefficientPair(
             GridFunction.constant(grid, data.theta),
             GridFunction.constant(grid, 0.0))
     _check_model(model_coeffs, data.theta)
     model_data = compute_spectral_data(model_coeffs, N + _MODEL_MARGIN)
-    _check_spectra(data.truncate(N), model_data)
+    _check_spectra(data_N, model_data)
     return ModelCache(coeffs=model_coeffs, model_data=model_data)
 
 

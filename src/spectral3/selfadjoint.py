@@ -24,11 +24,9 @@ import numpy as np
 
 from . import asympt
 from .forward import SpectralData, _checked_K
-from .serialize import (complex_pair, dumps17, json_float, json_int,
-                        pair_complex, read_json)
 
 __all__ = ["HalfData", "complete", "restrict", "check_suff_conditions",
-           "check_symmetry", "save_half_data", "load_half_data"]
+           "check_symmetry"]
 
 _SYM_TOL = 1e-8
 
@@ -45,12 +43,13 @@ class HalfData:
 
     def __post_init__(self):
         self.theta = float(np.real_if_close(self.theta))
-        self.lambdas = np.asarray(self.lambdas, dtype=complex)
-        self.betas = np.asarray(self.betas, dtype=complex)
+        # copies, so the caller's arrays are not shared
+        self.lambdas = np.array(self.lambdas, dtype=complex)
+        self.betas = np.array(self.betas, dtype=complex)
         if self.betas.shape != self.lambdas.shape:
             raise ValueError("lambdas and betas must have equal length")
-        self.gammas = {int(n): float(g) for n, g in self.gammas.items()}
         self.K = _checked_K(self.K, self.gammas, self.n_max)
+        self.gammas = {int(n): float(g) for n, g in self.gammas.items()}
 
     @property
     def n_max(self) -> int:
@@ -74,8 +73,7 @@ def complete(half: HalfData) -> SpectralData:
         lambdas[n - 1] = 1j * lam.imag
         betas[n - 1] = 0.0
     return SpectralData(theta=complex(half.theta), lambdas=lambdas,
-                        betas=betas, K=list(half.K),
-                        gamma={n: complex(g) for n, g in half.gammas.items()})
+                        betas=betas, K=half.K, gamma=half.gammas)
 
 
 def restrict(data: SpectralData) -> HalfData:
@@ -90,9 +88,8 @@ def restrict(data: SpectralData) -> HalfData:
         if abs(g.imag) > _SYM_TOL * (1.0 + abs(g)):
             raise ValueError("gamma at n=%d is not real: %s" % (n, g))
         gammas[n] = g.real
-    return HalfData(theta=data.theta.real, lambdas=data.lambdas[:, 0].copy(),
-                    betas=data.betas[:, 0].copy(), K=list(data.K),
-                    gammas=gammas)
+    return HalfData(theta=data.theta.real, lambdas=data.lambdas[:, 0],
+                    betas=data.betas[:, 0], K=data.K, gammas=gammas)
 
 
 def check_symmetry(data: SpectralData) -> dict:
@@ -142,33 +139,3 @@ def check_suff_conditions(half: HalfData) -> dict:
     clauses["gamma_positive"] = {"pass": not offenders, "offenders": offenders}
     report["pass"] = all(c["pass"] for c in clauses.values())
     return report
-
-
-def save_half_data(path, half: HalfData) -> None:
-    obj = {
-        "theta": half.theta,
-        "entries": [
-            {"n": n, "lambda": complex_pair(half.lambdas[n - 1]),
-             "beta": complex_pair(half.betas[n - 1])}
-            for n in range(1, half.n_max + 1)
-        ],
-        "K": [{"n": n, "gamma": half.gammas[n]} for n in half.K],
-    }
-    with open(path, "w") as fh:
-        fh.write(dumps17(obj))
-
-
-def load_half_data(path) -> HalfData:
-    """Read a half-data JSON file, with the rules of load_spectral_data."""
-    with read_json(path) as obj:
-        entries = sorted(obj["entries"], key=lambda e: json_int(e["n"], "n"))
-        if [e["n"] for e in entries] != list(range(1, len(entries) + 1)):
-            raise ValueError("half-data entries must cover n = 1..n_max")
-        lam = [pair_complex(e["lambda"]) for e in entries]
-        beta = [pair_complex(e["beta"]) for e in entries]
-        K = obj.get("K", [])
-        return HalfData(theta=json_float(obj["theta"], "theta"),
-                        lambdas=lam, betas=beta,
-                        K=[json_int(e["n"], "K n") for e in K],
-                        gammas={json_int(e["n"], "K n"):
-                                json_float(e["gamma"], "gamma") for e in K})

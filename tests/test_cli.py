@@ -186,10 +186,28 @@ def test_truncation_order_below_one_is_rejected(tmp_path, zero_csv,
                                                 smooth_json, capsys, command):
     source = (["--coeffs", zero_csv] if command in ("forward", "roundtrip")
               else ["--data", smooth_json])
+    # the library refuses the order (SpectralData.truncate, or
+    # compute_spectral_data for the n_max it is asked for)
     flag = "--n-max" if command == "forward" else "--big-n"
-    rc = main([command] + source + [flag, "0", "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = main([command] + source + [flag, "0", "--out", str(out)])
     assert rc == 1
-    assert "%s must be at least 1" % flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("spectral3:") and "must be at least 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["inverse", "stability", "verify"])
+def test_truncation_order_above_the_data_is_rejected(tmp_path, smooth_json,
+                                                     capsys, command):
+    out = tmp_path / "o"
+    extra = ["--mode", "weyl"] if command == "verify" else []
+    rc = main([command, "--data", smooth_json, "--big-n", "5", "--out",
+               str(out)] + extra)
+    assert rc == 1
+    assert ("spectral3: N=5 exceeds the data range n_max=4"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["inverse", "verify", "stability"])
@@ -394,13 +412,17 @@ def test_verify_weyl_refuses_rtol(tmp_path, smooth_json, capsys):
 
 
 def test_grid_flag_validation(tmp_path, zero_csv, capsys):
+    out = tmp_path / "o.json"
     rc = main(["forward", "--coeffs", zero_csv, "--n-max", "2",
-               "--grid", "513", "--out", str(tmp_path / "o.json")])
+               "--grid", "513", "--out", str(out)])
     assert rc == 1
     assert "even" in capsys.readouterr().err
     rc = main(["forward", "--coeffs", zero_csv, "--n-max", "2",
-               "--grid", "32", "--out", str(tmp_path / "o.json")])
+               "--grid", "32", "--out", str(out)])
     assert rc == 1
+    assert "spectral3: grid size must be even and at least 64, got 32" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_parser_errors_exit_1(zero_csv, tmp_path):

@@ -267,6 +267,57 @@ def test_pair_tol_must_be_finite_and_nonnegative(zero_coeffs, tol):
         compute_spectral_data(zero_coeffs, 2, pair_tol=tol)
 
 
+def test_n_max_below_one_refused_before_any_sweep(zero_coeffs, monkeypatch):
+    calls: list = []
+    _count_sweeps(monkeypatch, calls)
+    with pytest.raises(ValueError, match="n_max must be at least 1, got 0"):
+        compute_spectral_data(zero_coeffs, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("N, message", [
+    (0, "truncation order N must be at least 1, got 0"),
+    (-3, "truncation order N must be at least 1, got -3"),
+    (21, "N=21 exceeds the data range n_max=20"),
+])
+def test_truncate_refuses_orders_outside_the_data(smooth_data20, N, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        smooth_data20.truncate(N)
+
+
+@pytest.mark.parametrize("n", [1.7, True, "1"])
+def test_spectral_data_refuses_non_integer_K(n):
+    # int() would read each of these as 1
+    lam = np.array([[2.0 + 1.0j, 2.0 + 1.0j], [50.0, -50.0]])
+    for K, gamma in (([n], {n: 2.0}), ([1], {n: 2.0}), ([n], {1: 2.0})):
+        with pytest.raises(ValueError, match="must be integers"):
+            SpectralData(theta=0.0, lambdas=lam, betas=_BETAS2, K=K,
+                         gamma=gamma)
+
+
+def test_spectral_data_accepts_numpy_integer_K():
+    lam = np.array([[2.0 + 1.0j, 2.0 + 1.0j], [50.0, -50.0]])
+    d = SpectralData(theta=0.0, lambdas=lam, betas=_BETAS2,
+                     K=[np.int64(1)], gamma={np.int64(1): 2.0})
+    assert d.K == [1] and type(d.K[0]) is int
+    assert list(d.gamma) == [1] and type(next(iter(d.gamma))) is int
+
+
+def test_spectral_data_copies_the_callers_tables():
+    lam = np.array([[2.0 + 1.0j, 2.0 + 1.0j + 1e-9], [50.0, -50.0]])
+    betas = np.array(_BETAS2, dtype=complex)
+    lam_before = lam.copy()
+    d = SpectralData(theta=0.0, lambdas=lam, betas=betas, K=[1],
+                     gamma={1: 2.0})
+    # the snap lambda_{1,2} = lambda_{1,1} changed the record, not lam
+    assert np.array_equal(lam, lam_before)
+    assert d.lambdas[0, 1] == d.lambdas[0, 0]
+    assert d.lambdas is not lam and d.betas is not betas
+    for other in (d.copy(), d.truncate(1)):
+        assert not np.shares_memory(other.lambdas, d.lambdas)
+        assert not np.shares_memory(other.betas, d.betas)
+
+
 def test_spectral_data_json_roundtrip(tmp_path, smooth_data20):
     path = tmp_path / "sd.json"
     save_spectral_data(path, smooth_data20)
@@ -288,6 +339,18 @@ def test_spectral_data_json_roundtrip(tmp_path, smooth_data20):
     bad.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match=r"\(n=1, k=1\) is repeated"):
         load_spectral_data(bad)
+
+
+def test_diagnostics_are_written_and_not_read_back(tmp_path, zero_data6):
+    import json
+    path = tmp_path / "sd.json"
+    save_spectral_data(path, zero_data6, {"note": 1.5})
+    assert json.loads(path.read_text())["diagnostics"] == {"note": 1.5}
+    back = load_spectral_data(path)
+    assert not hasattr(back, "diagnostics")
+    assert np.array_equal(back.lambdas, zero_data6.lambdas)
+    save_spectral_data(path, zero_data6)
+    assert "diagnostics" not in json.loads(path.read_text())
 
 
 def test_gauge_invariance(smooth_coeffs, smooth_data8):

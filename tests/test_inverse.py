@@ -511,6 +511,13 @@ def test_verify_spectral_rejects_N_beyond_data(result4, smooth_data8):
         verify_spectral(result4.coeffs, smooth_data8.truncate(3), 4)
 
 
+def test_order_below_one_rejected(result4, smooth_data8, grid512):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        run_inverse(smooth_data8, grid512, 0)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_spectral(result4.coeffs, smooth_data8, 0)
+
+
 def _phiN_reference(result, cache, stars, k0, lams):
     # Phi^N_{k0} and its derivative at lams from star states rebuilt from
     # the data, as verification did before it read the assembly's

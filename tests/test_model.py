@@ -49,6 +49,14 @@ def sweep_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_order_below_one_rejected_before_any_sweep(smooth_data8, grid512,
+                                                   sweep_calls, N):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        build_model(smooth_data8, grid512, N)
+    assert sweep_calls == []
+
+
 def test_condition1_wrong_model_mean(smooth_data8, grid512, sweep_calls):
     bad = CoefficientPair(
         GridFunction.constant(grid512, smooth_data8.theta + 1.0),

@@ -1,13 +1,9 @@
-import json
-import re
-
 import numpy as np
 import pytest
 
 from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.selfadjoint import (HalfData, check_suff_conditions,
-                                   check_symmetry, complete, load_half_data,
-                                   restrict, save_half_data)
+                                   check_symmetry, complete, restrict)
 
 
 def test_symmetric_data_passes_symmetry_check(smooth_data20):
@@ -108,6 +104,33 @@ def test_half_data_validation():
                  betas=np.array([0.0, 3.0]), K=[5], gammas={5: 2.0})
 
 
+@pytest.mark.parametrize("n", [1.7, True, "1"])
+def test_half_data_refuses_non_integer_K(n):
+    # int() would read each of these as 1
+    for K, gammas in (([n], {n: 2.0}), ([1], {n: 2.0}), ([n], {1: 2.0})):
+        with pytest.raises(ValueError, match="must be integers"):
+            HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
+                     betas=np.array([0.0, 3.0]), K=K, gammas=gammas)
+
+
+def test_half_data_accepts_numpy_integer_K():
+    half = HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
+                    betas=np.array([0.0, 3.0]), K=[np.int64(1)],
+                    gammas={np.int64(1): 2.0})
+    assert half.K == [1] and type(half.K[0]) is int
+    assert half.gammas == {1: 2.0} and type(next(iter(half.gammas))) is int
+
+
+def test_half_data_copies_the_callers_arrays():
+    lam = np.array([4.0j, 80.0])
+    betas = np.array([0.0, 3.0], dtype=complex)
+    half = HalfData(theta=0.0, lambdas=lam, betas=betas, K=[1],
+                    gammas={1: 2.0})
+    assert half.lambdas is not lam and half.betas is not betas
+    half.lambdas[1] = 81.0
+    assert lam[1] == 80.0
+
+
 def test_suff_conditions_pass_on_genuine_data(smooth_data20):
     half = restrict(smooth_data20)
     rep = check_suff_conditions(half)
@@ -167,69 +190,3 @@ def test_suff_conditions_flag_violations(smooth_data8):
     assert rep["clauses"]["gamma_positive"]["offenders"] == [1]
     assert not rep["pass"]
 
-
-def test_half_data_file_round_trip(tmp_path, smooth_data8):
-    half = restrict(smooth_data8)
-    path = tmp_path / "half.json"
-    save_half_data(path, half)
-    back = load_half_data(path)
-    assert back.theta == half.theta
-    assert np.array_equal(back.lambdas, half.lambdas)
-    assert np.array_equal(back.betas, half.betas)
-    assert back.K == half.K and back.gammas == half.gammas
-
-    obj = json.loads(path.read_text())
-    obj["entries"][3]["n"] = 99
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match="cover"):
-        load_half_data(bad)
-
-
-@pytest.mark.parametrize("field", ["theta", "gamma", "lambda", "beta"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_half_data_file_refuses_nonfinite_numbers(tmp_path, field, value):
-    # theta and gamma are real scalars, lambda and beta [re, im] pairs
-    half = HalfData(theta=0.3, lambdas=np.array([1e-9 + 5.0j, 80.0]),
-                    betas=np.array([0.0, 3.0 + 1.0j]),
-                    K=[1], gammas={1: 1.5})
-    path = tmp_path / "half.json"
-    save_half_data(path, half)
-    obj = json.loads(path.read_text())
-    if field == "theta":
-        obj["theta"] = value
-    elif field == "gamma":
-        obj["K"][0]["gamma"] = value
-    else:
-        obj["entries"][1][field][0] = value
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match="non-finite number"):
-        load_half_data(path)
-
-
-@pytest.mark.parametrize("edit, message", [
-    pytest.param(lambda o: o["entries"][0].update(n=1.0),
-                 "n must be a JSON integer", id="n-float"),
-    pytest.param(lambda o: o["K"][0].update(n=True),
-                 "K n must be a JSON integer", id="K-n-bool"),
-    pytest.param(lambda o: o.update(theta="0.3"),
-                 "theta must be a JSON number", id="theta-string"),
-    pytest.param(lambda o: o["K"][0].update(gamma=True),
-                 "gamma must be a JSON number", id="gamma-bool"),
-    pytest.param(lambda o: o["entries"][1].update(beta=[3.0]),
-                 "[re, im]", id="beta-1-item"),
-    pytest.param(lambda o: [o], "not an object", id="top-level-list"),
-    pytest.param(lambda o: o.update(entries=None), "is malformed",
-                 id="entries-null"),
-])
-def test_half_data_file_refuses_malformed_values(tmp_path, edit, message):
-    half = HalfData(theta=0.3, lambdas=np.array([1e-9 + 5.0j, 80.0]),
-                    betas=np.array([0.0, 3.0 + 1.0j]),
-                    K=[1], gammas={1: 1.5})
-    path = tmp_path / "half.json"
-    save_half_data(path, half)
-    obj = json.loads(path.read_text())
-    obj = edit(obj) or obj
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        load_half_data(path)
