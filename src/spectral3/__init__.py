@@ -16,7 +16,6 @@ from .grid import (
     CoefficientPair,
     integrate,
     cumulative,
-    differentiate,
     l2_norm,
     w2m1_distance,
     read_coefficients,
@@ -25,7 +24,6 @@ from .grid import (
 from .quasi import SystemVariant
 from .forward import (
     SpectralData,
-    characteristic_literal,
     detect_K,
     compute_spectral_data,
     weyl_matrix,
@@ -33,7 +31,7 @@ from .forward import (
     save_spectral_data,
     load_spectral_data,
 )
-from .asympt import eigen_guess, beta_guess, extract_remainders, validate_condition1
+from .asympt import eigen_guess, extract_remainders, validate_condition1
 from .model import ModelCache, build_model, xi_sequence, distance_d
 from .inverse import (
     index_set,

@@ -8,8 +8,8 @@ The two spectra behave like
 up to l2-summable remainders, with theta the mean of tau1, and the
 weight numbers like 3 lambda_{n,k}.  Everything here is elementary
 arithmetic on that formula, over index arrays and whole (n_max, 2)
-tables, bit for bit as Python evaluates it one (n, k) at a time
-(_cube_roots, _quot); the value of the module is pinning down the
+tables, with the principal cube root taken entry by entry as Python
+takes it (_cube_roots).  The value of the module is pinning down the
 cube-root branch and the index inversion consistently.  The module
 also holds the one coincidence test for eigenvalues (coincide) and the
 condition-1 report built on it.
@@ -27,7 +27,6 @@ __all__ = [
     "AsymptoticFrame",
     "rho_guess",
     "eigen_guess",
-    "beta_guess",
     "invert_index",
     "extract_remainders",
     "validate_condition1",
@@ -47,36 +46,19 @@ _BRANCH_SECTOR = 2.0 * np.pi / 3.0
 _BRANCH_LIMIT = 0.4 * _BRANCH_SECTOR
 
 
-def _quot(a, b) -> np.ndarray:
-    """a / b entrywise as CPython divides complex numbers (and a complex
-    by a float): Smith's method dividing by the denominator, where numpy
-    multiplies by its reciprocal and can land one ulp away."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    big = np.abs(b.real) >= np.abs(b.imag)
-    r = np.where(big, b.imag, b.real) / np.where(big, b.real, b.imag)
-    den = np.where(big, b.real + b.imag * r, b.real * r + b.imag)
-    re = np.where(big, a.real + a.imag * r, a.real * r + a.imag)
-    im = np.where(big, a.imag - a.real * r, a.imag * r - a.real)
-    return np.stack([re / den, im / den], axis=-1).view(complex)[..., 0]
-
-
 def rho_guess(n, k, theta: complex = 0.0) -> np.ndarray:
     """Leading-order rho_{n,k} over index arrays n and k, broadcast
     together; independent of k at this order."""
     n, k = np.broadcast_arrays(n, k)
     if (n < 1).any() or not np.isin(k, (1, 2)).all():
         raise ValueError("need n >= 1 and k in {1, 2}")
-    return _C * (n + 1.0 / 6.0 - _quot(theta, 2.0 * np.pi**2 * n))
+    return _C * (n + 1.0 / 6.0 - theta / (2.0 * np.pi**2 * n))
 
 
 def eigen_guess(n, k, theta: complex = 0.0) -> np.ndarray:
     """Asymptotic lambda_{n,k} over index arrays n and k."""
     sign = np.where(np.asarray(k) == 1, 1.0, -1.0)  # (-1)^(k+1)
     return sign * rho_guess(n, k, theta) ** 3
-
-
-def beta_guess(n, k, theta: complex = 0.0) -> np.ndarray:
-    return 3.0 * eigen_guess(n, k, theta)
 
 
 def _cube_roots(z) -> np.ndarray:
@@ -131,7 +113,7 @@ def invert_index(lam, k, theta: complex = 0.0) -> np.ndarray:
     rho = _cube_roots(target)[..., 0]  # principal: hugs the positive axis
     n0 = (np.sqrt(3.0) / (2.0 * np.pi)) * rho - 1.0 / 6.0
     n_ref = np.maximum(n0.real, 1.0)
-    n1 = n0 + _quot(theta, 2.0 * np.pi**2 * n_ref)
+    n1 = n0 + theta / (2.0 * np.pi**2 * n_ref)
     return np.rint(n1.real).astype(int)
 
 
@@ -161,8 +143,8 @@ def extract_remainders(data) -> AsymptoticFrame:
     lam = data.lambdas
     rho = _branch_roots(np.array([1.0, -1.0]) * lam, rho_guess(n, k, theta))
     kappa = n * (np.sqrt(3.0) / (2.0 * np.pi) * rho - n - 1.0 / 6.0
-                 + _quot(theta, 2.0 * np.pi**2 * n))
-    kappa1 = n * (_quot(data.betas, 3.0 * lam) - 1.0)
+                 + theta / (2.0 * np.pi**2 * n))
+    kappa1 = n * (data.betas / (3.0 * lam) - 1.0)
     mag = np.abs(kappa).max(axis=1)
     lo = max(N // 2, 1)
     tail = mag[lo - 1:]

@@ -30,7 +30,7 @@ import numpy as np
 from .asympt import COINCIDE_TOL, extract_remainders, validate_condition1
 from .errors import (AdmissibilityViolationError, SingularSystemError,
                      Spectral3Error)
-from .forward import (SpectralData, compute_spectral_data,
+from .forward import (SpectralData, check_order, compute_spectral_data,
                       load_spectral_data, save_spectral_data)
 from .grid import (Grid, l2_norm, read_coefficients, resample,
                    w2m1_distance, write_coefficients, CoefficientPair)
@@ -157,6 +157,8 @@ def cmd_inverse(args) -> int:
 def cmd_roundtrip(args) -> int:
     grid = _grid(args.grid)
     Ns = sorted(int(t) for t in str(args.big_n).split(","))
+    for N in Ns:
+        check_order(N, Ns[-1])
     coeffs = _load_coeffs(args.coeffs, grid)
     data = compute_spectral_data(coeffs, Ns[-1], pair_tol=args.pair_tol)
 

@@ -25,8 +25,8 @@ itself stays of size e^(rho x)).  The 2x2 minors of DIRECT solutions,
 however, satisfy the STAR system themselves, so a STAR sweep with
 identity initial data reads all Delta_{j,1} off directly as its top
 row, with no products formed.  Its lambdas ride in the same sweep as
-the family 2 ones, each with its own variant.  The literal formulas are
-kept in characteristic_literal as an independent cross-check for
+the family 2 ones, each with its own variant.  The literal formulas
+live in the tests (tests/helpers.py) as an independent cross-check for
 moderate |lambda|.
 
 Weyl solutions.  Phi_k decays toward x = 1 for some lambda and then no
@@ -61,7 +61,7 @@ from .serialize import (complex_pair, dumps17, json_int, pair_complex,
 
 __all__ = [
     "SpectralData",
-    "characteristic_literal",
+    "check_order",
     "detect_K",
     "compute_spectral_data",
     "weyl_matrix",
@@ -127,36 +127,6 @@ def _char_arrays(coeffs: CoefficientPair, lams, fams,
 
     return Characteristic(signed(Y[:, 0, 2]), signed(Y[:, 0, 1]), Y[:, 0, 0],
                           signed(dY[:, 0, 2]) if with_dlambda else None)
-
-
-def characteristic_literal(coeffs: CoefficientPair, lams, fams,
-                           variant: SystemVariant = SystemVariant.DIRECT,
-                           with_dlambda: bool = False) -> Characteristic:
-    """_char_arrays from literal 2x2 products.
-
-    One sweep of the variant, minors formed from the fundamental values
-    at x = 1.  Subject to cancellation at large |lambda|; serves as an
-    independent cross-check of _char_arrays, whose record it returns.
-    With variant = STAR this yields the star determinants Delta*.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    first = np.broadcast_to(np.asarray(fams) == 1, lams.shape)
-    res = _sweep(coeffs, variant, lams, _EYE, with_dlambda=with_dlambda)
-    Y, dY = res if with_dlambda else (res, None)
-    y0, y1 = Y[:, 0, :], Y[:, 1, :]
-
-    def minor(a, b):
-        return y0[:, a] * y1[:, b] - y0[:, b] * y1[:, a]
-
-    ddelta = None
-    if with_dlambda:
-        z0, z1 = dY[:, 0, :], dY[:, 1, :]
-        ddelta = np.where(first, -(z0[:, 1] * y1[:, 2] + y0[:, 1] * z1[:, 2]
-                                   - z0[:, 2] * y1[:, 1] - y0[:, 2] * z1[:, 1]),
-                          z0[:, 2])
-    return Characteristic(np.where(first, -minor(1, 2), y0[:, 2]),
-                          np.where(first, -minor(0, 2), y0[:, 1]),
-                          np.where(first, minor(0, 1), y0[:, 0]), ddelta)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +331,14 @@ def _checked_K(K, gamma: dict, n_max: int) -> list:
     return K
 
 
+def check_order(N: int, n_max: int) -> None:
+    """Refuse a truncation order N outside 1..n_max (ValueError)."""
+    if N < 1:
+        raise ValueError("truncation order N must be at least 1, got %d" % N)
+    if N > n_max:
+        raise ValueError("N=%d exceeds the data range n_max=%d" % (N, n_max))
+
+
 @dataclass
 class SpectralData:
     """Eigenvalues and weight numbers of the two boundary problems.
@@ -368,7 +346,8 @@ class SpectralData:
     lambdas and betas are (n_max, 2) tables with [n-1, k-1] holding
     family k; K lists the indices with coinciding eigenvalues
     lambda_{n,1} = lambda_{n,2} (stored identically in both columns),
-    each carrying the extra weight gamma_n.
+    each carrying the extra weight gamma_n.  theta, the tables and gamma
+    must be finite.
     """
 
     theta: complex
@@ -387,6 +366,11 @@ class SpectralData:
                              "got %s and %s" % (shape, self.betas.shape))
         self.K = _checked_K(self.K, self.gamma, self.n_max)
         self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
+        for name, v in (("theta", self.theta), ("lambdas", self.lambdas),
+                        ("betas", self.betas),
+                        ("gamma", list(self.gamma.values()))):
+            if not np.isfinite(v).all():
+                raise ValueError("%s must be finite" % name)
         # Coinciding pairs are stored with bitwise-equal eigenvalues so
         # the kernel branch selection is deterministic.
         for n in self.K:
@@ -418,12 +402,7 @@ class SpectralData:
 
     def truncate(self, N: int) -> "SpectralData":
         """The entries n <= N, for a truncation order 1 <= N <= n_max."""
-        if N < 1:
-            raise ValueError("truncation order N must be at least 1, got %d"
-                             % N)
-        if N > self.n_max:
-            raise ValueError("N=%d exceeds the data range n_max=%d"
-                             % (N, self.n_max))
+        check_order(N, self.n_max)
         K = [n for n in self.K if n <= N]
         return SpectralData(self.theta, self.lambdas[:N], self.betas[:N], K,
                             {n: self.gamma[n] for n in K})

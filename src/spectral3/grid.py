@@ -1,8 +1,8 @@
 """Complex-valued functions sampled on a uniform grid over [0, 1].
 
-All quadrature, differentiation and interpolation rules here are
-fourth-order accurate for smooth data, which matches the global error of
-the fixed-step Runge-Kutta integrator used by the rest of the package.
+All quadrature and interpolation rules here are fourth-order accurate
+for smooth data, which matches the global error of the fixed-step
+Runge-Kutta integrator used by the rest of the package.
 The grid size M must be even so that composite Simpson weights apply.
 """
 
@@ -20,7 +20,6 @@ __all__ = [
     "CoefficientPair",
     "integrate",
     "cumulative",
-    "differentiate",
     "l2_norm",
     "w2m1_distance",
     "midpoint_values",
@@ -107,9 +106,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
 
 @dataclass
 class CoefficientPair:
@@ -127,15 +123,6 @@ class CoefficientPair:
     @property
     def grid(self) -> Grid:
         return self.tau1.grid
-
-    @classmethod
-    def from_callables(cls, grid: Grid, tau1, sigma0) -> "CoefficientPair":
-        return cls(GridFunction.from_callable(grid, tau1),
-                   GridFunction.from_callable(grid, sigma0))
-
-    def gauge_shifted(self, c: complex) -> "CoefficientPair":
-        """Shift sigma0 by a constant; tau0 = sigma0' is unchanged."""
-        return CoefficientPair(self.tau1.copy(), self.sigma0 + c)
 
     def dagger(self) -> "CoefficientPair":
         """The conjugate-flipped pair (conj tau1, -conj sigma0)."""
@@ -189,22 +176,6 @@ def cumulative(f: GridFunction) -> GridFunction:
     )
     # First cell uses the one-sided cubic rule.
     out[1] = h / 24.0 * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3])
-    return GridFunction(f.grid, out) if isinstance(f, GridFunction) else out
-
-
-def differentiate(f: GridFunction) -> GridFunction:
-    """Fourth-order finite-difference derivative on the grid."""
-    v = _values(f)
-    M = v.shape[0] - 1
-    if M < 4:
-        raise ValueError("differentiate needs at least 5 nodes")
-    h = 1.0 / M
-    out = np.empty(M + 1, dtype=complex)
-    out[2:-2] = (v[0:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
-    out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
-    out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
     return GridFunction(f.grid, out) if isinstance(f, GridFunction) else out
 
 

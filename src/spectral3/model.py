@@ -4,12 +4,13 @@ The model pair is the constant-coefficient problem tau1 = theta,
 sigma0 = 0 (theta the integral carried by the data).  Its sweeps are the
 same RK4 map as everything else, evaluated as powers of the one step
 matrix that every cell of a constant system shares (quasi._sweep).
-build_model checks the model pair (admissibility conditions 1 and 2),
-computes the model spectral data and checks it against the given data
-(conditions 3 and 4, a collision being asympt.coincide); the Weyl
-solutions Phi_k of the direct and star systems are served by
-ModelCache.states over lambda arrays, each computed where it is first
-read and kept for the rest of the run.
+build_model computes the model spectral data and checks it against the
+given data (admissibility conditions 3 and 4, a collision being
+asympt.coincide).  Conditions 1 and 2, on the model pair alone, hold by
+construction: its mean is the data's, and SpectralData refuses a
+non-finite theta.  The Weyl solutions Phi_k of the direct and star
+systems are served by ModelCache.states over lambda arrays, each
+computed where it is first read and kept for the rest of the run.
 
 spectral_gaps is the one entrywise comparison of two data tables,
 |Delta lambda| and |Delta beta| per (n, k); xi_sequence, distance_d,
@@ -29,8 +30,9 @@ import numpy as np
 
 from .asympt import coincide
 from .errors import AdmissibilityViolationError
-from .forward import SpectralData, compute_spectral_data, weyl_batch
-from .grid import CoefficientPair, Grid, GridFunction, integrate
+from .forward import (SpectralData, check_order, compute_spectral_data,
+                      weyl_batch)
+from .grid import CoefficientPair, Grid, GridFunction
 from .quasi import SystemVariant
 
 __all__ = ["ModelCache", "build_model", "spectral_gaps", "xi_sequence",
@@ -78,20 +80,6 @@ class ModelCache:
             table[(k, l)] = batch[i]
 
 
-def _check_model(model_coeffs: CoefficientPair, theta: complex) -> None:
-    """Admissibility conditions 1 and 2, on the model pair alone."""
-    th = integrate(model_coeffs.tau1)
-    gap = abs(th - theta)
-    if gap > 1e-10 * (1.0 + abs(theta)):
-        raise AdmissibilityViolationError(
-            1, "model mean %s does not match the data mean %s"
-            % (th, theta), pair=(th, theta), gap=gap)
-    vals = np.concatenate([model_coeffs.tau1.values, model_coeffs.sigma0.values])
-    if not np.isfinite(vals).all():
-        raise AdmissibilityViolationError(
-            2, "model coefficients contain non-finite samples")
-
-
 def _check_spectra(data: SpectralData, model_data: SpectralData) -> None:
     """Admissibility conditions 3 and 4, on the model spectrum."""
     if model_data.K:
@@ -112,39 +100,32 @@ def _check_spectra(data: SpectralData, model_data: SpectralData) -> None:
             gap=abs(complex(lam_model[i] - lam_data[j])))
 
 
-def build_model(data: SpectralData, grid: Grid, N: int,
-                model_coeffs: CoefficientPair | None = None) -> ModelCache:
-    """Construct and validate the model problem.
+def build_model(data: SpectralData, grid: Grid, N: int) -> ModelCache:
+    """Construct and validate the model problem tau1 = theta constant,
+    sigma0 = 0, with theta the data's mean.
 
-    The default model is tau1 = theta constant, sigma0 = 0, with theta
-    the data's mean.  A user-supplied model pair is accepted instead
-    through model_coeffs; either way its mean must be the data's
-    (condition 1), and a model eigenvalue colliding with a given one is
-    an error (condition 4).  The truncation order N is checked first, by
-    data.truncate, before any sweep.
+    Coinciding model spectra (condition 3) and a model eigenvalue
+    colliding with a given one (condition 4) are errors.  The truncation
+    order N is checked first, by data.truncate, before any sweep.
     """
     data_N = data.truncate(N)
-    if model_coeffs is None:
-        model_coeffs = CoefficientPair(
-            GridFunction.constant(grid, data.theta),
-            GridFunction.constant(grid, 0.0))
-    _check_model(model_coeffs, data.theta)
-    model_data = compute_spectral_data(model_coeffs, N + _MODEL_MARGIN)
+    coeffs = CoefficientPair(GridFunction.constant(grid, data.theta),
+                             GridFunction.constant(grid, 0.0))
+    model_data = compute_spectral_data(coeffs, N + _MODEL_MARGIN)
     _check_spectra(data_N, model_data)
-    return ModelCache(coeffs=model_coeffs, model_data=model_data)
+    return ModelCache(coeffs=coeffs, model_data=model_data)
 
 
 def spectral_gaps(data: SpectralData, ref: SpectralData, N: int,
                   relative: bool = False) -> tuple:
     """Entrywise gaps (|lambda - lambda_ref|, |beta - beta_ref|) for
-    n = 1..N, two (N, 2) arrays with column k-1 holding family k.
+    n = 1..N, two (N, 2) arrays with column k-1 holding family k; N is
+    checked against both tables by forward.check_order.
 
     relative divides each gap by 1 + |reference entry|.  Moduli come
     from np.hypot, which agrees bitwise with Python's abs of a complex.
     """
-    if N > min(data.n_max, ref.n_max):
-        raise ValueError("N=%d exceeds the data range n_max=%d"
-                         % (N, min(data.n_max, ref.n_max)))
+    check_order(N, min(data.n_max, ref.n_max))
     x = np.stack([data.lambdas[:N], data.betas[:N]])
     r = np.stack([ref.lambdas[:N], ref.betas[:N]])
     d = x - r
@@ -169,8 +150,4 @@ def distance_d(data: SpectralData, other: SpectralData,
         N = min(data.n_max, other.n_max)
     dlam, dbeta = spectral_gaps(data, other, N)
     n = np.arange(1, N + 1)[:, None]
-    total = 0.0
-    # one term at a time in (n, k) order; np.sum would round differently
-    for term in (dlam / n + dbeta / n ** 2).ravel():
-        total += term * term
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.sum((dlam / n + dbeta / n ** 2) ** 2)))

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from spectral3 import forward
 from spectral3.forward import compute_spectral_data
 from spectral3.grid import CoefficientPair, Grid, GridFunction, read_coefficients
+
+from helpers import from_callables
 
 # Property tests draw the same examples on every run and keep no
 # example database.
@@ -47,7 +50,7 @@ def zero_coeffs(grid512):
 @pytest.fixture(scope="session")
 def smooth_coeffs(grid512):
     # self-adjoint class: tau1 real, sigma0 purely imaginary
-    return CoefficientPair.from_callables(
+    return from_callables(
         grid512,
         lambda x: np.cos(2.0 * np.pi * x) + 0.3,
         lambda x: 0.3j * np.sin(np.pi * x))
@@ -56,7 +59,7 @@ def smooth_coeffs(grid512):
 @pytest.fixture(scope="session")
 def general_coeffs(grid512):
     # genuinely non-self-adjoint smooth pair
-    return CoefficientPair.from_callables(
+    return from_callables(
         grid512,
         lambda x: np.cos(2.0 * np.pi * x) + 0.3 + 0.2j * np.sin(np.pi * x),
         lambda x: 0.25 * x * (1.0 - x) + 0.15j * np.sin(2.0 * np.pi * x))
@@ -65,10 +68,25 @@ def general_coeffs(grid512):
 @pytest.fixture(scope="session")
 def general_coeffs128(grid128):
     # the general pair on the coarse grid, for tests that sweep it often
-    return CoefficientPair.from_callables(
+    return from_callables(
         grid128,
         lambda x: np.cos(2.0 * np.pi * x) + 0.3 + 0.2j * np.sin(np.pi * x),
         lambda x: 0.25 * x * (1.0 - x) + 0.15j * np.sin(2.0 * np.pi * x))
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    # the lambda count of every forward._sweep call, which computes
+    # spectral data
+    calls = []
+    inner = forward._sweep
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "_sweep", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

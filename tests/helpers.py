@@ -1,0 +1,73 @@
+"""Oracles and constructors that only the tests use.
+
+characteristic_literal forms the characteristic values from literal 2x2
+products, an independent cross-check of forward._char_arrays;
+differentiate is a fourth-order finite difference for checking
+derivatives on the grid; from_callables and gauge_shifted build
+coefficient pairs.
+"""
+
+import numpy as np
+
+from spectral3.forward import _EYE, Characteristic
+from spectral3.grid import CoefficientPair, GridFunction, _values
+from spectral3.quasi import SystemVariant, _sweep
+
+
+def characteristic_literal(coeffs: CoefficientPair, lams, fams,
+                           variant: SystemVariant = SystemVariant.DIRECT,
+                           with_dlambda: bool = False) -> Characteristic:
+    """forward._char_arrays from literal 2x2 products.
+
+    One sweep of the variant, minors formed from the fundamental values
+    at x = 1.  Subject to cancellation at large |lambda|; serves as an
+    independent cross-check of _char_arrays, whose record it returns.
+    With variant = STAR this yields the star determinants Delta*.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    first = np.broadcast_to(np.asarray(fams) == 1, lams.shape)
+    res = _sweep(coeffs, variant, lams, _EYE, with_dlambda=with_dlambda)
+    Y, dY = res if with_dlambda else (res, None)
+    y0, y1 = Y[:, 0, :], Y[:, 1, :]
+
+    def minor(a, b):
+        return y0[:, a] * y1[:, b] - y0[:, b] * y1[:, a]
+
+    ddelta = None
+    if with_dlambda:
+        z0, z1 = dY[:, 0, :], dY[:, 1, :]
+        ddelta = np.where(first, -(z0[:, 1] * y1[:, 2] + y0[:, 1] * z1[:, 2]
+                                   - z0[:, 2] * y1[:, 1] - y0[:, 2] * z1[:, 1]),
+                          z0[:, 2])
+    return Characteristic(np.where(first, -minor(1, 2), y0[:, 2]),
+                          np.where(first, -minor(0, 2), y0[:, 1]),
+                          np.where(first, minor(0, 1), y0[:, 0]), ddelta)
+
+
+def differentiate(f):
+    """Fourth-order finite-difference derivative on the grid, of a
+    GridFunction or of an array of nodal values."""
+    v = _values(f)
+    M = v.shape[0] - 1
+    if M < 4:
+        raise ValueError("differentiate needs at least 5 nodes")
+    h = 1.0 / M
+    out = np.empty(M + 1, dtype=complex)
+    out[2:-2] = (v[0:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
+    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
+    out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
+    out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
+    return GridFunction(f.grid, out) if isinstance(f, GridFunction) else out
+
+
+def from_callables(grid, tau1, sigma0) -> CoefficientPair:
+    """The pair sampled from two functions of x at the grid nodes."""
+    return CoefficientPair(GridFunction.from_callable(grid, tau1),
+                           GridFunction.from_callable(grid, sigma0))
+
+
+def gauge_shifted(pair: CoefficientPair, c: complex) -> CoefficientPair:
+    """The pair with sigma0 shifted by a constant; tau0 = sigma0' is
+    unchanged."""
+    return CoefficientPair(pair.tau1.copy(), pair.sigma0 + c)

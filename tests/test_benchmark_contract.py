@@ -1,8 +1,9 @@
 """The benchmark's boundary contract: every span that perfbench/spans.py
 expects a traced run to fire must fire on a tiny forward + inverse CLI
-pair and one Weyl contour, so a rename of a wrapped name or of an
-argument a span reads fails here before a benchmark run does.
-perfbench is only read."""
+pair and one Weyl contour, and the names perfbench/workloads.py calls
+outside spans must answer, so a rename of a wrapped name, of an
+argument a span reads or of a directly called name fails here before a
+benchmark run does.  perfbench is only read."""
 
 import importlib.util
 import os
@@ -40,12 +41,15 @@ def test_every_expected_span_fires(tmp_path):
                              "--n-max", "6", "--out", data]) == 0
             assert cli.main(["inverse", "--data", data, "--grid", "128",
                              "--big-n", "2", "--out", rec]) == 0
-            lam11 = forward.load_spectral_data(data).lam(1, 1)
+            loaded = forward.load_spectral_data(data)
             forward.laurent_coefficients(
-                partial(forward.weyl_matrix, coeffs), lam11)
+                partial(forward.weyl_matrix, coeffs), loaded.lam(1, 1))
         finally:
             tracer.end_job()
     finally:
         tracer.unwrap_all()
     expected = set().union(*spans.EXPECTED.values())
     assert sorted(expected - spans.fired(tracer)) == []
+    # the Weyl workload's check reads these outside any span
+    beta = loaded.beta(1, 1)
+    assert forward.weight_matrix(loaded, 1, 1)[1, 0] == -beta

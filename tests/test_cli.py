@@ -197,6 +197,21 @@ def test_truncation_order_below_one_is_rejected(tmp_path, zero_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("orders", ["0,4", "4,0"])
+def test_roundtrip_refuses_an_order_before_the_forward_map(
+        tmp_path, zero_csv, capsys, sweep_calls, orders):
+    # every order is checked before the data are computed, so a bad one
+    # costs no sweep
+    out = tmp_path / "t.csv"
+    rc = main(["roundtrip", "--coeffs", zero_csv, "--big-n", orders,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "truncation order N must be at least 1, got 0" in err
+    assert not out.exists()
+    assert sweep_calls == []
+
+
 @pytest.mark.parametrize("command", ["inverse", "stability", "verify"])
 def test_truncation_order_above_the_data_is_rejected(tmp_path, smooth_json,
                                                      capsys, command):

@@ -1,0 +1,28 @@
+"""Every name a module lists in __all__ exists, and a star import of
+each module works, so a name left behind by a move or a deletion fails
+here."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import spectral3
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(spectral3.__path__))
+
+
+def test_modules_are_found():
+    assert "forward" in MODULES and "grid" in MODULES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module("spectral3." + name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from spectral3.%s import *" % name, namespace)
+    for n in getattr(module, "__all__", ()):
+        assert namespace[n] is getattr(module, n)

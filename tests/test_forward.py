@@ -11,13 +11,14 @@ from spectral3.errors import (BasinEscapeError, DerivativeVanishesError,
                               GammaZeroError, NearPoleError,
                               NoConvergenceError, Spectral3Error)
 from spectral3.forward import (_char_arrays, _gamma, _newton_family,
-                               characteristic_literal, compute_spectral_data,
-                               detect_K, laurent_coefficients,
-                               load_spectral_data, save_spectral_data,
-                               SpectralData, weight_matrix, weyl_batch,
-                               weyl_matrix)
+                               compute_spectral_data, detect_K,
+                               laurent_coefficients, load_spectral_data,
+                               save_spectral_data, SpectralData,
+                               weight_matrix, weyl_batch, weyl_matrix)
 from spectral3.grid import CoefficientPair, Grid, GridFunction, integrate
 from spectral3.quasi import SystemVariant, _sweep
+
+from helpers import characteristic_literal, gauge_shifted
 
 # Frozen 40-digit oracles for the zero-coefficient problem y''' = lambda y.
 # The second-family eigenvalues are the zeros of C3(1, lambda) on the
@@ -250,6 +251,23 @@ def test_spectral_data_tables_are_n_by_2(lam, betas, message):
         SpectralData(theta=0.0, lambdas=lam, betas=betas)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["theta", "lambdas", "betas", "gamma"])
+def test_spectral_data_refuses_non_finite_values(field, bad):
+    # one coinciding pair, so that gamma is present
+    kw = dict(theta=0.3, lambdas=np.array([[2.0, 2.0], [50.0, -50.0]]),
+              betas=np.array([[0.0, 6.0], [150.0, -150.0]]), K=[1],
+              gamma={1: 2.0})
+    if field == "theta":
+        kw["theta"] = complex(bad, 0.0)
+    elif field == "gamma":
+        kw["gamma"] = {1: bad}
+    else:
+        kw[field][1, 1] = bad
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        SpectralData(**kw)
+
+
 
 def test_spectral_data_rejects_duplicate_K():
     # the gamma check compares sets, so a repeated n must be caught apart
@@ -354,7 +372,7 @@ def test_diagnostics_are_written_and_not_read_back(tmp_path, zero_data6):
 
 
 def test_gauge_invariance(smooth_coeffs, smooth_data8):
-    shifted = smooth_coeffs.gauge_shifted(1.5 - 0.8j)
+    shifted = gauge_shifted(smooth_coeffs, 1.5 - 0.8j)
     other = compute_spectral_data(shifted, 8)
     for n in range(1, 9):
         for k in (1, 2):

@@ -7,7 +7,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from spectral3.errors import PoleHitError, SingularSystemError
 from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
-                            differentiate, l2_norm, w2m1_distance)
+                            l2_norm, w2m1_distance)
 from spectral3 import inverse
 from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
                                StarStates, _bracket, _kernel_factors,
@@ -17,6 +17,8 @@ from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
                                verify_weyl)
 from spectral3.model import ModelCache, build_model, distance_d
 from spectral3.quasi import SystemVariant
+
+from helpers import differentiate
 
 _VALID_KJ = {(2, 2), (2, 3), (3, 2), (3, 3)}
 

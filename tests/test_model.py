@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from spectral3.errors import AdmissibilityViolationError
-from spectral3.grid import (CoefficientPair, GridFunction, differentiate,
-                            integrate)
-from spectral3 import forward, model
+from spectral3.grid import GridFunction, integrate
+from spectral3 import model
 from spectral3.inverse import assemble, run_inverse
-from spectral3.model import ModelCache, build_model, distance_d, xi_sequence
+from spectral3.model import (ModelCache, build_model, distance_d,
+                            spectral_gaps, xi_sequence)
 from spectral3.quasi import SystemVariant
+
+from helpers import differentiate
 
 
 @pytest.fixture(scope="module")
@@ -35,46 +37,11 @@ def test_n_beyond_data_rejected(smooth_data8, grid512):
         build_model(smooth_data8, grid512, 9)
 
 
-@pytest.fixture
-def sweep_calls(monkeypatch):
-    # every _sweep call of the model spectrum
-    calls = []
-    inner = forward._sweep
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[2]))
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(forward, "_sweep", counting)
-    return calls
-
-
 @pytest.mark.parametrize("N", [0, -1])
 def test_order_below_one_rejected_before_any_sweep(smooth_data8, grid512,
                                                    sweep_calls, N):
     with pytest.raises(ValueError, match="must be at least 1"):
         build_model(smooth_data8, grid512, N)
-    assert sweep_calls == []
-
-
-def test_condition1_wrong_model_mean(smooth_data8, grid512, sweep_calls):
-    bad = CoefficientPair(
-        GridFunction.constant(grid512, smooth_data8.theta + 1.0),
-        GridFunction.constant(grid512, 0.0))
-    with pytest.raises(AdmissibilityViolationError) as ei:
-        build_model(smooth_data8, grid512, 4, model_coeffs=bad)
-    assert ei.value.condition == 1
-    assert sweep_calls == []          # checked before the model spectrum
-
-
-def test_condition2_non_finite_model(smooth_data8, grid512, sweep_calls):
-    tau1 = np.full(grid512.M + 1, smooth_data8.theta, dtype=complex)
-    tau1[100] = np.nan
-    bad = CoefficientPair(GridFunction(grid512, tau1),
-                          GridFunction.constant(grid512, 0.0))
-    with pytest.raises(AdmissibilityViolationError) as ei:
-        build_model(smooth_data8, grid512, 4, model_coeffs=bad)
-    assert ei.value.condition == 2
     assert sweep_calls == []
 
 
@@ -103,6 +70,17 @@ def test_xi_and_distance_oracles(smooth_data8):
     assert abs(xi2[0] - 0.1) < 1e-11
     assert abs(distance_d(pert2, smooth_data8) - 0.1) < 1e-11
     assert distance_d(pert2, smooth_data8, N=8) == distance_d(pert2, smooth_data8)
+
+
+@pytest.mark.parametrize("N, message", [(0, "must be at least 1"),
+                                        (-1, "must be at least 1"),
+                                        (9, "N=9 exceeds")])
+def test_gaps_refuse_orders_outside_the_data(smooth_data8, N, message):
+    # N = -1 read the first n_max - 1 rows before the lower bound was
+    # checked
+    for metric in (spectral_gaps, xi_sequence, distance_d):
+        with pytest.raises(ValueError, match=message):
+            metric(smooth_data8, smooth_data8, N)
 
 
 def test_eta_vanishes_at_origin(assembly8):

@@ -3,10 +3,11 @@ import pytest
 
 from spectral3 import quasi
 from spectral3.errors import IntegrationOverflowError, ResolutionGuardError
-from spectral3.grid import (CoefficientPair, Grid, GridFunction,
-                            differentiate, midpoint_values)
+from spectral3.grid import CoefficientPair, Grid, GridFunction, midpoint_values
 from spectral3.quasi import (SystemVariant, _loop_sweep, _power_sweep,
                              _sweep)
+
+from helpers import differentiate, from_callables
 
 # Constant-coefficient oracle, tau1 = 1, sigma0 = 0: the equation is
 # y''' + 2y' = lambda y, and the third fundamental solution (y = y' = 0,
@@ -55,8 +56,7 @@ def test_rk4_convergence_order():
 def test_system_matrix_entries():
     # A = [[0, 1, 0], [p, 0, 1], [c lambda, q, 0]] with (p, q, c) from pqc
     g = Grid(8)
-    pair = CoefficientPair.from_callables(g, lambda x: x + 0j,
-                                          lambda x: 2 * x + 0j)
+    pair = from_callables(g, lambda x: x + 0j, lambda x: 2 * x + 0j)
     lam = 1.5 + 0.5j
     at_half = (pair.sigma0.values[4], pair.tau1.values[4])   # x = 0.5
     t1, s0 = 0.5, 1.0
@@ -72,9 +72,7 @@ def test_system_matrix_entries():
 
 def test_quasi_derivative_definition(grid512):
     # y^[2] = y'' + (sigma0 + tau1) y, checked via finite differences
-    pair = CoefficientPair.from_callables(grid512,
-                                          lambda x: np.cos(x),
-                                          lambda x: 0.5j * x)
+    pair = from_callables(grid512, lambda x: np.cos(x), lambda x: 0.5j * x)
     y, y1, y2 = _ivp(pair, 2.0 + 1.0j, (1.0, 0.5, 0.25)).T
     ypp = differentiate(GridFunction(grid512, y1)).values
     weight = pair.sigma0.values + pair.tau1.values
@@ -312,7 +310,7 @@ def test_overflow_guard_on_power_path(grid128, backward):
 @pytest.fixture(scope="module")
 def ragged_coeffs():
     # 100 = 3 * 32 + 4: the last stretch of an end-value sweep has 4 steps
-    return CoefficientPair.from_callables(
+    return from_callables(
         Grid(100),
         lambda x: np.cos(2.0 * np.pi * x) + 0.3 + 0.2j * np.sin(np.pi * x),
         lambda x: 0.25 * x * (1.0 - x) + 0.15j * np.sin(2.0 * np.pi * x))
