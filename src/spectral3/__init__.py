@@ -57,4 +57,20 @@ from .errors import (
     IntegrationOverflowError,
 )
 
+__all__ = [
+    "Grid", "GridFunction", "CoefficientPair", "integrate", "cumulative",
+    "l2_norm", "w2m1_distance", "read_coefficients", "write_coefficients",
+    "SystemVariant", "SpectralData", "detect_K", "compute_spectral_data",
+    "weyl_matrix", "weight_matrix", "save_spectral_data", "load_spectral_data",
+    "eigen_guess", "extract_remainders", "validate_condition1", "ModelCache",
+    "build_model", "xi_sequence", "distance_d", "index_set", "assemble",
+    "solve_phi", "reconstruct", "run_inverse", "verify_spectral",
+    "verify_weyl", "stability_experiment", "HalfData", "complete", "restrict",
+    "check_suff_conditions", "check_symmetry", "NoConvergenceError",
+    "BasinEscapeError", "DerivativeVanishesError", "GammaZeroError",
+    "NearPoleError", "PoleHitError", "SingularSystemError",
+    "AdmissibilityViolationError", "ResolutionGuardError",
+    "IntegrationOverflowError",
+]
+
 __version__ = "0.1.0"

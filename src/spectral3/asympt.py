@@ -6,10 +6,14 @@ The two spectra behave like
     lambda_{n,k} = (-1)^(k+1) * ( (2 pi / sqrt 3) (n + 1/6 - theta/(2 pi^2 n)) )^3
 
 up to l2-summable remainders, with theta the mean of tau1, and the
-weight numbers like 3 lambda_{n,k}.  Everything here is elementary
-arithmetic on that formula, over index arrays and whole (n_max, 2)
-tables, with the principal cube root taken entry by entry as Python
-takes it (_cube_roots).  The value of the module is pinning down the
+weight numbers like 3 lambda_{n,k}.  eigen_guess seeds the Newton
+search of the entries n <= 6, of every entry of a constant pair, and
+of the constant model search behind the other seeds: forward._seeds
+starts the entries n >= 7 from the model's eigenvalues plus a boundary
+shift, which carry the remainders and RK4 error this formula misses.
+Everything here is elementary arithmetic on that formula, over index
+arrays and whole (n_max, 2) tables, with the principal cube root taken
+entry by entry as Python takes it (_cube_roots).  The value of the module is pinning down the
 cube-root branch and the index inversion consistently.  The module
 also holds the one coincidence test for eigenvalues (coincide) and the
 condition-1 report built on it.

@@ -3,6 +3,19 @@ numbers, Weyl matrices and solutions.  The spectral data are one
 (n_max, 2) table per quantity (SpectralData), [n-1, k-1] holding family
 k, into which compute_spectral_data reshapes Newton's family-major roots.
 
+Newton seeds.  The formula of asympt.eigen_guess misses the
+remainders and the RK4 error: on data/smooth.csv at M = 512 it is
+5.8e-5 off lambda_{10,k}, relative.  The eigenvalues lambda~_{n,k} of
+the constant model tau1 = theta, sigma0 = 0 on the same grid carry
+both, up to the boundary shift
+
+    (-1)^(k+1) (tau1(0) + tau1(1) - 2 theta) + sigma0(1) - sigma0(0),
+
+to which lambda_{n,k} - lambda~_{n,k} tends.  They cost little, since
+constant sweeps are powers of one step matrix (quasi).  So the entries
+n >= 7 start from lambda~_{n,k} plus that shift (_seeds), 2.1e-8 off
+lambda_{10,k} there, and converge in 2 Newton evaluations instead of 3.
+
 Two numerical routes matter here.
 
 Characteristic determinants.  Both families are read alike: with k the
@@ -55,7 +68,7 @@ from .errors import (
     Spectral3Error,
 )
 from .grid import CoefficientPair, integrate
-from .quasi import SystemVariant, _sweep
+from .quasi import SystemVariant, _is_constant, _sweep
 from .serialize import (complex_pair, dumps17, json_int, pair_complex,
                         read_json)
 
@@ -80,6 +93,13 @@ _DERIV_FLOOR = 1e-14
 _BETA_SNAP = 1e-5
 _POLE_TOL = 1e-10
 _CONTOUR_POINTS = 64
+
+# Newton seeds of the entries n >= _MODEL_SEED_FROM come from the constant
+# model (_seeds).  Measured on perfbench bank pairs 0-7 and
+# data/smooth.csv at n_max 30, M = 512: from asympt.eigen_guess every
+# n = 2..28 takes 3 evaluations (4 at n = 1, 29, 30); from the model
+# seeds n >= 7 takes 2, while n <= 6 still takes 3.
+_MODEL_SEED_FROM = 7
 
 # Integration direction switch for Phi_2: backward when the middle
 # exponent does not grow.
@@ -200,6 +220,29 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     return lam, last
 
 
+def _seeds(coeffs: CoefficientPair, ns: np.ndarray, ks: np.ndarray,
+           theta: complex) -> np.ndarray:
+    """Newton seeds of the entries (ns, ks): asympt.eigen_guess, and for
+    n >= _MODEL_SEED_FROM of a pair that is not constant the eigenvalue
+    of the model pair (CoefficientPair.model) plus the boundary shift of
+    the module docstring.  The model eigenvalues come from one
+    _newton_family call seeded by eigen_guess, whose sweeps take the
+    power path of quasi._sweep.  A constant pair is its own model and
+    keeps eigen_guess everywhere.
+    """
+    seeds = asympt.eigen_guess(ns, ks, theta)
+    far = ns >= _MODEL_SEED_FROM
+    tau1, sigma0 = coeffs.tau1.values, coeffs.sigma0.values
+    if not far.any() or (_is_constant(tau1) and _is_constant(sigma0)):
+        return seeds
+    model = CoefficientPair.model(coeffs.grid, theta)
+    lam, _ = _newton_family(model, ks[far], ns[far], seeds[far], theta)
+    sign = np.where(ks[far] == 1, 1.0, -1.0)   # (-1)^(k+1)
+    seeds[far] = (lam + sign * (tau1[0] + tau1[-1] - 2.0 * theta)
+                  + sigma0[-1] - sigma0[0])
+    return seeds
+
+
 def _gamma(lam_n: complex, g: np.ndarray, beta: np.ndarray) -> complex:
     """Additional weight number gamma_n of a coinciding eigenvalue pair:
     of g = (Delta_{3,1}/dDelta_{1,1}, C_1(1)/dDelta_{2,2}) at lambda_n,
@@ -255,9 +298,13 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
                           pair_tol: float = asympt.COINCIDE_TOL) -> "SpectralData":
     """The full forward map: coefficients -> spectral data up to n_max.
 
-    n_max must be at least 1, and pair_tol, the relative tolerance of
-    asympt.coincide that pairs the two families, finite and
-    non-negative."""
+    One Newton search over both families, seeded by _seeds: the
+    entries n >= 7 of a pair that is not constant from the constant
+    model's eigenvalues plus the boundary shift, the others from
+    asympt.eigen_guess.  The weight numbers come from Newton's last
+    evaluation.  n_max must be at least 1, and pair_tol, the relative
+    tolerance of asympt.coincide that pairs the two families, finite
+    and non-negative."""
     if not 0.0 <= pair_tol < np.inf:
         raise ValueError("pair tolerance must be a finite number >= 0, "
                          "got %r" % (pair_tol,))
@@ -266,8 +313,8 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
     theta = integrate(coeffs.tau1)
     ns = np.tile(np.arange(1, n_max + 1), 2)
     ks = np.repeat([1, 2], n_max)
-    lam, a = _newton_family(coeffs, ks, ns,
-                            asympt.eigen_guess(ns, ks, theta), theta)
+    lam, a = _newton_family(coeffs, ks, ns, _seeds(coeffs, ns, ks, theta),
+                            theta)
 
     # (n_max, 2) tables of the roots and their record from Newton's
     # family-major arrays; family 2 is then put in the order of family 1

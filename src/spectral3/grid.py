@@ -8,7 +8,7 @@ The grid size M must be even so that composite Simpson weights apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,6 +119,12 @@ class CoefficientPair:
     def __post_init__(self):
         if self.tau1.grid.M != self.sigma0.grid.M:
             raise ValueError("tau1 and sigma0 must share a grid")
+
+    @classmethod
+    def model(cls, grid: Grid, theta: complex) -> "CoefficientPair":
+        """The constant model pair tau1 = theta, sigma0 = 0 on the grid."""
+        return cls(GridFunction.constant(grid, theta),
+                   GridFunction.constant(grid, 0.0))
 
     @property
     def grid(self) -> Grid:

@@ -32,7 +32,7 @@ from .asympt import coincide
 from .errors import AdmissibilityViolationError
 from .forward import (SpectralData, check_order, compute_spectral_data,
                       weyl_batch)
-from .grid import CoefficientPair, Grid, GridFunction
+from .grid import CoefficientPair, Grid
 from .quasi import SystemVariant
 
 __all__ = ["ModelCache", "build_model", "spectral_gaps", "xi_sequence",
@@ -109,8 +109,7 @@ def build_model(data: SpectralData, grid: Grid, N: int) -> ModelCache:
     order N is checked first, by data.truncate, before any sweep.
     """
     data_N = data.truncate(N)
-    coeffs = CoefficientPair(GridFunction.constant(grid, data.theta),
-                             GridFunction.constant(grid, 0.0))
+    coeffs = CoefficientPair.model(grid, data.theta)
     model_data = compute_spectral_data(coeffs, N + _MODEL_MARGIN)
     _check_spectra(data_N, model_data)
     return ModelCache(coeffs=coeffs, model_data=model_data)

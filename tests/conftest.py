@@ -13,7 +13,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from spectral3 import forward
 from spectral3.forward import compute_spectral_data
-from spectral3.grid import CoefficientPair, Grid, GridFunction, read_coefficients
+from spectral3.grid import CoefficientPair, Grid, read_coefficients
+from spectral3.quasi import _is_constant
 
 from helpers import from_callables
 
@@ -43,8 +44,7 @@ def grid128():
 
 @pytest.fixture(scope="session")
 def zero_coeffs(grid512):
-    return CoefficientPair(GridFunction.constant(grid512, 0.0),
-                           GridFunction.constant(grid512, 0.0))
+    return CoefficientPair.model(grid512, 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -76,13 +76,15 @@ def general_coeffs128(grid128):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    # the lambda count of every forward._sweep call, which computes
-    # spectral data
+    # (lambda count, constant pair) of every forward._sweep call, which
+    # computes spectral data; a constant pair's sweeps take the power path
     calls = []
     inner = forward._sweep
 
     def counting(*args, **kwargs):
-        calls.append(len(args[2]))
+        pair = args[0]
+        calls.append((len(args[2]), _is_constant(pair.tau1.values)
+                      and _is_constant(pair.sigma0.values)))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(forward, "_sweep", counting)

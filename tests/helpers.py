@@ -2,13 +2,15 @@
 
 characteristic_literal forms the characteristic values from literal 2x2
 products, an independent cross-check of forward._char_arrays;
-differentiate is a fourth-order finite difference for checking
-derivatives on the grid; from_callables and gauge_shifted build
-coefficient pairs.
+guess_seeds seeds every Newton entry from asympt.eigen_guess, the
+reference for forward._seeds; differentiate is a fourth-order finite
+difference for checking derivatives on the grid; from_callables and
+gauge_shifted build coefficient pairs.
 """
 
 import numpy as np
 
+from spectral3 import asympt
 from spectral3.forward import _EYE, Characteristic
 from spectral3.grid import CoefficientPair, GridFunction, _values
 from spectral3.quasi import SystemVariant, _sweep
@@ -42,6 +44,12 @@ def characteristic_literal(coeffs: CoefficientPair, lams, fams,
     return Characteristic(np.where(first, -minor(1, 2), y0[:, 2]),
                           np.where(first, -minor(0, 2), y0[:, 1]),
                           np.where(first, minor(0, 1), y0[:, 0]), ddelta)
+
+
+def guess_seeds(coeffs: CoefficientPair, ns, ks, theta) -> np.ndarray:
+    """forward._seeds without the model: asympt.eigen_guess for every
+    entry, the reference the model seeds are checked against."""
+    return asympt.eigen_guess(ns, ks, theta)
 
 
 def differentiate(f):

@@ -1,6 +1,6 @@
-"""Every name a module lists in __all__ exists, and a star import of
-each module works, so a name left behind by a move or a deletion fails
-here."""
+"""Every name a module or the package root lists in __all__ exists, and
+a star import of each works, so a name left behind by a move or a
+deletion fails here."""
 
 import importlib
 import pkgutil
@@ -26,3 +26,10 @@ def test_all_names_resolve(name):
     exec("from spectral3.%s import *" % name, namespace)
     for n in getattr(module, "__all__", ()):
         assert namespace[n] is getattr(module, n)
+
+
+def test_package_root_all_names_resolve():
+    namespace: dict = {}
+    exec("from spectral3 import *", namespace)
+    assert [n for n in spectral3.__all__
+            if namespace[n] is not getattr(spectral3, n)] == []

@@ -1,3 +1,4 @@
+import os
 import re
 from itertools import zip_longest
 
@@ -7,18 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral3 import asympt, forward
+from spectral3.cli import main
 from spectral3.errors import (BasinEscapeError, DerivativeVanishesError,
                               GammaZeroError, NearPoleError,
-                              NoConvergenceError, Spectral3Error)
+                              NoConvergenceError)
 from spectral3.forward import (_char_arrays, _gamma, _newton_family,
                                compute_spectral_data, detect_K,
                                laurent_coefficients, load_spectral_data,
                                save_spectral_data, SpectralData,
                                weight_matrix, weyl_batch, weyl_matrix)
-from spectral3.grid import CoefficientPair, Grid, GridFunction, integrate
+from spectral3.grid import (CoefficientPair, GridFunction, integrate,
+                            read_coefficients, write_coefficients)
 from spectral3.quasi import SystemVariant, _sweep
 
-from helpers import characteristic_literal, gauge_shifted
+from helpers import (characteristic_literal, from_callables, gauge_shifted,
+                     guess_seeds)
 
 # Frozen 40-digit oracles for the zero-coefficient problem y''' = lambda y.
 # The second-family eigenvalues are the zeros of C3(1, lambda) on the
@@ -39,8 +43,7 @@ def test_zero_coefficient_exact_values(zero_coeffs):
 
 
 def test_characteristic_matches_exponential_oracle(grid512):
-    ones = CoefficientPair(GridFunction.constant(grid512, 1.0),
-                           GridFunction.constant(grid512, 0.0))
+    ones = CoefficientPair.model(grid512, 1.0)
     c = _char_arrays(ones, [1.0], 2)
     assert abs(c.delta[0] - C3_TAU1_LAM1) < 1e-11
     assert abs(c.numer[0] - C3P_TAU1_LAM1) < 1e-11
@@ -530,12 +533,9 @@ def coinciding_coeffs(grid128):
     # Constant tau1 = t, sigma0 = 0: lambda_{1,1} and lambda_{1,2} = -lambda_{1,1}
     # meet near 0 where Delta_{2,1}(0) changes sign (t close to 19.74), and
     # both weight numbers vanish there.  A secant on t pins that point.
-    def coeffs(t):
-        return CoefficientPair(GridFunction.constant(grid128, t),
-                               GridFunction.constant(grid128, 0.0))
-
     def d21(t):
-        return _char_arrays(coeffs(t), [0.0], 1).numer[0].real
+        return _char_arrays(CoefficientPair.model(grid128, t), [0.0],
+                            1).numer[0].real
 
     t0, t1 = 19.7, 19.8
     f0, f1 = d21(t0), d21(t1)
@@ -544,7 +544,7 @@ def coinciding_coeffs(grid128):
             break
         t0, f0, t1 = t1, f1, t1 - f1 * (t1 - t0) / (f1 - f0)
         f1 = d21(t1)
-    return coeffs(t1)
+    return CoefficientPair.model(grid128, t1)
 
 
 def test_gamma_from_weight_batch_matches_weight_gamma(coinciding_coeffs):
@@ -667,3 +667,104 @@ def test_weights_equal_a_sweep_at_each_eigenvalue_alone(general_coeffs128):
             a = forward._char_arrays(general_coeffs128, [lam], k,
                                      with_dlambda=True)
             assert data.beta(n, k) == a.numer[0] / a.ddelta[0]
+
+
+# ---------------------------------------------------------------------------
+# Newton seeds from the constant model
+
+SMOOTH_CSV = os.path.join(os.path.dirname(__file__), "..", "data",
+                          "smooth.csv")
+
+# Two pairs with a nonzero boundary shift, with their theta and the shift
+# (-1)^(k+1) (tau1(0) + tau1(1) - 2 theta) + sigma0(1) - sigma0(0) of
+# family 1 and 2, in closed form.
+SHIFT_PAIRS = [
+    (lambda x: 1.0 + 2.0 * x, lambda x: 0.7 * x + 0.3 * np.sin(3.0 * x),
+     2.0, (0.7 + 0.3 * np.sin(3.0), 0.7 + 0.3 * np.sin(3.0))),
+    (lambda x: 0.5 + np.cos(2.0 * np.pi * x) + 0.3 * x,
+     lambda x: 1.5 * x * x - 0.2j * x,
+     0.65, (3.5 - 0.2j, -0.5 - 0.2j)),
+]
+
+
+@pytest.fixture(scope="module")
+def shift_coeffs(grid512):
+    tau1, sigma0, _, _ = SHIFT_PAIRS[1]
+    return from_callables(grid512, tau1, sigma0)
+
+
+@pytest.mark.parametrize("pair", range(len(SHIFT_PAIRS)))
+def test_eigenvalues_tend_to_the_model_plus_the_boundary_shift(grid512, pair):
+    # lambda_{n,k} - lambda~_{n,k} -> shift_k, measured within about
+    # 0.17/n^2 on both pairs at M = 512 (3.5017 - 0.2i at n = 10 on the
+    # second); the forward seeds for n >= 7 sit as close
+    tau1, sigma0, theta, shift = SHIFT_PAIRS[pair]
+    coeffs = from_callables(grid512, tau1, sigma0)
+    data = compute_spectral_data(coeffs, 20)
+    assert abs(data.theta - theta) < 1e-12
+    model = compute_spectral_data(CoefficientPair.model(grid512, data.theta),
+                                  20)
+    n = np.arange(5, 21)[:, None]
+    gap = data.lambdas[4:] - model.lambdas[4:] - np.array(shift)
+    assert (np.abs(gap) <= 0.5 / n ** 2).all()
+    ns = np.tile(np.arange(7, 21), 2)
+    ks = np.repeat([1, 2], 14)
+    seeds = forward._seeds(coeffs, ns, ks, data.theta)
+    lam = data.lambdas[ns - 1, ks - 1]
+    assert (np.abs(seeds - lam) <= 0.5 / ns ** 2).all()
+
+
+@pytest.mark.parametrize("name",
+                         ["smooth_coeffs", "general_coeffs", "shift_coeffs"])
+def test_model_seeds_match_the_eigen_guess_seeds(request, monkeypatch, name):
+    # Rows n <= 6 keep the eigen_guess seeds and their bits; rows n >= 7
+    # converge from the model seeds to the same roots (measured within
+    # 3.4e-14 relative for lambda and 5.7e-14 for beta).
+    coeffs = request.getfixturevalue(name)
+    data = compute_spectral_data(coeffs, 30)
+    monkeypatch.setattr(forward, "_seeds", guess_seeds)
+    ref = compute_spectral_data(coeffs, 30)
+    assert data.K == ref.K and data.gamma == ref.gamma
+    for new, old, tol in ((data.lambdas, ref.lambdas, 1e-12),
+                          (data.betas, ref.betas, 2e-12)):
+        assert np.array_equal(new[:6], old[:6])
+        assert (np.abs(new[6:] - old[6:]) <= tol * np.abs(old[6:])).all()
+
+
+def test_forward_json_at_n_max_6_is_unchanged(tmp_path, monkeypatch,
+                                              shift_coeffs):
+    csv = str(tmp_path / "pair.csv")
+    write_coefficients(csv, shift_coeffs)
+    outs = [tmp_path / "model.json", tmp_path / "guess.json"]
+    for seeds, out in zip((forward._seeds, guess_seeds), outs):
+        monkeypatch.setattr(forward, "_seeds", seeds)
+        assert main(["forward", "--coeffs", csv, "--n-max", "6",
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_model_seeds_shorten_the_data_sweeps(sweep_calls, monkeypatch):
+    # d/dlambda sweeps of the data pair on data/smooth.csv at n_max 30:
+    # 60, 60, 14 and 12 lambdas from the model seeds (146), against 60,
+    # 60, 60 and 16 (196) from eigen_guess alone; the model's own search
+    # runs on the constant pair, in the power path
+    coeffs = read_coefficients(SMOOTH_CSV)
+    counts = []
+    for seeds in (forward._seeds, guess_seeds):
+        monkeypatch.setattr(forward, "_seeds", seeds)
+        sweep_calls.clear()
+        compute_spectral_data(coeffs, 30)
+        counts.append(sum(L for L, constant in sweep_calls if not constant))
+    assert counts[0] <= 150 < counts[1]
+
+
+def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
+    # a constant pair is its own model: no model search runs
+    coeffs = CoefficientPair(GridFunction.constant(grid512, 0.3 + 0.1j),
+                             GridFunction.constant(grid512, 0.2))
+    compute_spectral_data(coeffs, 30)
+    calls = list(sweep_calls)
+    sweep_calls.clear()
+    monkeypatch.setattr(forward, "_seeds", guess_seeds)
+    compute_spectral_data(coeffs, 30)
+    assert calls == sweep_calls and all(c for _, c in calls)

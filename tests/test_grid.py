@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import numpy as np

@@ -15,7 +15,7 @@ from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
                                index_set, reconstruct, run_inverse, solve_phi,
                                stability_experiment, verify_spectral,
                                verify_weyl)
-from spectral3.model import ModelCache, build_model, distance_d
+from spectral3.model import ModelCache, build_model
 from spectral3.quasi import SystemVariant
 
 from helpers import differentiate
