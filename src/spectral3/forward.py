@@ -92,7 +92,7 @@ _NEWTON_TOL = 1e-12
 _DERIV_FLOOR = 1e-14
 _BETA_SNAP = 1e-5
 _POLE_TOL = 1e-10
-_CONTOUR_POINTS = 64
+_CONTOUR_POINTS = 32
 
 # Newton seeds of the entries n >= _MODEL_SEED_FROM come from the constant
 # model (_seeds).  Measured on perfbench bank pairs 0-7 and
@@ -615,14 +615,30 @@ def weight_matrix(data: SpectralData, n: int, k: int) -> np.ndarray:
 def laurent_coefficients(fn, center: complex, radius: float | None = None):
     """(A_{-1}, A_0) of a meromorphic function by circle quadrature.
 
-    fn is called once with the array of the _CONTOUR_POINTS = 64
-    contour points and must return an array with a leading axis of that
-    length (scalar or matrix values per point).  Trapezoid quadrature on
-    a circle is spectrally accurate, so 64 points are ample for a simple
-    pole well inside the circle.
+    fn is called once with the array of the P = _CONTOUR_POINTS = 32
+    points center + radius e^(2 pi i j/P) and must return an array with
+    a leading axis of length P (scalar or matrix values per point).
+    radius must be finite and positive; it defaults to
+    1e-3 (1 + |center|).
+
+    The P-point trapezoid rule returns each Laurent coefficient plus its
+    aliases P places away, so a singularity at distance rho from center
+    errs by about (r/rho)^P (Trefethen & Weideman 2014, SIAM Review).
+    Around lambda_{n,k} with the default radius r/rho is about n/3000,
+    at most 0.03 for the n the resolution guard admits at M = 512, and
+    the aliases fall below rounding already at P = 16.  What is left is
+    the rounding noise of the samples, which the sums shrink roughly
+    like 1/sqrt(P).  Against a 256-point contour on a general pair
+    (n <= 6, both families, M = 512) the worst relative deviation of
+    A_{-1} and A_0 was 1.7e-10, 7.9e-11 and 5.3e-11 at P = 16, 32 and
+    64.  At P = 32 weyl_matrix sweeps 2P = 64 lambdas, two full blocks
+    of quasi._LAM_BLOCK.
     """
     if radius is None:
         radius = 1e-3 * (1.0 + abs(center))
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("contour radius must be finite and positive, "
+                         "got %r" % (radius,))
     npts = _CONTOUR_POINTS
     th = 2.0 * np.pi * np.arange(npts) / npts
     zs = center + radius * np.exp(1j * th)

@@ -76,18 +76,20 @@ def general_coeffs128(grid128):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    # (lambda count, constant pair) of every forward._sweep call, which
-    # computes spectral data; a constant pair's sweeps take the power path
+    # (lambda count, with_dlambda, constant pair) of every forward._sweep
+    # call, which computes spectral data and Weyl matrices; a constant
+    # pair's sweeps take the power path
     calls = []
     inner = forward._sweep
 
-    def counting(*args, **kwargs):
-        pair = args[0]
-        calls.append((len(args[2]), _is_constant(pair.tau1.values)
-                      and _is_constant(pair.sigma0.values)))
-        return inner(*args, **kwargs)
+    def recording(coeffs, variant, lams, inits, with_dlambda=False, **kw):
+        calls.append((np.atleast_1d(lams).shape[0], with_dlambda,
+                      _is_constant(coeffs.tau1.values)
+                      and _is_constant(coeffs.sigma0.values)))
+        return inner(coeffs, variant, lams, inits, with_dlambda=with_dlambda,
+                     **kw)
 
-    monkeypatch.setattr(forward, "_sweep", counting)
+    monkeypatch.setattr(forward, "_sweep", recording)
     return calls
 
 

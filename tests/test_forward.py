@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 from itertools import zip_longest
@@ -288,12 +289,10 @@ def test_pair_tol_must_be_finite_and_nonnegative(zero_coeffs, tol):
         compute_spectral_data(zero_coeffs, 2, pair_tol=tol)
 
 
-def test_n_max_below_one_refused_before_any_sweep(zero_coeffs, monkeypatch):
-    calls: list = []
-    _count_sweeps(monkeypatch, calls)
+def test_n_max_below_one_refused_before_any_sweep(zero_coeffs, sweep_calls):
     with pytest.raises(ValueError, match="n_max must be at least 1, got 0"):
         compute_spectral_data(zero_coeffs, 0)
-    assert calls == []
+    assert sweep_calls == []
 
 
 @pytest.mark.parametrize("N, message", [
@@ -510,19 +509,67 @@ def test_laurent_rejects_callback_without_point_axis():
         laurent_coefficients(lambda z: z[:-1], 1.0)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"),
+                                    -float("inf"), 0.0, -0.1])
+def test_laurent_refuses_a_bad_radius(radius):
+    # refused before fn is called: a zero radius would sample the pole
+    # itself, a non-finite one gives NaN coefficients
+    def fn(z):
+        raise AssertionError("fn called")
+
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        laurent_coefficients(fn, 1.0, radius=radius)
+
+
+def _aliasing_error(c, r):
+    # a pole at c and one at distance 2r: the trapezoid rule aliases
+    # (r/2r)^P of the outer pole into both coefficients
+    a_m1, a_0 = laurent_coefficients(
+        lambda z: 2.0 / (z - c) + 1.0 / (z - c - 2.0 * r), c, radius=r)
+    return max(abs(a_m1 - 2.0), abs(2.0 * r * a_0 + 1.0))
+
+
+def test_laurent_aliasing_follows_the_trapezoid_law(monkeypatch):
+    # the error is 2^-P (1 + O(2^-P)) at P points: 2.3e-10 at 32, 1.5e-5
+    # at 16, so a 16-point rule fails the bound 2 * 2^-32
+    c, r = 3.0 - 1.0j, 0.01
+    assert _aliasing_error(c, r) <= 2.0 * 2.0 ** -32
+    for P in (32, 16):
+        monkeypatch.setattr(forward, "_CONTOUR_POINTS", P)
+        err = _aliasing_error(c, r)
+        assert abs(err - 2.0 ** -P) <= 1e-3 * 2.0 ** -P
+    assert err > 2.0 * 2.0 ** -32
+
+
+def test_laurent_weyl_coefficients_match_a_256_point_contour(
+        general_coeffs128, monkeypatch):
+    # around lambda_{n,k}, n <= 6, the 32-point coefficients of the Weyl
+    # matrix agree with a 256-point contour to rounding (measured 3.7e-11
+    # of 1 + max|A|)
+    data = compute_spectral_data(general_coeffs128, 6)
+    fn = functools.partial(weyl_matrix, general_coeffs128)
+    centers = [data.lam(n, k) for n in range(1, 7) for k in (1, 2)]
+    ours = [laurent_coefficients(fn, lam) for lam in centers]
+    monkeypatch.setattr(forward, "_CONTOUR_POINTS", 256)
+    for lam, pair in zip(centers, ours):
+        for a, ref in zip(pair, laurent_coefficients(fn, lam)):
+            assert np.abs(a - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+
+
 @pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
 def test_weyl_matrix_batch_equals_pointwise(general_coeffs128, variant):
     # the contour of laurent_coefficients around lambda_{1,1}, plus a far
-    # point; M = 128 keeps the 65 scalar calls cheap
+    # point; M = 128 keeps the scalar calls cheap
     center = compute_spectral_data(general_coeffs128, 1).lam(1, 1)
     radius = 1e-3 * (1.0 + abs(center))
-    th = 2.0 * np.pi * np.arange(64) / 64
+    P = forward._CONTOUR_POINTS
+    th = 2.0 * np.pi * np.arange(P) / P
     lams = np.append(center + radius * np.exp(1j * th), 300.0 - 120.0j)
     batch = weyl_matrix(general_coeffs128, lams, variant)
-    assert batch.shape == (65, 3, 3)
+    assert batch.shape == (P + 1, 3, 3)
     pointwise = np.stack([weyl_matrix(general_coeffs128, z, variant)
                           for z in lams])
-    assert pointwise.shape == (65, 3, 3)
+    assert pointwise.shape == (P + 1, 3, 3)
     rel = (np.abs(batch - pointwise).max(axis=(1, 2))
            / np.abs(pointwise).max(axis=(1, 2)))
     assert rel.max() <= 1e-14
@@ -559,101 +606,79 @@ def test_gamma_from_weight_batch_matches_weight_gamma(coinciding_coeffs):
     assert abs(data.gamma[1] - ref) <= 1e-12 * abs(ref)
 
 
-def _count_sweeps(monkeypatch, calls, skip=lambda: False):
-    """Record (L, with_dlambda) of every forward._sweep call while skip()
-    is false."""
-    sweep = forward._sweep
-
-    def counting(coeffs, variant, lams, inits, with_dlambda=False, **kw):
-        if not skip():
-            calls.append((np.atleast_1d(lams).shape[0], with_dlambda))
-        return sweep(coeffs, variant, lams, inits, with_dlambda=with_dlambda,
-                     **kw)
-
-    monkeypatch.setattr(forward, "_sweep", counting)
-
-
 @pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
 def test_weyl_batch_sweeps_only_the_family_it_reads(general_coeffs128,
-                                                    variant, monkeypatch):
+                                                    variant, sweep_calls):
     # Phi_1 reads characteristic family 1, Phi_2 family 2, Phi_3 neither;
     # -30 and 9 - 6i take opposite Phi_2 routes in either variant
-    calls: list = []
-    _count_sweeps(monkeypatch, calls)
     for lam in (-30.0, 9.0 - 6.0j):
         for k in (1, 2, 3):
-            calls.clear()
+            sweep_calls.clear()
             batch = weyl_batch(general_coeffs128, [lam], variant, k)
-            assert [c for c in calls if c[1]] == ([] if k == 3 else
-                                                  [(1, True)])
+            assert [c for c in sweep_calls if c[1]] == (
+                [] if k == 3 else [(1, True, False)])
             assert batch.shape == (1, general_coeffs128.grid.M + 1, 3)
 
 
 def test_weyl_matrix_sweeps_both_families_once(general_coeffs128,
-                                               monkeypatch):
-    calls: list = []
-    _count_sweeps(monkeypatch, calls)
+                                               sweep_calls):
     weyl_matrix(general_coeffs128, np.array([-30.0, 9.0 - 6.0j, 40.0j]))
-    assert calls == [(6, True)]
+    assert sweep_calls == [(6, True, False)]
 
 
 def test_joint_newton_sweeps_both_families_once_per_iteration(
-        general_coeffs128, monkeypatch):
+        general_coeffs128, sweep_calls):
     # Each joint Newton iteration is one d/dlambda sweep over the active
     # entries of both families, as many as the two families searched
     # alone have active at that iteration, and with K empty nothing is
     # swept after Newton.
     theta = integrate(general_coeffs128.tau1)
     ns = np.arange(1, 7)
-    calls: list = []
-    _count_sweeps(monkeypatch, calls)
     alone = []
     for k in (1, 2):
-        calls.clear()
+        sweep_calls.clear()
         _newton_family(general_coeffs128, k, ns,
                        asympt.eigen_guess(ns, k, theta), theta)
-        alone.append([L for L, _ in calls])
-    calls.clear()
+        alone.append([L for L, _, _ in sweep_calls])
+    sweep_calls.clear()
     assert compute_spectral_data(general_coeffs128, 6).K == []
     sizes = [a + b for a, b in zip_longest(*alone, fillvalue=0)]
     assert sizes[0] == 12 and len(sizes) == 4
-    assert calls == [(L, True) for L in sizes]
+    assert sweep_calls == [(L, True, False) for L in sizes]
 
 
 def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
                                                            coinciding_coeffs,
+                                                           sweep_calls,
                                                            monkeypatch):
     # beta_{n,k} reads family k at lambda_{n,k} from Newton's last
     # evaluation there, so with K empty no sweep follows the Newton
     # searches.  On K, lambda_{n,2} is set to lambda_{n,1}: family 2 is
     # swept there once, one d/dlambda sweep of L = |K|.
-    newton = forward._newton_family
-    depth: list = []
-
-    def in_newton(*args, **kwargs):
-        depth.append(1)
-        try:
-            return newton(*args, **kwargs)
-        finally:
-            depth.pop()
-
     char_arrays = forward._char_arrays
     families: list = []
 
     def recording(*args, **kwargs):
-        if not depth:
-            families.append(args[2])
+        families.append(args[2])
         return char_arrays(*args, **kwargs)
 
-    monkeypatch.setattr(forward, "_newton_family", in_newton)
+    newton = forward._newton_family
+
+    def forgetting_newton(*args, **kwargs):
+        # drop what the Newton search itself records
+        marks = len(sweep_calls), len(families)
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            del sweep_calls[marks[0]:], families[marks[1]:]
+
+    monkeypatch.setattr(forward, "_newton_family", forgetting_newton)
     monkeypatch.setattr(forward, "_char_arrays", recording)
-    calls: list = []
-    _count_sweeps(monkeypatch, calls, skip=lambda: bool(depth))
     compute_spectral_data(general_coeffs128, 5)
-    assert calls == [] and families == []
+    assert sweep_calls == [] and families == []
     data = compute_spectral_data(coinciding_coeffs, 3, pair_tol=1e-6)
     assert data.K == [1]
-    assert calls == [(1, True)] and families == [2]
+    assert sweep_calls == [(1, True, True)] and families == [2]
 
 
 def test_weights_equal_a_sweep_at_each_eigenvalue_alone(general_coeffs128):
@@ -754,7 +779,8 @@ def test_model_seeds_shorten_the_data_sweeps(sweep_calls, monkeypatch):
         monkeypatch.setattr(forward, "_seeds", seeds)
         sweep_calls.clear()
         compute_spectral_data(coeffs, 30)
-        counts.append(sum(L for L, constant in sweep_calls if not constant))
+        counts.append(sum(L for L, dlam, constant in sweep_calls
+                          if dlam and not constant))
     assert counts[0] <= 150 < counts[1]
 
 
@@ -767,4 +793,4 @@ def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
     sweep_calls.clear()
     monkeypatch.setattr(forward, "_seeds", guess_seeds)
     compute_spectral_data(coeffs, 30)
-    assert calls == sweep_calls and all(c for _, c in calls)
+    assert calls == sweep_calls and all(c for _, _, c in calls)
