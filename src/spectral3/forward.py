@@ -618,7 +618,8 @@ def laurent_coefficients(fn, center: complex, radius: float | None = None):
     fn is called once with the array of the P = _CONTOUR_POINTS = 32
     points center + radius e^(2 pi i j/P) and must return an array with
     a leading axis of length P (scalar or matrix values per point).
-    radius must be finite and positive; it defaults to
+    center must be finite and radius finite and positive (ValueError
+    otherwise, before fn is called); radius defaults to
     1e-3 (1 + |center|).
 
     The P-point trapezoid rule returns each Laurent coefficient plus its
@@ -634,6 +635,8 @@ def laurent_coefficients(fn, center: complex, radius: float | None = None):
     64.  At P = 32 weyl_matrix sweeps 2P = 64 lambdas, two full blocks
     of quasi._LAM_BLOCK.
     """
+    if not np.isfinite(center):
+        raise ValueError("contour center must be finite, got %r" % (center,))
     if radius is None:
         radius = 1e-3 * (1.0 + abs(center))
     if not (np.isfinite(radius) and radius > 0):

@@ -49,10 +49,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.M + 1)
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.M) + 0.5) / self.M
-
 
 @dataclass
 class GridFunction:
@@ -68,10 +64,6 @@ class GridFunction:
                 "expected %d values, got shape %s" % (self.grid.M + 1, vals.shape)
             )
         self.values = vals
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray([fn(x) for x in grid.nodes], dtype=complex))
 
     @classmethod
     def constant(cls, grid: Grid, value: complex) -> "GridFunction":
@@ -129,13 +121,6 @@ class CoefficientPair:
     @property
     def grid(self) -> Grid:
         return self.tau1.grid
-
-    def dagger(self) -> "CoefficientPair":
-        """The conjugate-flipped pair (conj tau1, -conj sigma0)."""
-        return CoefficientPair(
-            GridFunction(self.grid, np.conj(self.tau1.values)),
-            GridFunction(self.grid, -np.conj(self.sigma0.values)),
-        )
 
 
 def _values(f) -> np.ndarray:

@@ -23,8 +23,7 @@ direct ones in the Lagrange bracket.  A useful structural fact exploited
 upstream: the 2x2 minors (wedge) of two DIRECT solutions evolve under
 the STAR system and vice versa, which is how the characteristic
 determinants are integrated without catastrophic cancellation.  The
-direct system of the conjugate-flipped pair is DIRECT on
-CoefficientPair.dagger().
+conjugate-flipped system is DIRECT on the pair (conj tau1, -conj sigma0).
 
 The integrator is classical fixed-step RK4 with h = 1/M; coefficient
 values at half-steps come from cubic interpolation of the grid samples.
@@ -39,13 +38,12 @@ loop holds the state component-major with its lanes innermost,
 (3, B, K, lanes), so each row of the right-hand side is one contiguous
 slab; p, q, c lambda and c are rows over the lanes, broadcast over
 (B, K).  It updates stage and slope buffers in place; callers get
-(L, B, 3, K) per node.  A stored sweep has one lane per lambda and runs
-the M steps in order.  A sweep for end values only uses that the system
-is linear: its end state is the product of the propagators of the
-grid's stretches of 32 steps, as in multiple shooting.  One lane per
-(stretch, lambda) starts from the identity, all stretches advance side
-by side, and their propagators are then chained onto the initial values
-in sweep order, so the Python loop runs 32 steps instead of M.  A
+(L, B, 3, K) per node.  The loop uses that the system is linear, as in
+multiple shooting: one lane per (stretch of 32 steps, lambda) starts
+from the identity, all stretches advance side by side, and their
+propagators are chained onto the initial values in sweep order, so the
+Python loop runs 32 steps instead of M.  A stored sweep then reruns the
+stretches from their chained start states and keeps every step.  A
 backward sweep is the same loop over the reversed node and midpoint
 samples with step -h.
 
@@ -80,12 +78,11 @@ __all__ = ["SystemVariant"]
 # of the number of grid cells.
 _RESOLUTION_FACTOR = 0.6
 
-# Steps per stretch of the RK4 loop: a stored sweep checks its states for
-# finite values once per stretch, an end-value sweep runs its stretches
-# side by side and chains their propagators.
+# Steps per stretch of the RK4 loop, which runs its stretches side by
+# side and chains their propagators.
 _STRETCH = 32
 
-# Lambdas per block of an end-value sweep: each block runs one lane per
+# Lambdas per block of the RK4 loop: each block runs one lane per
 # (stretch, lambda), 512 lanes at M = 512.
 _LAM_BLOCK = 32
 
@@ -126,17 +123,14 @@ def _sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     values).
 
     When sigma0 and tau1 are constant on the grid the same RK4 map is
-    evaluated as powers of its step matrix (_power_sweep), otherwise
-    step by step on a component-major state (_loop_sweep), whose values
-    for each lambda are bitwise those of a sweep of it alone, in its
-    own variant.  Its end values come from chained stretch propagators
-    and agree with the end of a stored sweep to rounding.  A non-finite
-    state raises IntegrationOverflowError: the loop checks the states
-    at every 32nd step in sweep order and at the end (an end-value
-    sweep its chained states after each stretch) and reports the first
-    node it found non-finite; the power path reports the first non-finite
-    node in sweep order of a stored sweep, and the end node (M forward,
-    0 backward) of an end-value sweep.
+    evaluated as powers of its step matrix (_power_sweep), otherwise on
+    stretches of 32 steps side by side (_loop_sweep), whose values for
+    each lambda are bitwise those of a sweep of it alone, in its own
+    variant.  A non-finite state raises IntegrationOverflowError: the
+    loop reports the end node of the first stretch, in sweep order,
+    whose chained state is not finite, stored or not; the power path
+    reports the first non-finite node in sweep order of a stored sweep,
+    and the end node (M forward, 0 backward) of an end-value sweep.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _guard_resolution(lams, coeffs.grid.M)
@@ -251,51 +245,28 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     """The RK4 loop for any coefficients: the states (L, B, 3, K), or
     with store (M+1, L, B, 3, K), B = 2 with d/dlambda.
 
-    The state is held as (3, B, K, lanes) and advanced by _rk4_steps.
-    A stored sweep has one lane per lambda and runs the M steps one
-    after another, checking the states for finite values every _STRETCH
-    steps and at the end.  An end-value sweep runs all stretches of
-    _STRETCH steps at once: for each block of _LAM_BLOCK lambdas, one
-    lane per (stretch, lambda) starts from the identity with zero
-    d/dlambda data and reads p and q at its own stretch's samples, so
-    _STRETCH steps give every stretch propagator (Phi, Phi').  They are
-    then chained onto inits in sweep order, Y <- Phi Y and
-    dY <- Phi dY + Phi' Y, checking Y for finite values after each
-    stretch.  Either way a lambda's values are bitwise independent of
-    the batch and of the variants of the other lambdas.
+    _rk4_steps runs all stretches of _STRETCH steps at once: for each
+    block of _LAM_BLOCK lambdas, one lane per (stretch, lambda) reads p
+    and q at its own stretch's samples.  From the identity with zero
+    d/dlambda data the lanes give every stretch propagator (Phi, Phi'),
+    chained onto inits in sweep order, Y <- Phi Y and
+    dY <- Phi dY + Phi' Y, with Y checked for finite values after each
+    stretch.  A stored sweep reruns the lanes from the chained start
+    states and keeps every step; its end node is the chained end.  A
+    lambda's values are bitwise independent of the batch and of the
+    variants of the other lambdas.
     """
     M = coeffs.grid.M
     L, K = lams.shape[0], inits.shape[-1]
     B = 2 if with_dlambda else 1
     c = _signs(variant, L)
     # sigma0, tau1 at the nodes and the cell midpoints.  Step m runs from
-    # sample m to m + 1 of these arrays, which a backward sweep reverses;
-    # nodes maps sample index to grid node.
+    # sample m to m + 1 of these arrays, which a backward sweep reverses.
     sn, tn = coeffs.sigma0.values, coeffs.tau1.values
     sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
-    nodes, h = np.arange(M + 1), coeffs.grid.h
+    h = coeffs.grid.h
     if backward:
-        sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
-        nodes, h = nodes[::-1], -h
-
-    def check(Y, m):
-        # the states after step m of the sweep
-        if not np.isfinite(Y).all():
-            raise IntegrationOverflowError(int(nodes[m]))
-
-    if store:
-        S = np.zeros((3, B, K, L), dtype=complex)
-        S[:, 0] = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
-        # (M+1, L, B, 3, K), written through its (3, B, K, L) view
-        traj = np.empty((M + 1, L, B, 3, K), dtype=complex)
-        traj_rows = np.transpose(traj, (0, 3, 2, 4, 1))
-        traj_rows[nodes[0]] = S
-        for i in _rk4_steps(S, c * lams, c.astype(complex), h,
-                            _pq(c, sn, tn), _pq(c, sm, tm)):
-            traj_rows[nodes[i + 1]] = S
-            if (i + 1) % _STRETCH == 0 or i + 1 == M:
-                check(S[:, 0], i + 1)
-        return traj
+        sn, tn, sm, tm, h = sn[::-1], tn[::-1], sm[::-1], tm[::-1], -h
 
     # J stretches of n steps, the last of only `last` steps; its lanes
     # run on past the end over the end samples and are read at step last.
@@ -306,24 +277,26 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     at_n = np.minimum(first + np.arange(n + 1)[:, None], M)       # (n+1, J)
     at_m = np.minimum(first + np.arange(n)[:, None], M - 1)       # (n, J)
     sn, tn, sm, tm = sn[at_n], tn[at_n], sm[at_m], tm[at_m]
+    blocks = [slice(l0, l0 + _LAM_BLOCK) for l0 in range(0, L, _LAM_BLOCK)]
+
+    def steps(S, blk):
+        # _rk4_steps on a block's lanes S (3, B, columns, lanes); p and q
+        # go from (steps, J, lambdas) to (steps, lanes), stretch-major
+        cb = c[blk]
+        pq = [a.reshape(a.shape[0], -1)
+              for a in _pq(cb, sn, tn) + _pq(cb, sm, tm)]
+        return _rk4_steps(S, np.tile(cb * lams[blk], J),
+                          np.tile(cb.astype(complex), J), h, pq[:2], pq[2:])
+
     # F[j] = (Phi, Phi') of stretch j as (3, B, 3, L): row, block,
     # column, lambda
     F = np.empty((J, 3, B, 3, L), dtype=complex)
-
-    def lanes(pq):
-        # (steps, J, lambdas) -> (steps, lanes), stretch-major as the state
-        return tuple(a.reshape(a.shape[0], -1) for a in pq)
-
-    for l0 in range(0, L, _LAM_BLOCK):
-        blk = slice(l0, l0 + _LAM_BLOCK)
-        cb = c[blk]
-        lb = cb.shape[0]
+    for blk in blocks:
+        lb = c[blk].shape[0]
         S = np.zeros((3, B, 3, J, lb), dtype=complex)
         S[:, 0] = np.eye(3)[:, :, None, None]
         S = S.reshape(3, B, 3, J * lb)
-        for i in _rk4_steps(S, np.tile(cb * lams[blk], J),
-                            np.tile(cb.astype(complex), J), h,
-                            lanes(_pq(cb, sn, tn)), lanes(_pq(cb, sm, tm))):
+        for i in steps(S, blk):
             if i + 1 == last:
                 F[-1, ..., blk] = S[..., -lb:]
         F[:-1, ..., blk] = np.moveaxis(
@@ -331,14 +304,37 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
 
     Y = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
     dY = np.zeros_like(Y)
+    starts = []
     for j in range(J):
+        starts.append((Y, dY)[:B])
         Phi = F[j, :, 0]
         if with_dlambda:
             dY = _apply(Phi, dY) + _apply(F[j, :, 1], Y)
         Y = _apply(Phi, Y)
-        check(Y, min(_STRETCH * (j + 1), M))
-    out = np.stack((Y, dY)[:B])                             # (B, 3, K, L)
-    return np.ascontiguousarray(np.transpose(out, (3, 0, 1, 2)))
+        if not np.isfinite(Y).all():
+            m = min(_STRETCH * (j + 1), M)
+            raise IntegrationOverflowError(M - m if backward else m)
+    out = np.ascontiguousarray(np.moveaxis(np.stack((Y, dY)[:B]), 3, 0))
+    if not store:
+        return out
+
+    # The trajectory in sweep order; rows[j, i] is sample first[j] + i,
+    # and the rows past M that the last stretch's lanes run into are
+    # dropped.
+    traj = np.empty((J * n + 1, L, B, 3, K), dtype=complex)
+    rows = traj[:-1].reshape(J, n, L, B, 3, K)
+    starts = np.transpose(np.array(starts), (2, 1, 3, 0, 4))  # (3, B, K, J, L)
+    for blk in blocks:
+        lb = c[blk].shape[0]
+        S = starts[..., blk].reshape(3, B, K, J * lb)
+        # S as (J, lb, B, 3, K), the layout of rows[:, i, blk]
+        at = np.transpose(S.reshape(3, B, K, J, lb), (3, 4, 1, 0, 2))
+        rows[:, 0, blk] = at
+        for i in steps(S, blk):
+            if i + 1 < n:
+                rows[:, i + 1, blk] = at
+    traj[M] = out
+    return traj[M::-1] if backward else traj[:M + 1]
 
 
 def _step_matrix(p: np.ndarray, q: np.ndarray, c: np.ndarray,

@@ -3,17 +3,20 @@
 characteristic_literal forms the characteristic values from literal 2x2
 products, an independent cross-check of forward._char_arrays;
 guess_seeds seeds every Newton entry from asympt.eigen_guess, the
-reference for forward._seeds; differentiate is a fourth-order finite
-difference for checking derivatives on the grid; from_callables and
-gauge_shifted build coefficient pairs.
+reference for forward._seeds; sequential_sweep takes the RK4 steps one
+after another, the reference for quasi._loop_sweep; differentiate is a
+fourth-order finite difference for checking derivatives on the grid;
+from_callable, from_callables, dagger and gauge_shifted build grid
+functions and coefficient pairs.
 """
 
 import numpy as np
 
 from spectral3 import asympt
 from spectral3.forward import _EYE, Characteristic
-from spectral3.grid import CoefficientPair, GridFunction, _values
-from spectral3.quasi import SystemVariant, _sweep
+from spectral3.grid import (CoefficientPair, GridFunction, _values,
+                            midpoint_values)
+from spectral3.quasi import SystemVariant, _pq, _rk4_steps, _signs, _sweep
 
 
 def characteristic_literal(coeffs: CoefficientPair, lams, fams,
@@ -52,6 +55,35 @@ def guess_seeds(coeffs: CoefficientPair, ns, ks, theta) -> np.ndarray:
     return asympt.eigen_guess(ns, ks, theta)
 
 
+def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
+                     with_dlambda: bool = False,
+                     backward: bool = False) -> np.ndarray:
+    """quasi._loop_sweep's stored trajectory (M+1, L, B, 3, K) in node
+    order, from one lane per lambda running the M RK4 steps one after
+    another instead of stretches side by side.  No finite-value check."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    inits = np.asarray(inits, dtype=complex)
+    M = coeffs.grid.M
+    L, K = lams.shape[0], inits.shape[-1]
+    B = 2 if with_dlambda else 1
+    c = _signs(variant, L)
+    sn, tn = coeffs.sigma0.values, coeffs.tau1.values
+    sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
+    h = coeffs.grid.h
+    if backward:
+        sn, tn, sm, tm, h = sn[::-1], tn[::-1], sm[::-1], tm[::-1], -h
+    S = np.zeros((3, B, K, L), dtype=complex)
+    S[:, 0] = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
+    # in sweep order, written through its (3, B, K, L) view
+    traj = np.empty((M + 1, L, B, 3, K), dtype=complex)
+    rows = np.transpose(traj, (0, 3, 2, 4, 1))
+    rows[0] = S
+    for i in _rk4_steps(S, c * lams, c.astype(complex), h,
+                        _pq(c, sn, tn), _pq(c, sm, tm)):
+        rows[i + 1] = S
+    return traj[::-1] if backward else traj
+
+
 def differentiate(f):
     """Fourth-order finite-difference derivative on the grid, of a
     GridFunction or of an array of nodal values."""
@@ -69,10 +101,24 @@ def differentiate(f):
     return GridFunction(f.grid, out) if isinstance(f, GridFunction) else out
 
 
+def from_callable(grid, fn) -> GridFunction:
+    """The function of x sampled at the grid nodes."""
+    return GridFunction(grid, np.asarray([fn(x) for x in grid.nodes],
+                                         dtype=complex))
+
+
 def from_callables(grid, tau1, sigma0) -> CoefficientPair:
     """The pair sampled from two functions of x at the grid nodes."""
-    return CoefficientPair(GridFunction.from_callable(grid, tau1),
-                           GridFunction.from_callable(grid, sigma0))
+    return CoefficientPair(from_callable(grid, tau1),
+                           from_callable(grid, sigma0))
+
+
+def dagger(pair: CoefficientPair) -> CoefficientPair:
+    """The conjugate-flipped pair (conj tau1, -conj sigma0), whose DIRECT
+    system is the conjugate-flipped system of the pair."""
+    return CoefficientPair(
+        GridFunction(pair.grid, np.conj(pair.tau1.values)),
+        GridFunction(pair.grid, -np.conj(pair.sigma0.values)))
 
 
 def gauge_shifted(pair: CoefficientPair, c: complex) -> CoefficientPair:

@@ -22,8 +22,8 @@ from spectral3.grid import (CoefficientPair, GridFunction, integrate,
                             read_coefficients, write_coefficients)
 from spectral3.quasi import SystemVariant, _sweep
 
-from helpers import (characteristic_literal, from_callables, gauge_shifted,
-                     guess_seeds)
+from helpers import (characteristic_literal, dagger, from_callables,
+                     gauge_shifted, guess_seeds)
 
 # Frozen 40-digit oracles for the zero-coefficient problem y''' = lambda y.
 # The second-family eigenvalues are the zeros of C3(1, lambda) on the
@@ -387,7 +387,7 @@ def test_gauge_invariance(smooth_coeffs, smooth_data8):
 def test_dagger_spectra_relation(general_coeffs):
     # the conjugate-flipped problem swaps the families with -conj
     data = compute_spectral_data(general_coeffs, 5)
-    ddata = compute_spectral_data(general_coeffs.dagger(), 5)
+    ddata = compute_spectral_data(dagger(general_coeffs), 5)
     for n in range(1, 6):
         assert (abs(ddata.lam(n, 1) + np.conj(data.lam(n, 2)))
                 < 1e-8 * (1.0 + abs(data.lam(n, 2))))
@@ -519,6 +519,26 @@ def test_laurent_refuses_a_bad_radius(radius):
 
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         laurent_coefficients(fn, 1.0, radius=radius)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("radius", [None, 1e-3])
+@pytest.mark.parametrize("center", [_NAN, _INF, -_INF, complex(_NAN, 0.0),
+                                    complex(1.0, _NAN), complex(0.0, _INF),
+                                    complex(_INF, -_INF)])
+def test_laurent_refuses_a_non_finite_center(center, radius):
+    # refused before fn is called, whatever the radius
+    called = []
+
+    def fn(z):
+        called.append(z)
+        return np.ones(z.shape)
+
+    with pytest.raises(ValueError, match="center must be finite"):
+        laurent_coefficients(fn, center, radius=radius)
+    assert called == []
 
 
 def _aliasing_error(c, r):

@@ -10,14 +10,14 @@ from spectral3.grid import (CoefficientPair, Grid, GridFunction, cumulative,
                             read_coefficients, resample, w2m1_distance,
                             write_coefficients)
 
-from helpers import differentiate, from_callables, gauge_shifted
+from helpers import (dagger, differentiate, from_callable, from_callables,
+                     gauge_shifted)
 
 
 def test_grid_invariants():
     g = Grid(64)
     assert g.h == 1.0 / 64
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
-    assert g.midpoints.shape == (64,)
     with pytest.raises(ValueError):
         Grid(65)
     with pytest.raises(ValueError):
@@ -27,7 +27,7 @@ def test_grid_invariants():
 def test_integrate_exact_for_cubic():
     # Simpson integrates cubics exactly
     g = Grid(16)
-    f = GridFunction.from_callable(g, lambda x: x**3 - 2 * x + 1)
+    f = from_callable(g, lambda x: x**3 - 2 * x + 1)
     assert abs(integrate(f) - (0.25 - 1.0 + 1.0)) < 1e-15
 
 
@@ -35,7 +35,7 @@ def test_integrate_fourth_order():
     exact = np.exp(1.0) - 1.0
     errs = []
     for M in (64, 128):
-        f = GridFunction.from_callable(Grid(M), lambda x: np.exp(x))
+        f = from_callable(Grid(M), lambda x: np.exp(x))
         errs.append(abs(integrate(f) - exact))
     assert errs[0] < 1e-8
     # halving h gains about 2^4
@@ -44,7 +44,7 @@ def test_integrate_fourth_order():
 
 def test_cumulative_matches_antiderivative():
     g = Grid(128)
-    f = GridFunction.from_callable(g, lambda x: np.cos(2 * np.pi * x))
+    f = from_callable(g, lambda x: np.cos(2 * np.pi * x))
     F = cumulative(f)
     exact = np.sin(2 * np.pi * g.nodes) / (2 * np.pi)
     assert F.values[0] == 0.0
@@ -57,7 +57,7 @@ def test_cumulative_fourth_order_at_odd_nodes():
     errs = []
     for M in (64, 128):
         g = Grid(M)
-        f = GridFunction.from_callable(g, lambda x: np.exp(x))
+        f = from_callable(g, lambda x: np.exp(x))
         err = np.abs(cumulative(f).values - (np.exp(g.nodes) - 1.0))
         errs.append(err[1::2].max())
     assert errs[0] / errs[1] > 12.0
@@ -78,7 +78,7 @@ def test_cumulative_columns_equal_one_dimensional_calls():
 
 def test_differentiate_exact_for_cubic():
     g = Grid(32)
-    f = GridFunction.from_callable(g, lambda x: x**3 - x**2)
+    f = from_callable(g, lambda x: x**3 - x**2)
     df = differentiate(f)
     exact = 3 * g.nodes**2 - 2 * g.nodes
     assert np.abs(df.values - exact).max() < 1e-12
@@ -88,40 +88,41 @@ def test_differentiate_fourth_order():
     errs = []
     for M in (64, 128):
         g = Grid(M)
-        f = GridFunction.from_callable(g, lambda x: np.sin(3 * x))
+        f = from_callable(g, lambda x: np.sin(3 * x))
         errs.append(np.abs(differentiate(f).values - 3 * np.cos(3 * g.nodes)).max())
     assert errs[0] / errs[1] > 12.0
 
 
 def test_midpoint_values_exact_for_cubic():
     g = Grid(16)
-    f = GridFunction.from_callable(g, lambda x: (x - 0.3)**3)
-    assert np.abs(midpoint_values(f) - (g.midpoints - 0.3)**3).max() < 1e-14
+    f = from_callable(g, lambda x: (x - 0.3)**3)
+    mids = (np.arange(g.M) + 0.5) / g.M
+    assert np.abs(midpoint_values(f) - (mids - 0.3)**3).max() < 1e-14
 
 
 def test_l2_norm_values():
     g = Grid(64)
     assert abs(l2_norm(GridFunction.constant(g, 1.0)) - 1.0) < 1e-15
-    f = GridFunction.from_callable(g, lambda x: x)
+    f = from_callable(g, lambda x: x)
     assert abs(l2_norm(f) - 1.0 / np.sqrt(3.0)) < 1e-15
 
 
 def test_w2m1_mod_constant():
     g = Grid(64)
-    f = GridFunction.from_callable(g, lambda x: np.sin(2 * np.pi * x) + 0.7j)
+    f = from_callable(g, lambda x: np.sin(2 * np.pi * x) + 0.7j)
     shifted = f + GridFunction.constant(g, 3.0 - 2.0j)
     # the metric subtracts |integral|^2 before the square root, so a
     # mathematically-zero distance is resolved only to sqrt(eps)*|c|
     assert w2m1_distance(f, shifted) < 1e-6
     # against zero: ||sin - 0||^2 - |mean|^2 = 1/2
     z = GridFunction.constant(g, 0.0)
-    s = GridFunction.from_callable(g, lambda x: np.sin(2 * np.pi * x))
+    s = from_callable(g, lambda x: np.sin(2 * np.pi * x))
     assert abs(w2m1_distance(s, z) - np.sqrt(0.5)) < 1e-10
 
 
 def test_gridfunction_arithmetic():
     g = Grid(8)
-    f = GridFunction.from_callable(g, lambda x: x)
+    f = from_callable(g, lambda x: x)
     h = GridFunction.constant(g, 2.0j)
     assert np.allclose((f + h).values, g.nodes + 2.0j)
     assert np.allclose((f - h).values, g.nodes - 2.0j)
@@ -134,7 +135,7 @@ def test_coefficient_pair_gauge_and_dagger():
     shifted = gauge_shifted(pair, 5.0 - 1.0j)
     assert np.allclose(shifted.sigma0.values, pair.sigma0.values + 5.0 - 1.0j)
     assert np.allclose(shifted.tau1.values, pair.tau1.values)
-    dag = pair.dagger()
+    dag = dagger(pair)
     assert np.allclose(dag.tau1.values, np.conj(pair.tau1.values))
     assert np.allclose(dag.sigma0.values, -np.conj(pair.sigma0.values))
     with pytest.raises(ValueError):
@@ -143,7 +144,7 @@ def test_coefficient_pair_gauge_and_dagger():
 
 
 def test_resample_cubic_exact():
-    f = GridFunction.from_callable(Grid(16), lambda x: x**3 - 0.5 * x)
+    f = from_callable(Grid(16), lambda x: x**3 - 0.5 * x)
     r = resample(f, Grid(24))
     assert np.abs(r.values - (Grid(24).nodes**3 - 0.5 * Grid(24).nodes)).max() < 1e-13
     same = resample(f, Grid(16))
@@ -218,7 +219,7 @@ def test_read_coefficients_errors(tmp_path):
 def test_integrate_linear_in_f(vals, a, b):
     g = Grid(8)
     f = GridFunction(g, np.asarray(vals, dtype=complex))
-    h = GridFunction.from_callable(g, lambda x: x)
+    h = from_callable(g, lambda x: x)
     lhs = integrate(GridFunction(g, a * f.values + b * h.values))
     rhs = a * integrate(f) + b * integrate(h)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))

@@ -7,7 +7,7 @@ from spectral3.grid import CoefficientPair, Grid, GridFunction, midpoint_values
 from spectral3.quasi import (SystemVariant, _loop_sweep, _power_sweep,
                              _sweep)
 
-from helpers import differentiate, from_callables
+from helpers import differentiate, from_callables, sequential_sweep
 
 # Constant-coefficient oracle, tau1 = 1, sigma0 = 0: the equation is
 # y''' + 2y' = lambda y, and the third fundamental solution (y = y' = 0,
@@ -162,6 +162,10 @@ def test_backward_sweep_retraces_forward(general_coeffs, const_coeffs,
 # |lambda| ~ 3e3 on three rays, and points on both sides of the spectrum.
 _POWER_LAMS = np.array([3e3 * np.exp(1j * a) for a in (0.3, 1.5, 2.9)]
                        + [-30.0, 9.0, 500.0], dtype=complex)
+# Those and 34 more: 40 lambdas, two blocks of quasi._LAM_BLOCK.
+_rng = np.random.default_rng(5)
+_FORTY_LAMS = np.concatenate([_POWER_LAMS, _rng.uniform(-50, 50, 34)
+                              + 1j * _rng.uniform(-50, 50, 34)])
 
 
 @pytest.mark.parametrize("store", [False, True])
@@ -191,7 +195,9 @@ def test_power_path_matches_loop(const_coeffs, variant, with_dlambda,
 def test_batched_loop_sweep_equals_one_lambda_at_a_time(
         general_coeffs128, variant, with_dlambda, backward, store):
     # Each lambda's values do not depend on the batch it is swept in;
-    # the weight numbers read Newton's batched evaluations on this.
+    # the weight numbers read Newton's batched evaluations on this.  The
+    # 40-lambda batch runs in two blocks of the stretch lanes, the second
+    # of them ragged.
     def sweep(lams):
         res = _sweep(general_coeffs128, variant, lams, np.eye(3),
                      with_dlambda=with_dlambda, backward=backward,
@@ -199,10 +205,11 @@ def test_batched_loop_sweep_equals_one_lambda_at_a_time(
         return res if with_dlambda else (res,)
 
     lam_axis = 1 if store else 0
-    batch = sweep(_POWER_LAMS)
-    for i, lam in enumerate(_POWER_LAMS):
-        for got, ref in zip(batch, sweep(np.array([lam]))):
-            assert np.array_equal(np.take(got, [i], axis=lam_axis), ref)
+    for lams in (_POWER_LAMS, _FORTY_LAMS):
+        batch = sweep(lams)
+        for i, lam in enumerate(lams):
+            for got, ref in zip(batch, sweep(np.array([lam]))):
+                assert np.array_equal(np.take(got, [i], axis=lam_axis), ref)
 
 
 @pytest.mark.parametrize("store", [False, True])
@@ -321,34 +328,40 @@ def ragged_coeffs():
 @pytest.mark.parametrize("ragged", [False, True])
 def test_stretch_lanes_equal_the_sequential_sweep(
         general_coeffs128, ragged_coeffs, ragged, with_dlambda, backward):
-    # An end-value sweep chains the propagators of its stretches; a stored
-    # sweep runs the steps one after another.  They differ by rounding
-    # only: <= 1e-13 of each lambda's row maximum, for 40 lambdas in two
-    # blocks, mixed variants and per-lambda initial values.
+    # The stretch lanes against the M steps taken one after another: every
+    # node of a stored sweep and the end values of an end-value sweep
+    # differ by rounding only, <= 1e-13 of each lambda's row maximum, for
+    # 40 lambdas in two blocks, mixed variants and per-lambda initial
+    # values.
     coeffs = ragged_coeffs if ragged else general_coeffs128
     rng = np.random.default_rng(5)
-    lams = np.concatenate([_POWER_LAMS, rng.uniform(-50, 50, 34)
-                           + 1j * rng.uniform(-50, 50, 34)])
-    c = np.resize([1.0, -1.0, -1.0], len(lams))
-    inits = rng.normal(size=(len(lams), 3, 2)) + 1j * rng.normal(
-        size=(len(lams), 3, 2))
-    ends = _sweep(coeffs, c, lams, inits, with_dlambda=with_dlambda,
-                  backward=backward)
-    traj = _sweep(coeffs, c, lams, inits, with_dlambda=with_dlambda,
-                  backward=backward, store=True)
+    L = len(_FORTY_LAMS)
+    c = np.resize([1.0, -1.0, -1.0], L)
+    inits = rng.normal(size=(L, 3, 2)) + 1j * rng.normal(size=(L, 3, 2))
+    args = (coeffs, c, _FORTY_LAMS, inits)
+    kw = dict(with_dlambda=with_dlambda, backward=backward)
+    ends = _sweep(*args, **kw)
+    traj = _sweep(*args, store=True, **kw)
+    ref = sequential_sweep(*args, **kw)                  # (M+1, L, B, 3, K)
+    if not with_dlambda:
+        ends, traj = (ends,), (traj,)
     end = 0 if backward else -1
-    for got, ref in zip(*((ends, traj) if with_dlambda else ([ends], [traj]))):
-        ref = ref[end].reshape(len(lams), -1)
-        got = got.reshape(len(lams), -1)
-        scale = np.abs(ref).max(axis=1)
-        assert (np.abs(got - ref).max(axis=1) <= 1e-13 * scale).all()
+    for b in range(ref.shape[2]):
+        rows = np.moveaxis(ref[:, :, b], 1, 0).reshape(L, -1)
+        scale = np.abs(rows).max(axis=1)
+        got = np.moveaxis(traj[b], 1, 0).reshape(L, -1)
+        assert (np.abs(got - rows).max(axis=1) <= 1e-13 * scale).all()
+        rows = ref[end, :, b].reshape(L, -1)
+        scale = np.abs(rows).max(axis=1)
+        got = ends[b].reshape(L, -1)
+        assert (np.abs(got - rows).max(axis=1) <= 1e-13 * scale).all()
 
 
 @pytest.mark.parametrize("backward", [False, True])
 def test_nan_in_the_ragged_last_stretch(ragged_coeffs, backward):
     # The last stretch in sweep order holds nodes 96..100 forward and
-    # 4..0 backward; a NaN there is reported at its end node, as the
-    # sequential sweep reports it.
+    # 4..0 backward; a NaN there is reported at its end node, by stored
+    # and end-value sweeps alike.
     vals = ragged_coeffs.sigma0.values.copy()
     vals[2 if backward else 98] = np.nan
     pair = CoefficientPair(ragged_coeffs.tau1,
