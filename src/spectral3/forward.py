@@ -94,6 +94,15 @@ _BETA_SNAP = 1e-5
 _POLE_TOL = 1e-10
 _CONTOUR_POINTS = 32
 
+# The pole guard sweeps dDelta/dlambda only at the suspects, the lambdas
+# with |Delta| <= _SUSPECT ||row||, ||row|| = max(|delta|, |numer|,
+# |gamma_numer|), the top row of the fundamental matrix.  Its test
+# |Delta| <= _POLE_TOL (1 + |lambda|) |dDelta| can pass only at a suspect
+# while (1 + |lambda|) |dDelta| <= 1000 ||row||; measured, it stayed
+# below 0.14 ||row|| on 1000 lambdas up to the resolution guard at
+# M = 512 (zero, smooth and general pairs, both variants and families).
+_SUSPECT = 1e-7
+
 # Newton seeds of the entries n >= _MODEL_SEED_FROM come from the constant
 # model (_seeds).  Measured on perfbench bank pairs 0-7 and
 # data/smooth.csv at n_max 30, M = 512: from asympt.eigen_guess every
@@ -509,14 +518,46 @@ def load_spectral_data(path) -> SpectralData:
 # Weyl matrices and solutions
 
 
-def _pole_guard(num: np.ndarray, den: np.ndarray, lams: np.ndarray,
-                label: str) -> None:
-    # |Delta/dDelta| estimates the distance to the nearest root.
-    near = np.abs(num) <= _POLE_TOL * (1.0 + np.abs(lams)) * np.abs(den)
-    if near.any():
-        lam = complex(lams[int(np.flatnonzero(near)[0])])
-        raise NearPoleError(
-            "lambda=%s is numerically at a zero of %s" % (lam, label))
+def _lambda_points(lams) -> np.ndarray:
+    """lams, a scalar or a 1-D array, as a 1-D complex array; any other
+    shape or a non-finite lambda is refused (ValueError) before a
+    sweep."""
+    z = np.asarray(lams, dtype=complex)
+    if z.ndim > 1:
+        raise ValueError("lambdas must be a scalar or a 1-D array, "
+                         "got shape %s" % (z.shape,))
+    z = np.atleast_1d(z)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError("lambda must be finite, got %s at index %d"
+                         % (complex(z[bad[0]]), bad[0]))
+    return z
+
+
+def _pole_guard(coeffs: CoefficientPair, lams: np.ndarray, fams,
+                variant: SystemVariant, a: Characteristic,
+                labels: dict) -> None:
+    """Raise NearPoleError naming the first lambda numerically at a zero
+    of its family's Delta_{k,k}: |Delta| <= _POLE_TOL (1 + |lambda|)
+    |dDelta|, where |Delta/dDelta| estimates the distance to the root.
+
+    a is the plain record at lams, fams the family of each lambda (as
+    for _char_arrays) and labels[k] the name of family k's Delta in the
+    message.  Only the suspects, |Delta| <= _SUSPECT ||row||, are swept
+    again, in one d/dlambda sweep, and tested.
+    """
+    row = np.abs([a.delta, a.numer, a.gamma_numer]).max(axis=0)
+    idx = np.flatnonzero(np.abs(a.delta) <= _SUSPECT * row)
+    if not idx.size:
+        return
+    fams = np.broadcast_to(fams, lams.shape)[idx]
+    d = _char_arrays(coeffs, lams[idx], fams, variant, with_dlambda=True)
+    near = np.flatnonzero(np.abs(d.delta) <= _POLE_TOL
+                          * (1.0 + np.abs(lams[idx])) * np.abs(d.ddelta))
+    if near.size:
+        j = near[0]
+        raise NearPoleError("lambda=%s is numerically at a zero of %s"
+                            % (complex(lams[idx[j]]), labels[int(fams[j])]))
 
 
 def weyl_matrix(coeffs: CoefficientPair, lams,
@@ -524,16 +565,19 @@ def weyl_matrix(coeffs: CoefficientPair, lams,
     """Lower unitriangular matrices of the Weyl functions.
 
     lams is a scalar, giving (3, 3), or a 1-D array of L points, giving
-    (L, 3, 3) from one sweep of 2L, both families at every point.
-    Raises NearPoleError naming the first lambda at a pole.
+    (L, 3, 3) from one plain sweep of 2L, both families at every point;
+    another shape or a non-finite lambda raises ValueError.  Raises
+    NearPoleError naming the first lambda at a pole, family 1 before
+    family 2, from a d/dlambda sweep of the few points near a zero of
+    Delta_{k,k} (_pole_guard).
     """
-    z = np.atleast_1d(np.asarray(lams, dtype=complex))
+    z = _lambda_points(lams)
     L = z.shape[0]
-    a = _char_arrays(coeffs, np.tile(z, 2), np.repeat([1, 2], L), variant,
-                     with_dlambda=True)
+    lam2, fams = np.tile(z, 2), np.repeat([1, 2], L)
+    a = _char_arrays(coeffs, lam2, fams, variant)
+    _pole_guard(coeffs, lam2, fams, variant, a,
+                {1: "Delta_{1,1}", 2: "Delta_{2,2}"})
     a1, a2 = a.take(slice(L)), a.take(slice(L, None))
-    _pole_guard(a1.delta, a1.ddelta, z, "Delta_{1,1}")
-    _pole_guard(a2.delta, a2.ddelta, z, "Delta_{2,2}")
     m = np.broadcast_to(_EYE, (L, 3, 3)).copy()
     m[:, 1, 0] = -a1.numer / a1.delta
     m[:, 2, 0] = -a1.gamma_numer / a1.delta
@@ -555,18 +599,21 @@ def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
     solution from (0, 0, 1) at x = 1, normalized to y(0) = 1; Phi_2 is
     integrated backward from terminal data where it does not grow
     (middle exponent non-positive) and forward as C_2 + M_{3,2} C_3
-    otherwise.  Characteristic family k is swept for Phi_1 and Phi_2
-    (the pole guard, and M_{3,2} = -Delta_{3,2}/Delta_{2,2}); Phi_3
-    needs none.
+    otherwise.  Characteristic family k is swept plain for Phi_1 and
+    Phi_2 (the pole guard, which sweeps d/dlambda only near a zero of
+    Delta_{k,k}, and M_{3,2} = -Delta_{3,2}/Delta_{2,2}); Phi_3 needs
+    none.  lams is a scalar or a 1-D array of finite lambdas (ValueError
+    otherwise).
     """
     if k not in (1, 2, 3):
         raise ValueError("no Weyl solution Phi_%s" % k)
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    lams = _lambda_points(lams)
     if k == 3:
         full = _sweep(coeffs, variant, lams, _E3, store=True)
         return np.transpose(full[:, :, :, 0], (1, 0, 2))
-    a = _char_arrays(coeffs, lams, k, variant, with_dlambda=True)
-    _pole_guard(a.delta, a.ddelta, lams, "the k=%d characteristic" % k)
+    a = _char_arrays(coeffs, lams, k, variant)
+    _pole_guard(coeffs, lams, k, variant, a,
+                {k: "the k=%d characteristic" % k})
     if k == 1:
         u = _sweep(coeffs, variant, lams, _E3, backward=True,
                    store=True)[:, :, :, 0]
@@ -632,8 +679,9 @@ def laurent_coefficients(fn, center: complex, radius: float | None = None):
     like 1/sqrt(P).  Against a 256-point contour on a general pair
     (n <= 6, both families, M = 512) the worst relative deviation of
     A_{-1} and A_0 was 1.7e-10, 7.9e-11 and 5.3e-11 at P = 16, 32 and
-    64.  At P = 32 weyl_matrix sweeps 2P = 64 lambdas, two full blocks
-    of quasi._LAM_BLOCK.
+    64.  At P = 32 weyl_matrix takes one plain sweep of 2P = 64 lambdas,
+    two full blocks of quasi._LAM_BLOCK: a contour point lies too far
+    from the pole for the guard's d/dlambda sweep.
     """
     if not np.isfinite(center):
         raise ValueError("contour center must be finite, got %r" % (center,))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral3 import asympt, forward
+from spectral3 import asympt, forward, quasi
 from spectral3.cli import main
 from spectral3.errors import (BasinEscapeError, DerivativeVanishesError,
                               GammaZeroError, NearPoleError,
@@ -24,6 +24,8 @@ from spectral3.quasi import SystemVariant, _sweep
 
 from helpers import (characteristic_literal, dagger, from_callables,
                      gauge_shifted, guess_seeds)
+
+_NAN, _INF = float("nan"), float("inf")
 
 # Frozen 40-digit oracles for the zero-coefficient problem y''' = lambda y.
 # The second-family eigenvalues are the zeros of C3(1, lambda) on the
@@ -412,6 +414,118 @@ def test_weyl_matrix_pole_guard(zero_coeffs, zero_data6):
         weyl_matrix(zero_coeffs, [7.0 + 5.0j, pole, -20.0 + 3.0j])
 
 
+@pytest.fixture(scope="module")
+def guard_pairs(smooth_coeffs, smooth_data20, general_coeffs, zero_coeffs):
+    # (coeffs, spectral data at n_max 20) of three pairs at M = 512
+    return {"smooth": (smooth_coeffs, smooth_data20),
+            "general": (general_coeffs,
+                        compute_spectral_data(general_coeffs, 20)),
+            "zero": (zero_coeffs, compute_spectral_data(zero_coeffs, 20))}
+
+
+def _derivative_verdict(coeffs, lams, k, variant):
+    # the pole test on a d/dlambda sweep of every point: |Delta| <=
+    # _POLE_TOL (1 + |lambda|) |dDelta| in family k
+    a = _char_arrays(coeffs, lams, k, variant, with_dlambda=True)
+    return (np.abs(a.delta)
+            <= forward._POLE_TOL * (1.0 + np.abs(lams)) * np.abs(a.ddelta))
+
+
+# relative offsets of the test points from an eigenvalue
+_GUARD_OFFSETS = np.array([0.0, 1e-12, -1e-12, 1e-11 * np.exp(0.7j), 1e-10,
+                           1e-9, 1e-6])
+
+
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+@pytest.mark.parametrize("name", ["smooth", "general", "zero"])
+def test_pole_guard_keeps_the_derivative_verdict(guard_pairs, name,
+                                                 variant):
+    # The guard screens with the plain record and tests only the
+    # suspects on a d/dlambda sweep.  At lambda_{n,k}(1 + delta), n in
+    # {1, 3, 6, 20}, both k, it raises NearPoleError iff the derivative
+    # test, taken on a d/dlambda sweep of every point, flags, and names
+    # the same lambda: per point, and for the whole batch the first
+    # flagged one, family 1 before family 2.  The STAR poles of family k
+    # are the eigenvalues of family 3 - k, so in STAR the first point
+    # flags family 2 only.
+    coeffs, data = guard_pairs[name]
+    roots = data.lambdas[[0, 2, 5, 19]].ravel()
+    lams = (roots[:, None] * (1.0 + _GUARD_OFFSETS)).ravel()
+    near = {k: _derivative_verdict(coeffs, lams, k, variant) for k in (1, 2)}
+    either = near[1] | near[2]
+    assert near[1].any() and near[2].any() and not either.all()
+
+    def raises_at(call, lam, label):
+        with pytest.raises(NearPoleError,
+                           match=re.escape("lambda=%s is numerically at a "
+                                           "zero of %s" % (lam, label))):
+            call()
+
+    def delta(k):
+        return "Delta_{%d,%d}" % (k, k)
+
+    k = 1 if near[1].any() else 2
+    raises_at(lambda: weyl_matrix(coeffs, lams, variant),
+              lams[np.flatnonzero(near[k])[0]], delta(k))
+    weyl_matrix(coeffs, lams[~either], variant)
+    for z, k in zip(lams[either], np.where(near[1], 1, 2)[either]):
+        raises_at(lambda: weyl_matrix(coeffs, z, variant), z, delta(k))
+    for k in (1, 2):
+        label = "the k=%d characteristic" % k
+        raises_at(lambda: weyl_batch(coeffs, lams, variant, k),
+                  lams[np.flatnonzero(near[k])[0]], label)
+        weyl_batch(coeffs, lams[~near[k]], variant, k)
+        for z in lams[near[k]]:
+            raises_at(lambda: weyl_batch(coeffs, z, variant, k), z, label)
+
+
+def test_pole_guard_premise(guard_pairs):
+    # The guard can fire only at a suspect while (1 + |lambda|) |dDelta|
+    # <= 1000 ||row||, ||row|| the largest of |delta|, |numer| and
+    # |gamma_numer|.  Checked here against 1 ||row|| (measured below
+    # 0.14) on 1000 lambdas per pair with |lambda|^(1/3) up to the
+    # resolution guard, in all directions, of both families, half of
+    # them in each variant.
+    rng = np.random.default_rng(2701)
+    M = guard_pairs["zero"][0].grid.M
+    rho = rng.uniform(0.0, quasi._RESOLUTION_FACTOR * M, 1000)
+    lams = rho ** 3 * np.exp(2j * np.pi * rng.uniform(size=1000))
+    fams = rng.integers(1, 3, size=1000)
+    halves = (slice(500), slice(500, None))
+    for coeffs, _ in guard_pairs.values():
+        assert coeffs.grid.M == M
+        for variant, part in zip(SystemVariant, halves):
+            a = _char_arrays(coeffs, lams[part], fams[part], variant,
+                             with_dlambda=True)
+            row = np.abs([a.delta, a.numer, a.gamma_numer]).max(axis=0)
+            q = (1.0 + np.abs(lams[part])) * np.abs(a.ddelta) / row
+            assert q.max() <= 1.0
+    assert round(forward._SUSPECT / forward._POLE_TOL) >= 1000
+
+
+@pytest.mark.parametrize("lams, message", [
+    (np.ones((2, 2)), "got shape (2, 2)"),
+    (np.ones((1, 3)), "got shape (1, 3)"),
+    (np.ones((3, 1), dtype=complex), "got shape (3, 1)"),
+    (_NAN, "got (nan+0j) at index 0"),
+    (_INF, "got (inf+0j) at index 0"),
+    (complex(1.0, -_INF), "got (1-infj) at index 0"),
+    ([4.0, 5.0j, _NAN, _INF], "got (nan+0j) at index 2"),
+    (np.array([9.0, -_INF]), "got (-inf+0j) at index 1"),
+])
+def test_weyl_refuses_bad_lambdas(general_coeffs128, sweep_calls, lams,
+                                  message):
+    # refused before any sweep, by weyl_matrix and by weyl_batch for
+    # every k
+    calls = [functools.partial(weyl_matrix, general_coeffs128)] + [
+        functools.partial(weyl_batch, general_coeffs128,
+                          variant=SystemVariant.STAR, k=k) for k in (1, 2, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(lams)
+    assert sweep_calls == []
+
+
 def _fundamental(coeffs, variant, lam):
     """C_1, C_2, C_3 at one lambda: (M+1, 3, 3) over node, order,
     solution."""
@@ -521,9 +635,6 @@ def test_laurent_refuses_a_bad_radius(radius):
         laurent_coefficients(fn, 1.0, radius=radius)
 
 
-_NAN, _INF = float("nan"), float("inf")
-
-
 @pytest.mark.parametrize("radius", [None, 1e-3])
 @pytest.mark.parametrize("center", [_NAN, _INF, -_INF, complex(_NAN, 0.0),
                                     complex(1.0, _NAN), complex(0.0, _INF),
@@ -626,24 +737,88 @@ def test_gamma_from_weight_batch_matches_weight_gamma(coinciding_coeffs):
     assert abs(data.gamma[1] - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.fixture
+def char_calls(monkeypatch):
+    # (lambda count, family of each lambda, with_dlambda) of every
+    # forward._char_arrays call
+    calls = []
+    inner = forward._char_arrays
+
+    def recording(coeffs, lams, fams, variant=SystemVariant.DIRECT,
+                  with_dlambda=False):
+        L = np.atleast_1d(lams).shape[0]
+        calls.append((L, np.broadcast_to(fams, (L,)).tolist(), with_dlambda))
+        return inner(coeffs, lams, fams, variant, with_dlambda)
+
+    monkeypatch.setattr(forward, "_char_arrays", recording)
+    return calls
+
+
 @pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
 def test_weyl_batch_sweeps_only_the_family_it_reads(general_coeffs128,
-                                                    variant, sweep_calls):
-    # Phi_1 reads characteristic family 1, Phi_2 family 2, Phi_3 neither;
-    # -30 and 9 - 6i take opposite Phi_2 routes in either variant
+                                                    variant, sweep_calls,
+                                                    char_calls):
+    # Phi_1 reads characteristic family 1, Phi_2 family 2, Phi_3 neither,
+    # each in one plain sweep; away from a pole nothing is swept with
+    # d/dlambda.  -30 and 9 - 6i take opposite Phi_2 routes in either
+    # variant.
     for lam in (-30.0, 9.0 - 6.0j):
         for k in (1, 2, 3):
             sweep_calls.clear()
+            char_calls.clear()
             batch = weyl_batch(general_coeffs128, [lam], variant, k)
-            assert [c for c in sweep_calls if c[1]] == (
-                [] if k == 3 else [(1, True, False)])
+            assert [c for c in sweep_calls if c[1]] == []
+            assert char_calls == ([] if k == 3 else [(1, [k], False)])
             assert batch.shape == (1, general_coeffs128.grid.M + 1, 3)
 
 
 def test_weyl_matrix_sweeps_both_families_once(general_coeffs128,
                                                sweep_calls):
     weyl_matrix(general_coeffs128, np.array([-30.0, 9.0 - 6.0j, 40.0j]))
-    assert sweep_calls == [(6, True, False)]
+    assert sweep_calls == [(6, False, False)]
+
+
+def test_pole_guard_sweeps_only_the_suspects_again(general_coeffs128,
+                                                   sweep_calls, char_calls):
+    # At a pole one plain sweep of every point is followed by one
+    # d/dlambda sweep of the points near a zero of their family's
+    # Delta_{k,k}: here lambda_{1,1} in family 1 and lambda_{1,2} in
+    # family 2, of 8 (point, family) pairs.
+    data = compute_spectral_data(general_coeffs128, 1)
+    p1, p2 = data.lam(1, 1), data.lam(1, 2)
+    lams = np.array([7.0 + 5.0j, p1, -20.0 + 3.0j, p2])
+    sweep_calls.clear()
+    char_calls.clear()
+    with pytest.raises(NearPoleError,
+                       match=re.escape("lambda=%s is numerically at a zero "
+                                       "of Delta_{1,1}" % p1)):
+        weyl_matrix(general_coeffs128, lams)
+    assert sweep_calls == [(8, False, False), (2, True, False)]
+    assert char_calls == [(8, [1] * 4 + [2] * 4, False), (2, [1, 2], True)]
+    for k, pole in ((1, p1), (2, p2)):
+        sweep_calls.clear()
+        char_calls.clear()
+        with pytest.raises(NearPoleError,
+                           match=re.escape("lambda=%s is numerically at a "
+                                           "zero of the k=%d characteristic"
+                                           % (pole, k))):
+            weyl_batch(general_coeffs128, lams, SystemVariant.DIRECT, k)
+        assert sweep_calls == [(4, False, False), (1, True, False)]
+        assert char_calls == [(4, [k] * 4, False), (1, [k], True)]
+
+
+@pytest.mark.parametrize("name", ["smooth", "general"])
+def test_laurent_contour_is_one_plain_sweep(guard_pairs, sweep_calls, name):
+    # The 32 contour points around lambda_{n,k}, n <= 6, sit too far from
+    # the pole for the guard's d/dlambda sweep: the Weyl matrices of a
+    # contour are one plain sweep of 64 lambdas.
+    coeffs, data = guard_pairs[name]
+    fn = functools.partial(weyl_matrix, coeffs)
+    for n in range(1, 7):
+        for k in (1, 2):
+            sweep_calls.clear()
+            laurent_coefficients(fn, data.lam(n, k))
+            assert sweep_calls == [(64, False, False)]
 
 
 def test_joint_newton_sweeps_both_families_once_per_iteration(
