@@ -188,11 +188,11 @@ def cmd_stability(args) -> int:
     grid = _grid(args.grid)
     data = load_spectral_data(args.data)
     N = args.big_n if args.big_n is not None else data.n_max
-    entries = tuple(_parse_perturb(s) for s in (args.perturb or ["beta:1,1"]))
+    entries = ({} if args.perturb is None else
+               {"entries": tuple(_parse_perturb(s) for s in args.perturb)})
     deltas = ([float(t) for t in args.deltas.split(",")]
               if args.deltas else None)
-    rows = stability_experiment(data, grid, N, entries=entries,
-                                deltas=deltas)
+    rows = stability_experiment(data, grid, N, deltas=deltas, **entries)
     header = ["delta", "d", "tau1_l2", "sigma0_w2m1",
               "tau1_ratio", "sigma0_ratio", "status"]
     _write_rows(args.out, header, rows)

@@ -8,8 +8,9 @@ given data and eps = 1 the model data; for each grid node the system
 
     phi_{v0} - sum_v (-1)^eps(v) G_{v,v0} phi_v = tilde_phi_{v0}
 
-is solved for phi with one LU factorization per node; the same factors
-solve the differentiated system for phi'.  assemble keeps only the small
+is solved for phi with one LU factorization per node; the differentiated
+system has the same matrix, so phi' = A^-1 tilde_phi' + s phi with the
+scalar s = sum_v (-1)^eps(v) eta_v phi_v.  assemble keeps only the small
 kernel factors; solve_phi builds the node matrices from them one block of
 nodes at a time, so the (M+1, 4N, 4N) stack of all of them is never held.
 Only the LAPACK calls run node by node; the work around them runs over
@@ -66,10 +67,10 @@ _KERNEL_SWITCH = 1e-6
 _RCOND_FLOOR = 1e-13
 
 # Nodes per block of solve_phi.  A block's node matrices are built
-# already scaled from weighted kernel factors and factorized, 2 x 8 x
-# (4N)^2 complex entries (2.4 MB at N = 24); they are the only copy of
-# the matrices the solve holds.  16 nodes were no faster and raised the
-# inverse peak RSS by 3.4 MB.
+# already scaled from weighted kernel factors, 8 x (4N)^2 complex entries
+# (1.2 MB at N = 24), and factorized one at a time; with one LU factor
+# they are the only copies of the matrices the solve holds.  16 nodes
+# were no faster and raised the inverse peak RSS by 3.4 MB.
 _NODE_BLOCK = 8
 
 # Breach threshold of the verify_weyl checks.
@@ -289,21 +290,21 @@ def solve_phi(assembly: MainAssembly):
 
     At node x_m the scaled matrix Ahat = A(x_m) (w_v / w_v0), with
     w = exp(rates x_m), is LU-factorized once; its reciprocal condition
-    number (1-norm) must stay above _RCOND_FLOOR.  The same factors solve
-    Ahat xhat = tilde_phi / w, giving phi = w xhat, and then the
-    differentiated system A phi' = tilde_phi' + tilde_phi s with
-    s = sum_v (-1)^eps(v) eta_v phi_v.  diag holds the smallest rcond, the
-    first node where it occurs, its inverse, and the largest relative
-    residual of the phi solve.
+    number (1-norm) must stay above _RCOND_FLOOR.  The factors solve
+    Ahat xhat = tilde_phi / w and Ahat yhat = tilde_phi' / w, one column
+    each; phi = w xhat and, as the differentiated system A phi' =
+    tilde_phi' + tilde_phi s with s = sum_v (-1)^eps(v) eta_v phi_v has
+    the same matrix, phi' = w yhat + s phi.  diag holds the smallest
+    rcond, the first node where it occurs, its inverse, and the largest
+    relative residual of the phi solve.
 
     w, tilde_phi / w and tilde_phi' / w are (M+1, 4N) arrays over the
-    whole grid, and the solutions xhat are written into two more.  The
-    nodes run in blocks of _NODE_BLOCK: assembly.node_matrices builds
-    each block's Ahat already scaled, the weights, signs and 1 / (mu -
-    lam) applied to the kernel factors, so no more than one block of
-    matrices exists at a time; norms, residuals and the right-hand sides
-    of phi' are array operations on a block; only the LAPACK
-    getrf/gecon/getrs calls run node by node.
+    whole grid, and xhat and yhat are written into two more.  The nodes
+    run in blocks of _NODE_BLOCK: assembly.node_matrices builds each
+    block's Ahat already scaled, the weights, signs and 1 / (mu - lam)
+    applied to the kernel factors, so one block of matrices and one LU
+    factorization exist at a time; norms and residuals are array
+    operations on a block; only the LAPACK calls run node by node.
     """
     grid = assembly.grid
     M = grid.M
@@ -312,11 +313,11 @@ def solve_phi(assembly: MainAssembly):
     w = np.exp(grid.nodes[:, None] * assembly.rates)
     b1 = np.divide(assembly.tilde_phi.T, w, order="C")
     b2 = np.divide(assembly.tilde_dphi.T, w, order="C")
-    # the solutions xhat and x2 go straight into the outputs, node-major
+    # the solutions xhat and yhat go straight into the outputs, node-major
     # views of phi and dphi, which are scaled by w once all are solved
     phi = np.empty((size, M + 1), dtype=complex)
     dphi = np.empty_like(phi)
-    xhat, x2 = phi.T, dphi.T
+    xhat, yhat = phi.T, dphi.T
     # imported in its only caller, so that runs which never solve the main
     # system skip loading scipy.linalg (about 27 MB and 0.3 s)
     from scipy.linalg import get_lapack_funcs
@@ -330,7 +331,6 @@ def solve_phi(assembly: MainAssembly):
         # column sums over the non-contiguous axis add sequentially, in the
         # order of a single matrix's sum(axis=0)
         anorm = np.abs(Ahat).sum(axis=1).max(axis=1)
-        factors = []
         for i, m in enumerate(range(block.start, block.stop)):
             lu, piv, _ = getrf(Ahat[i])
             rcond = float(gecon(lu, anorm[i])[0])
@@ -338,8 +338,9 @@ def solve_phi(assembly: MainAssembly):
                 raise SingularSystemError(m, rcond)
             if rcond < rcond_min:
                 rcond_min, rcond_node = rcond, m
+            # one column per getrs: a two-column call took 35x as long
             xhat[m] = getrs(lu, piv, b1[m])[0]
-            factors.append((lu, piv))
+            yhat[m] = getrs(lu, piv, b2[m])[0]
         xb = np.ascontiguousarray(xhat[block])
         # einsum, not matmul: a stacked matrix-vector matmul calls BLAS
         # gemv, which OpenBLAS splits over two threads from (4N)^2 = 4096
@@ -348,16 +349,11 @@ def solve_phi(assembly: MainAssembly):
         res = (np.abs(Ax - b1[block]).max(axis=1)
                / (1.0 + np.abs(b1[block]).max(axis=1)))
         residual_max = max(residual_max, float(res.max()))
-
-        # a contiguous row sums pairwise, in the order of one node's 1-D sum
-        eta = np.ascontiguousarray(assembly.eta[:, block].T)
-        s = (assembly.signs * eta * (w[block] * xb)).sum(axis=1)
-        rhs = b2[block] + b1[block] * s[:, None]
-        for i, (lu, piv) in enumerate(factors):
-            x2[start + i] = getrs(lu, piv, rhs[i])[0]
-        del Ahat, factors  # before the next block's are built
+        del Ahat  # before the next block's are built
     phi *= w.T
+    s = (assembly.signs[:, None] * assembly.eta * phi).sum(axis=0)
     dphi *= w.T
+    dphi += s * phi
     diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
             "cond_max": 1.0 / rcond_min, "residual_max": residual_max}
     return phi, dphi, diag
@@ -435,23 +431,23 @@ def run_inverse(data: SpectralData, grid: Grid, N: int,
 def verify_spectral(coeffs: CoefficientPair, data: SpectralData, N: int,
                     rtol: float = 1e-3) -> dict:
     """Rerun the forward map on a reconstructed pair and compare
-    eigenvalues and weight numbers, n <= N against the data and the next
-    four indices against the model build_model makes for the data.  rtol,
-    the breach threshold of both relative gaps, must be finite and
-    positive."""
+    eigenvalues and weight numbers, n <= N against the data and the rest
+    against the model build_model makes for the data.  rtol, the breach
+    threshold of both relative gaps, must be finite and positive."""
     if not 0.0 < rtol < np.inf:
         raise ValueError("verify tolerance must be a finite number > 0, "
                          "got %r" % (rtol,))
     model_data = build_model(data, coeffs.tau1.grid, N).model_data
-    rec = compute_spectral_data(coeffs, N + 4)
-    # n <= N against the data, the next four indices against the model
+    n_max = model_data.n_max
+    rec = compute_spectral_data(coeffs, n_max)
+    # n <= N against the data, the model's indices past N against it
     dl, db = spectral_gaps(rec, data, N, relative=True)
-    tl, tb = spectral_gaps(rec, model_data, N + 4, relative=True)
+    tl, tb = spectral_gaps(rec, model_data, n_max, relative=True)
     dl, db = np.vstack([dl, tl[N:]]), np.vstack([db, tb[N:]])
     entries = [{"n": n, "k": k, "lambda_rel": float(dl[n - 1, k - 1]),
                 "beta_rel": float(db[n - 1, k - 1]),
                 "reference": "data" if n <= N else "model"}
-               for n in range(1, N + 5) for k in (1, 2)]
+               for n in range(1, n_max + 1) for k in (1, 2)]
     lam_max, beta_max = float(dl[:N].max()), float(db[:N].max())
     report = {
         "mode": "spectral",

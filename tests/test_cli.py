@@ -133,6 +133,16 @@ def test_stability_ladder(tmp_path, smooth_json):
     assert abs(r1 / r2 - 1.0) < 0.5
 
 
+def test_stability_default_perturbs_beta_11(tmp_path, smooth_json):
+    # without --perturb the ladder is stability_experiment's default,
+    # beta_{1,1}, written byte for byte as when that entry is named
+    outs = [tmp_path / name for name in ("default.csv", "named.csv")]
+    for out, flags in zip(outs, ([], ["--perturb", "beta:1,1"])):
+        assert main(["stability", "--data", smooth_json, "--big-n", "3",
+                     "--deltas", "1e-2", *flags, "--out", str(out)]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+
+
 @pytest.mark.parametrize("spec", ["theta:1,1", "beta:9,1", "beta:1,3",
                                   "beta:4,1"])
 def test_stability_rejects_bad_perturb(tmp_path, smooth_json, capsys, spec):

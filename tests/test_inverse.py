@@ -339,6 +339,35 @@ def test_solve_phi_matches_per_node_reference(smooth_data8, cache4, grid512,
     assert ei.value.node == 0
 
 
+def test_solve_phi_makes_one_lapack_pass_per_node(smooth_data8, cache4,
+                                                  monkeypatch):
+    # each node is finished before the next is factored: getrf, gecon,
+    # then one single-column getrs for phi and one for phi', so no
+    # factorization waits for a second pass and no getrs gets a
+    # two-column right-hand side
+    calls = []
+
+    def recording(names, arrays=(), **kw):
+        def wrap(name, func):
+            def call(*args, **kwargs):
+                calls.append((name, np.ndim(args[2]) if name == "getrs"
+                              else None))
+                return func(*args, **kwargs)
+            return call
+        return [wrap(name, func)
+                for name, func in zip(names, get_lapack_funcs(names, arrays,
+                                                              **kw))]
+
+    monkeypatch.setattr("scipy.linalg.get_lapack_funcs", recording)
+    assembly = assemble(smooth_data8, cache4, 4)
+    solve_phi(assembly)
+    nodes = assembly.grid.M + 1
+    assert [name for name, _ in calls] == ["getrf", "gecon", "getrs",
+                                           "getrs"] * nodes
+    rhs_ndim = [ndim for name, ndim in calls if name == "getrs"]
+    assert rhs_ndim == [1] * (2 * nodes)
+
+
 def _pairwise_A(data, cache, N):
     # the main-system matrix entry by entry from kernel_D above:
     # A[m, v0, v] = delta - (-1)^eps(v) G_{v,v0}(x_m)
@@ -480,6 +509,18 @@ def test_verify_spectral_passes(result4, smooth_data8):
     assert report["K_match"]
     assert report["lambda_rel_max"] < 1e-3
     assert report["breaches"] == []
+
+
+def test_verify_spectral_tail_is_the_model_margin(result4, smooth_data8,
+                                                  monkeypatch):
+    # the entries past N are the ones build_model makes, however many
+    full = verify_spectral(result4.coeffs, smooth_data8, 4)
+    monkeypatch.setattr("spectral3.model._MODEL_MARGIN", 2)
+    report = verify_spectral(result4.coeffs, smooth_data8, 4)
+    assert [(e["n"], e["k"], e["reference"]) for e in report["entries"]] == [
+        (n, k, "data" if n <= 4 else "model")
+        for n in range(1, 7) for k in (1, 2)]
+    assert [(e["n"], e["k"]) for e in full["entries"]][-1] == (8, 2)
 
 
 def test_verify_weyl_passes(result4):
