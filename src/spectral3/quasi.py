@@ -37,15 +37,18 @@ or an (L,) array of c = +-1, so DIRECT and STAR lambdas share a sweep
 loop holds the state component-major with its lanes innermost,
 (3, B, K, lanes), so each row of the right-hand side is one contiguous
 slab; p, q, c lambda and c are rows over the lanes, broadcast over
-(B, K).  It updates stage and slope buffers in place; callers get
-(L, B, 3, K) per node.  The loop uses that the system is linear, as in
-multiple shooting: one lane per (stretch of 32 steps, lambda) starts
-from the identity, all stretches advance side by side, and their
-propagators are chained onto the initial values in sweep order, so the
-Python loop runs 32 steps instead of M.  A stored sweep then reruns the
-stretches from their chained start states and keeps every step.  A
-backward sweep is the same loop over the reversed node and midpoint
-samples with step -h.
+(B, K).  p and q are gathered step by step, each lane's from the
+samples of -(sigma0 + tau1) and sigma0 - tau1 on its own stretch (see
+below), so no (steps, lanes) table is built.  RK4 runs in three
+state-sized buffers updated in place, the stage value, the slope and
+the sum of the slopes; callers get (L, B, 3, K) per node.  The loop
+uses that the system is linear, as in multiple shooting: one lane per
+(stretch of 32 steps, lambda) starts from the identity, all stretches
+advance side by side, and their propagators are chained onto the
+initial values in sweep order, so the Python loop runs 32 steps instead
+of M.  A stored sweep then reruns the stretches from their chained start
+states and keeps every step.  A backward sweep is the same loop over the
+reversed node and midpoint samples with step -h.
 
 When sigma0 and tau1 are constant on the grid (every node sample
 bitwise equal to the first; the midpoint samples, which cubic
@@ -167,26 +170,76 @@ def _pq(c: np.ndarray, sigma0: np.ndarray, tau1: np.ndarray) -> tuple:
             np.where(direct, w[..., None], u[..., None]))
 
 
+def _stretch_samples(coeffs: CoefficientPair, backward: bool) -> tuple:
+    """u = -(sigma0 + tau1) and w = sigma0 - tau1 on the stretches of the
+    RK4 loop, in sweep order: (nodes, mids), at the step ends
+    (steps + 1, 2J) and at the midpoints (steps, 2J), of J stretches of
+    steps = min(_STRETCH, M) steps.  Column j holds u on stretch j and
+    column J + j holds w.  Stretch j starts at sample _STRETCH j; the
+    last one's columns run on past the end over the end samples."""
+    M = coeffs.grid.M
+    # sigma0, tau1 at the nodes and the cell midpoints.  Step m runs from
+    # sample m to m + 1 of these arrays, which a backward sweep reverses.
+    sn, tn = coeffs.sigma0.values, coeffs.tau1.values
+    sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
+    if backward:
+        sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
+    J = -(-M // _STRETCH)
+    n = min(_STRETCH, M)
+    first = _STRETCH * np.arange(J)
+    at_n = np.minimum(first + np.arange(n + 1)[:, None], M)       # (n+1, J)
+    at_m = np.minimum(first + np.arange(n)[:, None], M - 1)       # (n, J)
+    u, w, _ = SystemVariant.DIRECT.pqc(sn, tn)
+    um, wm, _ = SystemVariant.DIRECT.pqc(sm, tm)
+    return (np.concatenate((u[at_n], w[at_n]), axis=1),
+            np.concatenate((um[at_m], wm[at_m]), axis=1))
+
+
+def _lane_rows(nodes: np.ndarray, mids: np.ndarray, c: np.ndarray):
+    """p and q of every lane at the samples each RK4 step reads, gathered
+    step by step from the tables of _stretch_samples.
+
+    One lane per (stretch j, lambda l), stretch-major, l over the (lb,)
+    signs c: p is u and q is w on its stretch where c[l] > 0 (DIRECT),
+    the other way round otherwise, as _pq gives them.  Yields, for each
+    step, (p, q) at its start node, at its midpoint and at its end node,
+    (J lb,) rows each.  They are buffers overwritten by later steps; the
+    end node's rows carry over as the next step's start rows.
+    """
+    J = nodes.shape[1] // 2
+    # p of lane (j, l) is column j (u) or J + j (w), q the other one
+    col = (np.arange(J)[:, None] + np.where(c > 0, 0, J)).ravel()
+    cols = np.stack((col, (col + J) % (2 * J)))
+    # three (2, J lb) buffers, each with its p and q rows
+    start, mid, end = ((b, tuple(b)) for b in (
+        np.empty(cols.shape, complex) for _ in range(3)))
+    nodes[0].take(cols, out=end[0], mode="clip")
+    for i in range(mids.shape[0]):
+        start, end = end, start
+        mids[i].take(cols, out=mid[0], mode="clip")
+        nodes[i + 1].take(cols, out=end[0], mode="clip")
+        yield start[1], mid[1], end[1]
+
+
 def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
-               at_nodes: tuple, at_mids: tuple):
+               rows):
     """Advance the state S (3, B, K, lanes) in place by RK4 steps of h,
     yielding the step index after each step.
 
     S[i] holds y^[i] (and d/dlambda y^[i], B = 2) over (B, K, lanes);
     lane j is one solution set with its own c lambda (clam[j]) and
-    c (cc[j]); at_nodes = (Pn, Qn) holds p and q at the step ends,
-    (steps + 1, lanes) each, and at_mids = (Pm, Qm) at the midpoints,
-    (steps, lanes).  Every factor is broadcast over (B, K).  Per element
-    the step evaluates p y0 + y2, c lambda y0 + q y1 (+ c y0 in the
-    d/dlambda block), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4)
-    in that order, so a lane's result depends on nothing but its own
-    inputs.
+    c (cc[j]).  rows gives each step's p and q, (lanes,) each, as
+    ((p, q) at the start node, at the midpoint, at the end node); one
+    step runs per item, and the rows are read before the next item is
+    drawn (_lane_rows gathers them).  Every factor is broadcast over
+    (B, K).  The step runs in three state-sized buffers: the stage value
+    X, the slope k and the accumulator acc of the slopes.  Per element
+    it evaluates p y0 + y2, c lambda y0 + q y1 (+ c y0 in the d/dlambda
+    block), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4) in that
+    order, so a lane's result depends on nothing but its own inputs.
     """
     with_dlambda = S.shape[1] == 2
-    Pn, Qn = at_nodes
-    Pm, Qm = at_mids
-    # X is the stage value and k1..k4 the slopes, all updated in place.
-    X, k1, k2, k3, k4 = (np.empty_like(S) for _ in range(5))
+    X, k, acc = (np.empty_like(S) for _ in range(3))
     qy1 = np.empty_like(S[0])
     cy0 = np.empty_like(S[0, 0])
 
@@ -197,10 +250,11 @@ def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
         dl = (a[0, 0], a[2, 1]) if with_dlambda else (None, None)
         return (a[0], a[1], a[2]) + dl
 
-    sS, sX, s1, s2, s3, s4 = map(slabs, (S, X, k1, k2, k3, k4))
+    sS, sX, sk, sacc = map(slabs, (S, X, k, acc))
 
-    def rhs(p, q, src, dst):
+    def rhs(pq, src, dst):
         # dst = A src: (y1, p y0 + y2, c lambda y0 + q y1 [+ c y0])
+        p, q = pq
         y0, y1, y2, y, _ = src
         f0, f1, f2, _, df2 = dst
         np.copyto(f0, y1)
@@ -210,23 +264,27 @@ def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
         if with_dlambda:
             np.add(df2, np.multiply(cc, y, out=cy0), out=df2)
 
-    def stage(w, k):
-        # X = S + w k
-        np.add(S, np.multiply(w, k, out=X), out=X)
+    def stage(w, slope):
+        # X = S + w slope
+        np.add(S, np.multiply(w, slope, out=X), out=X)
 
-    for i in range(Pm.shape[0]):
-        rhs(Pn[i], Qn[i], sS, s1)
-        stage(h / 2, k1)
-        rhs(Pm[i], Qm[i], sX, s2)
-        stage(h / 2, k2)
-        rhs(Pm[i], Qm[i], sX, s3)
-        stage(h, k3)
-        rhs(Pn[i + 1], Qn[i + 1], sX, s4)
+    def add_twice(slope):
+        # acc += 2 slope, overwriting slope once the stage has read it
+        np.add(acc, np.multiply(2, slope, out=slope), out=acc)
+
+    for i, (at_start, at_mid, at_end) in enumerate(rows):
+        rhs(at_start, sS, sacc)                 # acc = k1
+        stage(h / 2, acc)
+        rhs(at_mid, sX, sk)                     # k = k2
+        stage(h / 2, k)
+        add_twice(k)
+        rhs(at_mid, sX, sk)                     # k = k3
+        stage(h, k)
+        add_twice(k)
+        rhs(at_end, sX, sk)                     # k = k4
         # S += (h/6) (((k1 + 2 k2) + 2 k3) + k4)
-        np.add(k1, np.multiply(2, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(2, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        np.add(S, np.multiply(h / 6, k1, out=k1), out=S)
+        np.add(acc, k, out=acc)
+        np.add(S, np.multiply(h / 6, acc, out=acc), out=S)
         yield i
 
 
@@ -260,33 +318,21 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     L, K = lams.shape[0], inits.shape[-1]
     B = 2 if with_dlambda else 1
     c = _signs(variant, L)
-    # sigma0, tau1 at the nodes and the cell midpoints.  Step m runs from
-    # sample m to m + 1 of these arrays, which a backward sweep reverses.
-    sn, tn = coeffs.sigma0.values, coeffs.tau1.values
-    sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
-    h = coeffs.grid.h
-    if backward:
-        sn, tn, sm, tm, h = sn[::-1], tn[::-1], sm[::-1], tm[::-1], -h
-
+    h = -coeffs.grid.h if backward else coeffs.grid.h
     # J stretches of n steps, the last of only `last` steps; its lanes
     # run on past the end over the end samples and are read at step last.
-    J = -(-M // _STRETCH)
-    n = min(_STRETCH, M)
+    nodes, mids = _stretch_samples(coeffs, backward)
+    J, n = nodes.shape[1] // 2, mids.shape[0]
     last = M - _STRETCH * (J - 1)
-    first = _STRETCH * np.arange(J)
-    at_n = np.minimum(first + np.arange(n + 1)[:, None], M)       # (n+1, J)
-    at_m = np.minimum(first + np.arange(n)[:, None], M - 1)       # (n, J)
-    sn, tn, sm, tm = sn[at_n], tn[at_n], sm[at_m], tm[at_m]
     blocks = [slice(l0, l0 + _LAM_BLOCK) for l0 in range(0, L, _LAM_BLOCK)]
 
     def steps(S, blk):
-        # _rk4_steps on a block's lanes S (3, B, columns, lanes); p and q
-        # go from (steps, J, lambdas) to (steps, lanes), stretch-major
+        # _rk4_steps on a block's lanes S (3, B, columns, lanes),
+        # stretch-major
         cb = c[blk]
-        pq = [a.reshape(a.shape[0], -1)
-              for a in _pq(cb, sn, tn) + _pq(cb, sm, tm)]
         return _rk4_steps(S, np.tile(cb * lams[blk], J),
-                          np.tile(cb.astype(complex), J), h, pq[:2], pq[2:])
+                          np.tile(cb.astype(complex), J), h,
+                          _lane_rows(nodes, mids, cb))
 
     # F[j] = (Phi, Phi') of stretch j as (3, B, 3, L): row, block,
     # column, lambda
@@ -318,7 +364,7 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     if not store:
         return out
 
-    # The trajectory in sweep order; rows[j, i] is sample first[j] + i,
+    # The trajectory in sweep order; rows[j, i] is sample _STRETCH j + i,
     # and the rows past M that the last stretch's lanes run into are
     # dropped.
     traj = np.empty((J * n + 1, L, B, 3, K), dtype=complex)

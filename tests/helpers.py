@@ -60,7 +60,8 @@ def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
                      backward: bool = False) -> np.ndarray:
     """quasi._loop_sweep's stored trajectory (M+1, L, B, 3, K) in node
     order, from one lane per lambda running the M RK4 steps one after
-    another instead of stretches side by side.  No finite-value check."""
+    another instead of stretches side by side, with p and q from _pq's
+    tables instead of rows gathered per step.  No finite-value check."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     inits = np.asarray(inits, dtype=complex)
     M = coeffs.grid.M
@@ -78,8 +79,9 @@ def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
     traj = np.empty((M + 1, L, B, 3, K), dtype=complex)
     rows = np.transpose(traj, (0, 3, 2, 4, 1))
     rows[0] = S
-    for i in _rk4_steps(S, c * lams, c.astype(complex), h,
-                        _pq(c, sn, tn), _pq(c, sm, tm)):
+    (Pn, Qn), (Pm, Qm) = _pq(c, sn, tn), _pq(c, sm, tm)
+    pq = zip(zip(Pn, Qn), zip(Pm, Qm), zip(Pn[1:], Qn[1:]))
+    for i in _rk4_steps(S, c * lams, c.astype(complex), h, pq):
         rows[i + 1] = S
     return traj[::-1] if backward else traj
 

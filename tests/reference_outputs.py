@@ -11,11 +11,19 @@ into a temporary directory, on the committed forward files, and compares
 the numbers file by file.  A change that moves an output past the
 test's tolerance on purpose reruns this script and records the old ->
 new deviation in CHANGES.md.
+
+    PYTHONPATH=src python tests/reference_outputs.py --check
+
+reruns the same commands as the test does and prints, file by file,
+whether its bytes equal the pinned file.  It exits 1 if any differs and
+never writes tests/reference/.
 """
 
 import contextlib
 import io
 import os
+import sys
+import tempfile
 
 from spectral3.cli import main
 
@@ -68,7 +76,33 @@ def run_all(out: str, data: str) -> None:
             raise RuntimeError("spectral3 %s exited %d" % (argv[0], code))
 
 
+def check() -> int:
+    """Rerun every command into a temporary directory on the pinned
+    forward files and report each pinned file as identical to its rerun
+    or not; 1 if any differs, 0 otherwise."""
+    def read(path):
+        with open(path, "rb") as f:
+            return f.read()
+
+    names = sorted(os.listdir(REFERENCE))
+    differ = 0
+    with tempfile.TemporaryDirectory() as out:
+        run_all(out, REFERENCE)
+        for name in names:
+            rerun = os.path.join(out, name)
+            same = (os.path.exists(rerun)
+                    and read(rerun) == read(os.path.join(REFERENCE, name)))
+            differ += not same
+            print("%-26s %s" % (name, "identical" if same else "DIFFERS"))
+    print("%d of %d pinned files differ" % (differ, len(names)))
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/reference_outputs.py [--check]")
+    if sys.argv[1:]:
+        sys.exit(check())
     os.makedirs(REFERENCE, exist_ok=True)
     run_all(REFERENCE, REFERENCE)
     print("wrote %d files to %s" % (len(os.listdir(REFERENCE)), REFERENCE))

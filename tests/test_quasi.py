@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spectral3 import quasi
 from spectral3.errors import IntegrationOverflowError, ResolutionGuardError
 from spectral3.grid import CoefficientPair, Grid, GridFunction, midpoint_values
-from spectral3.quasi import (SystemVariant, _loop_sweep, _power_sweep,
-                             _sweep)
+from spectral3.quasi import (_LAM_BLOCK, _STRETCH, SystemVariant, _lane_rows,
+                             _loop_sweep, _power_sweep, _pq,
+                             _stretch_samples, _sweep)
 
 from helpers import differentiate, from_callables, sequential_sweep
 
@@ -420,3 +423,63 @@ def test_overflow_in_the_chain_raises_without_warnings(grid128,
             _sweep(pair, SystemVariant.DIRECT, np.array([1.0]), np.eye(3),
                    with_dlambda=with_dlambda, store=store)
         assert ei.value.node == grid128.M
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_gathered_rows_equal_pq(ragged_coeffs, backward):
+    # The rows each step gathers for its lanes hold, lane by lane, what
+    # _pq gives that lambda's variant at the lane's own samples: 40
+    # lambdas of mixed variants in two blocks, the second ragged, on the
+    # ragged grid, whose last stretch's lanes run on over the end
+    # samples.
+    M, L = ragged_coeffs.grid.M, 40
+    c = np.resize([1.0, -1.0, -1.0], L)
+    sn, tn = ragged_coeffs.sigma0.values, ragged_coeffs.tau1.values
+    sm, tm = (midpoint_values(ragged_coeffs.sigma0),
+              midpoint_values(ragged_coeffs.tau1))
+    if backward:
+        sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
+    at_nodes, at_mids = _pq(c, sn, tn), _pq(c, sm, tm)
+    nodes, mids = _stretch_samples(ragged_coeffs, backward)
+    first = _STRETCH * np.arange(-(-M // _STRETCH))[:, None]
+    for l0 in range(0, L, _LAM_BLOCK):
+        blk = slice(l0, l0 + _LAM_BLOCK)
+        steps = 0
+        for i, gathered in enumerate(_lane_rows(nodes, mids, c[blk])):
+            # lane (stretch j, lambda l), stretch-major
+            at = (np.minimum(first + i, M), np.minimum(first + i, M - 1),
+                  np.minimum(first + i + 1, M))
+            for rows, table, m in zip(gathered, (at_nodes, at_mids,
+                                                 at_nodes), at):
+                for got, ref in zip(rows, table):
+                    assert np.array_equal(got, ref[m, blk].ravel())
+            steps += 1
+        assert steps == _STRETCH
+
+
+@pytest.mark.parametrize("L, with_dlambda, bound_mib",
+                         [(64, False, 1.0), (60, True, 1.6)])
+def test_sweep_transient_memory(general_coeffs, L, with_dlambda,
+                                bound_mib):
+    # One loop sweep at M = 512 holds little beyond its output: the lanes
+    # gather their p and q rows step by step and RK4 runs in three
+    # state-sized buffers.  The plain sweep of 64 lambdas is a Weyl
+    # contour, the d/dlambda sweep of 60 the first Newton sweep of the
+    # forward map at n_max 30.  (steps, lanes) coefficient tables and
+    # five stage buffers peaked at 1745 and 2345 KiB above the output.
+    lams = 40.0 + 5.0 * np.exp(2j * np.pi * np.arange(L) / L)
+    c = np.repeat([-1.0, 1.0], L // 2)
+
+    def sweep():
+        return _sweep(general_coeffs, c, lams, np.eye(3),
+                      with_dlambda=with_dlambda)
+
+    sweep()
+    tracemalloc.start()
+    try:
+        res = sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(r.nbytes for r in (res if with_dlambda else (res,)))
+    assert peak - out < bound_mib * 2**20
