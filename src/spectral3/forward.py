@@ -68,7 +68,7 @@ from .errors import (
     Spectral3Error,
 )
 from .grid import CoefficientPair, integrate
-from .quasi import SystemVariant, _is_constant, _sweep
+from .quasi import SystemVariant, _guard_resolution, _is_constant, _sweep
 from .serialize import (complex_pair, dumps17, json_int, pair_complex,
                         read_json)
 
@@ -114,6 +114,27 @@ _MODEL_SEED_FROM = 7
 # exponent does not grow.
 _ROUTE_EPS = 1e-12
 
+# A plain request whose lambdas of each family lie in a disc of radius r
+# about their mean c is read off one sweep at c carrying Taylor blocks up
+# to the order J of _taylor_order (_taylor_rows).  The decay model: the
+# terms |T_j| r^j of the top row, relative to its largest entry, stay
+# below a^j / j!, a = r / (3 max(1, |c|)^(2/3)), the series of
+# e^(rho(lambda)) with d rho / d lambda = 1 / (3 rho^2), rho = lambda^(1/3).
+# Measured on the zero, smooth, general and sample pairs at M = 512
+# around lambda_{n,k}, n <= 30, at the contour radius 1e-3 (1 + |c|),
+# they came within 2% of it at j = 1 and 2 and fell below it after; on
+# constant pairs with |tau1| up to 100 and |lambda| from 0 to 3000 they
+# stayed within 5x of it from j = 4 on.  J is the smallest order whose
+# next term the model puts below 2^-53 / _TAYLOR_SAFETY of the row.  On
+# such a contour |Delta_{k,k}| is 3e-6 to 8e-5 of the row, so the factor
+# keeps the model's truncation within a few ulp of Delta itself; the
+# measured next terms (7e-29, 3.5e-23 and 2.5e-24 of the row at n = 1,
+# 6, 30) stay below 1.2e-17 of Delta.  The rule gives J = 6 at n = 1, 7
+# at n = 6, 10 at n = 30 and 12 at the resolution guard of M = 512.  A
+# disc needing more than _TAYLOR_MAX_ORDER keeps the per-point sweep.
+_TAYLOR_SAFETY = 1e5
+_TAYLOR_MAX_ORDER = 16
+
 
 class Characteristic(NamedTuple):
     """Characteristic values at L lambdas, each read in its own family k
@@ -143,19 +164,68 @@ def _char_arrays(coeffs: CoefficientPair, lams, fams,
                Delta_{2,1} = -y_2, Delta_{3,1} = y_1
         k = 2: the variant's own sweep: C_3(1), C_2(1), C_1(1)
 
-    with ddelta, when with_dlambda, the lambda-derivative of delta.
+    with ddelta, when with_dlambda, the lambda-derivative of delta.  A
+    plain request whose lambdas cluster in each family reads the top
+    row off one Taylor sweep at each family's centre (_taylor_rows).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     first = np.broadcast_to(np.asarray(fams) == 1, lams.shape)
     c = np.where(first, -variant.value, variant.value)
-    res = _sweep(coeffs, c, lams, _EYE, with_dlambda=with_dlambda)
-    Y, dY = res if with_dlambda else (res, None)
+    Y = None if with_dlambda else _taylor_rows(coeffs, lams, first, c)
+    dY = None
+    if Y is None:
+        res = _sweep(coeffs, c, lams, _EYE, with_dlambda=with_dlambda)
+        Y, dY = (r[:, 0] for r in res) if with_dlambda else (res[:, 0], None)
 
     def signed(v):
         return np.where(first, -v, v)
 
-    return Characteristic(signed(Y[:, 0, 2]), signed(Y[:, 0, 1]), Y[:, 0, 0],
-                          signed(dY[:, 0, 2]) if with_dlambda else None)
+    return Characteristic(signed(Y[:, 2]), signed(Y[:, 1]), Y[:, 0],
+                          signed(dY[:, 2]) if with_dlambda else None)
+
+
+def _taylor_order(center: complex, radius: float) -> int:
+    """The Taylor order J of a sweep at center that serves a disc of
+    radius about it: the smallest J with _TAYLOR_SAFETY a^(J+1)/(J+1)!
+    <= 2^-53, a = radius / (3 max(1, |center|)^(2/3)), or
+    _TAYLOR_MAX_ORDER + 1 when no J up to the cap qualifies."""
+    a = radius / (3.0 * max(1.0, abs(center)) ** (2.0 / 3.0))
+    term = 1.0
+    for j in range(1, _TAYLOR_MAX_ORDER + 2):
+        term *= a / j
+        if _TAYLOR_SAFETY * term <= 2.0 ** -53:
+            return j - 1
+    return _TAYLOR_MAX_ORDER + 1
+
+
+def _taylor_rows(coeffs: CoefficientPair, lams: np.ndarray,
+                 first: np.ndarray, c: np.ndarray):
+    """The top rows (L, 3) at x = 1 of a plain request from one sweep of
+    the centre (the mean) of each family's lambdas, carrying the Taylor
+    blocks T_j up to the order of the widest disc (_taylor_order), each
+    row summed by Horner as sum_j T_j (lambda - centre)^j.  None, for the
+    per-point sweep, when a disc needs more than _TAYLOR_MAX_ORDER or the
+    Taylor sweep would carry no fewer lanes than the per-point one
+    ((J + 1) x families >= L: a scalar lambda, say).  The resolution
+    guard is applied to every lambda, as the per-point sweep does.
+    """
+    groups = [g for g in (first, ~first) if g.any()]
+    centres = np.array([lams[g].mean() for g in groups])
+    order = max(_taylor_order(z, np.abs(lams[g] - z).max())
+                for g, z in zip(groups, centres))
+    if order > _TAYLOR_MAX_ORDER or (order + 1) * len(groups) >= lams.size:
+        return None
+    _guard_resolution(lams, coeffs.grid.M)
+    blocks = _sweep(coeffs, np.array([c[g][0] for g in groups]), centres,
+                    _EYE, with_dlambda=order)
+    # the centre of each lambda's family
+    which = np.where(first, 0, len(groups) - 1)
+    delta = (lams - centres[which])[:, None]
+    top = [b[which, 0] for b in (blocks if order else (blocks,))]
+    row = top[-1]
+    for t in reversed(top[:-1]):
+        row = row * delta + t
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +635,10 @@ def weyl_matrix(coeffs: CoefficientPair, lams,
     """Lower unitriangular matrices of the Weyl functions.
 
     lams is a scalar, giving (3, 3), or a 1-D array of L points, giving
-    (L, 3, 3) from one plain sweep of 2L, both families at every point;
-    another shape or a non-finite lambda raises ValueError.  Raises
+    (L, 3, 3) from one plain sweep of 2L, both families at every point,
+    or, for points clustered in a small disc such as a contour, one
+    Taylor sweep at its centre in each family (_char_arrays); another
+    shape or a non-finite lambda raises ValueError.  Raises
     NearPoleError naming the first lambda at a pole, family 1 before
     family 2, from a d/dlambda sweep of the few points near a zero of
     Delta_{k,k} (_pole_guard).
@@ -602,11 +674,13 @@ def weyl_batch(coeffs: CoefficientPair, lams, variant: SystemVariant,
     otherwise.  Characteristic family k is swept plain for Phi_1 and
     Phi_2 (the pole guard, which sweeps d/dlambda only near a zero of
     Delta_{k,k}, and M_{3,2} = -Delta_{3,2}/Delta_{2,2}); Phi_3 needs
-    none.  lams is a scalar or a 1-D array of finite lambdas (ValueError
-    otherwise).
+    none.  lams is a scalar or a 1-D array of finite lambdas, and k an
+    integer, not a bool (ValueError otherwise, before any sweep).
     """
-    if k not in (1, 2, 3):
-        raise ValueError("no Weyl solution Phi_%s" % k)
+    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+            or k not in (1, 2, 3)):
+        raise ValueError("no Weyl solution Phi_%r: k must be the integer "
+                         "1, 2 or 3" % (k,))
     lams = _lambda_points(lams)
     if k == 3:
         full = _sweep(coeffs, variant, lams, _E3, store=True)
@@ -665,8 +739,8 @@ def laurent_coefficients(fn, center: complex, radius: float | None = None):
     fn is called once with the array of the P = _CONTOUR_POINTS = 32
     points center + radius e^(2 pi i j/P) and must return an array with
     a leading axis of length P (scalar or matrix values per point).
-    center must be finite and radius finite and positive (ValueError
-    otherwise, before fn is called); radius defaults to
+    center must be a finite scalar and radius finite and positive
+    (ValueError otherwise, before fn is called); radius defaults to
     1e-3 (1 + |center|).
 
     The P-point trapezoid rule returns each Laurent coefficient plus its
@@ -679,10 +753,15 @@ def laurent_coefficients(fn, center: complex, radius: float | None = None):
     like 1/sqrt(P).  Against a 256-point contour on a general pair
     (n <= 6, both families, M = 512) the worst relative deviation of
     A_{-1} and A_0 was 1.7e-10, 7.9e-11 and 5.3e-11 at P = 16, 32 and
-    64.  At P = 32 weyl_matrix takes one plain sweep of 2P = 64 lambdas,
-    two full blocks of quasi._LAM_BLOCK: a contour point lies too far
-    from the pole for the guard's d/dlambda sweep.
+    64.  At P = 32 weyl_matrix reads the P points of each family off
+    one Taylor sweep at the centre (forward._taylor_rows): one sweep of
+    2 lambdas carrying J + 1 blocks, J = 6 to 7 for n <= 6 and 10 at
+    n = 30, instead of a plain sweep of 2P = 64.  A contour point lies
+    too far from the pole for the guard's d/dlambda sweep.
     """
+    if np.ndim(center) != 0:
+        raise ValueError("contour center must be a scalar, got shape %s"
+                         % (np.shape(center),))
     if not np.isfinite(center):
         raise ValueError("contour center must be finite, got %r" % (center,))
     if radius is None:

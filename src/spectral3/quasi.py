@@ -27,12 +27,18 @@ conjugate-flipped system is DIRECT on the pair (conj tau1, -conj sigma0).
 
 The integrator is classical fixed-step RK4 with h = 1/M; coefficient
 values at half-steps come from cubic interpolation of the grid samples.
-One sweep advances L values of lambda, K solutions each, and B = 1 for
-the states alone or B = 2 with their lambda-derivatives, which obey the
-same system plus the coupling c y in the last row.  RK4 on this
-augmented system is exactly the lambda-derivative of the discrete RK4
-map.  The variant is per lambda: one SystemVariant for the whole batch,
-or an (L,) array of c = +-1, so DIRECT and STAR lambdas share a sweep
+One sweep advances L values of lambda, K solutions each, and B = J + 1
+blocks: the states y^(0) = y and, for an order J >= 1, their Taylor
+coefficients y^(j) = (d/dlambda)^j y / j!, j <= J, at the swept lambda.
+Since A depends on lambda through c lambda in its last row alone, block
+j obeys the same system plus the coupling c y0 of block j - 1 in its
+last row (J = 1: the lambda-derivative).  RK4 on this augmented system
+is exactly the truncated Taylor expansion in lambda of the discrete RK4
+map (Taylor-mode propagation, Griewank & Walther 2008, ch. 13), so
+sum_j y^(j) (lambda' - lambda)^j is the sweep at a nearby lambda' up to
+the first omitted term.  The variant is per lambda: one SystemVariant
+for the whole batch, or an (L,) array of c = +-1, so DIRECT and STAR
+lambdas share a sweep
 (the forward map sweeps both characteristic families at once).  The
 loop holds the state component-major with its lanes innermost,
 (3, B, K, lanes), so each row of the right-hand side is one contiguous
@@ -45,10 +51,12 @@ the sum of the slopes; callers get (L, B, 3, K) per node.  The loop
 uses that the system is linear, as in multiple shooting: one lane per
 (stretch of 32 steps, lambda) starts from the identity, all stretches
 advance side by side, and their propagators are chained onto the
-initial values in sweep order, so the Python loop runs 32 steps instead
-of M.  A stored sweep then reruns the stretches from their chained start
-states and keeps every step.  A backward sweep is the same loop over the
-reversed node and midpoint samples with step -h.
+initial values in sweep order by the truncated series product
+Y_j <- sum_{i <= j} F_i Y_{j-i} of the propagator blocks F_i, so the
+Python loop runs 32 steps instead of M.  A stored sweep then reruns the
+stretches from their chained start states and keeps every step.  A
+backward sweep is the same loop over the reversed node and midpoint
+samples with step -h.
 
 When sigma0 and tau1 are constant on the grid (every node sample
 bitwise equal to the first; the midpoint samples, which cubic
@@ -57,7 +65,8 @@ value), every cell applies the same step matrix
 
     R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 
-6x6 block lower-triangular with d/dlambda.  Such sweeps are the same
+3B x 3B and block lower-triangular for J >= 1, built from the
+block-bidiagonal hA of the augmented system.  Such sweeps are the same
 RK4 map evaluated as powers of R: R^M S_0 by binary powering for the
 end states, and R^m S_0 for a stored trajectory by doubling on the
 states.  Only the rounding differs from the step-by-step loop.  This is
@@ -113,7 +122,7 @@ def _guard_resolution(lams: np.ndarray, M: int) -> None:
 
 
 def _sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
-           inits: np.ndarray, with_dlambda: bool = False,
+           inits: np.ndarray, with_dlambda: int = False,
            backward: bool = False, store: bool = False):
     """Batched RK4 sweep of v' = A(x, lambda) v.
 
@@ -121,29 +130,34 @@ def _sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     lambda's variant; lams : (L,) complex; inits : (3, K) shared or
     (L, 3, K) per lambda, given at x = 0 (forward) or x = 1 (backward).
     Returns the final states (L, 3, K) or, with store, the trajectory
-    (M+1, L, 3, K) in node order.  With with_dlambda the same shapes are
-    returned additionally for d/dlambda of the states (zero initial
-    values).
+    (M+1, L, 3, K) in node order.  with_dlambda is the order J of the
+    lambda-Taylor blocks carried along (False or 0: none, True or 1:
+    d/dlambda); for J >= 1 the result is the tuple of the J + 1 blocks
+    y^(j)/j!, j = 0..J, each of those shapes (zero initial values for
+    j >= 1).
 
     When sigma0 and tau1 are constant on the grid the same RK4 map is
     evaluated as powers of its step matrix (_power_sweep), otherwise on
     stretches of 32 steps side by side (_loop_sweep), whose values for
     each lambda are bitwise those of a sweep of it alone, in its own
-    variant.  A non-finite state raises IntegrationOverflowError: the
-    loop reports the end node of the first stretch, in sweep order,
-    whose chained state is not finite, stored or not; the power path
-    reports the first non-finite node in sweep order of a stored sweep,
-    and the end node (M forward, 0 backward) of an end-value sweep.
+    variant.  The states of an order-J loop sweep are bitwise those of a
+    plain one, and its first J' + 1 blocks those of an order-J' one.  A
+    non-finite state raises IntegrationOverflowError: the loop reports
+    the end node of the first stretch, in sweep order, whose chained
+    state is not finite, stored or not; the power path reports the first
+    non-finite node in sweep order of a stored sweep, and the end node
+    (M forward, 0 backward) of an end-value sweep.
     """
+    order = int(with_dlambda)
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _guard_resolution(lams, coeffs.grid.M)
     inits = np.asarray(inits, dtype=complex)
     constant = _is_constant(coeffs.sigma0.values) and _is_constant(
         coeffs.tau1.values)
     path = _power_sweep if constant else _loop_sweep
-    res = path(coeffs, variant, lams, inits, with_dlambda, backward, store)
-    states = res[..., 0, :, :]
-    return (states, res[..., 1, :, :]) if with_dlambda else states
+    res = path(coeffs, variant, lams, inits, order, backward, store)
+    blocks = tuple(np.moveaxis(res, -3, 0))
+    return blocks if order else blocks[0]
 
 
 def _is_constant(values: np.ndarray) -> bool:
@@ -226,28 +240,29 @@ def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
     """Advance the state S (3, B, K, lanes) in place by RK4 steps of h,
     yielding the step index after each step.
 
-    S[i] holds y^[i] (and d/dlambda y^[i], B = 2) over (B, K, lanes);
-    lane j is one solution set with its own c lambda (clam[j]) and
-    c (cc[j]).  rows gives each step's p and q, (lanes,) each, as
+    S[i] holds y^[i] and its Taylor blocks over (B, K, lanes); lane j is
+    one solution set with its own c lambda (clam[j]) and c (cc[j]).
+    rows gives each step's p and q, (lanes,) each, as
     ((p, q) at the start node, at the midpoint, at the end node); one
     step runs per item, and the rows are read before the next item is
     drawn (_lane_rows gathers them).  Every factor is broadcast over
     (B, K).  The step runs in three state-sized buffers: the stage value
     X, the slope k and the accumulator acc of the slopes.  Per element
-    it evaluates p y0 + y2, c lambda y0 + q y1 (+ c y0 in the d/dlambda
-    block), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4) in that
-    order, so a lane's result depends on nothing but its own inputs.
+    it evaluates p y0 + y2, c lambda y0 + q y1 (+ c y0 of block j - 1 in
+    block j >= 1), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4)
+    in that order, so a lane's result depends on nothing but its own
+    inputs.
     """
-    with_dlambda = S.shape[1] == 2
+    taylor = S.shape[1] > 1
     X, k, acc = (np.empty_like(S) for _ in range(3))
     qy1 = np.empty_like(S[0])
-    cy0 = np.empty_like(S[0, 0])
+    cy0 = np.empty_like(S[0, 1:])
 
     def slabs(a):
-        # rows 0, 1, 2; with d/dlambda also the y part of row 0, which the
-        # coupling c y reads, and the d/dlambda part of row 2, which it
-        # feeds
-        dl = (a[0, 0], a[2, 1]) if with_dlambda else (None, None)
+        # rows 0, 1, 2; with Taylor blocks also row 0 of blocks 0..J-1,
+        # which the coupling c y0 reads, and row 2 of blocks 1..J, which
+        # it feeds
+        dl = (a[0, :-1], a[2, 1:]) if taylor else (None, None)
         return (a[0], a[1], a[2]) + dl
 
     sS, sX, sk, sacc = map(slabs, (S, X, k, acc))
@@ -261,7 +276,7 @@ def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
         np.add(np.multiply(p, y0, out=f1), y2, out=f1)
         np.add(np.multiply(clam, y0, out=f2), np.multiply(q, y1, out=qy1),
                out=f2)
-        if with_dlambda:
+        if taylor:
             np.add(df2, np.multiply(cc, y, out=cy0), out=df2)
 
     def stage(w, slope):
@@ -288,35 +303,45 @@ def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
         yield i
 
 
-def _apply(P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """P V per lambda, P (3, 3, L), V (3, K, L), summed over the inner
-    index in the order ((0 + 1) + 2)."""
-    return (P[:, 0, None] * V[0] + P[:, 1, None] * V[1]) + P[:, 2, None] * V[2]
+def _chain(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The truncated series product Y_j <- sum_{i <= j} F_i Y_{j-i} of a
+    stretch propagator F (3, B, 3, L), row, block, column, lambda, and
+    the states Y (3, B, K, L).  Every product F_i Y_k is formed at once,
+    summed over the inner index in the order ((0 + 1) + 2), and each
+    Y_j accumulates its terms in the order i = 0, 1, ..."""
+    B = Y.shape[1]
+    P = F[:, :, :, None, None]                  # (3, B, 3, 1, 1, L)
+    # G[:, i, k] = F_i Y_k, (3, B, B, K, L)
+    G = (P[:, :, 0] * Y[0] + P[:, :, 1] * Y[1]) + P[:, :, 2] * Y[2]
+    out = G[:, 0]
+    for i in range(1, B):
+        out[:, i:] += G[:, i, :B - i]
+    return out
 
 
 # Overflowing states are reported by IntegrationOverflowError alone, not
 # by numpy warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
 def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
-                inits: np.ndarray, with_dlambda: bool, backward: bool,
+                inits: np.ndarray, order: int, backward: bool,
                 store: bool) -> np.ndarray:
     """The RK4 loop for any coefficients: the states (L, B, 3, K), or
-    with store (M+1, L, B, 3, K), B = 2 with d/dlambda.
+    with store (M+1, L, B, 3, K), B = order + 1 Taylor blocks.
 
     _rk4_steps runs all stretches of _STRETCH steps at once: for each
     block of _LAM_BLOCK lambdas, one lane per (stretch, lambda) reads p
     and q at its own stretch's samples.  From the identity with zero
-    d/dlambda data the lanes give every stretch propagator (Phi, Phi'),
-    chained onto inits in sweep order, Y <- Phi Y and
-    dY <- Phi dY + Phi' Y, with Y checked for finite values after each
-    stretch.  A stored sweep reruns the lanes from the chained start
-    states and keeps every step; its end node is the chained end.  A
-    lambda's values are bitwise independent of the batch and of the
-    variants of the other lambdas.
+    Taylor blocks the lanes give every stretch propagator's blocks
+    (F_0, ..., F_J), chained onto inits in sweep order by _chain, with
+    the states checked for finite values after each stretch.  A stored
+    sweep reruns the lanes from the chained start states and keeps every
+    step; its end node is the chained end.  A lambda's values are
+    bitwise independent of the batch and of the variants of the other
+    lambdas.
     """
     M = coeffs.grid.M
     L, K = lams.shape[0], inits.shape[-1]
-    B = 2 if with_dlambda else 1
+    B = order + 1
     c = _signs(variant, L)
     h = -coeffs.grid.h if backward else coeffs.grid.h
     # J stretches of n steps, the last of only `last` steps; its lanes
@@ -334,8 +359,8 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
                           np.tile(cb.astype(complex), J), h,
                           _lane_rows(nodes, mids, cb))
 
-    # F[j] = (Phi, Phi') of stretch j as (3, B, 3, L): row, block,
-    # column, lambda
+    # F[j] = the Taylor blocks of stretch j's propagator as (3, B, 3, L):
+    # row, block, column, lambda
     F = np.empty((J, 3, B, 3, L), dtype=complex)
     for blk in blocks:
         lb = c[blk].shape[0]
@@ -348,19 +373,17 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
         F[:-1, ..., blk] = np.moveaxis(
             S[..., :-lb].reshape(3, B, 3, J - 1, lb), 3, 0)
 
-    Y = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
-    dY = np.zeros_like(Y)
+    # Y (3, B, K, L): row, block, column, lambda
+    Y = np.zeros((3, B, K, L), dtype=complex)
+    Y[:, 0] = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
     starts = []
     for j in range(J):
-        starts.append((Y, dY)[:B])
-        Phi = F[j, :, 0]
-        if with_dlambda:
-            dY = _apply(Phi, dY) + _apply(F[j, :, 1], Y)
-        Y = _apply(Phi, Y)
-        if not np.isfinite(Y).all():
+        starts.append(Y)
+        Y = _chain(F[j], Y)
+        if not np.isfinite(Y[:, 0]).all():
             m = min(_STRETCH * (j + 1), M)
             raise IntegrationOverflowError(M - m if backward else m)
-    out = np.ascontiguousarray(np.moveaxis(np.stack((Y, dY)[:B]), 3, 0))
+    out = np.ascontiguousarray(np.transpose(Y, (3, 1, 0, 2)))
     if not store:
         return out
 
@@ -369,7 +392,7 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     # dropped.
     traj = np.empty((J * n + 1, L, B, 3, K), dtype=complex)
     rows = traj[:-1].reshape(J, n, L, B, 3, K)
-    starts = np.transpose(np.array(starts), (2, 1, 3, 0, 4))  # (3, B, K, J, L)
+    starts = np.moveaxis(np.array(starts), 0, 3)    # (3, B, K, J, L)
     for blk in blocks:
         lb = c[blk].shape[0]
         S = starts[..., blk].reshape(3, B, K, J * lb)
@@ -384,21 +407,22 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
 
 
 def _step_matrix(p: np.ndarray, q: np.ndarray, c: np.ndarray,
-                 lams: np.ndarray, h: float,
-                 with_dlambda: bool) -> np.ndarray:
+                 lams: np.ndarray, h: float, order: int) -> np.ndarray:
     """The RK4 step matrices R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
     of the constant system at each lambda, with p, q and c given per
-    lambda ((L,) each): (L, 3B, 3B), acting on the state with its
-    d/dlambda block (rows 3..5) stacked under it."""
-    B = 2 if with_dlambda else 1
+    lambda ((L,) each): (L, 3B, 3B), B = order + 1, acting on the state
+    with its Taylor blocks stacked under it.  hA is block-bidiagonal:
+    hA of the system on the diagonal, and h c in the last row of each
+    block under it, the coupling to the block before."""
+    B = order + 1
     hA = np.zeros((lams.shape[0], 3 * B, 3 * B), dtype=complex)
     for i in range(0, 3 * B, 3):
         hA[:, i, i + 1] = hA[:, i + 1, i + 2] = h
         hA[:, i + 1, i] = h * p
         hA[:, i + 2, i] = h * c * lams
         hA[:, i + 2, i + 1] = h * q
-    if with_dlambda:
-        hA[:, 5, 0] = h * c
+        if i:
+            hA[:, i + 2, i - 3] = h * c
     # Horner form: I + hA (I + hA/2 (I + hA/3 (I + hA/4))).
     eye = np.eye(3 * B)
     R = eye + hA / 4
@@ -411,7 +435,7 @@ def _step_matrix(p: np.ndarray, q: np.ndarray, c: np.ndarray,
 # not by numpy warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
 def _power_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
-                 inits: np.ndarray, with_dlambda: bool, backward: bool,
+                 inits: np.ndarray, order: int, backward: bool,
                  store: bool) -> np.ndarray:
     """_loop_sweep for constant sigma0 and tau1: every cell applies the
     same step matrix R, so the end states are R^M S_0 by binary powering
@@ -419,11 +443,11 @@ def _power_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     T[j:2j] = R^j T[0:j].  Midpoint values are the node value."""
     M = coeffs.grid.M
     L = lams.shape[0]
-    B = 2 if with_dlambda else 1
+    B = order + 1
     c = _signs(variant, L)
     p, q = _pq(c, coeffs.sigma0.values[:1], coeffs.tau1.values[:1])
     h = -coeffs.grid.h if backward else coeffs.grid.h
-    R = _step_matrix(p[0], q[0], c, lams, h, with_dlambda)
+    R = _step_matrix(p[0], q[0], c, lams, h, order)
     K = inits.shape[-1]
     S0 = np.zeros((L, 3 * B, K), dtype=complex)
     S0[:, :3] = inits

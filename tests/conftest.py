@@ -76,14 +76,16 @@ def general_coeffs128(grid128):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    # (lambda count, with_dlambda, constant pair) of every forward._sweep
-    # call, which computes spectral data and Weyl matrices; a constant
-    # pair's sweeps take the power path
+    # (lambda count, Taylor order, constant pair) of every forward._sweep
+    # call, which computes spectral data and Weyl matrices; the order is
+    # 0 for a plain sweep and 1 for d/dlambda, so it compares equal to
+    # with_dlambda's False and True, and a constant pair's sweeps take
+    # the power path
     calls = []
     inner = forward._sweep
 
     def recording(coeffs, variant, lams, inits, with_dlambda=False, **kw):
-        calls.append((np.atleast_1d(lams).shape[0], with_dlambda,
+        calls.append((np.atleast_1d(lams).shape[0], int(with_dlambda),
                       _is_constant(coeffs.tau1.values)
                       and _is_constant(coeffs.sigma0.values)))
         return inner(coeffs, variant, lams, inits, with_dlambda=with_dlambda,

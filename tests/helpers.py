@@ -4,7 +4,9 @@ characteristic_literal forms the characteristic values from literal 2x2
 products, an independent cross-check of forward._char_arrays;
 guess_seeds seeds every Newton entry from asympt.eigen_guess, the
 reference for forward._seeds; sequential_sweep takes the RK4 steps one
-after another, the reference for quasi._loop_sweep; differentiate is a
+after another, the reference for quasi._loop_sweep; weyl_contour_reference
+sums a contour of Weyl matrices from per-point sweeps, the reference for
+the Taylor sweeps of forward._taylor_rows; differentiate is a
 fourth-order finite difference for checking derivatives on the grid;
 from_callable, from_callables, dagger and gauge_shifted build grid
 functions and coefficient pairs.
@@ -12,7 +14,7 @@ functions and coefficient pairs.
 
 import numpy as np
 
-from spectral3 import asympt
+from spectral3 import asympt, forward
 from spectral3.forward import _EYE, Characteristic
 from spectral3.grid import (CoefficientPair, GridFunction, _values,
                             midpoint_values)
@@ -56,17 +58,18 @@ def guess_seeds(coeffs: CoefficientPair, ns, ks, theta) -> np.ndarray:
 
 
 def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
-                     with_dlambda: bool = False,
+                     with_dlambda: int = False,
                      backward: bool = False) -> np.ndarray:
     """quasi._loop_sweep's stored trajectory (M+1, L, B, 3, K) in node
-    order, from one lane per lambda running the M RK4 steps one after
-    another instead of stretches side by side, with p and q from _pq's
-    tables instead of rows gathered per step.  No finite-value check."""
+    order, B = with_dlambda + 1 Taylor blocks, from one lane per lambda
+    running the M RK4 steps one after another instead of stretches side
+    by side, with p and q from _pq's tables instead of rows gathered per
+    step.  No finite-value check."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     inits = np.asarray(inits, dtype=complex)
     M = coeffs.grid.M
     L, K = lams.shape[0], inits.shape[-1]
-    B = 2 if with_dlambda else 1
+    B = int(with_dlambda) + 1
     c = _signs(variant, L)
     sn, tn = coeffs.sigma0.values, coeffs.tau1.values
     sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
@@ -84,6 +87,27 @@ def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
     for i in _rk4_steps(S, c * lams, c.astype(complex), h, pq):
         rows[i + 1] = S
     return traj[::-1] if backward else traj
+
+
+def weyl_contour_reference(coeffs: CoefficientPair, center: complex,
+                           variant: SystemVariant = SystemVariant.DIRECT):
+    """(A_{-1}, A_0) of forward.laurent_coefficients over
+    forward.weyl_matrix at its default radius, with every contour point
+    swept on its own lane: one plain sweep per family, the dual sweep
+    for family 1 and the variant's own for family 2, whose top rows at
+    x = 1 give the Weyl functions as in forward._char_arrays."""
+    P = forward._CONTOUR_POINTS
+    radius = 1e-3 * (1.0 + abs(center))
+    phase = np.exp(2j * np.pi * np.arange(P) / P)
+    z = center + radius * phase
+    y1, y2 = (_sweep(coeffs, np.full(P, c), z, _EYE)[:, 0]
+              for c in (-variant.value, variant.value))
+    m = np.broadcast_to(_EYE, (P, 3, 3)).copy()
+    m[:, 1, 0] = -y1[:, 1] / y1[:, 2]
+    m[:, 2, 0] = y1[:, 0] / y1[:, 2]
+    m[:, 2, 1] = -y2[:, 1] / y2[:, 2]
+    return (radius / P * (m * phase[:, None, None]).sum(axis=0),
+            m.mean(axis=0))
 
 
 def differentiate(f):

@@ -12,7 +12,7 @@ from spectral3 import asympt, forward, quasi
 from spectral3.cli import main
 from spectral3.errors import (BasinEscapeError, DerivativeVanishesError,
                               GammaZeroError, NearPoleError,
-                              NoConvergenceError)
+                              NoConvergenceError, ResolutionGuardError)
 from spectral3.forward import (_char_arrays, _gamma, _newton_family,
                                compute_spectral_data, detect_K,
                                laurent_coefficients, load_spectral_data,
@@ -23,7 +23,7 @@ from spectral3.grid import (CoefficientPair, GridFunction, integrate,
 from spectral3.quasi import SystemVariant, _sweep
 
 from helpers import (characteristic_literal, dagger, from_callables,
-                     gauge_shifted, guess_seeds)
+                     gauge_shifted, guess_seeds, weyl_contour_reference)
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -516,13 +516,18 @@ def test_pole_guard_premise(guard_pairs):
 def test_weyl_refuses_bad_lambdas(general_coeffs128, sweep_calls, lams,
                                   message):
     # refused before any sweep, by weyl_matrix and by weyl_batch for
-    # every k
+    # every k; so is a k that is not the integer 1, 2 or 3, a bool or a
+    # float included, which `in (1, 2, 3)` would take for Phi_1, Phi_2
     calls = [functools.partial(weyl_matrix, general_coeffs128)] + [
         functools.partial(weyl_batch, general_coeffs128,
                           variant=SystemVariant.STAR, k=k) for k in (1, 2, 3)]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(message)):
             call(lams)
+    for k, shown in ((True, "Phi_True"), (2.0, "Phi_2.0"), (0, "Phi_0"),
+                     (4, "Phi_4")):
+        with pytest.raises(ValueError, match="no Weyl solution %s" % shown):
+            weyl_batch(general_coeffs128, 9.0 - 6.0j, SystemVariant.STAR, k)
     assert sweep_calls == []
 
 
@@ -638,16 +643,20 @@ def test_laurent_refuses_a_bad_radius(radius):
 @pytest.mark.parametrize("radius", [None, 1e-3])
 @pytest.mark.parametrize("center", [_NAN, _INF, -_INF, complex(_NAN, 0.0),
                                     complex(1.0, _NAN), complex(0.0, _INF),
-                                    complex(_INF, -_INF)])
+                                    complex(_INF, -_INF),
+                                    np.array([100.0, 200.0])])
 def test_laurent_refuses_a_non_finite_center(center, radius):
-    # refused before fn is called, whatever the radius
+    # refused before fn is called, whatever the radius; so is a center
+    # that is not a scalar, by its shape
     called = []
 
     def fn(z):
         called.append(z)
         return np.ones(z.shape)
 
-    with pytest.raises(ValueError, match="center must be finite"):
+    message = ("center must be a scalar, got shape (2,)" if np.ndim(center)
+               else "center must be finite")
+    with pytest.raises(ValueError, match=re.escape(message)):
         laurent_coefficients(fn, center, radius=radius)
     assert called == []
 
@@ -808,17 +817,77 @@ def test_pole_guard_sweeps_only_the_suspects_again(general_coeffs128,
 
 
 @pytest.mark.parametrize("name", ["smooth", "general"])
-def test_laurent_contour_is_one_plain_sweep(guard_pairs, sweep_calls, name):
+def test_laurent_contour_is_one_taylor_sweep(guard_pairs, sweep_calls, name):
     # The 32 contour points around lambda_{n,k}, n <= 6, sit too far from
-    # the pole for the guard's d/dlambda sweep: the Weyl matrices of a
-    # contour are one plain sweep of 64 lambdas.
+    # the pole for the guard's d/dlambda sweep, and each family's points
+    # lie in a disc of the contour radius about the centre: the Weyl
+    # matrices of a contour are one sweep of 2 lambdas, the two
+    # families' centres, carrying the Taylor blocks of the order
+    # forward._taylor_order gives that disc, 6 or 7 here.
     coeffs, data = guard_pairs[name]
     fn = functools.partial(weyl_matrix, coeffs)
     for n in range(1, 7):
         for k in (1, 2):
+            lam = data.lam(n, k)
+            order = forward._taylor_order(lam, 1e-3 * (1.0 + abs(lam)))
+            assert order == (6 if n <= 2 else 7)
             sweep_calls.clear()
-            laurent_coefficients(fn, data.lam(n, k))
-            assert sweep_calls == [(64, False, False)]
+            laurent_coefficients(fn, lam)
+            assert sweep_calls == [(2, order, False)]
+
+
+@pytest.fixture(scope="module")
+def contour_pairs(guard_pairs):
+    # the pairs of guard_pairs with their spectral data at n_max 30
+    return {name: (coeffs, compute_spectral_data(coeffs, 30))
+            for name, (coeffs, _) in guard_pairs.items()}
+
+
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+@pytest.mark.parametrize("name", ["smooth", "general", "zero"])
+def test_laurent_taylor_contour_matches_the_per_point_reference(
+        contour_pairs, name, variant):
+    # Around lambda_{n,k}, n <= 30, both k, the contour read off the
+    # Taylor sweep agrees with every point swept on its own lane
+    # (helpers.weyl_contour_reference): A_{-1} within 1e-12 of its
+    # largest entry (measured 1.2e-13) and A_0 within 5e-10 (measured
+    # 1.2e-10, the noise of the per-point samples, which are about
+    # beta/r in size and cancel in the mean).
+    coeffs, data = contour_pairs[name]
+    fn = functools.partial(weyl_matrix, coeffs, variant=variant)
+    for n in (1, 2, 6, 12, 20, 30):
+        for k in (1, 2):
+            lam = data.lam(n, k)
+            got = laurent_coefficients(fn, lam)
+            ref = weyl_contour_reference(coeffs, lam, variant)
+            for a, b, tol in zip(got, ref, (1e-12, 5e-10)):
+                assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+
+def test_laurent_taylor_contour_at_the_resolution_guard(general_coeffs):
+    # Contours whose outer points reach to within 0.2% of the resolution
+    # guard at M = 512 take order 12 and agree with the per-point
+    # reference within 1e-10 of max|A| over both coefficients (measured
+    # 1.2e-11; no pole inside, so A_{-1} is rounding).  One whose centre
+    # lies inside the guard but whose outer points cross it is refused,
+    # as the per-point sweep refuses it.
+    M = general_coeffs.grid.M
+    rho = quasi._RESOLUTION_FACTOR * M * (1.0 - 2e-3)
+    for phi in (0.3, 1.9, np.pi, -2.2):
+        lam = rho ** 3 * np.exp(1j * phi)
+        assert forward._taylor_order(lam, 1e-3 * (1.0 + abs(lam))) == 12
+        for variant in SystemVariant:
+            got = laurent_coefficients(
+                functools.partial(weyl_matrix, general_coeffs,
+                                  variant=variant), lam)
+            ref = weyl_contour_reference(general_coeffs, lam, variant)
+            scale = max(np.abs(b).max() for b in ref)
+            for a, b in zip(got, ref):
+                assert np.abs(a - b).max() <= 1e-10 * scale
+    lam = (quasi._RESOLUTION_FACTOR * M * (1.0 - 1e-4)) ** 3
+    with pytest.raises(ResolutionGuardError):
+        laurent_coefficients(functools.partial(weyl_matrix, general_coeffs),
+                             lam)
 
 
 def test_joint_newton_sweeps_both_families_once_per_iteration(
