@@ -42,6 +42,21 @@ the family 2 ones, each with its own variant.  The literal formulas
 live in the tests (tests/helpers.py) as an independent cross-check for
 moderate |lambda|.
 
+Self-adjoint class.  Conjugating the STAR system at lambda gives the
+DIRECT system at -conj(lambda) on the pair (conj tau1, -conj sigma0)
+(quasi), and for tau1 real and sigma0 purely imaginary that pair is the
+pair itself.  Family 1 is swept in STAR and family 2 in DIRECT, both
+with the same RK4 operations from real identity data, and the seeds
+mirror too, so family 2's search is family 1's mirrored bit for bit:
+lambda, delta and numer by -conj (_mirror), gamma_numer and ddelta by
++conj.  Only on a constant pair, whose values are all real, do the zero
+imaginary parts of the record take signs that do not mirror; its
+lambdas, weight numbers and gamma still come out the same bits.  A pair
+exactly in the class (every tau1 sample with imaginary part 0, every
+sigma0 sample with real part 0) therefore searches family 1 alone and
+mirrors family 2 (_roots); a pair off the class by any amount searches
+both.
+
 Weyl solutions.  Phi_k decays toward x = 1 for some lambda and then no
 forward integration can recover it; the integration direction is chosen
 per lambda from the middle exponent of r^3 = c lambda: non-positive
@@ -322,6 +337,32 @@ def _seeds(coeffs: CoefficientPair, ns: np.ndarray, ks: np.ndarray,
     return seeds
 
 
+def _mirror(z):
+    """-conj(z): lambda_{n,2} and beta_{n,2} of a self-adjoint-class
+    pair from lambda_{n,1} and beta_{n,1}."""
+    return -np.conj(z)
+
+
+def _roots(coeffs: CoefficientPair, n_max: int, theta: complex) -> tuple:
+    """Newton's roots lambda_{n,k}, n <= n_max, with the Characteristic
+    record at them, as family-major (2 n_max,) arrays, seeded by _seeds.
+    A pair exactly in the self-adjoint class (module docstring) searches
+    family 1 alone and takes family 2 as its mirror image."""
+    ns = np.arange(1, n_max + 1)
+    ks = np.ones_like(ns)
+    mirrored = not (coeffs.tau1.values.imag.any()
+                    or coeffs.sigma0.values.real.any())
+    if not mirrored:
+        ns, ks = np.tile(ns, 2), np.repeat([1, 2], n_max)
+    lam, a = _newton_family(coeffs, ks, ns, _seeds(coeffs, ns, ks, theta),
+                            theta)
+    if mirrored:
+        lam = np.concatenate([lam, _mirror(lam)])
+        a = Characteristic(*(np.concatenate([v, f(v)]) for v, f in
+                             zip(a, (_mirror, _mirror, np.conj, np.conj))))
+    return lam, a
+
+
 def _gamma(lam_n: complex, g: np.ndarray, beta: np.ndarray) -> complex:
     """Additional weight number gamma_n of a coinciding eigenvalue pair:
     of g = (Delta_{3,1}/dDelta_{1,1}, C_1(1)/dDelta_{2,2}) at lambda_n,
@@ -377,23 +418,23 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
                           pair_tol: float = asympt.COINCIDE_TOL) -> "SpectralData":
     """The full forward map: coefficients -> spectral data up to n_max.
 
-    One Newton search over both families, seeded by _seeds: the
-    entries n >= 7 of a pair that is not constant from the constant
+    One Newton search over both families (_roots), seeded by _seeds:
+    the entries n >= 7 of a pair that is not constant from the constant
     model's eigenvalues plus the boundary shift, the others from
-    asympt.eigen_guess.  The weight numbers come from Newton's last
-    evaluation.  n_max must be at least 1, and pair_tol, the relative
-    tolerance of asympt.coincide that pairs the two families, finite
-    and non-negative."""
+    asympt.eigen_guess.  A pair exactly in the self-adjoint class
+    searches family 1 alone and mirrors family 2, bit for bit (module
+    docstring), so its data satisfy the symmetry exactly outside K,
+    where family 2 is swept again.  The weight
+    numbers come from Newton's last evaluation.  n_max must be at least
+    1, and pair_tol, the relative tolerance of asympt.coincide that
+    pairs the two families, finite and non-negative."""
     if not 0.0 <= pair_tol < np.inf:
         raise ValueError("pair tolerance must be a finite number >= 0, "
                          "got %r" % (pair_tol,))
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %d" % n_max)
     theta = integrate(coeffs.tau1)
-    ns = np.tile(np.arange(1, n_max + 1), 2)
-    ks = np.repeat([1, 2], n_max)
-    lam, a = _newton_family(coeffs, ks, ns, _seeds(coeffs, ns, ks, theta),
-                            theta)
+    lam, a = _roots(coeffs, n_max, theta)
 
     # (n_max, 2) tables of the roots and their record from Newton's
     # family-major arrays; family 2 is then put in the order of family 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asympt
-from .forward import SpectralData, _checked_K
+from .forward import SpectralData, _checked_K, _mirror
 
 __all__ = ["HalfData", "complete", "restrict", "check_suff_conditions",
            "check_symmetry"]
@@ -62,8 +62,8 @@ def complete(half: HalfData) -> SpectralData:
     lambda_{n,2} = -conj(lambda_n), beta_{n,2} = -conj(beta_n); on the
     coinciding set both weight numbers are zero and gamma is carried.
     """
-    lambdas = np.stack([half.lambdas, -np.conj(half.lambdas)], axis=1)
-    betas = np.stack([half.betas, -np.conj(half.betas)], axis=1)
+    lambdas = np.stack([half.lambdas, _mirror(half.lambdas)], axis=1)
+    betas = np.stack([half.betas, _mirror(half.betas)], axis=1)
     for n in half.K:
         lam = lambdas[n - 1, 0]
         if abs(lam.real) > 1e-6 * (1.0 + abs(lam)):

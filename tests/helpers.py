@@ -3,7 +3,9 @@
 characteristic_literal forms the characteristic values from literal 2x2
 products, an independent cross-check of forward._char_arrays;
 guess_seeds seeds every Newton entry from asympt.eigen_guess, the
-reference for forward._seeds; sequential_sweep takes the RK4 steps one
+reference for forward._seeds; both_families_roots searches both
+families on every pair, the reference for the mirrored family 2 of
+forward._roots; sequential_sweep takes the RK4 steps one
 after another, the reference for quasi._loop_sweep; weyl_contour_reference
 sums a contour of Weyl matrices from per-point sweeps, the reference for
 the Taylor sweeps of forward._taylor_rows; differentiate is a
@@ -55,6 +57,16 @@ def guess_seeds(coeffs: CoefficientPair, ns, ks, theta) -> np.ndarray:
     """forward._seeds without the model: asympt.eigen_guess for every
     entry, the reference the model seeds are checked against."""
     return asympt.eigen_guess(ns, ks, theta)
+
+
+def both_families_roots(coeffs: CoefficientPair, n_max: int, theta):
+    """forward._roots with no mirror: one Newton search over both
+    families, seeded by forward._seeds, on every pair."""
+    ns = np.tile(np.arange(1, n_max + 1), 2)
+    ks = np.repeat([1, 2], n_max)
+    return forward._newton_family(coeffs, ks, ns,
+                                  forward._seeds(coeffs, ns, ks, theta),
+                                  theta)
 
 
 def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,

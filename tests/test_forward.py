@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import re
 from itertools import zip_longest
@@ -22,8 +23,9 @@ from spectral3.grid import (CoefficientPair, GridFunction, integrate,
                             read_coefficients, write_coefficients)
 from spectral3.quasi import SystemVariant, _sweep
 
-from helpers import (characteristic_literal, dagger, from_callables,
-                     gauge_shifted, guess_seeds, weyl_contour_reference)
+from helpers import (both_families_roots, characteristic_literal, dagger,
+                     from_callables, gauge_shifted, guess_seeds,
+                     weyl_contour_reference)
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -1033,10 +1035,11 @@ def test_forward_json_at_n_max_6_is_unchanged(tmp_path, monkeypatch,
 
 
 def test_model_seeds_shorten_the_data_sweeps(sweep_calls, monkeypatch):
-    # d/dlambda sweeps of the data pair on data/smooth.csv at n_max 30:
-    # 60, 60, 14 and 12 lambdas from the model seeds (146), against 60,
-    # 60, 60 and 16 (196) from eigen_guess alone; the model's own search
-    # runs on the constant pair, in the power path
+    # d/dlambda sweeps of the data pair on data/smooth.csv at n_max 30,
+    # which is in the self-adjoint class, so only family 1 is searched:
+    # 30, 30, 7 and 6 lambdas from the model seeds (73), against 30, 30,
+    # 30 and 8 (98) from eigen_guess alone; the model's own search runs
+    # on the constant pair, in the power path
     coeffs = read_coefficients(SMOOTH_CSV)
     counts = []
     for seeds in (forward._seeds, guess_seeds):
@@ -1045,7 +1048,7 @@ def test_model_seeds_shorten_the_data_sweeps(sweep_calls, monkeypatch):
         compute_spectral_data(coeffs, 30)
         counts.append(sum(L for L, dlam, constant in sweep_calls
                           if dlam and not constant))
-    assert counts[0] <= 150 < counts[1]
+    assert counts[0] <= 75 < counts[1]
 
 
 def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
@@ -1058,3 +1061,100 @@ def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
     monkeypatch.setattr(forward, "_seeds", guess_seeds)
     compute_spectral_data(coeffs, 30)
     assert calls == sweep_calls and all(c for _, _, c in calls)
+
+
+# ---------------------------------------------------------------------------
+# Self-adjoint class: family 1 searched, family 2 mirrored
+
+# a pair of the perfbench bank's form, tau1 = 0.3 + sum_j a_j cos 2 pi j x
+# with real a_j and sigma0 = i sum_j b_j sin pi j x with real b_j
+_BANK_A, _BANK_B = (0.2, -0.1, 0.05), (0.15, -0.1, 0.08)
+
+
+@pytest.fixture(scope="module")
+def selfadjoint_pairs(grid512, coinciding_coeffs):
+    # name -> (pair, n_max, pair_tol), every pair exactly in the class
+    j = np.arange(1, 4)
+    bank = from_callables(
+        grid512,
+        lambda x: 0.3 + np.dot(_BANK_A, np.cos(2.0 * np.pi * j * x)),
+        lambda x: 1j * np.dot(_BANK_B, np.sin(np.pi * j * x)))
+    tol = asympt.COINCIDE_TOL
+    return {"smooth_csv": (read_coefficients(SMOOTH_CSV), 30, tol),
+            "bank": (bank, 30, tol),
+            "coinciding": (coinciding_coeffs, 3, 1e-6),
+            "constant_0": (CoefficientPair.model(grid512, 0.0), 30, tol),
+            "constant_0.3": (CoefficientPair.model(grid512, 0.3), 30, tol)}
+
+
+@pytest.mark.parametrize("name", ["smooth_csv", "bank"])
+def test_mirrored_newton_record_equals_the_two_family_search(
+        selfadjoint_pairs, name):
+    # Newton's roots and record of family 2 are family 1's mirrored bit
+    # for bit.  On a constant pair every value is real, and the signs of
+    # the zero imaginary parts of delta, numer and gamma_numer do not
+    # mirror; the spectral data, checked below, come out the same bits.
+    coeffs, n_max, _ = selfadjoint_pairs[name]
+    theta = integrate(coeffs.tau1)
+    (lam, a), (lam_ref, a_ref) = (roots(coeffs, n_max, theta) for roots in
+                                  (forward._roots, both_families_roots))
+    for got, ref in zip((lam, *a), (lam_ref, *a_ref)):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["smooth_csv", "bank", "coinciding",
+                                  "constant_0", "constant_0.3"])
+def test_mirrored_family_gives_the_two_family_spectral_data(
+        selfadjoint_pairs, monkeypatch, name):
+    coeffs, n_max, pair_tol = selfadjoint_pairs[name]
+    data = compute_spectral_data(coeffs, n_max, pair_tol)
+    monkeypatch.setattr(forward, "_roots", both_families_roots)
+    ref = compute_spectral_data(coeffs, n_max, pair_tol)
+    assert data.lambdas.tobytes() == ref.lambdas.tobytes()
+    assert data.betas.tobytes() == ref.betas.tobytes()
+    assert data.K == ref.K and list(data.gamma) == list(ref.gamma)
+    assert (np.array(list(data.gamma.values())).tobytes()
+            == np.array(list(ref.gamma.values())).tobytes())
+    assert data.K == ([1] if name == "coinciding" else [])
+
+
+def test_forward_json_of_a_selfadjoint_pair_equals_the_two_family_search(
+        tmp_path, monkeypatch):
+    # the CLI output bytes, where a signed zero would show as -0; its
+    # symmetry report reads 0, since family 2 is family 1 mirrored
+    outs = [tmp_path / "mirrored.json", tmp_path / "both.json"]
+    for roots, out in zip((forward._roots, both_families_roots), outs):
+        monkeypatch.setattr(forward, "_roots", roots)
+        assert main(["forward", "--coeffs", SMOOTH_CSV, "--n-max", "30",
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    report = json.loads(outs[0].read_text())["diagnostics"]["symmetry"]
+    assert report["lambda_max"] == 0.0 and report["beta_max"] == 0.0
+
+
+@pytest.mark.parametrize("field", ["tau1", "sigma0"])
+def test_a_pair_just_off_the_class_searches_both_families(
+        tmp_path, smooth_coeffs, sweep_calls, field):
+    # 1e-14 off the class at one node: Newton's first sweep carries both
+    # families, n_max lambdas each, where the exact pair's carries one;
+    # the CLI, which admits the class within 1e-12, still reports the
+    # symmetry it measures (beta_max 1.1e-17 and 5.3e-16 measured)
+    tau1 = smooth_coeffs.tau1.values.copy()
+    sigma0 = smooth_coeffs.sigma0.values.copy()
+    if field == "tau1":
+        tau1[100] += 1e-14j
+    else:
+        sigma0[100] += 1e-14
+    grid = smooth_coeffs.grid
+    near = CoefficientPair(GridFunction(grid, tau1), GridFunction(grid, sigma0))
+    for coeffs, L in ((smooth_coeffs, 6), (near, 12)):
+        sweep_calls.clear()
+        compute_spectral_data(coeffs, 6)
+        assert sweep_calls[0] == (L, True, False)
+    csv, out = str(tmp_path / "near.csv"), tmp_path / "near.json"
+    write_coefficients(csv, near)
+    assert main(["forward", "--coeffs", csv, "--n-max", "6",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["diagnostics"]["symmetry"]
+    assert report["pass"] and report["beta_max"] > 0.0
+
