@@ -10,11 +10,16 @@ given data and eps = 1 the model data; for each grid node the system
 
 is solved for phi with one LU factorization per node; the differentiated
 system has the same matrix, so phi' = A^-1 tilde_phi' + s phi with the
-scalar s = sum_v (-1)^eps(v) eta_v phi_v.  assemble keeps only the small
-kernel factors; solve_phi builds the node matrices from them one block of
-nodes at a time, so the (M+1, 4N, 4N) stack of all of them is never held.
-Only the LAPACK calls run node by node; the work around them runs over
-blocks of nodes.  Every kernel G_{v,v0}, eta_v and Phi^N value comes from
+scalar s = sum_v (-1)^eps(v) eta_v phi_v.  The Weyl states stay in the
+model cache's arrays, their only copy: assemble records which array and
+row hold each index's direct and star state, with beta_v and the gamma_n
+of K, and keeps only the small kernel tables (1 / (mu - lambda) and the
+near-pair values).  solve_phi reads the states one block of nodes at a
+time, builds that block's node matrices and right-hand sides from them,
+and so never holds the (M+1, 4N, 4N) stack of all matrices nor a second
+copy of a state table.  Only the LAPACK calls run node by node; the work
+around them runs over blocks of nodes.  Every kernel G_{v,v0}, eta_v and
+Phi^N value comes from
 one combined star state per index, Z_v = (-1)^k beta_v Phi*_{4-k}(.,
 lambda_v) (with -gamma_n Phi*_3 added on the coinciding set K), paired
 with a direct Weyl state by one kernel routine: the Lagrange bracket over
@@ -43,8 +48,8 @@ from .errors import PoleHitError, SingularSystemError
 from .forward import SpectralData, compute_spectral_data
 from .grid import CoefficientPair, Grid, GridFunction, cumulative, l2_norm, \
     w2m1_distance
-from .model import (ModelCache, build_model, distance_d, spectral_gaps,
-                    xi_sequence)
+from .model import (ModelCache, StateRows, build_model, distance_d,
+                    spectral_gaps, xi_sequence)
 from .quasi import SystemVariant
 
 __all__ = [
@@ -94,27 +99,45 @@ def index_set(N: int) -> list:
 
 
 class StarStates(NamedTuple):
-    """Combined star states Z_v of the indices of V^N.
+    """Combined star states Z_v of the indices of V^N, left in the model
+    cache's arrays and formed on request for a slice of nodes.
 
-    Z_v = -beta_v Phi*_3(., lam_v) for k = 1 and beta_v Phi*_2(., lam_v)
-    for k = 2; on the coinciding set K the term -gamma_n Phi*_3 is added
-    and the (2, 2) pole is regularized.  eta_v = Z_v[:, 0] and
-    eta_v' = Z_v[:, 1].
+    Z_v = coef_v Phi*_{4-k}(., lam_v), with coef_v = -beta_v for k = 1
+    and beta_v for k = 2; on the coinciding set K the term
+    -gamma_n Phi*_3(., lam_v) is added and the (2, 2) pole is
+    regularized.  eta_v = Z_v[:, 0] and eta_v' = Z_v[:, 1].
     """
 
-    Z: np.ndarray            # (L, M+1, 3)
+    states: StateRows        # Phi*_{4-k}(., lam_v)
+    coef: np.ndarray         # (L,)
     lam: np.ndarray          # (L,)
     pole: np.ndarray         # (L,)  coefficient of Phi*_2 in Z_v
     regularized: np.ndarray  # (L,)  bool
+    gamma: np.ndarray        # (R,)  gamma_n of the regularized rows
+    gamma_states: StateRows  # Phi*_3(., lam_v) of the regularized rows
+
+    def take(self, nodes: slice = slice(None), comps=slice(None)) -> np.ndarray:
+        """Z_v at the nodes of the slice, (L, nodes, 3), or (L, nodes)
+        for one component."""
+        Z = self.states.take(nodes, comps)
+        lead = (slice(None),) + (None,) * (Z.ndim - 1)
+        np.multiply(self.coef[lead], Z, out=Z)
+        if self.gamma.size:
+            Z[self.regularized] -= (self.gamma[lead]
+                                    * self.gamma_states.take(nodes, comps))
+        return Z
 
 
-def _states_at(cache: ModelCache, variant: SystemVariant, ks: np.ndarray,
-               lams: np.ndarray) -> np.ndarray:
-    """Phi_{ks[i]}(., lams[i]) of the variant: one cache request per k."""
-    out = np.empty((len(lams), cache.grid.M + 1, 3), dtype=complex)
+def _state_rows(cache: ModelCache, variant: SystemVariant, ks: np.ndarray,
+                lams: np.ndarray) -> StateRows:
+    """Where Phi_{ks[i]}(., lams[i]) of the variant sit in the model
+    cache: one cache request per k."""
+    groups = []
     for k in np.unique(ks):
-        out[ks == k] = cache.states(variant, int(k), lams[ks == k])
-    return out
+        at = np.flatnonzero(ks == k)
+        groups += [(array, rows, at[sub]) for array, rows, sub
+                   in cache.rows(variant, int(k), lams[at]).groups]
+    return StateRows(tuple(groups), len(lams))
 
 
 def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
@@ -125,35 +148,33 @@ def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
     beta = np.stack([data.betas[:N], cache.model_data.betas[:N]], axis=2)
     k = np.broadcast_to(np.array([1, 2])[:, None], lam.shape).ravel()
     lam, beta = lam.ravel(), beta.ravel()
-    Z = (np.where(k == 1, -beta, beta)[:, None, None]
-         * _states_at(cache, SystemVariant.STAR, 4 - k, lam))
+    states = _state_rows(cache, SystemVariant.STAR, 4 - k, lam)
     # the given data's family 2 rows on K: v = (n, 2, 0) sits at 4n - 2
     K = [n for n in data.K if n <= N]
     regularized = np.isin(np.arange(4 * N), 4 * np.array(K, dtype=int) - 2)
-    if K:
-        gamma = np.array([data.gamma[n] for n in K])
-        Z[regularized] -= gamma[:, None, None] * cache.states(
-            SystemVariant.STAR, 3, lam[regularized])
-    return StarStates(Z, lam, np.where(k == 2, beta, 0.0), regularized)
+    return StarStates(states, np.where(k == 1, -beta, beta), lam,
+                      np.where(k == 2, beta, 0.0), regularized,
+                      np.array([data.gamma[n] for n in K], dtype=complex),
+                      cache.rows(SystemVariant.STAR, 3, lam[regularized]))
 
 
 class KernelFactors(NamedTuple):
     """The node-wise factors of the two-point kernels D(x; Z_v, Y_w),
     from which _bracket builds out[m, w, v] for any slice of nodes."""
 
-    Yb: np.ndarray    # (M+1, W, 3)  (y^[2], -y', y) at every node
-    Zt: np.ndarray    # (M+1, 3, L)  (z, z', z^[2]) at every node
-    recip: np.ndarray  # (W, L)  1 / (mu_w - lam_v), or 0 on the near pairs
-    ws: np.ndarray    # (P,)  near pairs (w, v)
-    vs: np.ndarray    # (P,)
-    vals: np.ndarray  # (M+1, P)  their integral-form values
+    Y: StateRows        # (W,) direct states Y_w
+    stars: StarStates   # (L,) star states Z_v
+    recip: np.ndarray   # (W, L)  1 / (mu_w - lam_v), or 0 on the near pairs
+    ws: np.ndarray      # (P,)  near pairs (w, v)
+    vs: np.ndarray      # (P,)
+    vals: np.ndarray    # (M+1, P)  their integral-form values
 
 
-def _kernel_factors(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
+def _kernel_factors(stars: StarStates, Y: StateRows, mu: np.ndarray,
                     j) -> KernelFactors:
     """Factors of the two-point kernels D(x; Z_v, Y_w) for every pair.
 
-    Y (W, M+1, 3) holds direct states Phi_{j_w}(., mu_w).  Bracket form
+    Y holds direct states Phi_{j_w}(., mu_w).  Bracket form
     (Z^[2] Y - Z' Y' + Z Y^[2]) / (mu_w - lam_v); pairs with nearly equal
     arguments take the integral form cumulative(Z Y) instead, plus the
     explicit pole pole_v / (lam_v - mu_w) when j_w = 2.  Evaluating that
@@ -168,7 +189,8 @@ def _kernel_factors(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
     np.divide(1.0, diff, out=recip, where=~near)
 
     ws, vs = np.nonzero(near)
-    vals = cumulative(np.transpose(stars.Z[vs, :, 0] * Y[ws, :, 0]))
+    vals = cumulative(np.transpose(stars.take(comps=0)[vs]
+                                   * Y.take(comps=0)[ws]))
     pole = (j[ws] == 2) & (stars.pole[vs] != 0)
     hit = pole & (lam[vs] == mu[ws])
     bad = np.flatnonzero(hit & ~stars.regularized[vs])
@@ -178,29 +200,35 @@ def _kernel_factors(stars: StarStates, Y: np.ndarray, mu: np.ndarray,
             % (lam[vs[bad[0]]],))
     add = pole & ~hit
     vals[:, add] += stars.pole[vs[add]] / (lam[vs[add]] - mu[ws[add]])
-    return KernelFactors(
-        Yb=np.transpose(Y[:, :, ::-1] * np.array([1.0, -1.0, 1.0]),
-                        (1, 0, 2)),
-        Zt=np.transpose(stars.Z, (1, 2, 0)),
-        recip=recip, ws=ws, vs=vs, vals=vals)
+    return KernelFactors(Y=Y, stars=stars, recip=recip, ws=ws, vs=vs,
+                         vals=vals)
+
+
+# (y^[2], -y', y): the components of Y in reverse order, signed
+_REVERSE = slice(None, None, -1)
+_BRACKET_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
 def _bracket(f: KernelFactors, nodes: slice = slice(None), rows=None,
              cols=None) -> np.ndarray:
     """D(x_m; Z_v, Y_w) as out[m, w, v] for the nodes m of the slice,
-    times cols[..., v] / rows[..., w] when these are given: one batched
-    product over the nodes, times 1 / (mu - lam), with the near pairs
-    overwritten by their integral form.  rows and cols scale the Yb and
-    Zt factors of the slice, O(W + L) entries per node, never the (W, L)
+    times cols[m, v] / rows[m, w] when these (nodes or 1, W or L) tables
+    are given: one batched product over the nodes, times 1 / (mu - lam),
+    with the near pairs overwritten by their integral form.  The slice's
+    Y and Z factors are read from the model cache's arrays, O(W + L)
+    entries per node, and rows and cols scale them, never the (W, L)
     product.  A near-pair value is multiplied by the ratio cols / rows
     itself, which is exact where the two agree, as on the diagonal of a
     similarity."""
-    Yb, Zt, vals = f.Yb[nodes], f.Zt[nodes], f.vals[nodes]
+    Yb = f.Y.take(nodes, _REVERSE)    # (W, nodes, 3)
+    Yb *= _BRACKET_SIGNS
+    Zt = f.stars.take(nodes)          # (L, nodes, 3)
+    vals = f.vals[nodes]
     if cols is not None:
-        Yb = Yb / rows[..., :, None]
-        Zt = Zt * cols[..., None, :]
+        Yb /= rows.T[:, :, None]
+        Zt *= cols.T[:, :, None]
         vals = vals * (cols[..., f.vs] / rows[..., f.ws])
-    out = np.matmul(Yb, Zt)
+    out = np.matmul(np.transpose(Yb, (1, 0, 2)), np.transpose(Zt, (1, 2, 0)))
     out *= f.recip
     out[:, f.ws, f.vs] = vals
     return out
@@ -215,9 +243,11 @@ class MainAssembly:
     """Tables of the truncated main system, with the star states and the
     model cache they were built from.
 
-    The node matrices A[m, v0, v] are not stored: node_matrices builds
-    them for a slice of nodes from the kernel factors, and A builds all
-    M+1 of them on request.
+    The Weyl states stay in the model cache's arrays: the kernel factors
+    and the star states record where each index's states sit, and every
+    table over the grid is formed from them on each access, for a slice
+    of nodes (tilde_states, node_matrices) or for all of them (eta,
+    deta, A).
     """
 
     cache: ModelCache
@@ -227,18 +257,24 @@ class MainAssembly:
     data: SpectralData      # the given data truncated to n <= N
     stars: StarStates
     kernel: KernelFactors   # of D(x; Z_v, tilde phi_v0)
-    tilde_phi: np.ndarray   # (4N, M+1)
-    tilde_dphi: np.ndarray  # (4N, M+1)
     signs: np.ndarray       # (4N,)  (-1)^eps
     rates: np.ndarray       # (4N,)  equilibration exponents
 
+    def tilde_states(self, nodes: slice = slice(None)) -> tuple:
+        """(tilde_phi, tilde_phi') at the nodes of the slice, two
+        (4N, nodes) views of one new array."""
+        tilde = self.kernel.Y.take(nodes, slice(0, 2))
+        return tilde[:, :, 0], tilde[:, :, 1]
+
     @property
     def eta(self) -> np.ndarray:
-        return self.stars.Z[:, :, 0]
+        """(4N, M+1)"""
+        return self.stars.take(comps=0)
 
     @property
     def deta(self) -> np.ndarray:
-        return self.stars.Z[:, :, 1]
+        """(4N, M+1)"""
+        return self.stars.take(comps=1)
 
     def node_matrices(self, nodes: slice = slice(None),
                       w: np.ndarray | None = None) -> np.ndarray:
@@ -248,7 +284,7 @@ class MainAssembly:
         weights and signs scale the kernel factors before their
         product."""
         if w is None:
-            w = np.ones(len(self.V))
+            w = np.ones((1, len(self.V)))
         A = _bracket(self.kernel, nodes, rows=w, cols=-self.signs * w)
         idx = np.arange(len(self.V))
         A[:, idx, idx] += 1.0
@@ -265,19 +301,18 @@ def _signs(V: list) -> np.ndarray:
 
 
 def assemble(data: SpectralData, cache: ModelCache, N: int) -> MainAssembly:
-    """Build the states, kernel factors and tables of the truncated main
-    system on the grid of the model cache; the node matrices are built
-    from them block by block in solve_phi."""
+    """Record where the states of the truncated main system sit in the
+    model cache, and build its kernel factors and tables; the node
+    matrices are built from them block by block in solve_phi."""
     data_N = data.truncate(N)
     V = index_set(N)
     stars = _star_states(cache, data_N, N)
     j = np.array([v.k + 1 for v in V])
-    Y = _states_at(cache, SystemVariant.DIRECT, j, stars.lam)
+    Y = _state_rows(cache, SystemVariant.DIRECT, j, stars.lam)
     rates = root_rates(stars.lam)[np.arange(len(V)), j - 1]
     return MainAssembly(cache=cache, grid=cache.grid, N=N, V=V, data=data_N,
                         stars=stars,
                         kernel=_kernel_factors(stars, Y, stars.lam, j),
-                        tilde_phi=Y[:, :, 0], tilde_dphi=Y[:, :, 1],
                         signs=_signs(V), rates=rates)
 
 
@@ -298,23 +333,21 @@ def solve_phi(assembly: MainAssembly):
     rcond, the first node where it occurs, its inverse, and the largest
     relative residual of the phi solve.
 
-    w, tilde_phi / w and tilde_phi' / w are (M+1, 4N) arrays over the
-    whole grid, and xhat and yhat are written into two more.  The nodes
-    run in blocks of _NODE_BLOCK: assembly.node_matrices builds each
-    block's Ahat already scaled, the weights, signs and 1 / (mu - lam)
-    applied to the kernel factors, so one block of matrices and one LU
-    factorization exist at a time; norms and residuals are array
-    operations on a block; only the LAPACK calls run node by node.
+    The nodes run in blocks of _NODE_BLOCK, and each block forms its own
+    w, tilde_phi / w and tilde_phi' / w from the states in the model
+    cache: assembly.node_matrices builds the block's Ahat already scaled,
+    the weights, signs and 1 / (mu - lam) applied to the kernel factors,
+    so one block of matrices and one LU factorization exist at a time;
+    norms and residuals are array operations on a block; only the LAPACK
+    calls run node by node.  xhat and yhat are written straight into phi
+    and phi', which with eta, formed once all nodes are solved, are the
+    only (4N, M+1) tables the solve holds.
     """
     grid = assembly.grid
     M = grid.M
     size = len(assembly.V)
-    # node-major (M+1, 4N) rows, contiguous along v
-    w = np.exp(grid.nodes[:, None] * assembly.rates)
-    b1 = np.divide(assembly.tilde_phi.T, w, order="C")
-    b2 = np.divide(assembly.tilde_dphi.T, w, order="C")
     # the solutions xhat and yhat go straight into the outputs, node-major
-    # views of phi and dphi, which are scaled by w once all are solved
+    # views of phi and dphi, and are scaled by w block by block
     phi = np.empty((size, M + 1), dtype=complex)
     dphi = np.empty_like(phi)
     xhat, yhat = phi.T, dphi.T
@@ -322,12 +355,18 @@ def solve_phi(assembly: MainAssembly):
     # system skip loading scipy.linalg (about 27 MB and 0.3 s)
     from scipy.linalg import get_lapack_funcs
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
-                                           (b1,))
+                                           (phi,))
     rcond_min, rcond_node = np.inf, -1
     residual_max = 0.0
+    x = grid.nodes[:, None]
     for start in range(0, M + 1, _NODE_BLOCK):
         block = slice(start, min(start + _NODE_BLOCK, M + 1))
-        Ahat = assembly.node_matrices(block, w[block])
+        # node-major (nodes, 4N) rows, contiguous along v
+        w = np.exp(x[block] * assembly.rates)
+        tilde_phi, tilde_dphi = assembly.tilde_states(block)
+        b1 = np.divide(tilde_phi.T, w, order="C")
+        b2 = np.divide(tilde_dphi.T, w, order="C")
+        Ahat = assembly.node_matrices(block, w)
         # column sums over the non-contiguous axis add sequentially, in the
         # order of a single matrix's sum(axis=0)
         anorm = np.abs(Ahat).sum(axis=1).max(axis=1)
@@ -339,21 +378,23 @@ def solve_phi(assembly: MainAssembly):
             if rcond < rcond_min:
                 rcond_min, rcond_node = rcond, m
             # one column per getrs: a two-column call took 35x as long
-            xhat[m] = getrs(lu, piv, b1[m])[0]
-            yhat[m] = getrs(lu, piv, b2[m])[0]
+            xhat[m] = getrs(lu, piv, b1[i])[0]
+            yhat[m] = getrs(lu, piv, b2[i])[0]
         xb = np.ascontiguousarray(xhat[block])
         # einsum, not matmul: a stacked matrix-vector matmul calls BLAS
         # gemv, which OpenBLAS splits over two threads from (4N)^2 = 4096
         # on, and those calls stall whenever another process holds a core
         Ax = np.einsum("mij,mj->mi", Ahat, xb)
-        res = (np.abs(Ax - b1[block]).max(axis=1)
-               / (1.0 + np.abs(b1[block]).max(axis=1)))
+        res = (np.abs(Ax - b1).max(axis=1)
+               / (1.0 + np.abs(b1).max(axis=1)))
         residual_max = max(residual_max, float(res.max()))
         del Ahat  # before the next block's are built
-    phi *= w.T
-    s = (assembly.signs[:, None] * assembly.eta * phi).sum(axis=0)
-    dphi *= w.T
-    dphi += s * phi
+        xhat[block] *= w
+        yhat[block] *= w
+    s = assembly.eta
+    np.multiply(assembly.signs[:, None], s, out=s)
+    s *= phi
+    dphi += s.sum(axis=0) * phi
     diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
             "cond_max": 1.0 / rcond_min, "residual_max": residual_max}
     return phi, dphi, diag
@@ -474,18 +515,21 @@ def _phiN_tables(result: ReconstructionResult, k0: int, lams):
     (M+1, W, 4N) stack is never held."""
     a = result.assembly
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    tilde = a.cache.states(SystemVariant.DIRECT, k0, lams)
+    tilde = a.cache.rows(SystemVariant.DIRECT, k0, lams)
     f = _kernel_factors(a.stars, tilde, lams, k0)
     signs = a.signs[:, None]
     sphi, sdphi = signs * result.phi, signs * result.dphi
-    vals, dvals = tilde[:, :, 0].copy(), tilde[:, :, 1].copy()
+    vals, dvals = tilde.take(comps=0), tilde.take(comps=1)
     M = a.grid.M
     for start in range(0, M + 1, _NODE_BLOCK):
         block = slice(start, min(start + _NODE_BLOCK, M + 1))
         P = _bracket(f, block)                # (nodes, W, 4N)
         vals[:, block] += np.einsum("vm,mwv->wm", sphi[:, block], P)
         dvals[:, block] += np.einsum("vm,mwv->wm", sdphi[:, block], P)
-    dvals += tilde[:, :, 0] * (sphi * a.eta).sum(axis=0)
+    # eta is bound to a name: numpy may compute sphi * <temporary> in the
+    # temporary's memory as <temporary> * sphi, which rounds differently
+    eta = a.eta
+    dvals += tilde.take(comps=0) * (sphi * eta).sum(axis=0)
     return vals, dvals
 
 

@@ -9,8 +9,10 @@ given data (admissibility conditions 3 and 4, a collision being
 asympt.coincide).  Conditions 1 and 2, on the model pair alone, hold by
 construction: its mean is the data's, and SpectralData refuses a
 non-finite theta.  The Weyl solutions Phi_k of the direct and star
-systems are served by ModelCache.states over lambda arrays, each
-computed where it is first read and kept for the rest of the run.
+systems are computed where they are first read, one weyl_batch array per
+request's misses, and kept for the rest of the run.  Those read-only
+arrays are the only copy: ModelCache.rows says where each lambda's state
+sits in them, and ModelCache.states copies the states out.
 
 spectral_gaps is the one entrywise comparison of two data tables,
 |Delta lambda| and |Delta beta| per (n, k); xi_sequence, distance_d,
@@ -25,6 +27,7 @@ for the regular combinations; the cache still guards each evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +38,38 @@ from .forward import (SpectralData, check_order, compute_spectral_data,
 from .grid import CoefficientPair, Grid
 from .quasi import SystemVariant
 
-__all__ = ["ModelCache", "build_model", "spectral_gaps", "xi_sequence",
-           "distance_d"]
+__all__ = ["ModelCache", "StateRows", "build_model", "spectral_gaps",
+           "xi_sequence", "distance_d"]
 
 # Extra model indices beyond N; verification compares the first few
 # eigenvalues past the truncation against the model.
 _MODEL_MARGIN = 4
+
+
+def _index(idx: np.ndarray):
+    """idx as a slice when it is a run of consecutive integers, so that
+    indexing with it makes a view, not a copy."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
+class StateRows(NamedTuple):
+    """Weyl states that stay in the model cache's arrays: item at[i] of
+    a group (array, rows, at) is array[rows[i]], (M+1, 3).  rows and at
+    are index arrays or slices; the arrays are read-only."""
+
+    groups: tuple
+    size: int
+
+    def take(self, nodes: slice = slice(None), comps=slice(None)) -> np.ndarray:
+        """The states' entries (nodes, comps) in item order: a new
+        (size, nodes, 3) array, or (size, nodes) for one component."""
+        shape = self.groups[0][0][:0, nodes, comps].shape[1:]
+        out = np.empty((self.size,) + shape, dtype=complex)
+        for array, rows, at in self.groups:
+            out[at] = array[rows, nodes, comps]
+        return out
 
 
 @dataclass
@@ -50,25 +79,42 @@ class ModelCache:
 
     coeffs: CoefficientPair
     model_data: SpectralData        # n <= N + margin
-    phi: dict = field(default_factory=dict)        # (k, lam) -> (M+1, 3)
-    phi_star: dict = field(default_factory=dict)   # (k, lam) -> (M+1, 3)
+    phi: dict = field(default_factory=dict)        # (k, lam) -> (array, row)
+    phi_star: dict = field(default_factory=dict)   # (k, lam) -> (array, row)
 
     @property
     def grid(self) -> Grid:
         return self.coeffs.grid
 
-    def states(self, variant: SystemVariant, k: int, lams) -> np.ndarray:
-        """Weyl states Phi_k(., lam) of the variant at lams: (L, M+1, 3).
+    def rows(self, variant: SystemVariant, k: int, lams) -> StateRows:
+        """Where the Weyl states Phi_k(., lam) of the variant at lams sit
+        in the cache, without a copy.
 
         The misses are computed in one weyl_batch call and kept.
         """
         table = self.phi if variant is SystemVariant.DIRECT else self.phi_star
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         self._ensure(table, variant, lams, k)
-        out = np.empty((len(lams), self.grid.M + 1, 3), dtype=complex)
+        groups: dict = {}
         for i, l in enumerate(map(complex, lams)):
-            out[i] = table[(k, l)]
-        return out
+            array, row = table[(k, l)]
+            _, rows, at = groups.setdefault(id(array), (array, [], []))
+            rows.append(row)
+            at.append(i)
+        if not groups:
+            # no lambdas: one empty group still gives take its shape
+            empty = np.empty((0, self.grid.M + 1, 3), dtype=complex)
+            empty.flags.writeable = False
+            groups[id(empty)] = (empty, [], [])
+        return StateRows(tuple((array, _index(np.array(rows, dtype=int)),
+                                _index(np.array(at, dtype=int)))
+                               for array, rows, at in groups.values()),
+                         len(lams))
+
+    def states(self, variant: SystemVariant, k: int, lams) -> np.ndarray:
+        """Weyl states Phi_k(., lam) of the variant at lams: a new
+        (L, M+1, 3) array."""
+        return self.rows(variant, k, lams).take()
 
     def _ensure(self, table: dict, variant: SystemVariant, lams, k: int) -> None:
         missing = list(dict.fromkeys(l for l in map(complex, lams)
@@ -76,8 +122,9 @@ class ModelCache:
         if not missing:
             return
         batch = weyl_batch(self.coeffs, np.array(missing), variant, k)
+        batch.flags.writeable = False
         for i, l in enumerate(missing):
-            table[(k, l)] = batch[i]
+            table[(k, l)] = (batch, i)
 
 
 def _check_spectra(data: SpectralData, model_data: SpectralData) -> None:

@@ -8,18 +8,25 @@ families on every pair, the reference for the mirrored family 2 of
 forward._roots; sequential_sweep takes the RK4 steps one
 after another, the reference for quasi._loop_sweep; weyl_contour_reference
 sums a contour of Weyl matrices from per-point sweeps, the reference for
-the Taylor sweeps of forward._taylor_rows; differentiate is a
-fourth-order finite difference for checking derivatives on the grid;
-from_callable, from_callables, dagger and gauge_shifted build grid
-functions and coefficient pairs.
+the Taylor sweeps of forward._taylor_rows; WholeGridAssembly copies
+every Weyl state of the main system out of the model cache and builds
+its kernel factors over the whole grid, the reference for the
+block-wise reads of inverse.assemble, whose tables it must equal bit for
+bit; differentiate is a fourth-order finite difference for checking
+derivatives on the grid; from_callable, from_callables, dagger and
+gauge_shifted build grid functions and coefficient pairs.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from spectral3 import asympt, forward
+from spectral3.errors import PoleHitError
 from spectral3.forward import _EYE, Characteristic
-from spectral3.grid import (CoefficientPair, GridFunction, _values,
+from spectral3.grid import (CoefficientPair, GridFunction, _values, cumulative,
                             midpoint_values)
+from spectral3.inverse import _KERNEL_SWITCH, _signs as _index_signs, index_set
 from spectral3.quasi import SystemVariant, _pq, _rk4_steps, _signs, _sweep
 
 
@@ -120,6 +127,126 @@ def weyl_contour_reference(coeffs: CoefficientPair, center: complex,
     m[:, 2, 1] = -y2[:, 1] / y2[:, 2]
     return (radius / P * (m * phase[:, None, None]).sum(axis=0),
             m.mean(axis=0))
+
+
+class WholeGridStars(NamedTuple):
+    """Combined star states Z_v over the whole grid; see
+    inverse.StarStates."""
+
+    Z: np.ndarray            # (L, M+1, 3)
+    lam: np.ndarray          # (L,)
+    pole: np.ndarray         # (L,)  coefficient of Phi*_2 in Z_v
+    regularized: np.ndarray  # (L,)  bool
+
+
+class WholeGridKernel(NamedTuple):
+    """Kernel factors over the whole grid; see inverse.KernelFactors."""
+
+    Yb: np.ndarray     # (M+1, W, 3)  (y^[2], -y', y) at every node
+    Zt: np.ndarray     # (M+1, 3, L)  (z, z', z^[2]) at every node
+    recip: np.ndarray  # (W, L)
+    ws: np.ndarray     # (P,)
+    vs: np.ndarray     # (P,)
+    vals: np.ndarray   # (M+1, P)
+
+
+def whole_grid_states(cache, variant, ks, lams) -> np.ndarray:
+    """Phi_{ks[i]}(., lams[i]) of the variant copied out of the cache,
+    (L, M+1, 3): one cache request per k."""
+    out = np.empty((len(lams), cache.grid.M + 1, 3), dtype=complex)
+    for k in np.unique(ks):
+        out[ks == k] = cache.states(variant, int(k), lams[ks == k])
+    return out
+
+
+def whole_grid_star_states(cache, data, N) -> WholeGridStars:
+    """Z_v for v in V^N in the index_set order, from the entries n <= N
+    of data and of the model, held over the whole grid."""
+    lam = np.stack([data.lambdas[:N], cache.model_data.lambdas[:N]], axis=2)
+    beta = np.stack([data.betas[:N], cache.model_data.betas[:N]], axis=2)
+    k = np.broadcast_to(np.array([1, 2])[:, None], lam.shape).ravel()
+    lam, beta = lam.ravel(), beta.ravel()
+    Z = (np.where(k == 1, -beta, beta)[:, None, None]
+         * whole_grid_states(cache, SystemVariant.STAR, 4 - k, lam))
+    K = [n for n in data.K if n <= N]
+    regularized = np.isin(np.arange(4 * N), 4 * np.array(K, dtype=int) - 2)
+    if K:
+        gamma = np.array([data.gamma[n] for n in K])
+        Z[regularized] -= gamma[:, None, None] * cache.states(
+            SystemVariant.STAR, 3, lam[regularized])
+    return WholeGridStars(Z, lam, np.where(k == 2, beta, 0.0), regularized)
+
+
+def whole_grid_kernel_factors(stars: WholeGridStars, Y, mu,
+                              j) -> WholeGridKernel:
+    """The factors of the kernels D(x; Z_v, Y_w) over the whole grid,
+    from direct states Y (W, M+1, 3) = Phi_{j_w}(., mu_w); the near pairs
+    in integral form, as in inverse._kernel_factors."""
+    lam = stars.lam
+    j = np.broadcast_to(j, mu.shape)
+    diff = mu[:, None] - lam[None, :]
+    scale = 1.0 + np.maximum(np.abs(mu)[:, None], np.abs(lam)[None, :])
+    near = ~(np.abs(diff) > _KERNEL_SWITCH * scale)
+    recip = np.zeros_like(diff)
+    np.divide(1.0, diff, out=recip, where=~near)
+    ws, vs = np.nonzero(near)
+    vals = cumulative(np.transpose(stars.Z[vs, :, 0] * Y[ws, :, 0]))
+    pole = (j[ws] == 2) & (stars.pole[vs] != 0)
+    hit = pole & (lam[vs] == mu[ws])
+    bad = np.flatnonzero(hit & ~stars.regularized[vs])
+    if bad.size:
+        raise PoleHitError(
+            "kernel (2,2) evaluated on its pole lambda = mu = %s"
+            % (lam[vs[bad[0]]],))
+    add = pole & ~hit
+    vals[:, add] += stars.pole[vs[add]] / (lam[vs[add]] - mu[ws[add]])
+    return WholeGridKernel(
+        Yb=np.transpose(Y[:, :, ::-1] * np.array([1.0, -1.0, 1.0]),
+                        (1, 0, 2)),
+        Zt=np.transpose(stars.Z, (1, 2, 0)),
+        recip=recip, ws=ws, vs=vs, vals=vals)
+
+
+def whole_grid_bracket(f: WholeGridKernel, nodes=slice(None), rows=None,
+                       cols=None) -> np.ndarray:
+    """D(x_m; Z_v, Y_w) as out[m, w, v] for the nodes of the slice, times
+    cols[..., v] / rows[..., w] when given, from whole-grid factors."""
+    Yb, Zt, vals = f.Yb[nodes], f.Zt[nodes], f.vals[nodes]
+    if cols is not None:
+        Yb = Yb / rows[..., :, None]
+        Zt = Zt * cols[..., None, :]
+        vals = vals * (cols[..., f.vs] / rows[..., f.ws])
+    out = np.matmul(Yb, Zt)
+    out *= f.recip
+    out[:, f.ws, f.vs] = vals
+    return out
+
+
+class WholeGridAssembly:
+    """The tables of inverse.assemble(data, cache, N) with every state
+    copied out of the cache and held over the whole grid: star states Z,
+    direct states Y and their kernel factors."""
+
+    def __init__(self, data, cache, N):
+        data = data.truncate(N)
+        V = index_set(N)
+        self.stars = whole_grid_star_states(cache, data, N)
+        j = np.array([v.k + 1 for v in V])
+        self.Y = whole_grid_states(cache, SystemVariant.DIRECT, j,
+                                   self.stars.lam)
+        self.kernel = whole_grid_kernel_factors(self.stars, self.Y,
+                                                self.stars.lam, j)
+        self.signs = _index_signs(V)
+
+    def node_matrices(self, nodes=slice(None), w=None) -> np.ndarray:
+        """inverse.MainAssembly.node_matrices from whole-grid factors."""
+        if w is None:
+            w = np.ones(len(self.signs))
+        A = whole_grid_bracket(self.kernel, nodes, rows=w,
+                               cols=-self.signs * w)
+        idx = np.arange(len(self.signs))
+        A[:, idx, idx] += 1.0
+        return A
 
 
 def differentiate(f):

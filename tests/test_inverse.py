@@ -10,23 +10,24 @@ from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             l2_norm, w2m1_distance)
 from spectral3 import inverse
 from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
-                               StarStates, _bracket, _kernel_factors,
-                               _phiN_tables, _signs, _star_states, assemble,
-                               index_set, reconstruct, run_inverse, solve_phi,
+                               _phiN_tables, _signs, assemble, index_set,
+                               reconstruct, run_inverse, solve_phi,
                                stability_experiment, verify_spectral,
                                verify_weyl)
 from spectral3.model import ModelCache, build_model
 from spectral3.quasi import SystemVariant
 
-from helpers import differentiate
+from helpers import (WholeGridAssembly, WholeGridStars, differentiate,
+                     whole_grid_bracket, whole_grid_kernel_factors,
+                     whole_grid_star_states)
 
 _VALID_KJ = {(2, 2), (2, 3), (3, 2), (3, 3)}
 
 
 def _kernel(stars, Y, mu, j):
     # two-point kernels D(x; Z_v, Y_w) for every pair at every node,
-    # out[m, w, v], from the factors assemble uses
-    return _bracket(_kernel_factors(stars, Y, mu, j))
+    # out[m, w, v], from whole-grid factors
+    return whole_grid_bracket(whole_grid_kernel_factors(stars, Y, mu, j))
 
 
 def kernel_D(cache, kj, lam, mu, regularized=False):
@@ -41,9 +42,9 @@ def kernel_D(cache, kj, lam, mu, regularized=False):
     if (k, j) not in _VALID_KJ:
         raise ValueError("kernel indices %r not supported" % (kj,))
     lam, mu = np.array([lam], dtype=complex), np.array([mu], dtype=complex)
-    star = StarStates(cache.states(SystemVariant.STAR, k, lam), lam,
-                      np.array([1.0 if k == 2 else 0.0]),
-                      np.array([regularized]))
+    star = WholeGridStars(cache.states(SystemVariant.STAR, k, lam), lam,
+                          np.array([1.0 if k == 2 else 0.0]),
+                          np.array([regularized]))
     D = _kernel(star, cache.states(SystemVariant.DIRECT, j, mu), mu, j)
     return GridFunction(cache.grid, D[:, 0, 0])
 
@@ -142,8 +143,9 @@ def test_model_data_is_a_fixed_point(grid512):
         assert np.abs(col_sum - expect[None, :]).max() < 1e-15
 
     phi, dphi, diag = solve_phi(assembly)
-    scale = 1.0 + np.abs(assembly.tilde_phi).max()
-    assert np.abs(phi - assembly.tilde_phi).max() < 1e-10 * scale
+    tilde_phi = assembly.tilde_states()[0]
+    scale = 1.0 + np.abs(tilde_phi).max()
+    assert np.abs(phi - tilde_phi).max() < 1e-10 * scale
     assert diag["rcond_min"] > 1e-8
 
     res = reconstruct(assembly, phi, dphi, solve_diag=diag)
@@ -155,7 +157,7 @@ def test_model_data_is_a_fixed_point(grid512):
 
 def _gprime(assembly: MainAssembly, i_v: int, i_v0: int) -> np.ndarray:
     """G'_{v,v0} = eta_v * tilde_phi_{v0} (nodal values)."""
-    return assembly.eta[i_v] * assembly.tilde_phi[i_v0]
+    return assembly.eta[i_v] * assembly.tilde_states()[0][i_v0]
 
 
 def test_gprime_identity(smooth_data8, cache4, grid512):
@@ -276,6 +278,8 @@ def _solve_phi_per_node(assembly):
     grid = assembly.grid
     M = grid.M
     A = assembly.A
+    tilde_phi, tilde_dphi = assembly.tilde_states()
+    eta = assembly.eta
     phi = np.empty((len(assembly.V), M + 1), dtype=complex)
     dphi = np.empty_like(phi)
     gecon = get_lapack_funcs(("gecon",), (A,))[0]
@@ -290,13 +294,13 @@ def _solve_phi_per_node(assembly):
         assert np.isfinite(rcond) and rcond >= 1e-13
         if rcond < rcond_min:
             rcond_min, rcond_node = rcond, m
-        b1 = assembly.tilde_phi[:, m] / w
+        b1 = tilde_phi[:, m] / w
         xhat = lu_solve(lu, b1, check_finite=False)
         phi[:, m] = w * xhat
         res = float(np.abs(Ahat @ xhat - b1).max() / (1.0 + np.abs(b1).max()))
         residual_max = max(residual_max, res)
-        s = np.sum(assembly.signs * assembly.eta[:, m] * phi[:, m])
-        b2 = (assembly.tilde_dphi[:, m] + assembly.tilde_phi[:, m] * s) / w
+        s = np.sum(assembly.signs * eta[:, m] * phi[:, m])
+        b2 = (tilde_dphi[:, m] + tilde_phi[:, m] * s) / w
         dphi[:, m] = w * lu_solve(lu, b2, check_finite=False)
     diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
             "cond_max": 1.0 / rcond_min, "residual_max": residual_max}
@@ -445,6 +449,45 @@ def test_node_blocks_equal_full_stack(smooth_data8, cache4, grid512,
         assert np.array_equal(np.concatenate(blocks), assembly.A)
 
 
+@pytest.mark.parametrize("case", ["smooth", "coinciding"])
+def test_block_reads_equal_the_whole_grid_tables(case, smooth_data8,
+                                                 grid512):
+    # assemble leaves every Weyl state in the model cache's arrays and
+    # reads them for a slice of nodes; the tables must equal, byte for
+    # byte, those of the construction that copied the states out and
+    # held them over the whole grid (helpers.WholeGridAssembly): on the
+    # smooth pair at N = 8, and on the K = [1] coinciding pair at N = 3,
+    # whose regularized row carries -gamma Phi*_3
+    if case == "smooth":
+        data, N = smooth_data8, 8
+    else:
+        data, N = _coinciding_data(smooth_data8), 3
+    cache = build_model(data, grid512, N)
+    assembly = assemble(data, cache, N)
+    ref = WholeGridAssembly(data, cache, N)
+    assert assembly.stars.regularized.any() == (case == "coinciding")
+
+    def same(got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    tilde_phi, tilde_dphi = assembly.tilde_states()
+    same(tilde_phi, ref.Y[:, :, 0])
+    same(tilde_dphi, ref.Y[:, :, 1])
+    same(assembly.eta, ref.stars.Z[:, :, 0])
+    same(assembly.deta, ref.stars.Z[:, :, 1])
+    for name in ("recip", "ws", "vs", "vals"):
+        same(getattr(assembly.kernel, name), getattr(ref.kernel, name))
+    same(assembly.node_matrices(), ref.node_matrices())
+    # equilibrated, block by block, as solve_phi builds them
+    M = grid512.M
+    w = np.exp(grid512.nodes[:, None] * assembly.rates)
+    for start in range(0, M + 1, _NODE_BLOCK):
+        block = slice(start, min(start + _NODE_BLOCK, M + 1))
+        same(assembly.node_matrices(block, w[block]),
+             ref.node_matrices(block, w[block]))
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -465,13 +508,30 @@ def test_solve_holds_no_full_matrix_stack(smooth_data8, smooth_data20,
     assert _traced_peak(lambda: solve_phi(assemble(smooth_data8, cache,
                                                    N))) < stack
     # solve_phi alone at N = 16 peaks below 1/8 of its stack, 4.2 MB: the
-    # kernel factors are scaled one block at a time too, and only the
-    # (M+1, 4N) right-hand sides and solutions span the grid
+    # kernel factors and right-hand sides are formed one block at a time
+    # too, and only the (4N, M+1) solutions and eta span the grid
     N = 16
     assembly = assemble(smooth_data20, build_model(smooth_data20, grid512, N),
                         N)
     stack = (grid512.M + 1) * (4 * N) ** 2 * np.dtype(complex).itemsize
     assert _traced_peak(solve_phi, assembly) < stack / 8
+
+
+def test_assembly_and_solve_hold_each_state_once(smooth_data20, grid512):
+    # assemble + solve_phi at N = 16 fill the model cache with 8N Weyl
+    # states of (M+1, 3) entries (3.15 MB) and peak below 3x their bytes:
+    # the states stay in the cache's arrays, from which the kernel factors
+    # and the right-hand sides are read one block of nodes at a time, so
+    # no copy of a whole state table is held (copying them put the peak
+    # at 3.6x)
+    N = 16
+    cache = build_model(smooth_data20, grid512, N)
+    peak = _traced_peak(lambda: solve_phi(assemble(smooth_data20, cache,
+                                                   N)))
+    states = len(cache.phi) + len(cache.phi_star)
+    assert states == 8 * N
+    held = states * (grid512.M + 1) * 3 * np.dtype(complex).itemsize
+    assert peak < 3 * held
 
 
 def test_verify_weyl_holds_no_full_kernel_stack(smooth_data8, grid512):
@@ -579,7 +639,7 @@ def _verify_weyl_seven_calls(result, data, N):
     # the weyl checks verify_weyl replaced: the star states rebuilt from
     # the data and seven Phi^N tables, one per check and lambda batch
     cache = result.assembly.cache
-    stars = _star_states(cache, data, N)
+    stars = whole_grid_star_states(cache, data, N)
     V = result.assembly.V
     checks = {"mode": "weyl"}
     breaches = []

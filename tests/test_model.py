@@ -131,6 +131,21 @@ def test_cache_fills_each_state_once(cache8, weyl_batch_calls):
     assert np.array_equal(a, b[::-1])
 
 
+def test_cache_arrays_are_read_only(cache8):
+    # the cache hands out its own arrays without a copy, read-only, while
+    # states gives each caller a writable copy
+    lams = [cache8.model_data.lam(1, 2), 5.0 - 2.0j]
+    rows = cache8.rows(SystemVariant.DIRECT, 3, lams)
+    assert rows.size == 2
+    for array, _, _ in rows.groups:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 1.0
+    copy = cache8.states(SystemVariant.DIRECT, 3, lams)
+    assert np.array_equal(copy, rows.take())
+    copy[:] = 0.0
+    assert np.abs(rows.take()).max() > 0.0
+
+
 def test_weyl_states_built_once_per_inverse_run(smooth_data8, grid512,
                                                 weyl_batch_calls):
     cache = build_model(smooth_data8, grid512, 4)
