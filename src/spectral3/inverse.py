@@ -121,11 +121,24 @@ class StarStates(NamedTuple):
         for one component."""
         Z = self.states.take(nodes, comps)
         lead = (slice(None),) + (None,) * (Z.ndim - 1)
+        # the products are written in place, so that their operand order
+        # does not depend on the size of the read
         np.multiply(self.coef[lead], Z, out=Z)
         if self.gamma.size:
-            Z[self.regularized] -= (self.gamma[lead]
-                                    * self.gamma_states.take(nodes, comps))
+            G = self.gamma_states.take(nodes, comps)
+            np.multiply(self.gamma[lead], G, out=G)
+            Z[self.regularized] -= G
         return Z
+
+    def pick(self, items) -> "StarStates":
+        """The star states items[i], in that order; items may repeat."""
+        items = np.asarray(items, dtype=int)
+        regularized = self.regularized[items]
+        # the rows of gamma and gamma_states that the picked K rows read
+        at = (np.cumsum(self.regularized) - 1)[items[regularized]]
+        return StarStates(self.states.pick(items), self.coef[items],
+                          self.lam[items], self.pole[items], regularized,
+                          self.gamma[at], self.gamma_states.pick(at))
 
 
 def _state_rows(cache: ModelCache, variant: SystemVariant, ks: np.ndarray,
@@ -189,8 +202,8 @@ def _kernel_factors(stars: StarStates, Y: StateRows, mu: np.ndarray,
     np.divide(1.0, diff, out=recip, where=~near)
 
     ws, vs = np.nonzero(near)
-    vals = cumulative(np.transpose(stars.take(comps=0)[vs]
-                                   * Y.take(comps=0)[ws]))
+    vals = cumulative(np.transpose(stars.pick(vs).take(comps=0)
+                                   * Y.pick(ws).take(comps=0)))
     pole = (j[ws] == 2) & (stars.pole[vs] != 0)
     hit = pole & (lam[vs] == mu[ws])
     bad = np.flatnonzero(hit & ~stars.regularized[vs])
@@ -519,17 +532,21 @@ def _phiN_tables(result: ReconstructionResult, k0: int, lams):
     f = _kernel_factors(a.stars, tilde, lams, k0)
     signs = a.signs[:, None]
     sphi, sdphi = signs * result.phi, signs * result.dphi
+    # eta is bound to a name: numpy may compute sphi * <temporary> in the
+    # temporary's memory as <temporary> * sphi, which rounds differently
+    eta = a.eta
+    s = (sphi * eta).sum(axis=0)
+    del eta
     vals, dvals = tilde.take(comps=0), tilde.take(comps=1)
+    # the last term of Phi^N', formed before vals is summed into
+    tail = vals * s
     M = a.grid.M
     for start in range(0, M + 1, _NODE_BLOCK):
         block = slice(start, min(start + _NODE_BLOCK, M + 1))
         P = _bracket(f, block)                # (nodes, W, 4N)
         vals[:, block] += np.einsum("vm,mwv->wm", sphi[:, block], P)
         dvals[:, block] += np.einsum("vm,mwv->wm", sdphi[:, block], P)
-    # eta is bound to a name: numpy may compute sphi * <temporary> in the
-    # temporary's memory as <temporary> * sphi, which rounds differently
-    eta = a.eta
-    dvals += tilde.take(comps=0) * (sphi * eta).sum(axis=0)
+    dvals += tail
     return vals, dvals
 
 

@@ -11,8 +11,8 @@ construction: its mean is the data's, and SpectralData refuses a
 non-finite theta.  The Weyl solutions Phi_k of the direct and star
 systems are computed where they are first read, one weyl_batch array per
 request's misses, and kept for the rest of the run.  Those read-only
-arrays are the only copy: ModelCache.rows says where each lambda's state
-sits in them, and ModelCache.states copies the states out.
+arrays are the only copy: ModelCache.rows returns a StateRows that says
+where each lambda's state sits in them and copies states out on take.
 
 spectral_gaps is the one entrywise comparison of two data tables,
 |Delta lambda| and |Delta beta| per (n, k); xi_sequence, distance_d,
@@ -46,18 +46,10 @@ __all__ = ["ModelCache", "StateRows", "build_model", "spectral_gaps",
 _MODEL_MARGIN = 4
 
 
-def _index(idx: np.ndarray):
-    """idx as a slice when it is a run of consecutive integers, so that
-    indexing with it makes a view, not a copy."""
-    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        return slice(int(idx[0]), int(idx[0]) + idx.size)
-    return idx
-
-
 class StateRows(NamedTuple):
     """Weyl states that stay in the model cache's arrays: item at[i] of
-    a group (array, rows, at) is array[rows[i]], (M+1, 3).  rows and at
-    are index arrays or slices; the arrays are read-only."""
+    a group (array, rows, at) is array[rows[i]], (M+1, 3), with rows and
+    at int arrays; the arrays are read-only."""
 
     groups: tuple
     size: int
@@ -70,6 +62,19 @@ class StateRows(NamedTuple):
         for array, rows, at in self.groups:
             out[at] = array[rows, nodes, comps]
         return out
+
+    def pick(self, items) -> "StateRows":
+        """The states items[i] of these, in that order; items may repeat."""
+        items = np.asarray(items, dtype=int)
+        group = np.empty(self.size, dtype=int)
+        row = np.empty(self.size, dtype=int)
+        for g, (_, rows, at) in enumerate(self.groups):
+            group[at], row[at] = g, rows
+        group, row = group[items], row[items]
+        return StateRows(tuple((array, row[group == g],
+                                np.flatnonzero(group == g))
+                               for g, (array, _, _) in enumerate(self.groups)),
+                         items.size)
 
 
 @dataclass
@@ -106,15 +111,10 @@ class ModelCache:
             empty = np.empty((0, self.grid.M + 1, 3), dtype=complex)
             empty.flags.writeable = False
             groups[id(empty)] = (empty, [], [])
-        return StateRows(tuple((array, _index(np.array(rows, dtype=int)),
-                                _index(np.array(at, dtype=int)))
+        return StateRows(tuple((array, np.array(rows, dtype=int),
+                                np.array(at, dtype=int))
                                for array, rows, at in groups.values()),
                          len(lams))
-
-    def states(self, variant: SystemVariant, k: int, lams) -> np.ndarray:
-        """Weyl states Phi_k(., lam) of the variant at lams: a new
-        (L, M+1, 3) array."""
-        return self.rows(variant, k, lams).take()
 
     def _ensure(self, table: dict, variant: SystemVariant, lams, k: int) -> None:
         missing = list(dict.fromkeys(l for l in map(complex, lams)

@@ -155,7 +155,7 @@ def whole_grid_states(cache, variant, ks, lams) -> np.ndarray:
     (L, M+1, 3): one cache request per k."""
     out = np.empty((len(lams), cache.grid.M + 1, 3), dtype=complex)
     for k in np.unique(ks):
-        out[ks == k] = cache.states(variant, int(k), lams[ks == k])
+        out[ks == k] = cache.rows(variant, int(k), lams[ks == k]).take()
     return out
 
 
@@ -172,8 +172,8 @@ def whole_grid_star_states(cache, data, N) -> WholeGridStars:
     regularized = np.isin(np.arange(4 * N), 4 * np.array(K, dtype=int) - 2)
     if K:
         gamma = np.array([data.gamma[n] for n in K])
-        Z[regularized] -= gamma[:, None, None] * cache.states(
-            SystemVariant.STAR, 3, lam[regularized])
+        Z[regularized] -= gamma[:, None, None] * cache.rows(
+            SystemVariant.STAR, 3, lam[regularized]).take()
     return WholeGridStars(Z, lam, np.where(k == 2, beta, 0.0), regularized)
 
 

@@ -213,14 +213,14 @@ def test_09_kernel_forms_agree(smooth_data8, grid512):
         samples.append((k, j, lam, mu, xi))
     # One batched Weyl-state computation per (variant, k) for all samples.
     for kk in (2, 3):
-        cache.states(SystemVariant.STAR, kk,
-                     [s[2] for s in samples if s[0] == kk])
-        cache.states(SystemVariant.DIRECT, kk,
-                     [s[3] for s in samples if s[1] == kk])
+        cache.rows(SystemVariant.STAR, kk,
+                   [s[2] for s in samples if s[0] == kk])
+        cache.rows(SystemVariant.DIRECT, kk,
+                   [s[3] for s in samples if s[1] == kk])
     worst = 0.0
     for k, j, lam, mu, xi in samples:
-        zs = cache.states(SystemVariant.STAR, k, [lam])[0]
-        ys = cache.states(SystemVariant.DIRECT, j, [mu])[0]
+        zs = cache.rows(SystemVariant.STAR, k, [lam]).take()[0]
+        ys = cache.rows(SystemVariant.DIRECT, j, [mu]).take()[0]
         bracket = (zs[:, 2] * ys[:, 0] - zs[:, 1] * ys[:, 1]
                    + zs[:, 0] * ys[:, 2]) / (mu - lam)
         integ = cumulative(GridFunction(grid512, zs[:, 0] * ys[:, 0])).values

@@ -10,6 +10,7 @@ from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             l2_norm, w2m1_distance)
 from spectral3 import inverse
 from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
+                               StarStates, _bracket, _kernel_factors,
                                _phiN_tables, _signs, assemble, index_set,
                                reconstruct, run_inverse, solve_phi,
                                stability_experiment, verify_spectral,
@@ -17,35 +18,31 @@ from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
 from spectral3.model import ModelCache, build_model
 from spectral3.quasi import SystemVariant
 
-from helpers import (WholeGridAssembly, WholeGridStars, differentiate,
-                     whole_grid_bracket, whole_grid_kernel_factors,
-                     whole_grid_star_states)
+from helpers import (WholeGridAssembly, differentiate, whole_grid_bracket,
+                     whole_grid_kernel_factors, whole_grid_star_states)
 
 _VALID_KJ = {(2, 2), (2, 3), (3, 2), (3, 3)}
-
-
-def _kernel(stars, Y, mu, j):
-    # two-point kernels D(x; Z_v, Y_w) for every pair at every node,
-    # out[m, w, v], from whole-grid factors
-    return whole_grid_bracket(whole_grid_kernel_factors(stars, Y, mu, j))
 
 
 def kernel_D(cache, kj, lam, mu, regularized=False):
     """Nodal values of D_{k,j}(x, lambda, mu) for (k, j) in {2,3} x {2,3}
     on the grid of the model cache.
 
-    The pairing of Phi*_k(., lambda) with Phi_j(., mu); see _kernel.  The
-    pole 1/(lambda - mu) of D_{2,2} may be regularized at an exact
-    coincidence.
+    The pairing of Phi*_k(., lambda) with Phi_j(., mu), built by the
+    kernel routines assemble uses.  The pole 1/(lambda - mu) of D_{2,2}
+    may be regularized at an exact coincidence, with gamma = 0.
     """
     k, j = int(kj[0]), int(kj[1])
     if (k, j) not in _VALID_KJ:
         raise ValueError("kernel indices %r not supported" % (kj,))
     lam, mu = np.array([lam], dtype=complex), np.array([mu], dtype=complex)
-    star = WholeGridStars(cache.states(SystemVariant.STAR, k, lam), lam,
-                          np.array([1.0 if k == 2 else 0.0]),
-                          np.array([regularized]))
-    D = _kernel(star, cache.states(SystemVariant.DIRECT, j, mu), mu, j)
+    reg = np.array([regularized])
+    star = StarStates(cache.rows(SystemVariant.STAR, k, lam), np.ones(1),
+                      lam, np.array([1.0 if k == 2 else 0.0]), reg,
+                      np.zeros(reg.sum(), dtype=complex),
+                      cache.rows(SystemVariant.STAR, 3, lam[reg]))
+    Y = cache.rows(SystemVariant.DIRECT, j, mu)
+    D = _bracket(_kernel_factors(star, Y, mu, j))
     return GridFunction(cache.grid, D[:, 0, 0])
 
 
@@ -77,8 +74,8 @@ def test_kernel_origin_values(cache4, grid512):
 
 
 def _two_forms(cache, k, j, lam, mu):
-    zs = cache.states(SystemVariant.STAR, k, [lam])[0]
-    ys = cache.states(SystemVariant.DIRECT, j, [mu])[0]
+    zs = cache.rows(SystemVariant.STAR, k, [lam]).take()[0]
+    ys = cache.rows(SystemVariant.DIRECT, j, [mu]).take()[0]
     bracket = (zs[:, 2] * ys[:, 0] - zs[:, 1] * ys[:, 1]
                + zs[:, 0] * ys[:, 2]) / (mu - lam)
     integ = cumulative(GridFunction(cache.grid, zs[:, 0] * ys[:, 0])).values
@@ -488,6 +485,29 @@ def test_block_reads_equal_the_whole_grid_tables(case, smooth_data8,
              ref.node_matrices(block, w[block]))
 
 
+def test_star_reads_agree_on_every_row_count(smooth_data8, cache4):
+    # a block read, a whole-grid read and a picked read of the star
+    # states must agree byte for byte also when the -gamma Phi*_3 term
+    # spans many rows: here all 16 rows at N = 4, whose whole-grid
+    # Phi*_3 table (16 x 513 x 3 entries) is past the size at which numpy
+    # may reorder the operands of a product with a fresh array
+    stars = assemble(smooth_data8, cache4, 4).stars
+    L = stars.lam.size
+    gamma = np.linspace(0.3, 1.7, L) + 0.2j
+    many = stars._replace(regularized=np.ones(L, dtype=bool), gamma=gamma,
+                          gamma_states=cache4.rows(SystemVariant.STAR, 3,
+                                                   stars.lam))
+    whole = many.take()
+    M = cache4.grid.M
+    for start in range(0, M + 1, _NODE_BLOCK):
+        block = slice(start, min(start + _NODE_BLOCK, M + 1))
+        assert many.take(block).tobytes() == whole[:, block].tobytes()
+    items = [5, 0, 5, L - 1]
+    assert many.pick(items).take().tobytes() == whole[items].tobytes()
+    assert (many.take(comps=0).tobytes()
+            == np.ascontiguousarray(whole[:, :, 0]).tobytes())
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -625,8 +645,8 @@ def _phiN_reference(result, cache, stars, k0, lams):
     # Phi^N_{k0} and its derivative at lams from star states rebuilt from
     # the data, as verification did before it read the assembly's
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    tilde = cache.states(SystemVariant.DIRECT, k0, lams)
-    P = _kernel(stars, tilde, lams, k0)
+    tilde = cache.rows(SystemVariant.DIRECT, k0, lams).take()
+    P = whole_grid_bracket(whole_grid_kernel_factors(stars, tilde, lams, k0))
     signs = _signs(result.assembly.V)[:, None]
     vals = tilde[:, :, 0] + np.einsum("vm,mwv->wm", signs * result.phi, P)
     dvals = (tilde[:, :, 1] + np.einsum("vm,mwv->wm", signs * result.dphi, P)

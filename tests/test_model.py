@@ -98,7 +98,7 @@ def test_eta_derivative_consistent(assembly8):
 
 def test_phi2_vanishes_at_one_on_model_spectrum(cache8):
     lam = cache8.model_data.lam(2, 1)
-    st = cache8.states(SystemVariant.DIRECT, 2, [lam])[0]
+    st = cache8.rows(SystemVariant.DIRECT, 2, [lam]).take()[0]
     assert abs(st[-1, 0]) < 1e-9 * (1.0 + np.abs(st[:, 0]).max())
     assert abs(st[0, 0]) < 1e-13
     assert abs(st[0, 1] - 1.0) < 1e-13
@@ -122,28 +122,45 @@ def test_cache_fills_each_state_once(cache8, weyl_batch_calls):
     fresh = ModelCache(coeffs=cache8.coeffs, model_data=cache8.model_data)
     lams = [cache8.model_data.lam(1, 2), 5.0 - 2.0j,
             cache8.model_data.lam(1, 2)]
-    a = fresh.states(SystemVariant.DIRECT, 3, lams)
+    a = fresh.rows(SystemVariant.DIRECT, 3, lams).take()
     assert weyl_batch_calls == [(SystemVariant.DIRECT, 3, 2)]
     assert a.shape == (3, cache8.grid.M + 1, 3)
     assert np.array_equal(a[0], a[2])
-    b = fresh.states(SystemVariant.DIRECT, 3, lams[::-1])
+    b = fresh.rows(SystemVariant.DIRECT, 3, lams[::-1]).take()
     assert len(weyl_batch_calls) == 1
     assert np.array_equal(a, b[::-1])
 
 
 def test_cache_arrays_are_read_only(cache8):
     # the cache hands out its own arrays without a copy, read-only, while
-    # states gives each caller a writable copy
+    # take gives each caller a writable copy
     lams = [cache8.model_data.lam(1, 2), 5.0 - 2.0j]
     rows = cache8.rows(SystemVariant.DIRECT, 3, lams)
     assert rows.size == 2
     for array, _, _ in rows.groups:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0, 0] = 1.0
-    copy = cache8.states(SystemVariant.DIRECT, 3, lams)
+    copy = rows.take()
     assert np.array_equal(copy, rows.take())
     copy[:] = 0.0
     assert np.abs(rows.take()).max() > 0.0
+
+
+def test_state_rows_pick(cache8):
+    # pick selects states by position, repeats allowed, across the
+    # arrays of two separate cache fills
+    fresh = ModelCache(coeffs=cache8.coeffs, model_data=cache8.model_data)
+    fresh.rows(SystemVariant.DIRECT, 3, [1.0 + 1.0j, 2.0 - 1.0j])
+    rows = fresh.rows(SystemVariant.DIRECT, 3,
+                      [2.0 - 1.0j, 3.0, 1.0 + 1.0j, 4.0j])
+    assert len(rows.groups) == 2
+    items = [3, 0, 0, 2]
+    picked = rows.pick(items)
+    assert picked.size == 4
+    assert rows.take()[items].tobytes() == picked.take().tobytes()
+    assert (rows.take(slice(5, 13), 1)[items].tobytes()
+            == picked.take(slice(5, 13), 1).tobytes())
+    assert rows.pick([]).take().shape == (0, cache8.grid.M + 1, 3)
 
 
 def test_weyl_states_built_once_per_inverse_run(smooth_data8, grid512,
