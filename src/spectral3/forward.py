@@ -14,7 +14,10 @@ both, up to the boundary shift
 to which lambda_{n,k} - lambda~_{n,k} tends.  They cost little, since
 constant sweeps are powers of one step matrix (quasi).  So the entries
 n >= 7 start from lambda~_{n,k} plus that shift (_seeds), 2.1e-8 off
-lambda_{10,k} there, and converge in 2 Newton evaluations instead of 3.
+lambda_{10,k} there.  Each Newton evaluation is one sweep of Taylor
+order 2, whose quadratic in lambda is certified before a root is read
+off it (_newton_family); from these seeds most entries n >= 7 are
+accepted from their first evaluation instead of their second.
 
 Two numerical routes matter here.
 
@@ -49,13 +52,14 @@ pair itself.  Family 1 is swept in STAR and family 2 in DIRECT, both
 with the same RK4 operations from real identity data, and the seeds
 mirror too, so family 2's search is family 1's mirrored bit for bit:
 lambda, delta and numer by -conj (_mirror), gamma_numer and ddelta by
-+conj.  Only on a constant pair, whose values are all real, do the zero
-imaginary parts of the record take signs that do not mirror; its
-lambdas, weight numbers and gamma still come out the same bits.  A pair
-exactly in the class (every tau1 sample with imaginary part 0, every
-sigma0 sample with real part 0) therefore searches family 1 alone and
-mirrors family 2 (_roots); a pair off the class by any amount searches
-both.
++conj.  An exact zero has no sign that mirrors (x - x rounds to +0 in
+either family), and the record often holds one: delta at an accepted
+root, and every zero imaginary part on a constant pair, whose values
+are all real.  So every zero of the record carries the sign +, in the
+search and in the mirror (_roots).  A pair exactly in the class (every
+tau1 sample with imaginary part 0, every sigma0 sample with real part
+0) therefore searches family 1 alone and mirrors family 2 (_roots); a
+pair off the class by any amount searches both.
 
 Weyl solutions.  Phi_k decays toward x = 1 for some lambda and then no
 forward integration can recover it; the integration direction is chosen
@@ -103,6 +107,12 @@ __all__ = [
 _EYE = np.eye(3, dtype=complex)
 
 _NEWTON_MAX_ITER = 50
+# Each Newton evaluation is one sweep of this Taylor order (_newton_family),
+# and Newton on its quadratic takes _ROOT_STEPS steps from 0.  After k
+# steps d - r1 = (d - r2) (r1/r2)^(2^k) for the roots r1 nearer 0 and r2
+# (_small_root), so 8 steps reach rounding wherever |r1/r2| <= 0.86.
+_NEWTON_ORDER = 2
+_ROOT_STEPS = 8
 _NEWTON_TOL = 1e-12
 _DERIV_FLOOR = 1e-14
 _BETA_SNAP = 1e-5
@@ -120,9 +130,10 @@ _SUSPECT = 1e-7
 
 # Newton seeds of the entries n >= _MODEL_SEED_FROM come from the constant
 # model (_seeds).  Measured on perfbench bank pairs 0-7 and
-# data/smooth.csv at n_max 30, M = 512: from asympt.eigen_guess every
-# n = 2..28 takes 3 evaluations (4 at n = 1, 29, 30); from the model
-# seeds n >= 7 takes 2, while n <= 6 still takes 3.
+# data/smooth.csv at n_max 30, M = 512, with the order-2 Newton: from
+# asympt.eigen_guess every n >= 7 takes 2 evaluations; from the model
+# seeds all but 1 to 6 of the 24 or 48 entries n >= 7 take 1, while
+# n <= 6 take 2 (3 for one entry of data/smooth.csv).
 _MODEL_SEED_FROM = 7
 
 # Integration direction switch for Phi_2: backward when the middle
@@ -154,7 +165,9 @@ _TAYLOR_MAX_ORDER = 16
 class Characteristic(NamedTuple):
     """Characteristic values at L lambdas, each read in its own family k
     (the table in the module docstring): (L,) arrays, ddelta None
-    without d/dlambda."""
+    without d/dlambda.  From a sweep of Taylor order J >= 2 the first
+    three fields hold instead their Taylor blocks T_0, ..., T_J about
+    each lambda, as (L, J + 1) arrays, and ddelta is None."""
 
     delta: np.ndarray                  # Delta_{k,k}
     numer: np.ndarray                  # Delta_{k+1,k}
@@ -179,24 +192,33 @@ def _char_arrays(coeffs: CoefficientPair, lams, fams,
                Delta_{2,1} = -y_2, Delta_{3,1} = y_1
         k = 2: the variant's own sweep: C_3(1), C_2(1), C_1(1)
 
-    with ddelta, when with_dlambda, the lambda-derivative of delta.  A
-    plain request whose lambdas cluster in each family reads the top
-    row off one Taylor sweep at each family's centre (_taylor_rows).
+    with_dlambda is the Taylor order J of the sweep, as for
+    quasi._sweep: False (0) gives the values, True (1) adds ddelta, the
+    lambda-derivative of delta, and J >= 2 gives each field's Taylor
+    blocks (Characteristic), which Newton sums as quadratics
+    (_newton_family).  A plain request whose lambdas cluster in each
+    family reads the top row off one Taylor sweep at each family's
+    centre (_taylor_rows).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     first = np.broadcast_to(np.asarray(fams) == 1, lams.shape)
     c = np.where(first, -variant.value, variant.value)
-    Y = None if with_dlambda else _taylor_rows(coeffs, lams, first, c)
-    dY = None
+    order = int(with_dlambda)
+    Y = None if order else _taylor_rows(coeffs, lams, first, c)
     if Y is None:
-        res = _sweep(coeffs, c, lams, _EYE, with_dlambda=with_dlambda)
-        Y, dY = (r[:, 0] for r in res) if with_dlambda else (res[:, 0], None)
+        res = _sweep(coeffs, c, lams, _EYE, with_dlambda=order)
+        Y = np.stack([r[:, 0] for r in res], axis=-1) if order else res[:, 0]
+    # the top rows' Taylor blocks, (L, 3, J + 1)
+    Y = Y.reshape(lams.shape[0], 3, -1)
 
     def signed(v):
-        return np.where(first, -v, v)
+        return np.where(first[:, None], -v, v)
 
-    return Characteristic(signed(Y[:, 2]), signed(Y[:, 1]), Y[:, 0],
-                          signed(dY[:, 2]) if with_dlambda else None)
+    blocks = Characteristic(signed(Y[:, 2]), signed(Y[:, 1]), Y[:, 0])
+    if order >= 2:
+        return blocks
+    values = blocks.take((slice(None), 0))
+    return values._replace(ddelta=blocks.delta[:, 1]) if order else values
 
 
 def _taylor_order(center: complex, radius: float) -> int:
@@ -236,11 +258,17 @@ def _taylor_rows(coeffs: CoefficientPair, lams: np.ndarray,
     # the centre of each lambda's family
     which = np.where(first, 0, len(groups) - 1)
     delta = (lams - centres[which])[:, None]
-    top = [b[which, 0] for b in (blocks if order else (blocks,))]
-    row = top[-1]
-    for t in reversed(top[:-1]):
-        row = row * delta + t
-    return row
+    return _horner([b[which, 0] for b in (blocks if order else (blocks,))],
+                   delta)
+
+
+def _horner(blocks, delta):
+    """sum_j blocks[j] delta^j by Horner, over a sequence of Taylor
+    blocks T_0, ..., T_J."""
+    out = blocks[-1]
+    for t in reversed(blocks[:-1]):
+        out = out * delta + t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +279,56 @@ def _newton_tol(dd: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return _NEWTON_TOL * (1.0 + np.abs(dd) * np.abs(lam) ** (2.0 / 3.0))
 
 
+def _quadratic(T: np.ndarray, d: np.ndarray) -> tuple:
+    """P(d) and P'(d) of P(d) = T_0 + T_1 d + T_2 d^2, T (L, 3)."""
+    return _horner(T.T, d), T[:, 1] + (T[:, 2] + T[:, 2]) * d
+
+
+def _small_root(T: np.ndarray) -> np.ndarray:
+    """The root of P (_quadratic) nearest 0, by _ROOT_STEPS Newton steps
+    from 0: the basins of Newton's method for a quadratic are the two
+    half-planes of the bisector of its roots (Cayley 1879)."""
+    d = np.zeros(T.shape[0], dtype=complex)
+    for _ in range(_ROOT_STEPS):
+        p, dp = _quadratic(T, d)
+        d = d - p / dp
+    return d
+
+
 def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
                    theta: complex) -> tuple:
     """Batched Newton on Delta_{k,k} for entries of either family.
 
     k is the family of each entry (an array like ns) or one family for
-    all.  Each iteration evaluates every active entry's own family in
-    one mixed d/dlambda sweep (_char_arrays with a per-lambda family).
-    Returns the roots and the Characteristic record at them, from each
-    entry's last evaluation: an entry stops at the lambda it has just
-    evaluated, since a converged entry takes step 0, so the weight
-    numbers need no further sweep.
+    all.  Each iteration evaluates every active entry's own family at
+    its lambda_e in one mixed sweep of Taylor order _NEWTON_ORDER = 2
+    (_char_arrays with a per-lambda family), which gives each field of
+    the record as a quadratic in d = lambda - lambda_e, and Delta_{k,k}
+    as P(d) = T_0 + T_1 d + T_2 d^2.  Newton on P finds its small root
+    d* (_small_root), and the entry is accepted at lambda* = lambda_e +
+    d* when
+
+        |P(d*)| + _TAYLOR_SAFETY ||row|| a^3 / 6
+            <= _newton_tol(P'(d*), lambda*),
+        a = |d*| / (3 max(1, |lambda_e|)^(2/3)),
+
+    ||row|| the largest of |delta|, |numer| and |gamma_numer| at
+    lambda_e: the decay model above _TAYLOR_SAFETY puts the omitted
+    cubic term below ||row|| a^3 / 6, and the certificate takes it with
+    that model's safety factor.  An entry that fails the test steps to
+    lambda* and is evaluated again.  Returns the roots and the
+    Characteristic record at them: the quadratics at d* (delta, numer
+    and gamma_numer by Horner, ddelta = P'(d*)), so the weight numbers
+    need no further sweep.  No sweep evaluates lambda*, so the
+    resolution guard is applied to every accepted root.
 
     A failing entry leaves the active set while the others run on.  The
     failures are then raised family by family, 1 before 2, in the order
     of a search of that family alone: DerivativeVanishesError of the
-    earliest iteration (lowest position first), then NoConvergenceError
-    of the first entry left unconverged, then BasinEscapeError of the
-    first root with another index.
+    earliest iteration (lowest position first), for |T_1| below
+    _DERIV_FLOOR at an entry not accepted, then NoConvergenceError of
+    the first entry left unaccepted, then BasinEscapeError of the first
+    root with another index.
     """
     ns = np.asarray(ns, dtype=int)
     ks = np.broadcast_to(np.asarray(k, dtype=int), ns.shape)
@@ -281,16 +341,38 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        a = _char_arrays(coeffs, lam[idx], ks[idx], with_dlambda=True)
-        for dst, values in zip(last, a):
-            dst[idx] = values
-        conv = np.abs(a.delta) <= _newton_tol(a.ddelta, lam[idx])
-        small = (np.abs(a.ddelta) < _DERIV_FLOOR) & ~conv
+        at = lam[idx]
+        # the Taylor blocks T_0, T_1, T_2 of each field at lambda_e
+        T = _char_arrays(coeffs, at, ks[idx], with_dlambda=_NEWTON_ORDER)
+        # a vanishing T_1 gives a non-finite root, which is not accepted
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = _small_root(T.delta)
+            p, dp = _quadratic(T.delta, d)
+            star = at + d
+            row = np.abs([T.delta[:, 0], T.numer[:, 0],
+                          T.gamma_numer[:, 0]]).max(axis=0)
+            a = np.abs(d) / (3.0 * np.maximum(1.0, np.abs(at)) ** (2.0 / 3.0))
+            conv = (np.abs(p) + _TAYLOR_SAFETY * row * a ** 3 / 6.0
+                    <= _newton_tol(dp, star))
+        small = (np.abs(T.delta[:, 1]) < _DERIV_FLOOR) & ~conv
         vanished[idx[small]] = it
-        step = np.where(conv | small, 0.0,
-                        a.delta / np.where(small, 1.0, a.ddelta))
-        lam[idx] = lam[idx] - step
+        _guard_resolution(star[conv], coeffs.grid.M)
+        # + 0.0 gives every zero of the record the sign +, which the
+        # self-adjoint mirror (_roots) keeps
+        for dst, values in zip(last, (p, _horner(T.numer.T, d),
+                                      _horner(T.gamma_numer.T, d), dp)):
+            dst[idx[conv]] = values[conv] + 0.0
+        lam[idx[~small]] = star[~small]
         active[idx[conv | small]] = False
+    _raise_failures(ns, ks, lam, active, vanished, theta)
+    return lam, last
+
+
+def _raise_failures(ns, ks, lam, active, vanished, theta) -> None:
+    """Raise the failures of a Newton search in the order of
+    _newton_family's docstring: active marks the entries left
+    unconverged and vanished the iteration at which an entry's
+    derivative vanished (_NEWTON_MAX_ITER where it did not)."""
     # the index each root numbers as, read below only for a family whose
     # entries all converged (the others hold a stand-in lambda of 1)
     ok = ~active & (vanished == _NEWTON_MAX_ITER)
@@ -311,7 +393,6 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
             j = escaped[0]
             raise BasinEscapeError(int(ns[j]), fam, complex(lam[j]),
                                    int(n_found[j]))
-    return lam, last
 
 
 def _seeds(coeffs: CoefficientPair, ns: np.ndarray, ks: np.ndarray,
@@ -347,7 +428,8 @@ def _roots(coeffs: CoefficientPair, n_max: int, theta: complex) -> tuple:
     """Newton's roots lambda_{n,k}, n <= n_max, with the Characteristic
     record at them, as family-major (2 n_max,) arrays, seeded by _seeds.
     A pair exactly in the self-adjoint class (module docstring) searches
-    family 1 alone and takes family 2 as its mirror image."""
+    family 1 alone and takes family 2 as its mirror image, with every
+    zero of the record given the sign + as the search gives it."""
     ns = np.arange(1, n_max + 1)
     ks = np.ones_like(ns)
     mirrored = not (coeffs.tau1.values.imag.any()
@@ -358,7 +440,7 @@ def _roots(coeffs: CoefficientPair, n_max: int, theta: complex) -> tuple:
                             theta)
     if mirrored:
         lam = np.concatenate([lam, _mirror(lam)])
-        a = Characteristic(*(np.concatenate([v, f(v)]) for v, f in
+        a = Characteristic(*(np.concatenate([v, f(v) + 0.0]) for v, f in
                              zip(a, (_mirror, _mirror, np.conj, np.conj))))
     return lam, a
 
@@ -424,8 +506,9 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
     asympt.eigen_guess.  A pair exactly in the self-adjoint class
     searches family 1 alone and mirrors family 2, bit for bit (module
     docstring), so its data satisfy the symmetry exactly outside K,
-    where family 2 is swept again.  The weight
-    numbers come from Newton's last evaluation.  n_max must be at least
+    where family 2 is swept again.  The weight numbers are read off the
+    quadratics of the Newton evaluation that accepted each root, with
+    no further sweep.  n_max must be at least
     1, and pair_tol, the relative tolerance of asympt.coincide that
     pairs the two families, finite and non-negative."""
     if not 0.0 <= pair_tol < np.inf:

@@ -444,7 +444,9 @@ def reconstruct(assembly: MainAssembly, phi: np.ndarray, dphi: np.ndarray,
     The three series are summed over V^N in the fixed IndexV order.
     """
     cache, grid, N = assembly.cache, assembly.grid, assembly.N
-    eta, deta = assembly.eta, assembly.deta
+    # eta and eta' from one read of the star states
+    Z = assembly.stars.take(comps=slice(0, 2))
+    eta, deta = Z[:, :, 0], Z[:, :, 1]
     signs = assembly.signs[:, None]
     sum_full = (signs * (dphi * eta + phi * deta)).sum(axis=0)
     sum_deriv = (signs * (dphi * eta)).sum(axis=0)

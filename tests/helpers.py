@@ -5,7 +5,9 @@ products, an independent cross-check of forward._char_arrays;
 guess_seeds seeds every Newton entry from asympt.eigen_guess, the
 reference for forward._seeds; both_families_roots searches both
 families on every pair, the reference for the mirrored family 2 of
-forward._roots; sequential_sweep takes the RK4 steps one
+forward._roots; dlambda_newton_family steps lambda - Delta/dDelta from
+one d/dlambda sweep per iteration, the reference for the order-2 Newton
+of forward._newton_family; sequential_sweep takes the RK4 steps one
 after another, the reference for quasi._loop_sweep; weyl_contour_reference
 sums a contour of Weyl matrices from per-point sweeps, the reference for
 the Taylor sweeps of forward._taylor_rows; WholeGridAssembly copies
@@ -74,6 +76,37 @@ def both_families_roots(coeffs: CoefficientPair, n_max: int, theta):
     return forward._newton_family(coeffs, ks, ns,
                                   forward._seeds(coeffs, ns, ks, theta),
                                   theta)
+
+
+def dlambda_newton_family(coeffs: CoefficientPair, k, ns, guesses, theta):
+    """forward._newton_family with plain Newton steps: each iteration
+    evaluates the active entries in one mixed d/dlambda sweep and steps
+    lambda - Delta/dDelta; an entry with |Delta| <= forward._newton_tol
+    stops at the lambda it has just evaluated, so the record returned
+    is that evaluation's.  Failures are raised as forward raises them."""
+    ns = np.asarray(ns, dtype=int)
+    ks = np.broadcast_to(np.asarray(k, dtype=int), ns.shape)
+    lam = np.asarray(guesses, dtype=complex).copy()
+    last = Characteristic(*(np.empty_like(lam) for _ in Characteristic._fields))
+    active = np.ones(lam.shape[0], dtype=bool)
+    max_iter = forward._NEWTON_MAX_ITER
+    vanished = np.full(lam.shape[0], max_iter)
+    for it in range(max_iter):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        a = forward._char_arrays(coeffs, lam[idx], ks[idx], with_dlambda=True)
+        for dst, values in zip(last, a):
+            dst[idx] = values
+        conv = np.abs(a.delta) <= forward._newton_tol(a.ddelta, lam[idx])
+        small = (np.abs(a.ddelta) < forward._DERIV_FLOOR) & ~conv
+        vanished[idx[small]] = it
+        step = np.where(conv | small, 0.0,
+                        a.delta / np.where(small, 1.0, a.ddelta))
+        lam[idx] = lam[idx] - step
+        active[idx[conv | small]] = False
+    forward._raise_failures(ns, ks, lam, active, vanished, theta)
+    return lam, last
 
 
 def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,

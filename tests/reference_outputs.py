@@ -15,8 +15,11 @@ new deviation in CHANGES.md.
     PYTHONPATH=src python tests/reference_outputs.py --check
 
 reruns the same commands as the test does and prints, file by file,
-whether its bytes equal the pinned file.  It exits 1 if any differs and
-never writes tests/reference/.
+whether its bytes equal the pinned file, and for a file that differs
+the largest deviation of its numbers as a fraction of the tolerance
+tests/test_reference.py allows it (above 1: the test fails), with where
+it sits.  It exits 1 if any file differs and never writes
+tests/reference/.
 """
 
 import contextlib
@@ -79,7 +82,10 @@ def run_all(out: str, data: str) -> None:
 def check() -> int:
     """Rerun every command into a temporary directory on the pinned
     forward files and report each pinned file as identical to its rerun
-    or not; 1 if any differs, 0 otherwise."""
+    or not, with the worst fraction of its tolerance (test_reference's
+    comparisons) where it differs; 1 if any differs, 0 otherwise."""
+    from test_reference import worst
+
     def read(path):
         with open(path, "rb") as f:
             return f.read()
@@ -90,10 +96,17 @@ def check() -> int:
         run_all(out, REFERENCE)
         for name in names:
             rerun = os.path.join(out, name)
-            same = (os.path.exists(rerun)
-                    and read(rerun) == read(os.path.join(REFERENCE, name)))
-            differ += not same
-            print("%-26s %s" % (name, "identical" if same else "DIFFERS"))
+            if not os.path.exists(rerun):
+                differ += 1
+                print("%-26s MISSING" % name)
+                continue
+            if read(rerun) == read(os.path.join(REFERENCE, name)):
+                print("%-26s identical" % name)
+                continue
+            differ += 1
+            fraction, where = worst(name, out, REFERENCE)
+            print("%-26s DIFFERS  %.3g of tolerance at %s"
+                  % (name, fraction, where))
     print("%d of %d pinned files differ" % (differ, len(names)))
     return 1 if differ else 0
 

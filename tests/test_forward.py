@@ -24,8 +24,8 @@ from spectral3.grid import (CoefficientPair, GridFunction, integrate,
 from spectral3.quasi import SystemVariant, _sweep
 
 from helpers import (both_families_roots, characteristic_literal, dagger,
-                     from_callables, gauge_shifted, guess_seeds,
-                     weyl_contour_reference)
+                     dlambda_newton_family, from_callables, gauge_shifted,
+                     guess_seeds, weyl_contour_reference)
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -894,10 +894,10 @@ def test_laurent_taylor_contour_at_the_resolution_guard(general_coeffs):
 
 def test_joint_newton_sweeps_both_families_once_per_iteration(
         general_coeffs128, sweep_calls):
-    # Each joint Newton iteration is one d/dlambda sweep over the active
-    # entries of both families, as many as the two families searched
-    # alone have active at that iteration, and with K empty nothing is
-    # swept after Newton.
+    # Each joint Newton iteration is one sweep of Taylor order 2 over the
+    # active entries of both families, as many as the two families
+    # searched alone have active at that iteration, and with K empty
+    # nothing is swept after Newton.
     theta = integrate(general_coeffs128.tau1)
     ns = np.arange(1, 7)
     alone = []
@@ -909,18 +909,19 @@ def test_joint_newton_sweeps_both_families_once_per_iteration(
     sweep_calls.clear()
     assert compute_spectral_data(general_coeffs128, 6).K == []
     sizes = [a + b for a, b in zip_longest(*alone, fillvalue=0)]
-    assert sizes[0] == 12 and len(sizes) == 4
-    assert sweep_calls == [(L, True, False) for L in sizes]
+    assert sizes[0] == 12 and len(sizes) == 3
+    assert sweep_calls == [(L, 2, False) for L in sizes]
 
 
 def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
                                                            coinciding_coeffs,
                                                            sweep_calls,
                                                            monkeypatch):
-    # beta_{n,k} reads family k at lambda_{n,k} from Newton's last
-    # evaluation there, so with K empty no sweep follows the Newton
-    # searches.  On K, lambda_{n,2} is set to lambda_{n,1}: family 2 is
-    # swept there once, one d/dlambda sweep of L = |K|.
+    # beta_{n,k} reads family k at lambda_{n,k} off the quadratics of
+    # the Newton evaluation that accepted it, so with K empty no sweep
+    # follows the Newton searches.  On K, lambda_{n,2} is set to
+    # lambda_{n,1}: family 2 is swept there once, one d/dlambda sweep of
+    # L = |K|.
     char_arrays = forward._char_arrays
     families: list = []
 
@@ -948,16 +949,21 @@ def test_weight_step_sweeps_each_family_at_its_eigenvalues(general_coeffs128,
 
 
 def test_weights_equal_a_sweep_at_each_eigenvalue_alone(general_coeffs128):
-    # The weights come from Newton's converged batched evaluations; a
-    # fresh sweep at each eigenvalue alone gives the same bits.
+    # The weights are numer / ddelta of Newton's record, exactly, and a
+    # fresh d/dlambda sweep at each eigenvalue alone agrees within 1e-12
+    # relative (measured 8.2e-14).
+    theta = integrate(general_coeffs128.tau1)
+    lam, a = forward._roots(general_coeffs128, 6, theta)
     data = compute_spectral_data(general_coeffs128, 6)
     assert data.K == []
+    assert data.lambdas.T.tobytes() == lam.tobytes()
+    assert data.betas.T.tobytes() == (a.numer / a.ddelta).tobytes()
     for n in range(1, 7):
         for k in (1, 2):
-            lam = data.lam(n, k)
-            a = forward._char_arrays(general_coeffs128, [lam], k,
-                                     with_dlambda=True)
-            assert data.beta(n, k) == a.numer[0] / a.ddelta[0]
+            fresh = forward._char_arrays(general_coeffs128, [data.lam(n, k)],
+                                         k, with_dlambda=True)
+            beta = fresh.numer[0] / fresh.ddelta[0]
+            assert abs(data.beta(n, k) - beta) <= 1e-12 * abs(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,20 +1041,20 @@ def test_forward_json_at_n_max_6_is_unchanged(tmp_path, monkeypatch,
 
 
 def test_model_seeds_shorten_the_data_sweeps(sweep_calls, monkeypatch):
-    # d/dlambda sweeps of the data pair on data/smooth.csv at n_max 30,
+    # Newton sweeps of the data pair on data/smooth.csv at n_max 30,
     # which is in the self-adjoint class, so only family 1 is searched:
-    # 30, 30, 7 and 6 lambdas from the model seeds (73), against 30, 30,
-    # 30 and 8 (98) from eigen_guess alone; the model's own search runs
-    # on the constant pair, in the power path
+    # 30, 10 and 1 lambdas from the model seeds (41), against 30, 30 and
+    # 1 (61) from eigen_guess alone; the model's own search runs on the
+    # constant pair, in the power path
     coeffs = read_coefficients(SMOOTH_CSV)
     counts = []
     for seeds in (forward._seeds, guess_seeds):
         monkeypatch.setattr(forward, "_seeds", seeds)
         sweep_calls.clear()
         compute_spectral_data(coeffs, 30)
-        counts.append(sum(L for L, dlam, constant in sweep_calls
-                          if dlam and not constant))
-    assert counts[0] <= 75 < counts[1]
+        counts.append(sum(L for L, order, constant in sweep_calls
+                          if order and not constant))
+    assert counts[0] <= 43 < counts[1]
 
 
 def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
@@ -1087,13 +1093,13 @@ def selfadjoint_pairs(grid512, coinciding_coeffs):
             "constant_0.3": (CoefficientPair.model(grid512, 0.3), 30, tol)}
 
 
-@pytest.mark.parametrize("name", ["smooth_csv", "bank"])
+@pytest.mark.parametrize("name", ["smooth_csv", "bank", "coinciding",
+                                  "constant_0", "constant_0.3"])
 def test_mirrored_newton_record_equals_the_two_family_search(
         selfadjoint_pairs, name):
     # Newton's roots and record of family 2 are family 1's mirrored bit
-    # for bit.  On a constant pair every value is real, and the signs of
-    # the zero imaginary parts of delta, numer and gamma_numer do not
-    # mirror; the spectral data, checked below, come out the same bits.
+    # for bit, on constant pairs too, whose values are all real: every
+    # zero of the record carries the sign +.
     coeffs, n_max, _ = selfadjoint_pairs[name]
     theta = integrate(coeffs.tau1)
     (lam, a), (lam_ref, a_ref) = (roots(coeffs, n_max, theta) for roots in
@@ -1135,10 +1141,11 @@ def test_forward_json_of_a_selfadjoint_pair_equals_the_two_family_search(
 @pytest.mark.parametrize("field", ["tau1", "sigma0"])
 def test_a_pair_just_off_the_class_searches_both_families(
         tmp_path, smooth_coeffs, sweep_calls, field):
-    # 1e-14 off the class at one node: Newton's first sweep carries both
-    # families, n_max lambdas each, where the exact pair's carries one;
-    # the CLI, which admits the class within 1e-12, still reports the
-    # symmetry it measures (beta_max 1.1e-17 and 5.3e-16 measured)
+    # 1e-14 off the class at one node: Newton's first sweep, of Taylor
+    # order 2, carries both families, n_max lambdas each, where the exact
+    # pair's carries one; the CLI, which admits the class within 1e-12,
+    # still reports the symmetry it measures (beta_max 1.1e-17 and
+    # 5.3e-16 measured)
     tau1 = smooth_coeffs.tau1.values.copy()
     sigma0 = smooth_coeffs.sigma0.values.copy()
     if field == "tau1":
@@ -1150,7 +1157,7 @@ def test_a_pair_just_off_the_class_searches_both_families(
     for coeffs, L in ((smooth_coeffs, 6), (near, 12)):
         sweep_calls.clear()
         compute_spectral_data(coeffs, 6)
-        assert sweep_calls[0] == (L, True, False)
+        assert sweep_calls[0] == (L, 2, False)
     csv, out = str(tmp_path / "near.csv"), tmp_path / "near.json"
     write_coefficients(csv, near)
     assert main(["forward", "--coeffs", csv, "--n-max", "6",
@@ -1158,3 +1165,122 @@ def test_a_pair_just_off_the_class_searches_both_families(
     report = json.loads(out.read_text())["diagnostics"]["symmetry"]
     assert report["pass"] and report["beta_max"] > 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# Order-2 Newton against the d/dlambda Newton of the helpers
+
+# a general pair of the perfbench bank's form: complex cosine amplitudes
+# of tau1, sine amplitudes of sigma0 with a common phase
+_GENERAL_A = (0.2 + 0.05j, -0.1 - 0.03j, 0.05 + 0.02j)
+_GENERAL_B = tuple(b * np.exp(0.7j) for b in (0.15, -0.1, 0.08))
+
+
+@pytest.fixture(scope="module")
+def general_bank(grid512):
+    j = np.arange(1, 4)
+    return from_callables(
+        grid512,
+        lambda x: 0.3 + np.dot(_GENERAL_A, np.cos(2.0 * np.pi * j * x)),
+        lambda x: np.dot(_GENERAL_B, np.sin(np.pi * j * x)))
+
+
+@pytest.mark.parametrize("name", ["smooth_csv", "general_bank", "constant_0",
+                                  "constant_0.3", "coinciding"])
+def test_order2_newton_agrees_with_the_dlambda_newton(
+        selfadjoint_pairs, general_bank, monkeypatch, name):
+    # K exactly, beta within 2e-12 relative, lambda within 1e-12 relative
+    # plus the distance |Delta/dDelta| from the d/dlambda Newton's root to
+    # the root its last evaluation points at: that search stops once
+    # |Delta| <= 1e-12 (1 + |dDelta| |lambda|^(2/3)), which on the
+    # coinciding pair leaves lambda_{1,1} = 3.3e-7 6.1e-10 short of the
+    # root.  gamma_1 there moves with it (3.9e-12 measured), so it is
+    # checked within 2e-12 against a fresh d/dlambda sweep of both
+    # families at the new lambda_1, as the weight step forms it.
+    coeffs, n_max, pair_tol = dict(
+        selfadjoint_pairs,
+        general_bank=(general_bank, 30, asympt.COINCIDE_TOL))[name]
+    data = compute_spectral_data(coeffs, n_max, pair_tol)
+    records = []
+
+    def recording(*args):
+        lam, a = dlambda_newton_family(*args)
+        records.append((lam, a))
+        return lam, a
+
+    monkeypatch.setattr(forward, "_newton_family", recording)
+    ref = compute_spectral_data(coeffs, n_max, pair_tol)
+    assert data.K == ref.K
+    # the data search is the last one, after the model's
+    lam, a = records[-1]
+    reach = np.abs(a.delta / a.ddelta)
+    if lam.size == n_max:               # family 1 searched, 2 mirrored
+        reach = np.concatenate([reach, reach])
+    reach = reach.reshape(2, n_max).T
+    assert (np.abs(data.lambdas - ref.lambdas)
+            <= 1e-12 * np.abs(ref.lambdas) + reach).all()
+    assert (np.abs(data.betas - ref.betas) <= 2e-12 * np.abs(ref.betas)).all()
+    for n in data.K:
+        at = data.lam(n, 1)
+        fresh = _char_arrays(coeffs, [at, at], [1, 2], with_dlambda=True)
+        gamma = _gamma(at, fresh.gamma_numer / fresh.ddelta, data.betas[n - 1])
+        assert abs(data.gamma[n] - gamma) <= 2e-12 * abs(gamma)
+
+
+def test_a_general_pair_takes_two_data_sweeps(general_bank, sweep_calls):
+    # both families at n_max 30 from the model seeds: two sweeps of the
+    # data pair, of Taylor order 2 (the d/dlambda Newton took four);
+    # data/smooth.csv, family 1 alone, takes three
+    compute_spectral_data(general_bank, 30)
+    data_sweeps = [c for c in sweep_calls if not c[2]]
+    assert len(data_sweeps) == 2 and all(c[1] == 2 for c in data_sweeps)
+    sweep_calls.clear()
+    compute_spectral_data(read_coefficients(SMOOTH_CSV), 30)
+    assert len([c for c in sweep_calls if not c[2]]) <= 3
+
+
+def test_an_entry_far_from_its_root_is_not_accepted_at_once(
+        general_coeffs128, sweep_calls, monkeypatch):
+    # 1e-2 off lambda_{1,1} (2e-4 relative) the omitted cubic term fails
+    # the certificate: the first sweep steps, the second accepts
+    theta = integrate(general_coeffs128.tau1)
+    root, _ = _newton_family(general_coeffs128, 1, [1],
+                             [asympt.eigen_guess(1, 1, theta)], theta)
+    sweep_calls.clear()
+    lam, _ = _newton_family(general_coeffs128, 1, [1], root + 1e-2, theta)
+    assert len(sweep_calls) == 2
+    assert abs(lam[0] - root[0]) <= 1e-12 * abs(root[0])
+    monkeypatch.setattr(forward, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergenceError):
+        _newton_family(general_coeffs128, 1, [1], root + 1e-2, theta)
+
+
+def test_an_entry_that_never_certifies_raises_no_convergence(
+        general_coeffs128, sweep_calls, monkeypatch):
+    # with an infinite safety factor no certificate can hold
+    theta = integrate(general_coeffs128.tau1)
+    monkeypatch.setattr(forward, "_TAYLOR_SAFETY", np.inf)
+    monkeypatch.setattr(forward, "_NEWTON_MAX_ITER", 6)
+    with pytest.raises(NoConvergenceError) as ei:
+        _newton_family(general_coeffs128, np.array([1, 2]), [2, 2],
+                       asympt.eigen_guess([2, 2], [1, 2], theta), theta)
+    assert (ei.value.n, ei.value.k, ei.value.iterations) == (2, 1, 6)
+    assert sweep_calls == [(2, 2, False)] * 6
+
+
+def test_an_accepted_root_past_the_resolution_guard_is_refused(
+        general_coeffs128, sweep_calls, monkeypatch):
+    # Seeded 1e-9 inside lambda_{10,1}, with the guard moved between the
+    # seed and the root: the first sweep accepts the root, which no sweep
+    # evaluates, and the guard refuses it.
+    theta = integrate(general_coeffs128.tau1)
+    root, _ = _newton_family(general_coeffs128, 1, [10],
+                             [asympt.eigen_guess(10, 1, theta)], theta)
+    seed = root * (1.0 - 1e-9)
+    rho = abs(root[0] * (1.0 - 5e-10)) ** (1.0 / 3.0)
+    monkeypatch.setattr(quasi, "_RESOLUTION_FACTOR",
+                        rho / general_coeffs128.grid.M)
+    sweep_calls.clear()
+    with pytest.raises(ResolutionGuardError):
+        _newton_family(general_coeffs128, 1, [10], seed, theta)
+    assert sweep_calls == [(1, 2, False)]

@@ -447,6 +447,25 @@ def test_node_blocks_equal_full_stack(smooth_data8, cache4, grid512,
 
 
 @pytest.mark.parametrize("case", ["smooth", "coinciding"])
+def test_one_star_read_gives_eta_and_its_derivative(case, smooth_data8,
+                                                    grid512):
+    # reconstruct reads eta and eta' as the two components of one star
+    # state read; each equals its one-component read byte for byte, on
+    # the K = [1] coinciding pair's regularized row too
+    if case == "smooth":
+        data, N = smooth_data8, 8
+    else:
+        data, N = _coinciding_data(smooth_data8), 3
+    stars = assemble(data, build_model(data, grid512, N), N).stars
+    both = stars.take(comps=slice(0, 2))
+    assert stars.regularized.any() == (case == "coinciding")
+    for j in (0, 1):
+        one = stars.take(comps=j)
+        assert both[:, :, j].shape == one.shape
+        assert both[:, :, j].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("case", ["smooth", "coinciding"])
 def test_block_reads_equal_the_whole_grid_tables(case, smooth_data8,
                                                  grid512):
     # assemble leaves every Weyl state in the model cache's arrays and

@@ -59,25 +59,37 @@ def _json(directory, name):
         return json.load(fh)
 
 
-def assert_numbers(got, ref, tol, path=()):
-    """got has the structure of ref, with every leaf that is not a
-    number equal and every number within tol(path) of ref's
-    (an integer differs by at least 1, which no bound here allows)."""
+def _exact(where, got, ref):
+    """The item of a value that must equal its pin: deviation 0 or inf,
+    bound 0."""
+    return where, (0.0 if got == ref else np.inf), 0.0
+
+
+def number_items(got, ref, tol, path=()):
+    """The items of got against ref, of the same structure: every leaf
+    that is not a number must be equal, every number within tol(path)
+    of ref's (an integer differs by at least 1, which no bound here
+    allows)."""
     where = "/".join(map(str, path))
     if isinstance(ref, dict):
-        assert isinstance(got, dict) and got.keys() == ref.keys(), where
+        if not (isinstance(got, dict) and got.keys() == ref.keys()):
+            yield _exact(where + " keys", None, ref.keys())
+            return
         for key in ref:
-            assert_numbers(got[key], ref[key], tol, path + (key,))
+            yield from number_items(got[key], ref[key], tol, path + (key,))
     elif isinstance(ref, list):
-        assert isinstance(got, list) and len(got) == len(ref), where
+        if not (isinstance(got, list) and len(got) == len(ref)):
+            yield _exact(where + " length", None, len(ref))
+            return
         for i, (g, r) in enumerate(zip(got, ref)):
-            assert_numbers(g, r, tol, path + (i,))
+            yield from number_items(g, r, tol, path + (i,))
     elif isinstance(ref, (int, float)) and not isinstance(ref, bool):
-        assert isinstance(got, (int, float)) and not isinstance(got, bool), \
-            where
-        assert abs(got - ref) <= tol(path), (where, got, ref)
+        if isinstance(got, (int, float)) and not isinstance(got, bool):
+            yield where, abs(got - ref), tol(path)
+        else:
+            yield _exact(where, got, ref)
     else:
-        assert got == ref, (where, got, ref)
+        yield _exact(where, got, ref)
 
 
 def _modulus(pair):
@@ -99,10 +111,9 @@ def _data_scales(data: dict, N: int):
     return s, float(np.sqrt(np.sum((lam / n + beta / n ** 2) ** 2)))
 
 
-@pytest.mark.parametrize("n_max", FORWARD_N_MAX)
-def test_forward_json(fresh, n_max):
-    got, ref = _json(fresh, forward_name(n_max)), _json(REFERENCE,
-                                                        forward_name(n_max))
+def forward_items(name, got_dir, ref_dir):
+    got, ref = _json(got_dir, name), _json(ref_dir, name)
+    n_max = ref["n_max"]
 
     def tol(path):
         if path[0] == "entries" and path[2] in ("lambda", "beta"):
@@ -121,25 +132,24 @@ def test_forward_json(fresh, n_max):
             return REL_FORWARD
         return 0.0
 
-    assert_numbers(got, ref, tol)
+    yield from number_items(got, ref, tol)
 
 
-@pytest.mark.parametrize("N", INVERSE_N)
-def test_inverse_rec_csv(fresh, N):
-    name = "rec_N%d.csv" % N
-    got = read_coefficients(os.path.join(fresh, name))
-    ref = read_coefficients(os.path.join(REFERENCE, name))
-    assert np.array_equal(got.grid.nodes, ref.grid.nodes)
-    for g, r in ((got.tau1, ref.tau1), (got.sigma0, ref.sigma0)):
-        scale = np.abs(r.values).max()
-        assert np.abs(g.values - r.values).max() <= REL_REC * scale
+def rec_items(name, got_dir, ref_dir):
+    got = read_coefficients(os.path.join(got_dir, name))
+    ref = read_coefficients(os.path.join(ref_dir, name))
+    yield _exact("nodes", np.array_equal(got.grid.nodes, ref.grid.nodes),
+                 True)
+    for field in ("tau1", "sigma0"):
+        g, r = getattr(got, field).values, getattr(ref, field).values
+        yield (field, np.abs(g - r).max(),
+               REL_REC * np.abs(r).max())
 
 
-@pytest.mark.parametrize("N", INVERSE_N)
-def test_inverse_diag(fresh, N):
-    name = "diag_N%d.json" % N
-    got, ref = _json(fresh, name), _json(REFERENCE, name)
-    s, norm = _data_scales(_json(REFERENCE, forward_name(24)), N)
+def diag_items(name, got_dir, ref_dir):
+    got, ref = _json(got_dir, name), _json(ref_dir, name)
+    N = len(ref["xi"])
+    s, norm = _data_scales(_json(ref_dir, forward_name(24)), N)
     xi = np.array(ref["xi"])
     n = np.arange(1, N + 1)
     bounds = {
@@ -157,7 +167,7 @@ def test_inverse_diag(fresh, N):
         bound = bounds[path[0]]
         return bound[path[1]] if path[0] == "xi" else bound
 
-    assert_numbers(got, ref, tol)
+    yield from number_items(got, ref, tol)
 
 
 def _rows(directory, name):
@@ -166,44 +176,105 @@ def _rows(directory, name):
     return header, [dict(zip(header, row)) for row in rows]
 
 
-def test_stability_csv(fresh):
-    name = "stability_n8.csv"
-    (header, got), (ref_header, ref) = _rows(fresh, name), _rows(REFERENCE,
-                                                                 name)
-    assert header == ref_header and len(got) == len(ref)
-    _, norm = _data_scales(_json(REFERENCE, forward_name(8)), 8)
-    for g, r in zip(got, ref):
+def stability_items(name, got_dir, ref_dir):
+    (header, got), (ref_header, ref) = (_rows(got_dir, name),
+                                        _rows(ref_dir, name))
+    yield _exact("header", header, ref_header)
+    yield _exact("rows", len(got), len(ref))
+    _, norm = _data_scales(_json(ref_dir, forward_name(8)), 8)
+    for i, (g, r) in enumerate(zip(got, ref)):
         for key in ("delta", "status"):
-            assert g[key] == r[key]
+            yield _exact("%d/%s" % (i, key), g[key], r[key])
         d = float(r["d"])
         bounds = {"d": REL_FORWARD * norm,
                   "tau1_l2": ERROR_FIGURE, "sigma0_w2m1": ERROR_FIGURE,
                   "tau1_ratio": ERROR_FIGURE / d if d else 0.0,
                   "sigma0_ratio": ERROR_FIGURE / d if d else 0.0}
         for key, bound in bounds.items():
+            where = "%d/%s" % (i, key)
             if r[key] == "":    # no ratio on the unperturbed row
-                assert g[key] == ""
+                yield _exact(where, g[key], "")
             else:
-                assert abs(float(g[key]) - float(r[key])) <= bound, (key, r)
+                yield where, abs(float(g[key]) - float(r[key])), bound
+
+
+def roundtrip_items(name, got_dir, ref_dir):
+    (header, got), (ref_header, ref) = (_rows(got_dir, name),
+                                        _rows(ref_dir, name))
+    yield _exact("header", header, ref_header)
+    yield _exact("rows", len(got), len(ref))
+    for i, (g, r) in enumerate(zip(got, ref)):
+        yield _exact("%d/N" % i, g["N"], r["N"])
+        for key in header[1:]:
+            yield ("%d/%s" % (i, key), abs(float(g[key]) - float(r[key])),
+                   ERROR_FIGURE)
+
+
+def verify_items(name, got_dir, ref_dir):
+    yield from number_items(_json(got_dir, name), _json(ref_dir, name),
+                            lambda path: ERROR_FIGURE)
+
+
+def items(name, got_dir, ref_dir):
+    """(where, deviation, bound) of every quantity compared in the pinned
+    file name, rerun into got_dir, against its pin in ref_dir.  A number
+    gives |rerun - pin| and its tolerance; a value that must match
+    exactly (a string, K, a key set, a row count) gives 0 or inf with
+    bound 0.  The file passes when every deviation is within its
+    bound."""
+    for prefix, compare in (("forward_", forward_items), ("rec_", rec_items),
+                            ("diag_", diag_items),
+                            ("stability_", stability_items),
+                            ("roundtrip_", roundtrip_items),
+                            ("verify_", verify_items)):
+        if name.startswith(prefix):
+            return compare(name, got_dir, ref_dir)
+    raise ValueError("no comparison for %s" % name)
+
+
+def worst(name, got_dir, ref_dir) -> tuple:
+    """The largest deviation of the file name as a fraction of its bound,
+    with where it sits: 0 for a file that equals its pin, inf where a
+    value that must match exactly differs."""
+    def fraction(dev, bound):
+        return dev / bound if bound > 0 else (0.0 if dev == 0 else np.inf)
+
+    return max(((fraction(dev, bound), where)
+                for where, dev, bound in items(name, got_dir, ref_dir)),
+               default=(0.0, ""), key=lambda t: t[0])
+
+
+def assert_within(name, directory):
+    for where, dev, bound in items(name, directory, REFERENCE):
+        assert dev <= bound, (name, where, dev, bound)
+
+
+@pytest.mark.parametrize("n_max", FORWARD_N_MAX)
+def test_forward_json(fresh, n_max):
+    assert_within(forward_name(n_max), fresh)
+
+
+@pytest.mark.parametrize("N", INVERSE_N)
+def test_inverse_rec_csv(fresh, N):
+    assert_within("rec_N%d.csv" % N, fresh)
+
+
+@pytest.mark.parametrize("N", INVERSE_N)
+def test_inverse_diag(fresh, N):
+    assert_within("diag_N%d.json" % N, fresh)
+
+
+def test_stability_csv(fresh):
+    assert_within("stability_n8.csv", fresh)
 
 
 def test_roundtrip_csv(fresh):
-    name = "roundtrip_4_8.csv"
-    (header, got), (ref_header, ref) = _rows(fresh, name), _rows(REFERENCE,
-                                                                 name)
-    assert header == ref_header and len(got) == len(ref)
-    for g, r in zip(got, ref):
-        assert g["N"] == r["N"]
-        for key in header[1:]:
-            assert abs(float(g[key]) - float(r[key])) <= ERROR_FIGURE, \
-                (key, r)
+    assert_within("roundtrip_4_8.csv", fresh)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "weyl"])
 def test_verify_report(fresh, mode):
-    name = "verify_%s_N%d.json" % (mode, VERIFY_N)
-    assert_numbers(_json(fresh, name), _json(REFERENCE, name),
-                   lambda path: ERROR_FIGURE)
+    assert_within("verify_%s_N%d.json" % (mode, VERIFY_N), fresh)
 
 
 def test_reference_set_is_complete(fresh):
