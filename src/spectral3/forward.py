@@ -14,10 +14,12 @@ both, up to the boundary shift
 to which lambda_{n,k} - lambda~_{n,k} tends.  They cost little, since
 constant sweeps are powers of one step matrix (quasi).  So the entries
 n >= 7 start from lambda~_{n,k} plus that shift (_seeds), 2.1e-8 off
-lambda_{10,k} there.  Each Newton evaluation is one sweep of Taylor
-order 2, whose quadratic in lambda is certified before a root is read
-off it (_newton_family); from these seeds most entries n >= 7 are
-accepted from their first evaluation instead of their second.
+lambda_{10,k} there.  Each Newton evaluation of a pair that is not
+constant is one sweep of Taylor order 2, whose quadratic in lambda is
+certified before a root is read off it (_newton_family); from these
+seeds most entries n >= 7 are accepted from their first evaluation
+instead of their second.  A constant pair, the model among them, takes
+d/dlambda steps.
 
 Two numerical routes matter here.
 
@@ -107,12 +109,9 @@ __all__ = [
 _EYE = np.eye(3, dtype=complex)
 
 _NEWTON_MAX_ITER = 50
-# Each Newton evaluation is one sweep of this Taylor order (_newton_family),
-# and Newton on its quadratic takes _ROOT_STEPS steps from 0.  After k
-# steps d - r1 = (d - r2) (r1/r2)^(2^k) for the roots r1 nearer 0 and r2
-# (_small_root), so 8 steps reach rounding wherever |r1/r2| <= 0.86.
+# Each Newton evaluation of a pair that is not constant is one sweep of
+# this Taylor order (_newton_family); a constant pair takes d/dlambda steps.
 _NEWTON_ORDER = 2
-_ROOT_STEPS = 8
 _NEWTON_TOL = 1e-12
 _DERIV_FLOOR = 1e-14
 _BETA_SNAP = 1e-5
@@ -285,14 +284,13 @@ def _quadratic(T: np.ndarray, d: np.ndarray) -> tuple:
 
 
 def _small_root(T: np.ndarray) -> np.ndarray:
-    """The root of P (_quadratic) nearest 0, by _ROOT_STEPS Newton steps
-    from 0: the basins of Newton's method for a quadratic are the two
-    half-planes of the bisector of its roots (Cayley 1879)."""
-    d = np.zeros(T.shape[0], dtype=complex)
-    for _ in range(_ROOT_STEPS):
-        p, dp = _quadratic(T, d)
-        d = d - p / dp
-    return d
+    """The root of P (_quadratic) nearer 0, in the stable closed form
+    -2 T_0 / q, q the one of T_1 +- sqrt(T_1^2 - 4 T_0 T_2) of the larger
+    modulus."""
+    s = np.sqrt(T[:, 1] ** 2 - 4.0 * T[:, 0] * T[:, 2])
+    plus, minus = T[:, 1] + s, T[:, 1] - s
+    return -2.0 * T[:, 0] / np.where(np.abs(plus) >= np.abs(minus),
+                                     plus, minus)
 
 
 def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
@@ -304,9 +302,8 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     its lambda_e in one mixed sweep of Taylor order _NEWTON_ORDER = 2
     (_char_arrays with a per-lambda family), which gives each field of
     the record as a quadratic in d = lambda - lambda_e, and Delta_{k,k}
-    as P(d) = T_0 + T_1 d + T_2 d^2.  Newton on P finds its small root
-    d* (_small_root), and the entry is accepted at lambda* = lambda_e +
-    d* when
+    as P(d) = T_0 + T_1 d + T_2 d^2.  Its root d* nearer 0
+    (_small_root) is accepted at lambda* = lambda_e + d* when
 
         |P(d*)| + _TAYLOR_SAFETY ||row|| a^3 / 6
             <= _newton_tol(P'(d*), lambda*),
@@ -322,13 +319,26 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     need no further sweep.  No sweep evaluates lambda*, so the
     resolution guard is applied to every accepted root.
 
+    A constant pair takes d/dlambda steps instead: one mixed d/dlambda
+    sweep per iteration, lambda - Delta/dDelta, and an entry with
+    |Delta| <= _newton_tol(dDelta, lambda_e) stops at the lambda_e it
+    has just evaluated, whose values are its record.  The constant
+    model's spectrum is the inverse's model (model.build_model), and
+    the inverse outputs of tests/reference are pinned at 1e-13 of its
+    size with the roots of these steps, which stop up to 5.3e-13
+    (relative) short of the RK4 root at n = 2 on data/smooth.csv's
+    model; the order-2 search lands within 1.3e-16 of it and moves
+    those outputs up to 7.3 times past their tolerance.  A constant
+    pair's sweeps take the power path, so its steps cost little.
+
     A failing entry leaves the active set while the others run on.  The
     failures are then raised family by family, 1 before 2, in the order
     of a search of that family alone: DerivativeVanishesError of the
-    earliest iteration (lowest position first), for |T_1| below
-    _DERIV_FLOOR at an entry not accepted, then NoConvergenceError of
-    the first entry left unaccepted, then BasinEscapeError of the first
-    root with another index.
+    earliest iteration (lowest position first), for a first-order
+    coefficient |T_1| (dDelta) below _DERIV_FLOOR at an entry not
+    accepted, then NoConvergenceError of the first entry left
+    unaccepted, then BasinEscapeError of the first root with another
+    index.
     """
     ns = np.asarray(ns, dtype=int)
     ks = np.broadcast_to(np.asarray(k, dtype=int), ns.shape)
@@ -337,30 +347,41 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     active = np.ones(lam.shape[0], dtype=bool)
     # the iteration at which an entry's derivative vanished
     vanished = np.full(lam.shape[0], _NEWTON_MAX_ITER)
+    constant = (_is_constant(coeffs.tau1.values)
+                and _is_constant(coeffs.sigma0.values))
+    order = 1 if constant else _NEWTON_ORDER
     for it in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
         idx = np.flatnonzero(active)
         at = lam[idx]
-        # the Taylor blocks T_0, T_1, T_2 of each field at lambda_e
-        T = _char_arrays(coeffs, at, ks[idx], with_dlambda=_NEWTON_ORDER)
-        # a vanishing T_1 gives a non-finite root, which is not accepted
+        T = _char_arrays(coeffs, at, ks[idx], with_dlambda=order)
+        # a vanishing first-order coefficient gives a non-finite step or
+        # root, which is not accepted
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = _small_root(T.delta)
-            p, dp = _quadratic(T.delta, d)
-            star = at + d
-            row = np.abs([T.delta[:, 0], T.numer[:, 0],
-                          T.gamma_numer[:, 0]]).max(axis=0)
-            a = np.abs(d) / (3.0 * np.maximum(1.0, np.abs(at)) ** (2.0 / 3.0))
-            conv = (np.abs(p) + _TAYLOR_SAFETY * row * a ** 3 / 6.0
-                    <= _newton_tol(dp, star))
-        small = (np.abs(T.delta[:, 1]) < _DERIV_FLOOR) & ~conv
+            if constant:
+                slope, record = T.ddelta, T
+                conv = np.abs(T.delta) <= _newton_tol(T.ddelta, at)
+                star = at - np.where(conv, 0.0, T.delta / T.ddelta)
+            else:
+                slope = T.delta[:, 1]
+                d = _small_root(T.delta)
+                p, dp = _quadratic(T.delta, d)
+                record = (p, _horner(T.numer.T, d),
+                          _horner(T.gamma_numer.T, d), dp)
+                star = at + d
+                row = np.abs([T.delta[:, 0], T.numer[:, 0],
+                              T.gamma_numer[:, 0]]).max(axis=0)
+                a = (np.abs(d)
+                     / (3.0 * np.maximum(1.0, np.abs(at)) ** (2.0 / 3.0)))
+                conv = (np.abs(p) + _TAYLOR_SAFETY * row * a ** 3 / 6.0
+                        <= _newton_tol(dp, star))
+        small = (np.abs(slope) < _DERIV_FLOOR) & ~conv
         vanished[idx[small]] = it
         _guard_resolution(star[conv], coeffs.grid.M)
         # + 0.0 gives every zero of the record the sign +, which the
         # self-adjoint mirror (_roots) keeps
-        for dst, values in zip(last, (p, _horner(T.numer.T, d),
-                                      _horner(T.gamma_numer.T, d), dp)):
+        for dst, values in zip(last, record):
             dst[idx[conv]] = values[conv] + 0.0
         lam[idx[~small]] = star[~small]
         active[idx[conv | small]] = False
@@ -401,9 +422,9 @@ def _seeds(coeffs: CoefficientPair, ns: np.ndarray, ks: np.ndarray,
     n >= _MODEL_SEED_FROM of a pair that is not constant the eigenvalue
     of the model pair (CoefficientPair.model) plus the boundary shift of
     the module docstring.  The model eigenvalues come from one
-    _newton_family call seeded by eigen_guess, whose sweeps take the
-    power path of quasi._sweep.  A constant pair is its own model and
-    keeps eigen_guess everywhere.
+    _newton_family call seeded by eigen_guess, whose d/dlambda sweeps
+    take the power path of quasi._sweep.  A constant pair is its own
+    model and keeps eigen_guess everywhere.
     """
     seeds = asympt.eigen_guess(ns, ks, theta)
     far = ns >= _MODEL_SEED_FROM
@@ -506,11 +527,11 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
     asympt.eigen_guess.  A pair exactly in the self-adjoint class
     searches family 1 alone and mirrors family 2, bit for bit (module
     docstring), so its data satisfy the symmetry exactly outside K,
-    where family 2 is swept again.  The weight numbers are read off the
-    quadratics of the Newton evaluation that accepted each root, with
-    no further sweep.  n_max must be at least
-    1, and pair_tol, the relative tolerance of asympt.coincide that
-    pairs the two families, finite and non-negative."""
+    where family 2 is swept again.  The weight numbers are read off
+    Newton's record at each root (_newton_family), with no further
+    sweep.  n_max must be at least 1, and pair_tol, the relative
+    tolerance of asympt.coincide that pairs the two families, finite
+    and non-negative."""
     if not 0.0 <= pair_tol < np.inf:
         raise ValueError("pair tolerance must be a finite number >= 0, "
                          "got %r" % (pair_tol,))

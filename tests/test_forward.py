@@ -1067,6 +1067,8 @@ def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
     monkeypatch.setattr(forward, "_seeds", guess_seeds)
     compute_spectral_data(coeffs, 30)
     assert calls == sweep_calls and all(c for _, _, c in calls)
+    # its Newton takes d/dlambda steps (forward._newton_family)
+    assert all(order == 1 for _, order, _ in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -1189,42 +1191,24 @@ def general_bank(grid512):
                                   "constant_0.3", "coinciding"])
 def test_order2_newton_agrees_with_the_dlambda_newton(
         selfadjoint_pairs, general_bank, monkeypatch, name):
-    # K exactly, beta within 2e-12 relative, lambda within 1e-12 relative
-    # plus the distance |Delta/dDelta| from the d/dlambda Newton's root to
-    # the root its last evaluation points at: that search stops once
-    # |Delta| <= 1e-12 (1 + |dDelta| |lambda|^(2/3)), which on the
-    # coinciding pair leaves lambda_{1,1} = 3.3e-7 6.1e-10 short of the
-    # root.  gamma_1 there moves with it (3.9e-12 measured), so it is
-    # checked within 2e-12 against a fresh d/dlambda sweep of both
-    # families at the new lambda_1, as the weight step forms it.
+    # K exactly, lambda within 1e-12 and beta and gamma within 2e-12,
+    # relative.  A constant pair (the last three) takes the d/dlambda
+    # steps itself, so there the two searches give equal values.
     coeffs, n_max, pair_tol = dict(
         selfadjoint_pairs,
         general_bank=(general_bank, 30, asympt.COINCIDE_TOL))[name]
     data = compute_spectral_data(coeffs, n_max, pair_tol)
-    records = []
-
-    def recording(*args):
-        lam, a = dlambda_newton_family(*args)
-        records.append((lam, a))
-        return lam, a
-
-    monkeypatch.setattr(forward, "_newton_family", recording)
+    monkeypatch.setattr(forward, "_newton_family", dlambda_newton_family)
     ref = compute_spectral_data(coeffs, n_max, pair_tol)
     assert data.K == ref.K
-    # the data search is the last one, after the model's
-    lam, a = records[-1]
-    reach = np.abs(a.delta / a.ddelta)
-    if lam.size == n_max:               # family 1 searched, 2 mirrored
-        reach = np.concatenate([reach, reach])
-    reach = reach.reshape(2, n_max).T
     assert (np.abs(data.lambdas - ref.lambdas)
-            <= 1e-12 * np.abs(ref.lambdas) + reach).all()
+            <= 1e-12 * np.abs(ref.lambdas)).all()
     assert (np.abs(data.betas - ref.betas) <= 2e-12 * np.abs(ref.betas)).all()
-    for n in data.K:
-        at = data.lam(n, 1)
-        fresh = _char_arrays(coeffs, [at, at], [1, 2], with_dlambda=True)
-        gamma = _gamma(at, fresh.gamma_numer / fresh.ddelta, data.betas[n - 1])
-        assert abs(data.gamma[n] - gamma) <= 2e-12 * abs(gamma)
+    for n in ref.K:
+        assert abs(data.gamma[n] - ref.gamma[n]) <= 2e-12 * abs(ref.gamma[n])
+    if name not in ("smooth_csv", "general_bank"):
+        assert (data.lambdas == ref.lambdas).all()
+        assert (data.betas == ref.betas).all() and data.gamma == ref.gamma
 
 
 def test_a_general_pair_takes_two_data_sweeps(general_bank, sweep_calls):
