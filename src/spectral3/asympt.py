@@ -178,13 +178,15 @@ def coincide(a, b, tol: float = COINCIDE_TOL):
     return np.hypot(d.real, d.imag) <= tol * (1.0 + np.hypot(a.real, a.imag))
 
 
-def validate_condition1(data) -> dict:
+def validate_condition1(data, frame: AsymptoticFrame | None = None) -> dict:
     """Report on the structural conditions the inverse theory assumes.
 
     Clauses: eigenvalues distinct within each family; cross-family
     collisions only at paired indices (the set K); beta_{n,1}beta_{n,2}
     vanishing exactly on K; gamma nonzero on K; remainder decay.
-    Report-only: each clause carries a pass flag and offenders.
+    Report-only: each clause carries a pass flag and offenders.  The
+    decay clause reads frame, extract_remainders(data) of a caller that
+    has it already, or extracts it here.
     """
     N = data.n_max
     clauses: dict = {}
@@ -210,7 +212,8 @@ def validate_condition1(data) -> dict:
     clauses["gamma_nonzero"] = {"pass": not offenders, "offenders": offenders}
 
     try:
-        frame = extract_remainders(data)
+        if frame is None:
+            frame = extract_remainders(data)
         decay = {"pass": bool(frame.tail_max <= 0.5),
                  "tail_max": frame.tail_max,
                  "decay_slope": frame.decay_slope}

@@ -124,7 +124,7 @@ def cmd_forward(args) -> int:
             "tail_max": frame.tail_max,
             "decay_slope": frame.decay_slope,
         },
-        "validation": validate_condition1(data),
+        "validation": validate_condition1(data, frame),
     }
     if _is_selfadjoint_class(coeffs):
         diag["symmetry"] = check_symmetry(data)

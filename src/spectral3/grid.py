@@ -258,20 +258,37 @@ def read_coefficients(path) -> CoefficientPair:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0].replace(" ", "") != _HEADER:
         raise ValueError("coefficient file must start with header '%s'" % _HEADER)
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ValueError("bad coefficient row %d: %r" % (i, ln))
-        try:
-            rows.append([finite_float(p) for p in parts])
-        except ValueError:
-            raise ValueError("bad coefficient row %d: %r" % (i, ln)) from None
-    rows.sort(key=lambda r: r[0])
-    grid = Grid(len(rows) - 1)
-    xs = np.asarray([r[0] for r in rows])
-    if not np.allclose(xs, grid.nodes, atol=1e-12):
+    body = lines[1:]
+    # every field in one pass; a bad row is named by _bad_row
+    try:
+        if any(ln.count(",") != 4 for ln in body):
+            raise ValueError
+        table = np.array([float(p) for ln in body for p in ln.split(",")])
+        if not np.isfinite(table).all():
+            raise ValueError
+    except ValueError:
+        raise _bad_row(body) from None
+    table = table.reshape(-1, 5)
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    grid = Grid(len(table) - 1)
+    if not np.allclose(table[:, 0], grid.nodes, atol=1e-12):
         raise ValueError("coefficient file nodes must be the uniform grid on [0, 1]")
-    t1 = np.asarray([complex(r[1], r[2]) for r in rows])
-    s0 = np.asarray([complex(r[3], r[4]) for r in rows])
+    # (re, im) column pairs read as complex, bit for bit
+    t1 = np.ascontiguousarray(table[:, 1:3]).view(complex)[:, 0]
+    s0 = np.ascontiguousarray(table[:, 3:5]).view(complex)[:, 0]
     return CoefficientPair(GridFunction(grid, t1), GridFunction(grid, s0))
+
+
+def _bad_row(body: list) -> ValueError:
+    """The error naming the first line of body (numbered from 2, after
+    the header) that is not five finite numbers."""
+    for i, ln in enumerate(body, start=2):
+        parts = ln.split(",")
+        try:
+            if len(parts) != 5:
+                raise ValueError
+            for p in parts:
+                finite_float(p)
+        except ValueError:
+            return ValueError("bad coefficient row %d: %r" % (i, ln))
+    raise AssertionError("every coefficient row reads")

@@ -39,6 +39,7 @@ matrix is built directly and never rescaled entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -257,10 +258,12 @@ class MainAssembly:
     model cache they were built from.
 
     The Weyl states stay in the model cache's arrays: the kernel factors
-    and the star states record where each index's states sit, and every
-    table over the grid is formed from them on each access, for a slice
-    of nodes (tilde_states, node_matrices) or for all of them (eta,
-    deta, A).
+    and the star states record where each index's states sit, and the
+    tables over the grid are formed from them on each access, for a
+    slice of nodes (tilde_states, node_matrices) or for all of them (A).
+    eta and deta, which solve_phi, reconstruct and verify_weyl all read
+    over the whole grid, are formed once, on first access, and kept
+    read-only.
     """
 
     cache: ModelCache
@@ -279,15 +282,22 @@ class MainAssembly:
         tilde = self.kernel.Y.take(nodes, slice(0, 2))
         return tilde[:, :, 0], tilde[:, :, 1]
 
+    @cached_property
+    def _eta_deta(self) -> np.ndarray:
+        """eta and deta, (4N, M+1, 2), from one read of the star states."""
+        Z = self.stars.take(comps=slice(0, 2))
+        Z.flags.writeable = False
+        return Z
+
     @property
     def eta(self) -> np.ndarray:
-        """(4N, M+1)"""
-        return self.stars.take(comps=0)
+        """(4N, M+1), read-only"""
+        return self._eta_deta[:, :, 0]
 
     @property
     def deta(self) -> np.ndarray:
-        """(4N, M+1)"""
-        return self.stars.take(comps=1)
+        """(4N, M+1), read-only"""
+        return self._eta_deta[:, :, 1]
 
     def node_matrices(self, nodes: slice = slice(None),
                       w: np.ndarray | None = None) -> np.ndarray:
@@ -353,8 +363,9 @@ def solve_phi(assembly: MainAssembly):
     so one block of matrices and one LU factorization exist at a time;
     norms and residuals are array operations on a block; only the LAPACK
     calls run node by node.  xhat and yhat are written straight into phi
-    and phi', which with eta, formed once all nodes are solved, are the
-    only (4N, M+1) tables the solve holds.
+    and phi', which with eta and eta', read once all nodes are solved
+    and kept on the assembly for reconstruct, are the only (4N, M+1)
+    tables the solve holds.
     """
     grid = assembly.grid
     M = grid.M
@@ -404,8 +415,7 @@ def solve_phi(assembly: MainAssembly):
         del Ahat  # before the next block's are built
         xhat[block] *= w
         yhat[block] *= w
-    s = assembly.eta
-    np.multiply(assembly.signs[:, None], s, out=s)
+    s = np.multiply(assembly.signs[:, None], assembly.eta)
     s *= phi
     dphi += s.sum(axis=0) * phi
     diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
@@ -444,9 +454,7 @@ def reconstruct(assembly: MainAssembly, phi: np.ndarray, dphi: np.ndarray,
     The three series are summed over V^N in the fixed IndexV order.
     """
     cache, grid, N = assembly.cache, assembly.grid, assembly.N
-    # eta and eta' from one read of the star states
-    Z = assembly.stars.take(comps=slice(0, 2))
-    eta, deta = Z[:, :, 0], Z[:, :, 1]
+    eta, deta = assembly.eta, assembly.deta
     signs = assembly.signs[:, None]
     sum_full = (signs * (dphi * eta + phi * deta)).sum(axis=0)
     sum_deriv = (signs * (dphi * eta)).sum(axis=0)
@@ -534,11 +542,7 @@ def _phiN_tables(result: ReconstructionResult, k0: int, lams):
     f = _kernel_factors(a.stars, tilde, lams, k0)
     signs = a.signs[:, None]
     sphi, sdphi = signs * result.phi, signs * result.dphi
-    # eta is bound to a name: numpy may compute sphi * <temporary> in the
-    # temporary's memory as <temporary> * sphi, which rounds differently
-    eta = a.eta
-    s = (sphi * eta).sum(axis=0)
-    del eta
+    s = (sphi * a.eta).sum(axis=0)
     vals, dvals = tilde.take(comps=0), tilde.take(comps=1)
     # the last term of Phi^N', formed before vals is summed into
     tail = vals * s

@@ -39,24 +39,33 @@ sum_j y^(j) (lambda' - lambda)^j is the sweep at a nearby lambda' up to
 the first omitted term.  The variant is per lambda: one SystemVariant
 for the whole batch, or an (L,) array of c = +-1, so DIRECT and STAR
 lambdas share a sweep
-(the forward map sweeps both characteristic families at once).  The
-loop holds the state component-major with its lanes innermost,
-(3, B, K, lanes), so each row of the right-hand side is one contiguous
-slab; p, q, c lambda and c are rows over the lanes, broadcast over
-(B, K).  p and q are gathered step by step, each lane's from the
-samples of -(sigma0 + tau1) and sigma0 - tau1 on its own stretch (see
-below), so no (steps, lanes) table is built.  RK4 runs in three
-state-sized buffers updated in place, the stage value, the slope and
-the sum of the slopes; callers get (L, B, 3, K) per node.  The loop
-uses that the system is linear, as in multiple shooting: one lane per
-(stretch of 32 steps, lambda) starts from the identity, all stretches
-advance side by side, and their propagators are chained onto the
-initial values in sweep order by the truncated series product
-Y_j <- sum_{i <= j} F_i Y_{j-i} of the propagator blocks F_i, so the
-Python loop runs 32 steps instead of M.  A stored sweep then reruns the
-stretches from their chained start states and keeps every step.  A
-backward sweep is the same loop over the reversed node and midpoint
-samples with step -h.
+(the forward map sweeps both characteristic families at once).
+
+The loop carries the Taylor coefficients in mu = c lambda instead,
+z^(j) = c^j y^(j): A is linear in mu with coefficient E = e3 e1^T, so
+the coupling of block j - 1 into block j is a plain add of its y0, the
+same for both variants, and the result is mapped back to lambda once
+per sweep by negating the odd blocks of the c = -1 lambdas.  That is
+exact: negation commutes with rounding, so z^(j) is c^j y^(j) bit for
+bit at every stage.  The loop holds the state component-major with its lanes
+innermost, (3, B, K, lanes), so each row of the right-hand side is one
+contiguous slab; c lambda is spread once per block of lambdas into a
+slab of that shape, while p and q, which change every step, are rows
+over the lanes broadcast over (B, K).  p and q are gathered step by
+step, each lane's from the samples of -(sigma0 + tau1) and
+sigma0 - tau1 on its own stretch (see below), so no (steps, lanes)
+table is built.  RK4 runs in three state-sized buffers updated in
+place, the stage value, the slope and the sum of the slopes; callers
+get (L, B, 3, K) per node.  The loop uses that the system is linear, as
+in multiple shooting: one lane per (stretch of 32 steps, lambda) starts
+from the identity, all stretches advance side by side, and their
+propagators are chained onto the initial values in sweep order by the
+truncated series product Y_j <- sum_{i <= j} F_i Y_{j-i} of the
+propagator blocks F_i, so the Python loop runs 32 steps instead of M.
+Every term of Y_j carries the sign c^j, so the product runs in mu as
+well.  A stored sweep then reruns the stretches from their chained
+start states and keeps every step.  A backward sweep is the same loop
+over the reversed node and midpoint samples with step -h.
 
 When sigma0 and tau1 are constant on the grid (every node sample
 bitwise equal to the first; the midpoint samples, which cubic
@@ -235,40 +244,41 @@ def _lane_rows(nodes: np.ndarray, mids: np.ndarray, c: np.ndarray):
         yield start[1], mid[1], end[1]
 
 
-def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
-               rows):
+def _rk4_steps(S: np.ndarray, clam: np.ndarray, h: float, rows):
     """Advance the state S (3, B, K, lanes) in place by RK4 steps of h,
     yielding the step index after each step.
 
-    S[i] holds y^[i] and its Taylor blocks over (B, K, lanes); lane j is
-    one solution set with its own c lambda (clam[j]) and c (cc[j]).
-    rows gives each step's p and q, (lanes,) each, as
-    ((p, q) at the start node, at the midpoint, at the end node); one
-    step runs per item, and the rows are read before the next item is
-    drawn (_lane_rows gathers them).  Every factor is broadcast over
-    (B, K).  The step runs in three state-sized buffers: the stage value
-    X, the slope k and the accumulator acc of the slopes.  Per element
-    it evaluates p y0 + y2, c lambda y0 + q y1 (+ c y0 of block j - 1 in
-    block j >= 1), S + (h/2) k and S + (h/6)(((k1 + 2 k2) + 2 k3) + k4)
-    in that order, so a lane's result depends on nothing but its own
-    inputs.
+    S[i] holds y^[i] and its Taylor blocks over (B, K, lanes), block j
+    the coefficient of (mu' - mu)^j in mu = c lambda; lane l is one
+    solution set with its own c lambda (clam[l]).  rows gives each
+    step's p and q, (lanes,) each, as ((p, q) at the start node, at the
+    midpoint, at the end node); one step runs per item, and the rows are
+    read before the next item is drawn (_lane_rows gathers them).  c
+    lambda is spread once into a contiguous (B, K, lanes) slab, the
+    first operand of its product; p and q change every step and are
+    broadcast over (B, K).  The step runs in three state-sized buffers:
+    the stage value X, the slope k and the accumulator acc of the slopes.
+    Per element it evaluates p y0 + y2, c lambda y0 + q y1 (+ y0 of block
+    j - 1 in block j >= 1), S + (h/2) k and
+    S + (h/6)(((k1 + 2 k2) + 2 k3) + k4) in that order, so a lane's
+    result depends on nothing but its own inputs.
     """
     taylor = S.shape[1] > 1
     X, k, acc = (np.empty_like(S) for _ in range(3))
     qy1 = np.empty_like(S[0])
-    cy0 = np.empty_like(S[0, 1:])
+    clam = np.broadcast_to(clam, S.shape[1:]).copy()
 
     def slabs(a):
         # rows 0, 1, 2; with Taylor blocks also row 0 of blocks 0..J-1,
-        # which the coupling c y0 reads, and row 2 of blocks 1..J, which
-        # it feeds
+        # which the coupling y0 reads, and row 2 of blocks 1..J, which it
+        # feeds
         dl = (a[0, :-1], a[2, 1:]) if taylor else (None, None)
         return (a[0], a[1], a[2]) + dl
 
     sS, sX, sk, sacc = map(slabs, (S, X, k, acc))
 
     def rhs(pq, src, dst):
-        # dst = A src: (y1, p y0 + y2, c lambda y0 + q y1 [+ c y0])
+        # dst = A src: (y1, p y0 + y2, c lambda y0 + q y1 [+ y0])
         p, q = pq
         y0, y1, y2, y, _ = src
         f0, f1, f2, _, df2 = dst
@@ -277,7 +287,7 @@ def _rk4_steps(S: np.ndarray, clam: np.ndarray, cc: np.ndarray, h: float,
         np.add(np.multiply(clam, y0, out=f2), np.multiply(q, y1, out=qy1),
                out=f2)
         if taylor:
-            np.add(df2, np.multiply(cc, y, out=cy0), out=df2)
+            np.add(df2, y, out=df2)
 
     def stage(w, slope):
         # X = S + w slope
@@ -335,9 +345,11 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     (F_0, ..., F_J), chained onto inits in sweep order by _chain, with
     the states checked for finite values after each stretch.  A stored
     sweep reruns the lanes from the chained start states and keeps every
-    step; its end node is the chained end.  A lambda's values are
-    bitwise independent of the batch and of the variants of the other
-    lambdas.
+    step; its end node is the chained end.  The lanes, the chain and the
+    rerun all carry the blocks in mu = c lambda; _unfold turns the end
+    states, or the stored rows, into blocks in lambda once at the end.
+    A lambda's values are bitwise independent of the batch and of the
+    variants of the other lambdas.
     """
     M = coeffs.grid.M
     L, K = lams.shape[0], inits.shape[-1]
@@ -355,8 +367,7 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
         # _rk4_steps on a block's lanes S (3, B, columns, lanes),
         # stretch-major
         cb = c[blk]
-        return _rk4_steps(S, np.tile(cb * lams[blk], J),
-                          np.tile(cb.astype(complex), J), h,
+        return _rk4_steps(S, np.tile(cb * lams[blk], J), h,
                           _lane_rows(nodes, mids, cb))
 
     # F[j] = the Taylor blocks of stretch j's propagator as (3, B, 3, L):
@@ -385,7 +396,7 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
             raise IntegrationOverflowError(M - m if backward else m)
     out = np.ascontiguousarray(np.transpose(Y, (3, 1, 0, 2)))
     if not store:
-        return out
+        return _unfold(out, c)
 
     # The trajectory in sweep order; rows[j, i] is sample _STRETCH j + i,
     # and the rows past M that the last stretch's lanes run into are
@@ -403,7 +414,17 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
             if i + 1 < n:
                 rows[:, i + 1, blk] = at
     traj[M] = out
-    return traj[M::-1] if backward else traj[:M + 1]
+    traj = _unfold(traj[:M + 1], c)
+    return traj[::-1] if backward else traj
+
+
+def _unfold(res: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """res (..., L, B, 3, K), Taylor blocks in mu = c lambda, turned in
+    place into blocks in lambda, y^(j) = c^j times block j: the odd
+    blocks of the lambdas with c = -1 are negated, which is exact."""
+    odd = res[..., 1::2, :, :]
+    np.negative(odd, out=odd, where=(c < 0)[:, None, None, None])
+    return res
 
 
 def _step_matrix(p: np.ndarray, q: np.ndarray, c: np.ndarray,

@@ -116,7 +116,8 @@ def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
     order, B = with_dlambda + 1 Taylor blocks, from one lane per lambda
     running the M RK4 steps one after another instead of stretches side
     by side, with p and q from _pq's tables instead of rows gathered per
-    step.  No finite-value check."""
+    step, and the blocks turned from mu = c lambda to lambda by its own
+    negation.  No finite-value check."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     inits = np.asarray(inits, dtype=complex)
     M = coeffs.grid.M
@@ -136,8 +137,11 @@ def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
     rows[0] = S
     (Pn, Qn), (Pm, Qm) = _pq(c, sn, tn), _pq(c, sm, tm)
     pq = zip(zip(Pn, Qn), zip(Pm, Qm), zip(Pn[1:], Qn[1:]))
-    for i in _rk4_steps(S, c * lams, c.astype(complex), h, pq):
+    for i in _rk4_steps(S, c * lams, h, pq):
         rows[i + 1] = S
+    # the steps carry block j in mu = c lambda, c^j times the lambda block
+    star = c < 0
+    traj[:, star, 1::2] = -traj[:, star, 1::2]
     return traj[::-1] if backward else traj
 
 

@@ -203,6 +203,19 @@ def test_remainder_decay_clause_on_real_data(smooth_data20):
     assert report["pass"]
 
 
+def test_condition1_reads_a_given_frame(smooth_data20):
+    # the forward command passes the frame of its asymptotics diagnostics;
+    # the report is the one that extracts its own
+    frame = extract_remainders(smooth_data20)
+    assert (validate_condition1(smooth_data20, frame)
+            == validate_condition1(smooth_data20))
+    # the decay clause reads the given frame, not a second extraction
+    frame.tail_max = 0.75
+    decay = validate_condition1(smooth_data20, frame)["clauses"][
+        "remainder_decay"]
+    assert decay["tail_max"] == 0.75 and not decay["pass"]
+
+
 @pytest.mark.parametrize("scale, flagged", [(0.5, True), (2.0, False)])
 def test_one_coincidence_tolerance(scale, flagged, smooth_data8, grid512):
     # a pair scale * COINCIDE_TOL * (1 + |a|) apart: the family pairing,

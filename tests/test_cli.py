@@ -39,6 +39,25 @@ def test_forward_zero_coefficients(tmp_path, zero_csv, capsys):
     assert "self-adjoint symmetry report: pass" in printed
 
 
+def test_forward_extracts_the_remainders_once(tmp_path, zero_csv,
+                                              monkeypatch):
+    # the asymptotics diagnostics and the condition-1 report share one
+    # frame: one extraction, one polyfit, per forward command
+    from spectral3 import asympt, cli
+    calls = []
+
+    def counting(data, _inner=asympt.extract_remainders):
+        calls.append(data.n_max)
+        return _inner(data)
+
+    monkeypatch.setattr(asympt, "extract_remainders", counting)
+    monkeypatch.setattr(cli, "extract_remainders", counting)
+    out = str(tmp_path / "data.json")
+    assert main(["forward", "--coeffs", zero_csv, "--n-max", "8",
+                 "--out", out]) == 0
+    assert calls == [8]
+
+
 def test_forward_rejects_malformed_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,tau1_re,tau1_im,sigma0_re,sigma0_im\n"

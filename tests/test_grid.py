@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,80 @@ def test_read_coefficients_errors(tmp_path):
     p.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="uniform"):
         read_coefficients(p)
+
+
+_ROWS = ["0,1,0,0,0", "0.25,1,0,0,0", "0.5,1,0,0,0", "0.75,1,0,0,0",
+         "1,1,0,0,0"]
+
+
+@pytest.mark.parametrize("bad", ["zzz", "", "nan", "inf", "-inf", None])
+@pytest.mark.parametrize("row", [1, 3])
+def test_read_coefficients_names_the_first_bad_row(tmp_path, bad, row):
+    # a field that is not a number, an empty field, a row of 4 fields
+    # (bad = None), NaN and either infinity: the message names the first
+    # bad row, counted among the non-blank lines with the header as row
+    # 1, and quotes it; the non-finite last row is not reached
+    rows = list(_ROWS)
+    parts = rows[row].split(",")
+    if bad is None:
+        del parts[2]
+    else:
+        parts[2] = bad
+    rows[row] = ",".join(parts)
+    rows[4] = "1,1,0,inf,0"
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(["x,tau1_re,tau1_im,sigma0_re,sigma0_im", ""]
+                           + rows) + "\n")
+    with pytest.raises(ValueError) as ei:
+        read_coefficients(p)
+    assert str(ei.value) == "bad coefficient row %d: %r" % (row + 2,
+                                                            rows[row])
+
+
+def _per_field(path):
+    # (x, tau1, sigma0) in node order from one float() per field
+    with open(path) as fh:
+        rows = [[float(t) for t in ln.split(",")]
+                for ln in fh.read().split("\n")[1:] if ln]
+    rows.sort(key=lambda r: r[0])
+    return ([r[0] for r in rows], [complex(r[1], r[2]) for r in rows],
+            [complex(r[3], r[4]) for r in rows])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def _bank_csv(path):
+    # pair 1 of the benchmark's bank (a general pair) as the benchmark
+    # writes it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs",
+        Path(__file__).parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.write_coeff_csv(path, *inputs.bank()[1], 512)
+    return path
+
+
+def test_read_coefficients_equals_a_per_field_parse(tmp_path):
+    # the values of one float() per field, bit for bit, on the bundled
+    # pair and a benchmark pair, and on the benchmark pair with its rows
+    # shuffled, which come back sorted by x
+    smooth = Path(__file__).parent.parent / "data" / "smooth.csv"
+    bank = _bank_csv(tmp_path / "bank.csv")
+    lines = bank.read_text().split("\n")
+    body = [ln for ln in lines[1:] if ln]
+    np.random.default_rng(7).shuffle(body)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([lines[0]] + body) + "\n")
+    for path in (smooth, bank, shuffled):
+        pair = read_coefficients(path)
+        x, t1, s0 = _per_field(path)
+        assert np.array_equal(pair.grid.nodes, x)
+        assert np.array_equal(_bits(pair.tau1.values), _bits(t1))
+        assert np.array_equal(_bits(pair.sigma0.values), _bits(s0))
+    assert body[0] != lines[1]
 
 
 @settings(max_examples=50)

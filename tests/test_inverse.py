@@ -556,6 +556,27 @@ def test_solve_holds_no_full_matrix_stack(smooth_data8, smooth_data20,
     assert _traced_peak(solve_phi, assembly) < stack / 8
 
 
+def test_eta_is_read_once_per_inverse_run(smooth_data8, cache4,
+                                          monkeypatch):
+    # solve_phi, reconstruct and verify_weyl all read eta (and the last
+    # two eta') over the whole grid: the star states are read for them
+    # once, and the assembly keeps the result
+    assembly = assemble(smooth_data8, cache4, 4)
+    reads = []
+
+    def counting(self, nodes=slice(None), comps=slice(None),
+                 _inner=StarStates.take):
+        if self is assembly.stars and nodes == slice(None):
+            reads.append(comps)
+        return _inner(self, nodes, comps)
+
+    monkeypatch.setattr(StarStates, "take", counting)
+    phi, dphi, diag = solve_phi(assembly)
+    verify_weyl(reconstruct(assembly, phi, dphi, solve_diag=diag))
+    assert reads == [slice(0, 2)]
+    assert not assembly.eta.flags.writeable
+
+
 def test_assembly_and_solve_hold_each_state_once(smooth_data20, grid512):
     # assemble + solve_phi at N = 16 fill the model cache with 8N Weyl
     # states of (M+1, 3) entries (3.15 MB) and peak below 3x their bytes:

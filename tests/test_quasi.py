@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -195,14 +196,14 @@ def test_power_path_matches_loop(const_coeffs, variant, with_dlambda,
 
 @pytest.mark.parametrize("store", [False, True])
 @pytest.mark.parametrize("backward", [False, True])
-@pytest.mark.parametrize("with_dlambda", [False, True])
+@pytest.mark.parametrize("with_dlambda", [False, True, 2])
 @pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
 def test_batched_loop_sweep_equals_one_lambda_at_a_time(
         general_coeffs128, variant, with_dlambda, backward, store):
     # Each lambda's values do not depend on the batch it is swept in;
-    # the weight numbers read Newton's batched evaluations on this.  The
-    # 40-lambda batch runs in two blocks of the stretch lanes, the second
-    # of them ragged.
+    # the weight numbers read Newton's batched evaluations on this, of
+    # order 1 and of Newton's order 2.  The 40-lambda batch runs in two
+    # blocks of the stretch lanes, the second of them ragged.
     def sweep(lams):
         res = _sweep(general_coeffs128, variant, lams, np.eye(3),
                      with_dlambda=with_dlambda, backward=backward,
@@ -219,14 +220,16 @@ def test_batched_loop_sweep_equals_one_lambda_at_a_time(
 
 @pytest.mark.parametrize("store", [False, True])
 @pytest.mark.parametrize("backward", [False, True])
-@pytest.mark.parametrize("with_dlambda", [False, True])
+@pytest.mark.parametrize("with_dlambda", [False, True, 2])
 @pytest.mark.parametrize("constant", [False, True])
 def test_mixed_variant_sweep_equals_per_variant_sweeps(
         general_coeffs128, const_coeffs, constant, with_dlambda, backward,
         store):
     # A batch whose lambdas carry their own variant (c = +-1, interleaved)
     # gives each lambda the bits of a sweep of its variant's half alone,
-    # on the loop path (general pair) and the power path (constant pair).
+    # on the loop path (general pair) and the power path (constant pair),
+    # up to Newton's order 2: each lambda's blocks in mu = c lambda are
+    # turned into blocks in lambda by its own c.
     coeffs = const_coeffs if constant else general_coeffs128
     c = np.resize([1.0, -1.0, -1.0], len(_POWER_LAMS))
 
@@ -320,7 +323,10 @@ def test_taylor_sum_equals_direct_sweeps_in_the_disc(request, name):
     # at the order forward._taylor_order gives that disc (6 to 10 here):
     # within 1e-12 of each point's maximum (measured 5.3e-15 on the
     # general pair, 1.2e-13 on the zero pair, which takes the power
-    # path), for both variants.
+    # path), for both variants, at the end node and, for a stored sweep,
+    # over the whole trajectory (the same figures).  The plain sweeps
+    # carry no Taylor blocks, so they check the sign of the blocks of
+    # c = -1 independently of the loop's blocks in mu = c lambda.
     coeffs = request.getfixturevalue(name)
     phase = np.exp(1j * (2.0 * np.pi * np.arange(8) / 8 + 0.3))
     for center in (77.0, 11200.0 + 300j, -5e4 + 1e3j, 1.31e6 - 2e4j):
@@ -328,16 +334,22 @@ def test_taylor_sum_equals_direct_sweeps_in_the_disc(request, name):
         order = _taylor_order(center, radius)
         assert 6 <= order <= 10
         delta = np.concatenate([radius * phase, 0.4 * radius * phase])
-        for sign in (1.0, -1.0):
+        for sign, store in itertools.product((1.0, -1.0), (False, True)):
             blocks = _sweep(coeffs, np.array([sign]), np.array([center]),
-                            np.eye(3), with_dlambda=order)
-            taylor = blocks[-1][0]
+                            np.eye(3), with_dlambda=order, store=store)
+            # (points, nodes, 3, 3) stored, (points, 3, 3) end values
+            at = (delta[:, None, None, None] if store
+                  else delta[:, None, None])
+            taylor = blocks[-1][..., 0, :, :]
             for t in reversed(blocks[:-1]):
-                taylor = taylor * delta[:, None, None] + t[0]
+                taylor = taylor * at + t[..., 0, :, :]
             direct = _sweep(coeffs, np.full(delta.size, sign),
-                            center + delta, np.eye(3))
-            scale = np.abs(direct).max(axis=(1, 2))
-            assert (np.abs(taylor - direct).max(axis=(1, 2))
+                            center + delta, np.eye(3), store=store)
+            if store:
+                direct = np.moveaxis(direct, 1, 0)
+            axes = tuple(range(1, direct.ndim))
+            scale = np.abs(direct).max(axis=axes)
+            assert (np.abs(taylor - direct).max(axis=axes)
                     <= 1e-12 * scale).all()
 
 
