@@ -14,12 +14,11 @@ both, up to the boundary shift
 to which lambda_{n,k} - lambda~_{n,k} tends.  They cost little, since
 constant sweeps are powers of one step matrix (quasi).  So the entries
 n >= 7 start from lambda~_{n,k} plus that shift (_seeds), 2.1e-8 off
-lambda_{10,k} there.  Each Newton evaluation of a pair that is not
-constant is one sweep of Taylor order 2, whose quadratic in lambda is
+lambda_{10,k} there.  Each Newton evaluation, the model's included, is
+one sweep of Taylor order 2, whose quadratic in lambda is
 certified before a root is read off it (_newton_family); from these
 seeds most entries n >= 7 are accepted from their first evaluation
-instead of their second.  A constant pair, the model among them, takes
-d/dlambda steps.
+instead of their second.
 
 Two numerical routes matter here.
 
@@ -109,8 +108,7 @@ __all__ = [
 _EYE = np.eye(3, dtype=complex)
 
 _NEWTON_MAX_ITER = 50
-# Each Newton evaluation of a pair that is not constant is one sweep of
-# this Taylor order (_newton_family); a constant pair takes d/dlambda steps.
+# Each Newton evaluation is one sweep of this Taylor order (_newton_family).
 _NEWTON_ORDER = 2
 _NEWTON_TOL = 1e-12
 _DERIV_FLOOR = 1e-14
@@ -317,19 +315,9 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     Characteristic record at them: the quadratics at d* (delta, numer
     and gamma_numer by Horner, ddelta = P'(d*)), so the weight numbers
     need no further sweep.  No sweep evaluates lambda*, so the
-    resolution guard is applied to every accepted root.
-
-    A constant pair takes d/dlambda steps instead: one mixed d/dlambda
-    sweep per iteration, lambda - Delta/dDelta, and an entry with
-    |Delta| <= _newton_tol(dDelta, lambda_e) stops at the lambda_e it
-    has just evaluated, whose values are its record.  The constant
-    model's spectrum is the inverse's model (model.build_model), and
-    the inverse outputs of tests/reference are pinned at 1e-13 of its
-    size with the roots of these steps, which stop up to 5.3e-13
-    (relative) short of the RK4 root at n = 2 on data/smooth.csv's
-    model; the order-2 search lands within 1.3e-16 of it and moves
-    those outputs up to 7.3 times past their tolerance.  A constant
-    pair's sweeps take the power path, so its steps cost little.
+    resolution guard is applied to every accepted root.  A constant
+    pair, the inverse's model among them (model.build_model), takes the
+    same search, its sweeps on the power path of quasi._sweep.
 
     A failing entry leaves the active set while the others run on.  The
     failures are then raised family by family, 1 before 2, in the order
@@ -347,36 +335,27 @@ def _newton_family(coeffs: CoefficientPair, k, ns, guesses,
     active = np.ones(lam.shape[0], dtype=bool)
     # the iteration at which an entry's derivative vanished
     vanished = np.full(lam.shape[0], _NEWTON_MAX_ITER)
-    constant = (_is_constant(coeffs.tau1.values)
-                and _is_constant(coeffs.sigma0.values))
-    order = 1 if constant else _NEWTON_ORDER
     for it in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
         idx = np.flatnonzero(active)
         at = lam[idx]
-        T = _char_arrays(coeffs, at, ks[idx], with_dlambda=order)
-        # a vanishing first-order coefficient gives a non-finite step or
-        # root, which is not accepted
+        T = _char_arrays(coeffs, at, ks[idx], with_dlambda=_NEWTON_ORDER)
+        # a vanishing first-order coefficient gives a non-finite root,
+        # which is not accepted
         with np.errstate(divide="ignore", invalid="ignore"):
-            if constant:
-                slope, record = T.ddelta, T
-                conv = np.abs(T.delta) <= _newton_tol(T.ddelta, at)
-                star = at - np.where(conv, 0.0, T.delta / T.ddelta)
-            else:
-                slope = T.delta[:, 1]
-                d = _small_root(T.delta)
-                p, dp = _quadratic(T.delta, d)
-                record = (p, _horner(T.numer.T, d),
-                          _horner(T.gamma_numer.T, d), dp)
-                star = at + d
-                row = np.abs([T.delta[:, 0], T.numer[:, 0],
-                              T.gamma_numer[:, 0]]).max(axis=0)
-                a = (np.abs(d)
-                     / (3.0 * np.maximum(1.0, np.abs(at)) ** (2.0 / 3.0)))
-                conv = (np.abs(p) + _TAYLOR_SAFETY * row * a ** 3 / 6.0
-                        <= _newton_tol(dp, star))
-        small = (np.abs(slope) < _DERIV_FLOOR) & ~conv
+            d = _small_root(T.delta)
+            p, dp = _quadratic(T.delta, d)
+            record = (p, _horner(T.numer.T, d),
+                      _horner(T.gamma_numer.T, d), dp)
+            star = at + d
+            row = np.abs([T.delta[:, 0], T.numer[:, 0],
+                          T.gamma_numer[:, 0]]).max(axis=0)
+            a = (np.abs(d)
+                 / (3.0 * np.maximum(1.0, np.abs(at)) ** (2.0 / 3.0)))
+            conv = (np.abs(p) + _TAYLOR_SAFETY * row * a ** 3 / 6.0
+                    <= _newton_tol(dp, star))
+        small = (np.abs(T.delta[:, 1]) < _DERIV_FLOOR) & ~conv
         vanished[idx[small]] = it
         _guard_resolution(star[conv], coeffs.grid.M)
         # + 0.0 gives every zero of the record the sign +, which the
@@ -422,7 +401,7 @@ def _seeds(coeffs: CoefficientPair, ns: np.ndarray, ks: np.ndarray,
     n >= _MODEL_SEED_FROM of a pair that is not constant the eigenvalue
     of the model pair (CoefficientPair.model) plus the boundary shift of
     the module docstring.  The model eigenvalues come from one
-    _newton_family call seeded by eigen_guess, whose d/dlambda sweeps
+    _newton_family call seeded by eigen_guess, whose order-2 sweeps
     take the power path of quasi._sweep.  A constant pair is its own
     model and keeps eigen_guess everywhere.
     """

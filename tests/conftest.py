@@ -78,9 +78,9 @@ def general_coeffs128(grid128):
 def sweep_calls(monkeypatch):
     # (lambda count, Taylor order, constant pair) of every forward._sweep
     # call, which computes spectral data and Weyl matrices; the order is
-    # 0 for a plain sweep, 1 for d/dlambda and 2 for a Newton evaluation,
-    # so it compares equal to with_dlambda's False and True, and a
-    # constant pair's sweeps take the power path
+    # 0 for a plain sweep, 1 for d/dlambda and 2 for a Newton evaluation
+    # of any pair, so it compares equal to with_dlambda's False and True,
+    # and a constant pair's sweeps take the power path
     calls = []
     inner = forward._sweep
 

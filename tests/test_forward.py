@@ -1045,16 +1045,19 @@ def test_model_seeds_shorten_the_data_sweeps(sweep_calls, monkeypatch):
     # which is in the self-adjoint class, so only family 1 is searched:
     # 30, 10 and 1 lambdas from the model seeds (41), against 30, 30 and
     # 1 (61) from eigen_guess alone; the model's own search runs on the
-    # constant pair, in the power path
+    # constant pair, in the power path, in two order-2 sweeps of the 24
+    # entries n >= 7
     coeffs = read_coefficients(SMOOTH_CSV)
-    counts = []
+    counts, model_sweeps = [], []
     for seeds in (forward._seeds, guess_seeds):
         monkeypatch.setattr(forward, "_seeds", seeds)
         sweep_calls.clear()
         compute_spectral_data(coeffs, 30)
         counts.append(sum(L for L, order, constant in sweep_calls
                           if order and not constant))
+        model_sweeps.append([c for c in sweep_calls if c[2]])
     assert counts[0] <= 43 < counts[1]
+    assert model_sweeps == [[(24, 2, True)] * 2, []]
 
 
 def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
@@ -1067,8 +1070,8 @@ def test_constant_pair_keeps_its_sweeps(grid512, sweep_calls, monkeypatch):
     monkeypatch.setattr(forward, "_seeds", guess_seeds)
     compute_spectral_data(coeffs, 30)
     assert calls == sweep_calls and all(c for _, _, c in calls)
-    # its Newton takes d/dlambda steps (forward._newton_family)
-    assert all(order == 1 for _, order, _ in calls)
+    # its Newton takes the order-2 search of every pair, on the power path
+    assert all(order == 2 for _, order, _ in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -1191,24 +1194,53 @@ def general_bank(grid512):
                                   "constant_0.3", "coinciding"])
 def test_order2_newton_agrees_with_the_dlambda_newton(
         selfadjoint_pairs, general_bank, monkeypatch, name):
-    # K exactly, lambda within 1e-12 and beta and gamma within 2e-12,
-    # relative.  A constant pair (the last three) takes the d/dlambda
-    # steps itself, so there the two searches give equal values.
+    # K exactly, beta within 2e-12 relative, lambda within 1e-12 relative
+    # plus the distance |Delta/dDelta| from the d/dlambda Newton's root to
+    # the root its last evaluation points at: that search stops once
+    # |Delta| <= 1e-12 (1 + |dDelta| |lambda|^(2/3)), which on the
+    # coinciding pair leaves lambda_{1,1} = 3.3e-7 6.1e-10 short of the
+    # root.  gamma_1 there moves with it (3.9e-12 measured against the
+    # d/dlambda Newton's gamma_1), so it is checked within 2e-12
+    # against a fresh d/dlambda sweep of both families at the new
+    # lambda_1, as the weight step forms it.
     coeffs, n_max, pair_tol = dict(
         selfadjoint_pairs,
         general_bank=(general_bank, 30, asympt.COINCIDE_TOL))[name]
     data = compute_spectral_data(coeffs, n_max, pair_tol)
-    monkeypatch.setattr(forward, "_newton_family", dlambda_newton_family)
+    records = []
+
+    def recording(*args):
+        records.append(dlambda_newton_family(*args))
+        return records[-1]
+
+    monkeypatch.setattr(forward, "_newton_family", recording)
     ref = compute_spectral_data(coeffs, n_max, pair_tol)
     assert data.K == ref.K
+    # the data search is the last one, after the model's
+    _, a = records[-1]
+    reach = np.abs(a.delta / a.ddelta)
+    if reach.size == n_max:             # family 1 searched, 2 mirrored
+        reach = np.concatenate([reach, reach])
+    reach = reach.reshape(2, n_max).T
     assert (np.abs(data.lambdas - ref.lambdas)
-            <= 1e-12 * np.abs(ref.lambdas)).all()
+            <= 1e-12 * np.abs(ref.lambdas) + reach).all()
     assert (np.abs(data.betas - ref.betas) <= 2e-12 * np.abs(ref.betas)).all()
-    for n in ref.K:
-        assert abs(data.gamma[n] - ref.gamma[n]) <= 2e-12 * abs(ref.gamma[n])
-    if name not in ("smooth_csv", "general_bank"):
-        assert (data.lambdas == ref.lambdas).all()
-        assert (data.betas == ref.betas).all() and data.gamma == ref.gamma
+    for n in data.K:
+        at = data.lam(n, 1)
+        fresh = _char_arrays(coeffs, [at, at], [1, 2], with_dlambda=True)
+        gamma = _gamma(at, fresh.gamma_numer / fresh.ddelta, data.betas[n - 1])
+        assert abs(data.gamma[n] - gamma) <= 2e-12 * abs(gamma)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.35 + 0.05j])
+def test_constant_model_roots_are_rk4_roots(grid512, theta):
+    # the model pair's spectrum is the inverse's model: one d/dlambda
+    # evaluation at each root, n_max 30, points at a root within
+    # 1e-14 |lambda| of it (6e-16 measured)
+    model = CoefficientPair.model(grid512, theta)
+    lams = compute_spectral_data(model, 30).lambdas.T.ravel()
+    a = _char_arrays(model, lams, np.repeat([1, 2], 30), with_dlambda=True)
+    assert (np.abs(a.delta / a.ddelta) <= 1e-14 * np.abs(lams)).all()
 
 
 def test_a_general_pair_takes_two_data_sweeps(general_bank, sweep_calls):
