@@ -88,7 +88,7 @@ from .errors import (
     Spectral3Error,
 )
 from .grid import CoefficientPair, integrate
-from .quasi import SystemVariant, _guard_resolution, _is_constant, _sweep
+from .quasi import SystemVariant, _guard_resolution, _sweep
 from .serialize import (complex_pair, dumps17, json_int, pair_complex,
                         read_json)
 
@@ -407,9 +407,9 @@ def _seeds(coeffs: CoefficientPair, ns: np.ndarray, ks: np.ndarray,
     """
     seeds = asympt.eigen_guess(ns, ks, theta)
     far = ns >= _MODEL_SEED_FROM
-    tau1, sigma0 = coeffs.tau1.values, coeffs.sigma0.values
-    if not far.any() or (_is_constant(tau1) and _is_constant(sigma0)):
+    if not far.any() or coeffs.is_constant:
         return seeds
+    tau1, sigma0 = coeffs.tau1.values, coeffs.sigma0.values
     model = CoefficientPair.model(coeffs.grid, theta)
     lam, _ = _newton_family(model, ks[far], ns[far], seeds[far], theta)
     sign = np.where(ks[far] == 1, 1.0, -1.0)   # (-1)^(k+1)

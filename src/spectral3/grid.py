@@ -122,6 +122,14 @@ class CoefficientPair:
     def grid(self) -> Grid:
         return self.tau1.grid
 
+    @property
+    def is_constant(self) -> bool:
+        """Every sample of tau1 and of sigma0 bitwise equal to its first:
+        the pair whose sweeps take quasi's power path."""
+        values = np.stack((self.tau1.values, self.sigma0.values))
+        bits = values.view(np.uint64).reshape(2, -1, 2)
+        return bool((bits == bits[:, :1]).all())
+
 
 def _values(f) -> np.ndarray:
     return f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)

@@ -51,13 +51,18 @@ bit at every stage.  The loop holds the state component-major with its lanes
 innermost, (3, B, K, lanes), so each row of the right-hand side is one
 contiguous slab; c lambda is spread once per block of lambdas into a
 slab of that shape, while p and q, which change every step, are rows
-over the lanes broadcast over (B, K).  p and q are gathered step by
-step, each lane's from the samples of -(sigma0 + tau1) and
-sigma0 - tau1 on its own stretch (see below), so no (steps, lanes)
-table is built.  RK4 runs in three state-sized buffers updated in
-place, the stage value, the slope and the sum of the slopes; callers
-get (L, B, 3, K) per node.  The loop uses that the system is linear, as
-in multiple shooting: one lane per (stretch of 32 steps, lambda) starts
+over the lanes broadcast over (B, K).
+
+The samples every step reads have one home, _cells: u = -(sigma0 + tau1)
+and w = sigma0 - tau1 at each cell's start, midpoint and end, in sweep
+order, a cell's start its own and not the previous cell's end (at a
+jump they differ).  _columns picks p and q among u and w for each
+lambda's variant, in the loop and on the power path.  Each step gathers
+its lanes' rows from their own cells, so no (steps, lanes) table is
+built.  RK4 runs in three state-sized buffers updated in place, the
+stage value, the slope and the sum of the slopes; callers get
+(L, B, 3, K) per node.  The loop uses that the system is linear, as in
+multiple shooting: one lane per (stretch of 32 steps, lambda) starts
 from the identity, all stretches advance side by side, and their
 propagators are chained onto the initial values in sweep order by the
 truncated series product Y_j <- sum_{i <= j} F_i Y_{j-i} of the
@@ -65,7 +70,7 @@ propagator blocks F_i, so the Python loop runs 32 steps instead of M.
 Every term of Y_j carries the sign c^j, so the product runs in mu as
 well.  A stored sweep then reruns the stretches from their chained
 start states and keeps every step.  A backward sweep is the same loop
-over the reversed node and midpoint samples with step -h.
+over the reversed cell table (start and end swapped) with step -h.
 
 When sigma0 and tau1 are constant on the grid (every node sample
 bitwise equal to the first; the midpoint samples, which cubic
@@ -145,34 +150,27 @@ def _sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     y^(j)/j!, j = 0..J, each of those shapes (zero initial values for
     j >= 1).
 
-    When sigma0 and tau1 are constant on the grid the same RK4 map is
-    evaluated as powers of its step matrix (_power_sweep), otherwise on
-    stretches of 32 steps side by side (_loop_sweep), whose values for
-    each lambda are bitwise those of a sweep of it alone, in its own
-    variant.  The states of an order-J loop sweep are bitwise those of a
-    plain one, and its first J' + 1 blocks those of an order-J' one.  A
-    non-finite state raises IntegrationOverflowError: the loop reports
-    the end node of the first stretch, in sweep order, whose chained
-    state is not finite, stored or not; the power path reports the first
-    non-finite node in sweep order of a stored sweep, and the end node
-    (M forward, 0 backward) of an end-value sweep.
+    When sigma0 and tau1 are constant on the grid
+    (CoefficientPair.is_constant) the same RK4 map is evaluated as
+    powers of its step matrix (_power_sweep), otherwise on stretches of
+    32 steps side by side (_loop_sweep), whose values for each lambda
+    are bitwise those of a sweep of it alone, in its own variant.  The
+    states of an order-J loop sweep are bitwise those of a plain one,
+    and its first J' + 1 blocks those of an order-J' one.  A non-finite
+    state raises IntegrationOverflowError: the loop reports the end node
+    of the first stretch, in sweep order, whose chained state is not
+    finite, stored or not; the power path reports the first non-finite
+    node in sweep order of a stored sweep, and the end node (M forward,
+    0 backward) of an end-value sweep.
     """
     order = int(with_dlambda)
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _guard_resolution(lams, coeffs.grid.M)
     inits = np.asarray(inits, dtype=complex)
-    constant = _is_constant(coeffs.sigma0.values) and _is_constant(
-        coeffs.tau1.values)
-    path = _power_sweep if constant else _loop_sweep
+    path = _power_sweep if coeffs.is_constant else _loop_sweep
     res = path(coeffs, variant, lams, inits, order, backward, store)
     blocks = tuple(np.moveaxis(res, -3, 0))
     return blocks if order else blocks[0]
-
-
-def _is_constant(values: np.ndarray) -> bool:
-    """Every sample bitwise equal to the first."""
-    bits = np.ascontiguousarray(values).view(np.uint64).reshape(-1, 2)
-    return bool((bits == bits[0]).all())
 
 
 def _signs(variant, L: int) -> np.ndarray:
@@ -183,65 +181,52 @@ def _signs(variant, L: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(variant, dtype=float), (L,))
 
 
-def _pq(c: np.ndarray, sigma0: np.ndarray, tau1: np.ndarray) -> tuple:
-    """p and q at samples of sigma0 and tau1 for each lambda's variant,
-    (*samples.shape, L) each: [..., l] holds what SystemVariant.pqc
-    gives the variant whose c is c[l]."""
-    u, w, _ = SystemVariant.DIRECT.pqc(sigma0, tau1)
-    direct = c > 0
-    return (np.where(direct, u[..., None], w[..., None]),
-            np.where(direct, w[..., None], u[..., None]))
+def _columns(c: np.ndarray) -> np.ndarray:
+    """The variant rule: the columns of p and of q in (u, w) for the (L,)
+    signs c, (2, L); p = u and q = w where c > 0 (DIRECT), the other way
+    round otherwise, as SystemVariant.pqc gives them."""
+    return np.where(c > 0, [[0], [1]], [[1], [0]])
 
 
-def _stretch_samples(coeffs: CoefficientPair, backward: bool) -> tuple:
-    """u = -(sigma0 + tau1) and w = sigma0 - tau1 on the stretches of the
-    RK4 loop, in sweep order: (nodes, mids), at the step ends
-    (steps + 1, 2J) and at the midpoints (steps, 2J), of J stretches of
-    steps = min(_STRETCH, M) steps.  Column j holds u on stretch j and
-    column J + j holds w.  Stretch j starts at sample _STRETCH j; the
-    last one's columns run on past the end over the end samples."""
-    M = coeffs.grid.M
-    # sigma0, tau1 at the nodes and the cell midpoints.  Step m runs from
-    # sample m to m + 1 of these arrays, which a backward sweep reverses.
-    sn, tn = coeffs.sigma0.values, coeffs.tau1.values
-    sm, tm = midpoint_values(coeffs.sigma0), midpoint_values(coeffs.tau1)
-    if backward:
-        sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
-    J = -(-M // _STRETCH)
-    n = min(_STRETCH, M)
-    first = _STRETCH * np.arange(J)
-    at_n = np.minimum(first + np.arange(n + 1)[:, None], M)       # (n+1, J)
-    at_m = np.minimum(first + np.arange(n)[:, None], M - 1)       # (n, J)
-    u, w, _ = SystemVariant.DIRECT.pqc(sn, tn)
-    um, wm, _ = SystemVariant.DIRECT.pqc(sm, tm)
-    return (np.concatenate((u[at_n], w[at_n]), axis=1),
-            np.concatenate((um[at_m], wm[at_m]), axis=1))
+def _cells(coeffs: CoefficientPair, backward: bool) -> np.ndarray:
+    """u = -(sigma0 + tau1) and w = sigma0 - tau1 at each cell's start,
+    midpoint and end, in sweep order: (M, 3, 2), [m, k] holding (u, w)
+    at sample k of cell m."""
+    sigma0, tau1 = coeffs.sigma0, coeffs.tau1
+    cells = np.empty((coeffs.grid.M, 3, 2), dtype=complex)
+    u, w, _ = SystemVariant.DIRECT.pqc(sigma0.values, tau1.values)
+    cells[:, 0, 0], cells[:, 0, 1] = u[:-1], w[:-1]
+    cells[:, 2, 0], cells[:, 2, 1] = u[1:], w[1:]
+    cells[:, 1, 0], cells[:, 1, 1], _ = SystemVariant.DIRECT.pqc(
+        midpoint_values(sigma0), midpoint_values(tau1))
+    return cells[::-1, ::-1] if backward else cells
 
 
-def _lane_rows(nodes: np.ndarray, mids: np.ndarray, c: np.ndarray):
-    """p and q of every lane at the samples each RK4 step reads, gathered
-    step by step from the tables of _stretch_samples.
+def _stretch_cells(cells: np.ndarray) -> np.ndarray:
+    """The cells of the J stretches of the RK4 loop, (steps, 3, 2J) with
+    steps = min(_STRETCH, M): [i, k, j] holds u and [i, k, J + j] w at
+    sample k of cell _STRETCH j + i, or of cell M - 1 past the end."""
+    M = cells.shape[0]
+    J, n = -(-M // _STRETCH), min(_STRETCH, M)
+    at = np.minimum(_STRETCH * np.arange(J)[:, None] + np.arange(n), M - 1)
+    table = np.empty((n, 3, 2, J), dtype=complex)
+    table[...] = np.transpose(cells.take(at, axis=0), (1, 2, 3, 0))
+    return table.reshape(n, 3, 2 * J)
 
-    One lane per (stretch j, lambda l), stretch-major, l over the (lb,)
-    signs c: p is u and q is w on its stretch where c[l] > 0 (DIRECT),
-    the other way round otherwise, as _pq gives them.  Yields, for each
-    step, (p, q) at its start node, at its midpoint and at its end node,
-    (J lb,) rows each.  They are buffers overwritten by later steps; the
-    end node's rows carry over as the next step's start rows.
-    """
-    J = nodes.shape[1] // 2
-    # p of lane (j, l) is column j (u) or J + j (w), q the other one
-    col = (np.arange(J)[:, None] + np.where(c > 0, 0, J)).ravel()
-    cols = np.stack((col, (col + J) % (2 * J)))
-    # three (2, J lb) buffers, each with its p and q rows
-    start, mid, end = ((b, tuple(b)) for b in (
-        np.empty(cols.shape, complex) for _ in range(3)))
-    nodes[0].take(cols, out=end[0], mode="clip")
-    for i in range(mids.shape[0]):
-        start, end = end, start
-        mids[i].take(cols, out=mid[0], mode="clip")
-        nodes[i + 1].take(cols, out=end[0], mode="clip")
-        yield start[1], mid[1], end[1]
+
+def _lane_rows(table: np.ndarray, c: np.ndarray):
+    """For each step, (p, q) of every lane at its start, midpoint and
+    end, (J lb,) rows each, taken from the step's own cells in the table
+    of _stretch_cells by one gather into buffers that the next step
+    overwrites.  One lane per (stretch j, lambda l), stretch-major, l
+    over the (lb,) signs c; _columns picks its p and q."""
+    J = table.shape[2] // 2
+    cols = (J * _columns(c)[:, None] + np.arange(J)[:, None]).reshape(2, -1)
+    rows = np.empty((3,) + cols.shape, dtype=complex)
+    pq = tuple(tuple(r) for r in rows)
+    for step in table:
+        step.take(cols, axis=1, out=rows, mode="clip")
+        yield pq
 
 
 def _rk4_steps(S: np.ndarray, clam: np.ndarray, h: float, rows):
@@ -252,8 +237,9 @@ def _rk4_steps(S: np.ndarray, clam: np.ndarray, h: float, rows):
     the coefficient of (mu' - mu)^j in mu = c lambda; lane l is one
     solution set with its own c lambda (clam[l]).  rows gives each
     step's p and q, (lanes,) each, as ((p, q) at the start node, at the
-    midpoint, at the end node); one step runs per item, and the rows are
-    read before the next item is drawn (_lane_rows gathers them).  c
+    midpoint, at the end node) of the step's own cell; one step runs per
+    item, and the rows are read before the next item is drawn
+    (_lane_rows gathers them from the cell table of _cells).  c
     lambda is spread once into a contiguous (B, K, lanes) slab, the
     first operand of its product; p and q change every step and are
     broadcast over (B, K).  The step runs in three state-sized buffers:
@@ -340,8 +326,9 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
 
     _rk4_steps runs all stretches of _STRETCH steps at once: for each
     block of _LAM_BLOCK lambdas, one lane per (stretch, lambda) reads p
-    and q at its own stretch's samples.  From the identity with zero
-    Taylor blocks the lanes give every stretch propagator's blocks
+    and q at the samples of its own cell (_lane_rows, from the table
+    that _stretch_cells lays out once per sweep).  From the identity with
+    zero Taylor blocks the lanes give every stretch propagator's blocks
     (F_0, ..., F_J), chained onto inits in sweep order by _chain, with
     the states checked for finite values after each stretch.  A stored
     sweep reruns the lanes from the chained start states and keeps every
@@ -357,9 +344,9 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     c = _signs(variant, L)
     h = -coeffs.grid.h if backward else coeffs.grid.h
     # J stretches of n steps, the last of only `last` steps; its lanes
-    # run on past the end over the end samples and are read at step last.
-    nodes, mids = _stretch_samples(coeffs, backward)
-    J, n = nodes.shape[1] // 2, mids.shape[0]
+    # run on past the end over cell M - 1 and are read at step last.
+    table = _stretch_cells(_cells(coeffs, backward))
+    n, J = table.shape[0], table.shape[2] // 2
     last = M - _STRETCH * (J - 1)
     blocks = [slice(l0, l0 + _LAM_BLOCK) for l0 in range(0, L, _LAM_BLOCK)]
 
@@ -368,7 +355,7 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
         # stretch-major
         cb = c[blk]
         return _rk4_steps(S, np.tile(cb * lams[blk], J), h,
-                          _lane_rows(nodes, mids, cb))
+                          _lane_rows(table, cb))
 
     # F[j] = the Taylor blocks of stretch j's propagator as (3, B, 3, L):
     # row, block, column, lambda
@@ -461,14 +448,17 @@ def _power_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     """_loop_sweep for constant sigma0 and tau1: every cell applies the
     same step matrix R, so the end states are R^M S_0 by binary powering
     and a stored trajectory T[m] = R^m S_0 is filled by doubling,
-    T[j:2j] = R^j T[0:j].  Midpoint values are the node value."""
+    T[j:2j] = R^j T[0:j].  Midpoint values are the node value: p and q
+    are u and w at node 0, picked by _columns, with no cell table."""
     M = coeffs.grid.M
     L = lams.shape[0]
     B = order + 1
     c = _signs(variant, L)
-    p, q = _pq(c, coeffs.sigma0.values[:1], coeffs.tau1.values[:1])
+    u, w, _ = SystemVariant.DIRECT.pqc(coeffs.sigma0.values[0],
+                                       coeffs.tau1.values[0])
+    p, q = np.array([u, w])[_columns(c)]
     h = -coeffs.grid.h if backward else coeffs.grid.h
-    R = _step_matrix(p[0], q[0], c, lams, h, order)
+    R = _step_matrix(p, q, c, lams, h, order)
     K = inits.shape[-1]
     S0 = np.zeros((L, 3 * B, K), dtype=complex)
     S0[:, :3] = inits

@@ -14,7 +14,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from spectral3 import forward
 from spectral3.forward import compute_spectral_data
 from spectral3.grid import CoefficientPair, Grid, read_coefficients
-from spectral3.quasi import _is_constant
 
 from helpers import from_callables
 
@@ -86,8 +85,7 @@ def sweep_calls(monkeypatch):
 
     def recording(coeffs, variant, lams, inits, with_dlambda=False, **kw):
         calls.append((np.atleast_1d(lams).shape[0], int(with_dlambda),
-                      _is_constant(coeffs.tau1.values)
-                      and _is_constant(coeffs.sigma0.values)))
+                      coeffs.is_constant))
         return inner(coeffs, variant, lams, inits, with_dlambda=with_dlambda,
                      **kw)
 

@@ -15,8 +15,11 @@ every Weyl state of the main system out of the model cache and builds
 its kernel factors over the whole grid, the reference for the
 block-wise reads of inverse.assemble, whose tables it must equal bit for
 bit; differentiate is a fourth-order finite difference for checking
-derivatives on the grid; from_callable, from_callables, dagger and
-gauge_shifted build grid functions and coefficient pairs.
+derivatives on the grid; pq_by_sign picks p and q for each lambda's
+variant at node or midpoint samples, the reference for quasi._columns
+and, at sequential_sweep's own samples, for quasi._cells;
+from_callable, from_callables, dagger and gauge_shifted build grid
+functions and coefficient pairs.
 """
 
 from typing import NamedTuple
@@ -29,7 +32,7 @@ from spectral3.forward import _EYE, Characteristic
 from spectral3.grid import (CoefficientPair, GridFunction, _values, cumulative,
                             midpoint_values)
 from spectral3.inverse import _KERNEL_SWITCH, _signs as _index_signs, index_set
-from spectral3.quasi import SystemVariant, _pq, _rk4_steps, _signs, _sweep
+from spectral3.quasi import SystemVariant, _rk4_steps, _signs, _sweep
 
 
 def characteristic_literal(coeffs: CoefficientPair, lams, fams,
@@ -109,15 +112,27 @@ def dlambda_newton_family(coeffs: CoefficientPair, k, ns, guesses, theta):
     return lam, last
 
 
+def pq_by_sign(c: np.ndarray, sigma0: np.ndarray, tau1: np.ndarray) -> tuple:
+    """p and q at samples of sigma0 and tau1 for each lambda's variant,
+    (*samples.shape, L) each: [..., l] holds what SystemVariant.pqc
+    gives the variant whose c is c[l].  The oracle's own variant rule,
+    independent of quasi._columns."""
+    u, w, _ = SystemVariant.DIRECT.pqc(sigma0, tau1)
+    direct = c > 0
+    return (np.where(direct, u[..., None], w[..., None]),
+            np.where(direct, w[..., None], u[..., None]))
+
+
 def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
                      with_dlambda: int = False,
                      backward: bool = False) -> np.ndarray:
     """quasi._loop_sweep's stored trajectory (M+1, L, B, 3, K) in node
     order, B = with_dlambda + 1 Taylor blocks, from one lane per lambda
     running the M RK4 steps one after another instead of stretches side
-    by side, with p and q from _pq's tables instead of rows gathered per
-    step, and the blocks turned from mu = c lambda to lambda by its own
-    negation.  No finite-value check."""
+    by side, with p and q from pq_by_sign at its own node and midpoint
+    samples instead of rows gathered per step from quasi._cells, and the
+    blocks turned from mu = c lambda to lambda by its own negation.  No
+    finite-value check."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     inits = np.asarray(inits, dtype=complex)
     M = coeffs.grid.M
@@ -135,7 +150,7 @@ def sequential_sweep(coeffs: CoefficientPair, variant, lams, inits,
     traj = np.empty((M + 1, L, B, 3, K), dtype=complex)
     rows = np.transpose(traj, (0, 3, 2, 4, 1))
     rows[0] = S
-    (Pn, Qn), (Pm, Qm) = _pq(c, sn, tn), _pq(c, sm, tm)
+    (Pn, Qn), (Pm, Qm) = pq_by_sign(c, sn, tn), pq_by_sign(c, sm, tm)
     pq = zip(zip(Pn, Qn), zip(Pm, Qm), zip(Pn[1:], Qn[1:]))
     for i in _rk4_steps(S, c * lams, h, pq):
         rows[i + 1] = S

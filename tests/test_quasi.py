@@ -8,11 +8,12 @@ from spectral3 import quasi
 from spectral3.errors import IntegrationOverflowError, ResolutionGuardError
 from spectral3.forward import _taylor_order
 from spectral3.grid import CoefficientPair, Grid, GridFunction, midpoint_values
-from spectral3.quasi import (_LAM_BLOCK, _STRETCH, SystemVariant, _lane_rows,
-                             _loop_sweep, _power_sweep, _pq,
-                             _stretch_samples, _sweep)
+from spectral3.quasi import (_LAM_BLOCK, _STRETCH, SystemVariant, _cells,
+                             _lane_rows, _loop_sweep, _power_sweep,
+                             _stretch_cells, _sweep)
 
-from helpers import differentiate, from_callables, sequential_sweep
+from helpers import (differentiate, from_callables, pq_by_sign,
+                     sequential_sweep)
 
 # Constant-coefficient oracle, tau1 = 1, sigma0 = 0: the equation is
 # y''' + 2y' = lambda y, and the third fundamental solution (y = y' = 0,
@@ -510,10 +511,11 @@ def test_overflow_in_the_chain_raises_without_warnings(grid128,
 @pytest.mark.parametrize("backward", [False, True])
 def test_gathered_rows_equal_pq(ragged_coeffs, backward):
     # The rows each step gathers for its lanes hold, lane by lane, what
-    # _pq gives that lambda's variant at the lane's own samples: 40
-    # lambdas of mixed variants in two blocks, the second ragged, on the
-    # ragged grid, whose last stretch's lanes run on over the end
-    # samples.
+    # pq_by_sign gives that lambda's variant at the start node, the
+    # midpoint and the end node of the lane's own cell, in sweep order:
+    # 40 lambdas of mixed variants in two blocks, the second ragged, on
+    # the ragged grid, whose last stretch's lanes run on past the end and
+    # read cell M - 1 there.
     M, L = ragged_coeffs.grid.M, 40
     c = np.resize([1.0, -1.0, -1.0], L)
     sn, tn = ragged_coeffs.sigma0.values, ragged_coeffs.tau1.values
@@ -521,22 +523,43 @@ def test_gathered_rows_equal_pq(ragged_coeffs, backward):
               midpoint_values(ragged_coeffs.tau1))
     if backward:
         sn, tn, sm, tm = sn[::-1], tn[::-1], sm[::-1], tm[::-1]
-    at_nodes, at_mids = _pq(c, sn, tn), _pq(c, sm, tm)
-    nodes, mids = _stretch_samples(ragged_coeffs, backward)
+    (Pn, Qn), (Pm, Qm) = pq_by_sign(c, sn, tn), pq_by_sign(c, sm, tm)
+    # p and q at sample k of cell m, (M, 3, L) each
+    P = np.stack((Pn[:-1], Pm, Pn[1:]), axis=1)
+    Q = np.stack((Qn[:-1], Qm, Qn[1:]), axis=1)
+    table = _stretch_cells(_cells(ragged_coeffs, backward))
     first = _STRETCH * np.arange(-(-M // _STRETCH))[:, None]
     for l0 in range(0, L, _LAM_BLOCK):
         blk = slice(l0, l0 + _LAM_BLOCK)
         steps = 0
-        for i, gathered in enumerate(_lane_rows(nodes, mids, c[blk])):
+        for i, gathered in enumerate(_lane_rows(table, c[blk])):
             # lane (stretch j, lambda l), stretch-major
-            at = (np.minimum(first + i, M), np.minimum(first + i, M - 1),
-                  np.minimum(first + i + 1, M))
-            for rows, table, m in zip(gathered, (at_nodes, at_mids,
-                                                 at_nodes), at):
-                for got, ref in zip(rows, table):
-                    assert np.array_equal(got, ref[m, blk].ravel())
+            m = np.minimum(first + i, M - 1)
+            for k, (p, q) in enumerate(gathered):
+                assert np.array_equal(p, P[m, k, blk].ravel())
+                assert np.array_equal(q, Q[m, k, blk].ravel())
             steps += 1
         assert steps == _STRETCH
+
+
+def test_each_step_reads_its_own_cells_start(ragged_coeffs):
+    # At a jump a cell's start sample is not the previous cell's end
+    # sample: here at cell 32, the first of stretch 1, and at cell 45,
+    # inside it.  Each step's start row is its own cell's start, not the
+    # end row of the step before.
+    cells = _cells(ragged_coeffs, False).copy()
+    for m in (_STRETCH, _STRETCH + 13):
+        cells[m, 0] += 1.0 - 0.5j
+        assert (cells[m, 0] != cells[m - 1, 2]).all()
+    M = cells.shape[0]
+    c = np.array([1.0, -1.0, 1.0])
+    col = np.where(c > 0, 0, 1)                 # the column of p
+    table = _stretch_cells(cells)
+    first = _STRETCH * np.arange(table.shape[2] // 2)[:, None]
+    for i, ((p, q), _, _) in enumerate(_lane_rows(table, c)):
+        m = np.minimum(first + i, M - 1)
+        assert np.array_equal(p, cells[m, 0, col].ravel())
+        assert np.array_equal(q, cells[m, 0, 1 - col].ravel())
 
 
 @pytest.mark.parametrize("L, with_dlambda, bound_mib",
