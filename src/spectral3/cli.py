@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -159,6 +160,8 @@ def cmd_roundtrip(args) -> int:
     Ns = sorted(int(t) for t in str(args.big_n).split(","))
     for N in Ns:
         check_order(N, Ns[-1])
+        if Ns.count(N) > 1:
+            raise ValueError("truncation order N=%d is repeated" % N)
     coeffs = _load_coeffs(args.coeffs, grid)
     data = compute_spectral_data(coeffs, Ns[-1], pair_tol=args.pair_tol)
 
@@ -191,7 +194,7 @@ def cmd_stability(args) -> int:
     entries = ({} if args.perturb is None else
                {"entries": tuple(_parse_perturb(s) for s in args.perturb)})
     deltas = ([float(t) for t in args.deltas.split(",")]
-              if args.deltas else None)
+              if args.deltas is not None else None)
     rows = stability_experiment(data, grid, N, deltas=deltas, **entries)
     header = ["delta", "d", "tau1_l2", "sigma0_w2m1",
               "tau1_ratio", "sigma0_ratio", "status"]
@@ -273,7 +276,9 @@ def _add_pair_tol(p: argparse.ArgumentParser) -> None:
                    help="coinciding-eigenvalue detection tolerance")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="spectral3",
                      description="Forward and inverse spectral solver for "
                                  "the third-order operator with a "

@@ -24,7 +24,8 @@ one combined star state per index, Z_v = (-1)^k beta_v Phi*_{4-k}(.,
 lambda_v) (with -gamma_n Phi*_3 added on the coinciding set K), paired
 with a direct Weyl state by one kernel routine: the Lagrange bracket over
 mu - lambda for all pairs at once, or its integral form near coinciding
-arguments.
+arguments, which reads eta and component 0 of the direct states.  Each
+variant's states come from one cache request, with one family per index.
 
 Conditioning note: phi_v and the kernel columns grow or decay like
 exp(rate x) with rate the relevant real part of the cube roots of
@@ -131,28 +132,6 @@ class StarStates(NamedTuple):
             Z[self.regularized] -= G
         return Z
 
-    def pick(self, items) -> "StarStates":
-        """The star states items[i], in that order; items may repeat."""
-        items = np.asarray(items, dtype=int)
-        regularized = self.regularized[items]
-        # the rows of gamma and gamma_states that the picked K rows read
-        at = (np.cumsum(self.regularized) - 1)[items[regularized]]
-        return StarStates(self.states.pick(items), self.coef[items],
-                          self.lam[items], self.pole[items], regularized,
-                          self.gamma[at], self.gamma_states.pick(at))
-
-
-def _state_rows(cache: ModelCache, variant: SystemVariant, ks: np.ndarray,
-                lams: np.ndarray) -> StateRows:
-    """Where Phi_{ks[i]}(., lams[i]) of the variant sit in the model
-    cache: one cache request per k."""
-    groups = []
-    for k in np.unique(ks):
-        at = np.flatnonzero(ks == k)
-        groups += [(array, rows, at[sub]) for array, rows, sub
-                   in cache.rows(variant, int(k), lams[at]).groups]
-    return StateRows(tuple(groups), len(lams))
-
 
 def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
     """Z_v for v in V^N in the index_set order, from the entries n <= N
@@ -162,7 +141,7 @@ def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
     beta = np.stack([data.betas[:N], cache.model_data.betas[:N]], axis=2)
     k = np.broadcast_to(np.array([1, 2])[:, None], lam.shape).ravel()
     lam, beta = lam.ravel(), beta.ravel()
-    states = _state_rows(cache, SystemVariant.STAR, 4 - k, lam)
+    states = cache.rows(SystemVariant.STAR, 4 - k, lam)
     # the given data's family 2 rows on K: v = (n, 2, 0) sits at 4n - 2
     K = [n for n in data.K if n <= N]
     regularized = np.isin(np.arange(4 * N), 4 * np.array(K, dtype=int) - 2)
@@ -184,15 +163,17 @@ class KernelFactors(NamedTuple):
     vals: np.ndarray    # (M+1, P)  their integral-form values
 
 
-def _kernel_factors(stars: StarStates, Y: StateRows, mu: np.ndarray,
-                    j) -> KernelFactors:
+def _kernel_factors(stars: StarStates, eta: np.ndarray, Y: StateRows,
+                    mu: np.ndarray, j) -> KernelFactors:
     """Factors of the two-point kernels D(x; Z_v, Y_w) for every pair.
 
-    Y holds direct states Phi_{j_w}(., mu_w).  Bracket form
+    Y holds direct states Phi_{j_w}(., mu_w), and eta the (L, M+1)
+    values eta_v = Z_v[:, 0] of the stars.  Bracket form
     (Z^[2] Y - Z' Y' + Z Y^[2]) / (mu_w - lam_v); pairs with nearly equal
-    arguments take the integral form cumulative(Z Y) instead, plus the
-    explicit pole pole_v / (lam_v - mu_w) when j_w = 2.  Evaluating that
-    pole at lam_v = mu_w raises unless row v is regularized.
+    arguments take the integral form cumulative(eta_v Y_w[:, 0]) instead,
+    plus the explicit pole pole_v / (lam_v - mu_w) when j_w = 2.
+    Evaluating that pole at lam_v = mu_w raises unless row v is
+    regularized.
     """
     lam = stars.lam
     j = np.broadcast_to(j, mu.shape)
@@ -203,8 +184,7 @@ def _kernel_factors(stars: StarStates, Y: StateRows, mu: np.ndarray,
     np.divide(1.0, diff, out=recip, where=~near)
 
     ws, vs = np.nonzero(near)
-    vals = cumulative(np.transpose(stars.pick(vs).take(comps=0)
-                                   * Y.pick(ws).take(comps=0)))
+    vals = cumulative(np.transpose(eta[vs] * Y.take(comps=0)[ws]))
     pole = (j[ws] == 2) & (stars.pole[vs] != 0)
     hit = pole & (lam[vs] == mu[ws])
     bad = np.flatnonzero(hit & ~stars.regularized[vs])
@@ -331,11 +311,12 @@ def assemble(data: SpectralData, cache: ModelCache, N: int) -> MainAssembly:
     V = index_set(N)
     stars = _star_states(cache, data_N, N)
     j = np.array([v.k + 1 for v in V])
-    Y = _state_rows(cache, SystemVariant.DIRECT, j, stars.lam)
+    Y = cache.rows(SystemVariant.DIRECT, j, stars.lam)
     rates = root_rates(stars.lam)[np.arange(len(V)), j - 1]
     return MainAssembly(cache=cache, grid=cache.grid, N=N, V=V, data=data_N,
                         stars=stars,
-                        kernel=_kernel_factors(stars, Y, stars.lam, j),
+                        kernel=_kernel_factors(stars, stars.take(comps=0), Y,
+                                               stars.lam, j),
                         signs=_signs(V), rates=rates)
 
 
@@ -539,7 +520,7 @@ def _phiN_tables(result: ReconstructionResult, k0: int, lams):
     a = result.assembly
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     tilde = a.cache.rows(SystemVariant.DIRECT, k0, lams)
-    f = _kernel_factors(a.stars, tilde, lams, k0)
+    f = _kernel_factors(a.stars, a.eta, tilde, lams, k0)
     signs = a.signs[:, None]
     sphi, sdphi = signs * result.phi, signs * result.dphi
     s = (sphi * a.eta).sum(axis=0)

@@ -10,9 +10,11 @@ asympt.coincide).  Conditions 1 and 2, on the model pair alone, hold by
 construction: its mean is the data's, and SpectralData refuses a
 non-finite theta.  The Weyl solutions Phi_k of the direct and star
 systems are computed where they are first read, one weyl_batch array per
-request's misses, and kept for the rest of the run.  Those read-only
-arrays are the only copy: ModelCache.rows returns a StateRows that says
-where each lambda's state sits in them and copies states out on take.
+family of a request's misses, and kept for the rest of the run.  Those
+read-only arrays are the only copy: ModelCache.rows, asked for one
+family or one family per lambda, returns a StateRows that says where
+each lambda's state sits in them, and StateRows.take, the one read,
+copies states out.
 
 spectral_gaps is the one entrywise comparison of two data tables,
 |Delta lambda| and |Delta beta| per (n, k); xi_sequence, distance_d,
@@ -49,7 +51,8 @@ _MODEL_MARGIN = 4
 class StateRows(NamedTuple):
     """Weyl states that stay in the model cache's arrays: item at[i] of
     a group (array, rows, at) is array[rows[i]], (M+1, 3), with rows and
-    at int arrays; the arrays are read-only."""
+    at int arrays; the arrays are read-only, and take is the one way to
+    read them."""
 
     groups: tuple
     size: int
@@ -62,19 +65,6 @@ class StateRows(NamedTuple):
         for array, rows, at in self.groups:
             out[at] = array[rows, nodes, comps]
         return out
-
-    def pick(self, items) -> "StateRows":
-        """The states items[i] of these, in that order; items may repeat."""
-        items = np.asarray(items, dtype=int)
-        group = np.empty(self.size, dtype=int)
-        row = np.empty(self.size, dtype=int)
-        for g, (_, rows, at) in enumerate(self.groups):
-            group[at], row[at] = g, rows
-        group, row = group[items], row[items]
-        return StateRows(tuple((array, row[group == g],
-                                np.flatnonzero(group == g))
-                               for g, (array, _, _) in enumerate(self.groups)),
-                         items.size)
 
 
 @dataclass
@@ -91,18 +81,23 @@ class ModelCache:
     def grid(self) -> Grid:
         return self.coeffs.grid
 
-    def rows(self, variant: SystemVariant, k: int, lams) -> StateRows:
+    def rows(self, variant: SystemVariant, k: int | np.ndarray,
+             lams) -> StateRows:
         """Where the Weyl states Phi_k(., lam) of the variant at lams sit
-        in the cache, without a copy.
+        in the cache, without a copy; k is one family for all lams or
+        one family per lambda.
 
-        The misses are computed in one weyl_batch call and kept.
+        The misses of each family are computed in one weyl_batch call,
+        in ascending k, and kept.
         """
         table = self.phi if variant is SystemVariant.DIRECT else self.phi_star
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        self._ensure(table, variant, lams, k)
+        ks = np.broadcast_to(k, lams.shape)
+        for family in np.unique(ks):
+            self._ensure(table, variant, lams[ks == family], int(family))
         groups: dict = {}
-        for i, l in enumerate(map(complex, lams)):
-            array, row = table[(k, l)]
+        for i, key in enumerate(zip(ks.tolist(), lams.tolist())):
+            array, row = table[key]
             _, rows, at = groups.setdefault(id(array), (array, [], []))
             rows.append(row)
             at.append(i)

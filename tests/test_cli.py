@@ -183,6 +183,18 @@ def test_stability_rejects_nonfinite_deltas(tmp_path, smooth_json, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("deltas", ["", ",", "1e-2,"])
+def test_stability_rejects_empty_deltas(tmp_path, smooth_json, capsys,
+                                        deltas):
+    # an empty step is a bad step, not a request for the default ladder
+    out = tmp_path / "o.csv"
+    rc = main(["stability", "--data", smooth_json, "--big-n", "3",
+               "--deltas=" + deltas, "--out", str(out)])
+    assert rc == 1
+    assert "could not convert string to float: ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stability_runs_zero_and_negative_deltas(tmp_path, smooth_json):
     out = str(tmp_path / "st.csv")
     rc = main(["stability", "--data", smooth_json, "--big-n", "3",
@@ -237,6 +249,18 @@ def test_roundtrip_refuses_an_order_before_the_forward_map(
     assert rc == 1
     err = capsys.readouterr().err
     assert "truncation order N must be at least 1, got 0" in err
+    assert not out.exists()
+    assert sweep_calls == []
+
+
+def test_roundtrip_refuses_a_repeated_order(tmp_path, zero_csv, capsys,
+                                            sweep_calls):
+    # a repeated order would run twice and write two identical rows
+    out = tmp_path / "t.csv"
+    rc = main(["roundtrip", "--coeffs", zero_csv, "--big-n", "4,2,4",
+               "--out", str(out)])
+    assert rc == 1
+    assert "truncation order N=4 is repeated" in capsys.readouterr().err
     assert not out.exists()
     assert sweep_calls == []
 
@@ -501,6 +525,14 @@ def test_tolerance_and_thread_flags_are_gone(zero_csv, smooth_json,
 
 def _parse(argv):
     return _build_parser().parse_args(argv)
+
+
+def test_parser_is_built_once(zero_csv):
+    # one parser per process; a parse leaves nothing behind for the next
+    assert _build_parser() is _build_parser()
+    tail = ["--coeffs", zero_csv, "--n-max", "2", "--out", "o.json"]
+    assert _parse(["forward", "--grid", "128"] + tail).grid == 128
+    assert _parse(["forward"] + tail).grid == 512
 
 
 def test_file_arguments(tmp_path, zero_csv):

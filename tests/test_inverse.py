@@ -8,7 +8,7 @@ from spectral3.errors import PoleHitError, SingularSystemError
 from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             l2_norm, w2m1_distance)
-from spectral3 import inverse
+from spectral3 import inverse, model
 from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
                                StarStates, _bracket, _kernel_factors,
                                _phiN_tables, _signs, assemble, index_set,
@@ -42,7 +42,7 @@ def kernel_D(cache, kj, lam, mu, regularized=False):
                       np.zeros(reg.sum(), dtype=complex),
                       cache.rows(SystemVariant.STAR, 3, lam[reg]))
     Y = cache.rows(SystemVariant.DIRECT, j, mu)
-    D = _bracket(_kernel_factors(star, Y, mu, j))
+    D = _bracket(_kernel_factors(star, star.take(comps=0), Y, mu, j))
     return GridFunction(cache.grid, D[:, 0, 0])
 
 
@@ -266,6 +266,37 @@ def _coinciding_data(smooth_data8):
     d.betas[0, 0] = 0.0
     return type(d)(theta=d.theta, lambdas=d.lambdas, betas=d.betas,
                    K=[1], gamma={1: 1.0})
+
+
+def test_assemble_fills_each_family_in_one_call(smooth_data8, grid512,
+                                                monkeypatch):
+    # on a fresh cache assemble makes one weyl_batch call per variant and
+    # family, the star states first and the families in ascending k; on
+    # coinciding data the Phi*_3 request of the K rows is all cache hits,
+    # lam_{1,2} = lam_{1,1} having been filled with the k = 1 rows
+    calls, requests = [], []
+    batch, ensure = model.weyl_batch, ModelCache._ensure
+
+    def counting_batch(coeffs, lams, variant, k):
+        calls.append((variant, k))
+        return batch(coeffs, lams, variant, k)
+
+    def counting_ensure(self, table, variant, lams, k):
+        hits = sum((k, complex(lam)) in table for lam in lams)
+        requests.append((variant, k, len(lams), hits))
+        return ensure(self, table, variant, lams, k)
+
+    monkeypatch.setattr(model, "weyl_batch", counting_batch)
+    monkeypatch.setattr(ModelCache, "_ensure", counting_ensure)
+    STAR, DIRECT = SystemVariant.STAR, SystemVariant.DIRECT
+    for data, N in ((smooth_data8, 4), (_coinciding_data(smooth_data8), 3)):
+        cache = build_model(data, grid512, N)
+        calls.clear()
+        requests.clear()
+        assemble(data, cache, N)
+        assert calls == [(STAR, 2), (STAR, 3), (DIRECT, 2), (DIRECT, 3)]
+    assert requests == [(STAR, 2, 6, 0), (STAR, 3, 6, 0), (STAR, 3, 1, 1),
+                        (DIRECT, 2, 6, 0), (DIRECT, 3, 6, 0)]
 
 
 def _solve_phi_per_node(assembly):
@@ -505,9 +536,9 @@ def test_block_reads_equal_the_whole_grid_tables(case, smooth_data8,
 
 
 def test_star_reads_agree_on_every_row_count(smooth_data8, cache4):
-    # a block read, a whole-grid read and a picked read of the star
-    # states must agree byte for byte also when the -gamma Phi*_3 term
-    # spans many rows: here all 16 rows at N = 4, whose whole-grid
+    # a block read, a whole-grid read and a one-component read of the
+    # star states must agree byte for byte also when the -gamma Phi*_3
+    # term spans many rows: here all 16 rows at N = 4, whose whole-grid
     # Phi*_3 table (16 x 513 x 3 entries) is past the size at which numpy
     # may reorder the operands of a product with a fresh array
     stars = assemble(smooth_data8, cache4, 4).stars
@@ -521,8 +552,6 @@ def test_star_reads_agree_on_every_row_count(smooth_data8, cache4):
     for start in range(0, M + 1, _NODE_BLOCK):
         block = slice(start, min(start + _NODE_BLOCK, M + 1))
         assert many.take(block).tobytes() == whole[:, block].tobytes()
-    items = [5, 0, 5, L - 1]
-    assert many.pick(items).take().tobytes() == whole[items].tobytes()
     assert (many.take(comps=0).tobytes()
             == np.ascontiguousarray(whole[:, :, 0]).tobytes())
 

@@ -131,6 +131,30 @@ def test_cache_fills_each_state_once(cache8, weyl_batch_calls):
     assert np.array_equal(a, b[::-1])
 
 
+def test_rows_takes_one_family_per_lambda(cache8, weyl_batch_calls):
+    # one request with a family per lambda reads the bytes of one request
+    # per family, and fills the cache with the same weyl_batch calls: one
+    # per family, in ascending k whatever the request's order; 5 - 2j
+    # repeats within family 3, and 2 - 1j is asked for under both families
+    lams = np.array([5.0 - 2.0j, 2.0 - 1.0j, 3.0 + 1.0j, 2.0 - 1.0j,
+                     5.0 - 2.0j])
+    ks = np.array([3, 3, 2, 2, 3])
+    one = ModelCache(coeffs=cache8.coeffs, model_data=cache8.model_data)
+    whole = one.rows(SystemVariant.STAR, ks, lams).take()
+    calls = list(weyl_batch_calls)
+    weyl_batch_calls.clear()
+    per_family = ModelCache(coeffs=cache8.coeffs,
+                            model_data=cache8.model_data)
+    expected = np.empty_like(whole)
+    for k in (2, 3):
+        expected[ks == k] = per_family.rows(SystemVariant.STAR, k,
+                                            lams[ks == k]).take()
+    assert calls == weyl_batch_calls == [(SystemVariant.STAR, 2, 2),
+                                         (SystemVariant.STAR, 3, 2)]
+    assert whole.tobytes() == expected.tobytes()
+    assert one.phi_star.keys() == per_family.phi_star.keys()
+
+
 def test_cache_arrays_are_read_only(cache8):
     # the cache hands out its own arrays without a copy, read-only, while
     # take gives each caller a writable copy
@@ -144,23 +168,6 @@ def test_cache_arrays_are_read_only(cache8):
     assert np.array_equal(copy, rows.take())
     copy[:] = 0.0
     assert np.abs(rows.take()).max() > 0.0
-
-
-def test_state_rows_pick(cache8):
-    # pick selects states by position, repeats allowed, across the
-    # arrays of two separate cache fills
-    fresh = ModelCache(coeffs=cache8.coeffs, model_data=cache8.model_data)
-    fresh.rows(SystemVariant.DIRECT, 3, [1.0 + 1.0j, 2.0 - 1.0j])
-    rows = fresh.rows(SystemVariant.DIRECT, 3,
-                      [2.0 - 1.0j, 3.0, 1.0 + 1.0j, 4.0j])
-    assert len(rows.groups) == 2
-    items = [3, 0, 0, 2]
-    picked = rows.pick(items)
-    assert picked.size == 4
-    assert rows.take()[items].tobytes() == picked.take().tobytes()
-    assert (rows.take(slice(5, 13), 1)[items].tobytes()
-            == picked.take(slice(5, 13), 1).tobytes())
-    assert rows.pick([]).take().shape == (0, cache8.grid.M + 1, 3)
 
 
 def test_weyl_states_built_once_per_inverse_run(smooth_data8, grid512,
