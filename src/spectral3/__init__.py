@@ -43,7 +43,7 @@ from .inverse import (
     verify_weyl,
     stability_experiment,
 )
-from .selfadjoint import HalfData, complete, restrict, check_suff_conditions, check_symmetry
+from .selfadjoint import complete, check_suff_conditions, check_symmetry
 from .errors import (
     NoConvergenceError,
     BasinEscapeError,
@@ -65,8 +65,8 @@ __all__ = [
     "eigen_guess", "extract_remainders", "validate_condition1", "ModelCache",
     "build_model", "xi_sequence", "distance_d", "index_set", "assemble",
     "solve_phi", "reconstruct", "run_inverse", "verify_spectral",
-    "verify_weyl", "stability_experiment", "HalfData", "complete", "restrict",
-    "check_suff_conditions", "check_symmetry", "NoConvergenceError",
+    "verify_weyl", "stability_experiment", "complete", "check_suff_conditions",
+    "check_symmetry", "NoConvergenceError",
     "BasinEscapeError", "DerivativeVanishesError", "GammaZeroError",
     "NearPoleError", "PoleHitError", "SingularSystemError",
     "AdmissibilityViolationError", "ResolutionGuardError",

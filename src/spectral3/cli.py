@@ -33,8 +33,8 @@ from .errors import (AdmissibilityViolationError, SingularSystemError,
                      Spectral3Error)
 from .forward import (SpectralData, check_order, compute_spectral_data,
                       load_spectral_data, save_spectral_data)
-from .grid import (Grid, l2_norm, read_coefficients, resample,
-                   w2m1_distance, write_coefficients, CoefficientPair)
+from .grid import (Grid, l2_norm, read_coefficients, w2m1_distance,
+                   write_coefficients, CoefficientPair)
 from .inverse import (run_inverse, stability_experiment, verify_spectral,
                       verify_weyl)
 from .model import spectral_gaps
@@ -56,10 +56,12 @@ def _grid(M: int) -> Grid:
 
 
 def _load_coeffs(path, grid: Grid) -> CoefficientPair:
+    """The coefficient CSV at path, read on the grid it was written on,
+    whose M must equal the --grid flag's."""
     pair = read_coefficients(path)
     if pair.grid.M != grid.M:
-        pair = CoefficientPair(resample(pair.tau1, grid),
-                               resample(pair.sigma0, grid))
+        raise ValueError("%s holds a grid of M=%d intervals, but --grid is "
+                         "%d" % (path, pair.grid.M, grid.M))
     return pair
 
 
@@ -268,7 +270,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=512,
-                   help="number of grid intervals M (even, >= 64)")
+                   help="number of grid intervals M (even, >= 64); a "
+                        "coefficient CSV must hold this grid")
 
 
 def _add_pair_tol(p: argparse.ArgumentParser) -> None:

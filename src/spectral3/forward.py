@@ -560,27 +560,6 @@ def compute_spectral_data(coeffs: CoefficientPair, n_max: int,
 # Spectral data container
 
 
-def _checked_K(K, gamma: dict, n_max: int) -> list:
-    """The coinciding-index set K, sorted, after checking that its
-    indices and the keys of gamma are integers (Python or numpy, not
-    bool), lie in 1..n_max, do not repeat, and are the same set.
-    Shared by SpectralData and selfadjoint.HalfData."""
-    for n in (*K, *gamma):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError("K indices and gamma keys must be integers, "
-                             "got %r" % (n,))
-    K = sorted(int(n) for n in K)
-    if any(not 1 <= n <= n_max for n in K):
-        raise ValueError("K indices %s are not all in 1..n_max=%d"
-                         % (K, n_max))
-    for a, b in zip(K, K[1:]):
-        if a == b:
-            raise ValueError("K lists n=%d more than once" % a)
-    if set(gamma) != set(K):
-        raise ValueError("gamma must be given exactly on K")
-    return K
-
-
 def check_order(N: int, n_max: int) -> None:
     """Refuse a truncation order N outside 1..n_max (ValueError)."""
     if N < 1:
@@ -614,7 +593,21 @@ class SpectralData:
         if shape[1:] != (2,) or self.betas.shape != shape:
             raise ValueError("lambdas and betas must be (n_max, 2) tables, "
                              "got %s and %s" % (shape, self.betas.shape))
-        self.K = _checked_K(self.K, self.gamma, self.n_max)
+        # K and the keys of gamma: integers (Python or numpy, not bool)
+        # in 1..n_max, without repeats, and the same set
+        for n in (*self.K, *self.gamma):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError("K indices and gamma keys must be integers, "
+                                 "got %r" % (n,))
+        self.K = sorted(int(n) for n in self.K)
+        if any(not 1 <= n <= self.n_max for n in self.K):
+            raise ValueError("K indices %s are not all in 1..n_max=%d"
+                             % (self.K, self.n_max))
+        for a, b in zip(self.K, self.K[1:]):
+            if a == b:
+                raise ValueError("K lists n=%d more than once" % a)
+        if set(self.gamma) != set(self.K):
+            raise ValueError("gamma must be given exactly on K")
         self.gamma = {int(n): complex(g) for n, g in self.gamma.items()}
         for name, v in (("theta", self.theta), ("lambdas", self.lambdas),
                         ("betas", self.betas),

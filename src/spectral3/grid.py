@@ -23,7 +23,6 @@ __all__ = [
     "l2_norm",
     "w2m1_distance",
     "midpoint_values",
-    "resample",
     "read_coefficients",
     "write_coefficients",
 ]
@@ -216,29 +215,6 @@ def midpoint_values(f) -> np.ndarray:
     out[0] = np.dot(_MID_FIRST, v[:4])
     out[-1] = np.dot(_MID_LAST, v[-4:])
     return out
-
-
-def _interp_cubic(v: np.ndarray, x: float) -> complex:
-    M = v.shape[0] - 1
-    t = min(max(x, 0.0), 1.0) * M
-    m = int(np.floor(t))
-    lo = min(max(m - 1, 0), M - 3)
-    s = t - lo  # position in units of h from node lo
-    p = v[lo:lo + 4]
-    # Lagrange cubic on nodes 0,1,2,3 of the local stencil
-    w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
-    w1 = s * (s - 2.0) * (s - 3.0) / 2.0
-    w2 = -s * (s - 1.0) * (s - 3.0) / 2.0
-    w3 = s * (s - 1.0) * (s - 2.0) / 6.0
-    return complex(w0 * p[0] + w1 * p[1] + w2 * p[2] + w3 * p[3])
-
-
-def resample(f: GridFunction, grid: Grid) -> GridFunction:
-    """Resample onto another grid by piecewise cubic interpolation."""
-    if grid.M == f.grid.M:
-        return f.copy()
-    vals = np.asarray([_interp_cubic(f.values, x) for x in grid.nodes])
-    return GridFunction(grid, vals)
 
 
 # Coefficient file format: CSV with header

@@ -20,7 +20,7 @@ from spectral3.inverse import (assemble, reconstruct, run_inverse, solve_phi,
                                stability_experiment)
 from spectral3.model import ModelCache, build_model
 from spectral3.quasi import SystemVariant, _sweep
-from spectral3.selfadjoint import check_symmetry, complete, restrict
+from spectral3.selfadjoint import check_symmetry, complete
 
 from helpers import characteristic_literal, gauge_shifted
 
@@ -183,8 +183,7 @@ def test_07_stability_ladder(smooth_data8, grid512):
 
 def test_08_selfadjoint_pairing_and_reconstruction(smooth_data20, grid512):
     sym = check_symmetry(smooth_data20.truncate(10))
-    half = restrict(smooth_data20.truncate(8))
-    res = run_inverse(complete(half), grid512, 8)
+    res = run_inverse(complete(smooth_data20.truncate(8)), grid512, 8)
     t1 = res.tau1N.values
     s0 = res.sigma0N.values
     tau1_imag = float(np.abs(t1.imag).max())

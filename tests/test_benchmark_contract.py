@@ -9,7 +9,11 @@ import importlib.util
 import os
 from functools import partial
 
-from spectral3.grid import CoefficientPair, Grid, read_coefficients, resample
+import numpy as np
+
+from spectral3.grid import Grid, write_coefficients
+
+from helpers import from_callables
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -27,10 +31,12 @@ def test_every_expected_span_fires(tmp_path):
     # Wrapped names are looked up through the modules at call time.
     from spectral3 import cli, forward
 
-    sample = os.path.join(ROOT, "data", "smooth.csv")
-    pair = read_coefficients(sample)
-    coeffs = CoefficientPair(resample(pair.tau1, Grid(128)),
-                             resample(pair.sigma0, Grid(128)))
+    # the pair of data/smooth.csv, sampled on the 128-node grid
+    coeffs = from_callables(Grid(128),
+                            lambda x: np.cos(2.0 * np.pi * x) + 0.3,
+                            lambda x: 0.3j * np.sin(np.pi * x))
+    sample = str(tmp_path / "smooth128.csv")
+    write_coefficients(sample, coeffs)
     data, rec = str(tmp_path / "smooth.json"), str(tmp_path / "rec.csv")
     tracer = spans.Tracer()
     spans.install(tracer)

@@ -6,13 +6,21 @@ import pytest
 
 from spectral3.cli import _build_parser, main
 from spectral3.forward import load_spectral_data, save_spectral_data
-from spectral3.grid import read_coefficients, write_coefficients
+from spectral3.grid import (CoefficientPair, read_coefficients,
+                            write_coefficients)
 
 
 @pytest.fixture(scope="module")
 def zero_csv(tmp_path_factory, zero_coeffs):
     path = tmp_path_factory.mktemp("cli") / "zero.csv"
     write_coefficients(path, zero_coeffs)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def zero_csv128(tmp_path_factory, grid128):
+    path = tmp_path_factory.mktemp("cli") / "zero128.csv"
+    write_coefficients(path, CoefficientPair.model(grid128, 0.0))
     return str(path)
 
 
@@ -493,6 +501,24 @@ def test_grid_flag_validation(tmp_path, zero_csv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["forward", "roundtrip", "verify"])
+def test_csv_on_another_grid_exits_1(tmp_path, zero_csv128, smooth_json,
+                                     capsys, command):
+    # a coefficient CSV is read on the grid it was written on: 128
+    # intervals against the default --grid 512 is refused, not resampled
+    out = tmp_path / "out"
+    argv = {"forward": ["forward", "--coeffs", zero_csv128, "--n-max", "2"],
+            "roundtrip": ["roundtrip", "--coeffs", zero_csv128,
+                          "--big-n", "2"],
+            "verify": ["verify", "--data", smooth_json, "--mode", "spectral",
+                       "--rec", zero_csv128, "--big-n", "2"]}[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectral3:")
+    assert "M=128" in err and "--grid is 512" in err
+    assert not out.exists()
+
+
 def test_parser_errors_exit_1(zero_csv, tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["bogus"])
@@ -535,11 +561,11 @@ def test_parser_is_built_once(zero_csv):
     assert _parse(["forward"] + tail).grid == 512
 
 
-def test_file_arguments(tmp_path, zero_csv):
+def test_file_arguments(tmp_path, zero_csv128):
     a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
     a.write_text("# defaults\n\nn_max = 2\n")
     b.write_text("grid = 128\n")
-    tail = ["--coeffs", zero_csv, "--out", "o.json"]
+    tail = ["--coeffs", zero_csv128, "--out", "o.json"]
     # two files both apply
     args = _parse(["forward", "@%s" % a, "@%s" % b] + tail)
     assert (args.n_max, args.grid) == (2, 128)
@@ -555,10 +581,10 @@ def test_file_arguments(tmp_path, zero_csv):
     assert _parse(inv + ["@%s" % f]).force is False
     # end to end: the run reads both files
     out, ref = str(tmp_path / "o.json"), str(tmp_path / "ref.json")
-    assert main(["forward", "@%s" % a, "@%s" % b, "--coeffs", zero_csv,
+    assert main(["forward", "@%s" % a, "@%s" % b, "--coeffs", zero_csv128,
                  "--out", out]) == 0
     assert main(["forward", "--n-max", "2", "--grid", "128",
-                 "--coeffs", zero_csv, "--out", ref]) == 0
+                 "--coeffs", zero_csv128, "--out", ref]) == 0
     assert open(out).read() == open(ref).read()
 
 
@@ -631,7 +657,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_lapack_loads_only_in_the_node_solve(tmp_path, zero_csv,
+def test_lapack_loads_only_in_the_node_solve(tmp_path, zero_csv128,
                                              smooth_json):
     import os
     import subprocess
@@ -643,7 +669,7 @@ def test_lapack_loads_only_in_the_node_solve(tmp_path, zero_csv,
     assert main(["inverse", "--data", smooth_json, "--big-n", "3",
                  "--out", str(ref)]) == 0
     rec = tmp_path / "rec.csv"
-    steps = [["forward", "--coeffs", zero_csv, "--n-max", "2",
+    steps = [["forward", "--coeffs", zero_csv128, "--n-max", "2",
               "--grid", "128", "--out", str(tmp_path / "d.json")],
              ["verify", "--data", smooth_json, "--rec", str(ref),
               "--big-n", "3", "--out", str(tmp_path / "v.json")],

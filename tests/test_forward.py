@@ -285,6 +285,14 @@ def test_spectral_data_rejects_duplicate_K():
                      K=[1, 1], gamma={1: 2.0})
 
 
+@pytest.mark.parametrize("K, gamma", [([1], {}), ([], {1: 2.0}),
+                                      ([1], {2: 2.0})])
+def test_spectral_data_gamma_exactly_on_K(K, gamma):
+    lam = np.array([[2.0 + 1.0j, 2.0 + 1.0j], [50.0, 50.0]])
+    with pytest.raises(ValueError, match="gamma must be given exactly on K"):
+        SpectralData(theta=0.0, lambdas=lam, betas=_BETAS2, K=K, gamma=gamma)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
 def test_pair_tol_must_be_finite_and_nonnegative(zero_coeffs, tol):
     # a NaN or negative tolerance pairs nothing and an infinite one pairs

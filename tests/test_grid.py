@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spectral3.grid import (CoefficientPair, Grid, GridFunction, cumulative,
                             integrate, l2_norm, midpoint_values,
-                            read_coefficients, resample, w2m1_distance,
+                            read_coefficients, w2m1_distance,
                             write_coefficients)
 
 from helpers import (dagger, differentiate, from_callable, from_callables,
@@ -142,14 +142,6 @@ def test_coefficient_pair_gauge_and_dagger():
     with pytest.raises(ValueError):
         CoefficientPair(GridFunction.constant(Grid(8), 0.0),
                         GridFunction.constant(Grid(16), 0.0))
-
-
-def test_resample_cubic_exact():
-    f = from_callable(Grid(16), lambda x: x**3 - 0.5 * x)
-    r = resample(f, Grid(24))
-    assert np.abs(r.values - (Grid(24).nodes**3 - 0.5 * Grid(24).nodes)).max() < 1e-13
-    same = resample(f, Grid(16))
-    assert same is not f and np.array_equal(same.values, f.values)
 
 
 def test_coefficients_roundtrip(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spectral3.forward import SpectralData, compute_spectral_data
-from spectral3.selfadjoint import (HalfData, check_suff_conditions,
-                                   check_symmetry, complete, restrict)
+from spectral3.selfadjoint import (check_suff_conditions, check_symmetry,
+                                   complete)
 
 
 def test_symmetric_data_passes_symmetry_check(smooth_data20):
@@ -47,146 +47,128 @@ def test_broken_symmetry_is_flagged(smooth_data8):
     assert rep["lambda_max"] > 1e-8
 
 
-def test_restrict_complete_round_trip(smooth_data8):
-    half = restrict(smooth_data8)
-    assert half.n_max == 8
-    assert half.theta == smooth_data8.theta.real
-    full = complete(half)
-    assert np.array_equal(full.lambdas, smooth_data8.lambdas)
-    assert np.array_equal(full.betas, smooth_data8.betas)
+def _bytes(data):
+    """Every field of data as bytes, so equal means bitwise equal."""
+    return (data.lambdas.tobytes(), data.betas.tobytes(),
+            np.array([data.theta]).tobytes(), data.K,
+            np.array([data.gamma[n] for n in data.K], dtype=complex).tobytes())
+
+
+def test_complete_of_forward_data_is_bitwise(smooth_data20):
+    # forward mirrors family 2 of a self-adjoint-class pair, so completing
+    # its data changes no bit
+    full = complete(smooth_data20)
+    assert full.n_max == 20
+    assert _bytes(full) == _bytes(smooth_data20)
+
+
+def _coinciding():
+    return SpectralData(theta=0.3, lambdas=[[1e-9 + 5.0j] * 2, [80.0, -80.0]],
+                        betas=[[0.0, 0.0], [3.0 + 1.0j, -3.0 + 1.0j]],
+                        K=[1], gamma={1: 1.5})
+
+
+@pytest.mark.parametrize("name", ["smooth", "coinciding"])
+def test_complete_reads_family_1_only(smooth_data20, name):
+    data = smooth_data20 if name == "smooth" else _coinciding()
+    other = data.copy()
+    rng = np.random.default_rng(11)
+    shape = (data.n_max,)
+    other.lambdas[:, 1] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    other.betas[:, 1] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for n in data.K:   # the two columns agree on K
+        other.lambdas[n - 1, 1] = other.lambdas[n - 1, 0]
+    assert not np.array_equal(other.betas, data.betas)
+    assert _bytes(complete(other)) == _bytes(complete(data))
 
 
 def test_complete_with_coinciding_pair():
-    half = HalfData(theta=0.3, lambdas=np.array([1e-9 + 5.0j, 80.0]),
-                    betas=np.array([0.0, 3.0 + 1.0j]),
-                    K=[1], gammas={1: 1.5})
-    full = complete(half)
+    full = complete(_coinciding())
     assert full.lam(1, 1) == 5.0j            # snapped onto the axis
     assert full.lam(1, 2) == 5.0j
     assert full.beta(1, 1) == 0.0 and full.beta(1, 2) == 0.0
     assert full.gamma[1] == 1.5
     assert full.lam(2, 2) == -80.0
     assert full.beta(2, 2) == -np.conj(3.0 + 1.0j)
-    back = restrict(full)
-    assert back.K == [1] and back.gammas == {1: 1.5}
+    assert full.K == [1] and full.gamma == {1: 1.5}
 
 
 def test_complete_rejects_off_axis_coincidence():
-    half = HalfData(theta=0.3, lambdas=np.array([2.0 + 5.0j]),
-                    betas=np.array([0.0]), K=[1], gammas={1: 1.0})
+    data = SpectralData(theta=0.3, lambdas=[[2.0 + 5.0j, 2.0 + 5.0j]],
+                        betas=[[0.0, 0.0]], K=[1], gamma={1: 1.0})
     with pytest.raises(ValueError, match="imaginary"):
-        complete(half)
+        complete(data)
 
 
-def test_restrict_realness_guards(smooth_data8):
+def test_complete_realness_guards(smooth_data8):
     d = smooth_data8.copy()
     d.theta = d.theta + 0.1j
     with pytest.raises(ValueError, match="theta"):
-        restrict(d)
+        complete(d)
     k_data = SpectralData(theta=0.3, lambdas=[[4.0j, 4.0j]],
                           betas=[[0.0, 0.0]], K=[1], gamma={1: 1.0 + 0.5j})
     with pytest.raises(ValueError, match="not real"):
-        restrict(k_data)
-
-
-def test_half_data_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        HalfData(theta=0.0, lambdas=np.ones(3), betas=np.ones(2))
-    with pytest.raises(ValueError, match="exactly on K"):
-        HalfData(theta=0.0, lambdas=np.ones(2), betas=np.ones(2),
-                 K=[1], gammas={})
-    # K is checked as SpectralData checks it: no repeats, 1 <= n <= n_max
-    with pytest.raises(ValueError, match="more than once"):
-        HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
-                 betas=np.array([0.0, 3.0]), K=[1, 1], gammas={1: 2.0})
-    with pytest.raises(ValueError, match="1..n_max"):
-        HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
-                 betas=np.array([0.0, 3.0]), K=[5], gammas={5: 2.0})
-
-
-@pytest.mark.parametrize("n", [1.7, True, "1"])
-def test_half_data_refuses_non_integer_K(n):
-    # int() would read each of these as 1
-    for K, gammas in (([n], {n: 2.0}), ([1], {n: 2.0}), ([n], {1: 2.0})):
-        with pytest.raises(ValueError, match="must be integers"):
-            HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
-                     betas=np.array([0.0, 3.0]), K=K, gammas=gammas)
-
-
-def test_half_data_accepts_numpy_integer_K():
-    half = HalfData(theta=0.0, lambdas=np.array([4.0j, 80.0]),
-                    betas=np.array([0.0, 3.0]), K=[np.int64(1)],
-                    gammas={np.int64(1): 2.0})
-    assert half.K == [1] and type(half.K[0]) is int
-    assert half.gammas == {1: 2.0} and type(next(iter(half.gammas))) is int
-
-
-def test_half_data_copies_the_callers_arrays():
-    lam = np.array([4.0j, 80.0])
-    betas = np.array([0.0, 3.0], dtype=complex)
-    half = HalfData(theta=0.0, lambdas=lam, betas=betas, K=[1],
-                    gammas={1: 2.0})
-    assert half.lambdas is not lam and half.betas is not betas
-    half.lambdas[1] = 81.0
-    assert lam[1] == 80.0
+        complete(k_data)
 
 
 def test_suff_conditions_pass_on_genuine_data(smooth_data20):
-    half = restrict(smooth_data20)
-    rep = check_suff_conditions(half)
+    rep = check_suff_conditions(smooth_data20)
     assert rep["pass"], rep["clauses"]
     assert all(c["pass"] for c in rep["clauses"].values())
     assert rep["clauses"]["re_lambda_nonneg"]["offenders"] == []
 
 
-def _modified(half, **kw):
-    base = dict(theta=half.theta, lambdas=half.lambdas.copy(),
-                betas=half.betas.copy(), K=list(half.K),
-                gammas=dict(half.gammas))
-    base.update(kw)
-    return HalfData(**base)
+def _modified(data, lambdas=None, betas=None):
+    """data with family 1 replaced where given; family 2 is kept, since
+    check_suff_conditions does not read it."""
+    lam, beta = data.lambdas.copy(), data.betas.copy()
+    if lambdas is not None:
+        lam[:, 0] = lambdas
+    if betas is not None:
+        beta[:, 0] = betas
+    return SpectralData(theta=data.theta, lambdas=lam, betas=beta,
+                        K=list(data.K), gamma=dict(data.gamma))
 
 
 def test_suff_conditions_flag_violations(smooth_data8):
-    half = restrict(smooth_data8)
+    data = smooth_data8
 
-    lam = half.lambdas.copy()
+    lam = data.lambdas[:, 0].copy()
     lam[3] = lam[2]
-    rep = check_suff_conditions(_modified(half, lambdas=lam))
+    rep = check_suff_conditions(_modified(data, lambdas=lam))
     clause = rep["clauses"]["distinct_within_family"]
     assert not clause["pass"]
     assert (3, 4, 1) in clause["offenders"]
     assert not rep["pass"]
 
-    lam = half.lambdas.copy()
+    lam = data.lambdas[:, 0].copy()
     lam[4] = -np.conj(lam[1])
-    rep = check_suff_conditions(_modified(half, lambdas=lam))
+    rep = check_suff_conditions(_modified(data, lambdas=lam))
     assert (2, 5) in rep["clauses"]["pairing"]["offenders"]
     assert not rep["pass"]
 
-    beta = half.betas.copy()
+    beta = data.betas[:, 0].copy()
     beta[2] = 0.0
-    rep = check_suff_conditions(_modified(half, betas=beta))
+    rep = check_suff_conditions(_modified(data, betas=beta))
     assert rep["clauses"]["beta_product_on_K"]["offenders"] == [3]
     assert not rep["pass"]
 
-    lam = half.lambdas.copy()
+    lam = data.lambdas[:, 0].copy()
     lam[0] = -5.0 + 2.0j
-    rep = check_suff_conditions(_modified(half, lambdas=lam))
+    rep = check_suff_conditions(_modified(data, lambdas=lam))
     assert rep["clauses"]["re_lambda_nonneg"]["offenders"] == [1]
     assert not rep["pass"]
 
     # a zero eigenvalue has no asymptotic branch: reported, not raised
-    lam = half.lambdas.copy()
+    lam = data.lambdas[:, 0].copy()
     lam[0] = 0.0
-    rep = check_suff_conditions(_modified(half, lambdas=lam))
+    rep = check_suff_conditions(_modified(data, lambdas=lam))
     assert "error" in rep["clauses"]["remainder_decay"]
     assert not rep["pass"]
 
-    bad_gamma = HalfData(theta=0.3, lambdas=np.array([4.0j, 80.0]),
-                         betas=np.array([0.0, 3.0]), K=[1],
-                         gammas={1: -2.0})
+    bad_gamma = SpectralData(theta=0.3, lambdas=[[4.0j, 4.0j], [80.0, -80.0]],
+                             betas=[[0.0, 0.0], [3.0, -3.0]], K=[1],
+                             gamma={1: -2.0})
     rep = check_suff_conditions(bad_gamma)
     assert rep["clauses"]["gamma_positive"]["offenders"] == [1]
     assert not rep["pass"]
-
