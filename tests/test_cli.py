@@ -644,15 +644,20 @@ def test_outputs_are_deterministic_and_reread_exactly(tmp_path, zero_csv,
     assert np.array_equal(pair1.sigma0.values, pair2.sigma0.values)
 
 
-# Run in a fresh interpreter: the CLI steps in argv (JSON) in turn, and
-# after the import and after each step whether scipy.linalg is loaded.
+# Run in a fresh interpreter: the labelled CLI steps in argv (JSON, a
+# list of [label, argv]) in turn, and after the import and after each
+# step whether scipy.linalg and the LAPACK extension
+# scipy.linalg._flapack are loaded.
 _FRESH_RUN = """
 import json, sys
 from spectral3.cli import main
-loaded = [("import", "scipy.linalg" in sys.modules)]
-for argv in json.loads(sys.argv[1]):
+def probe(label):
+    return (label, "scipy.linalg" in sys.modules,
+            "scipy.linalg._flapack" in sys.modules)
+loaded = [probe("import")]
+for label, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded.append((argv[0], "scipy.linalg" in sys.modules))
+    loaded.append(probe(label))
 print(json.dumps(loaded))
 """
 
@@ -668,13 +673,21 @@ def test_lapack_loads_only_in_the_node_solve(tmp_path, zero_csv128,
     ref = tmp_path / "ref.csv"
     assert main(["inverse", "--data", smooth_json, "--big-n", "3",
                  "--out", str(ref)]) == 0
+    ref_weyl = tmp_path / "ref_weyl.json"
+    assert main(["verify", "--data", smooth_json, "--big-n", "3",
+                 "--mode", "weyl", "--out", str(ref_weyl)]) == 0
     rec = tmp_path / "rec.csv"
-    steps = [["forward", "--coeffs", zero_csv128, "--n-max", "2",
-              "--grid", "128", "--out", str(tmp_path / "d.json")],
-             ["verify", "--data", smooth_json, "--rec", str(ref),
-              "--big-n", "3", "--out", str(tmp_path / "v.json")],
-             ["inverse", "--data", smooth_json, "--big-n", "3",
-              "--out", str(rec)]]
+    weyl = tmp_path / "weyl.json"
+    steps = [("forward", ["forward", "--coeffs", zero_csv128, "--n-max",
+                          "2", "--grid", "128",
+                          "--out", str(tmp_path / "d.json")]),
+             ("verify spectral", ["verify", "--data", smooth_json, "--rec",
+                                  str(ref), "--big-n", "3",
+                                  "--out", str(tmp_path / "v.json")]),
+             ("inverse", ["inverse", "--data", smooth_json, "--big-n", "3",
+                          "--out", str(rec)]),
+             ("verify weyl", ["verify", "--data", smooth_json, "--big-n",
+                              "3", "--mode", "weyl", "--out", str(weyl)])]
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         spectral3.__file__)))
     proc = subprocess.run([sys.executable, "-c", _FRESH_RUN,
@@ -683,7 +696,13 @@ def test_lapack_loads_only_in_the_node_solve(tmp_path, zero_csv128,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == [["import", False], ["forward", False],
-                      ["verify", False], ["inverse", True]]
-    # the first solve loads LAPACK and writes what an in-process run does
+    # (step, scipy.linalg loaded, scipy.linalg._flapack loaded): the
+    # extension comes with the first solve, scipy.linalg never
+    assert loaded == [["import", False, False],
+                      ["forward", False, False],
+                      ["verify spectral", False, False],
+                      ["inverse", False, True],
+                      ["verify weyl", False, True]]
+    # the solves write what an in-process run does
     assert rec.read_bytes() == ref.read_bytes()
+    assert weyl.read_bytes() == ref_weyl.read_bytes()

@@ -379,18 +379,17 @@ def test_solve_phi_makes_one_lapack_pass_per_node(smooth_data8, cache4,
     # two-column right-hand side
     calls = []
 
-    def recording(names, arrays=(), **kw):
-        def wrap(name, func):
-            def call(*args, **kwargs):
-                calls.append((name, np.ndim(args[2]) if name == "getrs"
-                              else None))
-                return func(*args, **kwargs)
-            return call
-        return [wrap(name, func)
-                for name, func in zip(names, get_lapack_funcs(names, arrays,
-                                                              **kw))]
+    def wrap(name, func):
+        def call(*args, **kwargs):
+            calls.append((name, np.ndim(args[2]) if name == "getrs"
+                          else None))
+            return func(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr("scipy.linalg.get_lapack_funcs", recording)
+    routines = tuple(wrap(name, func) for name, func in
+                     zip(("getrf", "gecon", "getrs"),
+                         inverse._lapack_routines()))
+    monkeypatch.setattr(inverse, "_lapack_routines", lambda: routines)
     assembly = assemble(smooth_data8, cache4, 4)
     solve_phi(assembly)
     nodes = assembly.grid.M + 1
@@ -398,6 +397,49 @@ def test_solve_phi_makes_one_lapack_pass_per_node(smooth_data8, cache4,
                                            "getrs"] * nodes
     rhs_ndim = [ndim for name, ndim in calls if name == "getrs"]
     assert rhs_ndim == [1] * (2 * nodes)
+
+
+@pytest.fixture
+def lapack_cache():
+    # the routines are cached once per process; start and leave the test
+    # with an empty cache, so no other test reads a route set here
+    inverse._lapack_routines.cache_clear()
+    yield
+    inverse._lapack_routines.cache_clear()
+
+
+def test_lapack_routes_give_the_same_bytes(smooth_data8, cache4,
+                                           monkeypatch, lapack_cache):
+    # the extension scipy.linalg._flapack loaded on its own, the fallback
+    # taken when it is not found, and scipy.linalg.get_lapack_funcs give
+    # bitwise the same phi, phi' and diag
+    assembly = assemble(smooth_data8, cache4, 4)
+    outs = [solve_phi(assembly)]
+
+    searched = []
+
+    class NoSpec:
+        @staticmethod
+        def find_spec(name, path=None):
+            searched.append(name)
+            return None
+
+    inverse._lapack_routines.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(inverse, "PathFinder", NoSpec)
+        outs.append(solve_phi(assembly))
+    assert searched == ["scipy.linalg._flapack"]
+
+    public = tuple(get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                    dtype=np.complex128))
+    with monkeypatch.context() as m:
+        m.setattr(inverse, "_lapack_routines", lambda: public)
+        outs.append(solve_phi(assembly))
+    phi, dphi, diag = outs[0]
+    for other_phi, other_dphi, other_diag in outs[1:]:
+        assert np.array_equal(other_phi, phi)
+        assert np.array_equal(other_dphi, dphi)
+        assert other_diag == diag
 
 
 def _pairwise_A(data, cache, N):
