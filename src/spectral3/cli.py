@@ -85,8 +85,6 @@ def _parse_perturb(spec: str):
     except ValueError:
         raise ValueError("bad --perturb spec %r, expected 'beta:n,k' or "
                          "'lambda:n,k'" % spec) from None
-    if which not in ("lambda", "beta"):
-        raise ValueError("bad --perturb field %r" % which)
     return (n, k, which)
 
 

@@ -206,7 +206,7 @@ def _char_arrays(coeffs: CoefficientPair, lams, fams,
         res = _sweep(coeffs, c, lams, _EYE, with_dlambda=order)
         Y = np.stack([r[:, 0] for r in res], axis=-1) if order else res[:, 0]
     # the top rows' Taylor blocks, (L, 3, J + 1)
-    Y = Y.reshape(lams.shape[0], 3, -1)
+    Y = Y.reshape(lams.shape[0], 3, order + 1)
 
     def signed(v):
         return np.where(first[:, None], -v, v)
@@ -240,13 +240,14 @@ def _taylor_rows(coeffs: CoefficientPair, lams: np.ndarray,
     row summed by Horner as sum_j T_j (lambda - centre)^j.  None, for the
     per-point sweep, when a disc needs more than _TAYLOR_MAX_ORDER or the
     Taylor sweep would carry no fewer lanes than the per-point one
-    ((J + 1) x families >= L: a scalar lambda, say).  The resolution
-    guard is applied to every lambda, as the per-point sweep does.
+    ((J + 1) x families >= L: a scalar lambda, say, or none).  The
+    resolution guard is applied to every lambda, as the per-point sweep
+    does.
     """
     groups = [g for g in (first, ~first) if g.any()]
     centres = np.array([lams[g].mean() for g in groups])
-    order = max(_taylor_order(z, np.abs(lams[g] - z).max())
-                for g, z in zip(groups, centres))
+    order = max((_taylor_order(z, np.abs(lams[g] - z).max())
+                 for g, z in zip(groups, centres)), default=0)
     if order > _TAYLOR_MAX_ORDER or (order + 1) * len(groups) >= lams.size:
         return None
     _guard_resolution(lams, coeffs.grid.M)

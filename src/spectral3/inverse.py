@@ -58,7 +58,6 @@ from .model import (ModelCache, StateRows, build_model, distance_d,
 from .quasi import SystemVariant
 
 __all__ = [
-    "IndexV",
     "index_set",
     "MainAssembly",
     "assemble",
@@ -87,16 +86,11 @@ _NODE_BLOCK = 8
 _WEYL_TOL = 1e-6
 
 
-class IndexV(NamedTuple):
-    n: int
-    k: int
-    eps: int
-
-
-def index_set(N: int) -> list:
-    """V^N in the fixed order: ascending n, then k, then eps."""
-    return [IndexV(n, k, e)
-            for n in range(1, N + 1) for k in (1, 2) for e in (0, 1)]
+def index_set(N: int) -> np.ndarray:
+    """V^N as (4N, 3) int rows (n, k, eps) in the fixed order: ascending
+    n, then k, then eps."""
+    return np.array([(n, k, e) for n in range(1, N + 1) for k in (1, 2)
+                     for e in (0, 1)], dtype=int).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +130,21 @@ class StarStates(NamedTuple):
         return Z
 
 
-def _star_states(cache: ModelCache, data: SpectralData, N: int) -> StarStates:
-    """Z_v for v in V^N in the index_set order, from the entries n <= N
-    of data and of the model."""
-    # (N, 2, 2) tables [n-1, k-1, eps], raveled in the index_set order
-    lam = np.stack([data.lambdas[:N], cache.model_data.lambdas[:N]], axis=2)
-    beta = np.stack([data.betas[:N], cache.model_data.betas[:N]], axis=2)
-    k = np.broadcast_to(np.array([1, 2])[:, None], lam.shape).ravel()
-    lam, beta = lam.ravel(), beta.ravel()
+def _star_states(cache: ModelCache, data: SpectralData,
+                 V: np.ndarray) -> StarStates:
+    """Z_v for the rows v of V, lam_v and beta_v read from data where
+    eps = 0 and from the model where eps = 1."""
+    n, k, eps = V.T
+    at, given = (n - 1, k - 1), eps == 0
+    lam = np.where(given, data.lambdas[at], cache.model_data.lambdas[at])
+    beta = np.where(given, data.betas[at], cache.model_data.betas[at])
     states = cache.rows(SystemVariant.STAR, 4 - k, lam)
-    # the given data's family 2 rows on K: v = (n, 2, 0) sits at 4n - 2
-    K = [n for n in data.K if n <= N]
-    regularized = np.isin(np.arange(4 * N), 4 * np.array(K, dtype=int) - 2)
+    # the given data's family 2 rows on K
+    regularized = (k == 2) & given & np.isin(n, data.K)
+    gamma = [data.gamma[m] for m in n[regularized].tolist()]
     return StarStates(states, np.where(k == 1, -beta, beta), lam,
                       np.where(k == 2, beta, 0.0), regularized,
-                      np.array([data.gamma[n] for n in K], dtype=complex),
+                      np.array(gamma, dtype=complex),
                       cache.rows(SystemVariant.STAR, 3, lam[regularized]))
 
 
@@ -252,7 +246,7 @@ class MainAssembly:
     cache: ModelCache
     grid: Grid
     N: int
-    V: list
+    V: np.ndarray           # (4N, 3)  the rows (n, k, eps) of index_set
     data: SpectralData      # the given data truncated to n <= N
     stars: StarStates
     kernel: KernelFactors   # of D(x; Z_v, tilde phi_v0)
@@ -302,25 +296,22 @@ class MainAssembly:
         return self.node_matrices()
 
 
-def _signs(V: list) -> np.ndarray:
-    return np.array([1.0 if v.eps == 0 else -1.0 for v in V])
-
-
 def assemble(data: SpectralData, cache: ModelCache, N: int) -> MainAssembly:
     """Record where the states of the truncated main system sit in the
     model cache, and build its kernel factors and tables; the node
     matrices are built from them block by block in solve_phi."""
     data_N = data.truncate(N)
     V = index_set(N)
-    stars = _star_states(cache, data_N, N)
-    j = np.array([v.k + 1 for v in V])
+    stars = _star_states(cache, data_N, V)
+    _, k, eps = V.T
+    j = k + 1
     Y = cache.rows(SystemVariant.DIRECT, j, stars.lam)
     rates = root_rates(stars.lam)[np.arange(len(V)), j - 1]
     return MainAssembly(cache=cache, grid=cache.grid, N=N, V=V, data=data_N,
                         stars=stars,
                         kernel=_kernel_factors(stars, stars.take(comps=0), Y,
                                                stars.lam, j),
-                        signs=_signs(V), rates=rates)
+                        signs=(-1.0) ** eps, rates=rates)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +452,7 @@ def reconstruct(assembly: MainAssembly, phi: np.ndarray, dphi: np.ndarray,
                 solve_diag: dict | None = None) -> ReconstructionResult:
     """Recover (tau1, sigma0) from the phi tables solved on the assembly.
 
-    The three series are summed over V^N in the fixed IndexV order.
+    The three series are summed over V^N in the fixed index_set order.
     """
     cache, grid, N = assembly.cache, assembly.grid, assembly.N
     eta, deta = assembly.eta, assembly.deta
@@ -576,8 +567,8 @@ def verify_weyl(result: ReconstructionResult) -> dict:
     if a.data.K:
         raise ValueError("weyl verification requires data without "
                          "coinciding eigenvalue pairs")
-    j = np.array([v.k + 1 for v in a.V])
-    eps0 = np.array([v.eps == 0 for v in a.V])
+    n, k, eps = a.V.T
+    j = k + 1
     lam_probe = 0.7j * abs(a.cache.model_data.lam(1, 1))
     checks: dict = {"mode": "weyl"}
     breaches = []
@@ -594,15 +585,16 @@ def verify_weyl(result: ReconstructionResult) -> dict:
                         / (1.0 + np.abs(phi).max(axis=1)))
         # Boundary conditions at x = 1: Phi^N_2 vanishes there on the
         # first data spectrum (the eps = 0 rows), Phi^N_3 on the second.
-        vals = vals[eps0[rows]]
+        vals = vals[eps[rows] == 0]
         rel = np.abs(vals[:, -1]) / (1.0 + np.abs(vals).max(axis=1))
         check = "phi%d_terminal" % k0
-        breaches += [{"check": check, "n": n, "value": r}
-                     for n, r in enumerate(rel, start=1) if r > _WEYL_TOL]
+        breaches += [{"check": check, "n": m, "value": r}
+                     for m, r in zip(n[rows & (eps == 0)].tolist(), rel)
+                     if r > _WEYL_TOL]
         checks[check + "_max"] = rel.max()
 
     breaches += [{"check": "interpolation", "v": tuple(v), "value": r}
-                 for v, r in zip(a.V, interp) if r > _WEYL_TOL]
+                 for v, r in zip(a.V.tolist(), interp) if r > _WEYL_TOL]
     checks["interpolation_max"] = interp.max()
 
     # Initial normalization and the first Weyl solution at the probe,

@@ -93,8 +93,9 @@ class ModelCache:
         table = self.phi if variant is SystemVariant.DIRECT else self.phi_star
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         ks = np.broadcast_to(k, lams.shape)
-        for family in np.unique(ks):
-            self._ensure(table, variant, lams[ks == family], int(family))
+        # not np.unique, whose first call imports numpy.ma
+        for family in sorted(set(ks.tolist())):
+            self._ensure(table, variant, lams[ks == family], family)
         groups: dict = {}
         for i, key in enumerate(zip(ks.tolist(), lams.tolist())):
             array, row = table[key]

@@ -14,7 +14,9 @@ the Taylor sweeps of forward._taylor_rows; WholeGridAssembly copies
 every Weyl state of the main system out of the model cache and builds
 its kernel factors over the whole grid, the reference for the
 block-wise reads of inverse.assemble, whose tables it must equal bit for
-bit; differentiate is a fourth-order finite difference for checking
+bit; index_families gives k and eps of V^N from raveled (N, 2, 2)
+tables, the reference for the columns of inverse.index_set;
+differentiate is a fourth-order finite difference for checking
 derivatives on the grid; pq_by_sign picks p and q for each lambda's
 variant at node or midpoint samples, the reference for quasi._columns
 and, at sequential_sweep's own samples, for quasi._cells;
@@ -31,7 +33,7 @@ from spectral3.errors import PoleHitError
 from spectral3.forward import _EYE, Characteristic
 from spectral3.grid import (CoefficientPair, GridFunction, _values, cumulative,
                             midpoint_values)
-from spectral3.inverse import _KERNEL_SWITCH, _signs as _index_signs, index_set
+from spectral3.inverse import _KERNEL_SWITCH
 from spectral3.quasi import SystemVariant, _rk4_steps, _signs, _sweep
 
 
@@ -211,12 +213,21 @@ def whole_grid_states(cache, variant, ks, lams) -> np.ndarray:
     return out
 
 
+def index_families(N):
+    """k and eps of V^N in the index_set order, as the (N, 2, 2) tables
+    [n-1, k-1, eps] raveled: the reference for the columns of
+    inverse.index_set."""
+    k = np.broadcast_to(np.array([1, 2])[:, None], (N, 2, 2)).ravel()
+    eps = np.broadcast_to(np.array([0, 1]), (N, 2, 2)).ravel()
+    return k, eps
+
+
 def whole_grid_star_states(cache, data, N) -> WholeGridStars:
     """Z_v for v in V^N in the index_set order, from the entries n <= N
     of data and of the model, held over the whole grid."""
     lam = np.stack([data.lambdas[:N], cache.model_data.lambdas[:N]], axis=2)
     beta = np.stack([data.betas[:N], cache.model_data.betas[:N]], axis=2)
-    k = np.broadcast_to(np.array([1, 2])[:, None], lam.shape).ravel()
+    k, _ = index_families(N)
     lam, beta = lam.ravel(), beta.ravel()
     Z = (np.where(k == 1, -beta, beta)[:, None, None]
          * whole_grid_states(cache, SystemVariant.STAR, 4 - k, lam))
@@ -281,14 +292,14 @@ class WholeGridAssembly:
 
     def __init__(self, data, cache, N):
         data = data.truncate(N)
-        V = index_set(N)
+        k, eps = index_families(N)
         self.stars = whole_grid_star_states(cache, data, N)
-        j = np.array([v.k + 1 for v in V])
+        j = k + 1
         self.Y = whole_grid_states(cache, SystemVariant.DIRECT, j,
                                    self.stars.lam)
         self.kernel = whole_grid_kernel_factors(self.stars, self.Y,
                                                 self.stars.lam, j)
-        self.signs = _index_signs(V)
+        self.signs = np.where(eps == 0, 1.0, -1.0)
 
     def node_matrices(self, nodes=slice(None), w=None) -> np.ndarray:
         """inverse.MainAssembly.node_matrices from whole-grid factors."""

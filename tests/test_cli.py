@@ -646,14 +646,14 @@ def test_outputs_are_deterministic_and_reread_exactly(tmp_path, zero_csv,
 
 # Run in a fresh interpreter: the labelled CLI steps in argv (JSON, a
 # list of [label, argv]) in turn, and after the import and after each
-# step whether scipy.linalg and the LAPACK extension
-# scipy.linalg._flapack are loaded.
+# step whether scipy.linalg, the LAPACK extension scipy.linalg._flapack
+# and numpy.ma are loaded.
 _FRESH_RUN = """
 import json, sys
 from spectral3.cli import main
 def probe(label):
     return (label, "scipy.linalg" in sys.modules,
-            "scipy.linalg._flapack" in sys.modules)
+            "scipy.linalg._flapack" in sys.modules, "numpy.ma" in sys.modules)
 loaded = [probe("import")]
 for label, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
@@ -696,13 +696,14 @@ def test_lapack_loads_only_in_the_node_solve(tmp_path, zero_csv128,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    # (step, scipy.linalg loaded, scipy.linalg._flapack loaded): the
-    # extension comes with the first solve, scipy.linalg never
-    assert loaded == [["import", False, False],
-                      ["forward", False, False],
-                      ["verify spectral", False, False],
-                      ["inverse", False, True],
-                      ["verify weyl", False, True]]
+    # (step, scipy.linalg loaded, scipy.linalg._flapack loaded, numpy.ma
+    # loaded): the extension comes with the first solve, scipy.linalg
+    # and numpy.ma never
+    assert loaded == [["import", False, False, False],
+                      ["forward", False, False, False],
+                      ["verify spectral", False, False, False],
+                      ["inverse", False, True, False],
+                      ["verify weyl", False, True, False]]
     # the solves write what an in-process run does
     assert rec.read_bytes() == ref.read_bytes()
     assert weyl.read_bytes() == ref_weyl.read_bytes()

@@ -791,6 +791,19 @@ def test_weyl_batch_sweeps_only_the_family_it_reads(general_coeffs128,
             assert batch.shape == (1, general_coeffs128.grid.M + 1, 3)
 
 
+@pytest.mark.parametrize("variant", [SystemVariant.DIRECT, SystemVariant.STAR])
+def test_weyl_functions_take_no_lambdas(grid128, general_coeffs128, variant):
+    # an empty batch gives empty tables of the batch shapes, on a
+    # constant pair and on a general one
+    constant = CoefficientPair(GridFunction.constant(grid128, 0.3),
+                               GridFunction.constant(grid128, 0.0))
+    for coeffs in (constant, general_coeffs128):
+        assert weyl_matrix(coeffs, np.array([]), variant).shape == (0, 3, 3)
+        for k in (1, 2, 3):
+            batch = weyl_batch(coeffs, np.array([]), variant, k)
+            assert batch.shape == (0, grid128.M + 1, 3)
+
+
 def test_weyl_matrix_sweeps_both_families_once(general_coeffs128,
                                                sweep_calls):
     weyl_matrix(general_coeffs128, np.array([-30.0, 9.0 - 6.0j, 40.0j]))

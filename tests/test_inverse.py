@@ -9,17 +9,19 @@ from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.grid import (CoefficientPair, GridFunction, cumulative,
                             l2_norm, w2m1_distance)
 from spectral3 import inverse, model
-from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, IndexV, MainAssembly,
+from spectral3.inverse import (_NODE_BLOCK, _WEYL_TOL, MainAssembly,
                                StarStates, _bracket, _kernel_factors,
-                               _phiN_tables, _signs, assemble, index_set,
+                               _phiN_tables, assemble, index_set,
                                reconstruct, run_inverse, solve_phi,
                                stability_experiment, verify_spectral,
                                verify_weyl)
 from spectral3.model import ModelCache, build_model
 from spectral3.quasi import SystemVariant
+from spectral3.serialize import dumps17
 
-from helpers import (WholeGridAssembly, differentiate, whole_grid_bracket,
-                     whole_grid_kernel_factors, whole_grid_star_states)
+from helpers import (WholeGridAssembly, differentiate, index_families,
+                     whole_grid_bracket, whole_grid_kernel_factors,
+                     whole_grid_star_states)
 
 _VALID_KJ = {(2, 2), (2, 3), (3, 2), (3, 3)}
 
@@ -57,10 +59,22 @@ def cache4(smooth_data8, grid512):
 
 
 def test_index_set_order():
-    assert index_set(2) == [
-        IndexV(1, 1, 0), IndexV(1, 1, 1), IndexV(1, 2, 0), IndexV(1, 2, 1),
-        IndexV(2, 1, 0), IndexV(2, 1, 1), IndexV(2, 2, 0), IndexV(2, 2, 1),
+    V = index_set(2)
+    assert V.dtype.kind == "i"
+    assert V.tolist() == [
+        [1, 1, 0], [1, 1, 1], [1, 2, 0], [1, 2, 1],
+        [2, 1, 0], [2, 1, 1], [2, 2, 0], [2, 2, 1],
     ]
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 24])
+def test_index_set_has_4N_rows(N):
+    # the system size: perfbench notes len(assembly.V) as it
+    V = index_set(N)
+    assert V.shape == (4 * N, 3) and len(V) == 4 * N
+    k, eps = index_families(N)
+    assert np.array_equal(V[:, 1], k) and np.array_equal(V[:, 2], eps)
+    assert np.array_equal(V[:, 0], np.repeat(np.arange(1, N + 1), 4))
 
 
 def test_kernel_origin_values(cache4, grid512):
@@ -446,23 +460,23 @@ def _pairwise_A(data, cache, N):
     # the main-system matrix entry by entry from kernel_D above:
     # A[m, v0, v] = delta - (-1)^eps(v) G_{v,v0}(x_m)
     data_N = data.truncate(N)
-    V = index_set(N)
-    src = [data_N if v.eps == 0 else cache.model_data for v in V]
-    lam = [d.lam(v.n, v.k) for d, v in zip(src, V)]
-    beta = [d.beta(v.n, v.k) for d, v in zip(src, V)]
+    V = [(n, k, e) for n in range(1, N + 1) for k in (1, 2) for e in (0, 1)]
+    src = [data_N if e == 0 else cache.model_data for _, _, e in V]
+    lam = [d.lam(n, k) for d, (n, k, _) in zip(src, V)]
+    beta = [d.beta(n, k) for d, (n, k, _) in zip(src, V)]
     A = np.empty((cache.grid.M + 1, len(V), len(V)), dtype=complex)
-    for i, v in enumerate(V):
-        for i0, v0 in enumerate(V):
-            def D(k, regularized=False):
-                return kernel_D(cache, (k, v0.k + 1), lam[i], lam[i0],
+    for i, (n, k, e) in enumerate(V):
+        for i0, (_, k0, _) in enumerate(V):
+            def D(kk, regularized=False):
+                return kernel_D(cache, (kk, k0 + 1), lam[i], lam[i0],
                                 regularized=regularized).values
-            if v.eps == 0 and v.k == 2 and v.n in data_N.K:
-                G = beta[i] * D(2, True) - data_N.gamma[v.n] * D(3)
-            elif v.k == 2:
+            if e == 0 and k == 2 and n in data_N.K:
+                G = beta[i] * D(2, True) - data_N.gamma[n] * D(3)
+            elif k == 2:
                 G = beta[i] * D(2)
             else:
                 G = -beta[i] * D(3)
-            A[:, i0, i] = float(i == i0) - (-1.0) ** v.eps * G
+            A[:, i0, i] = float(i == i0) - (-1.0) ** e * G
     return A
 
 
@@ -694,6 +708,42 @@ def test_coinciding_pair_branches_run(smooth_data8, grid512):
         stability_experiment(d, grid512, 3)
 
 
+def test_regularized_rows_are_the_coinciding_data_rows(smooth_data8,
+                                                       grid512):
+    # exactly the rows (n, 2, 0) with n in K, each with its own gamma_n
+    d = _coinciding_data(smooth_data8)
+    two = d.copy()
+    two.lambdas[2, 1] = two.lambdas[2, 0]
+    two.betas[2, 0] = 0.0
+    two = type(d)(theta=d.theta, lambdas=two.lambdas, betas=two.betas,
+                  K=[1, 3], gamma={1: 1.0, 3: 2.5})
+    for data, N in ((d, 3), (two, 4)):
+        stars = assemble(data, build_model(data, grid512, N), N).stars
+        V = index_set(N)
+        want = [v for v in V.tolist() if v[1:] == [2, 0] and v[0] in data.K]
+        assert V[stars.regularized].tolist() == want
+        assert stars.gamma.tolist() == [data.gamma[n] for n, _, _ in want]
+
+
+def test_verify_weyl_breach_labels_are_the_V_rows(result4, monkeypatch):
+    # a tolerance every check breaches: the terminal checks name each n of
+    # the data, the interpolation check each row of V, as plain ints
+    monkeypatch.setattr(inverse, "_WEYL_TOL", 1e-300)
+    report = verify_weyl(result4)
+    assert not report["pass"]
+    V = result4.assembly.V
+    for check in ("phi2_terminal", "phi3_terminal"):
+        ns = [b["n"] for b in report["breaches"] if b["check"] == check]
+        assert ns == [1, 2, 3, 4]
+        assert all(type(n) is int for n in ns)
+    vs = [b["v"] for b in report["breaches"]
+          if b["check"] == "interpolation"]
+    assert [list(v) for v in vs] == V.tolist()
+    assert all(type(i) is int for v in vs for i in v)
+    text = dumps17(report)
+    assert '"v": [1, 1, 0]' in text and '"v": [4, 2, 1]' in text
+
+
 def test_verify_spectral_passes(result4, smooth_data8):
     report = verify_spectral(result4.coeffs, smooth_data8, 4)
     assert report["pass"], report
@@ -758,7 +808,8 @@ def _phiN_reference(result, cache, stars, k0, lams):
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     tilde = cache.rows(SystemVariant.DIRECT, k0, lams).take()
     P = whole_grid_bracket(whole_grid_kernel_factors(stars, tilde, lams, k0))
-    signs = _signs(result.assembly.V)[:, None]
+    _, eps = index_families(result.assembly.N)
+    signs = np.where(eps == 0, 1.0, -1.0)[:, None]
     vals = tilde[:, :, 0] + np.einsum("vm,mwv->wm", signs * result.phi, P)
     dvals = (tilde[:, :, 1] + np.einsum("vm,mwv->wm", signs * result.dphi, P)
              + tilde[:, :, 0] * (signs * result.phi * stars.Z[:, :, 0]).sum(
@@ -771,7 +822,7 @@ def _verify_weyl_seven_calls(result, data, N):
     # the data and seven Phi^N tables, one per check and lambda batch
     cache = result.assembly.cache
     stars = whole_grid_star_states(cache, data, N)
-    V = result.assembly.V
+    V = [(n, k, e) for n in range(1, N + 1) for k in (1, 2) for e in (0, 1)]
     checks = {"mode": "weyl"}
     breaches = []
     for k0, lams in ((2, data.lambdas[:N, 0]), (3, data.lambdas[:N, 1])):
@@ -783,7 +834,7 @@ def _verify_weyl_seven_calls(result, data, N):
                 breaches.append({"check": check, "n": n, "value": r})
         checks[check + "_max"] = rel.max()
     rel = np.empty(len(V))
-    j = np.array([v.k + 1 for v in V])
+    j = np.array([k + 1 for _, k, _ in V])
     for k0 in (2, 3):
         vals, _ = _phiN_reference(result, cache, stars, k0,
                                   stars.lam[j == k0])
@@ -792,7 +843,7 @@ def _verify_weyl_seven_calls(result, data, N):
                         / (1.0 + np.abs(phi).max(axis=1)))
     for v, r in zip(V, rel):
         if r > _WEYL_TOL:
-            breaches.append({"check": "interpolation", "v": tuple(v),
+            breaches.append({"check": "interpolation", "v": v,
                              "value": r})
     checks["interpolation_max"] = rel.max()
     lam_probe = 0.7j * abs(cache.model_data.lam(1, 1))

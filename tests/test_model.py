@@ -89,7 +89,7 @@ def test_eta_vanishes_at_origin(assembly8):
 
 
 def test_eta_derivative_consistent(assembly8):
-    i = assembly8.V.index((3, 1, 1))
+    i = assembly8.V.tolist().index([3, 1, 1])
     eta, deta = assembly8.eta[i], assembly8.deta[i]
     g = GridFunction(assembly8.grid, eta)
     num = differentiate(g).values
@@ -188,7 +188,7 @@ def test_eta_recomputed_for_foreign_data(cache8, assembly8, smooth_data8):
     other = smooth_data8.copy()
     other.betas[0, 0] *= 2.0
     foreign = assemble(other, cache8, 8)
-    i = assembly8.V.index((1, 1, 0))
+    i = assembly8.V.tolist().index([1, 1, 0])
     eta0, deta0 = assembly8.eta[i], assembly8.deta[i]
     eta2, deta2 = foreign.eta[i], foreign.deta[i]
     assert np.abs(eta2 - 2.0 * eta0).max() < 1e-12 * (1.0 + np.abs(eta0).max())
