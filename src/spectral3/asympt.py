@@ -36,6 +36,7 @@ __all__ = [
     "validate_condition1",
     "coincide",
     "COINCIDE_TOL",
+    "clause", "clause_table",
     "root_rates",
 ]
 
@@ -178,48 +179,49 @@ def coincide(a, b, tol: float = COINCIDE_TOL):
     return np.hypot(d.real, d.imag) <= tol * (1.0 + np.hypot(a.real, a.imag))
 
 
+def clause(offenders: list, **figures) -> dict:
+    """A clause of a condition report, passed when it has no offenders."""
+    return {"pass": not offenders, "offenders": offenders, **figures}
+
+
+def clause_table(clauses: dict) -> dict:
+    """The one shape of every condition report: its clauses by name and
+    whether all pass."""
+    return {"clauses": clauses,
+            "pass": all(c["pass"] for c in clauses.values())}
+
+
 def validate_condition1(data, frame: AsymptoticFrame | None = None) -> dict:
     """Report on the structural conditions the inverse theory assumes.
 
     Clauses: eigenvalues distinct within each family; cross-family
     collisions only at paired indices (the set K); beta_{n,1}beta_{n,2}
     vanishing exactly on K; gamma nonzero on K; remainder decay.
-    Report-only: each clause carries a pass flag and offenders.  The
-    decay clause reads frame, extract_remainders(data) of a caller that
-    has it already, or extracts it here.
+    Report-only, a clause_table: each clause carries a pass flag and
+    offenders, the decay clause its figures (or an error) instead; it
+    reads frame, extract_remainders(data) of a caller that has it, or
+    extracts it here.
     """
-    N = data.n_max
-    clauses: dict = {}
-
-    lam = data.lambdas
+    N, lam = data.n_max, data.lambdas
     # (family, i, j) with i < j: argwhere lists family 1 first
     same = np.triu(coincide(lam.T[:, :, None], lam.T[:, None, :]), 1)
-    offenders = [(int(i) + 1, int(j) + 1, int(k) + 1)
-                 for k, i, j in np.argwhere(same)]
-    clauses["distinct_within_family"] = {
-        "pass": not offenders, "offenders": offenders}
-
-    offenders = [(int(n) + 1, int(p) + 1) for n, p in np.argwhere(
-        coincide(lam[:, 0, None], lam[:, 1]) & ~np.eye(N, dtype=bool))]
-    clauses["pairing"] = {"pass": not offenders, "offenders": offenders}
-
-    prod_zero = data.betas[:, 0] * data.betas[:, 1] == 0
-    off_K = prod_zero != np.isin(np.arange(1, N + 1), data.K)
-    offenders = [int(n) + 1 for n in np.flatnonzero(off_K)]
-    clauses["beta_product_on_K"] = {"pass": not offenders, "offenders": offenders}
-
-    offenders = [n for n in data.K if data.gamma[n] == 0]
-    clauses["gamma_nonzero"] = {"pass": not offenders, "offenders": offenders}
-
+    cross = coincide(lam[:, 0, None], lam[:, 1]) & ~np.eye(N, dtype=bool)
+    off_K = ((data.betas[:, 0] * data.betas[:, 1] == 0)
+             != np.isin(np.arange(1, N + 1), data.K))
+    clauses = {
+        "distinct_within_family": clause([(int(i) + 1, int(j) + 1, int(k) + 1)
+                                          for k, i, j in np.argwhere(same)]),
+        "pairing": clause([(int(n) + 1, int(p) + 1)
+                           for n, p in np.argwhere(cross)]),
+        "beta_product_on_K": clause([int(n) + 1
+                                     for n in np.flatnonzero(off_K)]),
+        "gamma_nonzero": clause([n for n in data.K if data.gamma[n] == 0]),
+    }
     try:
-        if frame is None:
-            frame = extract_remainders(data)
-        decay = {"pass": bool(frame.tail_max <= 0.5),
-                 "tail_max": frame.tail_max,
-                 "decay_slope": frame.decay_slope}
+        frame = extract_remainders(data) if frame is None else frame
+        clauses["remainder_decay"] = {"pass": bool(frame.tail_max <= 0.5),
+                                      "tail_max": frame.tail_max,
+                                      "decay_slope": frame.decay_slope}
     except BranchAmbiguityError as exc:
-        decay = {"pass": False, "error": str(exc)}
-    clauses["remainder_decay"] = decay
-
-    return {"clauses": clauses,
-            "pass": all(c["pass"] for c in clauses.values())}
+        clauses["remainder_decay"] = {"pass": False, "error": str(exc)}
+    return clause_table(clauses)

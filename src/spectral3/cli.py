@@ -10,8 +10,9 @@ codes map onto the solver error taxonomy:
     2  eigenvalue search or other solver failure (index context in the
        message)
     3  singular main-equation system
-    4  admissibility violation (model collides with data, or the input
-       data itself fails validation and --force was not given)
+    4  admissibility violation (model collides with data, or the
+       --data of inverse, stability or verify --mode weyl fails a
+       structural clause of condition 1; inverse --force bypasses this)
 
 Flags can also come from files: an argument @FILE expands in place to
 the 'key = value' lines of FILE (see _Parser), so several files all
@@ -94,20 +95,21 @@ def _is_selfadjoint_class(coeffs: CoefficientPair) -> bool:
             and np.abs(s0.real).max() <= 1e-12 * (1.0 + np.abs(s0).max()))
 
 
-def _validate_input_data(data: SpectralData) -> dict:
-    """Gate the inverse run on the structural data clauses."""
-    report = validate_condition1(data)
-    structural = ("distinct_within_family", "pairing", "beta_product_on_K",
-                  "gamma_nonzero")
-    bad = [name for name in structural
-           if not report["clauses"][name]["pass"]]
-    if bad:
-        offenders = {name: report["clauses"][name]["offenders"]
-                     for name in bad}
+def _read_data(path, force: bool | None) -> tuple[SpectralData, dict]:
+    """The spectral data of --data and their validate_condition1 table.
+    Data failing a structural clause (all but remainder_decay) are
+    refused, exit 4, unless force is True; False names inverse's --force,
+    None (a command with no bypass) names nothing."""
+    data = load_spectral_data(path)
+    table = validate_condition1(data)
+    bad = {name: c["offenders"] for name, c in table["clauses"].items()
+           if name != "remainder_decay" and not c["pass"]}
+    if bad and not force:
         raise AdmissibilityViolationError(
-            0, "input spectral data failed validation: %s "
-               "(rerun with --force to bypass)" % offenders)
-    return report
+            0, "input spectral data failed validation: %s%s"
+               % (bad, "" if force is None
+                  else " (rerun with --force to bypass)"))
+    return data, table
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +142,7 @@ def cmd_forward(args) -> int:
 
 def cmd_inverse(args) -> int:
     grid = _grid(args.grid)
-    data = load_spectral_data(args.data)
-    if not args.force:
-        _validate_input_data(data)
+    data, table = _read_data(args.data, args.force)
     res = run_inverse(data, grid, args.big_n)
     write_coefficients(args.out, res.coeffs)
     print("inverse: wrote %s (N=%d, d=%.6g, rcond_min=%.3g)"
@@ -150,7 +150,7 @@ def cmd_inverse(args) -> int:
              res.diagnostics.get("rcond_min", float("nan"))))
     if args.diag:
         with open(args.diag, "w") as fh:
-            fh.write(dumps17(res.diagnostics))
+            fh.write(dumps17(dict(res.diagnostics, validation=table)))
         print("inverse: diagnostics in %s" % args.diag)
     return 0
 
@@ -189,7 +189,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_stability(args) -> int:
     grid = _grid(args.grid)
-    data = load_spectral_data(args.data)
+    data, _ = _read_data(args.data, None)
     N = args.big_n if args.big_n is not None else data.n_max
     entries = ({} if args.perturb is None else
                {"entries": tuple(_parse_perturb(s) for s in args.perturb)})
@@ -210,7 +210,8 @@ def cmd_stability(args) -> int:
 
 def cmd_verify(args) -> int:
     grid = _grid(args.grid)
-    data = load_spectral_data(args.data)
+    # mode=spectral runs no inverse on the data: it refuses nothing
+    data, _ = _read_data(args.data, True if args.mode == "spectral" else None)
     N = args.big_n if args.big_n is not None else data.n_max
     # both modes read the entries n <= N only; a bad N is refused here,
     # before the mode's own flags are checked
@@ -310,7 +311,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output coefficient CSV")
     p.add_argument("--diag", default=None, help="diagnostics JSON path")
     p.add_argument("--force", action="store_true",
-                   help="skip input-data validation")
+                   help="run on data failing condition 1's clauses")
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("roundtrip", help="forward -> inverse -> forward table")

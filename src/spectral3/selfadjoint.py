@@ -3,11 +3,9 @@
 For real tau1 and purely imaginary sigma0 the two spectra pair up as
 lambda_{n,1} = -conj(lambda_{n,2}) with beta_{n,1} = -conj(beta_{n,2}),
 so family 1 (column 0 of SpectralData's tables) determines the rest.
-complete() rebuilds family 2 from family 1 of a SpectralData, and the
-check_* helpers report how well given data satisfies the symmetry (both
-columns compared at once) and the sufficiency preconditions.
-Sufficiency is condition 1 of the completed data
-(asympt.validate_condition1) plus Re lambda_n >= 0 and gamma_n > 0.
+complete() rebuilds family 2 from family 1 of a SpectralData.  The
+check_* helpers report, as clause tables (asympt.clause_table), how well
+given data satisfy the symmetry and the sufficiency preconditions.
 
 Coinciding pairs in this class sit on the imaginary axis (lambda must
 equal -conj(lambda)), carry beta = 0 on both sides, and a positive
@@ -26,6 +24,11 @@ __all__ = ["complete", "check_suff_conditions", "check_symmetry"]
 _SYM_TOL = 1e-8
 
 
+def _imag_dev(z) -> float:
+    """|Im z| / (1 + |z|): how far z is from real, against _SYM_TOL."""
+    return abs(z.imag) / (1.0 + abs(z))
+
+
 def complete(data: SpectralData) -> SpectralData:
     """The two-family spectral data that family 1 of data determines.
 
@@ -35,12 +38,12 @@ def complete(data: SpectralData) -> SpectralData:
     data is not read.  theta and each gamma must be real (within
     _SYM_TOL) and are stored with zero imaginary parts.
     """
-    if abs(data.theta.imag) > _SYM_TOL * (1.0 + abs(data.theta)):
+    if _imag_dev(data.theta) > _SYM_TOL:
         raise ValueError("theta must be real for self-adjoint data, got %s"
                          % (data.theta,))
     for n in data.K:
         g = data.gamma[n]
-        if abs(g.imag) > _SYM_TOL * (1.0 + abs(g)):
+        if _imag_dev(g) > _SYM_TOL:
             raise ValueError("gamma at n=%d is not real: %s" % (n, g))
     lam1, beta1 = data.lambdas[:, 0], data.betas[:, 0]
     lambdas = np.stack([lam1, _mirror(lam1)], axis=1)
@@ -59,26 +62,25 @@ def complete(data: SpectralData) -> SpectralData:
 
 
 def check_symmetry(data: SpectralData) -> dict:
-    """Measure the self-adjoint pairing of full spectral data."""
-    # max over n of |x_{n,1} + conj(x_{n,2})| / (1 + |x_{n,1}|)
-    lam_dev, beta_dev = (
-        float(np.max(np.abs(a + np.conj(b)) / (1.0 + np.abs(a)), initial=0.0))
-        for a, b in (data.lambdas.T, data.betas.T))
-    gamma_dev = 0.0
-    for n in data.K:
-        g = data.gamma[n]
-        gamma_dev = max(gamma_dev, abs(g.imag) / (1.0 + abs(g)))
-    theta_dev = abs(data.theta.imag) / (1.0 + abs(data.theta))
-    report = {
-        "lambda_max": lam_dev,
-        "beta_max": beta_dev,
-        "gamma_imag_max": gamma_dev,
-        "theta_imag": theta_dev,
-        "tol": _SYM_TOL,
-    }
-    report["pass"] = all(v <= _SYM_TOL for v in
-                         (lam_dev, beta_dev, gamma_dev, theta_dev))
-    return report
+    """Report on the self-adjoint pairing of full spectral data: a
+    clause_table of lambda_mirror and beta_mirror (|x_{n,1} +
+    conj(x_{n,2})| / (1 + |x_{n,1}|), offenders n), gamma_real and
+    theta_real (_imag_dev; gamma's offenders are n in K), each with its
+    max deviation and failing above _SYM_TOL."""
+    def mirror(a, b):
+        return np.abs(a + np.conj(b)) / (1.0 + np.abs(a))
+
+    ns = np.arange(1, data.n_max + 1)
+    devs = {"lambda_mirror": (ns, mirror(*data.lambdas.T)),
+            "beta_mirror": (ns, mirror(*data.betas.T)),
+            "gamma_real": (data.K, [_imag_dev(data.gamma[n]) for n in data.K])}
+    clauses = {name: asympt.clause(
+        [int(n) for n, d in zip(idx, dev) if d > _SYM_TOL],
+        max=float(np.max(dev, initial=0.0)))
+        for name, (idx, dev) in devs.items()}
+    theta_dev = _imag_dev(data.theta)
+    clauses["theta_real"] = {"pass": theta_dev <= _SYM_TOL, "max": theta_dev}
+    return asympt.clause_table(clauses)
 
 
 def check_suff_conditions(data: SpectralData) -> dict:
@@ -90,20 +92,16 @@ def check_suff_conditions(data: SpectralData) -> dict:
     each lambda_p with the mirrors -conj(lambda_n), and beta_{n,1} *
     beta_{n,2} = -|beta_n|^2 vanishes exactly where beta_n does), plus
     Re lambda_{n,1} >= 0 up to the coincidence tolerance and gamma_n > 0
-    on K.  The report has validate_condition1's shape: "pass" overall
-    and, per clause, "pass" and "offenders".
+    on K.  The report is a clause_table, as validate_condition1's is.
     """
     full = complete(data)
-    report = asympt.validate_condition1(full)
-    clauses = report["clauses"]
+    clauses = asympt.validate_condition1(full)["clauses"]
     lam = data.lambdas[:, 0]
     # lambda_n counts as on the imaginary axis when it coincides with
     # its projection there
     left = (lam.real < 0) & ~asympt.coincide(lam, 1j * lam.imag)
-    offenders = [int(i) + 1 for i in np.flatnonzero(left)]
-    clauses["re_lambda_nonneg"] = {"pass": not offenders,
-                                   "offenders": offenders}
-    offenders = [n for n in full.K if not full.gamma[n].real > 0]
-    clauses["gamma_positive"] = {"pass": not offenders, "offenders": offenders}
-    report["pass"] = all(c["pass"] for c in clauses.values())
-    return report
+    clauses["re_lambda_nonneg"] = asympt.clause(
+        [int(i) + 1 for i in np.flatnonzero(left)])
+    clauses["gamma_positive"] = asympt.clause(
+        [n for n in full.K if not full.gamma[n].real > 0])
+    return asympt.clause_table(clauses)

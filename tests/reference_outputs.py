@@ -14,7 +14,10 @@ new deviation in CHANGES.md.
 
     PYTHONPATH=src python tests/reference_outputs.py --check
 
-reruns the same commands as the test does and prints, file by file,
+reruns the same commands as the test does and prints, after a first
+line naming the BLAS thread settings it ran under (OPENBLAS_NUM_THREADS
+and OMP_NUM_THREADS, as set or unset: several pinned files move with
+the thread count), file by file,
 whether its bytes equal the pinned file, and for a file that differs
 the largest deviation of its numbers as a fraction of the tolerance
 tests/test_reference.py allows it (above 1: the test fails), with where
@@ -90,6 +93,9 @@ def check() -> int:
         with open(path, "rb") as f:
             return f.read()
 
+    print("BLAS threads: " + ", ".join(
+        "%s=%s" % (var, os.environ.get(var, "unset"))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")))
     names = sorted(os.listdir(REFERENCE))
     differ = 0
     with tempfile.TemporaryDirectory() as out:

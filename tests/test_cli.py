@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+from spectral3.asympt import validate_condition1
 from spectral3.cli import _build_parser, main
 from spectral3.forward import load_spectral_data, save_spectral_data
 from spectral3.grid import (CoefficientPair, read_coefficients,
                             write_coefficients)
+from spectral3.serialize import dumps17
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,56 @@ def test_inverse_rejects_K_index_out_of_range(tmp_path, smooth_data8, ns,
     err = capsys.readouterr().err
     assert err.startswith("spectral3:") and message in err
     assert not (tmp_path / "rec.csv").exists()
+
+
+def _duplicate_lambda_file(tmp_path):
+    """The pinned forward_n8.json cut to N = 4, with lambda_{2,1} set to
+    lambda_{1,1}: it fails the distinct_within_family clause."""
+    data = load_spectral_data(os.path.join(
+        os.path.dirname(__file__), "reference", "forward_n8.json")).truncate(4)
+    data.lambdas[1, 0] = data.lambdas[0, 0]
+    path = tmp_path / "dup.json"
+    save_spectral_data(path, data)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["stability", "verify"])
+def test_every_inverse_on_data_refuses_inadmissible_data(tmp_path, capsys,
+                                                         command):
+    # the inverse's gate, without the --force that only inverse has
+    out = tmp_path / "o"
+    extra = ["--mode", "weyl"] if command == "verify" else []
+    rc = main([command, "--data", _duplicate_lambda_file(tmp_path),
+               "--out", str(out)] + extra)
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "distinct_within_family" in err and "--force" not in err
+    assert not out.exists()
+
+
+def test_verify_spectral_reads_inadmissible_data(tmp_path, zero_csv):
+    # it runs no inverse on --data, only compares a spectrum with it
+    out = tmp_path / "v.json"
+    assert main(["verify", "--data", _duplicate_lambda_file(tmp_path),
+                 "--rec", zero_csv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is False
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_inverse_diag_writes_the_condition1_table(tmp_path, smooth_json,
+                                                  force):
+    # under --force too, where the table records what was bypassed
+    data = _duplicate_lambda_file(tmp_path) if force else smooth_json
+    diag = tmp_path / "diag.json"
+    assert main(["inverse", "--data", data, "--big-n", "4", "--out",
+                 str(tmp_path / "rec.csv"), "--diag", str(diag)]
+                + ["--force"] * force) == 0
+    table = json.loads(diag.read_text())["validation"]
+    assert table == json.loads(dumps17(validate_condition1(
+        load_spectral_data(data))))
+    assert table["pass"] is not force
+    assert (table["clauses"]["distinct_within_family"]["offenders"]
+            == ([[1, 2, 1]] if force else []))
 
 
 def test_inverse_force_on_clean_data(tmp_path, smooth_json):

@@ -1161,7 +1161,8 @@ def test_forward_json_of_a_selfadjoint_pair_equals_the_two_family_search(
                      "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     report = json.loads(outs[0].read_text())["diagnostics"]["symmetry"]
-    assert report["lambda_max"] == 0.0 and report["beta_max"] == 0.0
+    assert (report["clauses"]["lambda_mirror"]["max"] == 0.0
+            and report["clauses"]["beta_mirror"]["max"] == 0.0)
 
 
 @pytest.mark.parametrize("field", ["tau1", "sigma0"])
@@ -1170,7 +1171,7 @@ def test_a_pair_just_off_the_class_searches_both_families(
     # 1e-14 off the class at one node: Newton's first sweep, of Taylor
     # order 2, carries both families, n_max lambdas each, where the exact
     # pair's carries one; the CLI, which admits the class within 1e-12,
-    # still reports the symmetry it measures (beta_max 1.1e-17 and
+    # still reports the symmetry it measures (beta_mirror's max 1.1e-17 and
     # 5.3e-16 measured)
     tau1 = smooth_coeffs.tau1.values.copy()
     sigma0 = smooth_coeffs.sigma0.values.copy()
@@ -1189,7 +1190,7 @@ def test_a_pair_just_off_the_class_searches_both_families(
     assert main(["forward", "--coeffs", csv, "--n-max", "6",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())["diagnostics"]["symmetry"]
-    assert report["pass"] and report["beta_max"] > 0.0
+    assert report["pass"] and report["clauses"]["beta_mirror"]["max"] > 0.0
 
 
 

@@ -16,7 +16,9 @@ from the dtype and the moves recorded so far:
   1e-12 n_max^2 and the fitted decay_slope at 1e-6.  In --diag, xi_n at
   1e-13 s_n with s_n = sum_k |lambda_nk| / n^2 + |beta_nk| / n^3 of the
   data, d at 1e-13 of the data's own weighted norm (also in the
-  stability CSV), and xi_weighted at the bound these give;
+  stability CSV), xi_weighted at the bound these give, and the data's
+  condition-1 table (validation) with the forward bounds of tail_max
+  and decay_slope, every other entry exact;
 - the reconstructed tau1N and sigma0N (rec.csv): each as a complex
   array, within 1e-8 of its own max modulus;
 - the node solve: rcond_min and cond_max to a relative 1e-8,
@@ -111,6 +113,12 @@ def _data_scales(data: dict, N: int):
     return s, float(np.sqrt(np.sum((lam / n + beta / n ** 2) ** 2)))
 
 
+def decay_bound(key, n_max: int) -> float:
+    """The bound of a forward remainder figure, tail_max or decay_slope,
+    of data up to n_max; 0 for any other key."""
+    return {"tail_max": 1e-12 * n_max ** 2, "decay_slope": 1e-6}.get(key, 0.0)
+
+
 def forward_items(name, got_dir, ref_dir):
     got, ref = _json(got_dir, name), _json(ref_dir, name)
     n_max = ref["n_max"]
@@ -120,17 +128,12 @@ def forward_items(name, got_dir, ref_dir):
             return REL_FORWARD * _modulus(ref["entries"][path[1]][path[2]])
         if path[0] == "theta":
             return REL_FORWARD * _modulus(ref["theta"])
-        key = path[-1]
         if path[1:3] in (("asymptotics", "kappa_abs"),
                          ("asymptotics", "kappa1_abs")):
             return 1e-12 * (path[3] + 1) ** 2
-        if key == "tail_max":
-            return 1e-12 * n_max ** 2
-        if key == "decay_slope":
-            return 1e-6
         if path[1:2] == ("symmetry",):
             return REL_FORWARD
-        return 0.0
+        return decay_bound(path[-1], n_max)
 
     yield from number_items(got, ref, tol)
 
@@ -149,7 +152,8 @@ def rec_items(name, got_dir, ref_dir):
 def diag_items(name, got_dir, ref_dir):
     got, ref = _json(got_dir, name), _json(ref_dir, name)
     N = len(ref["xi"])
-    s, norm = _data_scales(_json(ref_dir, forward_name(24)), N)
+    data = _json(ref_dir, forward_name(24))
+    s, norm = _data_scales(data, N)
     xi = np.array(ref["xi"])
     n = np.arange(1, N + 1)
     bounds = {
@@ -164,6 +168,8 @@ def diag_items(name, got_dir, ref_dir):
     }
 
     def tol(path):
+        if path[0] == "validation":   # the condition-1 table of the data
+            return decay_bound(path[-1], data["n_max"])
         bound = bounds[path[0]]
         return bound[path[1]] if path[0] == "xi" else bound
 

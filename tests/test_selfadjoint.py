@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectral3.asympt import validate_condition1
 from spectral3.forward import SpectralData, compute_spectral_data
 from spectral3.selfadjoint import (check_suff_conditions, check_symmetry,
                                    complete)
@@ -9,21 +10,22 @@ from spectral3.selfadjoint import (check_suff_conditions, check_symmetry,
 def test_symmetric_data_passes_symmetry_check(smooth_data20):
     rep = check_symmetry(smooth_data20)
     assert rep["pass"]
-    assert rep["lambda_max"] < 1e-10
-    assert rep["beta_max"] < 1e-10
-    assert rep["theta_imag"] < 1e-12
+    clauses = rep["clauses"]
+    assert clauses["lambda_mirror"]["max"] < 1e-10
+    assert clauses["beta_mirror"]["max"] < 1e-10
+    assert clauses["theta_real"]["max"] < 1e-12
 
 
 def _symmetry_per_entry(data):
-    """(lambda_max, beta_max) of check_symmetry from its formula, one n at
-    a time: the reference the table version is held to."""
-    lam_dev = beta_dev = 0.0
+    """The lambda and beta deviations of check_symmetry from its formula,
+    one n at a time: the reference the table version is held to."""
+    lam_devs, beta_devs = [], []
     for n in range(1, data.n_max + 1):
         l1, l2 = data.lam(n, 1), data.lam(n, 2)
         b1, b2 = data.beta(n, 1), data.beta(n, 2)
-        lam_dev = max(lam_dev, abs(l1 + np.conj(l2)) / (1.0 + abs(l1)))
-        beta_dev = max(beta_dev, abs(b1 + np.conj(b2)) / (1.0 + abs(b1)))
-    return lam_dev, beta_dev
+        lam_devs.append(abs(l1 + np.conj(l2)) / (1.0 + abs(l1)))
+        beta_devs.append(abs(b1 + np.conj(b2)) / (1.0 + abs(b1)))
+    return lam_devs, beta_devs
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-9, 0.01])
@@ -33,10 +35,12 @@ def test_check_symmetry_matches_per_entry_formula(sample_data30,
         d = data.copy()
         d.lambdas[2, 1] += shift
         d.betas[-1, 0] -= 2.0 * shift
-        rep = check_symmetry(d)
-        for got, want in zip((rep["lambda_max"], rep["beta_max"]),
-                             _symmetry_per_entry(d)):
-            assert abs(got - want) <= 1e-13 * want
+        clauses = check_symmetry(d)["clauses"]
+        for name, devs in zip(("lambda_mirror", "beta_mirror"),
+                              _symmetry_per_entry(d)):
+            assert abs(clauses[name]["max"] - max(devs)) <= 1e-13 * max(devs)
+            assert clauses[name]["offenders"] == [
+                n for n, dev in enumerate(devs, 1) if dev > 1e-8]
 
 
 def test_broken_symmetry_is_flagged(smooth_data8):
@@ -44,7 +48,38 @@ def test_broken_symmetry_is_flagged(smooth_data8):
     d.lambdas[0, 0] += 0.01
     rep = check_symmetry(d)
     assert not rep["pass"]
-    assert rep["lambda_max"] > 1e-8
+    assert rep["clauses"]["lambda_mirror"]["max"] > 1e-8
+    assert rep["clauses"]["lambda_mirror"]["offenders"] == [1]
+
+
+def _broken(data):
+    """data with lambda_{2,1} moved onto lambda_{1,1}: a clause of each
+    condition report fails."""
+    d = data.copy()
+    d.lambdas[1, 0] = d.lambdas[0, 0]
+    return d
+
+
+@pytest.mark.parametrize("report", [validate_condition1, check_symmetry,
+                                    check_suff_conditions])
+@pytest.mark.parametrize("broken", [False, True])
+def test_condition_reports_have_one_shape(smooth_data20, report, broken):
+    table = report(_broken(smooth_data20) if broken else smooth_data20)
+    assert table.keys() == {"clauses", "pass"}
+    assert all(type(c["pass"]) is bool for c in table["clauses"].values())
+    assert table["pass"] == all(c["pass"] for c in table["clauses"].values())
+    assert table["pass"] is not broken
+
+
+def test_a_moved_beta_is_a_beta_mirror_offender(smooth_data20):
+    # beta_{3,2} moved by a relative 1e-6, far above the 1e-8 tolerance
+    d = smooth_data20.copy()
+    d.betas[2, 1] *= 1.0 + 1e-6
+    clauses = check_symmetry(d)["clauses"]
+    assert clauses["beta_mirror"]["offenders"] == [3]
+    assert 0.9e-6 < clauses["beta_mirror"]["max"] < 1.1e-6
+    assert all(clauses[name]["pass"] for name in
+               ("lambda_mirror", "gamma_real", "theta_real"))
 
 
 def _bytes(data):
