@@ -11,8 +11,9 @@ codes map onto the solver error taxonomy:
        message)
     3  singular main-equation system
     4  admissibility violation (model collides with data, or the
-       --data of inverse, stability or verify --mode weyl fails a
-       structural clause of condition 1; inverse --force bypasses this)
+       entries n <= N of the --data of inverse, stability or verify
+       --mode weyl fail a structural clause of condition 1; inverse
+       --force bypasses this)
 
 Flags can also come from files: an argument @FILE expands in place to
 the 'key = value' lines of FILE (see _Parser), so several files all
@@ -95,21 +96,26 @@ def _is_selfadjoint_class(coeffs: CoefficientPair) -> bool:
             and np.abs(s0.real).max() <= 1e-12 * (1.0 + np.abs(s0).max()))
 
 
-def _read_data(path, force: bool | None) -> tuple[SpectralData, dict]:
-    """The spectral data of --data and their validate_condition1 table.
-    Data failing a structural clause (all but remainder_decay) are
-    refused, exit 4, unless force is True; False names inverse's --force,
-    None (a command with no bypass) names nothing."""
+def _read_data(path, big_n: int | None,
+               force: bool | None) -> tuple[SpectralData, int, dict]:
+    """The entries n <= N of the spectral data of --data, N and their
+    validate_condition1 table.  N is --big-n, else the data's n_max, and
+    a bad one is refused, exit 1.  Entries failing a structural clause
+    (all but remainder_decay) are refused, exit 4, unless force is True;
+    False names inverse's --force, None (a command with no bypass) names
+    nothing."""
     data = load_spectral_data(path)
+    N = data.n_max if big_n is None else big_n
+    data = data.truncate(N)
     table = validate_condition1(data)
     bad = {name: c["offenders"] for name, c in table["clauses"].items()
            if name != "remainder_decay" and not c["pass"]}
     if bad and not force:
         raise AdmissibilityViolationError(
-            0, "input spectral data failed validation: %s%s"
+            1, "input spectral data failed validation: %s%s"
                % (bad, "" if force is None
                   else " (rerun with --force to bypass)"))
-    return data, table
+    return data, N, table
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +148,11 @@ def cmd_forward(args) -> int:
 
 def cmd_inverse(args) -> int:
     grid = _grid(args.grid)
-    data, table = _read_data(args.data, args.force)
-    res = run_inverse(data, grid, args.big_n)
+    data, N, table = _read_data(args.data, args.big_n, args.force)
+    res = run_inverse(data, grid, N)
     write_coefficients(args.out, res.coeffs)
     print("inverse: wrote %s (N=%d, d=%.6g, rcond_min=%.3g)"
-          % (args.out, args.big_n, res.diagnostics.get("d", float("nan")),
+          % (args.out, N, res.diagnostics.get("d", float("nan")),
              res.diagnostics.get("rcond_min", float("nan"))))
     if args.diag:
         with open(args.diag, "w") as fh:
@@ -189,8 +195,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_stability(args) -> int:
     grid = _grid(args.grid)
-    data, _ = _read_data(args.data, None)
-    N = args.big_n if args.big_n is not None else data.n_max
+    data, N, _ = _read_data(args.data, args.big_n, None)
     entries = ({} if args.perturb is None else
                {"entries": tuple(_parse_perturb(s) for s in args.perturb)})
     deltas = ([float(t) for t in args.deltas.split(",")]
@@ -210,25 +215,18 @@ def cmd_stability(args) -> int:
 
 def cmd_verify(args) -> int:
     grid = _grid(args.grid)
-    # mode=spectral runs no inverse on the data: it refuses nothing
-    data, _ = _read_data(args.data, True if args.mode == "spectral" else None)
-    N = args.big_n if args.big_n is not None else data.n_max
-    # both modes read the entries n <= N only; a bad N is refused here,
-    # before the mode's own flags are checked
-    data = data.truncate(N)
+    # mode=spectral runs no inverse on the data: it refuses nothing; a
+    # bad N is refused before the mode's own flags are checked
+    data, N, _ = _read_data(args.data, args.big_n,
+                            True if args.mode == "spectral" else None)
     if args.mode == "spectral":
         if not args.rec:
             raise ValueError("--rec is required for mode=spectral")
-        rtol = {} if args.rtol is None else {"rtol": args.rtol}
-        report = verify_spectral(_load_coeffs(args.rec, grid), data, N,
-                                 **rtol)
+        report = verify_spectral(_load_coeffs(args.rec, grid), data, N)
     else:
         if args.rec:   # a coefficient CSV holds no phi tables to check
             raise ValueError("--rec is not read by mode=weyl, which checks "
                              "a fresh reconstruction from --data")
-        if args.rtol is not None:
-            raise ValueError("--rtol is not read by mode=weyl, whose checks "
-                             "have fixed tolerances")
         report = verify_weyl(run_inverse(data, grid, N))
     with open(args.out, "w") as fh:
         fh.write(dumps17(report))
@@ -342,9 +340,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("spectral", "weyl"), default="spectral")
     p.add_argument("--big-n", type=int, default=None,
                    help="truncation order (default: data n_max)")
-    p.add_argument("--rtol", type=float, default=None,
-                   help="relative tolerance for mode=spectral "
-                        "(default 1e-3)")
     _add_common(p)
     p.add_argument("--out", required=True, help="verification report JSON")
     p.set_defaults(func=cmd_verify)

@@ -85,6 +85,9 @@ _NODE_BLOCK = 8
 # Breach threshold of the verify_weyl checks.
 _WEYL_TOL = 1e-6
 
+# Breach threshold of both relative gaps of verify_spectral.
+_SPECTRAL_RTOL = 1e-3
+
 
 def index_set(N: int) -> np.ndarray:
     """V^N as (4N, 3) int rows (n, k, eps) in the fixed order: ascending
@@ -493,15 +496,12 @@ def run_inverse(data: SpectralData, grid: Grid, N: int,
 # Verification
 
 
-def verify_spectral(coeffs: CoefficientPair, data: SpectralData, N: int,
-                    rtol: float = 1e-3) -> dict:
+def verify_spectral(coeffs: CoefficientPair, data: SpectralData,
+                    N: int) -> dict:
     """Rerun the forward map on a reconstructed pair and compare
     eigenvalues and weight numbers, n <= N against the data and the rest
-    against the model build_model makes for the data.  rtol, the breach
-    threshold of both relative gaps, must be finite and positive."""
-    if not 0.0 < rtol < np.inf:
-        raise ValueError("verify tolerance must be a finite number > 0, "
-                         "got %r" % (rtol,))
+    against the model build_model makes for the data, with breaches at
+    _SPECTRAL_RTOL."""
     model_data = build_model(data, coeffs.tau1.grid, N).model_data
     n_max = model_data.n_max
     rec = compute_spectral_data(coeffs, n_max)
@@ -524,9 +524,11 @@ def verify_spectral(coeffs: CoefficientPair, data: SpectralData, N: int,
         "entries": entries,
         "breaches": [e for e in entries
                      if e["reference"] == "data"
-                     and max(e["lambda_rel"], e["beta_rel"]) > rtol],
+                     and max(e["lambda_rel"], e["beta_rel"])
+                     > _SPECTRAL_RTOL],
     }
-    report["pass"] = bool(lam_max <= rtol and beta_max <= rtol
+    report["pass"] = bool(lam_max <= _SPECTRAL_RTOL
+                          and beta_max <= _SPECTRAL_RTOL
                           and report["K_match"])
     return report
 

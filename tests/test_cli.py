@@ -129,15 +129,19 @@ def test_inverse_rejects_K_index_out_of_range(tmp_path, smooth_data8, ns,
     assert not (tmp_path / "rec.csv").exists()
 
 
-def _duplicate_lambda_file(tmp_path):
-    """The pinned forward_n8.json cut to N = 4, with lambda_{2,1} set to
-    lambda_{1,1}: it fails the distinct_within_family clause."""
+def _duplicate_lambda_file(tmp_path, n=2, N=4):
+    """The pinned forward_n8.json cut to N, with lambda_{n,1} set to
+    lambda_{n-1,1}: it fails the distinct_within_family clause."""
     data = load_spectral_data(os.path.join(
-        os.path.dirname(__file__), "reference", "forward_n8.json")).truncate(4)
-    data.lambdas[1, 0] = data.lambdas[0, 0]
+        os.path.dirname(__file__), "reference", "forward_n8.json")).truncate(N)
+    data.lambdas[n - 1, 0] = data.lambdas[n - 2, 0]
     path = tmp_path / "dup.json"
     save_spectral_data(path, data)
     return str(path)
+
+
+_INVERSE_ON_DATA = {"inverse": [], "stability": ["--deltas", "1e-3"],
+                    "verify": ["--mode", "weyl"]}
 
 
 @pytest.mark.parametrize("command", ["stability", "verify"])
@@ -145,13 +149,41 @@ def test_every_inverse_on_data_refuses_inadmissible_data(tmp_path, capsys,
                                                          command):
     # the inverse's gate, without the --force that only inverse has
     out = tmp_path / "o"
-    extra = ["--mode", "weyl"] if command == "verify" else []
     rc = main([command, "--data", _duplicate_lambda_file(tmp_path),
-               "--out", str(out)] + extra)
+               "--out", str(out)] + _INVERSE_ON_DATA[command])
     assert rc == 4
     err = capsys.readouterr().err
     assert "distinct_within_family" in err and "--force" not in err
+    assert "condition 1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_INVERSE_ON_DATA))
+def test_the_gate_reads_only_the_entries_n_le_N(tmp_path, capsys,
+                                                monkeypatch, command):
+    # a duplicate at n = 8 does not enter a run at N = 4, which validates
+    # the truncated data once; at N = 8 it is refused, and an N beyond
+    # the data is refused as a bad order before the gate
+    from spectral3 import cli
+    validated = []
+
+    def counting(data, _inner=cli.validate_condition1):
+        validated.append(data.n_max)
+        return _inner(data)
+
+    monkeypatch.setattr(cli, "validate_condition1", counting)
+    data = _duplicate_lambda_file(tmp_path, n=8, N=8)
+    errs = {}
+    for N, code in ((4, 0), (8, 4), (9, 1)):
+        validated.clear()
+        out = tmp_path / ("o%d" % N)
+        assert main([command, "--data", data, "--big-n", str(N),
+                     "--out", str(out)] + _INVERSE_ON_DATA[command]) == code
+        errs[code] = capsys.readouterr().err
+        assert out.exists() is (code == 0)
+        assert validated == ([] if code == 1 else [N])
+    assert "(7, 8, 1)" in errs[4] and "condition 1" in errs[4]
+    assert "N=9 exceeds the data range n_max=8" in errs[1]
 
 
 def test_verify_spectral_reads_inadmissible_data(tmp_path, zero_csv):
@@ -173,7 +205,7 @@ def test_inverse_diag_writes_the_condition1_table(tmp_path, smooth_json,
                 + ["--force"] * force) == 0
     table = json.loads(diag.read_text())["validation"]
     assert table == json.loads(dumps17(validate_condition1(
-        load_spectral_data(data))))
+        load_spectral_data(data).truncate(4))))
     assert table["pass"] is not force
     assert (table["clauses"]["distinct_within_family"]["offenders"]
             == ([[1, 2, 1]] if force else []))
@@ -475,28 +507,29 @@ def test_verify_spectral(tmp_path, smooth_json):
     assert report["lambda_rel_max"] <= 1e-3
 
 
-def test_verify_spectral_reads_rtol(tmp_path, smooth_json):
-    # the same reconstruction fails a tolerance no discretised run meets
-    rec = str(tmp_path / "rec.csv")
-    assert main(["inverse", "--data", smooth_json, "--big-n", "4",
-                 "--out", rec]) == 0
-    out = str(tmp_path / "verify.json")
-    rc = main(["verify", "--data", smooth_json, "--rec", rec,
-               "--big-n", "4", "--rtol", "1e-30", "--out", out])
-    assert rc == 0
-    assert json.loads(open(out).read())["pass"] is False
+@pytest.mark.parametrize("mode", ["spectral", "weyl"])
+def test_verify_rtol_is_gone(tmp_path, zero_csv, smooth_json, capsys, mode):
+    # the spectral breach threshold is fixed, like weyl mode's checks
+    rec = ["--rec", zero_csv] if mode == "spectral" else []
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--data", smooth_json, "--mode", mode, "--big-n",
+              "3", "--rtol", "1e-3", "--out", str(tmp_path / "v")] + rec)
+    assert ei.value.code == 1
+    assert "unrecognized arguments: --rtol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1"])
-def test_verify_spectral_rejects_bad_rtol(tmp_path, zero_csv, smooth_json,
-                                          capsys, rtol):
-    out = tmp_path / "verify.json"
-    rc = main(["verify", "--data", smooth_json, "--rec", zero_csv,
-               "--big-n", "4", "--rtol=" + rtol, "--out", str(out)])
-    assert rc == 1
-    assert ("verify tolerance must be a finite number > 0"
-            in capsys.readouterr().err)
-    assert not out.exists()
+def test_verify_spectral_breaches_at_the_fixed_threshold(tmp_path, zero_csv,
+                                                        smooth_json):
+    # a reconstruction from other data: the zero pair against smooth data
+    out = tmp_path / "v.json"
+    assert main(["verify", "--data", smooth_json, "--rec", zero_csv,
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    gap = {(e["n"], e["k"]): max(e["lambda_rel"], e["beta_rel"])
+           for e in report["entries"] if e["reference"] == "data"}
+    assert report["pass"] is False and report["breaches"]
+    assert ([(e["n"], e["k"]) for e in report["breaches"]]
+            == [nk for nk, g in gap.items() if g > 1e-3])
 
 
 def test_verify_spectral_needs_rec(tmp_path, smooth_json, capsys):
@@ -526,17 +559,6 @@ def test_verify_weyl_refuses_rec(tmp_path, smooth_json, capsys):
                "--rec", str(junk), "--big-n", "3", "--out", str(out)])
     assert rc == 1
     assert "--rec" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_verify_weyl_refuses_rtol(tmp_path, smooth_json, capsys):
-    # weyl mode's checks have fixed tolerances; an --rtol it would not
-    # read is refused
-    out = tmp_path / "verify.json"
-    rc = main(["verify", "--data", smooth_json, "--mode", "weyl",
-               "--rtol", "5", "--big-n", "3", "--out", str(out)])
-    assert rc == 1
-    assert "--rtol" in capsys.readouterr().err
     assert not out.exists()
 
 
