@@ -39,6 +39,7 @@ matrix is built directly and never rescaled entry by entry.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -75,18 +76,43 @@ _KERNEL_SWITCH = 1e-6
 
 _RCOND_FLOOR = 1e-13
 
-# Nodes per block of solve_phi.  A block's node matrices are built
-# already scaled from weighted kernel factors, 8 x (4N)^2 complex entries
-# (1.2 MB at N = 24), and factorized one at a time; with one LU factor
-# they are the only copies of the matrices the solve holds.  16 nodes
-# were no faster and raised the inverse peak RSS by 3.4 MB.
+# Nodes per block of the node solve.  A block's node matrices are built
+# already scaled from weighted kernel factors into one buffer of
+# 8 x (4N)^2 complex entries (1.2 MB at N = 24), allocated once per
+# solve_phi, and factorized one at a time; with one LU factor they are
+# the only copies of the matrices the solve holds.  16 nodes were no
+# faster and raised the inverse peak RSS by 3.4 MB.
 _NODE_BLOCK = 8
+
+# Nodes per block of the sums over v, s in solve_phi and the three series
+# of reconstruct, a multiple of _NODE_BLOCK: a block's eta and eta' are
+# (4N, 64, 2) complex entries (196 KB at N = 24), an eighth of the
+# whole-grid table.  Each block reads them from the model cache's arrays,
+# about 35 us a read at N = 8, so blocks of _NODE_BLOCK nodes would cost
+# about 2 ms more per inverse run.
+_SUM_BLOCK = 64
 
 # Breach threshold of the verify_weyl checks.
 _WEYL_TOL = 1e-6
 
 # Breach threshold of both relative gaps of verify_spectral.
 _SPECTRAL_RTOL = 1e-3
+
+
+def _node_blocks(start: int, stop: int, size: int) -> list:
+    """The slices of size nodes covering the nodes start to stop - 1, the
+    last one ragged."""
+    return [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
+
+
+def _sum_v(terms: np.ndarray) -> np.ndarray:
+    """The sum over v of (..., 4N, nodes) terms, added in index order in
+    place of the terms.
+
+    accumulate adds row after row for any number of nodes, as sum(axis=0)
+    does over the whole grid; sum(axis=0) of a one-node block, such as
+    the last of M + 1 = 513 nodes, would add pairwise instead."""
+    return np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
 
 
 def index_set(N: int) -> np.ndarray:
@@ -184,7 +210,9 @@ def _kernel_factors(stars: StarStates, eta: np.ndarray, Y: StateRows,
     np.divide(1.0, diff, out=recip, where=~near)
 
     ws, vs = np.nonzero(near)
-    vals = cumulative(np.transpose(eta[vs] * Y.take(comps=0)[ws]))
+    vals = eta[vs]
+    vals *= Y.take(comps=0)[ws]
+    vals = cumulative(np.transpose(vals))
     pole = (j[ws] == 2) & (stars.pole[vs] != 0)
     hit = pole & (lam[vs] == mu[ws])
     bad = np.flatnonzero(hit & ~stars.regularized[vs])
@@ -204,7 +232,7 @@ _BRACKET_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
 def _bracket(f: KernelFactors, nodes: slice = slice(None), rows=None,
-             cols=None) -> np.ndarray:
+             cols=None, out=None) -> np.ndarray:
     """D(x_m; Z_v, Y_w) as out[m, w, v] for the nodes m of the slice,
     times cols[m, v] / rows[m, w] when these (nodes or 1, W or L) tables
     are given: one batched product over the nodes, times 1 / (mu - lam),
@@ -213,7 +241,8 @@ def _bracket(f: KernelFactors, nodes: slice = slice(None), rows=None,
     entries per node, and rows and cols scale them, never the (W, L)
     product.  A near-pair value is multiplied by the ratio cols / rows
     itself, which is exact where the two agree, as on the diagonal of a
-    similarity."""
+    similarity.  The product is written into out, a C-contiguous
+    (nodes, W, L) complex array, when one is given."""
     Yb = f.Y.take(nodes, _REVERSE)    # (W, nodes, 3)
     Yb *= _BRACKET_SIGNS
     Zt = f.stars.take(nodes)          # (L, nodes, 3)
@@ -222,7 +251,8 @@ def _bracket(f: KernelFactors, nodes: slice = slice(None), rows=None,
         Yb /= rows.T[:, :, None]
         Zt *= cols.T[:, :, None]
         vals = vals * (cols[..., f.vs] / rows[..., f.ws])
-    out = np.matmul(np.transpose(Yb, (1, 0, 2)), np.transpose(Zt, (1, 2, 0)))
+    out = np.matmul(np.transpose(Yb, (1, 0, 2)), np.transpose(Zt, (1, 2, 0)),
+                    out=out)
     out *= f.recip
     out[:, f.ws, f.vs] = vals
     return out
@@ -240,10 +270,11 @@ class MainAssembly:
     The Weyl states stay in the model cache's arrays: the kernel factors
     and the star states record where each index's states sit, and the
     tables over the grid are formed from them on each access, for a
-    slice of nodes (tilde_states, node_matrices) or for all of them (A).
-    eta and deta, which solve_phi, reconstruct and verify_weyl all read
-    over the whole grid, are formed once, on first access, and kept
-    read-only.
+    slice of nodes (tilde_states, node_matrices, stars.take) or for all
+    of them (A).  solve_phi and reconstruct read eta and eta' one block
+    of nodes at a time, from stars.take; the whole-grid eta and deta,
+    which only verify_weyl reads, are formed once, on first access, and
+    kept read-only.
     """
 
     cache: ModelCache
@@ -280,15 +311,17 @@ class MainAssembly:
         return self._eta_deta[:, :, 1]
 
     def node_matrices(self, nodes: slice = slice(None),
-                      w: np.ndarray | None = None) -> np.ndarray:
+                      w: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """A[m, v0, v] = delta - (-1)^eps(v) D(x_m; Z_v, tilde phi_v0)
-        for the nodes m of the slice, (nodes, 4N, 4N).  Given weights w
-        (nodes, 4N), the equilibrated w_v A[m, v0, v] / w_v0 instead: the
-        weights and signs scale the kernel factors before their
-        product."""
+        for the nodes m of the slice, (nodes, 4N, 4N), written into out
+        when it is given.  Given weights w (nodes, 4N), the equilibrated
+        w_v A[m, v0, v] / w_v0 instead: the weights and signs scale the
+        kernel factors before their product."""
         if w is None:
             w = np.ones((1, len(self.V)))
-        A = _bracket(self.kernel, nodes, rows=w, cols=-self.signs * w)
+        A = _bracket(self.kernel, nodes, rows=w, cols=-self.signs * w,
+                     out=out)
         idx = np.arange(len(self.V))
         A[:, idx, idx] += 1.0
         return A
@@ -368,12 +401,13 @@ def solve_phi(assembly: MainAssembly):
     w, tilde_phi / w and tilde_phi' / w from the states in the model
     cache: assembly.node_matrices builds the block's Ahat already scaled,
     the weights, signs and 1 / (mu - lam) applied to the kernel factors,
-    so one block of matrices and one LU factorization exist at a time;
-    norms and residuals are array operations on a block; only the LAPACK
-    calls run node by node.  xhat and yhat are written straight into phi
-    and phi', which with eta and eta', read once all nodes are solved
-    and kept on the assembly for reconstruct, are the only (4N, M+1)
-    tables the solve holds.
+    into one matrix buffer that every block reuses, so one block of
+    matrices and one LU factorization exist at a time.  The 1-norms, into
+    one reused buffer, and the LAPACK calls run node by node, the
+    residuals as array operations on a block.  Once a span of _SUM_BLOCK
+    nodes is solved, s and s phi are formed there, from the span's own
+    read of eta.  xhat and yhat are written straight into phi and phi',
+    the only (4N, M+1) tables the solve holds.
     """
     grid = assembly.grid
     M = grid.M
@@ -387,41 +421,46 @@ def solve_phi(assembly: MainAssembly):
     rcond_min, rcond_node = np.inf, -1
     residual_max = 0.0
     x = grid.nodes[:, None]
-    for start in range(0, M + 1, _NODE_BLOCK):
-        block = slice(start, min(start + _NODE_BLOCK, M + 1))
-        # node-major (nodes, 4N) rows, contiguous along v
-        w = np.exp(x[block] * assembly.rates)
-        tilde_phi, tilde_dphi = assembly.tilde_states(block)
-        b1 = np.divide(tilde_phi.T, w, order="C")
-        b2 = np.divide(tilde_dphi.T, w, order="C")
-        Ahat = assembly.node_matrices(block, w)
-        # column sums over the non-contiguous axis add sequentially, in the
-        # order of a single matrix's sum(axis=0)
-        anorm = np.abs(Ahat).sum(axis=1).max(axis=1)
-        for i, m in enumerate(range(block.start, block.stop)):
-            lu, piv, _ = getrf(Ahat[i])
-            rcond = float(gecon(lu, anorm[i])[0])
-            if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
-                raise SingularSystemError(m, rcond)
-            if rcond < rcond_min:
-                rcond_min, rcond_node = rcond, m
-            # one column per getrs: a two-column call took 35x as long
-            xhat[m] = getrs(lu, piv, b1[i])[0]
-            yhat[m] = getrs(lu, piv, b2[i])[0]
-        xb = np.ascontiguousarray(xhat[block])
-        # einsum, not matmul: a stacked matrix-vector matmul calls BLAS
-        # gemv, which OpenBLAS splits over two threads from (4N)^2 = 4096
-        # on, and those calls stall whenever another process holds a core
-        Ax = np.einsum("mij,mj->mi", Ahat, xb)
-        res = (np.abs(Ax - b1).max(axis=1)
-               / (1.0 + np.abs(b1).max(axis=1)))
-        residual_max = max(residual_max, float(res.max()))
-        del Ahat  # before the next block's are built
-        xhat[block] *= w
-        yhat[block] *= w
-    s = np.multiply(assembly.signs[:, None], assembly.eta)
-    s *= phi
-    dphi += s.sum(axis=0) * phi
+    signs = assembly.signs[:, None]
+    matrices = np.empty((_NODE_BLOCK, size, size), dtype=complex)
+    moduli = np.empty((size, size))
+    for span in _node_blocks(0, M + 1, _SUM_BLOCK):
+        for block in _node_blocks(span.start, span.stop, _NODE_BLOCK):
+            # node-major (nodes, 4N) rows, contiguous along v
+            w = np.exp(x[block] * assembly.rates)
+            tilde_phi, tilde_dphi = assembly.tilde_states(block)
+            b1 = np.divide(tilde_phi.T, w, order="C")
+            b2 = np.divide(tilde_dphi.T, w, order="C")
+            Ahat = assembly.node_matrices(block, w,
+                                          matrices[:block.stop - block.start])
+            for i, m in enumerate(range(block.start, block.stop)):
+                # column sums over the non-contiguous axis add sequentially
+                anorm = np.abs(Ahat[i], out=moduli).sum(axis=0).max()
+                lu, piv, _ = getrf(Ahat[i])
+                rcond = float(gecon(lu, anorm)[0])
+                if not math.isfinite(rcond) or rcond < _RCOND_FLOOR:
+                    raise SingularSystemError(m, rcond)
+                if rcond < rcond_min:
+                    rcond_min, rcond_node = rcond, m
+                # one column per getrs: a two-column call took 35x as long
+                xhat[m] = getrs(lu, piv, b1[i])[0]
+                yhat[m] = getrs(lu, piv, b2[i])[0]
+            xb = np.ascontiguousarray(xhat[block])
+            # einsum, not matmul: a stacked matrix-vector matmul calls
+            # BLAS gemv, which OpenBLAS splits over two threads from
+            # (4N)^2 = 4096 on, and those calls stall whenever another
+            # process holds a core
+            Ax = np.einsum("mij,mj->mi", Ahat, xb)
+            res = (np.abs(Ax - b1).max(axis=1)
+                   / (1.0 + np.abs(b1).max(axis=1)))
+            residual_max = max(residual_max, float(res.max()))
+            xhat[block] *= w
+            yhat[block] *= w
+        # s at the span's nodes, from its own read of eta
+        s = assembly.stars.take(span, comps=0)
+        np.multiply(signs, s, out=s)
+        s *= phi[:, span]
+        dphi[:, span] += _sum_v(s) * phi[:, span]
     diag = {"rcond_min": rcond_min, "rcond_node": rcond_node,
             "cond_max": 1.0 / rcond_min, "residual_max": residual_max}
     return phi, dphi, diag
@@ -455,14 +494,21 @@ def reconstruct(assembly: MainAssembly, phi: np.ndarray, dphi: np.ndarray,
                 solve_diag: dict | None = None) -> ReconstructionResult:
     """Recover (tau1, sigma0) from the phi tables solved on the assembly.
 
-    The three series are summed over V^N in the fixed index_set order.
+    The three series are summed over V^N in the fixed index_set order,
+    one block of _SUM_BLOCK nodes at a time, each from its own read of
+    eta and eta' (one star-state read of two components).
     """
     cache, grid, N = assembly.cache, assembly.grid, assembly.N
-    eta, deta = assembly.eta, assembly.deta
     signs = assembly.signs[:, None]
-    sum_full = (signs * (dphi * eta + phi * deta)).sum(axis=0)
-    sum_deriv = (signs * (dphi * eta)).sum(axis=0)
-    sum_plain = (signs * (phi * eta)).sum(axis=0)
+    sums = np.empty((3, grid.M + 1), dtype=complex)
+    for block in _node_blocks(0, grid.M + 1, _SUM_BLOCK):
+        Z = assembly.stars.take(block, comps=slice(0, 2))
+        eta, deta = Z[:, :, 0], Z[:, :, 1]
+        p, dp = phi[:, block], dphi[:, block]
+        deriv = dp * eta
+        sums[:, block] = _sum_v(
+            signs * np.stack([deriv + p * deta, deriv, p * eta]))
+    sum_full, sum_deriv, sum_plain = sums
 
     tau1N = cache.coeffs.tau1.values - 1.5 * sum_full
     hat = -1.5 * sum_full
@@ -549,9 +595,7 @@ def _phiN_tables(result: ReconstructionResult, k0: int, lams):
     vals, dvals = tilde.take(comps=0), tilde.take(comps=1)
     # the last term of Phi^N', formed before vals is summed into
     tail = vals * s
-    M = a.grid.M
-    for start in range(0, M + 1, _NODE_BLOCK):
-        block = slice(start, min(start + _NODE_BLOCK, M + 1))
+    for block in _node_blocks(0, a.grid.M + 1, _NODE_BLOCK):
         P = _bracket(f, block)                # (nodes, W, 4N)
         vals[:, block] += np.einsum("vm,mwv->wm", sphi[:, block], P)
         dvals[:, block] += np.einsum("vm,mwv->wm", sdphi[:, block], P)

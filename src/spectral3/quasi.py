@@ -374,9 +374,11 @@ def _loop_sweep(coeffs: CoefficientPair, variant, lams: np.ndarray,
     # Y (3, B, K, L): row, block, column, lambda
     Y = np.zeros((3, B, K, L), dtype=complex)
     Y[:, 0] = np.transpose(np.broadcast_to(inits, (L, 3, K)), (1, 2, 0))
+    # the stretches' start states, which only a stored sweep reruns from
     starts = []
     for j in range(J):
-        starts.append(Y)
+        if store:
+            starts.append(Y)
         Y = _chain(F[j], Y)
         if not np.isfinite(Y[:, 0]).all():
             m = min(_STRETCH * (j + 1), M)

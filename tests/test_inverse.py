@@ -254,12 +254,12 @@ def test_stability_input_guards(smooth_data8, smooth_data20, grid512):
 ], ids=["node3", "node200", "last", "nan", "two", "two_in_block"])
 def test_singular_node_guard(smooth_data8, cache4, bad, value, node,
                              monkeypatch):
-    # solve_phi builds the node matrices block by block; overwrite the bad
-    # nodes inside the blocks that contain them
+    # solve_phi builds the node matrices block by block, into one buffer;
+    # overwrite the bad nodes inside the blocks that contain them
     build = MainAssembly.node_matrices
 
-    def patched(self, nodes=slice(None), w=None):
-        A = build(self, nodes, w)
+    def patched(self, nodes=slice(None), w=None, out=None):
+        A = build(self, nodes, w, out)
         for m in bad:
             if nodes.start <= m < nodes.stop:
                 A[m - nodes.start] = value
@@ -514,9 +514,10 @@ def test_assembly_near_coinciding_data_and_model(smooth_data8, cache4,
 
 def test_node_blocks_equal_full_stack(smooth_data8, cache4, grid512,
                                       general_coeffs128, grid128):
-    # solve_phi builds the node matrices one block at a time; the blocks
-    # must be the all-node stack bit for bit, the ragged last block of
-    # M + 1 = 513 or 129 nodes included
+    # solve_phi builds the node matrices one block at a time, into one
+    # buffer; the blocks must be the all-node stack bit for bit, built
+    # fresh or into the buffer, the ragged last block of M + 1 = 513 or
+    # 129 nodes included
     d = _coinciding_data(smooth_data8)
     data128 = compute_spectral_data(general_coeffs128, 4)
     cases = [(smooth_data8, cache4, 4), (d, build_model(d, grid512, 3), 3),
@@ -530,7 +531,73 @@ def test_node_blocks_equal_full_stack(smooth_data8, cache4, grid512,
         blocks = [assembly.node_matrices(slice(start,
                                                min(start + _NODE_BLOCK, M + 1)))
                   for start in range(0, M + 1, _NODE_BLOCK)]
-        assert np.array_equal(np.concatenate(blocks), assembly.A)
+        A = assembly.A
+        assert np.array_equal(np.concatenate(blocks), A)
+        size = len(assembly.V)
+        buffer = np.full((_NODE_BLOCK, size, size), np.nan, dtype=complex)
+        for start in range(0, M + 1, _NODE_BLOCK):
+            block = slice(start, min(start + _NODE_BLOCK, M + 1))
+            out = buffer[:block.stop - block.start]
+            assert assembly.node_matrices(block, out=out) is out
+            assert out.tobytes() == A[block].tobytes()
+
+
+def test_solve_phi_fills_one_matrix_buffer(smooth_data8, cache4,
+                                           monkeypatch):
+    # every block's node matrices are written into views of one
+    # (_NODE_BLOCK, 4N, 4N) buffer that solve_phi allocates once
+    build = MainAssembly.node_matrices
+    outs = []
+
+    def recording(self, nodes=slice(None), w=None, out=None):
+        outs.append(out)
+        return build(self, nodes, w, out)
+
+    monkeypatch.setattr(MainAssembly, "node_matrices", recording)
+    solve_phi(assemble(smooth_data8, cache4, 4))
+    M = cache4.grid.M
+    assert len(outs) == -(-(M + 1) // _NODE_BLOCK)
+    buffer = outs[0].base
+    assert buffer.shape == (_NODE_BLOCK, 16, 16)
+    assert all(out.base is buffer for out in outs)
+    assert outs[-1].shape == ((M + 1) % _NODE_BLOCK, 16, 16)
+
+
+def test_block_sums_equal_the_whole_grid_sums(smooth_data8, cache4):
+    # reconstruct sums its three series one block of nodes at a time, each
+    # from its own read of eta and eta'; tau1N and sigma0N must equal, bit
+    # for bit, those summed over the whole grid at once, the one-node last
+    # block of M + 1 = 513 nodes included
+    assembly = assemble(smooth_data8, cache4, 4)
+    phi, dphi, _ = solve_phi(assembly)
+    res = reconstruct(assembly, phi, dphi)
+    eta, deta = assembly.eta, assembly.deta
+    signs = assembly.signs[:, None]
+    sum_full = (signs * (dphi * eta + phi * deta)).sum(axis=0)
+    sum_deriv = (signs * (dphi * eta)).sum(axis=0)
+    sum_plain = (signs * (phi * eta)).sum(axis=0)
+    tau1 = cache4.coeffs.tau1.values - 1.5 * sum_full
+    hat = -1.5 * sum_full
+    sigma0 = (cache4.coeffs.sigma0.values - hat - 3.0 * sum_deriv
+              - 2.0 * cumulative(hat * sum_plain))
+    assert res.tau1N.values.tobytes() == tau1.tobytes()
+    assert res.sigma0N.values.tobytes() == sigma0.tobytes()
+
+
+def test_block_sums_do_not_depend_on_the_block_size(smooth_data8, cache4,
+                                                    monkeypatch):
+    # s in solve_phi and the series of reconstruct are summed by blocks of
+    # _SUM_BLOCK nodes; blocks of 8 (the last a single node) and one block
+    # of all 513 nodes give the default's bytes
+    assembly = assemble(smooth_data8, cache4, 4)
+    outs = []
+    for size in (inverse._SUM_BLOCK, 8, 520):
+        monkeypatch.setattr(inverse, "_SUM_BLOCK", size)
+        phi, dphi, _ = solve_phi(assembly)
+        res = reconstruct(assembly, phi, dphi)
+        outs.append([phi.tobytes(), dphi.tobytes(),
+                     res.tau1N.values.tobytes(), res.sigma0N.values.tobytes()])
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 @pytest.mark.parametrize("case", ["smooth", "coinciding"])
@@ -643,9 +710,9 @@ def test_solve_holds_no_full_matrix_stack(smooth_data8, smooth_data20,
 
 def test_eta_is_read_once_per_inverse_run(smooth_data8, cache4,
                                           monkeypatch):
-    # solve_phi, reconstruct and verify_weyl all read eta (and the last
-    # two eta') over the whole grid: the star states are read for them
-    # once, and the assembly keeps the result
+    # solve_phi and reconstruct read eta (and reconstruct eta') one block
+    # of nodes at a time; verify_weyl is the one reader of the whole-grid
+    # eta, whose star states are read once and kept on the assembly
     assembly = assemble(smooth_data8, cache4, 4)
     reads = []
 
@@ -677,6 +744,25 @@ def test_assembly_and_solve_hold_each_state_once(smooth_data20, grid512):
     assert states == 8 * N
     held = states * (grid512.M + 1) * 3 * np.dtype(complex).itemsize
     assert peak < 3 * held
+
+
+def test_inverse_run_holds_no_whole_grid_eta_table(smooth_data20, grid512):
+    # assemble + solve_phi + reconstruct at N = 16 peak below 6.5 MiB of
+    # traced allocations: s and the three reconstruction series are summed
+    # one node block at a time from block reads of the star states, and
+    # the node matrices of every block share one buffer.  Forming the
+    # (4N, M+1, 2) eta/eta' table over the whole grid (1.0 MiB), with the
+    # (4N, M+1) temporaries summed from it, put the peak at 6.8 MiB.
+    N = 16
+    cache = build_model(smooth_data20, grid512, N)
+    inverse._lapack_routines()
+
+    def run():
+        assembly = assemble(smooth_data20, cache, N)
+        phi, dphi, diag = solve_phi(assembly)
+        reconstruct(assembly, phi, dphi, solve_diag=diag)
+
+    assert _traced_peak(run) < 6.5 * 2 ** 20
 
 
 def test_verify_weyl_holds_no_full_kernel_stack(smooth_data8, grid512):
